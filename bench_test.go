@@ -191,6 +191,10 @@ func BenchmarkSimKernelEventThroughput(b *testing.B) {
 	k.Run()
 }
 
+// Two procs passing a turn through Cond: every wake-up is of the other
+// proc, so each op is one direct hand-off — the blocked proc pops the
+// other's wake-up on its own goroutine and sends once on its resume channel
+// (one goroutine switch; the central dispatcher this replaced took two).
 func BenchmarkSimProcContextSwitch(b *testing.B) {
 	k := newPingPongProcs(b.N)
 	b.ReportAllocs()

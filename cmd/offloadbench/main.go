@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -59,7 +58,7 @@ func main() {
 		seed   = fs.Int64("seed", 42, "chaos fault-injection seed")
 		size   = fs.Int("size", 32<<10, "chaos/scale message size in bytes")
 		maxrk  = fs.Int("maxranks", 0, "scale: largest rank count of the sweep (0 = full 128..1024)")
-		outp   = fs.String("o", "", "output path (bench-snapshot: BENCH_fig13.json, wallclock: BENCH_wallclock.json)")
+		outp   = fs.String("o", "", "output path (bench-snapshot: BENCH_fig13.json)")
 		cprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to <path>")
 		mprof  = fs.String("memprofile", "", "write a pprof heap profile after the run to <path>")
 	)
@@ -67,7 +66,7 @@ func main() {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	workers := cf.Activate()
+	cf.Activate()
 	if cf.HandleDeviceQuery(os.Stdout) {
 		return // -device list / -fleet help: documented exit 0
 	}
@@ -254,28 +253,8 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(out, "wrote %s (%d rank counts up to %d, claims validated, %s wall, shards=%d)\n",
-			path, len(snap.Series), snap.Series[len(snap.Series)-1].Ranks, wall.Round(time.Millisecond), cf.Shards)
-		return
-	}
-
-	if fig == "wallclock" {
-		path := *outp
-		if path == "" {
-			path = "BENCH_wallclock.json"
-		}
-		if cf.Parallel == 1 {
-			// A serial-vs-serial comparison proves nothing; default the
-			// parallel arm to the acceptance configuration.
-			workers = 4
-		}
-		if n := runtime.NumCPU(); n < bench.MinSpeedupCores && workers > n {
-			// More workers than cores measures scheduler thrash, not the
-			// runner: record the honest configuration for this host and let
-			// Validate's core-count gate waive the speedup floor.
-			workers = n
-		}
-		runWallclock(out, p, path, workers)
+		fmt.Fprintf(out, "wrote %s (%d rank counts up to %d, claims validated, %s wall)\n",
+			path, len(snap.Series), snap.Series[len(snap.Series)-1].Ranks, wall.Round(time.Millisecond))
 		return
 	}
 
@@ -362,59 +341,6 @@ func main() {
 	if err := cf.Finish(out); err != nil {
 		fatal(err)
 	}
-}
-
-// runWallclock times the fig13 figure sweep serially and with the parallel
-// runner, verifies the two rendered outputs byte-identical (determinism is
-// the hard requirement), and records the wall-clock baseline.
-func runWallclock(out *os.File, p params, path string, workers int) {
-	render := func() []byte {
-		var buf bytes.Buffer
-		t13s, t14s := figures.Fig13And14([]int{4, 8, 16}, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2))
-		for _, t := range t13s {
-			t.Fprint(&buf)
-		}
-		for _, t := range t14s {
-			t.Fprint(&buf)
-		}
-		return buf.Bytes()
-	}
-
-	bench.Parallelism = 1
-	t0 := time.Now()
-	serialOut := render()
-	serialNS := time.Since(t0).Nanoseconds()
-
-	bench.Parallelism = workers
-	t0 = time.Now()
-	parOut := render()
-	parNS := time.Since(t0).Nanoseconds()
-
-	snap := bench.WallclockSnapshot{
-		Schema:     bench.WallclockSchema,
-		Figure:     "fig13",
-		Cores:      runtime.NumCPU(),
-		Parallel:   workers,
-		SerialNS:   serialNS,
-		ParallelNS: parNS,
-		Speedup:    float64(serialNS) / float64(parNS),
-		Identical:  bytes.Equal(serialOut, parOut),
-	}
-	if err := snap.Validate(); err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := bench.WriteWallclock(f, snap); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(out, "wrote %s: serial %s, parallel(%d) %s, speedup %.2fx on %d cores, outputs identical=%v\n",
-		path, time.Duration(serialNS), workers, time.Duration(parNS), snap.Speedup, snap.Cores, snap.Identical)
 }
 
 // runTimeline runs the drift scenario for every foreground policy with the
@@ -667,8 +593,6 @@ figures:
   bench-drift     regenerate the BENCH_drift.json drift baseline (-o path)
   bench-fleet     regenerate the BENCH_fleet.json mixed-fleet baseline (-o path);
                   validates against BENCH_fig13.json in the working directory
-  wallclock       time the fig13 sweep serial vs parallel, verify the outputs
-                  byte-identical, and write the BENCH_wallclock.json baseline
   critical-path   span-based critical path + latency attribution for the
                   fig13 Ialltoall loop and a chaos run (-ppn, -size, -seed)
   timeline        drift scenario with the virtual-time flight recorder: time
@@ -677,8 +601,6 @@ figures:
 
 flags: -ppn N -iters N -warmup N -full -memgb N -nb N -seed N -size N
        -parallel N (sweep workers; 0 = all CPUs, 1 = serial; output identical at any value)
-       -shards N (lookahead-sharded kernel execution; 0 = one shard per node,
-                  1 = serial loop; output identical at any value)
        -policy NAME (offload policy: gvmi|staged|bluesmpi|hostdirect|adaptive|aware|measure|feedback)
        -device NAME (device profile for every node: bf2|bf3|ipu-e2100|dsa-offpath;
                   "list" prints the capability matrix and exits)
@@ -689,5 +611,5 @@ flags: -ppn N -iters N -warmup N -full -memgb N -nb N -seed N -size N
        -timeseries PATH (record watched metrics as bucketed virtual-time series:
                   PATH.jsonl, PATH.prom; with -spans, counter tracks join the trace)
        -cpuprofile PATH / -memprofile PATH (pprof capture of the run)
-       -o PATH (bench-snapshot / wallclock / timeline output)`)
+       -o PATH (bench-snapshot / timeline output)`)
 }

@@ -48,14 +48,6 @@ var DefaultDevice string
 // DefaultDevice.
 var DefaultFleet string
 
-// Shards, when != 1, switches every environment Build creates (that does
-// not carry its own cluster-level value) to lookahead-sharded kernel
-// execution with that many shards (0 = one shard per node). offloadbench
-// sets it from the -shards flag. Sharding changes how the event loop runs,
-// never what it computes: results are byte-identical at any value (see
-// cluster.Config.Shards and the two-sided guard in shards_guard_test.go).
-var Shards = 1
-
 // Options describe one benchmark environment.
 type Options struct {
 	Nodes         int
@@ -136,13 +128,6 @@ func Build(opt Options) *Env {
 	ccfg.BackedPayload = opt.Backed
 	if opt.ProxiesPerDPU > 0 {
 		ccfg.ProxiesPerDPU = opt.ProxiesPerDPU
-	}
-	if ccfg.Shards == 0 && Shards != 1 {
-		if Shards <= 0 {
-			ccfg.Shards = ccfg.Nodes
-		} else {
-			ccfg.Shards = Shards
-		}
 	}
 	if ccfg.Metrics == nil {
 		if opt.Metrics != nil {

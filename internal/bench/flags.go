@@ -25,7 +25,6 @@ type CommonFlags struct {
 	Device         string
 	Fleet          string
 	Parallel       int
-	Shards         int
 
 	reg *metrics.Registry
 	sc  *span.Collector
@@ -53,8 +52,6 @@ func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 		"record watched metrics as virtual-time bucketed series: JSONL to <path>.jsonl, timestamped Prometheus text to <path>.prom (with -spans, counter tracks merge into the Chrome trace)")
 	fs.IntVar(&cf.Parallel, "parallel", 1,
 		"sweep worker count (0 = all CPUs, 1 = serial); results are identical at any value")
-	fs.IntVar(&cf.Shards, "shards", 1,
-		"kernel event shards per simulation (0 = one per node, 1 = serial); results are identical at any value")
 	fs.StringVar(&cf.Policy, "policy", "",
 		"offload policy: "+strings.Join(baseline.PolicyNames(), " | ")+" (empty = scheme default)")
 	fs.StringVar(&cf.Device, "device", "",
@@ -89,15 +86,14 @@ func (cf *CommonFlags) HandleDeviceQuery(out io.Writer) bool {
 
 // Activate applies the parsed flags to the bench globals — Parallelism plus
 // the default metrics registry / span collector attached to every
-// environment — and returns the installed worker count. Neither attachment
-// consumes virtual time, so results are unchanged.
-func (cf *CommonFlags) Activate() int {
+// environment. Neither attachment consumes virtual time, so results are
+// unchanged.
+func (cf *CommonFlags) Activate() {
 	workers := cf.Parallel
 	if workers <= 0 {
 		workers = DefaultParallelism()
 	}
 	Parallelism = workers
-	Shards = cf.Shards
 	DefaultDevice = cf.Device
 	DefaultFleet = cf.Fleet
 	if cf.MetricsPath != "" {
@@ -118,7 +114,6 @@ func (cf *CommonFlags) Activate() int {
 		cf.tl = telemetry.NewTimeline(telemetry.Config{})
 		DefaultTimeline = cf.tl
 	}
-	return workers
 }
 
 // Registry returns the registry Activate installed (nil without -metrics).

@@ -75,8 +75,7 @@ var scaleSchemes = []string{baseline.NameBluesMPI, baseline.NameProposed, baseli
 
 // ScaleSeries measures every (ranks, scheme) point of cfg. Runs are
 // independent simulations distributed by the sweep runner, so results are
-// byte-identical at any -parallel value — and, per simulation, at any
-// -shards value (the two-sided guards enforce both).
+// byte-identical at any -parallel value.
 func ScaleSeries(cfg ScaleConfig) []ScalePoint {
 	nsch := len(scaleSchemes)
 	res := make([]NBCResult, len(cfg.Ranks)*nsch)

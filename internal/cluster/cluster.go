@@ -53,15 +53,6 @@ type Config struct {
 	// are unaffected (costs depend only on sizes).
 	BackedPayload bool
 
-	// Shards, when > 1, runs the kernel in lookahead-sharded mode: pending
-	// events are split across per-node shards and each window is extracted
-	// in parallel, with the conservative lookahead set to the fabric's
-	// minimum link latency. Dispatch order is unchanged, so every result is
-	// byte-identical to a serial run (guarded by the -shards two-sided
-	// tests). 0 or 1 keeps the serial loop. More shards than nodes is
-	// clamped to the node count.
-	Shards int
-
 	// HostCopyGBps is the single-core memcpy bandwidth used for intra-node
 	// (shared-memory) MPI transfers, in bytes/ns.
 	HostCopyGBps float64
@@ -204,16 +195,6 @@ type Cluster struct {
 func New(cfg Config) *Cluster {
 	k := sim.NewKernel()
 	f := fabric.New(k, cfg.Fabric)
-	if n := cfg.Shards; n > 1 {
-		// Before anything is scheduled: the serial heap and the shard heaps
-		// never coexist. The fabric's minimum link latency is the widest
-		// window that is still conservative — no cross-node delivery can
-		// land sooner.
-		if n > cfg.Nodes {
-			n = cfg.Nodes
-		}
-		k.ConfigureShards(n, f.MinLatency())
-	}
 	reg := verbs.NewRegistry(f, cfg.Verbs)
 	c := &Cluster{
 		Cfg:  cfg,

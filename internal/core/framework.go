@@ -243,13 +243,10 @@ func (fw *Framework) Start() {
 	for _, px := range fw.proxies {
 		px := px
 		px.gvmiID = fw.cl.GVMI.GenerateID(px.ctx)
-		proc := fw.cl.K.Spawn(fmt.Sprintf("proxy%d", px.global), func(p *sim.Proc) {
+		fw.cl.K.Spawn(fmt.Sprintf("proxy%d", px.global), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			px.run(p)
 		})
-		// Placement hint for sharded kernels: the proxy's events stay on
-		// its node's shard (a no-op on serial kernels).
-		proc.SetShard(fw.cl.K.ShardIndex(px.node))
 	}
 	if !fw.crashesConfigured() {
 		return
@@ -273,7 +270,7 @@ func (fw *Framework) Start() {
 	// loops and its proxy's progress engine).
 	for _, h := range fw.hosts {
 		h := h
-		proc := fw.cl.K.Spawn(fmt.Sprintf("dlvctr%d", h.rank), func(p *sim.Proc) {
+		fw.cl.K.Spawn(fmt.Sprintf("dlvctr%d", h.rank), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			for !fw.stopped {
 				for _, pkt := range h.dlvCtx.PollInbox() {
@@ -284,6 +281,5 @@ func (fw *Framework) Start() {
 				}
 			}
 		})
-		proc.SetShard(fw.cl.K.ShardIndex(fw.cl.NodeOfRank(h.rank)))
 	}
 }

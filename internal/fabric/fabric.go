@@ -209,16 +209,6 @@ func (f *Fabric) Latency(src, dst *Endpoint) sim.Time {
 	return f.cfg.WireLatency
 }
 
-// MinLatency returns the smallest flight latency any message can have — the
-// conservative lookahead bound for sharded execution: no delivery scheduled
-// by a transfer lands sooner than this after its injection.
-func (f *Fabric) MinLatency() sim.Time {
-	if f.cfg.LocalLatency < f.cfg.WireLatency {
-		return f.cfg.LocalLatency
-	}
-	return f.cfg.WireLatency
-}
-
 // Transfer injects a message of size bytes from src to dst and schedules
 // deliver (which may be nil) in handler context at the arrival time.
 // It returns the time the sender endpoint is free again (local completion)
@@ -284,8 +274,7 @@ func (f *Fabric) TransferFatedCtx(src, dst *Endpoint, size int, deliver func(), 
 
 // transfer computes endpoint occupancy and schedules delivery according to
 // the message's fate. Exactly one of deliver/act carries the delivery (both
-// may be nil for fire-and-forget). The delivery event is tagged with the
-// receiving node's shard so sharded runs keep arrivals on their home heap.
+// may be nil for fire-and-forget).
 func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.Action, fate fault.Fate, parent span.ID) (txDone, arrive sim.Time) {
 	if src == nil || dst == nil {
 		panic("fabric: nil endpoint")
@@ -379,13 +368,10 @@ func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.
 		f.sp.EndAt(wire, arrive)
 	}
 
-	if deliver != nil || act != nil {
-		shard := f.k.ShardIndex(dst.node)
-		if act != nil {
-			f.k.AtActionShard(shard, arrive-now, act)
-		} else {
-			f.k.AtShard(shard, arrive-now, deliver)
-		}
+	if act != nil {
+		f.k.AtAction(arrive-now, act)
+	} else if deliver != nil {
+		f.k.At(arrive-now, deliver)
 	}
 	return txDone, arrive
 }

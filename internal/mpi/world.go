@@ -136,13 +136,10 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 func (w *World) Launch(main func(r *Rank)) {
 	for _, r := range w.ranks {
 		r := r
-		proc := w.Cl.K.Spawn(fmt.Sprintf("%srank%d", w.prefix, r.rank), func(p *sim.Proc) {
+		w.Cl.K.Spawn(fmt.Sprintf("%srank%d", w.prefix, r.rank), func(p *sim.Proc) {
 			r.proc = p
 			main(r)
 		})
-		// Placement hint for sharded kernels: a rank's events stay on its
-		// node's shard (a no-op on serial kernels).
-		proc.SetShard(w.Cl.K.ShardIndex(w.nodeOf[r.rank]))
 	}
 }
 

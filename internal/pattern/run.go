@@ -95,7 +95,7 @@ func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
 		r := r
 		ops := spec.RankOps(r)
 		h := fw.Host(r)
-		proc := cl.K.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+		cl.K.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			h.Bind(p)
 			bufs := make([]*mem.Buffer, len(ops))
 			for i, op := range ops {
@@ -169,7 +169,6 @@ func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
 				}
 			}
 		})
-		proc.SetShard(cl.K.ShardIndex(cl.NodeOfRank(r)))
 	}
 	cl.K.Run()
 	if n := len(cl.K.Deadlocked); n > 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 )
 
 // Action is a pre-allocated deliverable: an object whose Fire method runs
@@ -24,20 +25,13 @@ type Action interface {
 // recycled through a free list, so steady-state scheduling allocates
 // nothing: no per-event heap object and no interface{} boxing, unlike the
 // container/heap implementation this replaced.
-//
-// shard is a placement hint for the sharded run mode (see ConfigureShards):
-// it selects which per-shard heap queues the event. It is never a
-// correctness input — dispatch order is the global (at, seq) order in every
-// mode — so a stale or wrong shard tag can only cost parallelism, not
-// determinism.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()     // plain callback (handler context)
-	fnT   func(Time) // timed callback; receives the firing time
-	p     *Proc      // parked process to dispatch
-	act   Action     // pooled deliverable; receives the firing time
-	shard int32
+	at  Time
+	seq uint64
+	fn  func()     // plain callback (handler context)
+	fnT func(Time) // timed callback; receives the firing time
+	p   *Proc      // parked process to wake
+	act Action     // pooled deliverable; receives the firing time
 }
 
 // evIdx indexes the event arena. int32 keeps the heap slice compact; two
@@ -52,32 +46,34 @@ const heapArity = 4
 
 // Kernel is the discrete-event simulation engine. Create one with NewKernel,
 // spawn processes with Spawn, schedule raw callbacks with At, then call Run.
+//
+// There is no kernel goroutine. The event loop is one function, drive, and
+// it runs on whichever goroutine holds the baton: the Run/RunUntil caller at
+// first, then the process goroutines themselves (see drive). Exactly one
+// goroutine holds the baton at a time and every transfer is a channel
+// send/receive, so kernel state needs no locks.
 type Kernel struct {
 	now Time
 	seq uint64
 
 	arena []event // event storage; slots are recycled via freeList
 	freeL []evIdx // free slots in arena
-	heap  []evIdx // serial mode: min-heap of pending events ordered by (at, seq)
+	heap  []evIdx // min-heap of pending events ordered by (at, seq)
 
 	procs   []*Proc
 	live    int   // spawned but not finished
 	running *Proc // process currently executing, nil in handler context
-	yield   chan struct{}
-	dead    bool // set by Shutdown; the kernel accepts no further work
+	dead    bool  // set by Shutdown; the kernel accepts no further work
 
-	// Sharded mode (ConfigureShards): per-shard heaps plus the state of the
-	// lookahead window currently being dispatched. curShard is the shard tag
-	// of the event being fired; events scheduled from inside a handler
-	// inherit it, so causally-local chains stay on their shard without every
-	// call site passing a tag.
-	shards    []shardQ
-	lookahead Time
-	curShard  int32
-	winActive bool
-	winEnd    Time
-	winOv     []evIdx // overflow heap: events scheduled into the open window
-	workers   *shardWorkers
+	// The current Run/RunUntil, kept here so that any baton holder applies
+	// it. caller is where the Run/RunUntil/Shutdown caller parks while a
+	// process goroutine holds the baton; failure is a panic caught on a
+	// process goroutine, waiting for the caller to re-raise it.
+	caller   chan struct{}
+	deadline Time
+	bounded  bool
+	failure  *PanicError
+	stats    Stats
 
 	// tick, when set, fires whenever the clock reaches tickAt: it runs
 	// after the clock advances but before the event at that timestamp is
@@ -94,9 +90,20 @@ type Kernel struct {
 	Deadlocked []*Proc
 }
 
+// Stats are exact counters of what the run loop has done since NewKernel.
+type Stats struct {
+	Fired       uint64 // events popped and fired, of every kind
+	Wakeups     uint64 // of those, process wake-ups delivered
+	SelfWakeups uint64 // wake-ups popped by the process they wake: no goroutine switch
+	Handoffs    uint64 // baton transfers between goroutines, one channel send each
+}
+
+// Stats returns the run-loop counters.
+func (k *Kernel) Stats() Stats { return k.stats }
+
 // NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{caller: make(chan struct{})}
 }
 
 // Clock is the read-only view of a virtual clock. Kernel satisfies it;
@@ -119,20 +126,6 @@ func (k *Kernel) At(delay Time, fn func()) {
 	k.schedule(k.now+delay, fn)
 }
 
-// AtShard is At with an explicit shard placement hint, for cross-shard
-// traffic whose destination the caller knows (the fabric tags deliveries
-// with the receiving node's shard). In serial mode the hint is ignored.
-func (k *Kernel) AtShard(shard int, delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	i := k.slot()
-	ev := &k.arena[i]
-	k.seq++
-	ev.at, ev.seq, ev.fn, ev.shard = k.now+delay, k.seq, fn, int32(shard)
-	k.enqueue(i)
-}
-
 // AtCall schedules fn to run at now+delay in handler context, passing the
 // firing time. It exists so completion callbacks with a (Time) parameter can
 // be scheduled directly — `k.AtCall(d, op.OnComplete)` — instead of through
@@ -145,8 +138,8 @@ func (k *Kernel) AtCall(delay Time, fn func(Time)) {
 	i := k.slot()
 	ev := &k.arena[i]
 	k.seq++
-	ev.at, ev.seq, ev.fnT, ev.shard = k.now+delay, k.seq, fn, k.curShard
-	k.enqueue(i)
+	ev.at, ev.seq, ev.fnT = k.now+delay, k.seq, fn
+	k.hpush(i)
 }
 
 // AtAction schedules a pooled deliverable at now+delay (see Action). The
@@ -159,41 +152,27 @@ func (k *Kernel) AtAction(delay Time, a Action) {
 	i := k.slot()
 	ev := &k.arena[i]
 	k.seq++
-	ev.at, ev.seq, ev.act, ev.shard = k.now+delay, k.seq, a, k.curShard
-	k.enqueue(i)
-}
-
-// AtActionShard is AtAction with an explicit shard placement hint.
-func (k *Kernel) AtActionShard(shard int, delay Time, a Action) {
-	if delay < 0 {
-		delay = 0
-	}
-	i := k.slot()
-	ev := &k.arena[i]
-	k.seq++
-	ev.at, ev.seq, ev.act, ev.shard = k.now+delay, k.seq, a, int32(shard)
-	k.enqueue(i)
+	ev.at, ev.seq, ev.act = k.now+delay, k.seq, a
+	k.hpush(i)
 }
 
 func (k *Kernel) schedule(at Time, fn func()) {
 	i := k.slot()
 	ev := &k.arena[i]
 	k.seq++
-	ev.at, ev.seq, ev.fn, ev.shard = at, k.seq, fn, k.curShard
-	k.enqueue(i)
+	ev.at, ev.seq, ev.fn = at, k.seq, fn
+	k.hpush(i)
 }
 
-// scheduleProc schedules a direct dispatch of p at the given time. This is
-// the allocation-free fast path for Sleep and condition wakeups: the event
+// scheduleProc schedules a wake-up of p at the given time. This is the
+// allocation-free fast path for Sleep and condition wakeups: the event
 // carries the process pointer itself, so no per-wakeup closure is created.
-// The event is placed on the process's own shard — a wakeup belongs to the
-// woken process's timeline, wherever the waker ran.
 func (k *Kernel) scheduleProc(at Time, p *Proc) {
 	i := k.slot()
 	ev := &k.arena[i]
 	k.seq++
-	ev.at, ev.seq, ev.p, ev.shard = at, k.seq, p, p.shard
-	k.enqueue(i)
+	ev.at, ev.seq, ev.p = at, k.seq, p
+	k.hpush(i)
 }
 
 // slot returns a free arena index, growing the arena only when the free
@@ -211,30 +190,6 @@ func (k *Kernel) slot() evIdx {
 	return evIdx(len(k.arena) - 1)
 }
 
-// enqueue routes a filled arena slot to the pending structure its mode and
-// shard call for: the single serial heap, the event's shard heap, or — when
-// the event lands inside the lookahead window currently being dispatched —
-// the window's overflow heap, which the merge loop drains in (at, seq)
-// order alongside the extracted batches.
-func (k *Kernel) enqueue(i evIdx) {
-	if len(k.shards) == 0 {
-		k.heap = k.hpush(k.heap, i)
-		return
-	}
-	ev := &k.arena[i]
-	s := ev.shard
-	if s < 0 || int(s) >= len(k.shards) {
-		s = 0
-		ev.shard = 0
-	}
-	if k.winActive && ev.at < k.winEnd {
-		k.winOv = k.hpush(k.winOv, i)
-		return
-	}
-	sq := &k.shards[s]
-	sq.heap = k.hpush(sq.heap, i)
-}
-
 // less orders heap entries by (at, seq).
 func (k *Kernel) less(a, b evIdx) bool {
 	ea, eb := &k.arena[a], &k.arena[b]
@@ -244,9 +199,10 @@ func (k *Kernel) less(a, b evIdx) bool {
 	return ea.seq < eb.seq
 }
 
-// hpush appends an event index to a heap slice and restores the invariant.
-func (k *Kernel) hpush(h []evIdx, i evIdx) []evIdx {
-	h = append(h, i)
+// hpush adds an event index to the heap and restores the invariant.
+func (k *Kernel) hpush(i evIdx) {
+	h := append(k.heap, i)
+	k.heap = h
 	c := len(h) - 1
 	for c > 0 {
 		parent := (c - 1) / heapArity
@@ -256,17 +212,16 @@ func (k *Kernel) hpush(h []evIdx, i evIdx) []evIdx {
 		h[c], h[parent] = h[parent], h[c]
 		c = parent
 	}
-	return h
 }
 
-// hpop removes and returns the minimum of a heap slice. Unlike the firing
-// paths it performs no in-the-past check: extraction pops events whose time
-// is still ahead of the clock (fire checks when it advances the clock).
-func (k *Kernel) hpop(h []evIdx) ([]evIdx, evIdx) {
+// hpop removes and returns the minimum of the heap.
+func (k *Kernel) hpop() evIdx {
+	h := k.heap
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
+	k.heap = h
 	// Sift down.
 	i := 0
 	for {
@@ -290,49 +245,135 @@ func (k *Kernel) hpop(h []evIdx) ([]evIdx, evIdx) {
 		h[i], h[best] = h[best], h[i]
 		i = best
 	}
-	return h, top
+	return top
 }
 
-// fire releases event slot i and runs its payload. The arena slot is freed
-// before the callback runs, so events scheduled from inside the callback can
-// reuse it; the fields needed are copied out first. It panics on the
-// corruption every run loop must catch: an event scheduled in the past.
-func (k *Kernel) fire(i evIdx) {
-	ev := &k.arena[i]
-	at, fn, fnT, p, act, shard := ev.at, ev.fn, ev.fnT, ev.p, ev.act, ev.shard
-	if at < k.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", at, k.now))
+// outcome is how a call of drive ended.
+type outcome int
+
+const (
+	drained   outcome = iota // nothing left to fire: heap empty, or its head is beyond the RunUntil deadline
+	wokeSelf                 // popped the driving process's own wake-up: it is running again, on this goroutine
+	handedOff                // popped another process's wake-up and sent the baton to its goroutine
+)
+
+// drive is the run loop. It pops and fires events in (at, seq) order on the
+// calling goroutine, which thereby holds the baton: the Run/RunUntil caller
+// (self == nil), a process that has just blocked, or a process whose body
+// has returned. Callbacks and Actions run inline, in handler context
+// (k.running is nil, whichever goroutine this is). A wake-up of self ends
+// the loop with no channel operation at all; a wake-up of another process
+// costs one send on its resume channel, after which this goroutine must
+// touch no kernel state until it is handed the baton back.
+//
+// The arena slot is freed before the payload runs, so events scheduled from
+// inside it can reuse the slot; the fields needed are copied out first. This
+// is the one place events are popped, so it is where the corruption every
+// run must catch — an event scheduled in the past — panics.
+func (k *Kernel) drive(self *Proc) outcome {
+	for len(k.heap) > 0 {
+		if k.bounded && k.arena[k.heap[0]].at > k.deadline {
+			break
+		}
+		i := k.hpop()
+		ev := &k.arena[i]
+		at, fn, fnT, p, act := ev.at, ev.fn, ev.fnT, ev.p, ev.act
+		if at < k.now {
+			panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", at, k.now))
+		}
+		ev.fn, ev.fnT, ev.p, ev.act = nil, nil, nil, nil
+		k.freeL = append(k.freeL, i)
+		k.now = at
+		for k.tick != nil && at >= k.tickAt {
+			k.tickAt = k.tick(at)
+		}
+		k.stats.Fired++
+		switch {
+		case p != nil:
+			if p.state == procDone {
+				continue
+			}
+			k.stats.Wakeups++
+			p.state = procRunning
+			k.running = p
+			if p == self {
+				k.stats.SelfWakeups++
+				return wokeSelf
+			}
+			k.stats.Handoffs++
+			p.resume <- struct{}{}
+			return handedOff
+		case fnT != nil:
+			fnT(at)
+		case act != nil:
+			act.Fire(at)
+		default:
+			fn()
+		}
 	}
-	ev.fn, ev.fnT, ev.p, ev.act = nil, nil, nil, nil
-	k.freeL = append(k.freeL, i)
-	k.now = at
-	k.curShard = shard
-	for k.tick != nil && at >= k.tickAt {
-		k.tickAt = k.tick(at)
-	}
-	switch {
-	case p != nil:
-		k.dispatch(p)
-	case fnT != nil:
-		fnT(at)
-	case act != nil:
-		act.Fire(at)
-	default:
-		fn()
-	}
+	return drained
 }
 
-// step pops and fires the earliest event (serial mode).
-func (k *Kernel) step() {
-	var i evIdx
-	k.heap, i = k.hpop(k.heap)
-	k.fire(i)
+// driveOn runs the loop on p's own goroutine, after p has blocked or its
+// body has returned. When the loop has nothing more to fire it returns the
+// baton to the Run/RunUntil caller. A handler that panics here must not
+// unwind through p's frames — a body that recovers would swallow a panic it
+// merely happened to be executing — so it is caught, stored on the kernel,
+// and the baton goes back to the caller, which re-raises it.
+func (k *Kernel) driveOn(p *Proc) (o outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.failure = k.panicError(r, nil)
+			o = drained
+		}
+		if o == drained {
+			k.stats.Handoffs++
+			k.caller <- struct{}{}
+		}
+	}()
+	return k.drive(p)
+}
+
+// PanicError is the value Run and RunUntil panic with when code running
+// inside the simulation panics: it says where the panic came from and keeps
+// the original value and stack. Its text contains the original's.
+type PanicError struct {
+	Proc  string // the process whose body panicked; "" for an event handler
+	At    Time   // virtual time of the panic
+	Value any    // the original panic value
+	Stack []byte // stack of the panicking goroutine, taken where it was recovered
+}
+
+func (e *PanicError) Error() string {
+	if e.Proc == "" {
+		return fmt.Sprintf("sim: panic in an event handler at t=%v: %v", e.At, e.Value)
+	}
+	return fmt.Sprintf("sim: panic in proc %q at t=%v: %v", e.Proc, e.At, e.Value)
+}
+
+// Unwrap returns the original panic value when it was an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// panicError wraps a recovered value; it must be called from the deferred
+// function that recovered it, while the panicking frames are still on the
+// stack. p is the process whose body panicked, nil for a handler.
+func (k *Kernel) panicError(r any, p *Proc) *PanicError {
+	if e, ok := r.(*PanicError); ok {
+		return e
+	}
+	e := &PanicError{At: k.now, Value: r, Stack: debug.Stack()}
+	if p != nil {
+		e.Proc = p.name
+	}
+	return e
 }
 
 // Spawn creates a new simulated process that will begin executing fn at the
-// current virtual time. fn runs in its own goroutine but only while the
-// kernel has handed it control. The process inherits the current shard tag;
-// topology owners (the cluster) override it with SetShard after placement.
+// current virtual time. fn runs in its own goroutine but only while that
+// goroutine holds the baton.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if k.dead {
 		panic("sim: Spawn on a kernel after Shutdown")
@@ -342,19 +383,11 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		id:     len(k.procs),
 		name:   name,
 		resume: make(chan struct{}),
-		shard:  k.curShard,
 	}
 	k.procs = append(k.procs, p)
 	k.live++
 	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errShutdown {
-				panic(r)
-			}
-			p.state = procDone
-			k.live--
-			k.yield <- struct{}{}
-		}()
+		defer p.exit()
 		<-p.resume
 		if p.killed {
 			return
@@ -365,20 +398,8 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// dispatch hands control to p until it blocks or finishes.
-func (k *Kernel) dispatch(p *Proc) {
-	if p.state == procDone || p.killed {
-		return
-	}
-	p.state = procRunning
-	k.running = p
-	p.resume <- struct{}{}
-	<-k.yield
-	k.running = nil
-}
-
 // errShutdown is the sentinel Shutdown throws through parked process
-// goroutines; the Spawn wrapper recovers it and unwinds cleanly.
+// goroutines; Proc.exit recovers it and unwinds cleanly.
 var errShutdown = errors.New("sim: kernel shut down")
 
 // Shutdown unwinds every process goroutine that has not finished: parked
@@ -388,8 +409,7 @@ var errShutdown = errors.New("sim: kernel shut down")
 // blocked processes (deadlock reports, RunUntil stopping early, daemons
 // whose wakeup never came) leaks one parked goroutine per process for the
 // life of the OS process — benchmark sweeps build thousands of kernels, so
-// bench/test helpers call Shutdown on every kernel they retire. Shard
-// extraction workers (ConfigureShards) are stopped the same way.
+// bench/test helpers call Shutdown on every kernel they retire.
 //
 // Shutdown must be called from outside the kernel (not from a process or
 // handler). Afterwards the kernel is dead: Spawn, Run, RunUntil, and every
@@ -405,10 +425,19 @@ func (k *Kernel) Shutdown() {
 		}
 		p.killed = true
 		p.resume <- struct{}{}
-		<-k.yield
+		<-k.caller
 	}
-	k.stopWorkers()
 	k.dead = true
+	k.reraise()
+}
+
+// reraise panics, on the caller's goroutine, with a panic that was caught
+// on a process goroutine.
+func (k *Kernel) reraise() {
+	if e := k.failure; e != nil {
+		k.failure = nil
+		panic(e)
+	}
 }
 
 // collectDeadlocked records non-daemon processes that are blocked with no
@@ -424,21 +453,35 @@ func (k *Kernel) collectDeadlocked() {
 	}
 }
 
+// run drives the loop from the Run/RunUntil caller's goroutine until there
+// is nothing more to fire, whoever holds the baton when that happens, and
+// returns the number of events fired. Every panic raised inside the
+// simulation leaves it as a *PanicError on the caller's goroutine.
+func (k *Kernel) run(deadline Time, bounded bool) int {
+	k.Deadlocked = nil
+	k.deadline, k.bounded = deadline, bounded
+	start := k.stats.Fired
+	defer func() {
+		if r := recover(); r != nil {
+			panic(k.panicError(r, nil))
+		}
+	}()
+	if k.drive(nil) == handedOff {
+		<-k.caller
+	}
+	k.reraise()
+	return int(k.stats.Fired - start)
+}
+
 // Run executes events until the queue is empty or until all processes have
 // finished. It returns the final virtual time. If processes remain blocked
-// with no pending events, they are reported in k.Deadlocked.
+// with no pending events, they are reported in k.Deadlocked. A panic in a
+// process body or an event handler is re-raised here as a *PanicError.
 func (k *Kernel) Run() Time {
 	if k.dead {
 		panic("sim: Run on a kernel after Shutdown")
 	}
-	k.Deadlocked = nil
-	if len(k.shards) > 0 {
-		k.runSharded(0, false)
-	} else {
-		for len(k.heap) > 0 {
-			k.step()
-		}
-	}
+	k.run(0, false)
 	k.collectDeadlocked()
 	return k.now
 }
@@ -453,16 +496,7 @@ func (k *Kernel) RunUntil(deadline Time) int {
 	if k.dead {
 		panic("sim: RunUntil on a kernel after Shutdown")
 	}
-	k.Deadlocked = nil
-	fired := 0
-	if len(k.shards) > 0 {
-		fired = k.runSharded(deadline, true)
-	} else {
-		for len(k.heap) > 0 && k.arena[k.heap[0]].at <= deadline {
-			k.step()
-			fired++
-		}
-	}
+	fired := k.run(deadline, true)
 	if k.now < deadline {
 		k.now = deadline
 		for k.tick != nil && k.now >= k.tickAt {
@@ -489,14 +523,7 @@ func (k *Kernel) SetTick(first Time, fn func(Time) Time) {
 }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int {
-	n := len(k.heap) + len(k.winOv)
-	for s := range k.shards {
-		sq := &k.shards[s]
-		n += len(sq.heap) + len(sq.batch) - sq.cur
-	}
-	return n
-}
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Live reports the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }

@@ -60,18 +60,69 @@ func TestSleepSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// A Cond in steady use keeps its waiter array: Wait/Signal and
+// Wait/Broadcast round trips between two procs allocate nothing.
+func TestCondSteadyStateAllocFree(t *testing.T) {
+	for _, wake := range []struct {
+		name string
+		fn   func(*Cond)
+	}{{"Signal", (*Cond).Signal}, {"Broadcast", (*Cond).Broadcast}} {
+		k := NewKernel()
+		var conds [2]Cond
+		turn := 0
+		for me := 0; me < 2; me++ {
+			me := me
+			k.Spawn("p", func(p *Proc) {
+				for {
+					for turn%2 != me {
+						conds[me].Wait(p)
+					}
+					turn++
+					wake.fn(&conds[1-me])
+					p.Sleep(1)
+				}
+			})
+		}
+		k.RunUntil(100) // warm up: arena, heap, waiter arrays, goroutine stacks
+		before := turn
+		allocs := testing.AllocsPerRun(100, func() {
+			k.RunUntil(k.Now() + 10)
+		})
+		k.Shutdown()
+		if turn == before {
+			t.Fatalf("%s: no turn was passed during the measured runs", wake.name)
+		}
+		if allocs > 0 {
+			t.Fatalf("%s: Wait/%s round trips allocated %.1f objects per run in steady state, want 0", wake.name, wake.name, allocs)
+		}
+	}
+}
+
 // Property: with arbitrary delays (including many ties), events fire in
 // exactly the order of a reference stable sort by timestamp — i.e. ties
-// fire in scheduling order.
+// fire in scheduling order — whichever goroutine fires them. Short-lived
+// procs, each spawning a shorter-lived child from its body, are mixed in so
+// that the callbacks are fired from the caller, from blocked procs, and
+// from procs whose body has returned and that drive the loop on their way
+// out.
 func TestPropertyTiesMatchReferenceStableSort(t *testing.T) {
 	f := func(delays []uint8) bool {
 		k := NewKernel()
 		var fired []int
 		for i, d := range delays {
-			i := i
+			i, d := i, d
 			k.At(Time(d%8), func() { fired = append(fired, i) }) // %8 forces ties
+			if d%3 == 0 {
+				k.Spawn("parent", func(p *Proc) {
+					p.Sleep(Time(d % 8))
+					k.Spawn("child", func(c *Proc) { c.Sleep(Time(d % 5)) })
+				})
+			}
 		}
 		k.Run()
+		if k.Live() != 0 {
+			return false
+		}
 
 		ref := make([]int, len(delays))
 		for i := range ref {
@@ -218,6 +269,9 @@ func BenchmarkAtSteadyState(b *testing.B) {
 	}
 }
 
+// One Sleep per RunUntil slice: the caller hands the baton to the sleeper,
+// which finds its next wake-up beyond the deadline and hands it back — two
+// goroutine switches per op, the cost of entering and leaving the loop.
 func BenchmarkSleepRoundTrip(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) {
@@ -233,6 +287,55 @@ func BenchmarkSleepRoundTrip(b *testing.B) {
 	}
 	b.StopTimer()
 	k.Shutdown()
+}
+
+// The self wake-up: a lone proc sleeping inside one Run pops its own
+// wake-up every time — no channel operation, no goroutine switch.
+func BenchmarkSleepSelfWake(b *testing.B) {
+	k := NewKernel()
+	k.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// The one-switch case: a ring of procs, each waking the next and blocking.
+// Every wake-up is of another proc, so every op is one direct hand-off:
+// one channel send, one goroutine switch.
+func BenchmarkRingHandoff(b *testing.B) {
+	const procs = 8
+	k := NewKernel()
+	conds := make([]Cond, procs)
+	token := 0
+	for i := 0; i < procs; i++ {
+		i := i
+		k.Spawn("ring", func(p *Proc) {
+			for {
+				for token%procs != i && token < b.N {
+					conds[i].Wait(p)
+				}
+				if token >= b.N {
+					break
+				}
+				token++
+				conds[(i+1)%procs].Signal()
+			}
+			for j := range conds {
+				conds[j].Broadcast() // release the rest of the ring
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	if len(k.Deadlocked) != 0 {
+		b.Fatalf("%d procs deadlocked", len(k.Deadlocked))
+	}
 }
 
 // A killed proc's goroutine must not keep running past its next yield.
@@ -251,4 +354,88 @@ func TestShutdownStopsProcsMidSleep(t *testing.T) {
 	if steps != got {
 		t.Fatalf("proc advanced during Shutdown: %d -> %d", got, steps)
 	}
+}
+
+type countAction struct {
+	n  int
+	at Time
+}
+
+func (a *countAction) Fire(at Time) { a.n++; a.at = at }
+
+// AtAction must be allocation-free in steady state.
+func TestAtActionSteadyStateAllocFree(t *testing.T) {
+	k := NewKernel()
+	a := &countAction{}
+	for i := 0; i < 8; i++ {
+		k.AtAction(Time(i), a)
+	}
+	k.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		k.AtAction(1, a)
+		k.RunUntil(k.Now() + 1)
+	})
+	if allocs > 0 {
+		t.Fatalf("AtAction allocated %.1f objects per op in steady state, want 0", allocs)
+	}
+	if a.n == 0 || a.at != k.Now() {
+		t.Fatalf("action fired %d times, last at %v (now %v)", a.n, a.at, k.Now())
+	}
+}
+
+// After Shutdown the kernel is dead: the SetTick observer must never fire
+// again, and no pooled arena slot can be reused — every scheduling or run
+// entry point panics instead of silently resurrecting freed storage.
+func TestShutdownKillsObserverAndPooledStorage(t *testing.T) {
+	k := NewKernel()
+	ticks := 0
+	k.SetTick(0, func(at Time) Time { ticks++; return at + 5 })
+	k.At(12, func() {})
+	k.Spawn("parked", func(p *Proc) { (&Cond{}).Wait(p) })
+	k.Run()
+	got := ticks
+	if got == 0 {
+		t.Fatal("tick observer never fired during the run")
+	}
+	k.Shutdown()
+
+	mustPanic := func(name string, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a shut-down kernel did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("At", func() { k.At(1, func() {}) })
+	mustPanic("AtCall", func() { k.AtCall(1, func(Time) {}) })
+	mustPanic("AtAction", func() { k.AtAction(1, &countAction{}) })
+	mustPanic("Spawn", func() { k.Spawn("late", func(p *Proc) {}) })
+	mustPanic("Run", func() { k.Run() })
+	mustPanic("RunUntil", func() { k.RunUntil(k.Now() + 100) })
+	if ticks != got {
+		t.Fatalf("tick observer fired after Shutdown: %d -> %d", got, ticks)
+	}
+}
+
+// A fresh kernel after a Shutdown shares nothing with the retired one:
+// its arena starts empty, so no slot of the dead kernel can resurface.
+func TestShutdownThenFreshKernelSharesNoStorage(t *testing.T) {
+	k1 := NewKernel()
+	for i := 0; i < 32; i++ {
+		k1.At(Time(i), func() {})
+	}
+	k1.Run()
+	k1.Shutdown()
+	k2 := NewKernel()
+	if len(k2.arena) != 0 || len(k2.freeL) != 0 || k2.Pending() != 0 {
+		t.Fatal("fresh kernel inherited arena/free-list state")
+	}
+	fired := 0
+	k2.At(1, func() { fired++ })
+	k2.Run()
+	if fired != 1 {
+		t.Fatalf("fresh kernel fired %d events, want 1", fired)
+	}
+	k2.Shutdown()
 }

@@ -11,8 +11,8 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a goroutine that executes in virtual time
-// under kernel control. All Proc methods must be called from the process's
+// Proc is a simulated process: a goroutine that executes in virtual time,
+// and only while it holds the kernel's baton. All Proc methods must be called from the process's
 // own goroutine while it holds control (i.e. from inside the function passed
 // to Spawn, directly or indirectly).
 type Proc struct {
@@ -22,21 +22,10 @@ type Proc struct {
 	resume chan struct{}
 	state  procState
 
-	busy   Time  // accumulated AdvanceBusy (compute/CPU-work) time
+	busy   Time // accumulated AdvanceBusy (compute/CPU-work) time
 	daemon bool
-	killed bool  // set by Kernel.Shutdown; the next resume unwinds
-	shard  int32 // sharded mode: home shard for this proc's wakeup events
+	killed bool // set by Kernel.Shutdown; the next resume unwinds
 }
-
-// SetShard pins the process's wakeup events (Sleep, condition waits) to a
-// shard of the lookahead-sharded kernel — topology owners call it after
-// placement (a rank or proxy lives on its node's shard). Purely a placement
-// hint; see ConfigureShards. Unlike most Proc methods it may be called from
-// outside the process, during setup.
-func (p *Proc) SetShard(s int) { p.shard = int32(s) }
-
-// Shard returns the process's shard placement hint.
-func (p *Proc) Shard() int { return int(p.shard) }
 
 // SetDaemon marks the process as a daemon: it is expected to block forever
 // (e.g. a progress engine) and is excluded from deadlock reporting.
@@ -67,16 +56,45 @@ func (p *Proc) checkRunning() {
 	}
 }
 
-// yieldToKernel parks the goroutine and returns control to the kernel loop.
-// The caller must have arranged for a future dispatch of p. If the kernel
-// was shut down while the process was parked, the goroutine unwinds via the
-// shutdown sentinel (recovered by the Spawn wrapper).
-func (p *Proc) yieldToKernel() {
+// block gives up control until p's next wake-up, which the caller must have
+// arranged. The process keeps the baton and runs the event loop on its own
+// goroutine: if the wake-up it pops is its own it simply returns, with no
+// channel operation and no goroutine switch; otherwise the baton has gone to
+// another goroutine and this one parks until it is handed back. If the
+// kernel is shut down while the process is parked, the goroutine unwinds via
+// the shutdown sentinel (recovered by exit).
+func (p *Proc) block() {
 	p.state = procBlocked
-	p.k.yield <- struct{}{}
+	p.k.running = nil
+	if p.k.driveOn(p) == wokeSelf {
+		return
+	}
 	<-p.resume
 	if p.killed {
 		panic(errShutdown)
+	}
+}
+
+// exit is the deferred tail of every process goroutine. A process whose body
+// returned drives the event loop until it has handed the baton on, then its
+// goroutine ends. A body that panicked is reported to the Run/RunUntil
+// caller, which re-raises the panic with the process's name and the virtual
+// time. A process unwinding under Shutdown only signals the caller: Shutdown
+// fires no events.
+func (p *Proc) exit() {
+	k := p.k
+	r := recover()
+	p.state = procDone
+	k.live--
+	k.running = nil
+	switch {
+	case r != nil && r != errShutdown:
+		k.failure = k.panicError(r, p)
+		k.caller <- struct{}{}
+	case p.killed:
+		k.caller <- struct{}{}
+	default:
+		k.driveOn(p)
 	}
 }
 
@@ -90,7 +108,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	k := p.k
 	k.scheduleProc(k.now+d, p)
-	p.yieldToKernel()
+	p.block()
 }
 
 // AdvanceBusy is Sleep plus accounting: the elapsed time is recorded as CPU
@@ -125,28 +143,31 @@ type Cond struct {
 func (c *Cond) Wait(p *Proc) {
 	p.checkRunning()
 	c.waiters = append(c.waiters, p)
-	p.yieldToKernel()
+	p.block()
 }
 
-// Broadcast wakes all waiting processes at the current virtual time.
+// Broadcast wakes all waiting processes at the current virtual time. The
+// waiter list is emptied in place — scheduling a wake-up never re-enters
+// Wait — so a Cond in steady use keeps its backing array and Wait does not
+// allocate.
 func (c *Cond) Broadcast() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
+	for i, w := range c.waiters {
 		w.k.scheduleProc(w.k.now, w)
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
-// Signal wakes the longest-waiting process, if any.
+// Signal wakes the longest-waiting process, if any. The rest are copied
+// down, for the same reason Broadcast truncates in place.
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 	p.k.scheduleProc(p.k.now, p)
 }
 

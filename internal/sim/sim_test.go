@@ -347,30 +347,60 @@ func TestPropertyEventOrdering(t *testing.T) {
 }
 
 // Property: N procs each sleeping a random series of durations finish at the
-// sum of their own durations, regardless of interleaving.
+// sum of their own durations, regardless of interleaving — and so does a
+// child a proc spawns part-way through, counted from its spawn time. Procs
+// finish at different times, so for much of each run the loop is driven by a
+// goroutine whose body has already returned.
 func TestPropertyProcIsolation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel()
-		n := 2 + rng.Intn(6)
-		want := make([]Time, n)
-		got := make([]Time, n)
-		for i := 0; i < n; i++ {
-			i := i
-			steps := 1 + rng.Intn(8)
-			durs := make([]Time, steps)
+		randDurs := func() (durs []Time, sum Time) {
+			durs = make([]Time, 1+rng.Intn(8))
 			for j := range durs {
 				durs[j] = Time(rng.Intn(1000))
-				want[i] += durs[j]
+				sum += durs[j]
+			}
+			return durs, sum
+		}
+		n := 2 + rng.Intn(6)
+		want := make([]Time, 2*n) // parents, then their children
+		got := make([]Time, 2*n)
+		for i := 0; i < n; i++ {
+			i := i
+			durs, sum := randDurs()
+			want[i] = sum
+			spawnAt := rng.Intn(len(durs) + 1) // n means: after the last sleep
+			childDurs, childSum := randDurs()
+			for _, d := range durs[:spawnAt] {
+				want[n+i] += d
+			}
+			want[n+i] += childSum
+			spawnChild := func() {
+				k.Spawn(fmt.Sprintf("p%d.child", i), func(c *Proc) {
+					for _, d := range childDurs {
+						c.Sleep(d)
+					}
+					got[n+i] = c.Now()
+				})
 			}
 			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for _, d := range durs {
+				for j, d := range durs {
+					if j == spawnAt {
+						spawnChild()
+					}
 					p.Sleep(d)
+				}
+				if spawnAt == len(durs) {
+					spawnChild()
 				}
 				got[i] = p.Now()
 			})
 		}
 		k.Run()
+		if k.Live() != 0 || len(k.Deadlocked) != 0 {
+			return false
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				return false
