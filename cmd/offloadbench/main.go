@@ -1,17 +1,23 @@
 // Command offloadbench regenerates every table and figure of the paper's
-// evaluation on the simulated BlueField cluster.
+// evaluation on the simulated BlueField cluster, the extension figures
+// built on top of them, and the pinned BENCH_*.json baselines.
 //
 // Usage:
 //
 //	offloadbench <figure> [flags]
+//	offloadbench snap [-check] NAME|all [-o PATH]
 //
 // Figures: fig2 fig3 fig4 fig5 fig11 fig12 fig13 fig14 fig15 fig16a fig16b
-// fig16c fig17 ablation chaos all
+// fig16c fig17 ablation policy ext-bf3 ext-allgather chaos tenants drift
+// fleet all scale critical-path timeline
 //
-// Defaults are scaled to finish in minutes on a laptop (fewer iterations
-// and, for the applications, a reduced PPN); fig17 is the slowest at
-// roughly 15 minutes. Pass -ppn 32 -full for paper-scale runs. All times
-// are virtual (simulated) nanosecond-resolution measurements and are fully
+// Baselines (snap NAME): fig13 tenants drift scale fleet
+//
+// Run with no arguments for one line per figure and flag. Defaults are
+// scaled to finish in minutes on a laptop (fewer iterations and, for the
+// applications, a reduced PPN); fig17 is the slowest at roughly 15 minutes.
+// Pass -ppn 32 -full for paper-scale runs. All times are virtual
+// (simulated) nanosecond-resolution measurements and are fully
 // deterministic.
 package main
 
@@ -47,6 +53,19 @@ func main() {
 	} else {
 		args = args[1:]
 	}
+	// `snap [-check] NAME|all [flags]`: the words after snap are its own.
+	var snapName string
+	var snapCheck bool
+	if fig == "snap" {
+		if len(args) > 0 && args[0] == "-check" {
+			snapCheck, args = true, args[1:]
+		}
+		if len(args) == 0 || args[0] == "" || args[0][0] == '-' {
+			usage()
+			os.Exit(2)
+		}
+		snapName, args = args[0], args[1:]
+	}
 	fs := flag.NewFlagSet("offloadbench", flag.ExitOnError)
 	var (
 		ppn    = fs.Int("ppn", 0, "processes per node (0 = figure default)")
@@ -58,7 +77,7 @@ func main() {
 		seed   = fs.Int64("seed", 42, "chaos fault-injection seed")
 		size   = fs.Int("size", 32<<10, "chaos/scale message size in bytes")
 		maxrk  = fs.Int("maxranks", 0, "scale: largest rank count of the sweep (0 = full 128..1024)")
-		outp   = fs.String("o", "", "output path (bench-snapshot: BENCH_fig13.json)")
+		outp   = fs.String("o", "", "output path (snap NAME: the baseline's file; scale: none; timeline: TIMELINE)")
 		cprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to <path>")
 		mprof  = fs.String("memprofile", "", "write a pprof heap profile after the run to <path>")
 	)
@@ -90,15 +109,13 @@ func main() {
 	}
 	if *mprof != "" {
 		defer func() {
-			f, err := os.Create(*mprof)
+			err := bench.WriteFile(*mprof, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			})
 			if err != nil {
 				fatal(err)
 			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
 		}()
 	}
 
@@ -106,155 +123,42 @@ func main() {
 		seed: *seed, size: *size}
 	out := os.Stdout
 
-	if fig == "bench-snapshot" {
-		path := *outp
-		if path == "" {
-			path = "BENCH_fig13.json"
+	if fig == "snap" {
+		rows := bench.Baselines
+		if snapName != "all" {
+			b, ok := bench.FindBaseline(snapName)
+			if !ok {
+				fatal(fmt.Errorf("snap: no baseline %q", snapName))
+			}
+			rows = []bench.Baseline{b}
+		} else if *outp != "" {
+			fatal(fmt.Errorf("snap all: -o names one file"))
 		}
-		snap := bench.Fig13Snapshot()
-		if err := snap.Validate(); err != nil {
-			fatal(err)
+		verb, do := "wrote", func(b bench.Baseline, path string) (string, error) {
+			return b.Write(path, b.Measure())
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
+		if snapCheck {
+			verb, do = "checked", bench.Baseline.CheckFile
 		}
-		if err := bench.WriteBenchSnapshot(f, snap); err != nil {
-			fatal(err)
+		for _, b := range rows {
+			if b.Slow && snapName == "all" && !snapCheck {
+				continue
+			}
+			path := b.File
+			if *outp != "" {
+				path = *outp
+			}
+			summary, err := do(b, path)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(out, "%s %s (%s)\n", verb, path, summary)
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s (%d series, %d counter series)\n",
-			path, len(snap.Series), len(snap.Metrics.Counters))
-		return
-	}
-
-	if fig == "bench-tenants" {
-		path := *outp
-		if path == "" {
-			path = "BENCH_tenants.json"
-		}
-		snap := bench.MeasureTenants()
-		if err := snap.Validate(); err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteTenantsSnapshot(f, snap); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s (%d points, crossover verified, %d counter series)\n",
-			path, len(snap.Series), len(snap.Metrics.Counters))
-		return
-	}
-
-	if fig == "bench-drift" {
-		path := *outp
-		if path == "" {
-			path = "BENCH_drift.json"
-		}
-		snap := bench.MeasureDrift()
-		if err := snap.Validate(); err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteDriftSnapshot(f, snap); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s (%d points, re-route verified, %d counter series)\n",
-			path, len(snap.Series), len(snap.Metrics.Counters))
-		return
-	}
-
-	if fig == "bench-fleet" {
-		path := *outp
-		if path == "" {
-			path = "BENCH_fleet.json"
-		}
-		figData, err := os.ReadFile("BENCH_fig13.json")
-		if err != nil {
-			fatal(fmt.Errorf("bench-fleet validates against the fig13 baseline: %w", err))
-		}
-		figSnap, err := bench.ParseBenchSnapshot(figData)
-		if err != nil {
-			fatal(err)
-		}
-		snap := bench.MeasureFleet()
-		if err := snap.Validate(figSnap); err != nil {
-			fatal(err)
-		}
-		figures.FleetTable(snap).Fprint(out)
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteFleetSnapshot(f, snap); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s (%d policies on %s, homogeneous bf2 == fig13, crossover verified, %d counter series)\n",
-			path, len(snap.Mixed), snap.Fleet, len(snap.Metrics.Counters))
 		return
 	}
 
 	if fig == "scale" {
-		path := *outp
-		if path == "" {
-			path = "BENCH_scale.json"
-		}
-		cfg := bench.DefaultScaleConfig()
-		if p.ppn > 0 {
-			cfg.PPN = p.ppn
-		}
-		cfg.Size = p.size
-		if p.iters > 0 {
-			cfg.Iters = p.iters
-		}
-		if *maxrk > 0 {
-			var ranks []int
-			for _, r := range cfg.Ranks {
-				if r <= *maxrk {
-					ranks = append(ranks, r)
-				}
-			}
-			if len(ranks) == 0 {
-				fatal(fmt.Errorf("scale: -maxranks %d keeps no rank count of %v", *maxrk, cfg.Ranks))
-			}
-			cfg.Ranks = ranks
-		}
-		t0 := time.Now()
-		snap := bench.MeasureScale(cfg)
-		wall := time.Since(t0)
-		if err := snap.Validate(); err != nil {
-			fatal(err)
-		}
-		figures.ScaleTable(snap).Fprint(out)
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteScaleSnapshot(f, snap); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s (%d rank counts up to %d, claims validated, %s wall)\n",
-			path, len(snap.Series), snap.Series[len(snap.Series)-1].Ranks, wall.Round(time.Millisecond))
+		runScale(out, p, *maxrk, *outp)
 		return
 	}
 
@@ -343,6 +247,49 @@ func main() {
 	}
 }
 
+// runScale measures the scaling sweep (optionally a reduced prefix or a
+// different shape), validates the fig-shape claims and prints the table.
+// It writes a snapshot only when asked to with -o; the checked-in
+// BENCH_scale.json is `snap scale`'s.
+func runScale(out *os.File, p params, maxRanks int, path string) {
+	cfg := bench.DefaultScaleConfig()
+	if p.ppn > 0 {
+		cfg.PPN = p.ppn
+	}
+	cfg.Size = p.size
+	if p.iters > 0 {
+		cfg.Iters = p.iters
+	}
+	if maxRanks > 0 {
+		var ranks []int
+		for _, r := range cfg.Ranks {
+			if r <= maxRanks {
+				ranks = append(ranks, r)
+			}
+		}
+		if len(ranks) == 0 {
+			fatal(fmt.Errorf("scale: -maxranks %d keeps no rank count of %v", maxRanks, cfg.Ranks))
+		}
+		cfg.Ranks = ranks
+	}
+	t0 := time.Now()
+	snap := bench.MeasureScale(cfg)
+	wall := time.Since(t0)
+	if err := snap.Validate(); err != nil {
+		fatal(err)
+	}
+	figures.ScaleTable(snap).Fprint(out)
+	fmt.Fprintf(out, "%d rank counts up to %d, claims validated, %s wall\n",
+		len(snap.Series), snap.Series[len(snap.Series)-1].Ranks, wall.Round(time.Millisecond))
+	if path != "" {
+		row, _ := bench.FindBaseline("scale")
+		if _, err := row.Write(path, snap); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(out, "wrote %s\n", path)
+	}
+}
+
 // runTimeline runs the drift scenario for every foreground policy with the
 // virtual-time flight recorder attached (and span tracing for the two
 // policies whose gap is the re-route win), exports the time series, and
@@ -363,15 +310,7 @@ func runTimeline(out *os.File, p params, path string) {
 		recs[i] = runs[i].Rec
 	}
 	writeTo := func(name string, fn func(io.Writer) error) {
-		f, err := os.Create(name)
-		if err != nil {
-			fatal(err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := bench.WriteFile(name, fn); err != nil {
 			fatal(err)
 		}
 	}
@@ -557,6 +496,7 @@ func (p params) stencilProblems() []int {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: offloadbench <figure> [flags]
+       offloadbench snap [-check] NAME|all [-o PATH]
 
 figures:
   fig2     RDMA-write latency, host vs DPU posting
@@ -586,13 +526,14 @@ figures:
            fixed paths vs capability-blind adaptive vs capability-aware
   all      everything above
   scale    fig13 collective shapes at 128/256/512/1024 ranks, validating the
-           paper's ordering/overlap claims at scale; writes BENCH_scale.json
-           (-o path, -maxranks N for a reduced prefix, -size/-ppn/-iters)
-  bench-snapshot  regenerate the BENCH_fig13.json perf baseline (-o path)
-  bench-tenants   regenerate the BENCH_tenants.json multi-tenant baseline (-o path)
-  bench-drift     regenerate the BENCH_drift.json drift baseline (-o path)
-  bench-fleet     regenerate the BENCH_fleet.json mixed-fleet baseline (-o path);
-                  validates against BENCH_fig13.json in the working directory
+           paper's ordering/overlap claims at scale (-maxranks N for a reduced
+           prefix, -size/-ppn/-iters; -o PATH also writes the snapshot)
+  snap NAME       regenerate one pinned baseline — fig13, tenants, drift, fleet,
+                  scale (minutes) — into BENCH_NAME.json (-o PATH elsewhere); the
+                  encoded file is validated before it is written. fleet validates
+                  against the BENCH_fig13.json next to the file it writes
+  snap all        every baseline but scale
+  snap -check NAME|all   validate the checked-in file(s) without measuring
   critical-path   span-based critical path + latency attribution for the
                   fig13 Ialltoall loop and a chaos run (-ppn, -size, -seed)
   timeline        drift scenario with the virtual-time flight recorder: time
@@ -611,5 +552,5 @@ flags: -ppn N -iters N -warmup N -full -memgb N -nb N -seed N -size N
        -timeseries PATH (record watched metrics as bucketed virtual-time series:
                   PATH.jsonl, PATH.prom; with -spans, counter tracks join the trace)
        -cpuprofile PATH / -memprofile PATH (pprof capture of the run)
-       -o PATH (bench-snapshot / timeline output)`)
+       -o PATH (snap / scale / timeline output)`)
 }

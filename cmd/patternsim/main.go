@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/datapath"
 	"repro/internal/pattern"
 	"repro/internal/sim"
 	"repro/internal/tenant"
@@ -80,7 +81,7 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	if *mech == "staging" {
-		cfg.Mechanism = core.MechStaging
+		cfg.Path = datapath.KindStaged
 	} else if *mech != "gvmi" {
 		fmt.Fprintln(os.Stderr, "patternsim: unknown mechanism", *mech)
 		os.Exit(1)
@@ -113,7 +114,7 @@ func main() {
 			res.NRanks, len(spec.Ops), cf.Policy, cfg.RegCaches, cfg.GroupCache, *calls)
 	} else {
 		fmt.Printf("pattern: %d ranks, %d ops, mechanism=%v regcache=%v groupcache=%v calls=%d\n",
-			res.NRanks, len(spec.Ops), cfg.Mechanism, cfg.RegCaches, cfg.GroupCache, *calls)
+			res.NRanks, len(spec.Ops), *mech, cfg.RegCaches, cfg.GroupCache, *calls)
 	}
 	for r, t := range res.PerRank {
 		fmt.Printf("  rank %-3d done at %v\n", r, t)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/coll"
 	"repro/internal/core"
+	"repro/internal/datapath"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -90,7 +91,7 @@ func offload(label string, cfg core.Config) {
 	e := bench.Build(bench.Options{
 		Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed, Core: &cfg,
 	})
-	if *traceFlag && cfg.Mechanism == core.MechGVMI {
+	if *traceFlag && cfg.Path == datapath.KindCrossGVMI {
 		e.Cl.Trace = trace.New(80)
 	}
 	np := e.Cl.Cfg.NP()

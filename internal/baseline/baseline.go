@@ -15,6 +15,7 @@ package baseline
 
 import (
 	"repro/internal/core"
+	"repro/internal/datapath"
 	"repro/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func ProposedConfig() core.Config {
 // call, and each new request pays a first-use warm-up penalty.
 func BluesMPIConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Mechanism = core.MechStaging
+	cfg.Path = datapath.KindStaged
 	cfg.GroupCache = false
 	// Calibrated so that, with no warm-up iterations (application level),
 	// BluesMPI lands ~1.4x IntelMPI on the P3DFFT runs — the degradation
@@ -52,6 +53,6 @@ func BluesMPIConfig() core.Config {
 // Figure 4 pingpong comparison and mechanism ablations).
 func StagingNoWarmupConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Mechanism = core.MechStaging
+	cfg.Path = datapath.KindStaged
 	return cfg
 }

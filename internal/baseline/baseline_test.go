@@ -3,12 +3,12 @@ package baseline
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/datapath"
 )
 
 func TestProposedConfigIsGVMIWithCaches(t *testing.T) {
 	cfg := ProposedConfig()
-	if cfg.Mechanism != core.MechGVMI || !cfg.RegCaches || !cfg.GroupCache {
+	if cfg.Path != datapath.KindCrossGVMI || !cfg.RegCaches || !cfg.GroupCache {
 		t.Fatalf("proposed preset wrong: %+v", cfg)
 	}
 	if cfg.WarmupPerOp != 0 {
@@ -18,7 +18,7 @@ func TestProposedConfigIsGVMIWithCaches(t *testing.T) {
 
 func TestBluesMPIConfigModelsThePaper(t *testing.T) {
 	cfg := BluesMPIConfig()
-	if cfg.Mechanism != core.MechStaging {
+	if cfg.Path != datapath.KindStaged {
 		t.Fatal("BluesMPI must stage through DPU memory")
 	}
 	if cfg.GroupCache {
@@ -31,7 +31,7 @@ func TestBluesMPIConfigModelsThePaper(t *testing.T) {
 
 func TestStagingNoWarmupIsolatesMechanism(t *testing.T) {
 	cfg := StagingNoWarmupConfig()
-	if cfg.Mechanism != core.MechStaging {
+	if cfg.Path != datapath.KindStaged {
 		t.Fatal("wrong mechanism")
 	}
 	if cfg.WarmupPerOp != 0 {

@@ -54,98 +54,57 @@ func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSiz
 	e := Build(opt)
 	e.Cl.Trace = trace.New(4096)
 	np := e.Cl.Cfg.NP()
-	pure := make([]sim.Time, np)
-	comp := make([]sim.Time, np)
-	overall := make([]sim.Time, np)
 	mismatches := make([]int, np)
 
-	end := e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
-		me := r.RankID()
-		sp := r.Space()
-		send := r.Alloc(np * msgSize)
-		recv := r.Alloc(np * msgSize)
-
-		seq := 0
-		fill := func() {
+	// The fill and the verification run inside the timed window, at zero
+	// virtual cost.
+	nbc, end := measureOverlap(e, msgSize, warmup, iters, maxTime,
+		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
+			me := r.RankID()
+			sp := r.Space()
+			send := r.Alloc(np * msgSize)
+			recv := r.Alloc(np * msgSize)
 			blk := make([]byte, msgSize)
-			for dst := 0; dst < np; dst++ {
-				for i := range blk {
-					blk[i] = chaosPattern(me, dst, seq, i)
+			seq := 0
+			var q coll.Request
+			issue = func() {
+				for dst := 0; dst < np; dst++ {
+					for i := range blk {
+						blk[i] = chaosPattern(me, dst, seq, i)
+					}
+					sp.WriteAt(send.Addr()+mem.Addr(dst*msgSize), blk, msgSize)
 				}
-				sp.WriteAt(send.Addr()+mem.Addr(dst*msgSize), blk, msgSize)
+				q = ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize)
 			}
-		}
-		verify := func() {
-			for src := 0; src < np; src++ {
-				got := sp.ReadAt(recv.Addr()+mem.Addr(src*msgSize), msgSize)
-				ok := got != nil
-				for i := 0; ok && i < msgSize; i++ {
-					if got[i] != chaosPattern(src, me, seq, i) {
-						ok = false
+			wait = func() {
+				ops.Wait(q)
+				for src := 0; src < np; src++ {
+					got := sp.ReadAt(recv.Addr()+mem.Addr(src*msgSize), msgSize)
+					ok := got != nil
+					for i := 0; ok && i < msgSize; i++ {
+						if got[i] != chaosPattern(src, me, seq, i) {
+							ok = false
+						}
+					}
+					if !ok {
+						mismatches[me]++
 					}
 				}
-				if !ok {
-					mismatches[me]++
-				}
+				seq++
 			}
-			seq++
-		}
-
-		for it := 0; it < warmup; it++ {
-			fill()
-			ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize))
-			verify()
-			r.Barrier()
-		}
-
-		// Pure communication latency.
-		var acc sim.Time
-		for it := 0; it < iters; it++ {
-			fill()
-			t0 := r.Now()
-			ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize))
-			acc += r.Now() - t0
-			verify()
-			r.Barrier()
-		}
-		pure[me] = acc / sim.Time(iters)
-
-		// Overall time with compute sized to the pure latency (OMB).
-		comp[me] = pure[me]
-		acc = 0
-		for it := 0; it < iters; it++ {
-			fill()
-			t0 := r.Now()
-			q := ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize)
-			r.Compute(comp[me])
-			ops.Wait(q)
-			acc += r.Now() - t0
-			verify()
-			r.Barrier()
-		}
-		overall[me] = acc / sim.Time(iters)
-	})
+			return issue, wait
+		})
 
 	res := ChaosResult{
-		NBCResult: NBCResult{Scheme: opt.Scheme, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: msgSize},
+		NBCResult: nbc,
 		FaultRate: rate,
 		EndTime:   end,
 		Trace:     e.Cl.Trace,
 	}
 	total := 0
-	for i := 0; i < np; i++ {
-		if pure[i] > res.PureComm {
-			res.PureComm = pure[i]
-		}
-		if overall[i] > res.Overall {
-			res.Overall = overall[i]
-		}
-		if comp[i] > res.Compute {
-			res.Compute = comp[i]
-		}
-		total += mismatches[i]
+	for _, m := range mismatches {
+		total += m
 	}
-	res.Overlap = OverlapPct(res.PureComm, res.Compute, res.Overall)
 	res.Mismatches = total
 	res.Verified = total == 0
 	if e.Cl.Inj != nil {

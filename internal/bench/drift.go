@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/metrics"
@@ -174,11 +172,7 @@ func DriftSeries(target *metrics.Registry, nodes, ppn, fgIters int) []DriftPoint
 			FinishNS: int64(fg.Finish), MakespanNS: int64(res.Makespan),
 		}
 	}
-	if target != nil {
-		SweepInto(target, len(series), job)
-	} else {
-		Sweep(len(series), job)
-	}
+	SweepInto(target, len(series), job)
 	return series
 }
 
@@ -199,25 +193,6 @@ func MeasureDrift() DriftSnapshot {
 	s.Series = DriftSeries(met, nodes, ppn, fgIters)
 	s.Metrics = met.Snapshot()
 	return s
-}
-
-// WriteDriftSnapshot writes the snapshot as indented JSON.
-func WriteDriftSnapshot(w io.Writer, s DriftSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ParseDriftSnapshot decodes and validates a JSON snapshot.
-func ParseDriftSnapshot(data []byte) (DriftSnapshot, error) {
-	var s DriftSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("bench: invalid drift snapshot JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // Validate checks schema conformance and the headline claim this snapshot

@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"os"
-	"reflect"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,49 +10,26 @@ import (
 	"repro/internal/tenant"
 )
 
-// The drift measurement must validate (which asserts the headline
-// re-route claim: pre-drift the offload path wins, post-drift the frozen
-// Measuring policy is stuck >= 1.5x worse than host-direct while the
-// feedback policy re-probes and ties it), reproduce byte-identically at
-// any sweep worker count, and round-trip through the JSON writer/parser.
+// The drift baseline (which TestBaselines holds byte-identical to a fresh
+// measurement at -parallel 1 and 4) must carry its headline re-route claim
+// and keep the foreground ranks in lockstep across re-probes.
 func TestDriftSnapshotValidDeterministicAndParallel(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-
-	Parallelism = 1
-	serial := MeasureDrift()
-	if err := serial.Validate(); err != nil {
-		t.Fatal(err)
+	data, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_drift.json"))
+	if err != nil {
+		t.Fatalf("missing drift baseline (run `make snap-drift`): %v", err)
 	}
-	Parallelism = 4
-	par := MeasureDrift()
-
-	var sb, pb bytes.Buffer
-	if err := WriteDriftSnapshot(&sb, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteDriftSnapshot(&pb, par); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-		t.Fatal("drift sweep output differs between -parallel 1 and -parallel 4")
-	}
-
-	back, err := ParseDriftSnapshot(sb.Bytes())
+	snap, err := parse[DriftSnapshot](data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, back) {
-		t.Fatal("drift snapshot did not round-trip through JSON")
 	}
 
 	// Rank agreement across re-probes: every rank of the foreground job
 	// contributes one decision per call, so with lockstep intact each call
 	// adds the full rank count to exactly one per-path counter — any
 	// diverged rank shows up as a remainder.
-	np := int64(serial.Config.Nodes * serial.Config.PPN)
+	np := int64(snap.Config.Nodes * snap.Config.PPN)
 	checked := 0
-	for _, c := range serial.Metrics.Counters {
+	for _, c := range snap.Metrics.Counters {
 		if c.Layer != "policy" || c.Tenant != "fg" || !strings.HasPrefix(c.Name, "decide_") {
 			continue
 		}
@@ -65,19 +41,6 @@ func TestDriftSnapshotValidDeterministicAndParallel(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no foreground decide counters in the snapshot metrics")
-	}
-}
-
-// The checked-in baseline must stay parseable and valid (including the
-// re-route claim); regenerate it with `make bench-drift` after an
-// intentional behaviour change.
-func TestCheckedInDriftSnapshotValid(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_drift.json")
-	if err != nil {
-		t.Fatalf("missing drift baseline (run `make bench-drift`): %v", err)
-	}
-	if _, err := ParseDriftSnapshot(data); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/baseline"
@@ -162,91 +161,30 @@ func (cf *CommonFlags) Finish(out io.Writer) error {
 // text exposition format to path.prom.
 func WriteMetricsFiles(path string, reg *metrics.Registry) error {
 	snap := reg.Snapshot()
-	jf, err := os.Create(path)
-	if err != nil {
+	if err := WriteFile(path, snap.WriteJSON); err != nil {
 		return err
 	}
-	if err := snap.WriteJSON(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	pf, err := os.Create(path + ".prom")
-	if err != nil {
-		return err
-	}
-	if err := snap.WritePrometheus(pf); err != nil {
-		pf.Close()
-		return err
-	}
-	return pf.Close()
+	return WriteFile(path+".prom", snap.WritePrometheus)
 }
 
-// WriteSpanFiles exports the collector as Chrome trace JSON to path, folded
-// stacks to path.folded, and JSONL to path.jsonl.
-func WriteSpanFiles(path string, sc *span.Collector) error {
-	return WriteSpanFilesWith(path, sc, nil)
-}
-
-// WriteSpanFilesWith is WriteSpanFiles with extra pre-rendered trace events
-// (telemetry counter tracks) merged into the Chrome trace file.
+// WriteSpanFilesWith exports the collector as Chrome trace JSON to path
+// (with the extra pre-rendered trace events — telemetry counter tracks —
+// merged in), folded stacks to path.folded, and JSONL to path.jsonl.
 func WriteSpanFilesWith(path string, sc *span.Collector, extra []string) error {
-	cf, err := os.Create(path)
-	if err != nil {
+	if err := WriteFile(path, func(w io.Writer) error { return sc.WriteChromeTraceWith(w, extra) }); err != nil {
 		return err
 	}
-	if err := sc.WriteChromeTraceWith(cf, extra); err != nil {
-		cf.Close()
+	if err := WriteFile(path+".folded", sc.WriteFolded); err != nil {
 		return err
 	}
-	if err := cf.Close(); err != nil {
-		return err
-	}
-	ff, err := os.Create(path + ".folded")
-	if err != nil {
-		return err
-	}
-	if err := sc.WriteFolded(ff); err != nil {
-		ff.Close()
-		return err
-	}
-	if err := ff.Close(); err != nil {
-		return err
-	}
-	jf, err := os.Create(path + ".jsonl")
-	if err != nil {
-		return err
-	}
-	if err := sc.WriteJSONL(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	return jf.Close()
+	return WriteFile(path+".jsonl", sc.WriteJSONL)
 }
 
 // WriteTimeseriesFiles exports the timeline's recorders as JSONL to
 // path.jsonl and as timestamped Prometheus text to path.prom.
 func WriteTimeseriesFiles(path string, tl *telemetry.Timeline) error {
-	jf, err := os.Create(path + ".jsonl")
-	if err != nil {
+	if err := WriteFile(path+".jsonl", tl.WriteJSONL); err != nil {
 		return err
 	}
-	if err := tl.WriteJSONL(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	pf, err := os.Create(path + ".prom")
-	if err != nil {
-		return err
-	}
-	if err := tl.WritePrometheusTS(pf); err != nil {
-		pf.Close()
-		return err
-	}
-	return pf.Close()
+	return WriteFile(path+".prom", tl.WritePrometheusTS)
 }

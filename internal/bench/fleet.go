@@ -15,7 +15,8 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"io"
+	"os"
+	"path/filepath"
 
 	"repro/internal/baseline"
 	"repro/internal/coll"
@@ -51,11 +52,8 @@ var fleetPolicies = []string{"hostdirect", "gvmi", "adaptive", "aware"}
 
 // FleetPoint is one policy's measurement on the mixed fleet.
 type FleetPoint struct {
-	Policy     string  `json:"policy"`
-	PureNS     int64   `json:"pure_ns"`
-	ComputeNS  int64   `json:"compute_ns"`
-	OverallNS  int64   `json:"overall_ns"`
-	OverlapPct float64 `json:"overlap_pct"`
+	Policy string `json:"policy"`
+	Timings
 }
 
 // FleetSnapshot is the checked-in mixed-fleet baseline: the homogeneous
@@ -84,70 +82,37 @@ type FleetSnapshot struct {
 // matter what the faster half's policy does.
 func MeasureFleetExchange(opt Options, msgSize, warmup, iters int) NBCResult {
 	e := Build(opt)
-	np := e.Cl.Cfg.NP()
-	half := np / 2
-	pure := make([]sim.Time, np)
-	comp := make([]sim.Time, np)
-	overall := make([]sim.Time, np)
-
-	e.Launch(func(r *mpi.Rank, _ coll.Ops, p2p coll.P2P) {
-		me := r.RankID()
-		base := (me / half) * half
-		peer := base + (me-base+opt.PPN)%half
-		sbuf := r.Alloc(msgSize)
-		rbuf := r.Alloc(msgSize)
-
-		round := func(compute sim.Time) {
-			rq := p2p.Irecv(rbuf.Addr(), msgSize, peer, 7)
-			sq := p2p.Isend(sbuf.Addr(), msgSize, peer, 7)
-			if compute > 0 {
-				r.Compute(compute)
-			}
-			p2p.WaitAll([]coll.Request{rq, sq})
-		}
-
-		for it := 0; it < warmup; it++ {
-			round(0)
-			r.Barrier()
-		}
-		var acc sim.Time
-		for it := 0; it < iters; it++ {
-			t0 := r.Now()
-			round(0)
-			acc += r.Now() - t0
-			r.Barrier()
-		}
-		pure[me] = acc / sim.Time(iters)
-
-		comp[me] = pure[me]
-		acc = 0
-		for it := 0; it < iters; it++ {
-			t0 := r.Now()
-			round(comp[me])
-			acc += r.Now() - t0
-			r.Barrier()
-		}
-		overall[me] = acc / sim.Time(iters)
-	})
-
-	res := NBCResult{Scheme: opt.Policy, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: msgSize}
-	for i := 0; i < np; i++ {
-		res.PureComm += pure[i]
-		res.Compute += comp[i]
-		res.Overall += overall[i]
-	}
-	res.PureComm /= sim.Time(np)
-	res.Compute /= sim.Time(np)
-	res.Overall /= sim.Time(np)
-	res.Overlap = OverlapPct(res.PureComm, res.Compute, res.Overall)
+	half := e.Cl.Cfg.NP() / 2
+	res, _ := measureOverlap(e, msgSize, warmup, iters, meanTime,
+		func(r *mpi.Rank, _ coll.Ops, p2p coll.P2P) (issue, wait func()) {
+			me := r.RankID()
+			base := (me / half) * half
+			peer := base + (me-base+opt.PPN)%half
+			sbuf := r.Alloc(msgSize)
+			rbuf := r.Alloc(msgSize)
+			reqs := make([]coll.Request, 2)
+			return func() {
+				reqs[0] = p2p.Irecv(rbuf.Addr(), msgSize, peer, 7)
+				reqs[1] = p2p.Isend(sbuf.Addr(), msgSize, peer, 7)
+			}, func() { p2p.WaitAll(reqs) }
+		})
+	res.Scheme = opt.Policy
 	return res
+}
+
+// meanTime is the fleet reduction: the mean over ranks.
+func meanTime(ts []sim.Time) sim.Time {
+	var sum sim.Time
+	for _, t := range ts {
+		sum += t
+	}
+	return sum / sim.Time(len(ts))
 }
 
 // MeasureFleet produces the checked-in fleet snapshot: the fig13 guard
 // points on an explicit homogeneous bf2 fleet plus the mixed-fleet policy
 // table, all under one metrics registry.
 func MeasureFleet() FleetSnapshot {
-	const warmup, iters = 1, 2 // fig13 guard parameters (must match Fig13Snapshot)
 	met := metrics.NewRegistry()
 	s := FleetSnapshot{
 		Schema: FleetSchema,
@@ -156,60 +121,40 @@ func MeasureFleet() FleetSnapshot {
 			Iters: fleetIters, Scheme: "policy-p2p"},
 		Size: fleetSize,
 	}
-	homog := make([]BenchPoint, len(fig13SnapshotPoints))
-	mixed := make([]FleetPoint, len(fleetPolicies))
-	SweepInto(met, len(fig13SnapshotPoints)+len(fleetPolicies), func(i int, env SweepEnv) {
-		if i < len(fig13SnapshotPoints) {
-			pt := fig13SnapshotPoints[i]
-			opt := env.Attach(Options{Nodes: 2, PPN: 4, Scheme: baseline.NameProposed,
-				Backed: pt.backed, Device: "bf2"})
-			r := MeasureIalltoall(opt, pt.size, warmup, iters)
-			homog[i] = BenchPoint{
-				Size:       pt.size,
-				Backed:     pt.backed,
-				PureNS:     int64(r.PureComm),
-				ComputeNS:  int64(r.Compute),
-				OverallNS:  int64(r.Overall),
-				OverlapPct: r.Overlap,
-			}
+	nh := len(fig13SnapshotPoints)
+	s.Homogeneous = make([]BenchPoint, nh)
+	s.Mixed = make([]FleetPoint, len(fleetPolicies))
+	SweepInto(met, nh+len(fleetPolicies), func(i int, env SweepEnv) {
+		if i < nh {
+			s.Homogeneous[i] = measureFig13Point(env, i, "bf2")
 			return
 		}
-		pol := fleetPolicies[i-len(fig13SnapshotPoints)]
+		pol := fleetPolicies[i-nh]
 		opt := env.Attach(Options{Nodes: fleetNodes, PPN: fleetPPN, Scheme: baseline.NameProposed,
 			Policy: pol, Fleet: fleetSpec})
-		r := MeasureFleetExchange(opt, fleetSize, fleetWarmup, fleetIters)
-		mixed[i-len(fig13SnapshotPoints)] = FleetPoint{
-			Policy:     pol,
-			PureNS:     int64(r.PureComm),
-			ComputeNS:  int64(r.Compute),
-			OverallNS:  int64(r.Overall),
-			OverlapPct: r.Overlap,
-		}
+		s.Mixed[i-nh] = FleetPoint{Policy: pol,
+			Timings: timingsOf(MeasureFleetExchange(opt, fleetSize, fleetWarmup, fleetIters))}
 	})
-	s.Homogeneous = homog
-	s.Mixed = mixed
 	s.Metrics = met.Snapshot()
 	return s
 }
 
-// WriteFleetSnapshot writes the snapshot as indented JSON.
-func WriteFleetSnapshot(w io.Writer, s FleetSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ParseFleetSnapshot decodes and validates a JSON fleet snapshot against
-// the fig13 baseline it must agree with.
-func ParseFleetSnapshot(data []byte, fig BenchSnapshot) (FleetSnapshot, error) {
+// loadFleet decodes a fleet snapshot and validates it against the fig13
+// baseline stored next to it in dir.
+func loadFleet(data []byte, dir string) (FleetSnapshot, error) {
 	var s FleetSnapshot
+	figData, err := os.ReadFile(filepath.Join(dir, "BENCH_fig13.json"))
+	if err != nil {
+		return s, fmt.Errorf("bench: the fleet snapshot validates against the fig13 baseline: %w", err)
+	}
+	fig, err := parse[BenchSnapshot](figData)
+	if err != nil {
+		return s, err
+	}
 	if err := json.Unmarshal(data, &s); err != nil {
 		return s, fmt.Errorf("bench: invalid fleet snapshot JSON: %w", err)
 	}
-	if err := s.Validate(fig); err != nil {
-		return s, err
-	}
-	return s, nil
+	return s, s.Validate(fig)
 }
 
 // point returns the mixed-table entry of one policy.
@@ -275,8 +220,8 @@ func (s FleetSnapshot) Validate(fig BenchSnapshot) error {
 			aware.OverallNS, blind.OverallNS)
 	}
 	for _, p := range s.Mixed {
-		if p.PureNS <= 0 || p.OverallNS <= 0 || p.ComputeNS < 0 {
-			return fmt.Errorf("bench: fleet point %q non-positive timings %+v", p.Policy, p)
+		if err := p.plausible(); err != nil {
+			return fmt.Errorf("bench: fleet point %q: %w", p.Policy, err)
 		}
 	}
 	return s.Metrics.Validate()

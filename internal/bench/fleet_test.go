@@ -1,74 +1,28 @@
 package bench
 
 import (
-	"bytes"
 	"os"
-	"reflect"
+	"path/filepath"
 	"testing"
 )
-
-// readFig13 loads the checked-in fig13 baseline the fleet snapshot
-// validates against.
-func readFig13(t *testing.T) BenchSnapshot {
-	t.Helper()
-	data, err := os.ReadFile("../../BENCH_fig13.json")
-	if err != nil {
-		t.Fatalf("missing perf baseline (run `make bench-snapshot`): %v", err)
-	}
-	fig, err := ParseBenchSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fig
-}
-
-// The checked-in mixed-fleet baseline must parse, pass its own Validate
-// (homogeneous bf2 == fig13 field for field, aware <= both fixed paths and
-// strictly < blind adaptive), and be exactly reproducible: MeasureFleet is
-// deterministic, so the snapshot regenerates identically or the file is
-// stale. Regenerate with `make bench-fleet` after an intentional change.
-func TestCheckedInFleetSnapshotValidAndReproducible(t *testing.T) {
-	fig := readFig13(t)
-	data, err := os.ReadFile("../../BENCH_fleet.json")
-	if err != nil {
-		t.Fatalf("missing fleet baseline (run `make bench-fleet`): %v", err)
-	}
-	checked, err := ParseFleetSnapshot(data, fig)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := MeasureFleet()
-	if err := fresh.Validate(fig); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(checked, fresh) {
-		t.Fatal("BENCH_fleet.json is stale: MeasureFleet no longer reproduces it (run `make bench-fleet`)")
-	}
-
-	var buf bytes.Buffer
-	if err := WriteFleetSnapshot(&buf, fresh); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseFleetSnapshot(buf.Bytes(), fig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, back) {
-		t.Fatal("fleet snapshot did not round-trip through JSON")
-	}
-}
 
 // Validate rejects the failure modes the fleet baseline guards against:
 // schema drift, a homogeneous section that diverged from fig13, a lost
 // crossover, and a missing policy point.
 func TestFleetValidateRejects(t *testing.T) {
-	fig := readFig13(t)
-	data, err := os.ReadFile("../../BENCH_fleet.json")
+	figData, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_fig13.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := ParseFleetSnapshot(data, fig)
+	fig, err := parse[BenchSnapshot](figData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_fleet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := loadFleet(data, repoRoot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,23 +20,27 @@ type NBCResult struct {
 	Overlap  float64  // percent
 }
 
-// MeasureIalltoall runs the OMB Ialltoall overlap benchmark for one scheme
-// and message size (bytes per peer), with warmup+iters iterations of each
-// phase. It reproduces the methodology behind Figures 13/14.
-func MeasureIalltoall(opt Options, msgSize, warmup, iters int) NBCResult {
-	e := Build(opt)
+// measureOverlap is the OMB overlap loop every nonblocking benchmark in this
+// package shares: warmup rounds, iters timed rounds of issue+wait (the pure
+// communication latency), then iters timed rounds with compute sized to the
+// rank's own pure latency between issue and wait — a barrier after every
+// round. setup runs once per rank: it allocates the rank's buffers and
+// returns the two halves of one operation. reduce folds the per-rank means
+// into the reported values. The second result is the run's final virtual
+// time.
+func measureOverlap(e *Env, msgSize, warmup, iters int, reduce func([]sim.Time) sim.Time,
+	setup func(r *mpi.Rank, ops coll.Ops, p2p coll.P2P) (issue, wait func())) (NBCResult, sim.Time) {
 	np := e.Cl.Cfg.NP()
 	pure := make([]sim.Time, np)
-	comp := make([]sim.Time, np)
 	overall := make([]sim.Time, np)
 
-	e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
+	end := e.Launch(func(r *mpi.Rank, ops coll.Ops, p2p coll.P2P) {
 		me := r.RankID()
-		send := r.Alloc(np * msgSize)
-		recv := r.Alloc(np * msgSize)
+		issue, wait := setup(r, ops, p2p)
 
 		for it := 0; it < warmup; it++ {
-			ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize))
+			issue()
+			wait()
 			r.Barrier()
 		}
 
@@ -44,39 +48,59 @@ func MeasureIalltoall(opt Options, msgSize, warmup, iters int) NBCResult {
 		var acc sim.Time
 		for it := 0; it < iters; it++ {
 			t0 := r.Now()
-			ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize))
+			issue()
+			wait()
 			acc += r.Now() - t0
 			r.Barrier()
 		}
 		pure[me] = acc / sim.Time(iters)
 
 		// Overall time with compute sized to the pure latency (OMB).
-		comp[me] = pure[me]
 		acc = 0
 		for it := 0; it < iters; it++ {
 			t0 := r.Now()
-			q := ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize)
-			r.Compute(comp[me])
-			ops.Wait(q)
+			issue()
+			r.Compute(pure[me])
+			wait()
 			acc += r.Now() - t0
 			r.Barrier()
 		}
 		overall[me] = acc / sim.Time(iters)
 	})
 
-	res := NBCResult{Scheme: opt.Scheme, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: msgSize}
-	for i := 0; i < np; i++ {
-		if pure[i] > res.PureComm {
-			res.PureComm = pure[i]
-		}
-		if overall[i] > res.Overall {
-			res.Overall = overall[i]
-		}
-		if comp[i] > res.Compute {
-			res.Compute = comp[i]
+	res := NBCResult{Scheme: e.Opt.Scheme, Nodes: e.Opt.Nodes, PPN: e.Opt.PPN, MsgSize: msgSize}
+	res.PureComm = reduce(pure)
+	res.Compute = res.PureComm
+	res.Overall = reduce(overall)
+	res.Overlap = OverlapPct(res.PureComm, res.Compute, res.Overall)
+	return res, end
+}
+
+// maxTime is the OMB reduction: the slowest rank's value.
+func maxTime(ts []sim.Time) sim.Time {
+	var m sim.Time
+	for _, t := range ts {
+		if t > m {
+			m = t
 		}
 	}
-	res.Overlap = OverlapPct(res.PureComm, res.Compute, res.Overall)
+	return m
+}
+
+// MeasureIalltoall runs the OMB Ialltoall overlap benchmark for one scheme
+// and message size (bytes per peer), with warmup+iters iterations of each
+// phase. It reproduces the methodology behind Figures 13/14.
+func MeasureIalltoall(opt Options, msgSize, warmup, iters int) NBCResult {
+	e := Build(opt)
+	np := e.Cl.Cfg.NP()
+	res, _ := measureOverlap(e, msgSize, warmup, iters, maxTime,
+		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
+			send := r.Alloc(np * msgSize)
+			recv := r.Alloc(np * msgSize)
+			var q coll.Request
+			return func() { q = ops.Ialltoall(0, send.Addr(), recv.Addr(), msgSize) },
+				func() { ops.Wait(q) }
+		})
 	return res
 }
 
@@ -85,101 +109,27 @@ func MeasureIalltoall(opt Options, msgSize, warmup, iters int) NBCResult {
 func MeasureIallgather(opt Options, msgSize, warmup, iters int) NBCResult {
 	e := Build(opt)
 	np := e.Cl.Cfg.NP()
-	pure := make([]sim.Time, np)
-	overall := make([]sim.Time, np)
-
-	e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
-		me := r.RankID()
-		send := r.Alloc(msgSize)
-		recv := r.Alloc(np * msgSize)
-
-		for it := 0; it < warmup; it++ {
-			ops.Wait(ops.Iallgather(0, send.Addr(), recv.Addr(), msgSize))
-			r.Barrier()
-		}
-		var acc sim.Time
-		for it := 0; it < iters; it++ {
-			t0 := r.Now()
-			ops.Wait(ops.Iallgather(0, send.Addr(), recv.Addr(), msgSize))
-			acc += r.Now() - t0
-			r.Barrier()
-		}
-		pure[me] = acc / sim.Time(iters)
-
-		acc = 0
-		for it := 0; it < iters; it++ {
-			t0 := r.Now()
-			q := ops.Iallgather(0, send.Addr(), recv.Addr(), msgSize)
-			r.Compute(pure[me])
-			ops.Wait(q)
-			acc += r.Now() - t0
-			r.Barrier()
-		}
-		overall[me] = acc / sim.Time(iters)
-	})
-
-	res := NBCResult{Scheme: opt.Scheme, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: msgSize}
-	for i := 0; i < np; i++ {
-		if pure[i] > res.PureComm {
-			res.PureComm = pure[i]
-		}
-		if overall[i] > res.Overall {
-			res.Overall = overall[i]
-		}
-	}
-	res.Compute = res.PureComm
-	res.Overlap = OverlapPct(res.PureComm, res.Compute, res.Overall)
+	res, _ := measureOverlap(e, msgSize, warmup, iters, maxTime,
+		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
+			send := r.Alloc(msgSize)
+			recv := r.Alloc(np * msgSize)
+			var q coll.Request
+			return func() { q = ops.Iallgather(0, send.Addr(), recv.Addr(), msgSize) },
+				func() { ops.Wait(q) }
+		})
 	return res
 }
 
 // MeasureIbcast runs the OMB-style Ibcast overlap benchmark (root 0,
 // size bytes).
 func MeasureIbcast(opt Options, size, warmup, iters int) NBCResult {
-	e := Build(opt)
-	np := e.Cl.Cfg.NP()
-	pure := make([]sim.Time, np)
-	overall := make([]sim.Time, np)
-
-	e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
-		me := r.RankID()
-		buf := r.Alloc(size)
-
-		for it := 0; it < warmup; it++ {
-			ops.Wait(ops.Ibcast(0, buf.Addr(), size, 0))
-			r.Barrier()
-		}
-		var acc sim.Time
-		for it := 0; it < iters; it++ {
-			t0 := r.Now()
-			ops.Wait(ops.Ibcast(0, buf.Addr(), size, 0))
-			acc += r.Now() - t0
-			r.Barrier()
-		}
-		pure[me] = acc / sim.Time(iters)
-
-		acc = 0
-		for it := 0; it < iters; it++ {
-			t0 := r.Now()
-			q := ops.Ibcast(0, buf.Addr(), size, 0)
-			r.Compute(pure[me])
-			ops.Wait(q)
-			acc += r.Now() - t0
-			r.Barrier()
-		}
-		overall[me] = acc / sim.Time(iters)
-	})
-
-	res := NBCResult{Scheme: opt.Scheme, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: size}
-	for i := 0; i < np; i++ {
-		if pure[i] > res.PureComm {
-			res.PureComm = pure[i]
-		}
-		if overall[i] > res.Overall {
-			res.Overall = overall[i]
-		}
-	}
-	res.Compute = res.PureComm
-	res.Overlap = OverlapPct(res.PureComm, res.Compute, res.Overall)
+	res, _ := measureOverlap(Build(opt), size, warmup, iters, maxTime,
+		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
+			buf := r.Alloc(size)
+			var q coll.Request
+			return func() { q = ops.Ibcast(0, buf.Addr(), size, 0) },
+				func() { ops.Wait(q) }
+		})
 	return res
 }
 
@@ -245,11 +195,7 @@ func MeasureScatterDest(opt Options, msgSize, warmup, iters int, simple bool) NB
 	})
 
 	res := NBCResult{Scheme: opt.Scheme, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: msgSize}
-	for i := 0; i < np; i++ {
-		if lat[i] > res.PureComm {
-			res.PureComm = lat[i]
-		}
-	}
+	res.PureComm = maxTime(lat)
 	res.Overall = res.PureComm
 	return res
 }
@@ -284,8 +230,5 @@ func MeasurePingpongNB(opt Options, msgSize, warmup, iters int) sim.Time {
 		lat[me] = (r.Now() - t0) / sim.Time(iters)
 	})
 
-	if lat[1] > lat[0] {
-		return lat[1]
-	}
-	return lat[0]
+	return maxTime(lat)
 }

@@ -55,17 +55,17 @@ func (env SweepEnv) Attach(opt Options) Options {
 // caller-owned slot addressed by its index, so result ordering never
 // depends on completion order.
 func Sweep(n int, job func(i int, env SweepEnv)) {
-	sweep(DefaultMetrics, DefaultSpans, n, job)
+	SweepInto(nil, n, job)
 }
 
-// SweepInto is Sweep with an explicit metrics target instead of
-// DefaultMetrics, for callers that aggregate into their own registry
-// (Fig13Snapshot).
-func SweepInto(target *metrics.Registry, n int, job func(i int, env SweepEnv)) {
-	sweep(target, DefaultSpans, n, job)
-}
-
-func sweep(met *metrics.Registry, sp *span.Collector, n int, job func(i int, env SweepEnv)) {
+// SweepInto is Sweep with an explicit metrics target, for callers that
+// aggregate into their own registry (Fig13Snapshot); nil means
+// DefaultMetrics.
+func SweepInto(met *metrics.Registry, n int, job func(i int, env SweepEnv)) {
+	if met == nil {
+		met = DefaultMetrics
+	}
+	sp := DefaultSpans
 	workers := Parallelism
 	if workers > n {
 		workers = n

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/baseline"
 )
@@ -20,11 +18,8 @@ var ScaleRanks = []int{128, 256, 512, 1024}
 
 // ScaleSchemeResult is one scheme's timings at one rank count.
 type ScaleSchemeResult struct {
-	Scheme     string  `json:"scheme"`
-	PureNS     int64   `json:"pure_ns"`
-	ComputeNS  int64   `json:"compute_ns"`
-	OverallNS  int64   `json:"overall_ns"`
-	OverlapPct float64 `json:"overlap_pct"`
+	Scheme string `json:"scheme"`
+	Timings
 }
 
 // ScalePoint is one rank count of the sweep: the fig13 Ialltoall overlap
@@ -91,12 +86,7 @@ func ScaleSeries(cfg ScaleConfig) []ScalePoint {
 	for i, ranks := range cfg.Ranks {
 		pt := ScalePoint{Ranks: ranks, Nodes: ranks / cfg.PPN, PPN: cfg.PPN}
 		for k, scheme := range scaleSchemes {
-			r := res[i*nsch+k]
-			pt.Schemes = append(pt.Schemes, ScaleSchemeResult{
-				Scheme: scheme,
-				PureNS: int64(r.PureComm), ComputeNS: int64(r.Compute),
-				OverallNS: int64(r.Overall), OverlapPct: r.Overlap,
-			})
+			pt.Schemes = append(pt.Schemes, ScaleSchemeResult{Scheme: scheme, Timings: timingsOf(res[i*nsch+k])})
 		}
 		b := pt.Scheme(baseline.NameBluesMPI).OverallNS
 		p := pt.Scheme(baseline.NameProposed).OverallNS
@@ -125,25 +115,6 @@ func MeasureScale(cfg ScaleConfig) ScaleSnapshot {
 		Config: cfg,
 		Series: ScaleSeries(cfg),
 	}
-}
-
-// WriteScaleSnapshot writes the snapshot as indented JSON.
-func WriteScaleSnapshot(w io.Writer, s ScaleSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ParseScaleSnapshot decodes and validates a JSON snapshot.
-func ParseScaleSnapshot(data []byte) (ScaleSnapshot, error) {
-	var s ScaleSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("bench: invalid scale snapshot JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // Validate checks schema conformance and the fig-shape claims at every
@@ -186,11 +157,8 @@ func (s ScaleSnapshot) Validate() error {
 		p := pt.Scheme(baseline.NameProposed)
 		in := pt.Scheme(baseline.NameIntelMPI)
 		for _, r := range []ScaleSchemeResult{b, p, in} {
-			if r.PureNS <= 0 || r.OverallNS <= 0 || r.ComputeNS < 0 {
-				return fmt.Errorf("bench: series[%d] non-positive timings for %q: %+v", i, r.Scheme, r)
-			}
-			if r.OverlapPct < 0 || r.OverlapPct > 100 {
-				return fmt.Errorf("bench: series[%d] overlap %g out of range for %q", i, r.OverlapPct, r.Scheme)
+			if err := r.plausible(); err != nil {
+				return fmt.Errorf("bench: series[%d] scheme %q: %w", i, r.Scheme, err)
 			}
 		}
 		if p.OverallNS >= b.OverallNS || p.OverallNS >= in.OverallNS {

@@ -2,18 +2,18 @@ package bench
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 )
 
-// The checked-in 1024-rank scaling baseline must parse, validate every
-// fig-shape claim (fig13 ordering, fig14 overlap shape, non-shrinking
-// advantage), and actually reach 1024 ranks — the point of ROADMAP item 1.
+// The checked-in scaling baseline (whose fig-shape claims TestBaselines
+// validates) must be the full sweep: it actually reaches 1024 ranks.
 func TestCheckedInScaleSnapshotValid(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_scale.json")
+	data, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_scale.json"))
 	if err != nil {
-		t.Fatalf("missing scale baseline (run `make bench-scale`): %v", err)
+		t.Fatalf("missing scale baseline (run `make snap-scale`): %v", err)
 	}
-	s, err := ParseScaleSnapshot(data)
+	s, err := parse[ScaleSnapshot](data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,9 @@ func TestScaleValidateRejects(t *testing.T) {
 			return ScalePoint{
 				Ranks: ranks, Nodes: ranks / 8, PPN: 8,
 				Schemes: []ScaleSchemeResult{
-					{Scheme: "BluesMPI", PureNS: 900, ComputeNS: 900, OverallNS: 2000, OverlapPct: 95},
-					{Scheme: "Proposed", PureNS: 800, ComputeNS: 800, OverallNS: propOverall, OverlapPct: 99},
-					{Scheme: "IntelMPI", PureNS: 850, ComputeNS: 850, OverallNS: 1500, OverlapPct: 40},
+					{Scheme: "BluesMPI", Timings: Timings{PureNS: 900, ComputeNS: 900, OverallNS: 2000, OverlapPct: 95}},
+					{Scheme: "Proposed", Timings: Timings{PureNS: 800, ComputeNS: 800, OverallNS: propOverall, OverlapPct: 99}},
+					{Scheme: "IntelMPI", Timings: Timings{PureNS: 850, ComputeNS: 850, OverallNS: 1500, OverlapPct: 40}},
 				},
 				VsBluesMPIPct: vsBlues, VsIntelMPIPct: 30,
 			}

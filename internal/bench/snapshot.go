@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/baseline"
 	"repro/internal/metrics"
@@ -15,12 +13,9 @@ const BenchSchema = "offload-bench/v1"
 
 // BenchPoint is one measured configuration of the snapshot's figure.
 type BenchPoint struct {
-	Size       int     `json:"size"`
-	Backed     bool    `json:"backed"`
-	PureNS     int64   `json:"pure_ns"`
-	ComputeNS  int64   `json:"compute_ns"`
-	OverallNS  int64   `json:"overall_ns"`
-	OverlapPct float64 `json:"overlap_pct"`
+	Size   int  `json:"size"`
+	Backed bool `json:"backed"`
+	Timings
 }
 
 // BenchConfig records the environment the series was measured under.
@@ -56,56 +51,36 @@ var fig13SnapshotPoints = []struct {
 	{4 << 10, true},
 }
 
+// The fig13 guard shape.
+const fig13Nodes, fig13PPN, fig13Warmup, fig13Iters = 2, 4, 1, 2
+
 // Fig13Snapshot measures the fig13 guard configurations (Proposed scheme,
 // 2 nodes x 4 PPN, warmup 1, iters 2) with a live metrics registry attached
 // and packages timings plus metrics into a BenchSnapshot.
 func Fig13Snapshot() BenchSnapshot {
-	const warmup, iters = 1, 2
 	met := metrics.NewRegistry()
 	s := BenchSnapshot{
 		Schema: BenchSchema,
 		Figure: "fig13",
-		Config: BenchConfig{Nodes: 2, PPN: 4, Warmup: warmup, Iters: iters,
+		Config: BenchConfig{Nodes: fig13Nodes, PPN: fig13PPN, Warmup: fig13Warmup, Iters: fig13Iters,
 			Scheme: baseline.NameProposed},
 	}
-	series := make([]BenchPoint, len(fig13SnapshotPoints))
-	SweepInto(met, len(fig13SnapshotPoints), func(i int, env SweepEnv) {
-		pt := fig13SnapshotPoints[i]
-		opt := env.Attach(Options{Nodes: 2, PPN: 4, Scheme: baseline.NameProposed,
-			Backed: pt.backed})
-		r := MeasureIalltoall(opt, pt.size, warmup, iters)
-		series[i] = BenchPoint{
-			Size:       pt.size,
-			Backed:     pt.backed,
-			PureNS:     int64(r.PureComm),
-			ComputeNS:  int64(r.Compute),
-			OverallNS:  int64(r.Overall),
-			OverlapPct: r.Overlap,
-		}
+	s.Series = make([]BenchPoint, len(fig13SnapshotPoints))
+	SweepInto(met, len(s.Series), func(i int, env SweepEnv) {
+		s.Series[i] = measureFig13Point(env, i, "")
 	})
-	s.Series = series
 	s.Metrics = met.Snapshot()
 	return s
 }
 
-// WriteBenchSnapshot writes the snapshot as indented JSON.
-func WriteBenchSnapshot(w io.Writer, s BenchSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ParseBenchSnapshot decodes and validates a JSON snapshot (the round-trip
-// inverse of WriteBenchSnapshot).
-func ParseBenchSnapshot(data []byte) (BenchSnapshot, error) {
-	var s BenchSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("bench: invalid snapshot JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
+// measureFig13Point measures guard configuration i on the named device
+// profile ("" = the default part).
+func measureFig13Point(env SweepEnv, i int, dev string) BenchPoint {
+	pt := fig13SnapshotPoints[i]
+	opt := env.Attach(Options{Nodes: fig13Nodes, PPN: fig13PPN, Scheme: baseline.NameProposed,
+		Backed: pt.backed, Device: dev})
+	return BenchPoint{Size: pt.size, Backed: pt.backed,
+		Timings: timingsOf(MeasureIalltoall(opt, pt.size, fig13Warmup, fig13Iters))}
 }
 
 // Validate checks schema conformance of the snapshot and of the embedded
@@ -127,11 +102,8 @@ func (s BenchSnapshot) Validate() error {
 		if p.Size <= 0 {
 			return fmt.Errorf("bench: series[%d] size %d", i, p.Size)
 		}
-		if p.PureNS <= 0 || p.OverallNS <= 0 || p.ComputeNS < 0 {
-			return fmt.Errorf("bench: series[%d] non-positive timings %+v", i, p)
-		}
-		if p.OverlapPct < 0 || p.OverlapPct > 100 {
-			return fmt.Errorf("bench: series[%d] overlap %g out of range", i, p.OverlapPct)
+		if err := p.plausible(); err != nil {
+			return fmt.Errorf("bench: series[%d]: %w", i, err)
 		}
 	}
 	return s.Metrics.Validate()

@@ -1,16 +1,15 @@
 package bench
 
 import (
-	"bytes"
-	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// The generated snapshot must carry the pinned guard timings and round-trip
-// through the JSON writer/parser unchanged.
+// The generated snapshot must carry the pinned guard timings — and so must
+// the checked-in file, which TestBaselines holds byte-identical to it — and
+// round-trip through the JSON writer/parser unchanged.
 func TestFig13SnapshotMatchesPinnedGuards(t *testing.T) {
 	snap := Fig13Snapshot()
 	if err := snap.Validate(); err != nil {
@@ -23,32 +22,17 @@ func TestFig13SnapshotMatchesPinnedGuards(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := WriteBenchSnapshot(&buf, snap); err != nil {
+	data, err := encode(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseBenchSnapshot(buf.Bytes())
+	back, err := parse[BenchSnapshot](data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, back) {
 		t.Fatal("snapshot did not round-trip through JSON")
 	}
-}
-
-// The checked-in perf baseline must stay valid and in sync with the pinned
-// guard constants; regenerate it with `make bench-snapshot` after an
-// intentional timing change.
-func TestCheckedInBenchSnapshotValid(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_fig13.json")
-	if err != nil {
-		t.Fatalf("missing perf baseline (run `make bench-snapshot`): %v", err)
-	}
-	snap, err := ParseBenchSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGuardSeries(t, snap)
 }
 
 // assertGuardSeries checks the three headline points against the guard
@@ -73,7 +57,7 @@ func assertGuardSeries(t *testing.T, snap BenchSnapshot) {
 			t.Fatalf("series[%d] is size=%d backed=%v, want %d/%v", i, p.Size, p.Backed, w.size, w.backed)
 		}
 		if p.PureNS != int64(w.pure) || p.OverallNS != int64(w.overall) {
-			t.Fatalf("series[%d] pure=%d overall=%d, want %d/%d (regenerate with `make bench-snapshot` if intended)",
+			t.Fatalf("series[%d] pure=%d overall=%d, want %d/%d (regenerate with `make snap-fig13` if intended)",
 				i, p.PureNS, p.OverallNS, w.pure, w.overall)
 		}
 	}

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/metrics"
 	"repro/internal/tenant"
@@ -115,11 +113,7 @@ func TenantsSeries(target *metrics.Registry, nodes, ppn, iters int) []TenantsPoi
 		pt.FgP50NS, pt.FgP99NS = int64(fg.P50), int64(fg.P99)
 		series[i] = pt
 	}
-	if target != nil {
-		SweepInto(target, len(series), job)
-	} else {
-		Sweep(len(series), job)
-	}
+	SweepInto(target, len(series), job)
 	return series
 }
 
@@ -137,25 +131,6 @@ func MeasureTenants() TenantsSnapshot {
 	s.Series = TenantsSeries(met, nodes, ppn, iters)
 	s.Metrics = met.Snapshot()
 	return s
-}
-
-// WriteTenantsSnapshot writes the snapshot as indented JSON.
-func WriteTenantsSnapshot(w io.Writer, s TenantsSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ParseTenantsSnapshot decodes and validates a JSON snapshot.
-func ParseTenantsSnapshot(data []byte) (TenantsSnapshot, error) {
-	var s TenantsSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("bench: invalid tenants snapshot JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // Validate checks schema conformance and the headline claim: some
@@ -176,7 +151,11 @@ func (s TenantsSnapshot) Validate() error {
 	if len(s.Series) == 0 {
 		return fmt.Errorf("bench: tenants snapshot has no series")
 	}
-	p99 := map[[2]interface{}]int64{}
+	type cell struct {
+		bg     int
+		policy string
+	}
+	p99 := map[cell]int64{}
 	for i, p := range s.Series {
 		if p.FgPolicy == "" {
 			return fmt.Errorf("bench: series[%d] has no policy", i)
@@ -190,13 +169,13 @@ func (s TenantsSnapshot) Validate() error {
 		if p.MakespanNS <= 0 || p.GoodputGBps <= 0 {
 			return fmt.Errorf("bench: series[%d] implausible aggregate %+v", i, p)
 		}
-		p99[[2]interface{}{p.BgJobs, p.FgPolicy}] = p.FgP99NS
+		p99[cell{p.BgJobs, p.FgPolicy}] = p.FgP99NS
 	}
 	crossover := false
 	for _, bg := range tenantsBgLevels {
-		gvmi, ok1 := p99[[2]interface{}{bg, "gvmi"}]
-		host, ok2 := p99[[2]interface{}{bg, "hostdirect"}]
-		adap, ok3 := p99[[2]interface{}{bg, "adaptive"}]
+		gvmi, ok1 := p99[cell{bg, "gvmi"}]
+		host, ok2 := p99[cell{bg, "hostdirect"}]
+		adap, ok3 := p99[cell{bg, "adaptive"}]
 		if !ok1 || !ok2 || !ok3 {
 			continue
 		}

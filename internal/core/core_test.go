@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -69,7 +70,7 @@ func TestBasicSendRecvGVMI(t *testing.T) {
 func TestBasicSendRecvStaging(t *testing.T) {
 	const size = 64 << 10
 	cfg := DefaultConfig()
-	cfg.Mechanism = MechStaging
+	cfg.Path = datapath.KindStaged
 	fw := runFw(t, 2, 1, cfg, func(h *Host) {
 		buf := h.site.Space.Alloc(size, true)
 		switch h.Rank() {
@@ -251,7 +252,7 @@ func TestGroupRingBcastOverlap(t *testing.T) {
 
 func TestGroupRingBcastStaging(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Mechanism = MechStaging
+	cfg.Path = datapath.KindStaged
 	waits, fw := ringBcast(t, 3, 1, cfg, 32<<10, 10*sim.Millisecond)
 	for rank, wt := range waits {
 		if wt > 100*sim.Microsecond {
@@ -567,6 +568,24 @@ func TestGroupMisusePanics(t *testing.T) {
 			g.Send(buf.Addr(), 64, 0, 0)
 		}()
 	})
+}
+
+// Host-direct and DSA are per-call degradations; a framework whose default
+// is either (or garbage) is a misconfiguration New refuses.
+func TestNewRejectsNonDefaultPath(t *testing.T) {
+	for _, k := range []datapath.Kind{datapath.KindHostDirect, datapath.KindDSA, datapath.Kind(7)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted default path %v", k)
+				}
+			}()
+			cl := cluster.New(cluster.DefaultConfig(1, 1))
+			cfg := DefaultConfig()
+			cfg.Path = k
+			New(cl, cfg, []*cluster.Site{cl.NewHostSite(0, "a")})
+		}()
+	}
 }
 
 func TestGroupSizeMismatchPanics(t *testing.T) {

@@ -12,14 +12,15 @@
 //     communication pattern, including ordering dependencies, and hand the
 //     whole graph to the DPU in one shot (Host.GroupStart, GroupRequest).
 //
-// Two data-movement mechanisms implement the primitives (Section VII):
+// Two data-movement mechanisms implement the primitives (Section VII); the
+// framework's default is one of these two datapath kinds:
 //
-//   - MechGVMI: the proxy cross-registers host buffers through cross-GVMI
-//     and RDMA-writes directly from source host memory to destination host
-//     memory — no staging;
-//   - MechStaging: the state-of-the-art baseline path (BluesMPI-style):
-//     data is first moved into DPU memory, then re-injected toward the
-//     destination — one extra hop (Figure 6).
+//   - datapath.KindCrossGVMI: the proxy cross-registers host buffers
+//     through cross-GVMI and RDMA-writes directly from source host memory
+//     to destination host memory — no staging;
+//   - datapath.KindStaged: the state-of-the-art baseline path
+//     (BluesMPI-style): data is first moved into DPU memory, then
+//     re-injected toward the destination — one extra hop (Figure 6).
 //
 // The registration caches of Section VII-B and the group-request caches of
 // Section VII-D are individually switchable for ablation studies.
@@ -38,33 +39,13 @@ import (
 	"repro/internal/verbs"
 )
 
-// Mechanism selects how proxies move host data.
-type Mechanism int
-
-const (
-	// MechGVMI uses cross-GVMI: direct host-to-host RDMA posted by the DPU.
-	MechGVMI Mechanism = iota
-	// MechStaging bounces data through DPU memory (baseline mechanism).
-	MechStaging
-)
-
-// String implements fmt.Stringer. It is exhaustive: out-of-range values
-// (a misconfigured policy table, a corrupted config) report as unknown(n)
-// instead of silently claiming to be gvmi.
-func (m Mechanism) String() string {
-	switch m {
-	case MechGVMI:
-		return "gvmi"
-	case MechStaging:
-		return "staging"
-	default:
-		return fmt.Sprintf("unknown(%d)", int(m))
-	}
-}
-
 // Config tunes the framework.
 type Config struct {
-	Mechanism Mechanism
+	// Path is how proxies move host data unless a call picks a path of its
+	// own: KindCrossGVMI (the proposed design) or KindStaged (the baseline
+	// mechanism). Host-direct and DSA are per-call degradations, not
+	// framework defaults.
+	Path datapath.Kind
 	// RegCaches enables the GVMI / cross-registration / IB registration
 	// caches (Section VII-B). Off = register on every transfer.
 	RegCaches bool
@@ -90,7 +71,7 @@ type Config struct {
 // DefaultConfig returns the proposed design: GVMI mechanism, all caches on.
 func DefaultConfig() Config {
 	return Config{
-		Mechanism:       MechGVMI,
+		Path:            datapath.KindCrossGVMI,
 		RegCaches:       true,
 		GroupCache:      true,
 		CtrlSize:        48,
@@ -115,6 +96,9 @@ type Framework struct {
 func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 	if len(sites) != cl.Cfg.NP() {
 		panic(fmt.Sprintf("core: %d sites for %d ranks", len(sites), cl.Cfg.NP()))
+	}
+	if cfg.Path != datapath.KindCrossGVMI && cfg.Path != datapath.KindStaged {
+		panic(fmt.Sprintf("core: default path %v is not a framework default (gvmi or staged)", cfg.Path))
 	}
 	fw := &Framework{cl: cl, cfg: cfg}
 	nProxies := cl.Cfg.Nodes * cl.Cfg.ProxiesPerDPU
@@ -172,15 +156,10 @@ func (fw *Framework) hbTimeout() sim.Time {
 	return fault.DefaultConfig(0).HeartbeatTimeout
 }
 
-// DefaultPath maps the construction-time mechanism onto a datapath kind —
-// the path every operation takes unless the caller picks one per call
-// (SendOffloadVia / GroupStartVia, normally driven by a policy engine).
-func (fw *Framework) DefaultPath() datapath.Kind {
-	if fw.cfg.Mechanism == MechStaging {
-		return datapath.KindStaged
-	}
-	return datapath.KindCrossGVMI
-}
+// DefaultPath is the construction-time datapath — the path every operation
+// takes unless the caller picks one per call (SendOffloadVia /
+// GroupStartVia, normally driven by a policy engine).
+func (fw *Framework) DefaultPath() datapath.Kind { return fw.cfg.Path }
 
 // Cluster returns the underlying cluster.
 func (fw *Framework) Cluster() *cluster.Cluster { return fw.cl }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -28,7 +29,7 @@ type xferSpec struct {
 
 type patternSpec struct {
 	nodes, ppn, proxies   int
-	mech                  Mechanism
+	mech                  datapath.Kind
 	regCaches, groupCache bool
 	rounds                int
 	xfers                 []xferSpec
@@ -47,7 +48,7 @@ func genPattern(rng *rand.Rand) *patternSpec {
 		nodes:      1 + rng.Intn(3),
 		ppn:        1 + rng.Intn(3),
 		proxies:    1 + rng.Intn(2),
-		mech:       Mechanism(rng.Intn(2)),
+		mech:       datapath.Kind(rng.Intn(2)),
 		regCaches:  rng.Intn(2) == 0,
 		groupCache: rng.Intn(2) == 0,
 		rounds:     1 + rng.Intn(3),
@@ -128,7 +129,7 @@ func (p *patternSpec) run(t *testing.T) bool {
 		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("h%d", i))
 	}
 	cfg := DefaultConfig()
-	cfg.Mechanism = p.mech
+	cfg.Path = p.mech
 	cfg.RegCaches = p.regCaches
 	cfg.GroupCache = p.groupCache
 	fw := New(cl, cfg, sites)

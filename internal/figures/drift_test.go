@@ -4,28 +4,40 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
-// The drift figure must render byte-identically at any sweep worker count
-// (the determinism contract every figure sweep carries). A short
-// foreground run is enough for the contract — the full-length crossover
-// claim is asserted by the bench snapshot tests.
-func TestDriftFigureDeterministicAcrossParallelism(t *testing.T) {
-	render := func(workers int) string {
-		var buf bytes.Buffer
-		withParallelism(t, workers, func() {
-			Drift(2, 2, 16).Fprint(&buf)
-		})
-		return buf.String()
+// The multi-tenant figures must render byte-identically at any sweep worker
+// count (the determinism contract every figure sweep carries). Short runs
+// are enough for the contract — the full-length crossover and re-route
+// claims are asserted by the bench baselines.
+func TestTenantFiguresDeterministicAcrossParallelism(t *testing.T) {
+	cases := []struct {
+		name   string
+		figure func() *bench.Table
+		rows   []string
+	}{
+		{"drift", func() *bench.Table { return Drift(2, 2, 16) }, []string{"gvmi", "hostdirect", "measure", "feedback"}},
+		{"tenants", func() *bench.Table { return Tenants(2, 2, 8) }, []string{"gvmi", "hostdirect", "adaptive"}},
 	}
-	serial := render(1)
-	parallel := render(4)
-	if serial != parallel {
-		t.Fatalf("drift figure diverges between worker counts:\nserial:\n%s\nparallel:\n%s", serial, parallel)
-	}
-	for _, pol := range []string{"gvmi", "hostdirect", "measure", "feedback"} {
-		if !strings.Contains(serial, pol) {
-			t.Fatalf("drift figure is missing the %s row:\n%s", pol, serial)
+	for _, c := range cases {
+		render := func(workers int) string {
+			var buf bytes.Buffer
+			withParallelism(t, workers, func() {
+				c.figure().Fprint(&buf)
+			})
+			return buf.String()
+		}
+		serial := render(1)
+		parallel := render(4)
+		if serial != parallel {
+			t.Fatalf("%s figure diverges between worker counts:\nserial:\n%s\nparallel:\n%s", c.name, serial, parallel)
+		}
+		for _, pol := range c.rows {
+			if !strings.Contains(serial, pol) {
+				t.Fatalf("%s figure is missing the %s row:\n%s", c.name, pol, serial)
+			}
 		}
 	}
 }

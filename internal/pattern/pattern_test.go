@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datapath"
 	"repro/internal/sim"
 )
 
@@ -106,9 +107,9 @@ func TestRunRingIntegrityAndOverlap(t *testing.T) {
 }
 
 func TestRunAlltoallBothMechanisms(t *testing.T) {
-	for _, mech := range []core.Mechanism{core.MechGVMI, core.MechStaging} {
+	for _, mech := range []datapath.Kind{datapath.KindCrossGVMI, datapath.KindStaged} {
 		cfg := core.DefaultConfig()
-		cfg.Mechanism = mech
+		cfg.Path = mech
 		res, err := Run(Alltoall(6, 8<<10), RunOptions{PPN: 3, Core: cfg, Backed: true})
 		if err != nil {
 			t.Fatalf("%v: %v", mech, err)
@@ -116,7 +117,7 @@ func TestRunAlltoallBothMechanisms(t *testing.T) {
 		if !res.DataOK || res.DataChecks != 6*5 {
 			t.Fatalf("%v: integrity %v, checks %d", mech, res.DataOK, res.DataChecks)
 		}
-		if mech == core.MechStaging && res.Stats.StagedOps == 0 {
+		if mech == datapath.KindStaged && res.Stats.StagedOps == 0 {
 			t.Fatal("staging mechanism did not stage")
 		}
 	}

@@ -222,7 +222,7 @@ func (f *Feedback) Decide(q Request) Decision {
 	if q.Class != ClassGroup {
 		// Same lockstep constraint as Measuring: p2p/one-sided probing
 		// would need both endpoints to flip paths together.
-		return adaptiveRule(q)
+		return sizeRule(q, SmallMsgCutoff)
 	}
 	e := f.entry(q)
 	if d, ok := e.decisions[q.Call]; ok {

@@ -2,13 +2,15 @@
 // communication should take. The paper fixes the path at job launch; the
 // quantitative-offloading literature (Wahlgren et al.; Karamati et al.)
 // finds that offloading everything is a loss and the win lies in judicious
-// per-operation selection. Three policy families cover that spectrum:
+// per-operation selection. Five policies cover that spectrum:
 //
 //   - Fixed: always the same path — reproduces the baseline presets
 //     (Proposed / BluesMPI / IntelMPI) bit-exactly;
 //   - Adaptive: a static size/op-class rule (one-sided traffic goes
 //     cross-GVMI; groups and point-to-point stay on the host at or below
 //     the eager cutoff — or intra-node for p2p — and offload above it);
+//   - Aware: the same rule with the cutoff scaled per device from the
+//     request's capabilities (see aware.go);
 //   - Measuring: learns per-(op-class, size-bucket) costs online — it
 //     probes each candidate path round-robin during the first calls of a
 //     site, then freezes on the cheapest observed path;
@@ -19,9 +21,9 @@
 //     re-routes traffic instead of degrading forever (see feedback.go).
 //
 // Decisions must be consistent across the ranks of one collective (a rank
-// building a DPU group while its peer runs host MPI deadlocks). Fixed and
-// Adaptive decide from (class, size, locality) alone, which every
-// participant sees identically. Measuring probes by call number — also
+// building a DPU group while its peer runs host MPI deadlocks). Fixed,
+// Adaptive and Aware decide from (class, size, locality, caps) alone, which
+// every participant sees identically. Measuring probes by call number — also
 // rank-independent — and freezes exactly once per (class, size-bucket):
 // whichever rank decides first locks the table entry for everyone (the
 // engine is shared per environment), so ranks can never diverge. Feedback
@@ -138,16 +140,21 @@ type Adaptive struct{}
 func (Adaptive) Name() string { return "adaptive" }
 
 // Decide implements Policy.
-func (Adaptive) Decide(q Request) Decision { return adaptiveRule(q) }
+func (Adaptive) Decide(q Request) Decision { return sizeRule(q, SmallMsgCutoff) }
 
 // Observe implements Policy.
 func (Adaptive) Observe(Request, datapath.Kind, sim.Time) {}
 
-// adaptiveRule is shared with Measuring's point-to-point fallback.
-func adaptiveRule(q Request) Decision {
+// sizeRule is the static size/op-class rule with its host-vs-offload
+// cutoff as a parameter: Adaptive (and the point-to-point fallback of
+// Measuring and Feedback) passes SmallMsgCutoff, Aware the device-scaled
+// cutoff. It nominates cross-GVMI for offloaded traffic; the engine's
+// legality pass degrades that to the DSA engine or staged copies on parts
+// without cross-function registration, so the rule stays mechanism-free.
+func sizeRule(q Request, cutoff int) Decision {
 	switch q.Class {
 	case ClassGroup:
-		if q.Size <= SmallMsgCutoff {
+		if q.Size <= cutoff {
 			// Latency-bound collectives: the host algorithm beats any proxy
 			// hop (Wahlgren et al.'s "offloading everything is a loss").
 			return Decision{Path: datapath.KindHostDirect, Reason: "small-msg"}
@@ -162,7 +169,7 @@ func adaptiveRule(q Request) Decision {
 			// Shared-memory copy beats a DPU round trip.
 			return Decision{Path: datapath.KindHostDirect, Reason: "intra-node"}
 		}
-		if q.Size <= SmallMsgCutoff {
+		if q.Size <= cutoff {
 			// Latency-bound: host eager send wins; the proxy hop costs two
 			// extra control messages.
 			return Decision{Path: datapath.KindHostDirect, Reason: "small-msg"}
@@ -242,7 +249,7 @@ func (m *Measuring) Decide(q Request) Decision {
 	if q.Class != ClassGroup {
 		// Probing p2p would need both endpoints to flip in lockstep; stay
 		// on the class/size-deterministic rule (see the package comment).
-		return adaptiveRule(q)
+		return sizeRule(q, SmallMsgCutoff)
 	}
 	e := m.entry(q)
 	if e.frozen {
