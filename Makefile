@@ -30,11 +30,12 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
-# The baton hand-off between the Run caller and the process goroutines is
-# the one piece of real concurrency in the simulator: repeat its package
-# under the race detector so a rare interleaving gets ten chances.
+# The coroutine switches between the Run caller and the processes are the
+# one place the simulator leaves a single goroutine, and only the caller may
+# resume or stop a process: repeat the package under the race detector, with
+# and without spare Ps, so a breach of that discipline gets thirty chances.
 race-sim:
-	$(GO) test -race -count=10 ./internal/sim/
+	$(GO) test -race -count=10 -cpu 1,2,4 ./internal/sim/
 
 check: vet staticcheck build race race-sim snap-check timeline-smoke scale-smoke
 

@@ -192,9 +192,9 @@ func BenchmarkSimKernelEventThroughput(b *testing.B) {
 }
 
 // Two procs passing a turn through Cond: every wake-up is of the other
-// proc, so each op is one direct hand-off — the blocked proc pops the
-// other's wake-up on its own goroutine and sends once on its resume channel
-// (one goroutine switch; the central dispatcher this replaced took two).
+// proc, so each op is one hand-off — the blocked proc pops the other's
+// wake-up on its own stack and yields to the Run caller, which resumes the
+// other (two coroutine switches, none through the Go scheduler).
 func BenchmarkSimProcContextSwitch(b *testing.B) {
 	k := newPingPongProcs(b.N)
 	b.ReportAllocs()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
 	"repro/internal/mem"
@@ -51,9 +53,9 @@ func (px *Proxy) Later(fn func()) { px.later(fn) }
 func (px *Proxy) Spans() *span.Collector { return px.spans() }
 
 // TraceRDMA implements datapath.Exec.
-func (px *Proxy) TraceRDMA(event, detail string) {
+func (px *Proxy) TraceRDMA(event string, srcHost, dstRank, size int) {
 	if tr := px.fw.cl.Trace; tr.Enabled() {
-		tr.Add(px.proc.Now(), px.entity(), event, detail)
+		tr.Add(px.proc.Now(), px.entity(), event, fmt.Sprintf("%d->%d size=%d", srcHost, dstRank, size))
 	}
 }
 

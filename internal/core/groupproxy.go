@@ -97,17 +97,12 @@ func (px *Proxy) replayGroup(m *greplayMsg) {
 	g.noteRoot(m.CallSeq, m.Span)
 }
 
-// activeGroups returns groups that can make progress, in install order
-// (deterministic).
-func (px *Proxy) activeGroups() []*proxyGroup {
-	var out []*proxyGroup
-	for _, g := range px.groupList {
-		if g.running || g.finishedSeq < g.callSeq {
-			out = append(out, g)
-		}
-	}
-	return out
-}
+// active reports whether the group has a call to start or to finish. Only
+// the progress engine itself changes that — serving a replay raises callSeq,
+// advanceGroup moves running and finishedSeq — so a round can test it group
+// by group while ranging over px.groupList (install order, deterministic)
+// without snapshotting the active ones first.
+func (g *proxyGroup) active() bool { return g.running || g.finishedSeq < g.callSeq }
 
 // recvsSatisfied checks the delivery counters against the group's expected
 // receive counts (isRecvBarrierDone of Algorithm 1). When crashes are

@@ -216,8 +216,8 @@ func (px *Proxy) run(p *sim.Proc) {
 				progressed = true
 			}
 		} else {
-			for _, g := range px.activeGroups() {
-				if px.advanceGroup(g) {
+			for _, g := range px.groupList {
+				if g.active() && px.advanceGroup(g) {
 					progressed = true
 				}
 			}

@@ -269,7 +269,10 @@ func (px *Proxy) tenantGroupRound() bool {
 	s := px.sched
 	if s.ten.FIFO {
 		progressed := false
-		for _, g := range px.activeGroups() {
+		for _, g := range px.groupList {
+			if !g.active() {
+				continue
+			}
 			t := s.ten.TenantOf[g.host]
 			t0 := px.proc.Now()
 			adv := px.advanceGroup(g)
@@ -282,14 +285,10 @@ func (px *Proxy) tenantGroupRound() bool {
 	}
 	progressed := false
 	for {
-		gs := px.activeGroups()
-		if len(gs) == 0 {
-			return progressed
-		}
 		var tenants []int
 		seen := make(map[int]bool)
-		for _, g := range gs {
-			if t := s.ten.TenantOf[g.host]; !seen[t] {
+		for _, g := range px.groupList {
+			if t := s.ten.TenantOf[g.host]; g.active() && !seen[t] {
 				seen[t] = true
 				tenants = append(tenants, t)
 			}
@@ -298,8 +297,8 @@ func (px *Proxy) tenantGroupRound() bool {
 		served := false
 	grant:
 		for _, t := range tenants {
-			for _, g := range gs {
-				if s.ten.TenantOf[g.host] != t {
+			for _, g := range px.groupList {
+				if !g.active() || s.ten.TenantOf[g.host] != t {
 					continue
 				}
 				t0 := px.proc.Now()

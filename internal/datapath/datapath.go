@@ -156,8 +156,9 @@ type Exec interface {
 	Later(fn func())
 	// Spans returns the span collector (nil-safe when tracing is off).
 	Spans() *span.Collector
-	// TraceRDMA emits a trace event attributed to the executor.
-	TraceRDMA(event, detail string)
+	// TraceRDMA emits a trace event for one transfer, attributed to the
+	// executor; the detail is formatted only when a trace sink is attached.
+	TraceRDMA(event string, srcHost, dstRank, size int)
 	// PostEngineWrite posts an RDMA write through the node's DSA engine
 	// port instead of the ARM-driven proxy context (KindDSA only; panics
 	// on nodes whose profile has no engine — Resolve prevents that).
@@ -249,7 +250,7 @@ func (CrossGVMI) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	}
 	x.CountWrite()
 	if t.Trace {
-		x.TraceRDMA("gvmi-write", fmt.Sprintf("%d->%d size=%d", t.SrcHost, t.DstRank, t.Size))
+		x.TraceRDMA("gvmi-write", t.SrcHost, t.DstRank, t.Size)
 	}
 	err := x.PostWrite(verbs.WriteOp{
 		LocalKey: mr.LKey(), LocalAddr: t.SrcAddr,
@@ -289,7 +290,7 @@ func (Staged) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	x.CountStaged()
 	x.CountRead()
 	if t.Trace {
-		x.TraceRDMA("stage-read", fmt.Sprintf("%d->%d size=%d", t.SrcHost, t.DstRank, t.Size))
+		x.TraceRDMA("stage-read", t.SrcHost, t.DstRank, t.Size)
 	}
 	err := x.PostRead(verbs.ReadOp{
 		LocalKey: sb.LKey(), LocalAddr: sb.Addr(),
@@ -350,7 +351,7 @@ func (DSA) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	x.CountEngine()
 	x.CountWrite()
 	if t.Trace {
-		x.TraceRDMA("dsa-write", fmt.Sprintf("%d->%d size=%d", t.SrcHost, t.DstRank, t.Size))
+		x.TraceRDMA("dsa-write", t.SrcHost, t.DstRank, t.Size)
 	}
 	err := x.PostEngineWrite(verbs.WriteOp{
 		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,

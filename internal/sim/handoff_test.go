@@ -4,18 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // Tests that pin the hand-off protocol itself: who runs the loop, how many
-// goroutine switches a wake-up costs, and what RunUntil, SetTick,
-// checkRunning and panics see when the baton is on a process goroutine.
+// coroutine switches a wake-up costs, and what RunUntil, SetTick,
+// checkRunning and panics see when the loop runs on a process's stack.
 
 // buildWorkload schedules a randomized event graph on k: plain events, some
 // re-entrant, and sleeping procs with cross-proc condition wake-ups, so the
-// baton moves between the caller and four process goroutines and callbacks
-// run on all of them. Every firing appends label@now to out.
+// loop moves between the caller's stack and those of four processes and
+// callbacks run on all of them. Every firing appends label@now to out.
 func buildWorkload(k *Kernel, seed int64, out *[]string) {
 	rng := rand.New(rand.NewSource(seed))
 	record := func(label string) {
@@ -50,9 +51,10 @@ func buildWorkload(k *Kernel, seed int64, out *[]string) {
 }
 
 // A simulation cut into RunUntil slices — each deadline reached while some
-// process goroutine holds the baton — and finished by Run must fire the
-// exact sequence of one uninterrupted Run, and the slices' fired counts
-// must add up to it.
+// process is running the loop — and finished by Run must fire the exact
+// sequence of one uninterrupted Run, and the slices' fired counts must add up
+// to it. Every other slice is issued from a goroutine of its own: only one
+// goroutine at a time may resume the coroutines, not always the same one.
 func TestRunUntilThenRunMatchesUninterruptedRun(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		var want []string
@@ -69,7 +71,13 @@ func TestRunUntilThenRunMatchesUninterruptedRun(t *testing.T) {
 			buildWorkload(k, seed, &got)
 			fired := 0
 			for d := step; d < 60; d += step {
-				fired += k.RunUntil(d)
+				if (d/step)%2 == 0 {
+					fired += k.RunUntil(d)
+				} else {
+					done := make(chan int)
+					go func() { done <- k.RunUntil(d) }()
+					fired += <-done
+				}
 				if k.Now() != d {
 					t.Fatalf("seed %d step %d: clock %v after RunUntil(%v)", seed, step, k.Now(), d)
 				}
@@ -93,8 +101,8 @@ func TestRunUntilThenRunMatchesUninterruptedRun(t *testing.T) {
 	}
 }
 
-// RunUntil must honour the deadline exactly when it is a process goroutine
-// that finds the heap's head beyond it: events at the deadline fire, later
+// RunUntil must honour the deadline exactly when it is a process that finds
+// the heap's head beyond it: events at the deadline fire, later
 // ones stay queued, and the count includes the wake-ups.
 func TestRunUntilDeadlineOnProcGoroutine(t *testing.T) {
 	k := NewKernel()
@@ -131,9 +139,9 @@ func TestRunUntilDeadlineOnProcGoroutine(t *testing.T) {
 	k.Shutdown()
 }
 
-// A process whose Sleep pops its own wake-up keeps the baton: callbacks
-// interleaved with its sleeps run on its goroutine and no hand-off happens,
-// however long it runs.
+// A process whose Sleep pops its own wake-up keeps running the loop:
+// callbacks interleaved with its sleeps run on its stack and the run loop
+// resumes it once, at its start, however long it runs.
 func TestSelfWakeSleepMakesNoHandoff(t *testing.T) {
 	const sleeps = 1000
 	k := NewKernel()
@@ -153,7 +161,7 @@ func TestSelfWakeSleepMakesNoHandoff(t *testing.T) {
 		Fired:       2*sleeps + 1, // start, callbacks, wake-ups
 		Wakeups:     sleeps + 1,
 		SelfWakeups: sleeps,
-		Handoffs:    2, // caller → sleeper at the start, sleeper → caller at the end
+		Handoffs:    1, // the start; a body that returns is not resumed again
 	}
 	if st != want {
 		t.Fatalf("Stats = %+v, want %+v", st, want)
@@ -161,8 +169,7 @@ func TestSelfWakeSleepMakesNoHandoff(t *testing.T) {
 }
 
 // In a ring of procs each waking the next, every wake-up is of another
-// process and costs exactly one hand-off — the waker sends to the woken
-// directly, with no trip through a dispatcher in between.
+// process and costs exactly one resume by the run loop.
 func TestRingOneHandoffPerWakeup(t *testing.T) {
 	const procs, laps = 5, 100
 	k := NewKernel()
@@ -191,14 +198,13 @@ func TestRingOneHandoffPerWakeup(t *testing.T) {
 	if st.Wakeups != st.Fired {
 		t.Fatalf("Wakeups %d != Fired %d: the ring schedules nothing but wake-ups", st.Wakeups, st.Fired)
 	}
-	// One per wake-up, plus the last proc returning the baton to Run.
-	if st.Handoffs != st.Wakeups+1 {
-		t.Fatalf("Handoffs = %d for %d wake-ups, want %d", st.Handoffs, st.Wakeups, st.Wakeups+1)
+	if st.Wakeups < procs*laps || st.Handoffs != st.Wakeups {
+		t.Fatalf("Handoffs = %d for %d wake-ups, want one each and at least %d", st.Handoffs, st.Wakeups, procs*laps)
 	}
 }
 
-// Handler context stays handler context on a process goroutine: a callback
-// that calls a Proc method panics in checkRunning even when the goroutine
+// Handler context stays handler context on a process's stack: a callback
+// that calls a Proc method panics in checkRunning even when the stack
 // executing it is that very process's, and the panic reaches Run's caller.
 func TestHandlerOnProcGoroutineCannotCallProcMethods(t *testing.T) {
 	k := NewKernel()
@@ -217,7 +223,7 @@ func TestHandlerOnProcGoroutineCannotCallProcMethods(t *testing.T) {
 	k.Shutdown()
 }
 
-// The tick hook fires from inside the loop, whichever goroutine runs it:
+// The tick hook fires from inside the loop, whichever stack runs it:
 // across self wake-ups, hand-offs between procs, procs finishing and
 // RunUntil boundaries it sees every bucket boundary exactly once, in order.
 func TestTickSeesEveryBoundaryOnceAcrossBatonTransfers(t *testing.T) {
@@ -302,7 +308,7 @@ func TestHandlerPanicNotSwallowedByProcRecover(t *testing.T) {
 			}
 		}()
 		k.At(3, func() { panic("fabric: bad packet") })
-		p.Sleep(10) // the handler at t=3 runs on this goroutine
+		p.Sleep(10) // the handler at t=3 runs on this stack
 	})
 	r := runRecovering(k)
 	pe, ok := r.(*PanicError)
@@ -322,4 +328,70 @@ func TestHandlerPanicNotSwallowedByProcRecover(t *testing.T) {
 	if k.Live() != 0 {
 		t.Fatalf("Live() = %d after Shutdown, want 0", k.Live())
 	}
+}
+
+// Spawn works from wherever the loop runs: a handler executing on a blocked
+// process's stack creates a coroutine from inside a coroutine, and the
+// caller still resumes the child at the virtual time it was spawned.
+func TestSpawnFromHandlerOnProcStack(t *testing.T) {
+	k := NewKernel()
+	var childAt, grandchildAt Time
+	k.Spawn("parent", func(p *Proc) {
+		k.At(3, func() { // runs on parent's stack, inside its Sleep(10)
+			k.Spawn("child", func(c *Proc) {
+				childAt = c.Now()
+				c.Sleep(4)
+				k.Spawn("grandchild", func(g *Proc) { grandchildAt = g.Now() })
+			})
+		})
+		p.Sleep(10)
+	})
+	if end := k.Run(); end != 10 || childAt != 3 || grandchildAt != 7 {
+		t.Fatalf("child started at %v, grandchild at %v, run ended at %v; want 3, 7, 10", childAt, grandchildAt, end)
+	}
+	if k.Live() != 0 || len(k.Procs()) != 3 {
+		t.Fatalf("Live() = %d of %d procs, want 0 of 3", k.Live(), len(k.Procs()))
+	}
+}
+
+// A coroutine is a goroutine with a stack, and none may outlive its kernel:
+// the count is back to the baseline — with no grace period, since the
+// coroutine's goroutine is gone before next/stop return — once every body
+// has returned, and after Shutdown of procs that are parked on a Cond,
+// part-way through a Sleep, or spawned but never dispatched. (Not equal to
+// the baseline: a goroutine of an earlier test may still be on its way out.)
+func TestNoGoroutineOutlivesRunOrShutdown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	check := func(when string) {
+		t.Helper()
+		if g := runtime.NumGoroutine(); g > base {
+			t.Fatalf("%d goroutines %s, %d before", g, when, base)
+		}
+	}
+
+	k := NewKernel()
+	var log []string
+	buildWorkload(k, 1, &log)
+	k.Run()
+	if k.Live() != 0 {
+		t.Fatalf("Live() = %d after Run, want 0", k.Live())
+	}
+	check("after Run to completion")
+
+	k = NewKernel()
+	var never Cond
+	ran := false
+	k.Spawn("parked", func(p *Proc) { never.Wait(p) })
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(10)
+		}
+	})
+	k.RunUntil(25)
+	k.Spawn("never-dispatched", func(p *Proc) { ran = true })
+	k.Shutdown()
+	if ran || k.Live() != 0 {
+		t.Fatalf("after Shutdown: never-dispatched body ran = %v, Live() = %d; want false, 0", ran, k.Live())
+	}
+	check("after Shutdown")
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -47,11 +48,11 @@ const heapArity = 4
 // Kernel is the discrete-event simulation engine. Create one with NewKernel,
 // spawn processes with Spawn, schedule raw callbacks with At, then call Run.
 //
-// There is no kernel goroutine. The event loop is one function, drive, and
-// it runs on whichever goroutine holds the baton: the Run/RunUntil caller at
-// first, then the process goroutines themselves (see drive). Exactly one
-// goroutine holds the baton at a time and every transfer is a channel
-// send/receive, so kernel state needs no locks.
+// Processes are coroutines (iter.Pull) and there is no kernel goroutine. The
+// event loop is one function, drive, and it runs on the Run/RunUntil caller's
+// stack or on the stack of a process that has just blocked (see drive).
+// Exactly one of them executes at a time and every transfer of control is a
+// coroutine switch, so kernel state needs no locks.
 type Kernel struct {
 	now Time
 	seq uint64
@@ -65,11 +66,11 @@ type Kernel struct {
 	running *Proc // process currently executing, nil in handler context
 	dead    bool  // set by Shutdown; the kernel accepts no further work
 
-	// The current Run/RunUntil, kept here so that any baton holder applies
-	// it. caller is where the Run/RunUntil/Shutdown caller parks while a
-	// process goroutine holds the baton; failure is a panic caught on a
-	// process goroutine, waiting for the caller to re-raise it.
-	caller   chan struct{}
+	// The current Run/RunUntil, kept here so that whichever stack runs the
+	// loop applies it. handoff is the process a blocked process wants resumed
+	// in its place, set just before it yields to the caller; failure is a
+	// panic caught on a process's stack, waiting for the caller to re-raise it.
+	handoff  *Proc
 	deadline Time
 	bounded  bool
 	failure  *PanicError
@@ -94,17 +95,15 @@ type Kernel struct {
 type Stats struct {
 	Fired       uint64 // events popped and fired, of every kind
 	Wakeups     uint64 // of those, process wake-ups delivered
-	SelfWakeups uint64 // wake-ups popped by the process they wake: no goroutine switch
-	Handoffs    uint64 // baton transfers between goroutines, one channel send each
+	SelfWakeups uint64 // wake-ups popped by the process they wake: no switch
+	Handoffs    uint64 // coroutine resumes by the run loop: Wakeups - SelfWakeups
 }
 
 // Stats returns the run-loop counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
 // NewKernel returns an empty kernel with the clock at zero.
-func NewKernel() *Kernel {
-	return &Kernel{caller: make(chan struct{})}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Clock is the read-only view of a virtual clock. Kernel satisfies it;
 // observability layers (metrics, spans) depend on Clock rather than the
@@ -253,18 +252,16 @@ type outcome int
 
 const (
 	drained   outcome = iota // nothing left to fire: heap empty, or its head is beyond the RunUntil deadline
-	wokeSelf                 // popped the driving process's own wake-up: it is running again, on this goroutine
-	handedOff                // popped another process's wake-up and sent the baton to its goroutine
+	wokeSelf                 // popped the driving process's own wake-up: it is running again, on this stack
+	handedOff                // popped another process's wake-up and left that process in k.handoff
 )
 
 // drive is the run loop. It pops and fires events in (at, seq) order on the
-// calling goroutine, which thereby holds the baton: the Run/RunUntil caller
-// (self == nil), a process that has just blocked, or a process whose body
-// has returned. Callbacks and Actions run inline, in handler context
-// (k.running is nil, whichever goroutine this is). A wake-up of self ends
-// the loop with no channel operation at all; a wake-up of another process
-// costs one send on its resume channel, after which this goroutine must
-// touch no kernel state until it is handed the baton back.
+// calling stack: the Run/RunUntil caller's (self == nil) or that of a process
+// that has just blocked. Callbacks and Actions run inline, in handler context
+// (k.running is nil, whichever stack this is). A wake-up of self ends the
+// loop with no switch at all; a wake-up of another process ends it with that
+// process in k.handoff, for the Run/RunUntil caller to resume (see run).
 //
 // The arena slot is freed before the payload runs, so events scheduled from
 // inside it can reuse the slot; the fields needed are copied out first. This
@@ -300,8 +297,7 @@ func (k *Kernel) drive(self *Proc) outcome {
 				k.stats.SelfWakeups++
 				return wokeSelf
 			}
-			k.stats.Handoffs++
-			p.resume <- struct{}{}
+			k.handoff = p
 			return handedOff
 		case fnT != nil:
 			fnT(at)
@@ -314,21 +310,16 @@ func (k *Kernel) drive(self *Proc) outcome {
 	return drained
 }
 
-// driveOn runs the loop on p's own goroutine, after p has blocked or its
-// body has returned. When the loop has nothing more to fire it returns the
-// baton to the Run/RunUntil caller. A handler that panics here must not
-// unwind through p's frames — a body that recovers would swallow a panic it
-// merely happened to be executing — so it is caught, stored on the kernel,
-// and the baton goes back to the caller, which re-raises it.
+// driveOn runs the loop on p's own stack, after p has blocked. A handler
+// that panics here must not unwind through p's frames — a body that recovers
+// would swallow a panic it merely happened to be executing — so it is caught
+// and stored on the kernel; p then yields like one that found nothing to
+// fire, and the caller re-raises it.
 func (k *Kernel) driveOn(p *Proc) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			k.failure = k.panicError(r, nil)
 			o = drained
-		}
-		if o == drained {
-			k.stats.Handoffs++
-			k.caller <- struct{}{}
 		}
 	}()
 	return k.drive(p)
@@ -372,40 +363,32 @@ func (k *Kernel) panicError(r any, p *Proc) *PanicError {
 }
 
 // Spawn creates a new simulated process that will begin executing fn at the
-// current virtual time. fn runs in its own goroutine but only while that
-// goroutine holds the baton.
+// current virtual time. fn runs as a coroutine: on its own stack, but only
+// between a resume by the Run/RunUntil caller and its next yield.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if k.dead {
 		panic("sim: Spawn on a kernel after Shutdown")
 	}
-	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, id: len(k.procs), name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer p.exit()
+		p.yield = yield
+		fn(p)
+	})
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		defer p.exit()
-		<-p.resume
-		if p.killed {
-			return
-		}
-		fn(p)
-	}()
 	k.scheduleProc(k.now, p)
 	return p
 }
 
-// errShutdown is the sentinel Shutdown throws through parked process
-// goroutines; Proc.exit recovers it and unwinds cleanly.
+// errShutdown is the sentinel a process parked in block panics with when
+// Shutdown stops its coroutine; Proc.exit recovers it and unwinds cleanly.
 var errShutdown = errors.New("sim: kernel shut down")
 
-// Shutdown unwinds every process goroutine that has not finished: parked
-// processes are resumed with a kill flag set and unwind via a sentinel panic
-// that their Spawn wrapper recovers; spawned-but-never-started processes
-// return before running their body. Without it, a kernel abandoned with
+// Shutdown unwinds every process that has not finished: stopping a parked
+// process's coroutine makes its yield return false, and it unwinds via a
+// sentinel panic that its Spawn wrapper recovers; a spawned-but-never-started
+// process ends without running its body. Without it, a kernel abandoned with
 // blocked processes (deadlock reports, RunUntil stopping early, daemons
 // whose wakeup never came) leaks one parked goroutine per process for the
 // life of the OS process — benchmark sweeps build thousands of kernels, so
@@ -423,16 +406,18 @@ func (k *Kernel) Shutdown() {
 		if p.state == procDone {
 			continue
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-k.caller
+		p.stop()
+		if p.state != procDone { // never started: its exit never ran
+			p.state = procDone
+			k.live--
+		}
 	}
 	k.dead = true
 	k.reraise()
 }
 
 // reraise panics, on the caller's goroutine, with a panic that was caught
-// on a process goroutine.
+// on a process's stack.
 func (k *Kernel) reraise() {
 	if e := k.failure; e != nil {
 		k.failure = nil
@@ -454,9 +439,14 @@ func (k *Kernel) collectDeadlocked() {
 }
 
 // run drives the loop from the Run/RunUntil caller's goroutine until there
-// is nothing more to fire, whoever holds the baton when that happens, and
-// returns the number of events fired. Every panic raised inside the
-// simulation leaves it as a *PanicError on the caller's goroutine.
+// is nothing more to fire and returns the number of events fired. It is the
+// only place a process is resumed: one that blocks and pops another's wake-up
+// yields here with that process in k.handoff, so a wake-up costs two
+// coroutine switches and never enters the Go scheduler. A process that
+// returns control with k.handoff nil has failed, finished, or found nothing
+// left to fire: k.failure and the caller's own drive tell which. Every panic
+// raised inside the simulation leaves it as a *PanicError on the caller's
+// goroutine.
 func (k *Kernel) run(deadline Time, bounded bool) int {
 	k.Deadlocked = nil
 	k.deadline, k.bounded = deadline, bounded
@@ -466,8 +456,12 @@ func (k *Kernel) run(deadline Time, bounded bool) int {
 			panic(k.panicError(r, nil))
 		}
 	}()
-	if k.drive(nil) == handedOff {
-		<-k.caller
+	for k.failure == nil && k.drive(nil) == handedOff {
+		for p := k.handoff; p != nil; p = k.handoff {
+			k.handoff = nil
+			k.stats.Handoffs++
+			p.next()
+		}
 	}
 	k.reraise()
 	return int(k.stats.Fired - start)

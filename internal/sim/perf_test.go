@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // The zero-alloc contract of the event core: once the arena and heap have
@@ -50,7 +49,7 @@ func TestSleepSteadyStateAllocFree(t *testing.T) {
 			p.Sleep(10)
 		}
 	})
-	k.RunUntil(1000) // warm up: arena, heap, goroutine stack
+	k.RunUntil(1000) // warm up: arena, heap, coroutine stack
 	allocs := testing.AllocsPerRun(100, func() {
 		k.RunUntil(k.Now() + 100)
 	})
@@ -83,7 +82,7 @@ func TestCondSteadyStateAllocFree(t *testing.T) {
 				}
 			})
 		}
-		k.RunUntil(100) // warm up: arena, heap, waiter arrays, goroutine stacks
+		k.RunUntil(100) // warm up: arena, heap, waiter arrays, coroutine stacks
 		before := turn
 		allocs := testing.AllocsPerRun(100, func() {
 			k.RunUntil(k.Now() + 10)
@@ -100,11 +99,9 @@ func TestCondSteadyStateAllocFree(t *testing.T) {
 
 // Property: with arbitrary delays (including many ties), events fire in
 // exactly the order of a reference stable sort by timestamp — i.e. ties
-// fire in scheduling order — whichever goroutine fires them. Short-lived
-// procs, each spawning a shorter-lived child from its body, are mixed in so
-// that the callbacks are fired from the caller, from blocked procs, and
-// from procs whose body has returned and that drive the loop on their way
-// out.
+// fire in scheduling order — whichever stack fires them. Short-lived procs,
+// each spawning a shorter-lived child from its body, are mixed in so that
+// the callbacks are fired from the caller and from blocked procs.
 func TestPropertyTiesMatchReferenceStableSort(t *testing.T) {
 	f := func(delays []uint8) bool {
 		k := NewKernel()
@@ -195,8 +192,8 @@ func TestReentrantAtFromFiringEvent(t *testing.T) {
 	}
 }
 
-// Shutdown must unwind parked process goroutines. Without it, every blocked
-// proc pins its goroutine (and the whole kernel) forever.
+// Shutdown must unwind parked processes. Without it, every blocked proc pins
+// its coroutine's goroutine (and the whole kernel) forever.
 func TestShutdownReleasesParkedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
@@ -211,13 +208,8 @@ func TestShutdownReleasesParkedGoroutines(t *testing.T) {
 		}
 		k.Shutdown()
 	}
-	// Let the unwound goroutines exit.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+2 {
+	// No grace period: a coroutine's goroutine is gone before stop returns.
+	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("%d goroutines after shutdowns, %d before: parked procs leaked", g, before)
 	}
 }
@@ -238,7 +230,7 @@ func TestShutdownBeforeFirstDispatch(t *testing.T) {
 }
 
 // Shutdown from inside the simulation is a programming error and must panic
-// rather than deadlock on the kernel's own channels.
+// rather than stop the coroutine it is running on.
 func TestShutdownFromInsideSimulationPanics(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("suicidal", func(p *Proc) {
@@ -269,9 +261,9 @@ func BenchmarkAtSteadyState(b *testing.B) {
 	}
 }
 
-// One Sleep per RunUntil slice: the caller hands the baton to the sleeper,
-// which finds its next wake-up beyond the deadline and hands it back — two
-// goroutine switches per op, the cost of entering and leaving the loop.
+// One Sleep per RunUntil slice: the caller resumes the sleeper, which finds
+// its next wake-up beyond the deadline and yields — two coroutine switches
+// per op, the cost of one cross-proc wake-up.
 func BenchmarkSleepRoundTrip(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) {
@@ -290,7 +282,7 @@ func BenchmarkSleepRoundTrip(b *testing.B) {
 }
 
 // The self wake-up: a lone proc sleeping inside one Run pops its own
-// wake-up every time — no channel operation, no goroutine switch.
+// wake-up every time — no switch of any kind.
 func BenchmarkSleepSelfWake(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) {
@@ -303,9 +295,9 @@ func BenchmarkSleepSelfWake(b *testing.B) {
 	k.Run()
 }
 
-// The one-switch case: a ring of procs, each waking the next and blocking.
-// Every wake-up is of another proc, so every op is one direct hand-off:
-// one channel send, one goroutine switch.
+// A ring of procs, each waking the next and blocking. Every wake-up is of
+// another proc, so every op is one hand-off: a yield to the caller and a
+// resume of the next proc, two coroutine switches.
 func BenchmarkRingHandoff(b *testing.B) {
 	const procs = 8
 	k := NewKernel()
@@ -338,7 +330,7 @@ func BenchmarkRingHandoff(b *testing.B) {
 	}
 }
 
-// A killed proc's goroutine must not keep running past its next yield.
+// A stopped proc must not keep running past its next yield.
 func TestShutdownStopsProcsMidSleep(t *testing.T) {
 	k := NewKernel()
 	steps := 0

@@ -11,20 +11,24 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a goroutine that executes in virtual time,
-// and only while it holds the kernel's baton. All Proc methods must be called from the process's
-// own goroutine while it holds control (i.e. from inside the function passed
-// to Spawn, directly or indirectly).
+// Proc is a simulated process: a coroutine that executes in virtual time.
+// All Proc methods must be called from the process's own stack while it has
+// control (i.e. from inside the function passed to Spawn, directly or
+// indirectly).
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	resume chan struct{}
-	state  procState
+	k     *Kernel
+	id    int
+	name  string
+	state procState
+
+	// The iter.Pull coroutine. next and stop are called only by Kernel.run
+	// and Kernel.Shutdown, on the caller's goroutine; yield only by block.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	busy   Time // accumulated AdvanceBusy (compute/CPU-work) time
 	daemon bool
-	killed bool // set by Kernel.Shutdown; the next resume unwinds
 }
 
 // SetDaemon marks the process as a daemon: it is expected to block forever
@@ -57,45 +61,34 @@ func (p *Proc) checkRunning() {
 }
 
 // block gives up control until p's next wake-up, which the caller must have
-// arranged. The process keeps the baton and runs the event loop on its own
-// goroutine: if the wake-up it pops is its own it simply returns, with no
-// channel operation and no goroutine switch; otherwise the baton has gone to
-// another goroutine and this one parks until it is handed back. If the
-// kernel is shut down while the process is parked, the goroutine unwinds via
-// the shutdown sentinel (recovered by exit).
+// arranged. The process runs the event loop on its own stack: if the wake-up
+// it pops is its own it simply returns, with no switch; otherwise it yields
+// to the Run/RunUntil caller, which resumes whichever process drive left in
+// k.handoff, and stays parked until its own wake-up is popped. If the kernel
+// is shut down while the process is parked, yield returns false and the
+// process unwinds via the shutdown sentinel (recovered by exit).
 func (p *Proc) block() {
 	p.state = procBlocked
 	p.k.running = nil
 	if p.k.driveOn(p) == wokeSelf {
 		return
 	}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(errShutdown)
 	}
 }
 
-// exit is the deferred tail of every process goroutine. A process whose body
-// returned drives the event loop until it has handed the baton on, then its
-// goroutine ends. A body that panicked is reported to the Run/RunUntil
-// caller, which re-raises the panic with the process's name and the virtual
-// time. A process unwinding under Shutdown only signals the caller: Shutdown
-// fires no events.
+// exit is the deferred tail of every process coroutine. A body that panicked
+// is reported to the Run/RunUntil caller, which re-raises the panic with the
+// process's name and the virtual time.
 func (p *Proc) exit() {
 	k := p.k
-	r := recover()
+	if r := recover(); r != nil && r != errShutdown {
+		k.failure = k.panicError(r, p)
+	}
 	p.state = procDone
 	k.live--
 	k.running = nil
-	switch {
-	case r != nil && r != errShutdown:
-		k.failure = k.panicError(r, p)
-		k.caller <- struct{}{}
-	case p.killed:
-		k.caller <- struct{}{}
-	default:
-		k.driveOn(p)
-	}
 }
 
 // Sleep advances the process's virtual time by d. Other events and processes

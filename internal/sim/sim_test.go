@@ -348,9 +348,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 
 // Property: N procs each sleeping a random series of durations finish at the
 // sum of their own durations, regardless of interleaving — and so does a
-// child a proc spawns part-way through, counted from its spawn time. Procs
-// finish at different times, so for much of each run the loop is driven by a
-// goroutine whose body has already returned.
+// child a proc spawns part-way through, counted from its spawn time.
 func TestPropertyProcIsolation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

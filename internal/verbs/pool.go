@@ -16,9 +16,9 @@ import (
 // completing an op touches no allocator at all (enforced by the
 // AllocsPerRun tests in pool_test.go).
 //
-// Handlers and processes run on whichever goroutine holds the kernel's
-// baton — one at a time, each hand-off a channel send/receive that orders
-// everything before it — so the free lists need no locking.
+// Handlers and processes run one at a time — processes are coroutines, and
+// each switch between them and the Run caller orders everything before it —
+// so the free lists need no locking.
 
 // writeFlight is one in-flight RDMA write: the state the delivery needs,
 // carried as a sim.Action instead of a closure. buf is a grow-only payload
