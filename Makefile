@@ -37,7 +37,7 @@ race:
 race-sim:
 	$(GO) test -race -count=10 -cpu 1,2,4 ./internal/sim/
 
-check: vet staticcheck build race race-sim snap-check timeline-smoke scale-smoke
+check: vet staticcheck build race race-sim bench-smoke snap-check timeline-smoke scale-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/bench/ ./internal/sim/
@@ -58,10 +58,10 @@ snap:
 snap-check:
 	$(GO) test -run 'TestBaselines|ValidateRejects|TestSplitDriftWindows' ./internal/bench/
 
-# Perf smoke: allocation budgets on the event core hot paths and the
-# serial-vs-parallel determinism guard.
+# Perf smoke: allocation budgets on the event core, verbs and group-replay
+# hot paths and the serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/trace/ ./internal/bench/
+	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/trace/ ./internal/bench/ ./internal/core/ ./internal/verbs/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

@@ -1,0 +1,85 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
+
+// replayAllocs runs rank 0 → rank 1 group requests of the given number of
+// sends through started proxies, one replayed call per period of virtual
+// time, and returns the allocations of one warm call — everything from the
+// hosts' GroupCall to their GroupWait returning: every layer, both proxies.
+func replayAllocs(t *testing.T, sends int) float64 {
+	t.Helper()
+	const size, period = 4096, 500 * sim.Microsecond
+	ccfg := cluster.DefaultConfig(2, 1)
+	cl := cluster.New(ccfg)
+	sites := make([]*cluster.Site, ccfg.NP())
+	for i := range sites {
+		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("host%d", i))
+	}
+	fw := New(cl, DefaultConfig(), sites)
+	fw.Start()
+	calls := 0
+	for i := 0; i < ccfg.NP(); i++ {
+		h := fw.Host(i)
+		cl.K.Spawn(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
+			p.SetDaemon(true)
+			h.Bind(p)
+			buf := h.site.Space.Alloc(sends*size, false)
+			g := h.GroupStart()
+			for s := 0; s < sends; s++ {
+				if h.Rank() == 0 {
+					g.Send(buf.Addr()+mem.Addr(s*size), size, 1, 0)
+				} else {
+					g.Recv(buf.Addr()+mem.Addr(s*size), size, 0, 0)
+				}
+			}
+			g.End()
+			for n := sim.Time(1); ; n++ {
+				h.GroupCall(g)
+				h.GroupWait(g)
+				if h.Rank() == 0 {
+					calls++
+				}
+				p.Sleep(n*period - p.Now())
+			}
+		})
+	}
+	cl.K.RunUntil(4 * period) // install, then warm the pools and buffers
+	before := calls
+	allocs := testing.AllocsPerRun(20, func() { cl.K.RunUntil(cl.K.Now() + period) })
+	if calls-before != 21 { // AllocsPerRun runs f once more, to warm up
+		t.Fatalf("%d sends: %d calls in 21 periods, want one per period", sends, calls-before)
+	}
+	var hits int64
+	for i := 0; i < fw.NumProxies(); i++ {
+		hits += fw.Proxy(i).GroupHits
+	}
+	if hits < 2*21 {
+		t.Fatalf("%d sends: %d group-cache hits, want replays only", sends, hits)
+	}
+	fw.Stop()
+	cl.K.Shutdown()
+	return allocs
+}
+
+// A warm replayed group send — posted from the entry queue, landed, its
+// delivery notification posted, carried and counted at the destination's
+// proxy — allocates nothing in any layer on the no-injector fast path: a
+// call of 64 sends allocates exactly what a call of 4 does (the replay
+// request and the completion update of each side).
+func TestGroupReplaySendAllocFree(t *testing.T) {
+	few, many := replayAllocs(t, 4), replayAllocs(t, 64)
+	if many != few {
+		t.Fatalf("a replayed call of 64 sends allocates %.1f objects, one of 4 sends %.1f: %.3f per send, want 0",
+			many, few, (many-few)/60)
+	}
+	if few > 8 {
+		t.Fatalf("a replayed call allocates %.1f objects beside its sends, want at most 8 (greplay and gdone, packet and payload, per side)", few)
+	}
+}

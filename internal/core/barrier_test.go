@@ -1,0 +1,210 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/fault"
+	"repro/internal/sim"
+	"repro/internal/verbs"
+)
+
+// refGroup is the group engine's receive side as it was before the counter
+// barriers: per-source maps and a predicate that walks them. The
+// differential test below runs it beside the real engine.
+type refGroup struct {
+	entries   []wireOp
+	want, got map[int]int
+	touched   bool // installed, or counted a delivery: the proxy holds an entry
+	installed bool
+	running   bool
+	idx       int
+	callSeq   int
+	finished  int
+}
+
+// satisfied is the old recvsSatisfied: ∀src: got[src] ≥ want[src].
+func (r *refGroup) satisfied() bool {
+	for src, n := range r.want {
+		if r.got[src] < n {
+			return false
+		}
+	}
+	return true
+}
+
+// missing is the invariant the counter must keep: Σ max(0, want−got).
+func (r *refGroup) missing() int {
+	n := 0
+	for src, w := range r.want {
+		if d := w - r.got[src]; d > 0 {
+			n += d
+		}
+	}
+	return n
+}
+
+// advance mirrors advanceGroup for patterns without sends.
+func (r *refGroup) advance() {
+	if !r.running {
+		if r.finished >= r.callSeq {
+			return
+		}
+		r.running, r.idx = true, 0
+	}
+	for ; r.idx < len(r.entries); r.idx++ {
+		switch e := r.entries[r.idx]; e.Type {
+		case OpRecv:
+			r.want[e.Src]++
+		case OpBarrier:
+			if !r.satisfied() {
+				return
+			}
+		}
+	}
+	if r.satisfied() {
+		r.running = false
+		r.finished++
+	}
+}
+
+// TestCounterBarrierMatchesReferencePredicate interleaves, at random, group
+// installs and replays, engine rounds and delivery notifications — before the
+// group they count toward is installed, across calls, for several groups per
+// host — and checks after every step that the engine stands where the
+// reference engine stands and that missing == 0 says what the old predicate
+// says. With crashes configured the counters are the ones in host memory,
+// fed through the counter daemon's exactly-once dedup with duplicates thrown
+// in.
+func TestCounterBarrierMatchesReferencePredicate(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("crash=%v/seed=%d", crash, seed), func(t *testing.T) {
+				runBarrierDifferential(t, rand.New(rand.NewSource(seed)), crash)
+			})
+		}
+	}
+}
+
+func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
+	const nodes, ppn, groupsPerHost, steps = 2, 3, 3, 400
+	ccfg := cluster.DefaultConfig(nodes, ppn)
+	ccfg.ProxiesPerDPU = 1
+	if crash {
+		// Crash-configured placement; the crash itself never happens.
+		ccfg.Fault = fault.DefaultConfig(1)
+		ccfg.Fault.Crashes = []fault.Crash{{Proxy: 1, At: sim.Time(1) << 60}}
+	}
+	cl := cluster.New(ccfg)
+	np := ccfg.NP()
+	sites := make([]*cluster.Site, np)
+	for i := range sites {
+		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("host%d", i))
+	}
+	fw := New(cl, DefaultConfig(), sites) // not started: the test is the progress engine
+	px := fw.Proxy(0)
+
+	type key struct{ host, id int }
+	refs := make(map[key]*refGroup)
+	var keys []key
+	for host := 0; host < ppn; host++ { // proxy 0 serves node 0
+		for id := 0; id < groupsPerHost; id++ {
+			k := key{host, id}
+			r := &refGroup{want: map[int]int{}, got: map[int]int{}}
+			for n := 1 + rng.Intn(8); n > 0; n-- {
+				if rng.Intn(3) == 0 {
+					r.entries = append(r.entries, wireOp{Type: OpBarrier})
+				} else {
+					r.entries = append(r.entries, wireOp{Type: OpRecv, Src: rng.Intn(np)})
+				}
+			}
+			refs[k] = r
+			keys = append(keys, k)
+		}
+	}
+	var sent []*dlvMsg // crash placement: every notification so far, for duplicates
+
+	// check reports through Errorf: the caller is a simulated process, which
+	// must return rather than exit its goroutine.
+	check := func(step int, what string) bool {
+		for _, k := range keys {
+			r := refs[k]
+			if !r.touched {
+				continue // leave the entry for a delivery or an install to create
+			}
+			g := px.group(k.host, k.id)
+			if g.installed != r.installed || g.running != r.running || g.idx != r.idx ||
+				g.callSeq != r.callSeq || g.finishedSeq != r.finished {
+				t.Errorf("step %d (%s): group %v engine at {installed %v running %v idx %d call %d finished %d}, reference at {%v %v %d %d %d}",
+					step, what, k, g.installed, g.running, g.idx, g.callSeq, g.finishedSeq,
+					r.installed, r.running, r.idx, r.callSeq, r.finished)
+				return false
+			}
+			if g.bar.missing != r.missing() || (g.bar.missing == 0) != r.satisfied() {
+				t.Errorf("step %d (%s): group %v missing = %d, reference Σmax(0,want−got) = %d, old predicate %v",
+					step, what, k, g.bar.missing, r.missing(), r.satisfied())
+				return false
+			}
+		}
+		return true
+	}
+
+	cl.K.Spawn("engine", func(p *sim.Proc) {
+		px.proc = p
+		for step := 0; step < steps; step++ {
+			k := keys[rng.Intn(len(keys))]
+			r := refs[k]
+			var what string
+			switch op := rng.Intn(10); {
+			case op == 0 && r.callSeq-r.finished < 3: // a new call: install first, replay after
+				what = "call"
+				r.callSeq++
+				r.touched = true
+				if !r.installed {
+					r.installed = true
+					px.handle(&verbs.Packet{Kind: "group", Payload: &groupPacket{
+						HostRank: k.host, GroupID: k.id, CallSeq: r.callSeq, Entries: r.entries}})
+				} else {
+					px.handle(&verbs.Packet{Kind: "greplay", Payload: &greplayMsg{
+						HostRank: k.host, GroupID: k.id, CallSeq: r.callSeq}})
+				}
+			case op <= 3: // one engine round, as Proxy.run does it
+				what = "round"
+				for _, g := range px.groupList {
+					if g.active() {
+						px.advanceGroup(g)
+					}
+				}
+				for _, k := range keys {
+					if refs[k].installed { // install order does not matter without sends
+						refs[k].advance()
+					}
+				}
+			default: // a delivery notification, perhaps a duplicate (crash placement only)
+				what = "dlv"
+				m := &dlvMsg{SrcHost: rng.Intn(np), DstHost: k.host, DstGroup: k.id, Call: 1 + step, Entry: 0}
+				if crash && len(sent) > 0 && rng.Intn(4) == 0 {
+					dup := *sent[rng.Intn(len(sent))]
+					m = &dup
+					what = "dlv-dup"
+				} else {
+					sent = append(sent, m)
+					r.got[m.SrcHost]++
+				}
+				refs[key{m.DstHost, m.DstGroup}].touched = true
+				if crash {
+					fw.Host(m.DstHost).noteDelivery(p.Now(), m)
+				} else {
+					sent = nil // the consuming handle recycles the message
+					px.handle(&verbs.Packet{Kind: "dlv", Payload: m})
+				}
+			}
+			if !check(step, what) {
+				return
+			}
+		}
+	})
+	cl.K.Run()
+}

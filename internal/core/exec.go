@@ -49,9 +49,6 @@ func (px *Proxy) ReleaseStage(s datapath.Stage) { px.putStage(s.(*stageBuf)) }
 // Later implements datapath.Exec.
 func (px *Proxy) Later(fn func()) { px.later(fn) }
 
-// Spans implements datapath.Exec.
-func (px *Proxy) Spans() *span.Collector { return px.spans() }
-
 // TraceRDMA implements datapath.Exec.
 func (px *Proxy) TraceRDMA(event string, srcHost, dstRank, size int) {
 	if tr := px.fw.cl.Trace; tr.Enabled() {

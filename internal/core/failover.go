@@ -42,11 +42,6 @@ type dlvID struct {
 	src, dst, group, call, entry int
 }
 
-// gsKey indexes a host-side delivery counter: (group id, source host).
-type gsKey struct {
-	group, src int
-}
-
 // sendRec remembers an outstanding basic-primitive send for fallback.
 type sendRec struct {
 	req    *OffloadRequest
@@ -108,9 +103,18 @@ func (h *Host) noteDelivery(at sim.Time, m *dlvMsg) {
 		return
 	}
 	h.dlvSeen[id] = true
-	h.dlvCnt[gsKey{m.DstGroup, m.SrcHost}]++
+	h.barrier(m.DstGroup).deliver(m.SrcHost)
 	h.ctx.InboxCond.Broadcast()
 	h.fw.proxyFor(h.rank).ctx.InboxCond.Broadcast()
+}
+
+// barrier returns the host-memory delivery counters of group request id,
+// creating them on first touch.
+func (h *Host) barrier(id int) *recvBarrier {
+	for id >= len(h.barriers) {
+		h.barriers = append(h.barriers, new(recvBarrier))
+	}
+	return h.barriers[id]
 }
 
 // later queues fn for the next waitFor round (used from RDMA completion
@@ -166,10 +170,10 @@ func (h *Host) checkRecovery() {
 	if !h.failedOver {
 		px := fw.proxyFor(h.rank)
 		lost := false
-		for id := 0; id < h.nextGroup && !lost; id++ {
-			g := h.groups[id]
-			if g != nil && g.sentToProxy && g.doneSeq < g.callSeq && fw.proxyLost(px, g.sentGen, now) {
+		for _, g := range h.groups {
+			if g.sentToProxy && g.doneSeq < g.callSeq && fw.proxyLost(px, g.sentGen, now) {
 				lost = true
+				break
 			}
 		}
 		if !lost {
@@ -218,9 +222,8 @@ func (h *Host) failover(now sim.Time) {
 		inj.Note(now, fmt.Sprintf("rank%d", h.rank), "failover",
 			"switching to host-progressed fallback")
 	}
-	for id := 0; id < h.nextGroup; id++ {
-		g := h.groups[id]
-		if g == nil || !g.sentToProxy || g.doneSeq >= g.callSeq {
+	for _, g := range h.groups {
+		if !g.sentToProxy || g.doneSeq >= g.callSeq {
 			continue
 		}
 		for c := g.doneSeq + 1; c <= g.callSeq; c++ {
@@ -248,9 +251,6 @@ func (h *Host) handleGroupFail(m *gfailMsg) {
 	}
 	// Already failed over: make sure the reported call is queued.
 	g := h.groups[m.GroupID]
-	if g == nil {
-		return
-	}
 	queued := g.doneSeq
 	for _, fb := range h.fbRun {
 		if fb.g == g && fb.call > queued {
@@ -334,8 +334,9 @@ func (h *Host) advanceFallback(fb *fbCall) bool {
 // this call.
 func (h *Host) fbRecvsOK(fb *fbCall) bool {
 	g := fb.g
-	for src, j := range fb.need {
-		if h.dlvCnt[gsKey{g.id, src}] < (fb.call-1)*g.recvsPerCall(src)+j {
+	b := h.barrier(g.id)
+	for src, j := range fb.need { // j ≥ 1: a source never heard from cannot satisfy it
+		if src >= len(b.got) || int(b.got[src]) < (fb.call-1)*g.recvsPerCall(src)+j {
 			return false
 		}
 	}

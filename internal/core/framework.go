@@ -36,6 +36,7 @@ import (
 	"repro/internal/gvmi"
 	"repro/internal/regcache"
 	"repro/internal/sim"
+	"repro/internal/span"
 	"repro/internal/verbs"
 )
 
@@ -89,6 +90,10 @@ type Framework struct {
 	proxies []*Proxy
 	stopped bool
 	tenancy *Tenancy // nil = single-job framework (see tenancy.go)
+
+	// dlvFree recycles delivery notifications on the no-injector fast path
+	// (see dlvPacket); their packets come from the verbs registry's pool.
+	dlvFree []*dlvMsg
 }
 
 // New builds the framework for the given host attachment sites (one per
@@ -127,7 +132,6 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 			// enough request state to re-execute lost work itself.
 			h.dlvCtx = sites[r].NewCtx(fmt.Sprintf("dlvctr%d", r))
 			h.dlvSeen = make(map[dlvID]bool)
-			h.dlvCnt = make(map[gsKey]int)
 			h.pendingSends = make(map[int64]*sendRec)
 			h.osPending = make(map[int64]*osRec)
 			h.mHeartbeatLosses = cl.Met.Counter("core", fmt.Sprintf("rank%d", r), "heartbeat_losses")
@@ -145,6 +149,41 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 func (fw *Framework) crashesConfigured() bool {
 	f := fw.cl.Cfg.Fault
 	return f != nil && len(f.Crashes) > 0
+}
+
+// dlvPacket returns the control packet carrying delivery notification m.
+// Without a fault plan packet and payload come from free lists that the
+// consuming proxy refills (recycleDlv), like the verbs flight records; under
+// a fault plan a packet may be dropped, duplicated or retransmitted, so no
+// consumer can know it holds the last reference and both stay freshly
+// allocated.
+func (fw *Framework) dlvPacket(m dlvMsg, parent span.ID) *verbs.Packet {
+	var pkt *verbs.Packet
+	var pay *dlvMsg
+	if fw.cl.Inj != nil {
+		pkt = &verbs.Packet{}
+	} else {
+		pkt = fw.cl.Reg.GetPacket()
+		if n := len(fw.dlvFree); n > 0 {
+			pay, fw.dlvFree = fw.dlvFree[n-1], fw.dlvFree[:n-1]
+		}
+	}
+	if pay == nil {
+		pay = &dlvMsg{}
+	}
+	*pay = m
+	pkt.Kind, pkt.Size, pkt.Payload, pkt.Span = "dlv", fw.cfg.CtrlSize, pay, parent
+	return pkt
+}
+
+// recycleDlv returns a consumed delivery notification to the free lists
+// (fast path only; see dlvPacket).
+func (fw *Framework) recycleDlv(pkt *verbs.Packet, m *dlvMsg) {
+	if fw.cl.Inj != nil {
+		return
+	}
+	fw.cl.Reg.PutPacket(pkt)
+	fw.dlvFree = append(fw.dlvFree, m)
 }
 
 // hbTimeout returns the heartbeat timeout after which a silent proxy is

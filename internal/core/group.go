@@ -94,9 +94,8 @@ func (h *Host) GroupStartVia(kind datapath.Kind) *GroupRequest {
 	// As in SendOffloadVia: the recording rank's device decides what the
 	// baked-in path degrades to (identity on full-capability profiles).
 	kind = datapath.Resolve(kind, h.fw.CapsOfRank(h.rank))
-	g := &GroupRequest{h: h, id: h.nextGroup, path: kind}
-	h.nextGroup++
-	h.groups[g.id] = g
+	g := &GroupRequest{h: h, id: len(h.groups), path: kind}
+	h.groups = append(h.groups, g)
 	return g
 }
 
@@ -233,7 +232,7 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 		mkey gvmi.MKeyInfo
 		rkey verbs.Key
 	}
-	sendRegs := make(map[int]sendReg) // op index -> registration
+	sendRegs := make([]sendReg, len(g.ops)) // by op index
 	for i, op := range g.ops {
 		switch op.Type {
 		case OpSend:
@@ -284,24 +283,29 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 }
 
 // awaitGmeta blocks until receive-entry metadata from dst with the given
-// tag has been gathered (FIFO per (dst, tag) pair).
+// tag has been gathered (FIFO per (dst, tag) pair). Entries already looked at
+// are not looked at again: only this call removes from the queue, and
+// arrivals join at its end.
 func (h *Host) awaitGmeta(dst, tag int) *gmetaMsg {
+	seen := 0
 	for {
-		for i, m := range h.gmetaQ {
-			if m.DstRank == dst && m.Tag == tag {
+		for i := seen; i < len(h.gmetaQ); i++ {
+			m := h.gmetaQ[i]
+			if m.DstRank != dst || m.Tag != tag {
+				continue
+			}
+			if i == 0 {
+				// The usual case (every match of a 64-rank alltoall): peers
+				// gather in the order this rank sends.
+				h.gmetaQ = h.gmetaQ[1:]
+			} else {
 				h.gmetaQ = append(h.gmetaQ[:i], h.gmetaQ[i+1:]...)
-				return m
 			}
+			return m
 		}
+		seen = len(h.gmetaQ)
 		h.drainInbox()
-		found := false
-		for _, m := range h.gmetaQ {
-			if m.DstRank == dst && m.Tag == tag {
-				found = true
-				break
-			}
-		}
-		if !found && h.ctx.InboxLen() == 0 {
+		if len(h.gmetaQ) == seen && h.ctx.InboxLen() == 0 {
 			h.ctx.InboxCond.Wait(h.proc)
 		}
 	}

@@ -9,13 +9,60 @@ import (
 	"repro/internal/verbs"
 )
 
+// recvBarrier is the block of receive-progress counters of one (host, group
+// request) — the barrier counters of Section VII-C. want counts, per source
+// rank and cumulatively across calls, the receive entries the group's engine
+// has walked; got counts the delivery notifications that have arrived.
+// missing is kept equal to Σ max(0, want[src]−got[src]), so "every delivery
+// accounted so far is in" (isRecvBarrierDone of Algorithm 1) is missing == 0
+// with no walk over the sources.
+type recvBarrier struct {
+	got, want []int32
+	missing   int
+}
+
+// cover grows the counters to include src.
+func (b *recvBarrier) cover(src int) {
+	for src >= len(b.got) {
+		b.got = append(b.got, 0)
+		b.want = append(b.want, 0)
+	}
+}
+
+// expect accounts one walked receive entry from src.
+func (b *recvBarrier) expect(src int) {
+	b.cover(src)
+	b.want[src]++
+	if b.got[src] < b.want[src] {
+		b.missing++
+	}
+}
+
+// deliver accounts one delivery notification from src.
+func (b *recvBarrier) deliver(src int) {
+	b.cover(src)
+	b.got[src]++
+	if b.got[src] <= b.want[src] {
+		b.missing--
+	}
+}
+
+// forgetExpected drops the walked-receive counts, keeping the deliveries.
+func (b *recvBarrier) forgetExpected() {
+	clear(b.want)
+	b.missing = 0
+}
+
 // proxyGroup is the DPU-side state of one offloaded group request — the
 // entry of the paper's DPU group cache ("indexed by the host's request ID
-// and rank", Section VII-D).
+// and rank", Section VII-D). A delivery notification may arrive before the
+// group it counts toward is installed, so the entry is created by whichever
+// touches it first and joins the progress engine's list when installed.
 type proxyGroup struct {
-	host    int
-	id      int
-	entries []wireOp
+	host      int
+	id        int
+	installed bool
+	entries   []wireOp
 
 	callSeq     int // latest call requested by the host
 	finishedSeq int // calls fully executed
@@ -24,21 +71,50 @@ type proxyGroup struct {
 	pending     int // RDMA writes posted but not yet completed
 	numBarriers int
 
-	// expected counts, per source host, of deliveries required so far
-	// (cumulative across calls); compared against the proxy's delivery
-	// counters — the barrier-counter mechanism of Section VII-C.
-	expected map[int]int
+	// bar holds the group's delivery counters. When crashes are configured
+	// it is the block in the destination host's memory (RDMA counter
+	// writes, Section VII-C), which survives a proxy failure and which the
+	// proxy reads across the PCIe switch.
+	bar *recvBarrier
 
 	// cachedMRs memoizes cross-registrations per entry so replays skip even
 	// the cache lookup ("the group entry queue also contains the GVMI
 	// registration cache entry").
 	cachedMRs []*verbs.MR
 
-	// roots maps each pending call number to the host-side root span it
-	// arrived under (dropped as calls complete); execSpan is the proxy's
-	// execution span for the currently running call.
-	roots    map[int]span.ID
+	// landed holds, per send entry, the remote-completion handler its write
+	// is posted with. They are built once, when the group is installed, so a
+	// replayed send builds no closure; each reads the running call's number
+	// and execution span from the group when it fires, which is safe because
+	// a call cannot finish while one of its writes is pending.
+	landed []func(at sim.Time)
+
+	// roots queues the host-side root spans of the unfinished calls, oldest
+	// first (roots[i] belongs to call finishedSeq+1+i; 0 = untraced);
+	// execSpan is the proxy's execution span for the running call.
+	roots    []span.ID
 	execSpan span.ID
+}
+
+// group returns the cache entry of (host, id), creating it on first touch.
+func (px *Proxy) group(host, id int) *proxyGroup {
+	local := host - px.node*px.fw.cl.Cfg.PPN // the proxy serves hosts of its own node
+	gs := px.groups[local]
+	if id < len(gs) && gs[id] != nil {
+		return gs[id]
+	}
+	for id >= len(gs) {
+		gs = append(gs, nil)
+	}
+	px.groups[local] = gs
+	g := &proxyGroup{host: host, id: id}
+	if px.fw.crashesConfigured() {
+		g.bar = px.fw.hosts[host].barrier(id)
+	} else {
+		g.bar = new(recvBarrier)
+	}
+	gs[id] = g
+	return g
 }
 
 // installGroup handles a full Group_Offload_packet.
@@ -46,12 +122,24 @@ func (px *Proxy) installGroup(m *groupPacket) {
 	px.GroupMiss++
 	px.mGroupMiss.Inc()
 	px.sampleQueueDepth()
-	k := groupKey{m.HostRank, m.GroupID}
-	g := px.groups[k]
-	if g == nil {
-		g = &proxyGroup{host: m.HostRank, id: m.GroupID, expected: make(map[int]int)}
-		px.groups[k] = g
+	g := px.group(m.HostRank, m.GroupID)
+	// A request is immutable once recorded, so a re-install (group cache
+	// off) carries the same pattern with fresh registrations. It may arrive
+	// while an earlier call is running: that call goes on through the new
+	// entries, and its pending sends notify the destinations those name —
+	// the same ones, or the handlers built below would be wrong.
+	if !g.installed {
+		g.installed = true
 		px.groupList = append(px.groupList, g)
+		g.landed = make([]func(sim.Time), len(m.Entries))
+		for i := range m.Entries {
+			if m.Entries[i].Type == OpSend {
+				g.landed[i] = px.groupSendLanded(g, i)
+			}
+		}
+	} else if !samePattern(g.entries, m.Entries) {
+		panic(fmt.Sprintf("core: proxy %d: group %d/%d re-installed with a different pattern",
+			px.global, m.HostRank, m.GroupID))
 	}
 	g.entries = m.Entries
 	g.cachedMRs = make([]*verbs.MR, len(m.Entries))
@@ -61,21 +149,47 @@ func (px *Proxy) installGroup(m *groupPacket) {
 	g.noteRoot(m.CallSeq, m.Span)
 }
 
-// noteRoot records the host-side root span a call arrived under.
+// samePattern reports whether two entry queues describe the same pattern:
+// everything but the registrations and addresses the gather phase resolved.
+func samePattern(a, b []wireOp) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Type != y.Type || x.Size != y.Size || x.Tag != y.Tag || x.Path != y.Path ||
+			x.Dst != y.Dst || x.DstGroup != y.DstGroup || x.Src != y.Src {
+			return false
+		}
+	}
+	return true
+}
+
+// noteRoot records the host-side root span a call arrived under. Calls
+// arrive in order and leave from the front as they finish.
 func (g *proxyGroup) noteRoot(call int, root span.ID) {
-	if root == 0 {
+	i := call - g.finishedSeq - 1
+	if root == 0 || i < 0 {
 		return
 	}
-	if g.roots == nil {
-		g.roots = make(map[int]span.ID)
+	for i >= len(g.roots) {
+		g.roots = append(g.roots, 0)
 	}
-	g.roots[call] = root
+	g.roots[i] = root
+}
+
+// root returns the root span of the oldest unfinished call.
+func (g *proxyGroup) root() span.ID {
+	if len(g.roots) == 0 {
+		return 0
+	}
+	return g.roots[0]
 }
 
 // replayGroup handles a cache-hit replay: only the request ID travelled.
 func (px *Proxy) replayGroup(m *greplayMsg) {
-	g := px.groups[groupKey{m.HostRank, m.GroupID}]
-	if g == nil {
+	g := px.group(m.HostRank, m.GroupID)
+	if !g.installed {
 		if px.fw.crashesConfigured() {
 			// The group cache died with a crash; tell the host so it fails
 			// over to host-progressed execution.
@@ -104,29 +218,6 @@ func (px *Proxy) replayGroup(m *greplayMsg) {
 // without snapshotting the active ones first.
 func (g *proxyGroup) active() bool { return g.running || g.finishedSeq < g.callSeq }
 
-// recvsSatisfied checks the delivery counters against the group's expected
-// receive counts (isRecvBarrierDone of Algorithm 1). When crashes are
-// configured the counters live in the destination host's memory (RDMA
-// counter writes, Section VII-C) so they survive a proxy failure; the proxy
-// reads them across the PCIe switch.
-func (px *Proxy) recvsSatisfied(g *proxyGroup) bool {
-	if px.fw.crashesConfigured() {
-		h := px.fw.hosts[g.host]
-		for src, n := range g.expected {
-			if h.dlvCnt[gsKey{g.id, src}] < n {
-				return false
-			}
-		}
-		return true
-	}
-	for src, n := range g.expected {
-		if px.deliveries[deliveryKey{g.host, g.id, src}] < n {
-			return false
-		}
-	}
-	return true
-}
-
 // advanceGroup is the proxy-side engine of Algorithm 1: it walks the entry
 // queue, posting sends, accounting receives, and blocking at barriers until
 // preceding sends have completed locally and expected deliveries have
@@ -144,7 +235,7 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 		if sp := px.spans(); sp.Enabled() {
 			// The execution span parents directly to the host-side root so
 			// the critical path descends from the collective into DPU work.
-			g.execSpan = sp.Start(g.roots[g.finishedSeq+1], span.ClassProxy,
+			g.execSpan = sp.Start(g.root(), span.ClassProxy,
 				px.entity(), "core", "group_exec")
 			sp.AttrInt(g.execSpan, "call", int64(g.finishedSeq+1))
 			sp.AttrInt(g.execSpan, "entries", int64(len(g.entries)))
@@ -168,14 +259,14 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 			g.idx++
 			progressed = true
 		case OpRecv:
-			g.expected[e.Src]++
+			g.bar.expect(e.Src)
 			g.idx++
 			progressed = true
 		case OpBarrier:
 			// "After all the preceding sends are completed ..." — and all
 			// receives recorded so far must have been delivered by the
 			// remote proxies.
-			if g.pending > 0 || !px.recvsSatisfied(g) {
+			if g.pending > 0 || g.bar.missing != 0 {
 				return progressed
 			}
 			g.numBarriers++
@@ -186,16 +277,18 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 
 	// End of the entry queue: the call completes when every posted write
 	// has finished and every expected delivery has arrived.
-	if g.pending > 0 || !px.recvsSatisfied(g) {
+	if g.pending > 0 || g.bar.missing != 0 {
 		return progressed
 	}
 	g.running = false
 	g.finishedSeq++
 	px.sampleQueueDepth()
-	root := g.roots[g.finishedSeq]
+	root := g.root()
 	px.spans().End(g.execSpan)
 	g.execSpan = 0
-	delete(g.roots, g.finishedSeq)
+	if len(g.roots) > 0 {
+		g.roots = g.roots[:copy(g.roots, g.roots[1:])]
+	}
 	// Completion-counter update to the host (the paper RDMA-writes a
 	// pre-registered counter; a minimal control packet has the same cost).
 	// The flight parents to the root span: the completion notification is
@@ -210,33 +303,12 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 }
 
 // postGroupSend issues the RDMA for one send entry on the datapath the
-// entry was recorded with, and notifies the destination's proxy on
-// completion. A cross-registration returned by the datapath is memoized per
-// entry when the group cache is on, so replays skip even the cache lookup.
+// entry was recorded with; the entry's landed handler notifies the
+// destination's proxy on completion. A cross-registration returned by the
+// datapath is memoized per entry when the group cache is on, so replays skip
+// even the cache lookup.
 func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 	e := &g.entries[idx]
-	callNum := g.finishedSeq + 1 // the call currently executing
-	exec := g.execSpan           // captured: the field clears when the call ends
-	notify := func() {
-		g.pending--
-		pay := &dlvMsg{
-			SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
-			Call: callNum, Entry: idx,
-		}
-		if px.fw.crashesConfigured() {
-			// Counter write into destination host memory (crash-safe).
-			h := px.fw.hosts[e.Dst]
-			px.ctx.PostSend(px.proc, h.dlvCtx, &verbs.Packet{
-				Kind: "dlv", Size: px.fw.cfg.CtrlSize, Payload: pay, Span: exec,
-			})
-			return
-		}
-		dst := px.fw.proxyFor(e.Dst)
-		px.ctx.PostSend(px.proc, dst.ctx, &verbs.Packet{
-			Kind: "dlv", Size: px.fw.cfg.CtrlSize, Payload: pay, Span: exec,
-		})
-	}
-
 	g.pending++
 	if px.sched != nil {
 		px.wireCharge(px.sched.ten.TenantOf[g.host], e.Size)
@@ -251,9 +323,30 @@ func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 		MKey: e.MKey, Cached: g.cachedMRs[idx],
 		SrcAddr: e.SrcAddr, SrcRKey: e.SrcRKey,
 		DstAddr: e.DstAddr, DstRKey: e.DstRKey,
-		Span: exec,
-	}, notify)
+		Span: g.execSpan,
+	}, g.landed[idx])
 	if mr != nil && px.fw.cfg.GroupCache {
 		g.cachedMRs[idx] = mr
 	}
+}
+
+// groupSendLanded builds the remote-completion handler of send entry idx:
+// when the write has landed, the next engine round accounts the completion
+// and bumps the delivery counter of the destination's group request.
+func (px *Proxy) groupSendLanded(g *proxyGroup, idx int) func(sim.Time) {
+	notify := func() {
+		g.pending--
+		e := &g.entries[idx]
+		pkt := px.fw.dlvPacket(dlvMsg{
+			SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
+			Call: g.finishedSeq + 1, Entry: idx,
+		}, g.execSpan)
+		if px.fw.crashesConfigured() {
+			// Counter write into destination host memory (crash-safe).
+			px.ctx.PostSend(px.proc, px.fw.hosts[e.Dst].dlvCtx, pkt)
+			return
+		}
+		px.ctx.PostSend(px.proc, px.fw.proxyFor(e.Dst).ctx, pkt)
+	}
+	return func(sim.Time) { px.later(notify) }
 }

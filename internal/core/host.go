@@ -28,11 +28,10 @@ type Host struct {
 	gvmiCache *regcache.Cache[gvmi.MKeyInfo] // first level: proxy global rank
 	ibCache   *regcache.Cache[*verbs.MR]
 
-	nextSeq   int64
-	reqs      map[int64]*OffloadRequest
-	gmetaQ    []*gmetaMsg
-	nextGroup int
-	groups    map[int]*GroupRequest
+	nextSeq int64
+	reqs    map[int64]*OffloadRequest
+	gmetaQ  []*gmetaMsg
+	groups  []*GroupRequest // by request id
 
 	// peers maps caller-local peer ranks to global framework ranks; nil is
 	// the identity map. Multi-tenant runs drive each host from a placed MPI
@@ -44,10 +43,10 @@ type Host struct {
 	// Crash-tolerance state; allocated only when the fault plan schedules
 	// proxy crashes (see failover.go). dlvCtx receives the RDMA delivery-
 	// counter writes of Section VII-C, which move into host memory so they
-	// survive a proxy failure.
+	// survive a proxy failure: barriers holds them, by group request id.
 	dlvCtx       *verbs.Ctx
 	dlvSeen      map[dlvID]bool
-	dlvCnt       map[gsKey]int
+	barriers     []*recvBarrier
 	pendingSends map[int64]*sendRec
 	pendingRecvs []*recvRec
 	foQ          []*foSendMsg
@@ -87,12 +86,7 @@ func (h *Host) spans() *span.Collector { return h.fw.cl.Spans }
 func (h *Host) entity() string { return fmt.Sprintf("rank%d", h.rank) }
 
 // Bind attaches the handle to its process (call once, from the process).
-func (h *Host) Bind(p *sim.Proc) {
-	h.proc = p
-	if h.groups == nil {
-		h.groups = make(map[int]*GroupRequest)
-	}
-}
+func (h *Host) Bind(p *sim.Proc) { h.proc = p }
 
 // Rank returns the host rank.
 func (h *Host) Rank() int { return h.rank }
@@ -294,7 +288,7 @@ func (h *Host) drainInbox() bool {
 		case *gmetaMsg:
 			h.gmetaQ = append(h.gmetaQ, m)
 		case *gdoneMsg:
-			if g, ok := h.groups[m.GroupID]; ok && m.CallSeq > g.doneSeq {
+			if g := h.groups[m.GroupID]; m.CallSeq > g.doneSeq {
 				g.doneSeq = m.CallSeq
 			}
 		case *gfailMsg:

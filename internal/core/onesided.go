@@ -6,6 +6,7 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/verbs"
 )
@@ -148,5 +149,7 @@ func (px *Proxy) handleOneSided(m *oneSidedMsg) {
 		SrcAddr: m.SrcAddr,
 		DstAddr: m.DstAddr, DstRKey: m.DstKey,
 		Span: m.Span,
-	}, func() { px.sendFIN(m.Initiator, m.ReqID, m.Span) })
+	}, func(sim.Time) {
+		px.later(func() { px.sendFIN(m.Initiator, m.ReqID, m.Span) })
+	})
 }

@@ -18,18 +18,6 @@ import (
 // (source rank, destination rank, tag), FIFO within a key.
 type matchKey struct{ src, dst, tag int }
 
-// groupKey identifies a group request on the proxy side: the paper's DPU
-// cache is "indexed by the host's request ID and rank".
-type groupKey struct{ host, id int }
-
-// deliveryKey attributes delivery counters exactly: destination host, its
-// group request, and the source host.
-type deliveryKey struct {
-	dstHost  int
-	dstGroup int
-	srcHost  int
-}
-
 // Proxy is a worker process on a BlueField DPU serving the host processes
 // mapped to it. Its progress engine runs as a dedicated daemon — the reason
 // offloaded patterns advance without host CPU intervention.
@@ -57,10 +45,12 @@ type Proxy struct {
 	recvQ    map[matchKey][]*rtrMsg
 	combined []pairMsg // matched send/recv pairs awaiting transfer
 	deferred []func()  // actions queued by RDMA completions
+	drained  []func()  // the buffer deferred swaps with, as the verbs inbox does
 
-	groups     map[groupKey]*proxyGroup
-	groupList  []*proxyGroup // install order, for deterministic iteration
-	deliveries map[deliveryKey]int
+	// groups is the DPU group cache, "indexed by the host's request ID and
+	// rank" (Section VII-D): groups[node-local host rank][group id].
+	groups    [][]*proxyGroup
+	groupList []*proxyGroup // install order, for deterministic iteration
 
 	stagePool map[int][]*stageBuf
 
@@ -107,8 +97,7 @@ func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy
 		crossCache: regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, func(mr *verbs.MR) { mr.Deregister() }),
 		sendQ:      make(map[matchKey][]*rtsMsg),
 		recvQ:      make(map[matchKey][]*rtrMsg),
-		groups:     make(map[groupKey]*proxyGroup),
-		deliveries: make(map[deliveryKey]int),
+		groups:     make([][]*proxyGroup, fw.cl.Cfg.PPN),
 		stagePool:  make(map[int][]*stageBuf),
 	}
 	if site.Node.DSAEP != nil {
@@ -189,10 +178,12 @@ func (px *Proxy) run(p *sim.Proc) {
 		}
 		for len(px.deferred) > 0 {
 			fns := px.deferred
-			px.deferred = nil
+			px.deferred = px.drained[:0]
 			for _, fn := range fns {
 				fn()
 			}
+			clear(fns)
+			px.drained = fns
 			progressed = true
 		}
 		if len(px.combined) > 0 {
@@ -251,9 +242,17 @@ func (px *Proxy) crash() {
 	px.sendQ = make(map[matchKey][]*rtsMsg)
 	px.recvQ = make(map[matchKey][]*rtrMsg)
 	px.combined, px.deferred = nil, nil
-	px.groups = make(map[groupKey]*proxyGroup)
+	px.groups = make([][]*proxyGroup, fw.cl.Cfg.PPN)
 	px.groupList = nil
-	px.deliveries = make(map[deliveryKey]int)
+	for _, h := range fw.hosts {
+		if fw.proxyFor(h.rank) == px {
+			// The deliveries counted in host memory survive; what the lost
+			// group engines had walked does not.
+			for _, b := range h.barriers {
+				b.forgetExpected()
+			}
+		}
+	}
 	px.stagePool = make(map[int][]*stageBuf)
 	px.crossCache = regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, func(mr *verbs.MR) { mr.Deregister() })
 	px.instrument()
@@ -322,7 +321,8 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 	case *greplayMsg:
 		px.replayGroup(m)
 	case *dlvMsg:
-		px.deliveries[deliveryKey{m.DstHost, m.DstGroup, m.SrcHost}]++
+		px.group(m.DstHost, m.DstGroup).bar.deliver(m.SrcHost)
+		px.fw.recycleDlv(pkt, m)
 	case *oneSidedMsg:
 		px.handleOneSided(m)
 	default:
@@ -340,8 +340,11 @@ func (px *Proxy) transfer(pr pairMsg) {
 		MKey:    pr.rts.MKey,
 		SrcAddr: pr.rts.SrcAddr, SrcRKey: pr.rts.SrcRKey,
 		DstAddr: pr.rtr.DstAddr, DstRKey: pr.rtr.RKey,
-		Span: ts, EndSpan: true, Trace: true,
-	}, func() { px.finish(pr) })
+		Span: ts, Trace: true,
+	}, func(at sim.Time) {
+		px.spans().EndAt(ts, at)
+		px.later(func() { px.finish(pr) })
+	})
 }
 
 // crossReg cross-registers a host mkey (through the cache when enabled,

@@ -154,8 +154,6 @@ type Exec interface {
 	// Later defers fn to the executor's next progress round (completion
 	// handlers run in kernel handler context).
 	Later(fn func())
-	// Spans returns the span collector (nil-safe when tracing is off).
-	Spans() *span.Collector
 	// TraceRDMA emits a trace event for one transfer, attributed to the
 	// executor; the detail is formatted only when a trace sink is attached.
 	TraceRDMA(event string, srcHost, dstRank, size int)
@@ -191,24 +189,25 @@ type Transfer struct {
 	DstRKey verbs.Key
 
 	// Span is the causal parent of all work posted for this transfer.
-	// EndSpan ends it at remote completion (basic primitives end their
-	// transfer span; group sends leave the group-execution span open).
-	Span    span.ID
-	EndSpan bool
+	Span span.ID
 	// Trace emits per-RDMA trace events ("gvmi-write" / "stage-read");
 	// basic primitives trace, group sends are traced by their caller.
 	Trace bool
 }
 
 // Datapath is one data-movement path. Execute posts the RDMA sequence for
-// one transfer and arranges for done to run — in the executor's deferred
-// context — after the data has fully landed (and, for Staged, after the
-// staging buffer is back in the pool). It returns the cross-registration
-// it used (CrossGVMI only; nil otherwise) so callers may memoize it.
+// one transfer and arranges for landed to run — in kernel handler context,
+// so it may only queue work (Exec.Later) — when the data has fully landed
+// in the destination memory (for Staged, after the staging buffer's return
+// to the pool has been queued, so whatever landed defers runs behind it).
+// The single-write paths hand landed to the HCA as it is: a caller that
+// keeps one per transfer slot (group entries do) posts without allocating.
+// Execute returns the cross-registration it used (CrossGVMI only; nil
+// otherwise) so callers may memoize it.
 type Datapath interface {
 	Kind() Kind
 	SrcReg() SrcReg
-	Execute(x Exec, t Transfer, done func()) *verbs.MR
+	Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR
 }
 
 // ForKind returns the shared implementation of a proxy-executable kind.
@@ -243,7 +242,7 @@ func (CrossGVMI) Kind() Kind { return KindCrossGVMI }
 func (CrossGVMI) SrcReg() SrcReg { return RegGVMI }
 
 // Execute implements Datapath.
-func (CrossGVMI) Execute(x Exec, t Transfer, done func()) *verbs.MR {
+func (CrossGVMI) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
 	mr := t.Cached
 	if mr == nil {
 		mr = x.CrossReg(t.SrcHost, t.MKey, t.Span)
@@ -255,14 +254,9 @@ func (CrossGVMI) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	err := x.PostWrite(verbs.WriteOp{
 		LocalKey: mr.LKey(), LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
-		Size: t.Size,
-		Span: t.Span,
-		OnRemoteComplete: func(at sim.Time) {
-			if t.EndSpan {
-				x.Spans().EndAt(t.Span, at)
-			}
-			x.Later(done)
-		},
+		Size:             t.Size,
+		Span:             t.Span,
+		OnRemoteComplete: landed,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("datapath: gvmi write: %v", err))
@@ -285,7 +279,7 @@ func (Staged) Kind() Kind { return KindStaged }
 func (Staged) SrcReg() SrcReg { return RegIB }
 
 // Execute implements Datapath.
-func (Staged) Execute(x Exec, t Transfer, done func()) *verbs.MR {
+func (Staged) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
 	sb := x.AcquireStage(t.Size, t.Span)
 	x.CountStaged()
 	x.CountRead()
@@ -306,13 +300,8 @@ func (Staged) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 					Size: t.Size,
 					Span: t.Span,
 					OnRemoteComplete: func(at sim.Time) {
-						if t.EndSpan {
-							x.Spans().EndAt(t.Span, at)
-						}
-						x.Later(func() {
-							x.ReleaseStage(sb)
-							done()
-						})
+						x.Later(func() { x.ReleaseStage(sb) })
+						landed(at)
 					},
 				})
 				if err != nil {
@@ -347,7 +336,7 @@ func (DSA) Kind() Kind { return KindDSA }
 func (DSA) SrcReg() SrcReg { return RegIB }
 
 // Execute implements Datapath.
-func (DSA) Execute(x Exec, t Transfer, done func()) *verbs.MR {
+func (DSA) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
 	x.CountEngine()
 	x.CountWrite()
 	if t.Trace {
@@ -356,14 +345,9 @@ func (DSA) Execute(x Exec, t Transfer, done func()) *verbs.MR {
 	err := x.PostEngineWrite(verbs.WriteOp{
 		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
-		Size: t.Size,
-		Span: t.Span,
-		OnRemoteComplete: func(at sim.Time) {
-			if t.EndSpan {
-				x.Spans().EndAt(t.Span, at)
-			}
-			x.Later(done)
-		},
+		Size:             t.Size,
+		Span:             t.Span,
+		OnRemoteComplete: landed,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("datapath: dsa write: %v", err))
@@ -402,6 +386,6 @@ func (HostDirect) SrcReg() SrcReg { return RegNone }
 
 // Execute implements Datapath. HostDirect transfers never reach a proxy;
 // route them through a HostPoster instead.
-func (HostDirect) Execute(Exec, Transfer, func()) *verbs.MR {
+func (HostDirect) Execute(Exec, Transfer, func(sim.Time)) *verbs.MR {
 	panic("datapath: HostDirect transfers are posted by the host, not a proxy")
 }

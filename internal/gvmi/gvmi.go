@@ -87,9 +87,11 @@ type Manager struct {
 	reg    *verbs.Registry
 	costs  CostConfig
 	nextID ID
-	nextMK verbs.Key
-	owners map[ID]*verbs.Ctx       // gvmi-id -> DPU ctx that generated it
-	mkeys  map[verbs.Key]hostEntry // mkey -> host registration record
+	owners map[ID]*verbs.Ctx // gvmi-id -> DPU ctx that generated it
+	// mkeys holds the host registration records, dense: registration i
+	// (from 0) has mkey firstMKey+i. An invalidated slot is zeroed and its
+	// mkey is never handed out again.
+	mkeys []hostEntry
 
 	// Stats
 	HostRegs     int64
@@ -100,7 +102,18 @@ type Manager struct {
 
 type hostEntry struct {
 	info  MKeyInfo
-	space *mem.Space
+	space *mem.Space // nil = invalidated
+}
+
+// firstMKey is the first host mkey: disjoint from verbs keys.
+const firstMKey verbs.Key = 1<<20 + 1
+
+// entry returns the live registration record of mk, or nil.
+func (m *Manager) entry(mk verbs.Key) *hostEntry {
+	if i := int(mk - firstMKey); mk >= firstMKey && i < len(m.mkeys) && m.mkeys[i].space != nil {
+		return &m.mkeys[i]
+	}
+	return nil
 }
 
 // NewManager creates a GVMI manager sharing the verbs registry's fabric.
@@ -109,9 +122,7 @@ func NewManager(reg *verbs.Registry, costs CostConfig) *Manager {
 		reg:    reg,
 		costs:  costs,
 		nextID: 1,
-		nextMK: 1 << 20, // disjoint from verbs keys
 		owners: make(map[ID]*verbs.Ctx),
-		mkeys:  make(map[verbs.Key]hostEntry),
 	}
 }
 
@@ -147,9 +158,8 @@ func (m *Manager) RegisterHost(p *sim.Proc, hostCtx *verbs.Ctx, addr mem.Addr, s
 	m.HostRegTime += cost
 	p.AdvanceBusy(cost)
 
-	m.nextMK++
-	info := MKeyInfo{Addr: addr, Size: size, MKey: m.nextMK, Gvmi: id}
-	m.mkeys[info.MKey] = hostEntry{info: info, space: hostCtx.Space()}
+	info := MKeyInfo{Addr: addr, Size: size, MKey: firstMKey + verbs.Key(len(m.mkeys)), Gvmi: id}
+	m.mkeys = append(m.mkeys, hostEntry{info: info, space: hostCtx.Space()})
 	return info, nil
 }
 
@@ -166,8 +176,8 @@ func (m *Manager) CrossRegister(p *sim.Proc, dpuCtx *verbs.Ctx, info MKeyInfo) (
 	if owner != dpuCtx {
 		return nil, fmt.Errorf("%w: id %d", ErrWrongOwner, info.Gvmi)
 	}
-	ent, ok := m.mkeys[info.MKey]
-	if !ok {
+	ent := m.entry(info.MKey)
+	if ent == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMKey, info.MKey)
 	}
 	if ent.info != info {
@@ -182,4 +192,8 @@ func (m *Manager) CrossRegister(p *sim.Proc, dpuCtx *verbs.Ctx, info MKeyInfo) (
 }
 
 // InvalidateHost removes an mkey (host buffer freed / cache eviction).
-func (m *Manager) InvalidateHost(mk verbs.Key) { delete(m.mkeys, mk) }
+func (m *Manager) InvalidateHost(mk verbs.Key) {
+	if ent := m.entry(mk); ent != nil {
+		*ent = hostEntry{}
+	}
+}

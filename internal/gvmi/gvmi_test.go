@@ -190,6 +190,24 @@ func TestInvalidateHost(t *testing.T) {
 		if _, err := rg.m.CrossRegister(p, rg.dpuCtx[0], info); !errors.Is(err, ErrUnknownMKey) {
 			t.Errorf("invalidated mkey still accepted: %v", err)
 		}
+		// The table is dense and never reuses a slot: the next registration
+		// gets a fresh mkey, and keys outside the table — or invalidated
+		// twice — are simply unknown.
+		next, _ := rg.m.RegisterHost(p, rg.hostCtx[0], buf.Addr(), 64, id)
+		if next.MKey <= info.MKey {
+			t.Errorf("mkey %d after invalidating %d: want a fresh, larger key", next.MKey, info.MKey)
+		}
+		if _, err := rg.m.CrossRegister(p, rg.dpuCtx[0], next); err != nil {
+			t.Errorf("registration after an invalidation: %v", err)
+		}
+		for _, mk := range []verbs.Key{0, info.MKey - 1, info.MKey, next.MKey + 1, ^verbs.Key(0)} {
+			rg.m.InvalidateHost(mk)
+			bad := next
+			bad.MKey = mk
+			if _, err := rg.m.CrossRegister(p, rg.dpuCtx[0], bad); !errors.Is(err, ErrUnknownMKey) {
+				t.Errorf("mkey %d: err = %v, want ErrUnknownMKey", mk, err)
+			}
+		}
 	})
 	rg.k.Run()
 }

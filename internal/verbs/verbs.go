@@ -59,12 +59,14 @@ func (c CostConfig) RegCost(size int) sim.Time {
 
 // Registry is the cluster-wide key table (stands in for the HCA's MTT/MPT).
 type Registry struct {
-	f       *fabric.Fabric
-	costs   CostConfig
-	nextKey Key
-	mrs     map[Key]*MR
-	inj     *fault.Injector // nil = no fault injection
-	sp      *span.Collector // nil = no span tracing
+	f     *fabric.Fabric
+	costs CostConfig
+	// mrs is the key table, dense: registration i (from 0) holds lkey
+	// firstKey+2i and rkey lkey+1, and both resolve through slot i. A
+	// deregistered slot is nil and its keys are never handed out again.
+	mrs []*MR
+	inj *fault.Injector // nil = no fault injection
+	sp  *span.Collector // nil = no span tracing
 
 	// Free lists for the pooled hot-path records (see pool.go). The
 	// simulation is single-threaded, so plain slices suffice.
@@ -91,9 +93,13 @@ type Registry struct {
 	mEpRetries map[string]*metrics.Gauge
 }
 
+// firstKey is the lkey of the first registration; smaller keys never
+// resolve.
+const firstKey Key = 102
+
 // NewRegistry creates the key table for one simulation.
 func NewRegistry(f *fabric.Fabric, costs CostConfig) *Registry {
-	return &Registry{f: f, costs: costs, nextKey: 100, mrs: make(map[Key]*MR)}
+	return &Registry{f: f, costs: costs}
 }
 
 // Costs returns the registry's cost configuration.
@@ -260,10 +266,9 @@ func (c *Ctx) RegisterMRCtx(p *sim.Proc, addr mem.Addr, size int, parent span.ID
 // insertMR adds a region to the key table without charging time (used by
 // RegisterMR and by gvmi cross-registration, which has its own cost model).
 func (r *Registry) insertMR(ctx *Ctx, space *mem.Space, addr mem.Addr, size int) *MR {
-	r.nextKey += 2
-	mr := &MR{ctx: ctx, space: space, addr: addr, size: size, lkey: r.nextKey, rkey: r.nextKey + 1}
-	r.mrs[mr.lkey] = mr
-	r.mrs[mr.rkey] = mr
+	lkey := firstKey + 2*Key(len(r.mrs))
+	mr := &MR{ctx: ctx, space: space, addr: addr, size: size, lkey: lkey, rkey: lkey + 1}
+	r.mrs = append(r.mrs, mr)
 	return mr
 }
 
@@ -276,14 +281,16 @@ func (r *Registry) InsertForeignMR(ctx *Ctx, space *mem.Space, addr mem.Addr, si
 
 // Deregister removes the region from the key table (ibv_dereg_mr).
 func (m *MR) Deregister() {
-	delete(m.ctx.reg.mrs, m.lkey)
-	delete(m.ctx.reg.mrs, m.rkey)
+	m.ctx.reg.mrs[(m.lkey-firstKey)/2] = nil
 }
 
 // lookupKey resolves a key and validates the access range.
 func (r *Registry) lookupKey(key Key, addr mem.Addr, size int) (*MR, error) {
-	mr, ok := r.mrs[key]
-	if !ok {
+	var mr *MR
+	if slot := int(key-firstKey) / 2; key >= firstKey && slot < len(r.mrs) {
+		mr = r.mrs[slot]
+	}
+	if mr == nil {
 		return nil, fmt.Errorf("%w: %d", ErrBadKey, key)
 	}
 	if addr < mr.addr || int(addr-mr.addr)+size > mr.size {
