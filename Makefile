@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race check bench bench-smoke snap snap-check timeline-smoke scale-smoke race-sim
+.PHONY: all build test vet staticcheck race check bench bench-smoke snap snap-check timeline-smoke scale-smoke race-sim loc
 
 all: build
 
@@ -36,6 +36,15 @@ race:
 # and without spare Ps, so a breach of that discipline gets thirty chances.
 race-sim:
 	$(GO) test -race -count=10 -cpu 1,2,4 ./internal/sim/
+
+# Size trajectory ("least code" as a number): non-test Go lines that are
+# neither blank nor a // comment, per package under internal/ and cmd/, and
+# their total. CI prints it on every run; CHANGES.md quotes the delta.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec awk \
+		'!/^[[:space:]]*($$|\/\/)/ { d = FILENAME; sub("/[^/]*$$", "", d); print d }' {} + \
+		| LC_ALL=C sort | uniq -c \
+		| awk '{ printf "%6d  %s\n", $$1, $$2; t += $$1 } END { printf "%6d  total\n", t }'
 
 check: vet staticcheck build race race-sim bench-smoke snap-check timeline-smoke scale-smoke
 

@@ -231,12 +231,8 @@ func (e *Env) Launch(fn func(r *mpi.Rank, ops coll.Ops, p2p coll.P2P)) sim.Time 
 		fn(r, ops, p2p)
 	})
 	end := e.Cl.K.Run()
-	if len(e.Cl.K.Deadlocked) > 0 {
-		var names []string
-		for _, p := range e.Cl.K.Deadlocked {
-			names = append(names, p.Name())
-		}
-		panic(fmt.Sprintf("bench: deadlocked processes: %v", names))
+	if dead := e.Cl.K.Deadlocked; len(dead) > 0 {
+		panic(fmt.Sprintf("bench: deadlocked processes: %v", dead))
 	}
 	// Shut the proxy daemons down so this environment can be collected
 	// (benchmark sweeps build many environments in one process).

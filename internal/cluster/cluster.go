@@ -42,12 +42,6 @@ type Config struct {
 	// behaviour, bit-exact.
 	NodeProfiles []string
 
-	// RichTelemetry opts into the per-endpoint congestion series
-	// (fabric "goodput_bytes" and verbs "endpoint_retries" gauges).
-	// Off by default: the extra series would change the byte-identical
-	// checked-in benchmark snapshots.
-	RichTelemetry bool
-
 	// BackedPayload allocates real bytes in every buffer so data integrity
 	// can be verified. Figure-scale runs switch it off; virtual-time results
 	// are unaffected (costs depend only on sizes).
@@ -216,10 +210,6 @@ func New(cfg Config) *Cluster {
 		f.SetMetrics(cfg.Metrics)
 		reg.SetMetrics(cfg.Metrics)
 		c.Met = cfg.Metrics
-		if cfg.RichTelemetry {
-			f.SetRichTelemetry(true)
-			reg.SetRichTelemetry(true)
-		}
 	}
 	if cfg.Spans.Enabled() {
 		cfg.Spans.AttachClock(k)

@@ -22,7 +22,6 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/span"
 )
 
@@ -151,60 +150,35 @@ type offloadReq struct {
 // Done implements Request.
 func (q *offloadReq) Done() bool { return q.g.Done() }
 
-// rootSpan opens a collective root span covering the local prologue, the
-// group call, and — through the proxy's execution span — everything the DPU
-// does on the collective's behalf (0 when tracing is off).
-func (o *OffloadOps) rootSpan(name string, size int) span.ID {
-	sp := o.r.World().Cl.Spans
+// rootSpan opens rank r's root span of one collective call (0 when tracing
+// is off). On the offload backends it covers the local prologue, the group
+// call, and — through the proxy's execution span — everything the DPU does
+// on the collective's behalf.
+func rootSpan(r *mpi.Rank, name string, size int) span.ID {
+	sp := r.World().Cl.Spans
 	if !sp.Enabled() {
 		return 0
 	}
-	s := sp.Start(0, span.ClassRank, fmt.Sprintf("rank%d", o.r.RankID()), "coll", name)
+	s := sp.Start(0, span.ClassRank, fmt.Sprintf("rank%d", r.RankID()), "coll", name)
 	sp.AttrInt(s, "size", int64(size))
 	return s
 }
 
-// Ialltoall implements Ops: the scatter-destination algorithm of Section
-// VIII-B recorded as one group request per rank (receives from rank-i,
-// sends to rank+i), replayed through the group cache on repeat calls.
+// Ialltoall implements Ops: IalltoallOn over the world communicator.
 func (o *OffloadOps) Ialltoall(slot int, sendAddr, recvAddr mem.Addr, per int) Request {
-	np, me := o.r.Size(), o.r.RankID()
-	root := o.rootSpan("ialltoall", per)
-	key := collKey{kind: "a2a", path: o.path, slot: slot, a: sendAddr, b: recvAddr, size: per}
-	g, ok := o.cache[key]
-	if !ok {
-		tag := tagFor(slot)
-		g = o.h.GroupStartVia(o.path)
-		for i := 1; i < np; i++ {
-			src := (me - i + np) % np
-			g.Recv(recvAddr+mem.Addr(src*per), per, src, tag)
-		}
-		for i := 1; i < np; i++ {
-			dst := (me + i) % np
-			g.Send(sendAddr+mem.Addr(dst*per), per, dst, tag)
-		}
-		g.End()
-		o.cache[key] = g
-	}
-	// Own block stays on the host: one local copy.
-	sp := o.r.Space()
-	if d := sp.ReadAt(sendAddr+mem.Addr(me*per), per); d != nil {
-		sp.WriteAt(recvAddr+mem.Addr(me*per), d, per)
-	}
-	o.h.Proc().AdvanceBusy(o.r.World().Cl.CopyCost(per))
-	o.h.GroupCallCtx(g, root)
-	return &offloadReq{h: o.h, g: g, span: root}
+	return o.IalltoallOn(o.r.Comm(), slot, sendAddr, recvAddr, per)
 }
 
-// IalltoallOn is Ialltoall scoped to a sub-communicator: block i of the
-// send buffer goes to comm-rank i. Offloaded exactly like the world-scoped
-// version (one cached group request per call site). Different communicators
-// may share a slot only if their member sets are disjoint (e.g. the row
-// communicators of a process grid).
+// IalltoallOn is the scatter-destination algorithm of Section VIII-B scoped
+// to a communicator: block i of the send buffer goes to comm-rank i,
+// recorded as one group request per rank (receives from rank-i, sends to
+// rank+i) and replayed through the group cache on repeat calls from the
+// same call site. Different communicators may share a slot only if their
+// member sets are disjoint (e.g. the row communicators of a process grid).
 func (o *OffloadOps) IalltoallOn(c *mpi.Comm, slot int, sendAddr, recvAddr mem.Addr, per int) Request {
 	np, me := c.Size(), c.RankID()
-	root := o.rootSpan("ialltoall", per)
-	key := collKey{kind: "a2ac", path: o.path, slot: slot, a: sendAddr, b: recvAddr, size: per}
+	root := rootSpan(o.r, "ialltoall", per)
+	key := collKey{kind: "a2a", path: o.path, slot: slot, a: sendAddr, b: recvAddr, size: per}
 	g, ok := o.cache[key]
 	if !ok {
 		tag := tagFor(slot)
@@ -220,6 +194,7 @@ func (o *OffloadOps) IalltoallOn(c *mpi.Comm, slot int, sendAddr, recvAddr mem.A
 		g.End()
 		o.cache[key] = g
 	}
+	// Own block stays on the host: one local copy.
 	sp := o.r.Space()
 	if d := sp.ReadAt(sendAddr+mem.Addr(me*per), per); d != nil {
 		sp.WriteAt(recvAddr+mem.Addr(me*per), d, per)
@@ -234,7 +209,7 @@ func (o *OffloadOps) IalltoallOn(c *mpi.Comm, slot int, sendAddr, recvAddr mem.A
 // panels pipeline around the ring, all progressed by the proxies.
 func (o *OffloadOps) Ibcast(slot int, addr mem.Addr, size, root int) Request {
 	np, me := o.r.Size(), o.r.RankID()
-	rs := o.rootSpan("ibcast", size)
+	rs := rootSpan(o.r, "ibcast", size)
 	key := collKey{kind: "bcast", path: o.path, slot: slot, a: addr, size: size, root: root}
 	g, ok := o.cache[key]
 	if !ok {
@@ -279,7 +254,7 @@ func (o *OffloadOps) Ibcast(slot int, addr mem.Addr, size, root int) Request {
 // reference [9] that BluesMPI offloads by staging; here it is direct).
 func (o *OffloadOps) Iallgather(slot int, sendAddr, recvAddr mem.Addr, per int) Request {
 	np, me := o.r.Size(), o.r.RankID()
-	root := o.rootSpan("iallgather", per)
+	root := rootSpan(o.r, "iallgather", per)
 	key := collKey{kind: "ag", path: o.path, slot: slot, a: sendAddr, b: recvAddr, size: per}
 	g, ok := o.cache[key]
 	if !ok {
@@ -405,9 +380,12 @@ func (o *OffloadP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
 	return o.h.RecvOffload(addr, size, src, tag)
 }
 
-// WaitAll implements P2P: completes both MPI and offload requests, whichever
+// WaitAll implements P2P.
+func (o *OffloadP2P) WaitAll(qs []Request) { waitAllMixed(o.r, o.h, qs) }
+
+// waitAllMixed completes a mix of MPI and offload requests, whichever
 // classes are present.
-func (o *OffloadP2P) WaitAll(qs []Request) {
+func waitAllMixed(r *mpi.Rank, h *core.Host, qs []Request) {
 	var mpiReqs []*mpi.Request
 	var offReqs []*core.OffloadRequest
 	for _, q := range qs {
@@ -423,12 +401,9 @@ func (o *OffloadP2P) WaitAll(qs []Request) {
 	// Offload requests complete on the DPU regardless; drain them first so
 	// FIN processing interleaves with MPI progress.
 	if len(offReqs) > 0 {
-		o.h.WaitAll(offReqs...)
+		h.WaitAll(offReqs...)
 	}
 	if len(mpiReqs) > 0 {
-		o.r.WaitAll(mpiReqs...)
+		r.WaitAll(mpiReqs...)
 	}
 }
-
-// ComputeFor lets workloads express modelled computation uniformly.
-func ComputeFor(r *mpi.Rank, d sim.Time) { r.Compute(d) }

@@ -3,6 +3,7 @@ package coll
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -259,4 +260,52 @@ func TestIallgatherBothBackends(t *testing.T) {
 			r.Barrier()
 		}
 	})
+}
+
+// The world-scoped Ialltoall of both backends is the communicator-scoped one
+// over the world communicator: an explicit communicator of every rank in
+// rank order finishes each rank at the same virtual time with the same
+// payload, on the host library and through IalltoallOn on the proxies.
+func TestWorldIalltoallIsCommIalltoall(t *testing.T) {
+	const np, per, iters = 4, 4 << 10, 3
+	all := []int{0, 1, 2, 3}
+	for _, backend := range []string{"host", "offload"} {
+		measure := func(explicit bool) (ends [np]sim.Time, data [np][]byte) {
+			launch(t, 2, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
+				host, off := NewHostOps("intelmpi", r), NewOffloadOps("proposed", r, h)
+				var c *mpi.Comm
+				if explicit {
+					c = r.NewComm(all)
+				}
+				send, recv := r.Alloc(np*per), r.Alloc(np*per)
+				fillBlocks(r, send.Bytes(), per)
+				r.Compute(sim.Time(r.RankID()) * sim.Microsecond) // skewed entry
+				// Calls after the first replay through the group cache.
+				for it := 0; it < iters; it++ {
+					switch {
+					case backend == "host" && !explicit:
+						host.Wait(host.Ialltoall(0, send.Addr(), recv.Addr(), per))
+					case backend == "host":
+						r.WaitColl(c.Ialltoall(send.Addr(), recv.Addr(), per))
+					case !explicit:
+						off.Wait(off.Ialltoall(0, send.Addr(), recv.Addr(), per))
+					default:
+						off.Wait(off.IalltoallOn(c, 0, send.Addr(), recv.Addr(), per))
+					}
+				}
+				checkBlocks(t, r, recv.Bytes(), per)
+				data[r.RankID()] = append([]byte(nil), recv.Bytes()...)
+				ends[r.RankID()] = r.Now()
+			})
+			return ends, data
+		}
+		wantEnds, wantData := measure(false)
+		gotEnds, gotData := measure(true)
+		if gotEnds != wantEnds {
+			t.Errorf("%s: explicit all-ranks comm ends %v, world call ends %v", backend, gotEnds, wantEnds)
+		}
+		if !reflect.DeepEqual(gotData, wantData) {
+			t.Errorf("%s: explicit all-ranks comm and world call left different payloads", backend)
+		}
+	}
 }

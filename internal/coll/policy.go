@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/datapath"
 	"repro/internal/device"
@@ -118,17 +116,12 @@ func collName(kind string) string {
 }
 
 // hostRootSpan opens the collective root span of a host-direct decision.
-// The offload backends open their own roots (OffloadOps.rootSpan); without
-// this, host-direct iterations would leave only per-transfer mpi spans and
-// drop out of any RootsNamed("coll", ...) attribution.
+// The offload backends open their own roots; without this, host-direct
+// iterations would leave only per-transfer mpi spans and drop out of any
+// RootsNamed("coll", ...) attribution.
 func (o *PolicyOps) hostRootSpan(kind string, size int) span.ID {
-	sp := o.r.World().Cl.Spans
-	if !sp.Enabled() {
-		return 0
-	}
-	s := sp.Start(0, span.ClassRank, fmt.Sprintf("rank%d", o.r.RankID()), "coll", collName(kind))
-	sp.AttrInt(s, "size", int64(size))
-	sp.AttrStr(s, "path", "hostdirect")
+	s := rootSpan(o.r, collName(kind), size)
+	o.r.World().Cl.Spans.AttrStr(s, "path", "hostdirect")
 	return s
 }
 
@@ -259,25 +252,5 @@ func (o *PolicyP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
 	return o.r.Irecv(addr, size, src, tag)
 }
 
-// WaitAll implements P2P: completes both MPI and offload requests,
-// whichever classes are present.
-func (o *PolicyP2P) WaitAll(qs []Request) {
-	var mpiReqs []*mpi.Request
-	var offReqs []*core.OffloadRequest
-	for _, q := range qs {
-		switch v := q.(type) {
-		case *mpi.Request:
-			mpiReqs = append(mpiReqs, v)
-		case *core.OffloadRequest:
-			offReqs = append(offReqs, v)
-		default:
-			panic(fmt.Sprintf("coll: unknown request type %T", q))
-		}
-	}
-	if len(offReqs) > 0 {
-		o.h.WaitAll(offReqs...)
-	}
-	if len(mpiReqs) > 0 {
-		o.r.WaitAll(mpiReqs...)
-	}
-}
+// WaitAll implements P2P.
+func (o *PolicyP2P) WaitAll(qs []Request) { waitAllMixed(o.r, o.h, qs) }

@@ -96,7 +96,7 @@ func (h *Host) noteDelivery(at sim.Time, m *dlvMsg) {
 	id := dlvID{m.SrcHost, m.DstHost, m.DstGroup, m.Call, m.Entry}
 	if h.dlvSeen[id] {
 		h.DlvDup++
-		if inj := h.fw.cl.Inj; inj != nil {
+		if inj := h.fw.cl.Inj; inj.Tracing() {
 			inj.Note(at, fmt.Sprintf("rank%d", h.rank), "dlv-dup",
 				fmt.Sprintf("src=%d group=%d call=%d entry=%d", m.SrcHost, m.DstGroup, m.Call, m.Entry))
 		}
@@ -216,7 +216,7 @@ func (h *Host) failover(now sim.Time) {
 	h.Failovers++
 	h.mHeartbeatLosses.Inc()
 	h.mFailovers.Inc()
-	if inj := fw.cl.Inj; inj != nil {
+	if inj := fw.cl.Inj; inj.Tracing() {
 		inj.Note(now, fmt.Sprintf("rank%d", h.rank), "heartbeat-loss",
 			fmt.Sprintf("proxy%d silent for %s", px.global, fw.hbTimeout()))
 		inj.Note(now, fmt.Sprintf("rank%d", h.rank), "failover",
@@ -463,7 +463,7 @@ func (h *Host) foAck(m *foSendMsg) {
 func (h *Host) reissueOneSided(rec *osRec, now sim.Time) {
 	rec.reissued = true
 	h.OsReissues++
-	if inj := h.fw.cl.Inj; inj != nil {
+	if inj := h.fw.cl.Inj; inj.Tracing() {
 		inj.Note(now, fmt.Sprintf("rank%d", h.rank), "1sided-reissue",
 			fmt.Sprintf("proxy%d dead, re-posting size=%d", rec.proxy, rec.size))
 	}

@@ -253,6 +253,16 @@ func (fw *Framework) Stop() {
 	}
 }
 
+// Retire ends a finished (or deadlocked) run: it stops the proxies, runs the
+// kernel until they have unwound, and shuts the kernel down so whatever is
+// still parked on it — deadlocked ranks included — is released. Call it from
+// outside the simulation; the cluster is dead afterwards.
+func (fw *Framework) Retire() {
+	fw.Stop()
+	fw.cl.K.Run()
+	fw.cl.K.Shutdown()
+}
+
 // Start spawns the proxy worker processes and performs the Init_Offload
 // setup: every proxy generates its GVMI-ID, which is exchanged with all
 // processes in the global communicator (modelled as part of initialization,

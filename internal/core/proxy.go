@@ -260,7 +260,9 @@ func (px *Proxy) crash() {
 	px.mCrashes.Inc()
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Crashes++
-		inj.Note(now, fmt.Sprintf("proxy%d", px.global), "crash", "process killed")
+		if inj.Tracing() {
+			inj.Note(now, fmt.Sprintf("proxy%d", px.global), "crash", "process killed")
+		}
 	}
 	fw.cl.K.At(fw.hbTimeout(), func() {
 		// The liveness counter in host memory has now been stale for a full
@@ -284,7 +286,9 @@ func (px *Proxy) restart() {
 	px.mRestarts.Inc()
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Restarts++
-		inj.Note(now, fmt.Sprintf("proxy%d", px.global), "restart", "process restarted with empty state")
+		if inj.Tracing() {
+			inj.Note(now, fmt.Sprintf("proxy%d", px.global), "restart", "process restarted with empty state")
+		}
 	}
 	px.ctx.InboxCond.Broadcast()
 	for _, h := range fw.hosts {

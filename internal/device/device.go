@@ -77,26 +77,6 @@ type Profile struct {
 	Fabric fabric.Config
 }
 
-// OffloadPenalty is the ratio of NIC-core to host-core injection overhead
-// — the "~2.4x" of the paper for bf2. The capability-aware policy scales
-// its size cutoffs by this ratio relative to the bf2 baseline.
-func (p Profile) OffloadPenalty() float64 {
-	if p.HostPort.Overhead <= 0 {
-		return 1
-	}
-	return float64(p.DPUPort.Overhead) / float64(p.HostPort.Overhead)
-}
-
-// EngineOverhead returns the injection overhead of the cheapest
-// NIC-resident posting path: the DSA engine when present, the ARM-driven
-// port otherwise.
-func (p Profile) EngineOverhead() sim.Time {
-	if p.HasDSA {
-		return p.DSAPort.Overhead
-	}
-	return p.DPUPort.Overhead
-}
-
 // Generic returns the capability view of a cluster configured with raw
 // port parameters instead of a named profile: full capabilities (the
 // pre-profile simulator always had cross-GVMI and never a DSA engine),

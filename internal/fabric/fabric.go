@@ -73,11 +73,6 @@ type Endpoint struct {
 	mMsgsDisc, mBytesDisc *metrics.Counter
 	mMsgsDropped          *metrics.Counter
 	mMsgsDelayed          *metrics.Counter
-	// mGoodput is the per-endpoint cumulative-goodput gauge (rich
-	// telemetry only): set to BytesRecv at every delivery, so windowed
-	// readers (the feedback policy, the flight recorder) can difference
-	// it into a congestion signal.
-	mGoodput *metrics.Gauge
 }
 
 // Name returns the endpoint's diagnostic name.
@@ -130,13 +125,12 @@ func NDRConfig() Config {
 
 // Fabric connects endpoints and schedules deliveries on the kernel.
 type Fabric struct {
-	k    *sim.Kernel
-	cfg  Config
-	eps  []*Endpoint
-	inj  *fault.Injector   // nil = no fault injection
-	met  *metrics.Registry // nil = no metrics
-	sp   *span.Collector   // nil = no span tracing
-	rich bool              // per-endpoint congestion gauges (opt-in)
+	k   *sim.Kernel
+	cfg Config
+	eps []*Endpoint
+	inj *fault.Injector   // nil = no fault injection
+	met *metrics.Registry // nil = no metrics
+	sp  *span.Collector   // nil = no span tracing
 }
 
 // New creates a fabric on kernel k.
@@ -163,12 +157,6 @@ func (f *Fabric) SetMetrics(m *metrics.Registry) { f.met = m }
 // Metrics returns the attached registry (nil when metrics are off).
 func (f *Fabric) Metrics() *metrics.Registry { return f.met }
 
-// SetRichTelemetry opts endpoints created afterwards into the
-// per-endpoint congestion gauges ("goodput_bytes"). Off by default — the
-// extra series would change byte-identical legacy exports. Call before
-// creating endpoints, like SetMetrics.
-func (f *Fabric) SetRichTelemetry(on bool) { f.rich = on }
-
 // SetSpans attaches a span collector; nil disables tracing. Fated or not,
 // every transfer carrying a parent span then records an injection span on
 // the sender port and a wire span for the flight. Span collection never
@@ -193,9 +181,6 @@ func (f *Fabric) NewEndpoint(name string, node int, par Params) *Endpoint {
 		e.mBytesDisc = m.Counter("fabric", name, "bytes_discarded")
 		e.mMsgsDropped = m.Counter("fabric", name, "msgs_dropped")
 		e.mMsgsDelayed = m.Counter("fabric", name, "msgs_delayed")
-		if f.rich {
-			e.mGoodput = m.Gauge("fabric", name, "goodput_bytes")
-		}
 	}
 	f.eps = append(f.eps, e)
 	return e
@@ -220,13 +205,6 @@ func (f *Fabric) Transfer(src, dst *Endpoint, size int, deliver func()) (txDone,
 	return f.transfer(src, dst, size, deliver, nil, fault.FateDeliver, 0)
 }
 
-// TransferCtx is Transfer carrying span context: when a collector is
-// attached, the transfer's injection and wire spans are recorded as
-// children of parent. Timing is identical to Transfer.
-func (f *Fabric) TransferCtx(src, dst *Endpoint, size int, deliver func(), parent span.ID) (txDone, arrive sim.Time) {
-	return f.transfer(src, dst, size, deliver, nil, fault.FateDeliver, parent)
-}
-
 // TransferAction is Transfer delivering to a pooled sim.Action instead of a
 // closure: the hot per-message path for callers that recycle their delivery
 // records (the verbs layer's completion flights), so steady-state traffic
@@ -235,8 +213,9 @@ func (f *Fabric) TransferAction(src, dst *Endpoint, size int, act sim.Action) (t
 	return f.transfer(src, dst, size, nil, act, fault.FateDeliver, 0)
 }
 
-// TransferActionCtx is TransferAction carrying span context (see
-// TransferCtx).
+// TransferActionCtx is TransferAction carrying span context: when a
+// collector is attached, the transfer's injection and wire spans are
+// recorded as children of parent. Timing is identical to TransferAction.
 func (f *Fabric) TransferActionCtx(src, dst *Endpoint, size int, act sim.Action, parent span.ID) (txDone, arrive sim.Time) {
 	return f.transfer(src, dst, size, nil, act, fault.FateDeliver, parent)
 }
@@ -259,11 +238,11 @@ func (f *Fabric) TransferFated(src, dst *Endpoint, size int, deliver func()) (tx
 }
 
 // TransferFatedCtx is TransferFated carrying span context (see
-// TransferCtx). Drop and corrupt fates are recorded on the spans as a
+// TransferActionCtx). Drop and corrupt fates are recorded on the spans as a
 // "fate" attribute, so a retransmitted op shows every attempt's flight.
 func (f *Fabric) TransferFatedCtx(src, dst *Endpoint, size int, deliver func(), parent span.ID) (txDone, arrive sim.Time, delivered bool, fate fault.Fate) {
 	fate = f.inj.FateFor()
-	if fate != fault.FateDeliver {
+	if fate != fault.FateDeliver && f.inj.Tracing() {
 		f.inj.Note(f.k.Now(), "fabric", fate.String(),
 			fmt.Sprintf("%s->%s size=%d", src.name, dst.name, size))
 	}
@@ -342,9 +321,6 @@ func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.
 	dst.BytesRecv += int64(size)
 	dst.mMsgsRx.Inc()
 	dst.mBytesRx.Add(int64(size))
-	if dst.mGoodput != nil {
-		dst.mGoodput.Set(float64(dst.BytesRecv))
-	}
 	if fate == fault.FateDelay {
 		// Switch-buffering excursion: delivery (not port occupancy) is late.
 		// The port frees at the nominal time, so later messages on the same

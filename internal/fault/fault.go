@@ -300,11 +300,17 @@ func (in *Injector) Retry() RetryConfig {
 	return in.cfg.RetryOrDefault()
 }
 
+// Tracing reports whether Note currently records anywhere: true only when
+// the late-bound trace log is non-nil. Nil-safe. Callers that format their
+// Note arguments guard on it, so nothing is formatted for a log nobody reads.
+func (in *Injector) Tracing() bool {
+	return in != nil && in.TraceFn != nil && in.TraceFn().Enabled()
+}
+
 // Note records a fault/recovery event in the attached trace log; nil-safe
 // and free when no log is attached.
 func (in *Injector) Note(at sim.Time, entity, action, detail string) {
-	if in == nil || in.TraceFn == nil {
-		return
+	if in.Tracing() {
+		in.TraceFn().Add(at, entity, action, detail)
 	}
-	in.TraceFn().Add(at, entity, action, detail)
 }

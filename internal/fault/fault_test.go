@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // A nil injector must behave as "no faults, no draws" everywhere.
@@ -28,6 +29,32 @@ func TestNilInjectorSafe(t *testing.T) {
 		t.Fatalf("nil Retry = %+v, want defaults", got)
 	}
 	in.Note(0, "x", "y", "z") // must not panic
+	if in.Tracing() {
+		t.Fatal("nil injector reports tracing")
+	}
+}
+
+// Tracing follows the late-bound log: false until the resolver returns a
+// live log, and Note records exactly when it is true.
+func TestTracingFollowsLateBoundLog(t *testing.T) {
+	in := NewInjector(DefaultConfig(1))
+	if in.Tracing() {
+		t.Fatal("tracing with no resolver attached")
+	}
+	var log *trace.Log
+	in.TraceFn = func() *trace.Log { return log }
+	if in.Tracing() {
+		t.Fatal("tracing while the resolver returns a nil log")
+	}
+	in.Note(1, "fabric", "drop", "lost")
+	log = trace.New(0)
+	if !in.Tracing() {
+		t.Fatal("not tracing once the resolver returns a log")
+	}
+	in.Note(2, "fabric", "drop", "kept")
+	if ev := log.Events(); len(ev) != 1 || ev[0].Detail != "kept" {
+		t.Fatalf("log holds %+v, want only the event noted while tracing", ev)
+	}
 }
 
 // Zero rates must not consume randomness, so interleaving silent hooks

@@ -1,9 +1,6 @@
-// Shared quantile helpers. Two kinds of percentile live in this repo:
-// exact nearest-rank percentiles over recorded sample slices (bench sweeps,
-// tenant iteration latencies) and bucketed estimates out of the registry's
-// log₂ histograms. Both were previously re-implemented ad hoc at each call
-// site; this file is the single home so every table and exporter agrees on
-// the convention.
+// The shared percentile helper: exact nearest-rank percentiles over recorded
+// sample slices (bench sweeps, tenant iteration latencies). This file is the
+// single home so every table and exporter agrees on the convention.
 
 package metrics
 
@@ -25,51 +22,3 @@ func Percentile(sorted []sim.Time, p int) sim.Time {
 	}
 	return sorted[(len(sorted)-1)*p/100]
 }
-
-// Quantile estimates the q-th quantile (0 < q ≤ 1) from the histogram's
-// log₂ buckets; nil-safe (nil or empty histograms return 0). The estimate
-// is the inclusive upper bound of the bucket holding the nearest-rank
-// observation: bucket 0 (zero-valued observations) estimates 0, bucket i
-// covers [2^(i-1), 2^i) and estimates 2^i - 1. Coarse by design — the
-// histogram stores no intra-bucket detail — but monotone in q and never an
-// underestimate of the true quantile's bucket.
-func (h *Histogram) Quantile(q float64) sim.Time {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Nearest rank: the smallest rank r (1-based) with r >= q*count.
-	rank := int64(q * float64(h.count))
-	if float64(rank) < q*float64(h.count) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, n := range h.buckets {
-		seen += n
-		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			return sim.Time(1)<<uint(i) - 1
-		}
-	}
-	// Unreachable: seen == count >= rank by construction.
-	return sim.Time(int64(^uint64(0) >> 1))
-}
-
-// P50 estimates the median from the histogram buckets; nil-safe.
-func (h *Histogram) P50() sim.Time { return h.Quantile(0.50) }
-
-// P90 estimates the 90th percentile from the histogram buckets; nil-safe.
-func (h *Histogram) P90() sim.Time { return h.Quantile(0.90) }
-
-// P99 estimates the 99th percentile from the histogram buckets; nil-safe.
-func (h *Histogram) P99() sim.Time { return h.Quantile(0.99) }

@@ -38,75 +38,3 @@ func TestPercentileKnownDistributions(t *testing.T) {
 		}
 	}
 }
-
-// Histogram quantiles return the inclusive upper bound of the bucket
-// holding the nearest-rank observation, with the zero bucket estimating 0.
-func TestHistogramQuantileKnownDistributions(t *testing.T) {
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 || nilH.P99() != 0 {
-		t.Fatal("nil histogram quantile non-zero")
-	}
-	empty := &Histogram{}
-	if empty.P50() != 0 {
-		t.Fatal("empty histogram quantile non-zero")
-	}
-
-	// 100 observations of exactly 1000ns: every quantile is the bucket
-	// upper bound for 1000 (bucket [512, 1024) → 1023).
-	h := &Histogram{}
-	for i := 0; i < 100; i++ {
-		h.Observe(1000)
-	}
-	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
-		if got := h.Quantile(q); got != 1023 {
-			t.Fatalf("constant dist: Quantile(%g) = %d, want 1023", q, got)
-		}
-	}
-
-	// Bimodal: 90 observations at 100ns (bucket [64,128) → 127) and 10 at
-	// 1ms (bucket [2^19, 2^20) → 1048575). p50/p90 land in the low mode,
-	// p99 in the high mode.
-	h2 := &Histogram{}
-	for i := 0; i < 90; i++ {
-		h2.Observe(100)
-	}
-	for i := 0; i < 10; i++ {
-		h2.Observe(sim.Millisecond)
-	}
-	if got := h2.P50(); got != 127 {
-		t.Fatalf("bimodal P50 = %d, want 127", got)
-	}
-	if got := h2.P90(); got != 127 { // rank 90 is the last low-mode sample
-		t.Fatalf("bimodal P90 = %d, want 127", got)
-	}
-	if got := h2.P99(); got != 1048575 {
-		t.Fatalf("bimodal P99 = %d, want 1048575", got)
-	}
-
-	// Zeros live in bucket 0 and estimate exactly 0.
-	h3 := &Histogram{}
-	for i := 0; i < 9; i++ {
-		h3.Observe(0)
-	}
-	h3.Observe(5)
-	if got := h3.P50(); got != 0 {
-		t.Fatalf("zero-heavy P50 = %d, want 0", got)
-	}
-	if got := h3.Quantile(1); got != 7 { // 5 lands in [4,8) → 7
-		t.Fatalf("zero-heavy max = %d, want 7", got)
-	}
-
-	// Monotonicity across q for a spread distribution.
-	h4 := &Histogram{}
-	for _, v := range []sim.Time{1, 2, 4, 8, 16, 32, 64, 128, 256, 512} {
-		h4.Observe(v)
-	}
-	prev := sim.Time(-1)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		v := h4.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantile not monotone: q=%g gave %d after %d", q, v, prev)
-		}
-		prev = v
-	}
-}

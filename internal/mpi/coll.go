@@ -19,25 +19,9 @@ func (r *Rank) nextCollTag() int {
 	return t
 }
 
-// Barrier blocks until all ranks have entered (dissemination algorithm,
-// ceil(log2 np) rounds of zero-byte messages).
-func (r *Rank) Barrier() {
-	t0 := r.enter()
-	defer r.leave(t0)
-	np := r.Size()
-	if np == 1 {
-		return
-	}
-	tag := r.nextCollTag()
-	zero := r.scratch(1)
-	for off := 1; off < np; off <<= 1 {
-		dst := (r.rank + off) % np
-		src := (r.rank - off + np) % np
-		sq := r.Isend(zero, 0, dst, tag)
-		rq := r.Irecv(zero, 0, src, tag)
-		r.waitFor(func() bool { return sq.done && rq.done })
-	}
-}
+// Barrier blocks until all ranks have entered: the world communicator's
+// barrier.
+func (r *Rank) Barrier() { r.Comm().Barrier() }
 
 // scratch returns a small reusable scratch allocation.
 func (r *Rank) scratch(size int) mem.Addr {
@@ -47,34 +31,8 @@ func (r *Rank) scratch(size int) mem.Addr {
 	return r.scratchBuf.Addr()
 }
 
-// Bcast broadcasts [addr, addr+size) from root (binomial tree).
-func (r *Rank) Bcast(addr mem.Addr, size, root int) {
-	t0 := r.enter()
-	defer r.leave(t0)
-	np := r.Size()
-	tag := r.nextCollTag()
-	if np == 1 {
-		return
-	}
-	rel := (r.rank - root + np) % np
-	mask := 1
-	for mask < np {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % np
-			r.Recv(addr, size, src, tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < np {
-			dst := (rel + mask + root) % np
-			r.Send(addr, size, dst, tag)
-		}
-		mask >>= 1
-	}
-}
+// Bcast broadcasts [addr, addr+size) from root over the world communicator.
+func (r *Rank) Bcast(addr mem.Addr, size, root int) { r.Comm().Bcast(addr, size, root) }
 
 // Alltoall performs a personalized all-to-all exchange: per bytes go from
 // sendAddr+dst*per on each rank to recvAddr+src*per on every other

@@ -8,12 +8,12 @@ import "fmt"
 // order (the creation index scopes the communicator's tag space; same-index
 // communicators must have disjoint members, which Split guarantees).
 //
-// Collective operations are methods on Comm; the Rank-level collectives
-// operate on the implicit world communicator.
+// Collective operations are methods on Comm; the Rank-level collectives are
+// the same methods called on the world communicator (Rank.Comm).
 type Comm struct {
 	r       *Rank
-	members []int // world ranks, in comm-rank order
-	myIdx   int   // this rank's position in members
+	members []int // world ranks, in comm-rank order; nil = the world (identity)
+	myIdx   int   // this rank's comm rank
 	tagBase int
 	seq     int
 }
@@ -21,14 +21,11 @@ type Comm struct {
 // commTagStride separates tag spaces of distinct communicators.
 const commTagStride = 1 << 24
 
-// Comm returns the world communicator for this rank.
+// Comm returns the world communicator for this rank. It maps ranks by
+// identity and keeps no member list (np ints on each of np ranks otherwise).
 func (r *Rank) Comm() *Comm {
 	if r.worldComm == nil {
-		members := make([]int, r.Size())
-		for i := range members {
-			members[i] = i
-		}
-		r.worldComm = &Comm{r: r, members: members, myIdx: r.rank, tagBase: collTagBase}
+		r.worldComm = &Comm{r: r, myIdx: r.rank, tagBase: collTagBase}
 	}
 	return r.worldComm
 }
@@ -72,13 +69,23 @@ func (r *Rank) Split(color func(worldRank int) int) *Comm {
 }
 
 // Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.members) }
+func (c *Comm) Size() int {
+	if c.members == nil {
+		return c.r.Size()
+	}
+	return len(c.members)
+}
 
 // RankID returns this process's rank within the communicator.
 func (c *Comm) RankID() int { return c.myIdx }
 
 // World translates a comm rank to a world rank.
-func (c *Comm) World(commRank int) int { return c.members[commRank] }
+func (c *Comm) World(commRank int) int {
+	if c.members == nil {
+		return commRank
+	}
+	return c.members[commRank]
+}
 
 // Rank returns the underlying process handle.
 func (c *Comm) Rank() *Rank { return c.r }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -134,4 +135,69 @@ func TestWorldCommMatchesRank(t *testing.T) {
 			t.Error("world comm not cached")
 		}
 	})
+
+	// The Rank-level collectives are the world communicator's. A communicator
+	// built over every rank in rank order — an explicit member list and a tag
+	// space of its own — must therefore finish each rank at the same virtual
+	// time with the same payload as the Rank-level call.
+	const np, size, per = 6, 4096, 2048
+	all := []int{0, 1, 2, 3, 4, 5}
+	for _, op := range []struct {
+		name string
+		run  func(r *Rank, c *Comm) []byte // c == nil: the Rank-level call
+	}{
+		{"barrier", func(r *Rank, c *Comm) []byte {
+			if c == nil {
+				r.Barrier()
+			} else {
+				c.Barrier()
+			}
+			return nil
+		}},
+		{"bcast", func(r *Rank, c *Comm) []byte {
+			buf := r.Alloc(size)
+			if r.RankID() == 2 {
+				fill(r, buf, 9)
+			}
+			if c == nil {
+				r.Bcast(buf.Addr(), size, 2)
+			} else {
+				c.Bcast(buf.Addr(), size, 2)
+			}
+			return buf.Bytes()
+		}},
+		{"ialltoall", func(r *Rank, c *Comm) []byte {
+			send, recv := r.Alloc(np*per), r.Alloc(np*per)
+			fill(r, send, byte(r.RankID()*17))
+			var q *CollRequest
+			if c == nil {
+				q = r.Ialltoall(send.Addr(), recv.Addr(), per)
+			} else {
+				q = c.Ialltoall(send.Addr(), recv.Addr(), per)
+			}
+			r.WaitColl(q)
+			return recv.Bytes()
+		}},
+	} {
+		measure := func(explicit bool) (ends [np]sim.Time, data [np][]byte) {
+			runWorld(t, 3, 2, func(r *Rank) {
+				var c *Comm
+				if explicit {
+					c = r.NewComm(all)
+				}
+				r.Compute(sim.Time(r.RankID()) * sim.Microsecond) // skewed entry
+				data[r.RankID()] = append([]byte(nil), op.run(r, c)...)
+				ends[r.RankID()] = r.Now()
+			})
+			return ends, data
+		}
+		wantEnds, wantData := measure(false)
+		gotEnds, gotData := measure(true)
+		if gotEnds != wantEnds {
+			t.Errorf("%s: explicit all-ranks comm ends %v, Rank-level call ends %v", op.name, gotEnds, wantEnds)
+		}
+		if !reflect.DeepEqual(gotData, wantData) {
+			t.Errorf("%s: explicit all-ranks comm and Rank-level call left different payloads", op.name)
+		}
+	}
 }

@@ -2,8 +2,9 @@ package mpi
 
 import "repro/internal/mem"
 
-// Communicator-scoped collectives. These mirror the world-level operations
-// on Rank; ranks and message peers are translated through the member list.
+// Communicator-scoped collectives: the one implementation of Barrier, Bcast
+// and Ialltoall. The world-level operations on Rank call these on the world
+// communicator; ranks and message peers are translated through Comm.World.
 
 // Barrier blocks until all communicator members have entered
 // (dissemination).
@@ -58,7 +59,8 @@ func (c *Comm) Bcast(addr mem.Addr, size, root int) {
 
 // Ialltoall starts a nonblocking personalized all-to-all within the
 // communicator: per bytes from sendAddr+dst*per (dst in comm ranks) to each
-// member's recvAddr+me*per.
+// member's recvAddr+me*per. All point-to-point transfers are posted up front
+// (scatter-destination schedule); completion requires further MPI calls.
 func (c *Comm) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 	r := c.r
 	tag := c.nextTag()

@@ -48,38 +48,11 @@ func (r *Rank) TestColl(c *CollRequest) bool {
 	return c.done
 }
 
-// Ialltoall starts a nonblocking personalized all-to-all: per bytes from
-// sendAddr+dst*per to each dst's recvAddr+me*per. All point-to-point
-// transfers are posted up front (scatter-destination schedule); completion
-// requires further MPI calls.
+// Ialltoall starts a nonblocking personalized all-to-all over the world
+// communicator: per bytes from sendAddr+dst*per to each dst's
+// recvAddr+me*per. Completion requires further MPI calls.
 func (r *Rank) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
-	tag := r.nextCollTag()
-	np, me := r.Size(), r.rank
-
-	// Own block: local copy.
-	self := snapshot(r.site.Space, sendAddr+mem.Addr(me*per), per)
-	r.proc.AdvanceBusy(r.w.Cl.CopyCost(per))
-	r.site.Space.WriteAt(recvAddr+mem.Addr(me*per), self, per)
-
-	reqs := make([]*Request, 0, 2*(np-1))
-	for i := 1; i < np; i++ {
-		src := (me - i + np) % np
-		reqs = append(reqs, r.Irecv(recvAddr+mem.Addr(src*per), per, src, tag))
-	}
-	for i := 1; i < np; i++ {
-		dst := (me + i) % np
-		reqs = append(reqs, r.Isend(sendAddr+mem.Addr(dst*per), per, dst, tag))
-	}
-	c := &CollRequest{r: r}
-	c.step = func() bool {
-		for _, q := range reqs {
-			if !q.done {
-				return false
-			}
-		}
-		return true
-	}
-	return r.addColl(c)
+	return r.Comm().Ialltoall(sendAddr, recvAddr, per)
 }
 
 // Iallgather starts a nonblocking ring allgather: per bytes from sendAddr

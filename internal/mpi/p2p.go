@@ -152,13 +152,8 @@ func snapshot(sp *mem.Space, addr mem.Addr, size int) []byte {
 	return out
 }
 
-// registerCached returns an MR for [addr,size), registering on cache miss.
-func (r *Rank) registerCached(addr mem.Addr, size int) *verbs.MR {
-	return r.registerCachedCtx(addr, size, 0)
-}
-
-// registerCachedCtx is registerCached with span context: a cache miss
-// records the registration under parent (hits record nothing).
+// registerCachedCtx returns an MR for [addr,size), registering on cache
+// miss; a miss records the registration under parent (hits record nothing).
 func (r *Rank) registerCachedCtx(addr mem.Addr, size int, parent span.ID) *verbs.MR {
 	mr, _ := r.regCache.GetOrCreate(0, addr, size, func() *verbs.MR {
 		return r.ctx.RegisterMRCtx(r.proc, addr, size, parent)

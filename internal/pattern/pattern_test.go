@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,5 +127,49 @@ func TestRunAlltoallBothMechanisms(t *testing.T) {
 func TestRunRejectsOversubscription(t *testing.T) {
 	if _, err := Run(Ring(16, 1024), RunOptions{Nodes: 1, PPN: 2, Core: core.DefaultConfig()}); err == nil {
 		t.Fatal("expected capacity error")
+	}
+}
+
+// deadlockSpec validates (every send has its recv) but cannot finish: both
+// ranks hold their send behind a barrier on the other's send.
+const deadlockSpec = `
+0 recv 1 4K
+0 barrier
+0 send 1 4K
+1 recv 0 4K
+1 barrier
+1 send 0 4K
+`
+
+// Run retires its simulation on every way out: proxy daemons and deadlocked
+// ranks are unwound, so repeated runs leave no goroutine behind, and the
+// deadlock report names the blocked ranks.
+func TestRunLeaksNoGoroutines(t *testing.T) {
+	dead, err := Parse(strings.NewReader(deadlockSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := Run(Ring(8, 4096), RunOptions{Nodes: 2, PPN: 4, Calls: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("run %d: %d goroutines, want the baseline %d", i, n, base)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		_, err := Run(dead, RunOptions{Nodes: 2, PPN: 1})
+		if err == nil {
+			t.Fatal("deadlocking spec finished")
+		}
+		for _, name := range []string{"rank0", "rank1"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("deadlock report %q does not name %s", err, name)
+			}
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("deadlocked run %d: %d goroutines, want the baseline %d", i, n, base)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -76,19 +75,20 @@ func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
 		nodes = (spec.NRanks + ppn - 1) / ppn
 	}
 	ccfg := cluster.DefaultConfig(nodes, ppn)
+	if ccfg.NP() < spec.NRanks {
+		return nil, fmt.Errorf("pattern: %d ranks need more than %d nodes x %d ppn", spec.NRanks, nodes, ppn)
+	}
 	ccfg.BackedPayload = opt.Backed
 	ccfg.Metrics = opt.Metrics
 	ccfg.Spans = opt.Spans
 	cl := cluster.New(ccfg)
-	if ccfg.NP() < spec.NRanks {
-		return nil, fmt.Errorf("pattern: %d ranks need more than %d nodes x %d ppn", spec.NRanks, nodes, ppn)
-	}
 	sites := make([]*cluster.Site, ccfg.NP())
 	for i := range sites {
 		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("rank%d", i))
 	}
 	fw := core.New(cl, opt.Core, sites)
 	fw.Start()
+	defer fw.Retire() // on every way out, so a finished run can be collected
 
 	res := &RunResult{NRanks: spec.NRanks, PerRank: make([]sim.Time, spec.NRanks), DataOK: true}
 	for r := 0; r < spec.NRanks; r++ {
@@ -109,52 +109,9 @@ func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
 					bufs[i] = sites[r].Space.Alloc(op.Size, opt.Backed)
 				}
 			}
-			// One recorded group per datapath actually used: without a policy
-			// that is exactly one; a measuring policy records a second group
-			// when it probes the other proxy path (both replay through the
-			// group caches on later calls).
-			groups := make(map[datapath.Kind]*core.GroupRequest)
-			groupFor := func(k datapath.Kind) *core.GroupRequest {
-				g := groups[k]
-				if g == nil {
-					g = h.GroupStartVia(k)
-					for i, op := range ops {
-						switch op.Type {
-						case core.OpSend:
-							g.Send(bufs[i].Addr(), op.Size, op.Peer, op.Tag)
-						case core.OpRecv:
-							g.Recv(bufs[i].Addr(), op.Size, op.Peer, op.Tag)
-						case core.OpBarrier:
-							g.LocalBarrier()
-						}
-					}
-					g.End()
-					groups[k] = g
-				}
-				return g
-			}
+			rp := NewReplayer(h, eng, ops, bufs, maxSize)
 			for c := 0; c < opt.Calls; c++ {
-				kind := h.DefaultPath()
-				var q policy.Request
-				if eng != nil {
-					q = policy.Request{Class: policy.ClassGroup, Size: maxSize, Call: c}
-					kind = eng.Decide(q).Path
-					if kind == datapath.KindHostDirect {
-						// Patterns only run on proxies: clamp host-direct
-						// decisions (small adaptive sizes) to the default path.
-						kind = h.DefaultPath()
-					}
-				}
-				g := groupFor(kind)
-				t0 := p.Now()
-				h.GroupCall(g)
-				if opt.Compute > 0 {
-					p.AdvanceBusy(opt.Compute)
-				}
-				h.GroupWait(g)
-				if eng != nil {
-					eng.Observe(q, kind, p.Now()-t0)
-				}
+				rp.Call(opt.Compute)
 			}
 			res.PerRank[r] = p.Now()
 			if opt.Backed {
@@ -171,8 +128,8 @@ func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
 		})
 	}
 	cl.K.Run()
-	if n := len(cl.K.Deadlocked); n > 0 {
-		return nil, fmt.Errorf("pattern: deadlocked with %d blocked ranks (circular barrier dependency?)", n)
+	if dead := cl.K.Deadlocked; len(dead) > 0 {
+		return nil, fmt.Errorf("pattern: deadlocked processes: %v (circular barrier dependency?)", dead)
 	}
 	for _, t := range res.PerRank {
 		if t > res.Last {

@@ -47,19 +47,6 @@ type FeedbackConfig struct {
 	// its own cost estimate degrades. 0 disables the gauge trigger; it is
 	// also inert when the engine records into no registry.
 	QueueDepthLimit float64
-	// RetryLimit arms the fabric-congestion trigger on the per-endpoint
-	// retry gauges ("verbs … endpoint_retries", exported only under rich
-	// telemetry): a frozen proxy-backed choice re-probes when the worst
-	// endpoint's cumulative retransmissions grew by at least this many
-	// since the freeze. 0 (the default) disables the trigger, keeping
-	// legacy decision streams bit-exact.
-	RetryLimit float64
-	// GoodputFloor arms the starvation trigger on the per-endpoint
-	// goodput gauges ("fabric … goodput_bytes", rich telemetry): a frozen
-	// proxy-backed choice re-probes when the worst-case delivered-byte
-	// progress since the freeze stayed below this floor for a full
-	// cooldown window. 0 (the default) disables it.
-	GoodputFloor float64
 }
 
 // DefaultFeedbackConfig returns the tuning the drift bench is validated
@@ -120,12 +107,7 @@ type fbEntry struct {
 	// fDepth is the max proxy queue depth at freeze time (gauge trigger
 	// reference; re-freezing under congestion re-bases it, so a
 	// persistently loaded proxy does not re-trigger every cooldown).
-	fDepth float64
-	// fRetries/fGoodput snapshot the worst-endpoint cumulative retry and
-	// goodput gauges at freeze time; the congestion triggers compare
-	// growth-since-freeze against RetryLimit / GoodputFloor.
-	fRetries   float64
-	fGoodput   float64
+	fDepth     float64
 	freezeCall int
 	// probeStart is the first call of the current probe round; epoch
 	// counts completed re-probe rounds (0 = initial learning).
@@ -254,8 +236,6 @@ func (f *Feedback) decide(e *fbEntry, call int) Decision {
 		e.frozen, e.choice = true, best
 		e.fSum, e.fN = st.wsum, int64(st.wn)
 		e.fDepth = f.queueDepth()
-		e.fRetries = f.maxGauge("verbs", "endpoint_retries")
-		e.fGoodput = f.maxGauge("fabric", "goodput_bytes")
 		e.freezeCall = call
 		return Decision{Path: best, Reason: "learned"}
 	}
@@ -328,30 +308,7 @@ func (f *Feedback) drifted(e *fbEntry) bool {
 			return true
 		}
 	}
-	if e.choice != datapath.KindHostDirect {
-		// Fabric-congestion triggers (rich telemetry gauges): both compare
-		// deltas since the freeze, so re-freezing re-bases them and a
-		// persistently retransmitting fabric triggers once per epoch.
-		if f.cfg.RetryLimit > 0 &&
-			f.maxGauge("verbs", "endpoint_retries")-e.fRetries >= f.cfg.RetryLimit {
-			return true
-		}
-		if f.cfg.GoodputFloor > 0 &&
-			f.maxGauge("fabric", "goodput_bytes")-e.fGoodput < f.cfg.GoodputFloor {
-			return true
-		}
-	}
 	return false
-}
-
-// maxGauge reads the maximum gauge of one (layer, name) series family out
-// of the attached registry (0 without one — the triggers stay disarmed).
-func (f *Feedback) maxGauge(layer, name string) float64 {
-	v, ok := f.reg.MaxGauge(layer, name)
-	if !ok {
-		return 0
-	}
-	return v
 }
 
 // queueDepth reads the worst current proxy backlog from the registry (0

@@ -315,114 +315,3 @@ func TestFeedbackConfigDefaults(t *testing.T) {
 		t.Fatalf("negative QueueDepthLimit must disarm the gauge trigger, got %v", f.cfg.QueueDepthLimit)
 	}
 }
-
-// The rich-telemetry congestion triggers: a frozen proxy-backed choice
-// re-probes when the worst endpoint's retransmissions grew past RetryLimit
-// since the freeze, or when delivered-byte progress stayed under
-// GoodputFloor — and both spare a frozen host-direct choice, which routed
-// around the congested fabric path in the first place.
-func TestFeedbackCongestionTriggers(t *testing.T) {
-	freeze := func(cfg FeedbackConfig, cheap datapath.Kind) (*Feedback, *metrics.Registry, int) {
-		t.Helper()
-		f := NewFeedback(cfg)
-		reg := metrics.NewRegistry()
-		f.AttachRegistry(reg)
-		call := 0
-		for _, k := range fbCandidates {
-			d := f.Decide(fbReq(call))
-			cost := sim.Time(500)
-			if d.Path == cheap {
-				cost = 100
-			}
-			f.Observe(fbReq(call), k, cost)
-			call++
-		}
-		if d := f.Decide(fbReq(call)); d.Path != cheap || d.Reason != "learned" {
-			t.Fatalf("freeze on %v: got %+v", cheap, d)
-		}
-		call++
-		return f, reg, call
-	}
-	// run holds the frozen choice at stable cost until the trigger fires (or
-	// the call budget runs out) and returns the last decision.
-	run := func(f *Feedback, call, n int) Decision {
-		t.Helper()
-		var d Decision
-		for i := 0; i < n; i++ {
-			d = f.Decide(fbReq(call))
-			if d.Reason == "reprobe" {
-				return d
-			}
-			f.Observe(fbReq(call), d.Path, 100)
-			call++
-		}
-		return d
-	}
-	cooldown := DefaultFeedbackConfig().Cooldown
-	retryCfg := DefaultFeedbackConfig()
-	retryCfg.QueueDepthLimit = 0 // isolate the retry trigger
-	retryCfg.RetryLimit = 5
-
-	// Retries grew by 6 >= limit 5 since the freeze: re-probe.
-	f, reg, call := freeze(retryCfg, datapath.KindCrossGVMI)
-	reg.Gauge("verbs", "n0.host", "endpoint_retries").Set(6)
-	if d := run(f, call, cooldown+1); d.Reason != "reprobe" {
-		t.Fatalf("retry growth past the limit never re-probed (last %+v)", d)
-	}
-
-	// Growth below the limit: hold.
-	f, reg, call = freeze(retryCfg, datapath.KindCrossGVMI)
-	reg.Gauge("verbs", "n0.host", "endpoint_retries").Set(4)
-	if d := run(f, call, 3*cooldown); d.Reason != "learned" {
-		t.Fatalf("sub-limit retry growth bounced the freeze (last %+v)", d)
-	}
-
-	// Frozen host-direct: immune to fabric retries by design.
-	f, reg, call = freeze(retryCfg, datapath.KindHostDirect)
-	reg.Gauge("verbs", "n0.host", "endpoint_retries").Set(1000)
-	if d := run(f, call, 3*cooldown); d.Reason != "learned" || d.Path != datapath.KindHostDirect {
-		t.Fatalf("frozen host-direct bounced on fabric retries (last %+v)", d)
-	}
-
-	goodCfg := DefaultFeedbackConfig()
-	goodCfg.QueueDepthLimit = 0
-	goodCfg.GoodputFloor = 1000
-
-	// Goodput froze at 5000 and never moved: starvation, re-probe.
-	preReg := metrics.NewRegistry()
-	fs := NewFeedback(goodCfg)
-	fs.AttachRegistry(preReg)
-	preReg.Gauge("fabric", "n0.host", "goodput_bytes").Set(5000)
-	call = 0
-	for _, k := range fbCandidates {
-		d := fs.Decide(fbReq(call))
-		cost := sim.Time(500)
-		if d.Path == datapath.KindCrossGVMI {
-			cost = 100
-		}
-		_ = d
-		fs.Observe(fbReq(call), k, cost)
-		call++
-	}
-	if d := fs.Decide(fbReq(call)); d.Path != datapath.KindCrossGVMI {
-		t.Fatalf("goodput rig froze on %+v", d)
-	}
-	call++
-	if d := run(fs, call, cooldown+1); d.Reason != "reprobe" {
-		t.Fatalf("stalled goodput never re-probed (last %+v)", d)
-	}
-
-	// Goodput grew by 2000 >= floor 1000: healthy, hold.
-	f, reg, call = freeze(goodCfg, datapath.KindCrossGVMI)
-	reg.Gauge("fabric", "n0.host", "goodput_bytes").Set(2000)
-	if d := run(f, call, 3*cooldown); d.Reason != "learned" {
-		t.Fatalf("healthy goodput growth bounced the freeze (last %+v)", d)
-	}
-
-	// Frozen host-direct: starvation of the fabric path it avoided is not
-	// its problem.
-	f, _, call = freeze(goodCfg, datapath.KindHostDirect)
-	if d := run(f, call, 3*cooldown); d.Reason != "learned" || d.Path != datapath.KindHostDirect {
-		t.Fatalf("frozen host-direct bounced on goodput starvation (last %+v)", d)
-	}
-}

@@ -183,7 +183,7 @@ func TestRingOneHandoffPerWakeup(t *testing.T) {
 					conds[i].Wait(p)
 				}
 				token++
-				conds[(i+1)%procs].Signal()
+				conds[(i+1)%procs].Broadcast()
 			}
 		})
 	}

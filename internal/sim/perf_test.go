@@ -59,41 +59,36 @@ func TestSleepSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// A Cond in steady use keeps its waiter array: Wait/Signal and
-// Wait/Broadcast round trips between two procs allocate nothing.
+// A Cond in steady use keeps its waiter array: Wait/Broadcast round trips
+// between two procs allocate nothing.
 func TestCondSteadyStateAllocFree(t *testing.T) {
-	for _, wake := range []struct {
-		name string
-		fn   func(*Cond)
-	}{{"Signal", (*Cond).Signal}, {"Broadcast", (*Cond).Broadcast}} {
-		k := NewKernel()
-		var conds [2]Cond
-		turn := 0
-		for me := 0; me < 2; me++ {
-			me := me
-			k.Spawn("p", func(p *Proc) {
-				for {
-					for turn%2 != me {
-						conds[me].Wait(p)
-					}
-					turn++
-					wake.fn(&conds[1-me])
-					p.Sleep(1)
+	k := NewKernel()
+	var conds [2]Cond
+	turn := 0
+	for me := 0; me < 2; me++ {
+		me := me
+		k.Spawn("p", func(p *Proc) {
+			for {
+				for turn%2 != me {
+					conds[me].Wait(p)
 				}
-			})
-		}
-		k.RunUntil(100) // warm up: arena, heap, waiter arrays, coroutine stacks
-		before := turn
-		allocs := testing.AllocsPerRun(100, func() {
-			k.RunUntil(k.Now() + 10)
+				turn++
+				conds[1-me].Broadcast()
+				p.Sleep(1)
+			}
 		})
-		k.Shutdown()
-		if turn == before {
-			t.Fatalf("%s: no turn was passed during the measured runs", wake.name)
-		}
-		if allocs > 0 {
-			t.Fatalf("%s: Wait/%s round trips allocated %.1f objects per run in steady state, want 0", wake.name, wake.name, allocs)
-		}
+	}
+	k.RunUntil(100) // warm up: arena, heap, waiter arrays, coroutine stacks
+	before := turn
+	allocs := testing.AllocsPerRun(100, func() {
+		k.RunUntil(k.Now() + 10)
+	})
+	k.Shutdown()
+	if turn == before {
+		t.Fatal("no turn was passed during the measured runs")
+	}
+	if allocs > 0 {
+		t.Fatalf("Wait/Broadcast round trips allocated %.1f objects per run in steady state, want 0", allocs)
 	}
 }
 
@@ -314,7 +309,7 @@ func BenchmarkRingHandoff(b *testing.B) {
 					break
 				}
 				token++
-				conds[(i+1)%procs].Signal()
+				conds[(i+1)%procs].Broadcast()
 			}
 			for j := range conds {
 				conds[j].Broadcast() // release the rest of the ring

@@ -44,6 +44,10 @@ func (p *Proc) ID() int { return p.id }
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
+// String implements fmt.Stringer: a process prints as its name, so a
+// Kernel.Deadlocked report reads as the list of blocked processes.
+func (p *Proc) String() string { return p.name }
+
 // Kernel returns the kernel the process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
@@ -114,10 +118,6 @@ func (p *Proc) AdvanceBusy(d Time) {
 	p.Sleep(d)
 }
 
-// Yield gives other processes and events scheduled at the current timestamp
-// a chance to run, then resumes.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Cond is a condition variable for simulated processes. It has no associated
 // lock (the simulation is single-threaded); use it with a predicate loop:
 //
@@ -125,8 +125,8 @@ func (p *Proc) Yield() { p.Sleep(0) }
 //	    cond.Wait(p)
 //	}
 //
-// Signal and Broadcast may be called from any context (another process or an
-// event handler).
+// Broadcast may be called from any context (another process or an event
+// handler).
 type Cond struct {
 	waiters []*Proc
 }
@@ -151,45 +151,5 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
-// Signal wakes the longest-waiting process, if any. The rest are copied
-// down, for the same reason Broadcast truncates in place.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	p := c.waiters[0]
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters[n] = nil
-	c.waiters = c.waiters[:n]
-	p.k.scheduleProc(p.k.now, p)
-}
-
 // NWaiters reports how many processes are blocked on the condition.
 func (c *Cond) NWaiters() int { return len(c.waiters) }
-
-// WaitGroup counts outstanding work items across simulated processes.
-type WaitGroup struct {
-	n    int
-	cond Cond
-}
-
-// Add increments the counter by delta.
-func (wg *WaitGroup) Add(delta int) {
-	wg.n += delta
-	if wg.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.n == 0 {
-		wg.cond.Broadcast()
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait blocks p until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	for wg.n > 0 {
-		wg.cond.Wait(p)
-	}
-}

@@ -179,38 +179,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel()
-	var wg WaitGroup
-	wg.Add(3)
-	var doneAt Time
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		k.Spawn("worker", func(p *Proc) {
-			p.Sleep(Time(i * 100))
-			wg.Done()
-		})
-	}
-	k.Run()
-	if doneAt != 300 {
-		t.Fatalf("waiter released at %v, want 300", doneAt)
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative counter")
-		}
-	}()
-	var wg WaitGroup
-	wg.Add(-1)
-}
-
 func TestAdvanceBusyAccounting(t *testing.T) {
 	k := NewKernel()
 	var p0 *Proc

@@ -120,17 +120,6 @@ func (c *Collector) walk(id ID, ws, we sim.Time, idx map[ID][]int, out *[]Segmen
 	}
 }
 
-// SelfTimes aggregates critical-path segments per span: the returned map
-// gives each span's self-time on the path (time attributed to it rather
-// than to a descendant).
-func SelfTimes(segs []Segment) map[ID]sim.Time {
-	m := make(map[ID]sim.Time)
-	for _, g := range segs {
-		m[g.Span] += g.Dur()
-	}
-	return m
-}
-
 // AttribKey buckets critical-path time for the attribution table.
 type AttribKey struct {
 	Layer string

@@ -166,16 +166,6 @@ func TestCriticalPathZeroDurationRoot(t *testing.T) {
 	}
 }
 
-func TestSelfTimes(t *testing.T) {
-	c := New(0)
-	r := mk(c, 0, ClassRank, "rank0", "coll", "ialltoall", 0, 100)
-	a := mk(c, r, ClassProxy, "proxy0", "core", "group_exec", 10, 40)
-	st := SelfTimes(c.CriticalPath(r))
-	if st[r] != 70 || st[a] != 30 {
-		t.Fatalf("SelfTimes = %v, want root 70 / child 30", st)
-	}
-}
-
 // Attribution buckets path time by (layer, class, name), sorted by
 // descending time then key — and sums to the total root latency.
 func TestAttributionBucketsAndOrder(t *testing.T) {

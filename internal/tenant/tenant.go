@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/core"
-	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
@@ -308,6 +307,7 @@ func Run(cfg Config) (*Result, error) {
 	fw := core.New(cl, coreCfg, sites)
 	fw.SetTenancy(&core.Tenancy{TenantOf: tenantOf, Names: names, Weights: weights, FIFO: cfg.FIFO})
 	fw.Start()
+	defer fw.Retire() // on every way out, so a finished run can be collected
 
 	res := &Result{Jobs: make([]JobResult, len(cfg.Jobs)), Metrics: met}
 	perRank := make([][][]IterSample, len(cfg.Jobs))
@@ -350,12 +350,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	cl.K.Run()
-	if n := len(cl.K.Deadlocked); n > 0 {
-		return nil, fmt.Errorf("tenant: deadlocked with %d blocked processes", n)
+	if dead := cl.K.Deadlocked; len(dead) > 0 {
+		return nil, fmt.Errorf("tenant: deadlocked processes: %v", dead)
 	}
-	fw.Stop()
-	cl.K.Run()
-	cl.K.Shutdown()
 
 	for j, job := range cfg.Jobs {
 		w := job.Workload.withDefaults()
@@ -419,9 +416,8 @@ func runAlltoall(r *mpi.Rank, ops coll.Ops, w Workload, slo *telemetry.SLOTracke
 }
 
 // runPattern replays the job's pattern.Spec through group offload (the
-// pattern.Run execution model on a shared framework): ranks beyond the
-// spec's size idle, host-direct decisions clamp to the framework's default
-// path because patterns always execute on proxies.
+// pattern.Run execution model — pattern.Replayer — on a shared framework);
+// ranks beyond the spec's size idle.
 func runPattern(r *mpi.Rank, h *core.Host, eng *policy.Engine, w Workload, slo *telemetry.SLOTracker, jr *JobResult) []IterSample {
 	spec := w.Spec
 	if r.RankID() >= spec.NRanks {
@@ -444,38 +440,10 @@ func runPattern(r *mpi.Rank, h *core.Host, eng *policy.Engine, w Workload, slo *
 			jr.Bytes += int64(op.Size) * int64(w.Iters)
 		}
 	}
-	groups := make(map[datapath.Kind]*core.GroupRequest)
-	groupFor := func(k datapath.Kind) *core.GroupRequest {
-		g := groups[k]
-		if g == nil {
-			g = h.GroupStartVia(k)
-			for i, op := range ops {
-				switch op.Type {
-				case core.OpSend:
-					g.Send(bufs[i].Addr(), op.Size, op.Peer, op.Tag)
-				case core.OpRecv:
-					g.Recv(bufs[i].Addr(), op.Size, op.Peer, op.Tag)
-				case core.OpBarrier:
-					g.LocalBarrier()
-				}
-			}
-			g.End()
-			groups[k] = g
-		}
-		return g
-	}
+	rp := pattern.NewReplayer(h, eng, ops, bufs, maxSize)
 	ds := make([]IterSample, 0, w.Iters)
 	for c := 0; c < w.Warmup+w.Iters; c++ {
-		q := policy.Request{Class: policy.ClassGroup, Size: maxSize, Call: c}
-		kind := eng.Decide(q).Path
-		if kind == datapath.KindHostDirect {
-			kind = h.DefaultPath()
-		}
-		g := groupFor(kind)
-		t0 := r.Now()
-		h.GroupCall(g)
-		h.GroupWait(g)
-		eng.Observe(q, kind, r.Now()-t0)
+		t0 := rp.Call(0)
 		if c >= w.Warmup {
 			d := r.Now() - t0
 			slo.Observe(d)

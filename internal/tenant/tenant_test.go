@@ -2,6 +2,8 @@ package tenant
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -225,5 +227,76 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d: expected error, got none", i)
 		}
+	}
+}
+
+// A tenant pattern job and pattern.Run drive the same pattern.Replayer: over
+// one spec, policy and call count they take the same decisions per datapath
+// and record (install on the proxies) the same number of groups — one per
+// rank for each of the two proxy paths the measuring policy probes.
+func TestPatternJobRecordsGroupsLikePatternRun(t *testing.T) {
+	spec := pattern.Ring(4, 32<<10)
+	const warmup, iters = 2, 4
+	tally := func(reg *metrics.Registry) (decisions map[string]int64, installs int64) {
+		decisions = map[string]int64{}
+		reg.VisitCounters(func(k metrics.Key, c *metrics.Counter) {
+			switch {
+			case k.Layer == "policy" && strings.HasPrefix(k.Name, "decide_"):
+				decisions[k.Name] += c.Value()
+			case k.Layer == "core" && k.Name == "group_misses":
+				installs += c.Value()
+			}
+		})
+		return decisions, installs
+	}
+
+	solo := metrics.NewRegistry()
+	if _, err := pattern.Run(spec, pattern.RunOptions{
+		Nodes: 2, PPN: 2, Calls: warmup + iters, Policy: "measure", Metrics: solo,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	shared := metrics.NewRegistry()
+	if _, err := Run(Config{
+		Nodes:   2,
+		Metrics: shared,
+		Jobs: []JobSpec{{Name: "ring", PPN: 2, Policy: "measure",
+			Workload: Workload{Kind: Pattern, Spec: spec, Warmup: warmup, Iters: iters}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	wantDec, wantInst := tally(solo)
+	gotDec, gotInst := tally(shared)
+	if wantInst != int64(2*spec.NRanks) {
+		t.Fatalf("pattern.Run installed %d groups, want %d (2 probed paths x %d ranks)", wantInst, 2*spec.NRanks, spec.NRanks)
+	}
+	if gotInst != wantInst || !reflect.DeepEqual(gotDec, wantDec) {
+		t.Fatalf("tenant job: %d installs, decisions %v; pattern.Run: %d installs, decisions %v",
+			gotInst, gotDec, wantInst, wantDec)
+	}
+}
+
+// A job that cannot finish is reported by the names of its blocked ranks,
+// and the run is still retired: no goroutine outlives the error return.
+func TestDeadlockNamesProcsAndLeaksNothing(t *testing.T) {
+	spec, err := pattern.Parse(strings.NewReader(
+		"0 recv 1 4K\n0 barrier\n0 send 1 4K\n1 recv 0 4K\n1 barrier\n1 send 0 4K\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	_, err = Run(Config{Nodes: 2, Jobs: []JobSpec{{Name: "stuck", PPN: 1, Policy: "gvmi",
+		Workload: Workload{Kind: Pattern, Spec: spec}}}})
+	if err == nil {
+		t.Fatal("deadlocking pattern job finished")
+	}
+	for _, name := range []string{"stuck.rank0", "stuck.rank1"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("deadlock report %q does not name %s", err, name)
+		}
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after the deadlocked run, want the baseline %d", n, base)
 	}
 }

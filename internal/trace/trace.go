@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -40,7 +39,7 @@ type Log struct {
 	dropped int64 // events evicted by the ring
 
 	// sorted memoizes the unrolled, chronologically sorted view for
-	// Events/Filter/Timeline; Add invalidates it. Callers must not mutate
+	// Events/Timeline; Add invalidates it. Callers must not mutate
 	// the returned slice.
 	sorted []Event
 }
@@ -95,7 +94,7 @@ func (l *Log) Enabled() bool { return l != nil }
 
 // Events returns the recorded events in chronological order (stable for
 // equal timestamps, in insertion order). The view is memoized until the
-// next Add, so repeated Events/Filter/Timeline calls do not re-sort the
+// next Add, so repeated Events/Timeline calls do not re-sort the
 // ring; the caller must not mutate the returned slice.
 func (l *Log) Events() []Event {
 	if l == nil {
@@ -119,17 +118,6 @@ func (l *Log) Len() int {
 		return 0
 	}
 	return len(l.events)
-}
-
-// Filter returns events whose entity has the given prefix.
-func (l *Log) Filter(entityPrefix string) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if strings.HasPrefix(e.Entity, entityPrefix) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Timeline renders the log as an aligned chronological listing:

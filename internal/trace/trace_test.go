@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -36,14 +37,11 @@ func TestLimitCaps(t *testing.T) {
 	}
 }
 
-func TestFilterAndTimeline(t *testing.T) {
+func TestTimeline(t *testing.T) {
 	l := New(0)
 	l.Add(1, "rank0", "Send_Offload", "dst=1")
 	l.Add(2, "proxy0", "rts", "")
 	l.Add(3, "rank1", "FIN", "req=1")
-	if got := l.Filter("rank"); len(got) != 2 {
-		t.Fatalf("Filter = %d events", len(got))
-	}
 	var sb strings.Builder
 	if err := l.Timeline(&sb); err != nil {
 		t.Fatalf("Timeline: %v", err)
@@ -57,7 +55,7 @@ func TestFilterAndTimeline(t *testing.T) {
 }
 
 // Regression: Events memoizes the sorted view until the next Add, so
-// repeated Filter/Timeline calls do not re-unroll and re-sort the ring.
+// repeated Events/Timeline calls do not re-unroll and re-sort the ring.
 func TestEventsMemoized(t *testing.T) {
 	l := New(3)
 	for i := 5; i > 0; i-- {
@@ -81,9 +79,6 @@ func TestEventsMemoized(t *testing.T) {
 	c := l.Events()
 	if len(c) != 3 || c[0].Action != "new" {
 		t.Fatalf("view stale after Add: %+v", c)
-	}
-	if got := l.Filter("e"); len(got) != 3 {
-		t.Fatalf("Filter on cached view = %d events", len(got))
 	}
 }
 
@@ -206,6 +201,54 @@ func BenchmarkEventsRepeated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(l.Events()) != 4096 {
 			b.Fatal("bad length")
+		}
+	}
+}
+
+func TestUnboundedLogDropsNothing(t *testing.T) {
+	l := New(0)
+	for i := 0; i < 1000; i++ {
+		l.Add(sim.Time(i), "rank0", "op", "")
+	}
+	if l.Len() != 1000 || l.Dropped() != 0 {
+		t.Fatalf("len=%d dropped=%d", l.Len(), l.Dropped())
+	}
+}
+
+func TestRingEvictsOldest(t *testing.T) {
+	l := New(4)
+	for i := 0; i < 10; i++ {
+		l.Add(sim.Time(i), "e", fmt.Sprintf("op%d", i), "")
+	}
+	if l.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", l.Len())
+	}
+	if l.Dropped() != 6 {
+		t.Fatalf("Dropped = %d, want 6", l.Dropped())
+	}
+	evs := l.Events()
+	if len(evs) != 4 {
+		t.Fatalf("Events len = %d", len(evs))
+	}
+	for i, ev := range evs {
+		if want := fmt.Sprintf("op%d", i+6); ev.Action != want {
+			t.Fatalf("event %d = %q, want %q (oldest evicted, order kept)", i, ev.Action, want)
+		}
+	}
+	if (&Log{}).Dropped() != 0 {
+		t.Fatal("fresh log reports drops")
+	}
+}
+
+func TestRingKeepsInsertionOrderForEqualTimes(t *testing.T) {
+	l := New(3)
+	for i := 0; i < 7; i++ {
+		l.Add(5, "e", fmt.Sprintf("op%d", i), "") // all at the same instant
+	}
+	want := []string{"op4", "op5", "op6"}
+	for i, ev := range l.Events() {
+		if ev.Action != want[i] {
+			t.Fatalf("event %d = %q, want %q", i, ev.Action, want[i])
 		}
 	}
 }

@@ -267,57 +267,33 @@ func TestZeroRateInjectorZeroOverhead(t *testing.T) {
 	}
 }
 
-// Rich telemetry attributes retransmissions to the injecting endpoint: the
-// per-endpoint "endpoint_retries" gauge must agree with the aggregate retry
-// counter, and must not exist at all when rich telemetry is off (the legacy
-// metric set stays byte-identical).
-func TestEndpointRetryGaugeUnderDrops(t *testing.T) {
-	run := func(rich bool) (*metrics.Registry, *fault.Injector) {
-		t.Helper()
-		cfg := fault.DefaultConfig(3)
-		cfg.DropRate = 0.5
-		rg, in := newFaultRig(2, cfg)
-		met := metrics.NewRegistry()
-		rg.r.SetMetrics(met)
-		rg.r.SetRichTelemetry(rich)
-		src := rg.sp[0].Alloc(4096, true)
-		dst := rg.sp[1].Alloc(4096, true)
-		rg.k.Spawn("p", func(p *sim.Proc) {
-			smr := rg.ctx[0].RegisterMR(p, src.Addr(), 4096)
-			dmr := rg.ctx[1].RegisterMR(p, dst.Addr(), 4096)
-			for i := 0; i < 20; i++ {
-				if err := rg.ctx[0].PostWrite(p, WriteOp{
-					LocalKey: smr.LKey(), LocalAddr: src.Addr(),
-					RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 4096,
-				}); err != nil {
-					t.Fatalf("PostWrite: %v", err)
-				}
+// The aggregate "verbs/all/retries" counter agrees with the injector's own
+// retry total.
+func TestRetryCounterMatchesInjectorUnderDrops(t *testing.T) {
+	cfg := fault.DefaultConfig(3)
+	cfg.DropRate = 0.5
+	rg, in := newFaultRig(2, cfg)
+	met := metrics.NewRegistry()
+	rg.r.SetMetrics(met)
+	src := rg.sp[0].Alloc(4096, true)
+	dst := rg.sp[1].Alloc(4096, true)
+	rg.k.Spawn("p", func(p *sim.Proc) {
+		smr := rg.ctx[0].RegisterMR(p, src.Addr(), 4096)
+		dmr := rg.ctx[1].RegisterMR(p, dst.Addr(), 4096)
+		for i := 0; i < 20; i++ {
+			if err := rg.ctx[0].PostWrite(p, WriteOp{
+				LocalKey: smr.LKey(), LocalAddr: src.Addr(),
+				RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 4096,
+			}); err != nil {
+				t.Fatalf("PostWrite: %v", err)
 			}
-		})
-		rg.k.Run()
-		return met, in
-	}
-
-	met, in := run(true)
+		}
+	})
+	rg.k.Run()
 	if in.Stats.Retries == 0 {
-		t.Fatal("no retries under 50% drops; the gauge has nothing to attribute")
-	}
-	// Both rig endpoints are named "host", so one gauge collects every
-	// injecting endpoint's retries and must match the aggregate counter.
-	if got := met.Gauge("verbs", "host", "endpoint_retries").Value(); int64(got) != in.Stats.Retries {
-		t.Fatalf("endpoint retry gauge = %v, want %d (injector total)", got, in.Stats.Retries)
+		t.Fatal("no retries under 50% drops; the counter has nothing to count")
 	}
 	if agg := met.Counter("verbs", "all", "retries").Value(); agg != in.Stats.Retries {
 		t.Fatalf("aggregate retry counter = %d, want %d", agg, in.Stats.Retries)
 	}
-
-	met, in = run(false)
-	if in.Stats.Retries == 0 {
-		t.Fatal("rich-off run saw no retries; absence check is vacuous")
-	}
-	met.VisitGauges(func(key metrics.Key, _ *metrics.Gauge) {
-		if key.Name == "endpoint_retries" {
-			t.Fatalf("endpoint retry gauge exported with rich telemetry off: %+v", key)
-		}
-	})
 }

@@ -110,7 +110,9 @@ func (c *Ctx) writeAttempt(op WriteOp, dst *MR, dstCtx *Ctx, payload []byte, att
 	if inj.CQError() {
 		// The WQE completed with an error status before reaching the wire.
 		c.reg.mErrorCQEs.Inc()
-		inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("write size=%d attempt=%d", op.Size, attempt))
+		if inj.Tracing() {
+			inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("write size=%d attempt=%d", op.Size, attempt))
+		}
 		c.retryOrFail("write", op.Size, attempt, k.Now(),
 			func() { c.writeAttempt(op, dst, dstCtx, payload, attempt+1, ws) },
 			op.OnError)
@@ -146,8 +148,10 @@ func (c *Ctx) retryOrFail(kind string, size, attempt int, from sim.Time, again f
 	rc := inj.Retry()
 	if attempt >= rc.MaxAttempts {
 		inj.Stats.Exhausted++
-		inj.Note(k.Now(), c.name, "retry-exhausted",
-			fmt.Sprintf("%s size=%d after %d attempts", kind, size, attempt))
+		if inj.Tracing() {
+			inj.Note(k.Now(), c.name, "retry-exhausted",
+				fmt.Sprintf("%s size=%d after %d attempts", kind, size, attempt))
+		}
 		if onErr != nil {
 			k.AtCall(from-k.Now(), onErr)
 		}
@@ -156,11 +160,10 @@ func (c *Ctx) retryOrFail(kind string, size, attempt int, from sim.Time, again f
 	inj.Stats.Retries++
 	c.reg.mRetries.Inc()
 	c.reg.mBackoffNS.Add(int64(rc.Delay(attempt)))
-	if g := c.reg.epRetryGauge(c.ep.Name()); g != nil {
-		g.Set(g.Value() + 1)
+	if inj.Tracing() {
+		inj.Note(k.Now(), c.name, "retry",
+			fmt.Sprintf("%s size=%d attempt=%d backoff=%s", kind, size, attempt, rc.Delay(attempt)))
 	}
-	inj.Note(k.Now(), c.name, "retry",
-		fmt.Sprintf("%s size=%d attempt=%d backoff=%s", kind, size, attempt, rc.Delay(attempt)))
 	k.At(from-k.Now()+rc.Delay(attempt), again)
 }
 
@@ -232,7 +235,9 @@ func (c *Ctx) readAttempt(op ReadOp, dst, src *MR, srcCtx *Ctx, attempt int, rs 
 	inj := c.reg.inj
 	if inj.CQError() {
 		c.reg.mErrorCQEs.Inc()
-		inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("read size=%d attempt=%d", op.Size, attempt))
+		if inj.Tracing() {
+			inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("read size=%d attempt=%d", op.Size, attempt))
+		}
 		c.retryOrFail("read", op.Size, attempt, k.Now(),
 			func() { c.readAttempt(op, dst, src, srcCtx, attempt+1, rs) },
 			op.OnError)
@@ -303,7 +308,9 @@ func (c *Ctx) sendAttempt(dst *Ctx, pkt *Packet, attempt int) {
 	inj := c.reg.inj
 	if inj.CQError() {
 		c.reg.mErrorCQEs.Inc()
-		inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("send %s attempt=%d", pkt.Kind, attempt))
+		if inj.Tracing() {
+			inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("send %s attempt=%d", pkt.Kind, attempt))
+		}
 		c.retryOrFail("send", pkt.Size, attempt, k.Now(),
 			func() { c.sendAttempt(dst, pkt, attempt+1) }, nil)
 		return

@@ -84,13 +84,6 @@ type Registry struct {
 	mBackoffNS  *metrics.Counter
 	mErrorCQEs  *metrics.Counter
 	mRegLatency *metrics.Histogram
-
-	// Per-endpoint retry gauges (rich telemetry only): cumulative
-	// retransmissions attributed to the injecting endpoint, a congestion
-	// signal windowed readers difference. Lazily bound per endpoint name.
-	met        *metrics.Registry
-	rich       bool
-	mEpRetries map[string]*metrics.Gauge
 }
 
 // firstKey is the lkey of the first registration; smaller keys never
@@ -129,30 +122,6 @@ func (r *Registry) SetMetrics(m *metrics.Registry) {
 	r.mBackoffNS = m.Counter("verbs", "all", "backoff_ns")
 	r.mErrorCQEs = m.Counter("verbs", "all", "error_cqes")
 	r.mRegLatency = m.Histogram("verbs", "all", "reg_latency_ns")
-	r.met = m
-}
-
-// SetRichTelemetry opts retransmissions into per-endpoint attribution:
-// each retry also bumps a "verbs"/<endpoint>/"endpoint_retries" gauge.
-// Off by default — the extra series would change byte-identical legacy
-// exports. Requires SetMetrics.
-func (r *Registry) SetRichTelemetry(on bool) { r.rich = on }
-
-// epRetryGauge returns (binding on first use) the retry gauge of one
-// endpoint; nil when rich telemetry is off.
-func (r *Registry) epRetryGauge(name string) *metrics.Gauge {
-	if !r.rich || r.met == nil {
-		return nil
-	}
-	if g, ok := r.mEpRetries[name]; ok {
-		return g
-	}
-	if r.mEpRetries == nil {
-		r.mEpRetries = make(map[string]*metrics.Gauge)
-	}
-	g := r.met.Gauge("verbs", name, "endpoint_retries")
-	r.mEpRetries[name] = g
-	return g
 }
 
 // SetSpans attaches a span collector; nil disables tracing. Registration
@@ -252,8 +221,10 @@ func (c *Ctx) RegisterMRCtx(p *sim.Proc, addr mem.Addr, size int, parent span.ID
 		c.reg.Registrations++
 		c.reg.RegTime += cost
 		p.AdvanceBusy(cost)
-		c.reg.inj.Note(p.Now(), c.name, "reg-fail",
-			fmt.Sprintf("addr=%d size=%d (retrying)", addr, size))
+		if c.reg.inj.Tracing() {
+			c.reg.inj.Note(p.Now(), c.name, "reg-fail",
+				fmt.Sprintf("addr=%d size=%d (retrying)", addr, size))
+		}
 	}
 	c.reg.Registrations++
 	c.reg.RegTime += cost
