@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race check bench bench-smoke snap snap-check timeline-smoke scale-smoke race-sim loc
+.PHONY: all build test vet staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim loc
 
 all: build
 
@@ -46,7 +46,7 @@ loc:
 		| LC_ALL=C sort | uniq -c \
 		| awk '{ printf "%6d  %s\n", $$1, $$2; t += $$1 } END { printf "%6d  total\n", t }'
 
-check: vet staticcheck build race race-sim bench-smoke snap-check timeline-smoke scale-smoke
+check: vet staticcheck build race race-sim bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/bench/ ./internal/sim/
@@ -70,7 +70,14 @@ snap-check:
 # Perf smoke: allocation budgets on the event core, verbs and group-replay
 # hot paths and the serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/trace/ ./internal/bench/ ./internal/core/ ./internal/verbs/
+	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/verbs/
+
+# Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
+# testdata/fuzz/, for each parser of outside text (`go test -fuzz` takes one
+# target and one package per run; two workers keep it small).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
@@ -74,6 +75,14 @@ func main() {
 	if name == "" {
 		usage()
 		os.Exit(2)
+	}
+	if name == "tenants" || name == "drift" {
+		// The tenant runner builds its own baseline cluster: it has no
+		// device plumbing, so refuse the flags instead of ignoring them.
+		if err := bench.RejectFlags(fs, "omb "+name, "device", "fleet"); err != nil {
+			fmt.Fprintln(os.Stderr, "omb:", err)
+			os.Exit(2)
+		}
 	}
 	opt := bench.Options{Nodes: *nodes, PPN: *ppn, Scheme: *scheme, Policy: cf.Policy}
 	backend := *scheme
@@ -125,6 +134,7 @@ func main() {
 			cfg := bench.TenantsCase(*nodes, *ppn, i, pol, *iters)
 			cfg.Metrics = env.Met
 			cfg.Spans = env.Sp
+			cfg.Timeline = bench.DefaultTimeline.NewRecorder(fmt.Sprintf("bg%d", i))
 			r, err := tenant.Run(cfg)
 			if err != nil {
 				panic(fmt.Sprintf("omb: tenants bg=%d: %v", i, err))
@@ -144,6 +154,9 @@ func main() {
 		fmt.Printf("# Drift: foreground Ialltoall latency before/after chatty background tenants arrive, %d nodes x %d PPN/job, fg policy=%s, 1 FIFO proxy/DPU\n",
 			*nodes, *ppn, pol)
 		cfg := bench.DriftCase(*nodes, *ppn, *iters, pol)
+		cfg.Metrics = bench.DefaultMetrics
+		cfg.Spans = bench.DefaultSpans
+		cfg.Timeline = bench.DefaultTimeline.NewRecorder("")
 		r, err := tenant.Run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "omb: drift:", err)
@@ -179,9 +192,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: omb <latency|bw|pingpong|ialltoall|iallgather|ibcast|tenants|drift> [flags]
+	fmt.Fprintf(os.Stderr, `usage: omb <latency|bw|pingpong|ialltoall|iallgather|ibcast|tenants|drift> [flags]
 flags: -nodes N -ppn N -scheme Proposed|BluesMPI|IntelMPI -min B -max B -warmup N -iters N
-       -policy NAME (offload policy: gvmi|staged|bluesmpi|hostdirect|adaptive|measure|feedback; overrides -scheme)
+       -policy NAME (offload policy: %s; overrides -scheme)
        -bgjobs N (tenants: largest background bulk-job count swept)
-       -metrics PATH -spans PATH -parallel N`)
+       -device NAME | -fleet SPEC (device profiles; "-device list" / "-fleet help" describe them; not tenants|drift)
+       -metrics PATH -spans PATH -timeseries PATH -parallel N
+`, strings.Join(baseline.PolicyNames(), "|"))
 }

@@ -52,6 +52,18 @@ func main() {
 		return // -device list / -fleet help: documented exit 0
 	}
 
+	// Pattern runs build their own baseline cluster (no device plumbing),
+	// and only the tenant runner can sample a time series: refuse what the
+	// run would otherwise silently ignore.
+	unsupported := []string{"device", "fleet"}
+	if *tenants <= 1 {
+		unsupported = append(unsupported, "timeseries")
+	}
+	if err := bench.RejectFlags(flag.CommandLine, "this patternsim run", unsupported...); err != nil {
+		fmt.Fprintln(os.Stderr, "patternsim:", err)
+		os.Exit(2)
+	}
+
 	spec, err := loadSpec(*file, *preset, *np, *sizeStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "patternsim:", err)
@@ -160,7 +172,7 @@ func runTenants(spec *pattern.Spec, n, nodes, ppn, calls int, bgStart sim.Time, 
 	}
 	res, err := tenant.Run(tenant.Config{
 		Nodes: nodes, ProxiesPerDPU: 1, Jobs: jobs,
-		Metrics: cf.Registry(), Spans: cf.Spans(),
+		Metrics: cf.Registry(), Spans: cf.Spans(), Timeline: cf.Timeline().NewRecorder(""),
 	})
 	if err != nil {
 		return err

@@ -23,7 +23,7 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 const (
@@ -88,12 +88,11 @@ func hostMPI() {
 // offload runs cases 2 and 3: the whole ring recorded as one group request
 // per rank and executed by the proxies while the hosts compute.
 func offload(label string, cfg core.Config) {
-	e := bench.Build(bench.Options{
-		Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed, Core: &cfg,
-	})
+	opt := bench.Options{Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed, Core: &cfg}
 	if *traceFlag && cfg.Path == datapath.KindCrossGVMI {
-		e.Cl.Trace = trace.New(80)
+		opt.Spans = span.New(0)
 	}
+	e := bench.Build(opt)
 	np := e.Cl.Cfg.NP()
 	done := make([]sim.Time, np)
 	e.Launch(func(r *mpi.Rank, _ coll.Ops, _ coll.P2P) {
@@ -118,9 +117,9 @@ func offload(label string, cfg core.Config) {
 		done[me] = r.Now()
 	})
 	report(label, done)
-	if e.Cl.Trace.Enabled() {
-		fmt.Println("\nprotocol timeline (first events):")
-		if err := e.Cl.Trace.Timeline(os.Stdout); err != nil {
+	if opt.Spans.Enabled() {
+		fmt.Println("\nprotocol timeline:")
+		if err := opt.Spans.WriteTimeline(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "ringbcast: timeline:", err)
 			os.Exit(1)
 		}

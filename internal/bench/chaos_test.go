@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
 	"repro/internal/baseline"
@@ -11,7 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 // Frozen fig13 measurement values for the seed configuration (Proposed,
@@ -107,12 +107,21 @@ func TestChaosSweepAllRatesVerified(t *testing.T) {
 }
 
 // Determinism regression: the same chaos scenario run twice with the same
-// seed produces identical traces and identical end times.
+// seed produces byte-identical span records (every interval, parent link,
+// attribute and noted fault) and identical timings and fault counters.
 func TestChaosRunsAreDeterministic(t *testing.T) {
-	run := func() ChaosResult {
-		return MeasureChaosIalltoall(guardOpt(), fault.Scaled(7, 1e-2), 1e-2, 8192, 1, 2)
+	run := func() (ChaosResult, []byte) {
+		opt := guardOpt()
+		opt.Spans = span.New(0)
+		r := MeasureChaosIalltoall(opt, fault.Scaled(7, 1e-2), 1e-2, 8192, 1, 2)
+		var buf bytes.Buffer
+		if err := opt.Spans.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return r, buf.Bytes()
 	}
-	a, b := run(), run()
+	a, ja := run()
+	b, jb := run()
 	if a.PureComm != b.PureComm || a.Overall != b.Overall || a.EndTime != b.EndTime {
 		t.Fatalf("timings diverged: %d/%d/%d vs %d/%d/%d",
 			a.PureComm, a.Overall, a.EndTime, b.PureComm, b.Overall, b.EndTime)
@@ -120,18 +129,53 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 	if a.Fault != b.Fault {
 		t.Fatalf("fault stats diverged: %+v vs %+v", a.Fault, b.Fault)
 	}
-	ea, eb := a.Trace.Events(), b.Trace.Events()
-	if len(ea) == 0 {
-		t.Fatal("no trace events recorded")
+	if len(ja) == 0 {
+		t.Fatal("no spans recorded")
 	}
-	if !reflect.DeepEqual(ea, eb) {
-		t.Fatalf("traces diverged: %d vs %d events", len(ea), len(eb))
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("span records diverged: %d vs %d bytes", len(ja), len(jb))
+	}
+}
+
+// Every kind of fault a chaos run counted is also in its span export: one
+// instantaneous fault-layer span per counted event, named after the kind.
+func TestChaosExportsAFaultSpanPerCountedFault(t *testing.T) {
+	fcfg := fault.Scaled(7, 5e-2)
+	fcfg.RegFailRate = 0.2
+	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond, RestartAfter: 15 * sim.Microsecond}}
+	opt := guardOpt()
+	opt.ProxiesPerDPU = 1
+	sc, r := CollectChaosSpans(opt, fcfg, 5e-2, 8192, 1, 2)
+	if !r.Verified {
+		t.Fatalf("%d payload mismatches", r.Mismatches)
+	}
+	for _, c := range []struct {
+		name  string
+		count int64
+	}{
+		{"drop", r.Fault.Drops}, {"corrupt", r.Fault.Corrupts}, {"delay", r.Fault.Delays},
+		{"cq-error", r.Fault.CQErrors}, {"reg-fail", r.Fault.RegFails},
+		{"retry", r.Fault.Retries}, {"retry-exhausted", r.Fault.Exhausted},
+		{"crash", r.Fault.Crashes}, {"restart", r.Fault.Restarts},
+	} {
+		if c.name != "retry-exhausted" && c.count == 0 {
+			t.Errorf("plan injected no %s; the check below is vacuous", c.name)
+		}
+		ids := sc.RootsNamed("fault", c.name)
+		if int64(len(ids)) != c.count {
+			t.Errorf("%d fault/%s spans for %d counted", len(ids), c.name, c.count)
+		}
+		for _, id := range ids {
+			if s, _ := sc.Get(id); !s.Ended || s.End != s.Begin || s.Class == span.ClassNone || len(s.Attrs) != 1 {
+				t.Errorf("fault/%s span %+v is not an instantaneous, classed, detailed record", c.name, s)
+			}
+		}
 	}
 }
 
 // Killing a proxy mid-group-offload: every rank it served fails over to
 // host-progressed execution, all payloads still arrive intact, and the
-// trace records crash -> heartbeat-loss -> failover in causal order.
+// span record notes crash -> heartbeat-loss -> failover in causal order.
 func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 	fcfg := fault.DefaultConfig(1)
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond}}
@@ -140,9 +184,9 @@ func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 	opt := Options{
 		Nodes: 2, PPN: 2, Scheme: baseline.NameProposed,
 		Backed: true, ProxiesPerDPU: 1, Cluster: &ccfg,
+		Spans: span.New(0),
 	}
 	e := Build(opt)
-	e.Cl.Trace = trace.New(0)
 	np := e.Cl.Cfg.NP()
 	const msgSize = 8192
 	const iters = 3
@@ -196,24 +240,21 @@ func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 		t.Fatalf("no fallback execution recorded: %+v", st)
 	}
 
-	// The trace must show the causal chain in order.
-	events := e.Cl.Trace.Events()
-	idx := map[string]int{"crash": -1, "heartbeat-loss": -1, "failover": -1}
+	// The fault spans must show the causal chain in order (IDs are creation
+	// order, so ID order is the order the events were noted in).
+	first := map[string]span.ID{}
 	at := map[string]sim.Time{}
-	for i, ev := range events {
-		if j, ok := idx[ev.Action]; ok && j < 0 {
-			idx[ev.Action] = i
-			at[ev.Action] = ev.At
-		}
-	}
 	for _, action := range []string{"crash", "heartbeat-loss", "failover"} {
-		if idx[action] < 0 {
-			t.Fatalf("trace missing %q; events: %d", action, len(events))
+		ids := opt.Spans.RootsNamed("fault", action)
+		if len(ids) == 0 {
+			t.Fatalf("no fault/%s span among %d spans", action, opt.Spans.Len())
 		}
+		s, _ := opt.Spans.Get(ids[0])
+		first[action], at[action] = s.ID, s.Begin
 	}
-	if !(idx["crash"] < idx["heartbeat-loss"] && idx["heartbeat-loss"] <= idx["failover"]) {
-		t.Fatalf("causal order violated: crash@%d hb-loss@%d failover@%d",
-			idx["crash"], idx["heartbeat-loss"], idx["failover"])
+	if !(first["crash"] < first["heartbeat-loss"] && first["heartbeat-loss"] < first["failover"]) {
+		t.Fatalf("causal order violated: crash#%d hb-loss#%d failover#%d",
+			first["crash"], first["heartbeat-loss"], first["failover"])
 	}
 	if at["heartbeat-loss"] < at["crash"]+fcfg.HeartbeatTimeout {
 		t.Fatalf("heartbeat loss declared after %v, before the %v timeout elapsed",

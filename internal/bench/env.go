@@ -234,15 +234,14 @@ func (e *Env) Launch(fn func(r *mpi.Rank, ops coll.Ops, p2p coll.P2P)) sim.Time 
 	if dead := e.Cl.K.Deadlocked; len(dead) > 0 {
 		panic(fmt.Sprintf("bench: deadlocked processes: %v", dead))
 	}
-	// Shut the proxy daemons down so this environment can be collected
-	// (benchmark sweeps build many environments in one process).
+	// Retire the environment so it can be collected (benchmark sweeps build
+	// many in one process): stop the proxy daemons and unwind whatever is
+	// still parked on the kernel. Host-only environments have no framework,
+	// only the kernel to shut down.
 	if e.Fw != nil {
-		e.Fw.Stop()
-		e.Cl.K.Run()
+		e.Fw.Retire()
+	} else {
+		e.Cl.K.Shutdown()
 	}
-	// Unwind any goroutine still parked on the kernel (daemons whose final
-	// wakeup never came); without this every retired environment leaks its
-	// blocked process goroutines for the life of the OS process.
-	e.Cl.K.Shutdown()
 	return end
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/baseline"
@@ -81,6 +82,19 @@ func (cf *CommonFlags) HandleDeviceQuery(out io.Writer) bool {
 		return true
 	}
 	return false
+}
+
+// RejectFlags returns an error naming the first of the named flags that was
+// set on fs. A run path that cannot honour a flag refuses it up front (CLIs
+// exit 2) rather than run, ignore it, and report success.
+func RejectFlags(fs *flag.FlagSet, what string, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(names, f.Name) {
+			err = fmt.Errorf("-%s is not supported by %s", f.Name, what)
+		}
+	})
+	return err
 }
 
 // Activate applies the parsed flags to the bench globals — Parallelism plus

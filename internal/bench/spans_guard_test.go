@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -49,6 +51,21 @@ func TestSpansLiveCollectorMatchesFig13Exactly(t *testing.T) {
 				t.Errorf("no %s-layer spans recorded", l)
 			}
 		}
+	}
+}
+
+// The fault-free span record is frozen: the JSONL of the pinned fig13 shape
+// hashes to the value captured before fault events moved onto the span
+// stream, so nothing but injected faults ever adds (or reorders) a span.
+func TestSpansFaultFreeJSONLFrozen(t *testing.T) {
+	const want = "24f525c59a39264acf594e25789b1373e008deac5363962b6ffb06af28e0eff5"
+	sc, _ := CollectSpans(guardOpt(), 8192, 1, 2)
+	h := sha256.New()
+	if err := sc.WriteJSONL(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("fig13 span JSONL (%d spans) hashes to %s, want %s", sc.Len(), got, want)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -164,13 +163,9 @@ type Cluster struct {
 	Reg  *verbs.Registry
 	GVMI *gvmi.Manager
 
-	// Trace, when set (cl.Trace = trace.New(0)), records protocol events
-	// from the offload framework — the Figure 1 timeline as data.
-	Trace *trace.Log
-
 	// Inj is the fault injector built from Cfg.Fault (nil when faults are
 	// off). Injected faults and recoveries are counted in Inj.Stats and
-	// recorded in Trace.
+	// noted as "fault"-layer spans in Spans.
 	Inj *fault.Injector
 
 	// Met is the metrics registry from Cfg.Metrics (nil when metrics are
@@ -198,8 +193,7 @@ func New(cfg Config) *Cluster {
 		GVMI: gvmi.NewManager(reg, cfg.GVMI),
 	}
 	if cfg.Fault != nil {
-		inj := fault.NewInjector(cfg.Fault)
-		inj.TraceFn = func() *trace.Log { return c.Trace }
+		inj := fault.NewInjector(cfg.Fault, cfg.Spans)
 		f.SetInjector(inj)
 		reg.SetInjector(inj)
 		c.Inj = inj

@@ -57,7 +57,7 @@ func replayAllocs(t *testing.T, sends int) float64 {
 		t.Fatalf("%d sends: %d calls in 21 periods, want one per period", sends, calls-before)
 	}
 	var hits int64
-	for i := 0; i < fw.NumProxies(); i++ {
+	for i := 0; i < len(fw.proxies); i++ {
 		hits += fw.Proxy(i).GroupHits
 	}
 	if hits < 2*21 {

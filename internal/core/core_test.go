@@ -3,13 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 // runFw builds a cluster, starts the framework, and runs main on one
@@ -85,7 +86,7 @@ func TestBasicSendRecvStaging(t *testing.T) {
 		}
 	})
 	var staged int64
-	for i := 0; i < fw.NumProxies(); i++ {
+	for i := 0; i < len(fw.proxies); i++ {
 		staged += fw.Proxy(i).StagedOps
 	}
 	if staged != 1 {
@@ -260,7 +261,7 @@ func TestGroupRingBcastStaging(t *testing.T) {
 		}
 	}
 	var staged int64
-	for i := 0; i < fw.NumProxies(); i++ {
+	for i := 0; i < len(fw.proxies); i++ {
 		staged += fw.Proxy(i).StagedOps
 	}
 	if staged != 2 { // two forwarding sends in a 3-rank ring
@@ -346,7 +347,7 @@ func TestGroupReplayCacheHit(t *testing.T) {
 		}
 	})
 	var hits, misses int64
-	for i := 0; i < fw.NumProxies(); i++ {
+	for i := 0; i < len(fw.proxies); i++ {
 		hits += fw.Proxy(i).GroupHits
 		misses += fw.Proxy(i).GroupMiss
 	}
@@ -378,7 +379,7 @@ func TestGroupCacheDisabledResends(t *testing.T) {
 		}
 	})
 	var hits, misses int64
-	for i := 0; i < fw.NumProxies(); i++ {
+	for i := 0; i < len(fw.proxies); i++ {
 		hits += fw.Proxy(i).GroupHits
 		misses += fw.Proxy(i).GroupMiss
 	}
@@ -639,10 +640,15 @@ func TestFrameworkStopUnblocksProxies(t *testing.T) {
 	}
 }
 
+// A basic send/recv pair leaves its whole protocol in the span record: the
+// two host calls as roots, ended by their FINs; the proxy's transfer (fired
+// once rts and rtr matched) under the send, with its cross-GVMI RDMA write —
+// and the timeline view lists them.
 func TestTraceRecordsProtocolEvents(t *testing.T) {
 	ccfg := cluster.DefaultConfig(2, 1)
+	sc := span.New(0)
+	ccfg.Spans = sc
 	cl := cluster.New(ccfg)
-	cl.Trace = trace.New(0)
 	sites := []*cluster.Site{cl.NewHostSite(0, "a"), cl.NewHostSite(1, "b")}
 	fw := New(cl, DefaultConfig(), sites)
 	fw.Start()
@@ -659,13 +665,33 @@ func TestTraceRecordsProtocolEvents(t *testing.T) {
 		})
 	}
 	cl.K.Run()
-	actions := map[string]bool{}
-	for _, e := range cl.Trace.Events() {
-		actions[e.Action] = true
+	fw.Retire()
+	roots := map[string]span.ID{}
+	for _, name := range []string{"send_offload", "recv_offload"} {
+		ids := sc.RootsNamed("core", name)
+		if len(ids) != 1 {
+			t.Fatalf("%d core/%s roots, want 1", len(ids), name)
+		}
+		if s, _ := sc.Get(ids[0]); !s.Ended {
+			t.Fatalf("core/%s never ended (no FIN reached the host)", name)
+		}
+		roots[name] = ids[0]
 	}
-	for _, want := range []string{"Send_Offload", "Recv_Offload", "rts", "rtr", "gvmi-write", "FIN"} {
-		if !actions[want] {
-			t.Fatalf("trace missing %q; got %v", want, actions)
+	for _, s := range sc.Spans() {
+		if s.Name == "transfer" && (s.Parent != roots["send_offload"] || s.Entity != "proxy0") {
+			t.Fatalf("transfer span %+v is not proxy0's work under the send root %d", s, roots["send_offload"])
+		}
+	}
+	var tl strings.Builder
+	if err := sc.WriteTimeline(&tl); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"core.send_offload dst=1 size=4096 tag=0 path=gvmi", "core.recv_offload src=0 size=4096 tag=0",
+		"core.transfer size=4096 mech=gvmi", "verbs.rdma_write size=4096", "fabric.wire size=4126",
+	} {
+		if !strings.Contains(tl.String(), want) {
+			t.Fatalf("timeline missing %q:\n%s", want, tl.String())
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
 	"repro/internal/mem"
@@ -48,13 +46,6 @@ func (px *Proxy) ReleaseStage(s datapath.Stage) { px.putStage(s.(*stageBuf)) }
 
 // Later implements datapath.Exec.
 func (px *Proxy) Later(fn func()) { px.later(fn) }
-
-// TraceRDMA implements datapath.Exec.
-func (px *Proxy) TraceRDMA(event string, srcHost, dstRank, size int) {
-	if tr := px.fw.cl.Trace; tr.Enabled() {
-		tr.Add(px.proc.Now(), px.entity(), event, fmt.Sprintf("%d->%d size=%d", srcHost, dstRank, size))
-	}
-}
 
 // CountWrite implements datapath.Exec.
 func (px *Proxy) CountWrite() { px.RDMAWrites++ }

@@ -97,7 +97,7 @@ func (h *Host) noteDelivery(at sim.Time, m *dlvMsg) {
 	if h.dlvSeen[id] {
 		h.DlvDup++
 		if inj := h.fw.cl.Inj; inj.Tracing() {
-			inj.Note(at, fmt.Sprintf("rank%d", h.rank), "dlv-dup",
+			inj.Note(at, span.ClassRank, h.entity, "dlv-dup",
 				fmt.Sprintf("src=%d group=%d call=%d entry=%d", m.SrcHost, m.DstGroup, m.Call, m.Entry))
 		}
 		return
@@ -217,9 +217,9 @@ func (h *Host) failover(now sim.Time) {
 	h.mHeartbeatLosses.Inc()
 	h.mFailovers.Inc()
 	if inj := fw.cl.Inj; inj.Tracing() {
-		inj.Note(now, fmt.Sprintf("rank%d", h.rank), "heartbeat-loss",
+		inj.Note(now, span.ClassRank, h.entity, "heartbeat-loss",
 			fmt.Sprintf("proxy%d silent for %s", px.global, fw.hbTimeout()))
-		inj.Note(now, fmt.Sprintf("rank%d", h.rank), "failover",
+		inj.Note(now, span.ClassRank, h.entity, "failover",
 			"switching to host-progressed fallback")
 	}
 	for _, g := range h.groups {
@@ -270,15 +270,11 @@ func (h *Host) startFallbackCall(g *GroupRequest, call int) {
 	}
 	fb := &fbCall{g: g, call: call, need: make(map[int]int)}
 	if sp := h.spans(); sp.Enabled() {
-		fb.span = sp.Start(g.rootByCall[call], span.ClassRank, h.entity(), "core", "fallback_exec")
+		fb.span = sp.Start(g.rootByCall[call], span.ClassRank, h.entity, "core", "fallback_exec")
 		sp.AttrInt(fb.span, "call", int64(call))
 	}
 	h.fbRun = append(h.fbRun, fb)
 	h.FallbackCalls++
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fallback-call",
-			fmt.Sprintf("id=%d call=%d", g.id, call))
-	}
 }
 
 // progressFallback advances queued fallback calls in order (calls of one
@@ -322,10 +318,6 @@ func (h *Host) advanceFallback(fb *fbCall) bool {
 	}
 	h.spans().End(fb.span)
 	delete(g.rootByCall, fb.call)
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fallback-complete",
-			fmt.Sprintf("id=%d call=%d", g.id, fb.call))
-	}
 	return true
 }
 
@@ -354,10 +346,6 @@ func (h *Host) fbPostSend(fb *fbCall, idx int) {
 	h.curSpan = 0
 	fb.pending++
 	h.FallbackWrites++
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fallback-write",
-			fmt.Sprintf("->%d size=%d call=%d entry=%d", e.Dst, e.Size, fb.call, idx))
-	}
 	callNum, entry, dst, dstGroup := fb.call, idx, e.Dst, e.DstGroup
 	err := h.ctx.PostWrite(h.proc, verbs.WriteOp{
 		LocalKey: mr.LKey(), LocalAddr: e.SrcAddr,
@@ -408,10 +396,6 @@ func (h *Host) foSendNow(rec *sendRec) {
 		},
 		Span: rec.req.span,
 	})
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "fosend",
-			fmt.Sprintf("dst=%d size=%d tag=%d", rec.dst, rec.size, rec.tag))
-	}
 }
 
 // takeFoSend removes and returns a queued eager push matching (src, tag).
@@ -464,7 +448,7 @@ func (h *Host) reissueOneSided(rec *osRec, now sim.Time) {
 	rec.reissued = true
 	h.OsReissues++
 	if inj := h.fw.cl.Inj; inj.Tracing() {
-		inj.Note(now, fmt.Sprintf("rank%d", h.rank), "1sided-reissue",
+		inj.Note(now, span.ClassRank, h.entity, "1sided-reissue",
 			fmt.Sprintf("proxy%d dead, re-posting size=%d", rec.proxy, rec.size))
 	}
 	complete := func(sim.Time) {

@@ -116,11 +116,12 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 	np := cl.Cfg.NP()
 	for r := 0; r < np; r++ {
 		h := &Host{
-			fw:   fw,
-			rank: r,
-			site: sites[r],
-			ctx:  sites[r].NewCtx(fmt.Sprintf("offload%d", r)),
-			reqs: make(map[int64]*OffloadRequest),
+			fw:     fw,
+			rank:   r,
+			entity: fmt.Sprintf("rank%d", r),
+			site:   sites[r],
+			ctx:    sites[r].NewCtx(fmt.Sprintf("offload%d", r)),
+			reqs:   make(map[int64]*OffloadRequest),
 		}
 		h.gvmiCache = regcache.New[gvmi.MKeyInfo](nProxies, 0, nil)
 		h.ibCache = regcache.New[*verbs.MR](1, 0, func(mr *verbs.MR) { mr.Deregister() })
@@ -134,8 +135,8 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 			h.dlvSeen = make(map[dlvID]bool)
 			h.pendingSends = make(map[int64]*sendRec)
 			h.osPending = make(map[int64]*osRec)
-			h.mHeartbeatLosses = cl.Met.Counter("core", fmt.Sprintf("rank%d", r), "heartbeat_losses")
-			h.mFailovers = cl.Met.Counter("core", fmt.Sprintf("rank%d", r), "failovers")
+			h.mHeartbeatLosses = cl.Met.Counter("core", h.entity, "heartbeat_losses")
+			h.mFailovers = cl.Met.Counter("core", h.entity, "failovers")
 		}
 		fw.hosts = append(fw.hosts, h)
 	}
@@ -226,9 +227,6 @@ func (fw *Framework) Host(rank int) *Host { return fw.hosts[rank] }
 // Proxy returns proxy i (for inspection in tests).
 func (fw *Framework) Proxy(i int) *Proxy { return fw.proxies[i] }
 
-// NumProxies returns the total proxy count.
-func (fw *Framework) NumProxies() int { return len(fw.proxies) }
-
 // proxyFor returns the proxy serving a host rank:
 // proxy_local_rank = host_source_rank % num_proxies_per_dpu, on the rank's
 // own node (Section VII-A).
@@ -271,7 +269,7 @@ func (fw *Framework) Start() {
 	for _, px := range fw.proxies {
 		px := px
 		px.gvmiID = fw.cl.GVMI.GenerateID(px.ctx)
-		fw.cl.K.Spawn(fmt.Sprintf("proxy%d", px.global), func(p *sim.Proc) {
+		fw.cl.K.Spawn(px.entity, func(p *sim.Proc) {
 			p.SetDaemon(true)
 			px.run(p)
 		})

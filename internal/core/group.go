@@ -161,7 +161,7 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 		// Host-side call span (registration + gather + packet build) under
 		// the root; the proxy's execution span parents to the root directly
 		// so the critical path descends into DPU/HCA/wire work.
-		gc := sp.Start(parent, span.ClassRank, h.entity(), "core", "group_call")
+		gc := sp.Start(parent, span.ClassRank, h.entity, "core", "group_call")
 		sp.AttrInt(gc, "call", int64(g.callSeq))
 		sp.AttrStr(gc, "path", g.path.String())
 		if g.rootByCall == nil {
@@ -191,10 +191,6 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 			Payload: &greplayMsg{HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Span: parent},
 			Span:    parent,
 		})
-		if tr := h.fw.cl.Trace; tr.Enabled() {
-			tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Group_Offload_call",
-				fmt.Sprintf("replay id=%d call=%d", g.id, g.callSeq))
-		}
 		return
 	}
 
@@ -213,10 +209,6 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 	if h.fw.crashesConfigured() {
 		g.wire = entries
 		g.sentGen = px.gen
-	}
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Group_Offload_call",
-			fmt.Sprintf("full id=%d entries=%d", g.id, len(entries)))
 	}
 }
 
@@ -316,10 +308,6 @@ func (h *Host) awaitGmeta(dst, tag int) *gmetaMsg {
 // after the whole pattern has executed on the DPU.
 func (h *Host) GroupWait(g *GroupRequest) {
 	h.waitFor(func() bool { return g.doneSeq >= g.callSeq })
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Group_Wait",
-			fmt.Sprintf("id=%d call=%d", g.id, g.callSeq))
-	}
 }
 
 // GroupTest polls for completion without blocking.

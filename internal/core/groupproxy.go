@@ -236,7 +236,7 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 			// The execution span parents directly to the host-side root so
 			// the critical path descends from the collective into DPU work.
 			g.execSpan = sp.Start(g.root(), span.ClassProxy,
-				px.entity(), "core", "group_exec")
+				px.entity, "core", "group_exec")
 			sp.AttrInt(g.execSpan, "call", int64(g.finishedSeq+1))
 			sp.AttrInt(g.execSpan, "entries", int64(len(g.entries)))
 			if name := px.fw.tenantName(g.host); name != "" {
@@ -312,10 +312,6 @@ func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 	g.pending++
 	if px.sched != nil {
 		px.wireCharge(px.sched.ten.TenantOf[g.host], e.Size)
-	}
-	if tr := px.fw.cl.Trace; tr.Enabled() {
-		tr.Add(px.proc.Now(), fmt.Sprintf("proxy%d", px.global), "group-send",
-			fmt.Sprintf("host%d->%d size=%d", g.host, e.Dst, e.Size))
 	}
 	dp := datapath.ForKind(e.Path)
 	mr := dp.Execute(px, datapath.Transfer{

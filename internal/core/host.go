@@ -19,11 +19,12 @@ import (
 // simulated process before calling any primitive; all methods must then be
 // called from that process.
 type Host struct {
-	fw   *Framework
-	rank int
-	site *cluster.Site
-	ctx  *verbs.Ctx
-	proc *sim.Proc
+	fw     *Framework
+	rank   int
+	entity string // "rank<N>": span entity and metric name
+	site   *cluster.Site
+	ctx    *verbs.Ctx
+	proc   *sim.Proc
 
 	gvmiCache *regcache.Cache[gvmi.MKeyInfo] // first level: proxy global rank
 	ibCache   *regcache.Cache[*verbs.MR]
@@ -82,9 +83,6 @@ type Host struct {
 // spans returns the cluster's span collector (nil when tracing is off).
 func (h *Host) spans() *span.Collector { return h.fw.cl.Spans }
 
-// entity returns the host's span/trace entity name.
-func (h *Host) entity() string { return fmt.Sprintf("rank%d", h.rank) }
-
 // Bind attaches the handle to its process (call once, from the process).
 func (h *Host) Bind(p *sim.Proc) { h.proc = p }
 
@@ -132,7 +130,7 @@ func (h *Host) gvmiRegister(px *Proxy, addr mem.Addr, size int) gvmi.MKeyInfo {
 	create := func() gvmi.MKeyInfo {
 		var s span.ID
 		if sp := h.spans(); sp.Enabled() {
-			s = sp.Start(h.curSpan, span.ClassHCA, h.entity(), "verbs", "gvmi_reg")
+			s = sp.Start(h.curSpan, span.ClassHCA, h.entity, "verbs", "gvmi_reg")
 			sp.AttrInt(s, "size", int64(size))
 		}
 		info, err := h.fw.cl.GVMI.RegisterHost(h.proc, h.ctx, addr, size, px.gvmiID)
@@ -191,7 +189,7 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 	px := h.fw.proxyFor(h.rank)
 	req := h.newReq()
 	if sp := h.spans(); sp.Enabled() {
-		req.span = sp.Start(0, span.ClassRank, h.entity(), "core", "send_offload")
+		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "send_offload")
 		sp.AttrInt(req.span, "dst", int64(dst))
 		sp.AttrInt(req.span, "size", int64(size))
 		sp.AttrInt(req.span, "tag", int64(tag))
@@ -220,10 +218,6 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "rts", Size: h.fw.cfg.CtrlSize + gvmi.WireSize, Payload: pay, Span: req.span,
 	})
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Send_Offload",
-			fmt.Sprintf("dst=%d size=%d tag=%d", dst, size, tag))
-	}
 	return req
 }
 
@@ -235,7 +229,7 @@ func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 	px := h.fw.proxyFor(src)
 	req := h.newReq()
 	if sp := h.spans(); sp.Enabled() {
-		req.span = sp.Start(0, span.ClassRank, h.entity(), "core", "recv_offload")
+		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "recv_offload")
 		sp.AttrInt(req.span, "src", int64(src))
 		sp.AttrInt(req.span, "size", int64(size))
 		sp.AttrInt(req.span, "tag", int64(tag))
@@ -261,10 +255,6 @@ func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "rtr", Size: h.fw.cfg.CtrlSize, Payload: pay, Span: req.span,
 	})
-	if tr := h.fw.cl.Trace; tr.Enabled() {
-		tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "Recv_Offload",
-			fmt.Sprintf("src=%d size=%d tag=%d", src, size, tag))
-	}
 	return req
 }
 
@@ -280,10 +270,6 @@ func (h *Host) drainInbox() bool {
 				delete(h.reqs, m.ReqID)
 				h.dropRecords(m.ReqID)
 				h.spans().End(q.span)
-				if tr := h.fw.cl.Trace; tr.Enabled() {
-					tr.Add(h.proc.Now(), fmt.Sprintf("rank%d", h.rank), "FIN",
-						fmt.Sprintf("req=%d", m.ReqID&0xffffffff))
-				}
 			}
 		case *gmetaMsg:
 			h.gmetaQ = append(h.gmetaQ, m)

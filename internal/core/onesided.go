@@ -72,7 +72,7 @@ func (h *Host) PutOffload(src Window, srcOff int, dst Window, dstOff, n int) *Of
 	req := h.newReq()
 	px := h.fw.proxyFor(h.rank)
 	if sp := h.spans(); sp.Enabled() {
-		req.span = sp.Start(0, span.ClassRank, h.entity(), "core", "put_offload")
+		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "put_offload")
 		sp.AttrInt(req.span, "dst", int64(dst.Rank))
 		sp.AttrInt(req.span, "size", int64(n))
 	}
@@ -112,7 +112,7 @@ func (h *Host) GetOffload(dst Window, dstOff int, src Window, srcOff, n int) *Of
 	req := h.newReq()
 	px := h.fw.proxyFor(src.Rank)
 	if sp := h.spans(); sp.Enabled() {
-		req.span = sp.Start(0, span.ClassRank, h.entity(), "core", "get_offload")
+		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "get_offload")
 		sp.AttrInt(req.span, "src", int64(src.Rank))
 		sp.AttrInt(req.span, "size", int64(n))
 	}

@@ -24,6 +24,7 @@ type matchKey struct{ src, dst, tag int }
 type Proxy struct {
 	fw     *Framework
 	global int
+	entity string // "proxy<N>": span entity and metric name
 	node   int
 	local  int
 	site   *cluster.Site
@@ -90,6 +91,7 @@ func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy
 	px := &Proxy{
 		fw:         fw,
 		global:     global,
+		entity:     fmt.Sprintf("proxy%d", global),
 		node:       node,
 		local:      local,
 		site:       site,
@@ -116,18 +118,17 @@ func (px *Proxy) instrument() {
 	if !m.Enabled() {
 		return
 	}
-	name := fmt.Sprintf("proxy%d", px.global)
-	px.mGroupHits = m.Counter("core", name, "group_hits")
-	px.mGroupMiss = m.Counter("core", name, "group_misses")
-	px.mQDepth = m.Gauge("core", name, "queue_depth")
-	px.mQDepthMax = m.Gauge("core", name, "queue_depth_max")
+	px.mGroupHits = m.Counter("core", px.entity, "group_hits")
+	px.mGroupMiss = m.Counter("core", px.entity, "group_misses")
+	px.mQDepth = m.Gauge("core", px.entity, "queue_depth")
+	px.mQDepthMax = m.Gauge("core", px.entity, "queue_depth_max")
 	if px.fw.crashesConfigured() {
 		// Pre-resolve the crash-path handles so crash/restart never pays a
 		// registry lookup (or the fmt.Sprintf key build) at event time. Only
 		// bound under a crash-configured plan, so fault-free runs export the
 		// exact same series set as before.
-		px.mCrashes = m.Counter("core", name, "crashes")
-		px.mRestarts = m.Counter("core", name, "restarts")
+		px.mCrashes = m.Counter("core", px.entity, "crashes")
+		px.mRestarts = m.Counter("core", px.entity, "restarts")
 	}
 }
 
@@ -142,14 +143,8 @@ func (px *Proxy) sampleQueueDepth() {
 	px.mQDepthMax.SetMax(d)
 }
 
-// GlobalID returns the proxy's global index.
-func (px *Proxy) GlobalID() int { return px.global }
-
 // spans returns the cluster's span collector (nil when tracing is off).
 func (px *Proxy) spans() *span.Collector { return px.fw.cl.Spans }
-
-// entity returns the proxy's span/trace entity name.
-func (px *Proxy) entity() string { return fmt.Sprintf("proxy%d", px.global) }
 
 // run is the proxy progress engine (Figure 8 / Algorithm 1): drain control
 // messages, fire matched transfers, resume blocked group schedules, repeat.
@@ -261,7 +256,7 @@ func (px *Proxy) crash() {
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Crashes++
 		if inj.Tracing() {
-			inj.Note(now, fmt.Sprintf("proxy%d", px.global), "crash", "process killed")
+			inj.Note(now, span.ClassProxy, px.entity, "crash", "process killed")
 		}
 	}
 	fw.cl.K.At(fw.hbTimeout(), func() {
@@ -287,7 +282,7 @@ func (px *Proxy) restart() {
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Restarts++
 		if inj.Tracing() {
-			inj.Note(now, fmt.Sprintf("proxy%d", px.global), "restart", "process restarted with empty state")
+			inj.Note(now, span.ClassProxy, px.entity, "restart", "process restarted with empty state")
 		}
 	}
 	px.ctx.InboxCond.Broadcast()
@@ -300,9 +295,6 @@ func (px *Proxy) restart() {
 func (px *Proxy) handle(pkt *verbs.Packet) {
 	px.proc.AdvanceBusy(px.fw.cfg.ProxyHandleCost)
 	px.CtrlMsgs++
-	if tr := px.fw.cl.Trace; tr.Enabled() {
-		tr.Add(px.proc.Now(), fmt.Sprintf("proxy%d", px.global), pkt.Kind, "")
-	}
 	switch m := pkt.Payload.(type) {
 	case *rtsMsg:
 		k := matchKey{m.Src, m.Dst, m.Tag}
@@ -344,7 +336,7 @@ func (px *Proxy) transfer(pr pairMsg) {
 		MKey:    pr.rts.MKey,
 		SrcAddr: pr.rts.SrcAddr, SrcRKey: pr.rts.SrcRKey,
 		DstAddr: pr.rtr.DstAddr, DstRKey: pr.rtr.RKey,
-		Span: ts, Trace: true,
+		Span: ts,
 	}, func(at sim.Time) {
 		px.spans().EndAt(ts, at)
 		px.later(func() { px.finish(pr) })
@@ -358,7 +350,7 @@ func (px *Proxy) crossReg(srcHost int, info gvmi.MKeyInfo, parent span.ID) *verb
 	create := func() *verbs.MR {
 		var s span.ID
 		if sp := px.spans(); sp.Enabled() {
-			s = sp.Start(parent, span.ClassHCA, px.entity(), "verbs", "cross_reg")
+			s = sp.Start(parent, span.ClassHCA, px.entity, "verbs", "cross_reg")
 			sp.AttrInt(s, "size", int64(info.Size))
 		}
 		mr, err := px.fw.cl.GVMI.CrossRegister(px.proc, px.ctx, info)
@@ -382,7 +374,7 @@ func (px *Proxy) transferSpan(pr pairMsg, mech string) span.ID {
 	if !sp.Enabled() {
 		return 0
 	}
-	ts := sp.Start(pr.rts.Span, span.ClassProxy, px.entity(), "core", "transfer")
+	ts := sp.Start(pr.rts.Span, span.ClassProxy, px.entity, "core", "transfer")
 	sp.AttrInt(ts, "size", int64(pr.rts.Size))
 	sp.AttrStr(ts, "mech", mech)
 	if name := px.fw.tenantName(pr.rts.Src); name != "" {

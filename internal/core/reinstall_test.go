@@ -67,7 +67,7 @@ func TestGroupReinstallWhileRunning(t *testing.T) {
 		}
 	}
 	var missOn, missOff, hitsOn int64
-	for i := 0; i < fwOn.NumProxies(); i++ {
+	for i := 0; i < len(fwOn.proxies); i++ {
 		missOn += fwOn.Proxy(i).GroupMiss
 		hitsOn += fwOn.Proxy(i).GroupHits
 		missOff += fwOff.Proxy(i).GroupMiss

@@ -141,13 +141,12 @@ func (px *Proxy) initTenancy(t *Tenancy) {
 		s.scale[i] = passScale / t.weight(i)
 	}
 	if m := px.fw.cl.Met; m.Enabled() {
-		entity := fmt.Sprintf("proxy%d", px.global)
 		for i, name := range t.Names {
-			s.mDepth[i] = m.GaugeT("core", entity, "tenant_queue_depth", name)
-			s.mDepthMax[i] = m.GaugeT("core", entity, "tenant_queue_depth_max", name)
-			s.mBusy[i] = m.CounterT("core", entity, "tenant_busy_ns", name)
-			s.mWait[i] = m.HistogramT("core", entity, "cross_tenant_wait_ns", name)
-			s.mDispatch[i] = m.CounterT("core", entity, "tenant_dispatches", name)
+			s.mDepth[i] = m.GaugeT("core", px.entity, "tenant_queue_depth", name)
+			s.mDepthMax[i] = m.GaugeT("core", px.entity, "tenant_queue_depth_max", name)
+			s.mBusy[i] = m.CounterT("core", px.entity, "tenant_busy_ns", name)
+			s.mWait[i] = m.HistogramT("core", px.entity, "cross_tenant_wait_ns", name)
+			s.mDispatch[i] = m.CounterT("core", px.entity, "tenant_dispatches", name)
 		}
 	}
 	px.sched = s

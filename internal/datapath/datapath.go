@@ -70,9 +70,6 @@ func (k Kind) String() string {
 // Valid reports whether k names one of the datapaths.
 func (k Kind) Valid() bool { return k >= 0 && k < numKinds }
 
-// Kinds lists every datapath kind (for tests and ablation sweeps).
-func Kinds() []Kind { return []Kind{KindCrossGVMI, KindStaged, KindHostDirect, KindDSA} }
-
 // Caps is the device-capability subset the datapath layer consults
 // (derived from a node's device.Profile by the core framework).
 type Caps struct {
@@ -83,10 +80,6 @@ type Caps struct {
 	// port.
 	DSA bool
 }
-
-// FullCaps is the capability set of the pre-substrate simulator: every
-// classic path available, no engine.
-func FullCaps() Caps { return Caps{CrossGVMI: true} }
 
 // Resolve maps a requested datapath to the one a node with capabilities c
 // can actually run. Cross-GVMI requests on parts without cross-function
@@ -154,9 +147,6 @@ type Exec interface {
 	// Later defers fn to the executor's next progress round (completion
 	// handlers run in kernel handler context).
 	Later(fn func())
-	// TraceRDMA emits a trace event for one transfer, attributed to the
-	// executor; the detail is formatted only when a trace sink is attached.
-	TraceRDMA(event string, srcHost, dstRank, size int)
 	// PostEngineWrite posts an RDMA write through the node's DSA engine
 	// port instead of the ARM-driven proxy context (KindDSA only; panics
 	// on nodes whose profile has no engine — Resolve prevents that).
@@ -190,9 +180,6 @@ type Transfer struct {
 
 	// Span is the causal parent of all work posted for this transfer.
 	Span span.ID
-	// Trace emits per-RDMA trace events ("gvmi-write" / "stage-read");
-	// basic primitives trace, group sends are traced by their caller.
-	Trace bool
 }
 
 // Datapath is one data-movement path. Execute posts the RDMA sequence for
@@ -248,9 +235,6 @@ func (CrossGVMI) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR
 		mr = x.CrossReg(t.SrcHost, t.MKey, t.Span)
 	}
 	x.CountWrite()
-	if t.Trace {
-		x.TraceRDMA("gvmi-write", t.SrcHost, t.DstRank, t.Size)
-	}
 	err := x.PostWrite(verbs.WriteOp{
 		LocalKey: mr.LKey(), LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
@@ -283,9 +267,6 @@ func (Staged) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
 	sb := x.AcquireStage(t.Size, t.Span)
 	x.CountStaged()
 	x.CountRead()
-	if t.Trace {
-		x.TraceRDMA("stage-read", t.SrcHost, t.DstRank, t.Size)
-	}
 	err := x.PostRead(verbs.ReadOp{
 		LocalKey: sb.LKey(), LocalAddr: sb.Addr(),
 		RemoteKey: t.SrcRKey, RemoteAddr: t.SrcAddr,
@@ -339,9 +320,6 @@ func (DSA) SrcReg() SrcReg { return RegIB }
 func (DSA) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
 	x.CountEngine()
 	x.CountWrite()
-	if t.Trace {
-		x.TraceRDMA("dsa-write", t.SrcHost, t.DstRank, t.Size)
-	}
 	err := x.PostEngineWrite(verbs.WriteOp{
 		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,

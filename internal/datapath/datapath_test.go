@@ -21,7 +21,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestKindValid(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range []Kind{KindCrossGVMI, KindStaged, KindHostDirect, KindDSA} {
 		if !k.Valid() {
 			t.Errorf("%v.Valid() = false", k)
 		}
@@ -40,7 +40,7 @@ func TestForKindRoundTrip(t *testing.T) {
 		KindHostDirect: RegNone,
 		KindDSA:        RegIB,
 	}
-	for _, k := range Kinds() {
+	for _, k := range []Kind{KindCrossGVMI, KindStaged, KindHostDirect, KindDSA} {
 		dp := ForKind(k)
 		if dp.Kind() != k {
 			t.Errorf("ForKind(%v).Kind() = %v", k, dp.Kind())
@@ -61,7 +61,7 @@ func TestForKindPanicsOnInvalid(t *testing.T) {
 }
 
 func TestResolveFallbacks(t *testing.T) {
-	full := FullCaps() // pre-substrate caps: cross-GVMI yes, engine no
+	full := Caps{CrossGVMI: true} // pre-substrate caps: cross-GVMI yes, engine no
 	noGVMI := Caps{CrossGVMI: false, DSA: false}
 	noGVMIDSA := Caps{CrossGVMI: false, DSA: true}
 	noDSA := Caps{CrossGVMI: true, DSA: false}
@@ -94,7 +94,7 @@ func TestResolveFallbacks(t *testing.T) {
 	}
 	// Determinism: resolving twice (a resolved kind is already legal) is
 	// a fixed point, so retrying a decision never flips the path.
-	for _, k := range Kinds() {
+	for _, k := range []Kind{KindCrossGVMI, KindStaged, KindHostDirect, KindDSA} {
 		for _, caps := range []Caps{full, noGVMI, noGVMIDSA, noDSA, both} {
 			once := Resolve(k, caps)
 			if twice := Resolve(once, caps); twice != once {

@@ -123,14 +123,15 @@ func TestExpandFleetGrammar(t *testing.T) {
 		spec  string
 		nodes int
 	}{
-		{"", 2},             // empty spec
-		{"bf2:1", 2},        // counts under the node count
-		{"bf2:3", 2},        // counts over the node count
-		{"bf2:2,bf3:1", 4},  // sum mismatch
-		{"bf9:2", 2},        // unknown profile
-		{"bf2:0,bf3:2", 2},  // zero count
-		{"bf2:-1,bf3:3", 2}, // negative count
-		{"bf2:x", 2},        // malformed count
+		{"", 2},                        // empty spec
+		{"bf2:1", 2},                   // counts under the node count
+		{"bf2:3", 2},                   // counts over the node count
+		{"bf2:2,bf3:1", 4},             // sum mismatch
+		{"bf9:2", 2},                   // unknown profile
+		{"bf2:0,bf3:2", 2},             // zero count
+		{"bf2:-1,bf3:3", 2},            // negative count
+		{"bf2:x", 2},                   // malformed count
+		{"bf2:9223372036854775807", 2}, // used to expand count entries before comparing with nodes
 	}
 	for _, c := range bad {
 		if _, err := ExpandFleet(c.spec, c.nodes); err == nil {

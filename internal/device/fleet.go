@@ -51,6 +51,10 @@ func ExpandFleet(spec string, nodes int) ([]string, error) {
 		if _, err := Lookup(name); err != nil {
 			return nil, err
 		}
+		if count > nodes-len(out) {
+			// Checked before expanding: the count is input, not a size to trust.
+			return nil, fmt.Errorf("device: fleet spec %q names more than the cluster's %d nodes", spec, nodes)
+		}
 		for i := 0; i < count; i++ {
 			out = append(out, name)
 		}

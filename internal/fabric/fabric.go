@@ -243,8 +243,8 @@ func (f *Fabric) TransferFated(src, dst *Endpoint, size int, deliver func()) (tx
 func (f *Fabric) TransferFatedCtx(src, dst *Endpoint, size int, deliver func(), parent span.ID) (txDone, arrive sim.Time, delivered bool, fate fault.Fate) {
 	fate = f.inj.FateFor()
 	if fate != fault.FateDeliver && f.inj.Tracing() {
-		f.inj.Note(f.k.Now(), "fabric", fate.String(),
-			fmt.Sprintf("%s->%s size=%d", src.name, dst.name, size))
+		f.inj.Note(f.k.Now(), span.ClassHCA, src.name, fate.String(),
+			fmt.Sprintf("dst=%s size=%d", dst.name, size))
 	}
 	txDone, arrive = f.transfer(src, dst, size, deliver, nil, fate, parent)
 	delivered = fate == fault.FateDeliver || fate == fault.FateDelay
@@ -350,13 +350,4 @@ func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.
 		f.k.At(arrive-now, deliver)
 	}
 	return txDone, arrive
-}
-
-// ResetStats zeroes the counters of every endpoint (busy horizons are kept).
-// Metric series are cumulative and are not reset.
-func (f *Fabric) ResetStats() {
-	for _, e := range f.eps {
-		e.MsgsSent, e.BytesSent, e.MsgsRecv, e.BytesRecv = 0, 0, 0, 0
-		e.MsgsDiscarded, e.BytesDiscarded = 0, 0
-	}
 }

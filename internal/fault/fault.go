@@ -16,14 +16,14 @@
 // stream seeded with Config.Seed, drawn in discrete-event order, and no
 // draw consumes virtual time. A nil *Injector (the default when
 // cluster.Config.Fault is nil) disables every hook at zero cost — all
-// methods are nil-safe, mirroring trace.Log.
+// methods are nil-safe, like the span collector fault events are noted in.
 package fault
 
 import (
 	"math/rand"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 // Fate is the injected outcome of one fabric message.
@@ -213,15 +213,13 @@ type Injector struct {
 	// fields are race-free).
 	Stats Stats
 
-	// TraceFn, when set, resolves the trace log fault events are recorded
-	// to. It is a late-binding closure because cluster.Cluster.Trace is
-	// typically attached after construction.
-	TraceFn func() *trace.Log
+	spans *span.Collector // where Note records; nil = nowhere
 }
 
-// NewInjector builds the injector for one plan.
-func NewInjector(cfg *Config) *Injector {
-	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+// NewInjector builds the injector for one plan; fault and recovery events
+// are noted in spans (nil = not recorded).
+func NewInjector(cfg *Config, spans *span.Collector) *Injector {
+	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), spans: spans}
 }
 
 // Enabled reports whether fault injection is active; nil-safe.
@@ -300,17 +298,19 @@ func (in *Injector) Retry() RetryConfig {
 	return in.cfg.RetryOrDefault()
 }
 
-// Tracing reports whether Note currently records anywhere: true only when
-// the late-bound trace log is non-nil. Nil-safe. Callers that format their
-// Note arguments guard on it, so nothing is formatted for a log nobody reads.
-func (in *Injector) Tracing() bool {
-	return in != nil && in.TraceFn != nil && in.TraceFn().Enabled()
-}
+// Tracing reports whether a span collector is attached, i.e. whether Note
+// records anywhere. Nil-safe. Callers that format their Note detail guard on
+// it, so nothing is formatted for a record nobody reads.
+func (in *Injector) Tracing() bool { return in != nil && in.spans != nil }
 
-// Note records a fault/recovery event in the attached trace log; nil-safe
-// and free when no log is attached.
-func (in *Injector) Note(at sim.Time, entity, action, detail string) {
-	if in.Tracing() {
-		in.TraceFn().Add(at, entity, action, detail)
+// Note records a fault/recovery event as an instantaneous "fault"-layer
+// span (Begin == End == at) on the entity that observed it, with detail as
+// its one attribute; nil-safe and free when no collector is attached.
+func (in *Injector) Note(at sim.Time, class span.Class, entity, action, detail string) {
+	if !in.Tracing() {
+		return
 	}
+	id := in.spans.StartAt(0, class, entity, "fault", action, at)
+	in.spans.AttrStr(id, "detail", detail)
+	in.spans.EndAt(id, at)
 }

@@ -1,10 +1,11 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/span"
 )
 
 // A nil injector must behave as "no faults, no draws" everywhere.
@@ -28,32 +29,45 @@ func TestNilInjectorSafe(t *testing.T) {
 	if got := in.Retry(); got != DefaultRetry() {
 		t.Fatalf("nil Retry = %+v, want defaults", got)
 	}
-	in.Note(0, "x", "y", "z") // must not panic
+	in.Note(0, span.ClassRank, "x", "y", "z") // must not panic
 	if in.Tracing() {
 		t.Fatal("nil injector reports tracing")
 	}
 }
 
-// Tracing follows the late-bound log: false until the resolver returns a
-// live log, and Note records exactly when it is true.
-func TestTracingFollowsLateBoundLog(t *testing.T) {
-	in := NewInjector(DefaultConfig(1))
-	if in.Tracing() {
-		t.Fatal("tracing with no resolver attached")
+// Tracing means "a collector is attached": Note then records one
+// instantaneous fault-layer root span carrying the detail, and without a
+// collector it records nothing and allocates nothing.
+func TestNoteRecordsInstantFaultSpan(t *testing.T) {
+	quiet := NewInjector(DefaultConfig(1), nil)
+	if quiet.Tracing() {
+		t.Fatal("tracing with no collector attached")
 	}
-	var log *trace.Log
-	in.TraceFn = func() *trace.Log { return log }
-	if in.Tracing() {
-		t.Fatal("tracing while the resolver returns a nil log")
+	if allocs := testing.AllocsPerRun(100, func() {
+		quiet.Note(1, span.ClassHCA, "n0.host", "drop", "lost")
+	}); allocs != 0 {
+		t.Fatalf("Note without a collector allocated %.1f objects per call, want 0", allocs)
 	}
-	in.Note(1, "fabric", "drop", "lost")
-	log = trace.New(0)
+
+	sc := span.New(0)
+	in := NewInjector(DefaultConfig(1), sc)
 	if !in.Tracing() {
-		t.Fatal("not tracing once the resolver returns a log")
+		t.Fatal("not tracing with a collector attached")
 	}
-	in.Note(2, "fabric", "drop", "kept")
-	if ev := log.Events(); len(ev) != 1 || ev[0].Detail != "kept" {
-		t.Fatalf("log holds %+v, want only the event noted while tracing", ev)
+	in.Note(7, span.ClassProxy, "proxy3", "crash", "process killed")
+	if sc.Len() != 1 {
+		t.Fatalf("collector holds %d spans, want 1", sc.Len())
+	}
+	got := sc.Spans()[0]
+	want := span.Span{
+		ID: 1, Class: span.ClassProxy, Entity: "proxy3", Layer: "fault", Name: "crash",
+		Begin: 7, End: 7, Ended: true, Attrs: []span.Attr{{Key: "detail", Str: "process killed"}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("noted span = %+v, want %+v", got, want)
+	}
+	if roots := sc.RootsNamed("fault", "crash"); len(roots) != 1 {
+		t.Fatalf("RootsNamed(fault, crash) = %v, want the one noted span", roots)
 	}
 }
 
@@ -61,7 +75,7 @@ func TestTracingFollowsLateBoundLog(t *testing.T) {
 // cannot perturb the stream used by active ones.
 func TestZeroRatesDrawNothing(t *testing.T) {
 	cfg := DefaultConfig(7) // all rates zero
-	in := NewInjector(cfg)
+	in := NewInjector(cfg, nil)
 	for i := 0; i < 100; i++ {
 		if in.FateFor() != FateDeliver || in.CQError() || in.RegFail() {
 			t.Fatal("zero-rate injector injected a fault")
@@ -72,7 +86,7 @@ func TestZeroRatesDrawNothing(t *testing.T) {
 	}
 	// The stream is untouched: a fresh injector with the same seed draws the
 	// same first value for an active hook.
-	a := NewInjector(Scaled(7, 0.5))
+	a := NewInjector(Scaled(7, 0.5), nil)
 	b := in
 	b.cfg = Scaled(7, 0.5) // reuse the (undrawn) stream with active rates
 	for i := 0; i < 200; i++ {
@@ -84,8 +98,8 @@ func TestZeroRatesDrawNothing(t *testing.T) {
 
 // Two injectors with the same seed must produce the same fault sequence.
 func TestDeterministicDraws(t *testing.T) {
-	a := NewInjector(Scaled(42, 0.3))
-	b := NewInjector(Scaled(42, 0.3))
+	a := NewInjector(Scaled(42, 0.3), nil)
+	b := NewInjector(Scaled(42, 0.3), nil)
 	for i := 0; i < 1000; i++ {
 		if a.FateFor() != b.FateFor() {
 			t.Fatalf("FateFor diverged at draw %d", i)

@@ -4,16 +4,12 @@
 // Buffers may be payload-backed (carrying real bytes, so RDMA operations
 // physically copy data and correctness can be verified end to end) or
 // size-only (for large-scale figure runs where only virtual-time costs
-// matter). Remote writes into a Space signal a condition variable so that
-// processes polling memory locations (completion counters, barrier counters)
-// wake deterministically.
+// matter).
 package mem
 
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // Addr is a virtual address within a Space.
@@ -24,11 +20,6 @@ type Space struct {
 	name string
 	next Addr
 	bufs []*Buffer // sorted by addr
-
-	// WriteCond is broadcast whenever remote data lands in this space
-	// (RDMA write completion on the target side). Pollers of counters in
-	// this space wait on it.
-	WriteCond sim.Cond
 }
 
 // NewSpace returns an empty address space. Allocation starts at a nonzero
@@ -112,14 +103,12 @@ func (s *Space) Lookup(addr Addr, size int) (*Buffer, int) {
 }
 
 // WriteAt copies src into the space at addr, if the covering buffer is
-// payload-backed; size-only targets record nothing. It then signals
-// WriteCond. n is the declared length (used when src is nil for size-only
-// transfers).
+// payload-backed; size-only targets record nothing. n is the declared
+// length (used when src is nil for size-only transfers).
 func (s *Space) WriteAt(addr Addr, src []byte, n int) {
 	if b, off := s.Lookup(addr, n); b != nil && b.data != nil && src != nil {
 		copy(b.data[off:off+n], src)
 	}
-	s.WriteCond.Broadcast()
 }
 
 // ReadAt returns the payload bytes at [addr, addr+n), or nil if the covering
@@ -130,40 +119,4 @@ func (s *Space) ReadAt(addr Addr, n int) []byte {
 		return nil
 	}
 	return b.data[off : off+n]
-}
-
-// Counter is an 8-byte in-memory cell written remotely (completion flags,
-// barrier counters). It lives in a Space so writes wake pollers via
-// WriteCond, but it is manipulated directly as an int64 for convenience.
-type Counter struct {
-	space *Space
-	buf   *Buffer
-	val   int64
-}
-
-// NewCounter allocates a zeroed counter in s.
-func NewCounter(s *Space) *Counter {
-	return &Counter{space: s, buf: s.Alloc(8, false)}
-}
-
-// Addr returns the counter's address (exchanged like any buffer address).
-func (c *Counter) Addr() Addr { return c.buf.addr }
-
-// Value returns the current value.
-func (c *Counter) Value() int64 { return c.val }
-
-// Set stores v and wakes pollers of the owning space.
-func (c *Counter) Set(v int64) {
-	c.val = v
-	c.space.WriteCond.Broadcast()
-}
-
-// Add increments by delta and wakes pollers.
-func (c *Counter) Add(delta int64) { c.Set(c.val + delta) }
-
-// AwaitAtLeast blocks p until the counter value is >= want.
-func (c *Counter) AwaitAtLeast(p *sim.Proc, want int64) {
-	for c.val < want {
-		c.space.WriteCond.Wait(p)
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestAllocAddressesDisjoint(t *testing.T) {
@@ -72,46 +70,6 @@ func TestSlicePanicsOutOfRange(t *testing.T) {
 	b.Slice(10, 10)
 }
 
-func TestWriteWakesPoller(t *testing.T) {
-	k := sim.NewKernel()
-	s := NewSpace("p0")
-	c := NewCounter(s)
-	var sawAt sim.Time
-	k.Spawn("poller", func(p *sim.Proc) {
-		c.AwaitAtLeast(p, 3)
-		sawAt = p.Now()
-	})
-	k.Spawn("writer", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(100)
-			c.Add(1)
-		}
-	})
-	k.Run()
-	if len(k.Deadlocked) != 0 {
-		t.Fatal("poller deadlocked")
-	}
-	if sawAt != 300 {
-		t.Fatalf("poller released at %v, want 300", sawAt)
-	}
-}
-
-func TestCounterSetAndValue(t *testing.T) {
-	s := NewSpace("p0")
-	c := NewCounter(s)
-	if c.Value() != 0 {
-		t.Fatal("counter not zeroed")
-	}
-	c.Set(7)
-	c.Add(-2)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-	if c.Addr() == 0 {
-		t.Fatal("counter has zero address")
-	}
-}
-
 // Property: any sequence of writes at random offsets within a backed buffer
 // reads back exactly, and never affects neighbouring allocations.
 func TestPropertyWriteIsolation(t *testing.T) {
@@ -145,22 +103,6 @@ func TestPropertyWriteIsolation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAwaitAtLeastImmediate(t *testing.T) {
-	k := sim.NewKernel()
-	s := NewSpace("p")
-	c := NewCounter(s)
-	c.Set(5)
-	var woke sim.Time
-	k.Spawn("poller", func(p *sim.Proc) {
-		c.AwaitAtLeast(p, 3) // already satisfied: must not block
-		woke = p.Now()
-	})
-	k.Run()
-	if woke != 0 {
-		t.Fatalf("AwaitAtLeast blocked until %v despite satisfied predicate", woke)
 	}
 }
 

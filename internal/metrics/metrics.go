@@ -5,7 +5,7 @@
 // verbs registry, registration caches, the offload framework, the MPI
 // library); each layer holds typed handles and bumps them as events happen.
 //
-// The design follows the trace.Log nil-safety discipline: a nil *Registry
+// The design follows the span.Collector nil-safety discipline: a nil *Registry
 // hands out nil handles, and every handle method is nil-safe, so a build
 // without metrics pays nothing and — crucially — no method ever consumes
 // virtual time, so enabling metrics cannot move a single simulated
@@ -166,7 +166,7 @@ func (h *Histogram) Sum() sim.Time {
 
 // Registry owns every series of one simulation. The zero value is unusable;
 // use NewRegistry. A nil *Registry is valid, hands out nil handles, and
-// therefore disables the whole layer at zero cost (mirroring trace.Log).
+// therefore disables the whole layer at zero cost (mirroring span.Collector).
 //
 // The simulation kernel is single-threaded, so plain maps and fields are
 // race-free.

@@ -118,9 +118,6 @@ func NewPlacedWorld(cl *cluster.Cluster, cfg Config, prefix string, nodeOf []int
 // not follow the cluster's rank geometry.
 func (w *World) SameNode(a, b int) bool { return w.nodeOf[a] == w.nodeOf[b] }
 
-// NodeOf returns the node a world rank lives on.
-func (w *World) NodeOf(i int) int { return w.nodeOf[i] }
-
 // Config returns the library configuration.
 func (w *World) Config() Config { return w.cfg }
 

@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -34,6 +35,11 @@ type Op struct {
 	Size int
 	Tag  int
 }
+
+// MaxRanks bounds the rank and peer numbers a spec may name: Run sizes its
+// per-rank state by the highest one, so an unbounded number in a spec file
+// would be an allocation of the file's choosing.
+const MaxRanks = 1 << 16
 
 // Spec is a parsed pattern.
 type Spec struct {
@@ -79,8 +85,8 @@ func parseLine(line string) (Op, error) {
 		return Op{}, fmt.Errorf("too few fields in %q", line)
 	}
 	rank, err := strconv.Atoi(f[0])
-	if err != nil || rank < 0 {
-		return Op{}, fmt.Errorf("bad rank %q", f[0])
+	if err != nil || rank < 0 || rank >= MaxRanks {
+		return Op{}, fmt.Errorf("bad rank %q (want 0..%d)", f[0], MaxRanks-1)
 	}
 	switch f[1] {
 	case "barrier":
@@ -90,8 +96,8 @@ func parseLine(line string) (Op, error) {
 			return Op{}, fmt.Errorf("%s needs <peer> <size> [tag]", f[1])
 		}
 		peer, err := strconv.Atoi(f[2])
-		if err != nil || peer < 0 {
-			return Op{}, fmt.Errorf("bad peer %q", f[2])
+		if err != nil || peer < 0 || peer >= MaxRanks {
+			return Op{}, fmt.Errorf("bad peer %q (want 0..%d)", f[2], MaxRanks-1)
 		}
 		size, err := ParseSize(f[3])
 		if err != nil {
@@ -123,7 +129,7 @@ func ParseSize(s string) (int, error) {
 		mult, s = 1<<20, s[:len(s)-1]
 	}
 	v, err := strconv.Atoi(s)
-	if err != nil || v <= 0 {
+	if err != nil || v <= 0 || v > math.MaxInt/mult {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return v * mult, nil

@@ -39,7 +39,8 @@ func TestParseSizeSuffixes(t *testing.T) {
 			t.Fatalf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "-4", "0", "4X", "K"} {
+	// The last two used to wrap around: "9223372036854775807K" parsed as -1024.
+	for _, bad := range []string{"", "-4", "0", "4X", "K", "9223372036854775807K", "8796093022208M"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Fatalf("ParseSize(%q) accepted", bad)
 		}
@@ -48,11 +49,14 @@ func TestParseSizeSuffixes(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"x send 1 4K",   // bad rank
-		"0 frobnicate",  // unknown op
-		"0 send 1",      // missing size
-		"0 send -1 4K",  // bad peer
-		"0 send 1 4K q", // bad tag
+		"x send 1 4K",                      // bad rank
+		"0 frobnicate",                     // unknown op
+		"0 send 1",                         // missing size
+		"0 send -1 4K",                     // bad peer
+		"0 send 1 4K q",                    // bad tag
+		"999999999 barrier",                // rank beyond MaxRanks (Run would size its state by it)
+		"0 send 65536 4K\n65536 recv 0 4K", // peer beyond MaxRanks
+		"0 send 1 9223372036854775807K 0",  // size overflows int
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c)); err == nil {

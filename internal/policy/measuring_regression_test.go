@@ -18,7 +18,7 @@ func TestMeasuringProbeRetryUnderFaultDrops(t *testing.T) {
 	q := func(call int) Request { return Request{Class: ClassGroup, Size: 64 << 10, Call: call} }
 
 	// Total loss: every observation dropped, so the policy may never freeze.
-	inj := fault.NewInjector(&fault.Config{Seed: 7, DropRate: 1})
+	inj := fault.NewInjector(&fault.Config{Seed: 7, DropRate: 1}, nil)
 	m := NewMeasuring()
 	for call := 0; call < 12; call++ {
 		d := m.Decide(q(call))
@@ -39,7 +39,7 @@ func TestMeasuringProbeRetryUnderFaultDrops(t *testing.T) {
 
 	// Partial loss: the first cost that survives the injector unlocks a
 	// real, valid freeze on the next decision.
-	inj = fault.NewInjector(&fault.Config{Seed: 7, DropRate: 0.5})
+	inj = fault.NewInjector(&fault.Config{Seed: 7, DropRate: 0.5}, nil)
 	m = NewMeasuring()
 	observed := false
 	for call := 0; call < 32 && !observed; call++ {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFixedAlwaysSamePath(t *testing.T) {
-	for _, k := range datapath.Kinds() {
+	for k := datapath.Kind(0); k.Valid(); k++ {
 		f := Fixed{Path: k}
 		for _, q := range []Request{
 			{Class: ClassP2P, Size: 8},

@@ -61,9 +61,6 @@ func New[V any](numRanks, perRank int, onEvict func(V)) *Cache[V] {
 	return &Cache[V]{shards: make([]shard[V], numRanks), perRank: perRank, onEvict: onEvict}
 }
 
-// NumRanks returns the size of the first-level array.
-func (c *Cache[V]) NumRanks() int { return len(c.shards) }
-
 // Len returns the total number of cached entries.
 func (c *Cache[V]) Len() int {
 	total := 0
@@ -185,9 +182,6 @@ func (c *Cache[V]) Clear() {
 		// are released through the same path).
 	}
 }
-
-// RankLen returns the number of entries cached for one rank.
-func (c *Cache[V]) RankLen(rank int) int { return c.shards[rank].n }
 
 // wellFormed verifies internal invariants (tests only).
 func (c *Cache[V]) wellFormed() bool {

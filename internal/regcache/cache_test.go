@@ -81,8 +81,8 @@ func TestLRUEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Put(0, mem.Addr(0x1000+i*64), 64, i)
 	}
-	if c.RankLen(0) != 3 {
-		t.Fatalf("RankLen = %d, want 3", c.RankLen(0))
+	if c.shards[0].n != 3 {
+		t.Fatalf("RankLen = %d, want 3", c.shards[0].n)
 	}
 	if len(evicted) != 2 || evicted[0] != 0 || evicted[1] != 1 {
 		t.Fatalf("evicted %v, want [0 1]", evicted)
@@ -197,7 +197,7 @@ func TestPropertyCapacityRespected(t *testing.T) {
 				c.Put(rank, addr, 64, op)
 				inserts++
 			}
-			if c.RankLen(rank) > k {
+			if c.shards[rank].n > k {
 				return false
 			}
 		}

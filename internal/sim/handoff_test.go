@@ -349,8 +349,8 @@ func TestSpawnFromHandlerOnProcStack(t *testing.T) {
 	if end := k.Run(); end != 10 || childAt != 3 || grandchildAt != 7 {
 		t.Fatalf("child started at %v, grandchild at %v, run ended at %v; want 3, 7, 10", childAt, grandchildAt, end)
 	}
-	if k.Live() != 0 || len(k.Procs()) != 3 {
-		t.Fatalf("Live() = %d of %d procs, want 0 of 3", k.Live(), len(k.Procs()))
+	if k.Live() != 0 || len(k.procs) != 3 {
+		t.Fatalf("Live() = %d of %d procs, want 0 of 3", k.Live(), len(k.procs))
 	}
 }
 

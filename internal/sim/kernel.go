@@ -521,6 +521,3 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Live reports the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
-
-// Procs returns all processes ever spawned on this kernel.
-func (k *Kernel) Procs() []*Proc { return k.procs }

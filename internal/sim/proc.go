@@ -27,16 +27,12 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	busy   Time // accumulated AdvanceBusy (compute/CPU-work) time
 	daemon bool
 }
 
 // SetDaemon marks the process as a daemon: it is expected to block forever
 // (e.g. a progress engine) and is excluded from deadlock reporting.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
-
-// Daemon reports whether the process is marked as a daemon.
-func (p *Proc) Daemon() bool { return p.daemon }
 
 // ID returns the process's kernel-unique identifier.
 func (p *Proc) ID() int { return p.id }
@@ -53,10 +49,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// BusyTime returns the total virtual time this process has spent in
-// AdvanceBusy (modelled CPU work).
-func (p *Proc) BusyTime() Time { return p.busy }
 
 func (p *Proc) checkRunning() {
 	if p.k.running != p {
@@ -108,15 +100,9 @@ func (p *Proc) Sleep(d Time) {
 	p.block()
 }
 
-// AdvanceBusy is Sleep plus accounting: the elapsed time is recorded as CPU
-// work (compute), which workloads use to report compute/communication
-// splits.
-func (p *Proc) AdvanceBusy(d Time) {
-	if d > 0 {
-		p.busy += d
-	}
-	p.Sleep(d)
-}
+// AdvanceBusy is Sleep under the name call sites use for modelled CPU work
+// (compute, posting overheads), as opposed to waiting.
+func (p *Proc) AdvanceBusy(d Time) { p.Sleep(d) }
 
 // Cond is a condition variable for simulated processes. It has no associated
 // lock (the simulation is single-threaded); use it with a predicate loop:
@@ -150,6 +136,3 @@ func (c *Cond) Broadcast() {
 	}
 	c.waiters = c.waiters[:0]
 }
-
-// NWaiters reports how many processes are blocked on the condition.
-func (c *Cond) NWaiters() int { return len(c.waiters) }

@@ -179,18 +179,19 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// AdvanceBusy accounts modelled CPU work on the virtual clock, as Sleep does.
 func TestAdvanceBusyAccounting(t *testing.T) {
 	k := NewKernel()
-	var p0 *Proc
+	var done Time
 	k.Spawn("worker", func(p *Proc) {
-		p0 = p
 		p.AdvanceBusy(100)
 		p.Sleep(50)
 		p.AdvanceBusy(25)
+		done = p.Now()
 	})
 	k.Run()
-	if p0.BusyTime() != 125 {
-		t.Fatalf("BusyTime = %v, want 125", p0.BusyTime())
+	if done != 175 {
+		t.Fatalf("worker finished at %v, want 175", done)
 	}
 }
 
@@ -401,11 +402,11 @@ func TestDaemonExcludedFromDeadlock(t *testing.T) {
 func TestDaemonFlagReadable(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("d", func(p *Proc) {
-		if p.Daemon() {
+		if p.daemon {
 			t.Error("daemon flag set before SetDaemon")
 		}
 		p.SetDaemon(true)
-		if !p.Daemon() {
+		if !p.daemon {
 			t.Error("daemon flag not set")
 		}
 	})
@@ -420,8 +421,8 @@ func TestPendingAndProcs(t *testing.T) {
 		t.Fatalf("Pending = %d", k.Pending())
 	}
 	k.Spawn("p", func(p *Proc) {})
-	if len(k.Procs()) != 1 {
-		t.Fatalf("Procs = %d", len(k.Procs()))
+	if len(k.procs) != 1 {
+		t.Fatalf("Procs = %d", len(k.procs))
 	}
 	k.Run()
 	if k.Pending() != 0 {
@@ -442,8 +443,8 @@ func TestCondNWaiters(t *testing.T) {
 	}
 	k.Spawn("check", func(p *Proc) {
 		p.Sleep(10)
-		if cond.NWaiters() != 3 {
-			t.Errorf("NWaiters = %d, want 3", cond.NWaiters())
+		if len(cond.waiters) != 3 {
+			t.Errorf("NWaiters = %d, want 3", len(cond.waiters))
 		}
 		release = true
 		cond.Broadcast()

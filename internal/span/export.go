@@ -75,22 +75,50 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// WriteChromeTrace writes the span tree in Chrome trace-event JSON
+// WriteTimeline renders the recorded spans as the paper's Figure-1 listing:
+// one "time entity layer.name attrs" row per span, ordered by begin time
+// with creation order breaking ties. It returns the first write error.
+func (c *Collector) WriteTimeline(w io.Writer) error {
+	if c == nil {
+		return nil
+	}
+	rows := make([]*Span, len(c.spans))
+	entW := 0
+	for i := range c.spans {
+		rows[i] = &c.spans[i]
+		entW = max(entW, len(rows[i].Entity))
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Begin < rows[j].Begin })
+	for _, s := range rows {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%12s  %-*s  %s.%s", s.Begin, entW, s.Entity, s.Layer, s.Name)
+		for _, a := range s.Attrs {
+			if a.IsInt {
+				fmt.Fprintf(&b, " %s=%d", a.Key, a.Int)
+			} else {
+				fmt.Fprintf(&b, " %s=%s", a.Key, a.Str)
+			}
+		}
+		b.WriteByte('\n')
+		if _, err := io.WriteString(w, b.String()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteChromeTraceWith writes the span tree in Chrome trace-event JSON
 // (chrome://tracing, Perfetto). Each entity becomes a named thread;
 // spans become complete ("X") duration events, and every cross-entity
 // parent/child edge becomes a flow-event pair ("s" on the parent's track
 // at the child's begin, "f" on the child's track) so the causal chain —
 // host call -> proxy -> HCA -> wire — is drawn as arrows across tracks.
 // Timestamps are microseconds (floats), the format's native unit.
-func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	return c.WriteChromeTraceWith(w, nil)
-}
-
-// WriteChromeTraceWith is WriteChromeTrace with extra pre-rendered trace
-// events appended to the array — the merge point for the telemetry
-// recorder's counter ("C") events, so spans and time series land in one
-// trace file. Each extra must be one complete JSON object without trailing
-// separators. A nil collector still emits the extras.
+//
+// The extra pre-rendered trace events are appended to the array — the merge
+// point for the telemetry recorder's counter ("C") events, so spans and time
+// series land in one trace file. Each extra must be one complete JSON object
+// without trailing separators. A nil collector still emits the extras.
 func (c *Collector) WriteChromeTraceWith(w io.Writer, extra []string) error {
 	if c == nil && len(extra) == 0 {
 		_, err := io.WriteString(w, "[]\n")

@@ -3,6 +3,7 @@ package span
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -73,7 +74,7 @@ func TestWriteJSONL(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	c := sampleCollector()
 	var b strings.Builder
-	if err := c.WriteChromeTrace(&b); err != nil {
+	if err := c.WriteChromeTraceWith(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -104,7 +105,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 	var nilC *Collector
 	var nb strings.Builder
-	if err := nilC.WriteChromeTrace(&nb); err != nil {
+	if err := nilC.WriteChromeTraceWith(&nb, nil); err != nil {
 		t.Fatal(err)
 	}
 	var empty []any
@@ -145,5 +146,72 @@ func TestWriteFolded(t *testing.T) {
 	var nb strings.Builder
 	if err := nilC.WriteFolded(&nb); err != nil || nb.Len() != 0 {
 		t.Errorf("nil WriteFolded: err=%v out=%q", err, nb.String())
+	}
+}
+
+// timelineCollector is sampleCollector plus two noted faults: one that ties
+// with the wire span's begin time but was created later, and one created
+// last that begins early.
+func timelineCollector() *Collector {
+	c := sampleCollector()
+	c.EndAt(c.StartAt(0, ClassHCA, "n0.dpu", "fault", "drop", 30), 30)
+	crash := c.StartAt(0, ClassProxy, "proxy1", "fault", "crash", 5)
+	c.AttrStr(crash, "detail", "process killed")
+	c.EndAt(crash, 5)
+	return c
+}
+
+// Timeline: one row per span in begin-time order, rows that begin at the
+// same instant in creation order, attributes spelled key=value, the entity
+// column padded to the widest name.
+func TestWriteTimelineGolden(t *testing.T) {
+	var b strings.Builder
+	if err := timelineCollector().WriteTimeline(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "" +
+		"         0ns  rank0            coll.ialltoall size=8192\n" +
+		"         5ns  proxy1           fault.crash detail=process killed\n" +
+		"        10ns  n0.dpu/proxy0    core.group_exec mech=gvmi\n" +
+		"        20ns  n0.dpu           verbs.rdma_write\n" +
+		"        30ns  n0.dpu->n1.host  fabric.wire\n" +
+		"        30ns  n0.dpu           fault.drop\n" +
+		"        95ns  rank0            core.open_op\n"
+	if b.String() != want {
+		t.Fatalf("timeline:\n%s\nwant:\n%s", b.String(), want)
+	}
+
+	var nilC *Collector
+	var nb strings.Builder
+	if err := nilC.WriteTimeline(&nb); err != nil || nb.Len() != 0 {
+		t.Errorf("nil WriteTimeline: err=%v out=%q", err, nb.String())
+	}
+}
+
+// failAfter fails every write after the first n.
+type failAfter struct {
+	n      int
+	writes int
+}
+
+var errSink = errors.New("sink full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > f.n {
+		return 0, errSink
+	}
+	return len(p), nil
+}
+
+// The first write error is returned and stops the listing, so a caller
+// streaming to a file or pipe sees the failure instead of a short timeline.
+func TestWriteTimelineWriteError(t *testing.T) {
+	sink := &failAfter{n: 2}
+	if err := timelineCollector().WriteTimeline(sink); !errors.Is(err, errSink) {
+		t.Fatalf("WriteTimeline on a failing writer returned %v, want the sink's error", err)
+	}
+	if sink.writes != 3 {
+		t.Fatalf("%d writes attempted, want the listing to stop at the failed third", sink.writes)
 	}
 }

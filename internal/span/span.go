@@ -1,11 +1,12 @@
 // Package span is the causal tracing layer: a tree of virtual-time spans
 // connecting each application-level operation (an MPI Isend, a collective
 // call) to the core proxy/group work, verbs registrations and RDMA
-// operations, and fabric injection + wire flights it spawned. Where
-// internal/trace answers "what happened when" and internal/metrics answers
-// "how much in total", spans answer "why did THIS operation take THIS
-// long" — the critical-path and attribution analyses in analysis.go turn a
-// span tree into a per-layer latency breakdown.
+// operations, and fabric injection + wire flights it spawned, plus the
+// instantaneous "fault"-layer spans the fault injector notes. Where
+// internal/metrics answers "how much in total", spans answer "why did THIS
+// operation take THIS long" — the critical-path and attribution analyses in
+// analysis.go turn a span tree into a per-layer latency breakdown, and
+// WriteTimeline lists the same record chronologically (the paper's Figure 1).
 //
 // The package follows the same zero-overhead discipline as
 // internal/metrics: a nil *Collector is fully usable (every method is a

@@ -102,27 +102,3 @@ func (t *SLOTracker) Observe(d sim.Time) {
 	t.burn.Set(rate)
 	t.burnMax.SetMax(rate)
 }
-
-// Violations returns the lifetime violation count; nil-safe.
-func (t *SLOTracker) Violations() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.violations.Value()
-}
-
-// Samples returns the lifetime sample count; nil-safe.
-func (t *SLOTracker) Samples() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.samples.Value()
-}
-
-// BurnRate returns the current windowed burn rate; nil-safe.
-func (t *SLOTracker) BurnRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.burn.Value()
-}

@@ -12,7 +12,7 @@ import (
 // faultRig is a rig with an injector attached.
 func newFaultRig(n int, cfg *fault.Config) (*rig, *fault.Injector) {
 	rg := newRig(n)
-	in := fault.NewInjector(cfg)
+	in := fault.NewInjector(cfg, nil)
 	rg.f.SetInjector(in)
 	rg.r.SetInjector(in)
 	return rg, in

@@ -111,7 +111,7 @@ func (c *Ctx) writeAttempt(op WriteOp, dst *MR, dstCtx *Ctx, payload []byte, att
 		// The WQE completed with an error status before reaching the wire.
 		c.reg.mErrorCQEs.Inc()
 		if inj.Tracing() {
-			inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("write size=%d attempt=%d", op.Size, attempt))
+			inj.Note(k.Now(), span.ClassHCA, c.name, "cq-error", fmt.Sprintf("write size=%d attempt=%d", op.Size, attempt))
 		}
 		c.retryOrFail("write", op.Size, attempt, k.Now(),
 			func() { c.writeAttempt(op, dst, dstCtx, payload, attempt+1, ws) },
@@ -149,7 +149,7 @@ func (c *Ctx) retryOrFail(kind string, size, attempt int, from sim.Time, again f
 	if attempt >= rc.MaxAttempts {
 		inj.Stats.Exhausted++
 		if inj.Tracing() {
-			inj.Note(k.Now(), c.name, "retry-exhausted",
+			inj.Note(k.Now(), span.ClassHCA, c.name, "retry-exhausted",
 				fmt.Sprintf("%s size=%d after %d attempts", kind, size, attempt))
 		}
 		if onErr != nil {
@@ -161,7 +161,7 @@ func (c *Ctx) retryOrFail(kind string, size, attempt int, from sim.Time, again f
 	c.reg.mRetries.Inc()
 	c.reg.mBackoffNS.Add(int64(rc.Delay(attempt)))
 	if inj.Tracing() {
-		inj.Note(k.Now(), c.name, "retry",
+		inj.Note(k.Now(), span.ClassHCA, c.name, "retry",
 			fmt.Sprintf("%s size=%d attempt=%d backoff=%s", kind, size, attempt, rc.Delay(attempt)))
 	}
 	k.At(from-k.Now()+rc.Delay(attempt), again)
@@ -236,7 +236,7 @@ func (c *Ctx) readAttempt(op ReadOp, dst, src *MR, srcCtx *Ctx, attempt int, rs 
 	if inj.CQError() {
 		c.reg.mErrorCQEs.Inc()
 		if inj.Tracing() {
-			inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("read size=%d attempt=%d", op.Size, attempt))
+			inj.Note(k.Now(), span.ClassHCA, c.name, "cq-error", fmt.Sprintf("read size=%d attempt=%d", op.Size, attempt))
 		}
 		c.retryOrFail("read", op.Size, attempt, k.Now(),
 			func() { c.readAttempt(op, dst, src, srcCtx, attempt+1, rs) },
@@ -309,7 +309,7 @@ func (c *Ctx) sendAttempt(dst *Ctx, pkt *Packet, attempt int) {
 	if inj.CQError() {
 		c.reg.mErrorCQEs.Inc()
 		if inj.Tracing() {
-			inj.Note(k.Now(), c.name, "cq-error", fmt.Sprintf("send %s attempt=%d", pkt.Kind, attempt))
+			inj.Note(k.Now(), span.ClassHCA, c.name, "cq-error", fmt.Sprintf("send %s attempt=%d", pkt.Kind, attempt))
 		}
 		c.retryOrFail("send", pkt.Size, attempt, k.Now(),
 			func() { c.sendAttempt(dst, pkt, attempt+1) }, nil)

@@ -222,7 +222,7 @@ func (c *Ctx) RegisterMRCtx(p *sim.Proc, addr mem.Addr, size int, parent span.ID
 		c.reg.RegTime += cost
 		p.AdvanceBusy(cost)
 		if c.reg.inj.Tracing() {
-			c.reg.inj.Note(p.Now(), c.name, "reg-fail",
+			c.reg.inj.Note(p.Now(), span.ClassHCA, c.name, "reg-fail",
 				fmt.Sprintf("addr=%d size=%d (retrying)", addr, size))
 		}
 	}
