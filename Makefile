@@ -73,11 +73,13 @@ bench-smoke:
 	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/verbs/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
-# testdata/fuzz/, for each parser of outside text (`go test -fuzz` takes one
-# target and one package per run; two workers keep it small).
+# testdata/fuzz/, for each parser of outside text — pattern specs, fleet
+# specs and offloadbench command lines (`go test -fuzz` takes one target and
+# one package per run; two workers keep it small).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
+	$(GO) test -run '^$$' -fuzz '^FuzzArgs$$' -fuzztime 5s -parallel 2 ./cmd/offloadbench/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

@@ -5,7 +5,7 @@
 // This walkthrough gives one job the whole cluster for clarity; the
 // simulator is not single-job — internal/tenant runs N concurrent jobs
 // on a shared fabric with per-tenant proxy fairness (try
-// `go run ./cmd/patternsim -preset ring -np 4 -ppn 2 -tenants 2`).
+// `go run ./cmd/offloadbench pattern -preset ring -np 4 -ppn 2 -tenants 2`).
 package main
 
 import (

@@ -92,8 +92,20 @@ func needsFramework(scheme string) bool {
 	return scheme == baseline.NameProposed || scheme == baseline.NameBluesMPI
 }
 
-// Build constructs the environment.
+// CheckScheme rejects a scheme name Build does not know.
+func CheckScheme(name string) error {
+	if !needsFramework(name) && name != baseline.NameIntelMPI {
+		return fmt.Errorf("unknown scheme %q (have Proposed|BluesMPI|IntelMPI)", name)
+	}
+	return nil
+}
+
+// Build constructs the environment. Options.Policy, when set, decides the
+// backends; otherwise Options.Scheme must be one of the three schemes.
 func Build(opt Options) *Env {
+	if err := CheckScheme(opt.Scheme); err != nil && opt.Policy == "" {
+		panic("bench: " + err.Error())
+	}
 	var ccfg cluster.Config
 	dev, fleet := opt.Device, opt.Fleet
 	if dev == "" {

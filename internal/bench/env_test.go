@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -27,6 +28,14 @@ func TestBuildSchemesFrameworkPresence(t *testing.T) {
 	if e := Build(Options{Nodes: 2, PPN: 1, Scheme: baseline.NameIntelMPI, Core: &cfg}); e.Fw == nil {
 		t.Fatal("Core override must build a framework")
 	}
+	// An unknown scheme is refused like an unknown policy, not run
+	// host-only under its name.
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Proposed|BluesMPI|IntelMPI") {
+			t.Fatalf(`Build with scheme "Nope" recovered %v; want a panic listing the schemes`, r)
+		}
+	}()
+	Build(Options{Nodes: 2, PPN: 1, Scheme: "Nope"})
 }
 
 func TestLaunchBindsBackendsAndStopsProxies(t *testing.T) {

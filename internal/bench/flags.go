@@ -14,9 +14,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CommonFlags are the flags every CLI in this repo shares (-metrics, -spans,
-// -parallel, -policy). One registration helper keeps names, defaults, and
-// help text identical across offloadbench, omb, and patternsim.
+// CommonFlags are the seven flags the words of offloadbench share (-metrics,
+// -spans, -timeseries, -parallel, -policy, -device, -fleet). One
+// registration helper keeps their names, defaults and help text in one
+// place; each word registers the ones it honours.
 type CommonFlags struct {
 	MetricsPath    string
 	SpansPath      string
@@ -31,19 +32,11 @@ type CommonFlags struct {
 	tl  *telemetry.Timeline
 }
 
-// registered remembers which FlagSets already carry the common flags, so
-// subcommands sharing one FlagSet can each call RegisterCommonFlags without
-// tripping flag's duplicate-definition panic.
-var registered = map[*flag.FlagSet]*CommonFlags{}
-
-// RegisterCommonFlags registers the shared flag set on fs. Calling it again
-// with the same fs is a no-op that returns the original CommonFlags.
+// RegisterCommonFlags registers the seven shared flags on fs. A front end
+// whose words honour different subsets registers them on a scratch set and
+// hands each word's FlagSet the ones it reads.
 func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
-	if cf, ok := registered[fs]; ok {
-		return cf
-	}
 	cf := &CommonFlags{}
-	registered[fs] = cf
 	fs.StringVar(&cf.MetricsPath, "metrics", "",
 		"write a metrics snapshot after the run: JSON to <path>, Prometheus text to <path>.prom")
 	fs.StringVar(&cf.SpansPath, "spans", "",
@@ -62,6 +55,29 @@ func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 			" (e.g. \"bf2:2,bf3:2\"); \"help\" prints the grammar and capability matrix"+
 			" and exits; overrides -device")
 	return cf
+}
+
+// Check rejects the values Build would panic on, so that a command line
+// fails when it is parsed rather than mid-run: an unknown -policy or
+// -device, and a -fleet spec that does not cover nodes nodes. The query
+// values "-device list" and "-fleet help" pass.
+func (cf *CommonFlags) Check(nodes int) error {
+	if cf.Policy != "" {
+		if _, err := baseline.PolicyBundle(cf.Policy); err != nil {
+			return err
+		}
+	}
+	if cf.Device != "" && cf.Device != "list" {
+		if _, err := device.Lookup(cf.Device); err != nil {
+			return err
+		}
+	}
+	if cf.Fleet != "" && cf.Fleet != "help" {
+		if _, err := device.ExpandFleet(cf.Fleet, nodes); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // HandleDeviceQuery services the documentation values of -device/-fleet:

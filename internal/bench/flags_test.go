@@ -6,32 +6,36 @@ import (
 	"testing"
 )
 
-// Subcommands that share one FlagSet each call RegisterCommonFlags; a second
-// registration on the same set must return the original CommonFlags instead
-// of panicking on duplicate flag definitions.
-func TestRegisterCommonFlagsIdempotent(t *testing.T) {
-	fs := flag.NewFlagSet("shared", flag.ContinueOnError)
-	first := RegisterCommonFlags(fs)
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("duplicate registration panicked: %v", r)
-		}
-	}()
-	second := RegisterCommonFlags(fs)
-	if first != second {
-		t.Fatal("second registration returned a different CommonFlags")
-	}
-	if err := fs.Parse([]string{"-parallel", "3", "-policy", "adaptive"}); err != nil {
+// Check turns the shared-flag values Build would panic on into errors, and
+// passes valid values and the two documentation queries.
+func TestCommonFlagsCheck(t *testing.T) {
+	fs := flag.NewFlagSet("word", flag.ContinueOnError)
+	cf := RegisterCommonFlags(fs)
+	if err := fs.Parse([]string{"-parallel", "3", "-policy", "adaptive", "-fleet", "bf2:2,bf3:2"}); err != nil {
 		t.Fatal(err)
 	}
-	if first.Parallel != 3 || first.Policy != "adaptive" {
-		t.Fatalf("parsed values missing from shared CommonFlags: %+v", first)
+	if cf.Parallel != 3 || cf.Policy != "adaptive" || cf.Fleet != "bf2:2,bf3:2" {
+		t.Fatalf("parsed values missing: %+v", cf)
 	}
-
-	// Distinct FlagSets still get distinct CommonFlags.
-	other := RegisterCommonFlags(flag.NewFlagSet("other", flag.ContinueOnError))
-	if other == first {
-		t.Fatal("distinct FlagSets shared one CommonFlags")
+	if err := cf.Check(4); err != nil {
+		t.Fatalf("valid flags rejected: %v", err)
+	}
+	for _, c := range []struct {
+		cf   CommonFlags
+		want string
+	}{
+		{CommonFlags{Policy: "nope"}, "unknown policy"},
+		{CommonFlags{Device: "nope"}, "nope"},
+		{CommonFlags{Fleet: "bf2:3"}, "names more than the cluster's 2 nodes"},
+	} {
+		if err := c.cf.Check(2); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Check = %v, want an error containing %q", c.cf, err, c.want)
+		}
+	}
+	for _, q := range []CommonFlags{{Device: "list"}, {Fleet: "help"}} {
+		if err := q.Check(2); err != nil {
+			t.Errorf("query %+v rejected: %v", q, err)
+		}
 	}
 }
 

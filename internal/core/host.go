@@ -340,9 +340,3 @@ func (h *Host) WaitAll(reqs ...*OffloadRequest) {
 		return true
 	})
 }
-
-// TestOffload polls for completion without blocking.
-func (h *Host) TestOffload(req *OffloadRequest) bool {
-	h.progress()
-	return req.done
-}

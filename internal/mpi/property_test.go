@@ -124,8 +124,9 @@ func TestPropertySelfSendAllSizes(t *testing.T) {
 	}
 }
 
-// Property: collectives compose — a random sequence of barriers, bcasts and
-// allgathers executes deadlock-free with correct payloads.
+// Property: collectives compose — a random sequence of barriers, bcasts,
+// ialltoalls, iallgathers and ibcasts executes deadlock-free with correct
+// payloads, each call matching its peers' by collective tag sequence.
 func TestPropertyCollectiveSequences(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -136,7 +137,7 @@ func TestPropertyCollectiveSequences(t *testing.T) {
 		roots := make([]int, nOps)
 		np := nodes * ppn
 		for i := range kinds {
-			kinds[i] = rng.Intn(3)
+			kinds[i] = rng.Intn(5)
 			roots[i] = rng.Intn(np)
 		}
 		const size = 2048
@@ -149,19 +150,34 @@ func TestPropertyCollectiveSequences(t *testing.T) {
 				switch k {
 				case 0:
 					r.Barrier()
-				case 1:
+				case 1, 4:
 					buf := r.Alloc(size)
 					if r.RankID() == roots[i] {
 						fill(r, buf, byte(i*3+1))
 					}
-					r.Bcast(buf.Addr(), size, roots[i])
+					if k == 1 {
+						r.Bcast(buf.Addr(), size, roots[i])
+					} else {
+						r.WaitColl(r.Ibcast(buf.Addr(), size, roots[i]))
+					}
 					if buf.Bytes()[0] != byte(i*3+1) {
 						good = false
 					}
 				case 2:
+					send, recv := r.Alloc(np*size), r.Alloc(np*size)
+					for dst := 0; dst < np; dst++ {
+						send.Bytes()[dst*size] = byte(r.RankID()*7 + dst + i)
+					}
+					r.WaitColl(r.Ialltoall(send.Addr(), recv.Addr(), size))
+					for src := 0; src < np; src++ {
+						if recv.Bytes()[src*size] != byte(src*7+r.RankID()+i) {
+							good = false
+						}
+					}
+				case 3:
 					send, recv := r.Alloc(size), r.Alloc(np*size)
 					fill(r, send, byte(r.RankID()+i))
-					r.Allgather(send.Addr(), recv.Addr(), size)
+					r.WaitColl(r.Iallgather(send.Addr(), recv.Addr(), size))
 					for src := 0; src < np; src++ {
 						if recv.Bytes()[src*size] != byte(src+i) {
 							good = false

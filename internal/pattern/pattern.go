@@ -11,8 +11,8 @@
 //	...
 //
 // Fields: <rank> send <dst> <size> [tag] | <rank> recv <src> <size> [tag]
-// | <rank> barrier. Sizes accept K/M suffixes. cmd/patternsim runs a spec
-// (or a built-in preset) under a chosen mechanism and reports per-rank
+// | <rank> barrier. Sizes accept K/M suffixes. `offloadbench pattern` runs a
+// spec (or a built-in preset) under a chosen policy and reports per-rank
 // completion times and framework statistics.
 package pattern
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
 )
@@ -253,6 +254,7 @@ func TestPatternJobRecordsGroupsLikePatternRun(t *testing.T) {
 	solo := metrics.NewRegistry()
 	if _, err := pattern.Run(spec, pattern.RunOptions{
 		Nodes: 2, PPN: 2, Calls: warmup + iters, Policy: "measure", Metrics: solo,
+		Core: baseline.ProposedConfig(), // the measure bundle's
 	}); err != nil {
 		t.Fatal(err)
 	}
