@@ -147,7 +147,9 @@ const deadlockSpec = `
 
 // Run retires its simulation on every way out: proxy daemons and deadlocked
 // ranks are unwound, so repeated runs leave no goroutine behind, and the
-// deadlock report names the blocked ranks.
+// deadlock report names the blocked ranks. The count may fall below the
+// baseline (under -race a goroutine was still exiting when it was read) but
+// never rise above it.
 func TestRunLeaksNoGoroutines(t *testing.T) {
 	dead, err := Parse(strings.NewReader(deadlockSpec))
 	if err != nil {
@@ -158,8 +160,8 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		if _, err := Run(Ring(8, 4096), RunOptions{Nodes: 2, PPN: 4, Calls: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if n := runtime.NumGoroutine(); n != base {
-			t.Fatalf("run %d: %d goroutines, want the baseline %d", i, n, base)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("run %d: %d goroutines, want at most the baseline %d", i, n, base)
 		}
 	}
 	for i := 0; i < 5; i++ {
@@ -172,8 +174,8 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 				t.Fatalf("deadlock report %q does not name %s", err, name)
 			}
 		}
-		if n := runtime.NumGoroutine(); n != base {
-			t.Fatalf("deadlocked run %d: %d goroutines, want the baseline %d", i, n, base)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("deadlocked run %d: %d goroutines, want at most the baseline %d", i, n, base)
 		}
 	}
 }
