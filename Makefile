@@ -67,10 +67,11 @@ snap:
 snap-check:
 	$(GO) test -run 'TestBaselines|ValidateRejects|TestSplitDriftWindows' ./internal/bench/
 
-# Perf smoke: allocation budgets on the event core, verbs and group-replay
-# hot paths and the serial-vs-parallel determinism guard.
+# Perf smoke: allocation budgets on the event core, verbs, the MPI
+# point-to-point and barrier paths, the basic-primitive and group-replay
+# paths, and the serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/verbs/
+	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/verbs/ ./internal/mpi/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet

@@ -159,7 +159,7 @@ func rootSpan(r *mpi.Rank, name string, size int) span.ID {
 	if !sp.Enabled() {
 		return 0
 	}
-	s := sp.Start(0, span.ClassRank, fmt.Sprintf("rank%d", r.RankID()), "coll", name)
+	s := sp.Start(0, span.ClassRank, r.Entity(), "coll", name)
 	sp.AttrInt(s, "size", int64(size))
 	return s
 }
@@ -319,6 +319,7 @@ type P2P interface {
 type HostP2P struct {
 	name string
 	r    *mpi.Rank
+	wait waitScratch
 }
 
 // NewHostP2P wraps a rank with MPI point-to-point transfer.
@@ -338,13 +339,7 @@ func (o *HostP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
 }
 
 // WaitAll implements P2P.
-func (o *HostP2P) WaitAll(qs []Request) {
-	reqs := make([]*mpi.Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = q.(*mpi.Request)
-	}
-	o.r.WaitAll(reqs...)
-}
+func (o *HostP2P) WaitAll(qs []Request) { o.wait.waitAll(o.r, nil, qs) }
 
 // OffloadP2P uses the framework's Basic primitives (Send_Offload /
 // Recv_Offload). Inter-node transfers progress on the DPU; intra-node
@@ -354,6 +349,7 @@ type OffloadP2P struct {
 	name string
 	r    *mpi.Rank
 	h    *core.Host
+	wait waitScratch
 }
 
 // NewOffloadP2P wraps a rank and its framework handle.
@@ -381,29 +377,37 @@ func (o *OffloadP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
 }
 
 // WaitAll implements P2P.
-func (o *OffloadP2P) WaitAll(qs []Request) { waitAllMixed(o.r, o.h, qs) }
+func (o *OffloadP2P) WaitAll(qs []Request) { o.wait.waitAll(o.r, o.h, qs) }
 
-// waitAllMixed completes a mix of MPI and offload requests, whichever
-// classes are present.
-func waitAllMixed(r *mpi.Rank, h *core.Host, qs []Request) {
-	var mpiReqs []*mpi.Request
-	var offReqs []*core.OffloadRequest
+// waitScratch is a P2P backend's pair of WaitAll sorting buffers, reused
+// across calls so a wait allocates nothing.
+type waitScratch struct {
+	mpi []*mpi.Request
+	off []*core.OffloadRequest
+}
+
+// waitAll completes a mix of MPI and offload requests, whichever classes
+// are present (h may be nil when only MPI requests can occur).
+func (s *waitScratch) waitAll(r *mpi.Rank, h *core.Host, qs []Request) {
 	for _, q := range qs {
 		switch v := q.(type) {
 		case *mpi.Request:
-			mpiReqs = append(mpiReqs, v)
+			s.mpi = append(s.mpi, v)
 		case *core.OffloadRequest:
-			offReqs = append(offReqs, v)
+			s.off = append(s.off, v)
 		default:
 			panic(fmt.Sprintf("coll: unknown request type %T", q))
 		}
 	}
 	// Offload requests complete on the DPU regardless; drain them first so
 	// FIN processing interleaves with MPI progress.
-	if len(offReqs) > 0 {
-		h.WaitAll(offReqs...)
+	if len(s.off) > 0 {
+		h.WaitAll(s.off...)
 	}
-	if len(mpiReqs) > 0 {
-		r.WaitAll(mpiReqs...)
+	if len(s.mpi) > 0 {
+		r.WaitAll(s.mpi...)
 	}
+	clear(s.mpi)
+	clear(s.off)
+	s.mpi, s.off = s.mpi[:0], s.off[:0]
 }

@@ -207,6 +207,7 @@ type PolicyP2P struct {
 	r    *mpi.Rank
 	h    *core.Host
 	eng  *policy.Engine
+	wait waitScratch
 }
 
 // NewPolicyP2P builds the policy-routed point-to-point backend for a rank.
@@ -253,4 +254,4 @@ func (o *PolicyP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
 }
 
 // WaitAll implements P2P.
-func (o *PolicyP2P) WaitAll(qs []Request) { waitAllMixed(o.r, o.h, qs) }
+func (o *PolicyP2P) WaitAll(qs []Request) { o.wait.waitAll(o.r, o.h, qs) }

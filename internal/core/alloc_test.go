@@ -9,13 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// replayAllocs runs rank 0 → rank 1 group requests of the given number of
-// sends through started proxies, one replayed call per period of virtual
-// time, and returns the allocations of one warm call — everything from the
-// hosts' GroupCall to their GroupWait returning: every layer, both proxies.
-func replayAllocs(t *testing.T, sends int) float64 {
+// roundAllocs runs a round on both hosts of a started two-node framework
+// once per period of virtual time and returns the allocations of one warm
+// round — every layer, both proxies. prepare runs once per host, in its
+// process, and returns the host's round.
+func roundAllocs(t *testing.T, prepare func(h *Host) func()) (float64, *Framework) {
 	t.Helper()
-	const size, period = 4096, 500 * sim.Microsecond
+	const period = 500 * sim.Microsecond
 	ccfg := cluster.DefaultConfig(2, 1)
 	cl := cluster.New(ccfg)
 	sites := make([]*cluster.Site, ccfg.NP())
@@ -24,38 +24,56 @@ func replayAllocs(t *testing.T, sends int) float64 {
 	}
 	fw := New(cl, DefaultConfig(), sites)
 	fw.Start()
-	calls := 0
+	rounds := 0
 	for i := 0; i < ccfg.NP(); i++ {
 		h := fw.Host(i)
 		cl.K.Spawn(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			h.Bind(p)
-			buf := h.site.Space.Alloc(sends*size, false)
-			g := h.GroupStart()
-			for s := 0; s < sends; s++ {
-				if h.Rank() == 0 {
-					g.Send(buf.Addr()+mem.Addr(s*size), size, 1, 0)
-				} else {
-					g.Recv(buf.Addr()+mem.Addr(s*size), size, 0, 0)
-				}
-			}
-			g.End()
+			round := prepare(h)
 			for n := sim.Time(1); ; n++ {
-				h.GroupCall(g)
-				h.GroupWait(g)
+				round()
 				if h.Rank() == 0 {
-					calls++
+					rounds++
 				}
 				p.Sleep(n*period - p.Now())
 			}
 		})
 	}
-	cl.K.RunUntil(4 * period) // install, then warm the pools and buffers
-	before := calls
+	cl.K.RunUntil(4 * period) // warm the pools and buffers
+	before := rounds
 	allocs := testing.AllocsPerRun(20, func() { cl.K.RunUntil(cl.K.Now() + period) })
-	if calls-before != 21 { // AllocsPerRun runs f once more, to warm up
-		t.Fatalf("%d sends: %d calls in 21 periods, want one per period", sends, calls-before)
+	if rounds-before != 21 { // AllocsPerRun runs f once more, to warm up
+		t.Fatalf("%d rounds in 21 periods, want one per period", rounds-before)
 	}
+	fw.Stop()
+	cl.K.Shutdown()
+	return allocs, fw
+}
+
+// replayAllocs runs rank 0 → rank 1 group requests of the given number of
+// sends, one replayed call per round, and returns the allocations of one
+// warm call — everything from the hosts' GroupCall to their GroupWait
+// returning.
+func replayAllocs(t *testing.T, sends int) float64 {
+	t.Helper()
+	const size = 4096
+	allocs, fw := roundAllocs(t, func(h *Host) func() {
+		buf := h.site.Space.Alloc(sends*size, false)
+		g := h.GroupStart()
+		for s := 0; s < sends; s++ {
+			if h.Rank() == 0 {
+				g.Send(buf.Addr()+mem.Addr(s*size), size, 1, 0)
+			} else {
+				g.Recv(buf.Addr()+mem.Addr(s*size), size, 0, 0)
+			}
+		}
+		g.End()
+		return func() {
+			h.GroupCall(g)
+			h.GroupWait(g)
+		}
+	})
 	var hits int64
 	for i := 0; i < len(fw.proxies); i++ {
 		hits += fw.Proxy(i).GroupHits
@@ -63,8 +81,6 @@ func replayAllocs(t *testing.T, sends int) float64 {
 	if hits < 2*21 {
 		t.Fatalf("%d sends: %d group-cache hits, want replays only", sends, hits)
 	}
-	fw.Stop()
-	cl.K.Shutdown()
 	return allocs
 }
 
@@ -81,5 +97,26 @@ func TestGroupReplaySendAllocFree(t *testing.T) {
 	}
 	if few > 8 {
 		t.Fatalf("a replayed call allocates %.1f objects beside its sends, want at most 8 (greplay and gdone, packet and payload, per side)", few)
+	}
+}
+
+// A warm Send_Offload/Recv_Offload pair through started proxies allocates
+// exactly the two OffloadRequests handed to the callers: the RTS/RTR/FIN
+// payloads and packets, the proxy's transfer record and the RDMA write are
+// all recycled on the no-injector fast path.
+func TestBasicPrimitivePairAllocFree(t *testing.T) {
+	const size = 4096
+	allocs, _ := roundAllocs(t, func(h *Host) func() {
+		buf := h.site.Space.Alloc(size, true)
+		return func() {
+			if h.Rank() == 0 {
+				h.Wait(h.SendOffload(buf.Addr(), size, 1, 3))
+			} else {
+				h.Wait(h.RecvOffload(buf.Addr(), size, 0, 3))
+			}
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("a warm offloaded pair allocates %.1f objects, want 2 (its requests)", allocs)
 	}
 }

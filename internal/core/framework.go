@@ -91,9 +91,12 @@ type Framework struct {
 	stopped bool
 	tenancy *Tenancy // nil = single-job framework (see tenancy.go)
 
-	// dlvFree recycles delivery notifications on the no-injector fast path
-	// (see dlvPacket); their packets come from the verbs registry's pool.
-	dlvFree []*dlvMsg
+	// Free lists of control payloads on the no-injector fast path (see
+	// ctrlPacket); their packets come from the verbs registry's pool.
+	dlvFree freeList[dlvMsg]
+	rtsFree freeList[rtsMsg]
+	rtrFree freeList[rtrMsg]
+	finFree freeList[finMsg]
 }
 
 // New builds the framework for the given host attachment sites (one per
@@ -152,39 +155,61 @@ func (fw *Framework) crashesConfigured() bool {
 	return f != nil && len(f.Crashes) > 0
 }
 
-// dlvPacket returns the control packet carrying delivery notification m.
-// Without a fault plan packet and payload come from free lists that the
-// consuming proxy refills (recycleDlv), like the verbs flight records; under
-// a fault plan a packet may be dropped, duplicated or retransmitted, so no
-// consumer can know it holds the last reference and both stay freshly
-// allocated.
-func (fw *Framework) dlvPacket(m dlvMsg, parent span.ID) *verbs.Packet {
+// ctrlPacket returns a control packet carrying pay. Without a fault plan
+// packet and payload come from free lists that their consumer refills, like
+// the verbs flight records: the proxy recycles delivery notifications, the
+// RTS/RTR packets as it queues their payloads, and a matched pair's payloads
+// once its FINs are out; the host recycles FINs. Under a fault plan a packet
+// may be dropped, duplicated or retransmitted, so no consumer can know it
+// holds the last reference and both stay freshly allocated (recycling).
+func (fw *Framework) ctrlPacket(kind string, size int, pay any, parent span.ID) *verbs.Packet {
 	var pkt *verbs.Packet
-	var pay *dlvMsg
-	if fw.cl.Inj != nil {
-		pkt = &verbs.Packet{}
-	} else {
+	if fw.recycling() {
 		pkt = fw.cl.Reg.GetPacket()
-		if n := len(fw.dlvFree); n > 0 {
-			pay, fw.dlvFree = fw.dlvFree[n-1], fw.dlvFree[:n-1]
-		}
+	} else {
+		pkt = &verbs.Packet{}
 	}
-	if pay == nil {
-		pay = &dlvMsg{}
-	}
-	*pay = m
-	pkt.Kind, pkt.Size, pkt.Payload, pkt.Span = "dlv", fw.cfg.CtrlSize, pay, parent
+	pkt.Kind, pkt.Size, pkt.Payload, pkt.Span = kind, size, pay, parent
 	return pkt
 }
 
-// recycleDlv returns a consumed delivery notification to the free lists
-// (fast path only; see dlvPacket).
-func (fw *Framework) recycleDlv(pkt *verbs.Packet, m *dlvMsg) {
-	if fw.cl.Inj != nil {
-		return
+// recycling reports whether consumed control records go back to their free
+// lists: only on the no-injector fast path (see ctrlPacket).
+func (fw *Framework) recycling() bool { return fw.cl.Inj == nil }
+
+// freePacket returns a consumed control packet to the registry's pool (fast
+// path only).
+func (fw *Framework) freePacket(pkt *verbs.Packet) {
+	if fw.recycling() {
+		fw.cl.Reg.PutPacket(pkt)
 	}
-	fw.cl.Reg.PutPacket(pkt)
-	fw.dlvFree = append(fw.dlvFree, m)
+}
+
+// freeList recycles records of one type. It is filled only while
+// recycling, so get allocates whenever it is not.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	if n := len(*l); n > 0 {
+		m := (*l)[n-1]
+		*l = (*l)[:n-1]
+		return m
+	}
+	return new(T)
+}
+
+// put zeroes m and recycles it; the caller must be its last holder.
+func (l *freeList[T]) put(m *T) {
+	var zero T
+	*m = zero
+	*l = append(*l, m)
+}
+
+// dlvPacket returns the control packet carrying delivery notification m.
+func (fw *Framework) dlvPacket(m dlvMsg, parent span.ID) *verbs.Packet {
+	pay := fw.dlvFree.get()
+	*pay = m
+	return fw.ctrlPacket("dlv", fw.cfg.CtrlSize, pay, parent)
 }
 
 // hbTimeout returns the heartbeat timeout after which a silent proxy is

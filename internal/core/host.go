@@ -206,18 +206,17 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 			return req
 		}
 	}
-	pay := &rtsMsg{Src: h.rank, Dst: dst, Tag: tag, Size: size, SrcReqID: req.id, Path: kind, SrcAddr: addr, Span: req.span}
+	rts := h.fw.rtsFree.get()
+	*rts = rtsMsg{Src: h.rank, Dst: dst, Tag: tag, Size: size, SrcReqID: req.id, Path: kind, SrcAddr: addr, Span: req.span}
 	switch datapath.ForKind(kind).SrcReg() {
 	case datapath.RegGVMI:
-		pay.MKey = h.gvmiRegister(px, addr, size)
+		rts.MKey = h.gvmiRegister(px, addr, size)
 	case datapath.RegIB:
-		pay.SrcRKey = h.ibRegister(addr, size).RKey()
+		rts.SrcRKey = h.ibRegister(addr, size).RKey()
 	default:
 		panic(fmt.Sprintf("core: SendOffloadVia on non-proxy path %v", kind))
 	}
-	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
-		Kind: "rts", Size: h.fw.cfg.CtrlSize + gvmi.WireSize, Payload: pay, Span: req.span,
-	})
+	h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("rts", h.fw.cfg.CtrlSize+gvmi.WireSize, rts, req.span))
 	return req
 }
 
@@ -251,10 +250,9 @@ func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 		h.pendingRecvs = append(h.pendingRecvs, &recvRec{req: req, src: src, tag: tag, size: size, addr: addr})
 	}
 	mr := h.ibRegister(addr, size)
-	pay := &rtrMsg{Src: src, Dst: h.rank, Tag: tag, Size: size, DstReqID: req.id, DstAddr: addr, RKey: mr.RKey(), Span: req.span}
-	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
-		Kind: "rtr", Size: h.fw.cfg.CtrlSize, Payload: pay, Span: req.span,
-	})
+	rtr := h.fw.rtrFree.get()
+	*rtr = rtrMsg{Src: src, Dst: h.rank, Tag: tag, Size: size, DstReqID: req.id, DstAddr: addr, RKey: mr.RKey(), Span: req.span}
+	h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("rtr", h.fw.cfg.CtrlSize, rtr, req.span))
 	return req
 }
 
@@ -270,6 +268,10 @@ func (h *Host) drainInbox() bool {
 				delete(h.reqs, m.ReqID)
 				h.dropRecords(m.ReqID)
 				h.spans().End(q.span)
+			}
+			if fw := h.fw; fw.recycling() {
+				fw.cl.Reg.PutPacket(pkt)
+				fw.finFree.put(m)
 			}
 		case *gmetaMsg:
 			h.gmetaQ = append(h.gmetaQ, m)

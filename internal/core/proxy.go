@@ -45,8 +45,12 @@ type Proxy struct {
 	sendQ    map[matchKey][]*rtsMsg
 	recvQ    map[matchKey][]*rtrMsg
 	combined []pairMsg // matched send/recv pairs awaiting transfer
+	paired   []pairMsg // the buffer combined swaps with
 	deferred []func()  // actions queued by RDMA completions
 	drained  []func()  // the buffer deferred swaps with, as the verbs inbox does
+
+	// xferFree recycles the in-flight records of matched pairs (see xfer).
+	xferFree []*xfer
 
 	// groups is the DPU group cache, "indexed by the host's request ID and
 	// rank" (Section VII-D): groups[node-local host rank][group id].
@@ -80,6 +84,47 @@ type Proxy struct {
 type pairMsg struct {
 	rts *rtsMsg
 	rtr *rtrMsg
+}
+
+// xfer is one matched pair in flight on its proxy. Its landed and finish
+// handlers are bound once, when the record is first built, so a transfer
+// builds no closure (the group entries' landed handlers work the same way).
+// finish returns the record, and on the fast path the pair's payloads, to
+// their free lists.
+type xfer struct {
+	px     *Proxy
+	pr     pairMsg
+	ts     span.ID // the proxy-side transfer span
+	landed func(at sim.Time)
+	finish func()
+}
+
+func (x *xfer) onLanded(at sim.Time) {
+	x.px.spans().EndAt(x.ts, at)
+	x.px.later(x.finish)
+}
+
+func (x *xfer) onFinish() {
+	px, pr := x.px, x.pr
+	px.finish(pr)
+	x.pr, x.ts = pairMsg{}, 0
+	px.xferFree = append(px.xferFree, x)
+	if fw := px.fw; fw.recycling() {
+		fw.rtsFree.put(pr.rts)
+		fw.rtrFree.put(pr.rtr)
+	}
+}
+
+// getXfer returns a free transfer record, building one on first use.
+func (px *Proxy) getXfer() *xfer {
+	if n := len(px.xferFree); n > 0 {
+		x := px.xferFree[n-1]
+		px.xferFree = px.xferFree[:n-1]
+		return x
+	}
+	x := &xfer{px: px}
+	x.landed, x.finish = x.onLanded, x.onFinish
+	return x
 }
 
 type stageBuf struct {
@@ -183,18 +228,20 @@ func (px *Proxy) run(p *sim.Proc) {
 		}
 		if len(px.combined) > 0 {
 			pairs := px.combined
-			px.combined = nil
+			px.combined = px.paired[:0]
 			for _, pr := range pairs {
 				if s := px.sched; s != nil {
-					t := s.ten.TenantOf[pr.rts.Src]
+					t, size := s.ten.TenantOf[pr.rts.Src], pr.rts.Size
 					t0 := px.proc.Now()
 					px.transfer(pr)
 					s.addBusy(t, px.proc.Now()-t0)
-					px.wireCharge(t, pr.rts.Size)
+					px.wireCharge(t, size)
 				} else {
 					px.transfer(pr)
 				}
 			}
+			clear(pairs)
+			px.paired = pairs
 			progressed = true
 		}
 		if px.sched != nil {
@@ -297,18 +344,18 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 	px.CtrlMsgs++
 	switch m := pkt.Payload.(type) {
 	case *rtsMsg:
+		px.fw.freePacket(pkt)
 		k := matchKey{m.Src, m.Dst, m.Tag}
-		if q := px.recvQ[k]; len(q) > 0 {
-			px.recvQ[k] = q[1:]
-			px.combined = append(px.combined, pairMsg{rts: m, rtr: q[0]})
+		if rtr, ok := popHead(px.recvQ, k); ok {
+			px.combined = append(px.combined, pairMsg{rts: m, rtr: rtr})
 		} else {
 			px.sendQ[k] = append(px.sendQ[k], m)
 		}
 	case *rtrMsg:
+		px.fw.freePacket(pkt)
 		k := matchKey{m.Src, m.Dst, m.Tag}
-		if q := px.sendQ[k]; len(q) > 0 {
-			px.sendQ[k] = q[1:]
-			px.combined = append(px.combined, pairMsg{rts: q[0], rtr: m})
+		if rts, ok := popHead(px.sendQ, k); ok {
+			px.combined = append(px.combined, pairMsg{rts: rts, rtr: m})
 		} else {
 			px.recvQ[k] = append(px.recvQ[k], m)
 		}
@@ -318,7 +365,10 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 		px.replayGroup(m)
 	case *dlvMsg:
 		px.group(m.DstHost, m.DstGroup).bar.deliver(m.SrcHost)
-		px.fw.recycleDlv(pkt, m)
+		if fw := px.fw; fw.recycling() {
+			fw.cl.Reg.PutPacket(pkt)
+			fw.dlvFree.put(m)
+		}
 	case *oneSidedMsg:
 		px.handleOneSided(m)
 	default:
@@ -326,21 +376,33 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 	}
 }
 
+// popHead removes and returns the oldest queued message of key k, keeping
+// the queue's storage for the next arrival.
+func popHead[T any](qs map[matchKey][]*T, k matchKey) (*T, bool) {
+	q := qs[k]
+	if len(q) == 0 {
+		return nil, false
+	}
+	m := q[0]
+	n := copy(q, q[1:])
+	q[n] = nil
+	qs[k] = q[:n]
+	return m, true
+}
+
 // transfer moves one matched basic-primitive pair on the datapath the
 // sender chose (carried in the RTS), then FINs both hosts.
 func (px *Proxy) transfer(pr pairMsg) {
 	dp := datapath.ForKind(pr.rts.Path)
-	ts := px.transferSpan(pr, dp.Kind().String())
+	x := px.getXfer()
+	x.pr, x.ts = pr, px.transferSpan(pr, dp.Kind().String())
 	dp.Execute(px, datapath.Transfer{
 		SrcHost: pr.rts.Src, DstRank: pr.rtr.Dst, Size: pr.rts.Size,
 		MKey:    pr.rts.MKey,
 		SrcAddr: pr.rts.SrcAddr, SrcRKey: pr.rts.SrcRKey,
 		DstAddr: pr.rtr.DstAddr, DstRKey: pr.rtr.RKey,
-		Span: ts,
-	}, func(at sim.Time) {
-		px.spans().EndAt(ts, at)
-		px.later(func() { px.finish(pr) })
-	})
+		Span: x.ts,
+	}, x.landed)
 }
 
 // crossReg cross-registers a host mkey (through the cache when enabled,
@@ -392,11 +454,10 @@ func (px *Proxy) finish(pr pairMsg) {
 }
 
 func (px *Proxy) sendFIN(hostRank int, reqID int64, root span.ID) {
-	h := px.fw.hosts[hostRank]
-	px.ctx.PostSend(px.proc, h.ctx, &verbs.Packet{
-		Kind: "fin", Size: px.fw.cfg.CtrlSize, Payload: &finMsg{ReqID: reqID},
-		Span: root,
-	})
+	fw := px.fw
+	fin := fw.finFree.get()
+	fin.ReqID = reqID
+	px.ctx.PostSend(px.proc, fw.hosts[hostRank].ctx, fw.ctrlPacket("fin", fw.cfg.CtrlSize, fin, root))
 }
 
 // later queues fn for the next engine round (used from completion handlers,

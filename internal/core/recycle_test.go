@@ -1,0 +1,209 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/fault"
+	"repro/internal/mem"
+	"repro/internal/mpi"
+	"repro/internal/sim"
+	"repro/internal/verbs"
+)
+
+// rigRun is the outcome of one run of the recycled-records rig.
+type rigRun struct {
+	cl  *cluster.Cluster
+	fw  *Framework
+	got [][]byte   // per rank: every received payload, in receive-post order
+	end []sim.Time // per rank: virtual finish time
+}
+
+// The recycled-records rig: four backed ranks on two nodes. In each of
+// three iterations every rank sends every other rank an MPI eager message,
+// a large MPI message (intra-node shm or inter-node rendezvous) and, across
+// nodes, an offloaded Send_Offload/Recv_Offload message, each with a byte
+// pattern of its own. Odd ranks compute before posting their receives, so
+// their messages arrive unexpected. A barrier closes every iteration.
+const rigIters = 3
+
+// rigSizes are the rig's message sizes by kind: MPI eager, MPI large,
+// offloaded.
+var rigSizes = [3]int{1000, 40000, 24000}
+
+// rigPattern is the payload of message kind k from src to dst in iteration
+// it: distinct per message and per iteration, so a stale record shows.
+func rigPattern(src, dst, k, it int) []byte {
+	b := make([]byte, rigSizes[k])
+	for i := range b {
+		b[i] = byte(src*37 + dst*11 + k*5 + it*3 + i)
+	}
+	return b
+}
+
+func runRig(t *testing.T, plan *fault.Config) rigRun {
+	t.Helper()
+	ccfg := cluster.DefaultConfig(2, 2)
+	ccfg.Fault = plan
+	cl := cluster.New(ccfg)
+	w := mpi.NewWorld(cl, mpi.DefaultConfig())
+	np := w.Size()
+	sites := make([]*cluster.Site, np)
+	for i := range sites {
+		sites[i] = w.Rank(i).Site()
+	}
+	fw := New(cl, DefaultConfig(), sites)
+	fw.Start()
+	run := rigRun{cl: cl, fw: fw, got: make([][]byte, np), end: make([]sim.Time, np)}
+	w.Launch(func(r *mpi.Rank) {
+		me := r.RankID()
+		h := fw.Host(me)
+		h.Bind(r.Proc())
+		type slot struct {
+			peer, k    int
+			send, recv *mem.Buffer
+		}
+		var slots []slot
+		for peer := 0; peer < np; peer++ {
+			for k := range rigSizes {
+				if peer == me || (k == 2 && w.SameNode(me, peer)) {
+					continue
+				}
+				slots = append(slots, slot{peer, k, r.Alloc(rigSizes[k]), r.Alloc(rigSizes[k])})
+			}
+		}
+		for it := 0; it < rigIters; it++ {
+			var mreqs []*mpi.Request
+			var oreqs []*OffloadRequest
+			for _, s := range slots {
+				copy(s.send.Bytes(), rigPattern(me, s.peer, s.k, it))
+				if s.k == 2 {
+					oreqs = append(oreqs, h.SendOffload(s.send.Addr(), rigSizes[2], s.peer, 2))
+				} else {
+					mreqs = append(mreqs, r.Isend(s.send.Addr(), rigSizes[s.k], s.peer, s.k))
+				}
+			}
+			if me%2 == 1 {
+				r.Compute(30 * sim.Microsecond)
+			}
+			for _, s := range slots {
+				if s.k == 2 {
+					oreqs = append(oreqs, h.RecvOffload(s.recv.Addr(), rigSizes[2], s.peer, 2))
+				} else {
+					mreqs = append(mreqs, r.Irecv(s.recv.Addr(), rigSizes[s.k], s.peer, s.k))
+				}
+			}
+			h.WaitAll(oreqs...)
+			r.WaitAll(mreqs...)
+			for _, s := range slots {
+				if !bytes.Equal(s.recv.Bytes(), rigPattern(s.peer, me, s.k, it)) {
+					t.Errorf("iteration %d: rank %d holds the wrong bytes from rank %d (kind %d)", it, me, s.peer, s.k)
+				}
+				run.got[me] = append(run.got[me], s.recv.Bytes()...)
+			}
+			r.Barrier()
+		}
+		run.end[me] = r.Now()
+	})
+	cl.K.Run()
+	if len(cl.K.Deadlocked) > 0 {
+		t.Fatalf("%d processes deadlocked", len(cl.K.Deadlocked))
+	}
+	fw.Stop()
+	cl.K.Run()
+	return run
+}
+
+// Recycled records must never leak one message's bytes into another: every
+// receive of the rig holds its sender's pattern. A zero-rate fault plan
+// takes the non-recycling path with nothing injected, so it must reproduce
+// the fast path's bytes and virtual times exactly; a plan that drops
+// packets must still deliver the same bytes.
+func TestRecycledRecordsKeepPayloads(t *testing.T) {
+	fast := runRig(t, nil)
+	fresh := runRig(t, fault.DefaultConfig(1))
+	for i := range fast.got {
+		if !bytes.Equal(fast.got[i], fresh.got[i]) || fast.end[i] != fresh.end[i] {
+			t.Errorf("rank %d: recycled and fresh records differ (finish %v vs %v)", i, fast.end[i], fresh.end[i])
+		}
+	}
+	plan := fault.DefaultConfig(3)
+	plan.DropRate = 0.05
+	lossy := runRig(t, plan)
+	if lossy.cl.Inj.Stats.Drops == 0 {
+		t.Fatal("the drop plan dropped nothing")
+	}
+	for i := range fast.got {
+		if !bytes.Equal(fast.got[i], lossy.got[i]) {
+			t.Errorf("rank %d: bytes differ under drops", i)
+		}
+	}
+}
+
+// distinct fails the test if list holds a pointer twice and returns the set.
+func distinct[T comparable](t *testing.T, name string, list []T) map[T]bool {
+	t.Helper()
+	seen := make(map[T]bool, len(list))
+	for _, x := range list {
+		if seen[x] {
+			t.Errorf("%s free list holds %v twice", name, x)
+		}
+		seen[x] = true
+	}
+	return seen
+}
+
+// After the rig drains, every free list of the p2p path holds each record
+// at most once and none that is still queued: the proxies' RTS/RTR queues
+// and matched pairs, the transfer records, FINs, delivery notifications and
+// the packets themselves.
+func TestRecycledRecordsNoDoubleFree(t *testing.T) {
+	run := runRig(t, nil)
+	fw := run.fw
+	rts := distinct(t, "rts", fw.rtsFree)
+	rtr := distinct(t, "rtr", fw.rtrFree)
+	distinct(t, "fin", fw.finFree)
+	distinct(t, "dlv", fw.dlvFree)
+	if len(rts) == 0 || len(rtr) == 0 || len(fw.finFree) == 0 {
+		t.Fatalf("nothing recycled: %d rts, %d rtr, %d fin", len(rts), len(rtr), len(fw.finFree))
+	}
+	var xfers []*xfer
+	for _, px := range fw.proxies {
+		for _, q := range px.sendQ {
+			for _, m := range q {
+				if rts[m] {
+					t.Errorf("proxy %d: a queued RTS is on the free list", px.global)
+				}
+			}
+		}
+		for _, q := range px.recvQ {
+			for _, m := range q {
+				if rtr[m] {
+					t.Errorf("proxy %d: a queued RTR is on the free list", px.global)
+				}
+			}
+		}
+		for _, pr := range px.combined {
+			if rts[pr.rts] || rtr[pr.rtr] {
+				t.Errorf("proxy %d: a matched pair is on the free list", px.global)
+			}
+		}
+		for _, x := range px.xferFree {
+			if x.px != px || x.pr != (pairMsg{}) {
+				t.Errorf("proxy %d: a free transfer record is still bound to a pair", px.global)
+			}
+		}
+		xfers = append(xfers, px.xferFree...)
+	}
+	distinct(t, "transfer", xfers)
+
+	// The packet pool is verbs-private: drain it through GetPacket. Fresh
+	// packets are distinct, so a pointer seen twice was put twice. The rig
+	// sends far fewer packets than the drain takes.
+	pkts := make([]*verbs.Packet, 1<<14)
+	for i := range pkts {
+		pkts[i] = run.cl.Reg.GetPacket()
+	}
+	distinct(t, "packet", pkts)
+}

@@ -18,11 +18,12 @@ func (c *Comm) Barrier() {
 	}
 	tag := c.nextTag()
 	zero := r.scratch(1)
+	sq, rq := &r.barReqs[0], &r.barReqs[1]
 	for off := 1; off < np; off <<= 1 {
 		dst := c.World((c.myIdx + off) % np)
 		src := c.World((c.myIdx - off + np) % np)
-		sq := r.Isend(zero, 0, dst, tag)
-		rq := r.Irecv(zero, 0, src, tag)
+		r.isend(sq, zero, 0, dst, tag)
+		r.irecv(rq, zero, 0, src, tag)
 		r.waitFor(func() bool { return sq.done && rq.done })
 	}
 }

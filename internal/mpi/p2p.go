@@ -1,7 +1,7 @@
 package mpi
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -24,26 +24,36 @@ type Request struct {
 // Done reports completion without progressing (see Test).
 func (q *Request) Done() bool { return q.done }
 
-// inMsg is the receive-side view of an incoming message.
+// inMsg is the receive-side view of an incoming message. Records are
+// recycled by whoever consumes them (see World.newMsg): dispatch after a FIN
+// or a match, Irecv after matching an unexpected arrival.
 type inMsg struct {
 	kind     string // "eager", "shm", "rts"
 	src      int
 	tag      int
 	size     int
 	data     []byte     // eager payload (nil for size-only buffers)
+	buf      []byte     // storage data points into, kept across recycling
 	srcSpace *mem.Space // shm: sender's space for the single-copy
 	srcAddr  mem.Addr   // shm, rts: source buffer address
 	sendReq  *Request   // shm, rts: sender's request to complete
 	rkey     verbs.Key  // rts: key for the RDMA read
 	srcCtx   *verbs.Ctx // sender's context (FIN destination, wakeups)
 	span     span.ID    // sender's root span, carried across the hop
+	to       *Rank      // shm: destination whose shared-memory inbox Fire fills
+}
+
+// Fire lands an intra-node message in its destination's shared-memory inbox:
+// deliverLocal schedules the record itself as the delivery event, so a local
+// send builds no closure.
+func (m *inMsg) Fire(sim.Time) {
+	dst := m.to
+	dst.shmIn = append(dst.shmIn, m)
+	dst.ctx.InboxCond.Broadcast()
 }
 
 // spans returns the cluster's span collector (nil when tracing is off).
 func (r *Rank) spans() *span.Collector { return r.w.Cl.Spans }
-
-// entity returns the rank's span/trace entity name.
-func (r *Rank) entity() string { return fmt.Sprintf("rank%d", r.rank) }
 
 // startP2PSpan opens an mpi-layer root span for one point-to-point request.
 func (r *Rank) startP2PSpan(req *Request, name string, peer int) {
@@ -51,7 +61,7 @@ func (r *Rank) startP2PSpan(req *Request, name string, peer int) {
 	if !sp.Enabled() {
 		return
 	}
-	req.span = sp.Start(r.spanParent, span.ClassRank, r.entity(), "mpi", name)
+	req.span = sp.Start(r.spanParent, span.ClassRank, r.entity, "mpi", name)
 	sp.AttrInt(req.span, "peer", int64(peer))
 	sp.AttrInt(req.span, "size", int64(req.size))
 	sp.AttrInt(req.span, "tag", int64(req.tag))
@@ -59,10 +69,19 @@ func (r *Rank) startP2PSpan(req *Request, name string, peer int) {
 
 // Isend starts a nonblocking send of [addr, addr+size) to rank dst.
 func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
-	req := &Request{r: r, addr: addr, size: size, peer: dst, tag: tag}
+	req := new(Request)
+	r.isend(req, addr, size, dst, tag)
+	return req
+}
+
+// isend starts a send whose state lives in req, a record the caller owns and
+// may reuse once it is done (Barrier keeps two per rank).
+func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
+	*req = Request{r: r, addr: addr, size: size, peer: dst, tag: tag}
 	r.startP2PSpan(req, "isend", dst)
 	cl := r.w.Cl
-	msg := &inMsg{src: r.rank, tag: tag, size: size, srcCtx: r.ctx, span: req.span}
+	msg := r.w.newMsg()
+	msg.src, msg.tag, msg.size, msg.srcCtx, msg.span = r.rank, tag, size, r.ctx, req.span
 	dstRank := r.w.ranks[dst]
 
 	if dst == r.rank {
@@ -71,7 +90,7 @@ func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
 		msg.kind = "shm"
 		msg.srcSpace, msg.srcAddr, msg.sendReq = r.site.Space, addr, req
 		r.deliverLocal(dstRank, msg, 0)
-		return req
+		return
 	}
 
 	if r.w.SameNode(r.rank, dst) {
@@ -81,7 +100,7 @@ func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
 			// completes once the copy-in is done.
 			r.proc.AdvanceBusy(cl.CopyCost(size))
 			msg.kind = "eager"
-			msg.data = snapshot(r.site.Space, addr, size)
+			msg.copyIn(r.site.Space, addr, size)
 			r.deliverLocal(dstRank, msg, cl.Cfg.ShmLatency)
 			req.done = true
 			r.spans().End(req.span)
@@ -92,7 +111,7 @@ func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
 			msg.srcSpace, msg.srcAddr, msg.sendReq = r.site.Space, addr, req
 			r.deliverLocal(dstRank, msg, cl.Cfg.ShmLatency)
 		}
-		return req
+		return
 	}
 
 	if size <= r.w.cfg.EagerThreshold {
@@ -101,13 +120,11 @@ func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
 		r.w.mEager.Inc()
 		r.proc.AdvanceBusy(cl.CopyCost(size))
 		msg.kind = "eager"
-		msg.data = snapshot(r.site.Space, addr, size)
-		r.ctx.PostSend(r.proc, dstRank.ctx, &verbs.Packet{
-			Kind: "mpi", Size: size + r.w.cfg.HeaderSize, Payload: msg, Span: req.span,
-		})
+		msg.copyIn(r.site.Space, addr, size)
+		r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(size+r.w.cfg.HeaderSize, msg, req.span))
 		req.done = true
 		r.spans().End(req.span)
-		return req
+		return
 	}
 
 	// Rendezvous (RGET): register the source buffer (through the IB
@@ -118,27 +135,40 @@ func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
 	mr := r.registerCachedCtx(addr, size, req.span)
 	msg.kind = "rts"
 	msg.srcAddr, msg.rkey, msg.sendReq = addr, mr.RKey(), req
-	r.ctx.PostSend(r.proc, dstRank.ctx, &verbs.Packet{
-		Kind: "mpi", Size: r.w.cfg.HeaderSize, Payload: msg, Span: req.span,
-	})
-	return req
+	r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(r.w.cfg.HeaderSize, msg, req.span))
 }
 
 // Irecv starts a nonblocking receive into [addr, addr+size) from src
 // (or AnySource) with the given tag (or AnyTag).
 func (r *Rank) Irecv(addr mem.Addr, size, src, tag int) *Request {
-	req := &Request{r: r, isRecv: true, addr: addr, size: size, peer: src, tag: tag}
+	req := new(Request)
+	r.irecv(req, addr, size, src, tag)
+	return req
+}
+
+// irecv starts a receive into the caller-owned record req (see isend).
+func (r *Rank) irecv(req *Request, addr mem.Addr, size, src, tag int) {
+	*req = Request{r: r, isRecv: true, addr: addr, size: size, peer: src, tag: tag}
 	r.startP2PSpan(req, "irecv", src)
 	// Check the unexpected queue first (arrival before post).
 	for i, m := range r.unexpected {
 		if matches(req, m) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+			r.unexpected = slices.Delete(r.unexpected, i, i+1)
 			r.handleMatch(req, m)
-			return req
+			r.w.freeMsg(m)
+			return
 		}
 	}
 	r.posted = append(r.posted, req)
-	return req
+}
+
+// copyIn captures the eager payload at [addr, addr+size) into the record's
+// own storage; data stays nil if the buffer is size-only.
+func (m *inMsg) copyIn(sp *mem.Space, addr mem.Addr, size int) {
+	if d := sp.ReadAt(addr, size); d != nil {
+		m.buf = append(m.buf[:0], d...)
+		m.data = m.buf
+	}
 }
 
 // snapshot captures payload bytes if the buffer is backed.
@@ -163,11 +193,8 @@ func (r *Rank) registerCachedCtx(addr mem.Addr, size int, parent span.ID) *verbs
 
 // deliverLocal schedules an intra-node (shared-memory) delivery.
 func (r *Rank) deliverLocal(dst *Rank, msg *inMsg, latency sim.Time) {
-	k := r.w.Cl.K
-	k.At(latency, func() {
-		dst.shmIn = append(dst.shmIn, msg)
-		dst.ctx.InboxCond.Broadcast()
-	})
+	msg.to = dst
+	r.w.Cl.K.AtAction(latency, msg)
 }
 
 func matches(req *Request, m *inMsg) bool {
@@ -211,7 +238,10 @@ func (r *Rank) handleMatch(req *Request, m *inMsg) {
 		r.spans().End(m.sendReq.span)
 		m.srcCtx.InboxCond.Broadcast() // wake the sender if it is waiting
 	case "rts":
-		// Rendezvous: RDMA-read the payload from the sender's buffer.
+		// Rendezvous: RDMA-read the payload from the sender's buffer. The
+		// completion outlives m (recycled when this returns), so it keeps
+		// copies of what the FIN needs.
+		srcCtx, sendReq, sendSpan := m.srcCtx, m.sendReq, m.span
 		mr := r.registerCachedCtx(req.addr, req.size, req.span)
 		err := r.ctx.PostRead(r.proc, verbs.ReadOp{
 			LocalKey: mr.LKey(), LocalAddr: req.addr,
@@ -227,11 +257,9 @@ func (r *Rank) handleMatch(req *Request, m *inMsg) {
 				// The FIN flight parents to the *sender's* span: it is the
 				// tail of the sender's completion path.
 				r.deferred = append(r.deferred, func() {
-					r.ctx.PostSend(r.proc, m.srcCtx, &verbs.Packet{
-						Kind: "mpi", Size: r.w.cfg.HeaderSize,
-						Payload: &inMsg{kind: "fin", src: r.rank, sendReq: m.sendReq},
-						Span:    m.span,
-					})
+					fin := r.w.newMsg()
+					fin.kind, fin.src, fin.sendReq = "fin", r.rank, sendReq
+					r.ctx.PostSend(r.proc, srcCtx, r.w.packet(r.w.cfg.HeaderSize, fin, sendSpan))
 				})
 				r.ctx.InboxCond.Broadcast()
 			},
@@ -251,12 +279,14 @@ func (r *Rank) dispatch(m *inMsg) {
 	if m.kind == "fin" {
 		m.sendReq.done = true
 		r.spans().End(m.sendReq.span)
+		r.w.freeMsg(m)
 		return
 	}
 	for i, req := range r.posted {
 		if matches(req, m) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+			r.posted = slices.Delete(r.posted, i, i+1)
 			r.handleMatch(req, m)
+			r.w.freeMsg(m)
 			return
 		}
 	}
@@ -269,24 +299,32 @@ func (r *Rank) dispatch(m *inMsg) {
 func (r *Rank) Progress() {
 	for {
 		acted := false
+		// deferred and shmIn alternate with a spare buffer, as the verbs
+		// inbox does: drain one while handlers append to the other.
 		for len(r.deferred) > 0 {
 			fns := r.deferred
-			r.deferred = nil
+			r.deferred = r.drained[:0]
 			for _, fn := range fns {
 				fn()
 			}
+			clear(fns)
+			r.drained = fns
 			acted = true
 		}
 		if len(r.shmIn) > 0 {
 			msgs := r.shmIn
-			r.shmIn = nil
+			r.shmIn = r.shmDrained[:0]
 			for _, m := range msgs {
 				r.dispatch(m)
 			}
+			clear(msgs)
+			r.shmDrained = msgs
 			acted = true
 		}
 		for _, pkt := range r.ctx.PollInbox() {
-			r.dispatch(pkt.Payload.(*inMsg))
+			m := pkt.Payload.(*inMsg)
+			r.w.freePacket(pkt)
+			r.dispatch(m)
 			acted = true
 		}
 		if !acted {

@@ -1,0 +1,76 @@
+package mpi
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
+
+// After every rank of a backed 2×2 world has exchanged eager, large (shm or
+// rendezvous) and self messages with every rank for three iterations — odd
+// ranks computing first so their messages arrive unexpected — every receive
+// holds its sender's bytes, and the message free list holds each record at
+// most once and none still queued.
+func TestRecycledMessagesNoDoubleFree(t *testing.T) {
+	sizes := [2]int{1000, 40000}
+	pattern := func(src, dst, k, it int) []byte {
+		b := make([]byte, sizes[k])
+		for i := range b {
+			b[i] = byte(src*37 + dst*11 + k*5 + it*3 + i)
+		}
+		return b
+	}
+	w := runWorld(t, 2, 2, func(r *Rank) {
+		me := r.RankID()
+		var send, recv [][2]*mem.Buffer
+		for range r.Size() {
+			send = append(send, [2]*mem.Buffer{r.Alloc(sizes[0]), r.Alloc(sizes[1])})
+			recv = append(recv, [2]*mem.Buffer{r.Alloc(sizes[0]), r.Alloc(sizes[1])})
+		}
+		for it := 0; it < 3; it++ {
+			var reqs []*Request
+			for peer := range r.Size() {
+				for k, n := range sizes {
+					copy(send[peer][k].Bytes(), pattern(me, peer, k, it))
+					reqs = append(reqs, r.Isend(send[peer][k].Addr(), n, peer, k))
+				}
+			}
+			if me%2 == 1 {
+				r.Compute(30 * sim.Microsecond)
+			}
+			for peer := range r.Size() {
+				for k, n := range sizes {
+					reqs = append(reqs, r.Irecv(recv[peer][k].Addr(), n, peer, k))
+				}
+			}
+			r.WaitAll(reqs...)
+			for peer := range r.Size() {
+				for k := range sizes {
+					if !bytes.Equal(recv[peer][k].Bytes(), pattern(peer, me, k, it)) {
+						t.Errorf("iteration %d: rank %d holds the wrong bytes from rank %d (kind %d)", it, me, peer, k)
+					}
+				}
+			}
+			r.Barrier()
+		}
+	})
+	if len(w.msgFree) == 0 {
+		t.Fatal("no message record was recycled")
+	}
+	free := make(map[*inMsg]bool)
+	for _, m := range w.msgFree {
+		if free[m] {
+			t.Errorf("message free list holds %p twice", m)
+		}
+		free[m] = true
+	}
+	for _, r := range w.ranks {
+		for _, m := range append(r.unexpected, r.shmIn...) {
+			if free[m] {
+				t.Errorf("rank %d: a queued message is on the free list", r.rank)
+			}
+		}
+	}
+}

@@ -63,6 +63,10 @@ type World struct {
 	nodeOf []int  // node of each world rank (placed worlds need not follow cluster geometry)
 	prefix string // site/process name prefix ("" for the single-world case)
 
+	// msgFree recycles message records on the no-injector fast path (see
+	// newMsg); their packets come from the verbs registry's pool.
+	msgFree []*inMsg
+
 	// Metric handles; nil (inert) when metrics are off.
 	mEager   *metrics.Counter
 	mRdv     *metrics.Counter
@@ -97,12 +101,14 @@ func NewPlacedWorld(cl *cluster.Cluster, cfg Config, prefix string, nodeOf []int
 	}
 	np := len(nodeOf)
 	for i := 0; i < np; i++ {
-		site := cl.NewHostSite(nodeOf[i], fmt.Sprintf("%srank%d", prefix, i))
+		entity := fmt.Sprintf("rank%d", i)
+		site := cl.NewHostSite(nodeOf[i], prefix+entity)
 		r := &Rank{
-			w:    w,
-			rank: i,
-			site: site,
-			ctx:  site.Ctx,
+			w:      w,
+			rank:   i,
+			entity: entity,
+			site:   site,
+			ctx:    site.Ctx,
 			regCache: regcache.New[*verbs.MR](np, cfg.RegCacheEntries, func(mr *verbs.MR) {
 				mr.Deregister()
 			}),
@@ -111,6 +117,50 @@ func NewPlacedWorld(cl *cluster.Cluster, cfg Config, prefix string, nodeOf []int
 		w.ranks = append(w.ranks, r)
 	}
 	return w
+}
+
+// newMsg returns a zeroed message record (a recycled one keeps its empty
+// payload storage, see copyIn). Without a fault plan it comes from the
+// world's free list, which the message's consumer refills (freeMsg), like
+// the verbs flight records; under a fault plan a packet may be dropped,
+// duplicated or retransmitted, so no consumer can know it holds the last
+// reference and records stay freshly allocated.
+func (w *World) newMsg() *inMsg {
+	if n := len(w.msgFree); n > 0 {
+		m := w.msgFree[n-1]
+		w.msgFree = w.msgFree[:n-1]
+		return m
+	}
+	return &inMsg{}
+}
+
+// freeMsg recycles a consumed message record (fast path only; see newMsg).
+func (w *World) freeMsg(m *inMsg) {
+	if w.Cl.Inj != nil {
+		return
+	}
+	*m = inMsg{buf: m.buf[:0]}
+	w.msgFree = append(w.msgFree, m)
+}
+
+// packet wraps m for the wire: a pooled packet on the fast path, which the
+// receiving Progress returns once it has read the payload (freePacket).
+func (w *World) packet(size int, m *inMsg, parent span.ID) *verbs.Packet {
+	var pkt *verbs.Packet
+	if w.Cl.Inj != nil {
+		pkt = &verbs.Packet{}
+	} else {
+		pkt = w.Cl.Reg.GetPacket()
+	}
+	pkt.Kind, pkt.Size, pkt.Payload, pkt.Span = "mpi", size, m, parent
+	return pkt
+}
+
+// freePacket recycles a consumed packet (fast path only; see packet).
+func (w *World) freePacket(pkt *verbs.Packet) {
+	if w.Cl.Inj == nil {
+		w.Cl.Reg.PutPacket(pkt)
+	}
 }
 
 // SameNode reports whether two world ranks share a node. Placed worlds must
@@ -143,16 +193,20 @@ func (w *World) Launch(main func(r *Rank)) {
 // Rank is the per-process MPI state. All methods must be called from the
 // rank's own simulated process.
 type Rank struct {
-	w    *World
-	rank int
-	site *cluster.Site
-	ctx  *verbs.Ctx
-	proc *sim.Proc
+	w      *World
+	rank   int
+	entity string // "rank<N>": span entity name
+	site   *cluster.Site
+	ctx    *verbs.Ctx
+	proc   *sim.Proc
 
 	posted     []*Request // posted receives, in post order
 	unexpected []*inMsg   // arrived but unmatched messages
 	deferred   []func()   // actions queued by handlers for the next progress
+	drained    []func()   // the buffer deferred swaps with in Progress
 	shmIn      []*inMsg   // intra-node (shared-memory) arrivals
+	shmDrained []*inMsg   // the buffer shmIn swaps with in Progress
+	barReqs    [2]Request // Barrier's send and receive, reused every round
 	colls      []*CollRequest
 	collSeq    int // per-rank collective sequence number (tag separation)
 
@@ -176,6 +230,9 @@ type Rank struct {
 // SetSpanParent installs (or, with 0, clears) the ambient parent span of
 // the rank's subsequently created p2p spans.
 func (r *Rank) SetSpanParent(id span.ID) { r.spanParent = id }
+
+// Entity returns the rank's span entity name ("rank<N>", N job-local).
+func (r *Rank) Entity() string { return r.entity }
 
 // RankID returns the rank number.
 func (r *Rank) RankID() int { return r.rank }

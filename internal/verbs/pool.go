@@ -157,10 +157,11 @@ func (r *Registry) getSendFlight() *sendFlight {
 }
 
 // GetPacket returns a zeroed control packet from the registry's free list.
-// Callers on per-message hot paths (the MPI eager/rendezvous control plane,
-// the proxy's delivery notifications) pair it with PutPacket at the point
-// of consumption; one-shot callers can keep allocating their own Packets —
-// the pool is an optimization, never a requirement.
+// The per-message callers — mpi's eager, rendezvous and FIN packets, and
+// core's RTS, RTR, FIN and delivery notifications — take packets here only
+// when no fault injector is attached, and their receivers pair it with
+// PutPacket once the payload is read. Other callers allocate their own
+// Packets; the pool is an optimization, never a requirement.
 func (r *Registry) GetPacket() *Packet {
 	if n := len(r.pkFree); n > 0 {
 		p := r.pkFree[n-1]
