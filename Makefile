@@ -67,20 +67,23 @@ snap:
 snap-check:
 	$(GO) test -run 'TestBaselines|ValidateRejects|TestSplitDriftWindows' ./internal/bench/
 
-# Perf smoke: allocation budgets on the event core, verbs, the MPI
-# point-to-point and barrier paths, the basic-primitive and group-replay
-# paths, and the serial-vs-parallel determinism guard.
+# Perf smoke: allocation budgets on the event core, verbs (with and without
+# a fault plan), a rate-zero chaos run, the MPI point-to-point and barrier
+# paths, the basic-primitive and group-replay paths, and the
+# serial-vs-parallel determinism guard.
 bench-smoke:
 	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/verbs/ ./internal/mpi/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet
-# specs and offloadbench command lines (`go test -fuzz` takes one target and
-# one package per run; two workers keep it small).
+# specs and offloadbench command lines — and for the verbs retry machinery
+# under random fault plans (`go test -fuzz` takes one target and one package
+# per run; two workers keep it small).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
 	$(GO) test -run '^$$' -fuzz '^FuzzArgs$$' -fuzztime 5s -parallel 2 ./cmd/offloadbench/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerbsFaults$$' -fuzztime 5s -parallel 2 ./internal/verbs/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

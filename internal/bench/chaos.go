@@ -40,7 +40,7 @@ func chaosPattern(src, dst, seq, i int) byte {
 // cost zero virtual time, so with a rate-zero plan the timings are identical
 // to MeasureIalltoall on the same Options.
 //
-// fcfg may be nil (no injector at all — the pure seed code paths).
+// fcfg may be nil (no injector at all).
 func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSize, warmup, iters int) ChaosResult {
 	if opt.Cluster == nil {
 		ccfg := cluster.DefaultConfig(opt.Nodes, opt.PPN)
@@ -113,8 +113,8 @@ func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSiz
 }
 
 // ChaosSweep measures the Ialltoall benchmark across fault rates. Rate 0
-// attaches a real (but silent) injector, exercising the rate-zero fast
-// paths; every nonzero rate uses fault.Scaled(seed, rate).
+// attaches a real (but silent) injector, which must reproduce the
+// fault-free timings; every nonzero rate uses fault.Scaled(seed, rate).
 func ChaosSweep(opt Options, seed int64, rates []float64, msgSize, warmup, iters int) []ChaosResult {
 	out := make([]ChaosResult, len(rates))
 	Sweep(len(rates), func(i int, env SweepEnv) {

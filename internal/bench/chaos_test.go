@@ -73,6 +73,30 @@ func TestRateZeroChaosMatchesFig13Exactly(t *testing.T) {
 	}
 }
 
+// An attached injector that injects nothing costs no allocations: the
+// retry machinery rides the same pooled records as a run without one, so a
+// rate-zero 4×8-rank 16 KiB chaos run allocates within 10 % of the objects
+// of the same run with no plan, and ends at the same virtual time.
+func TestRateZeroChaosAllocFree(t *testing.T) {
+	opt := Options{Nodes: 4, PPN: 8, Scheme: baseline.NameProposed}
+	run := func(fcfg *fault.Config) (float64, sim.Time) {
+		var end sim.Time
+		allocs := testing.AllocsPerRun(1, func() {
+			end = MeasureChaosIalltoall(opt, fcfg, 0, 16384, 2, 6).EndTime
+		})
+		return allocs, end
+	}
+	bare, bareEnd := run(nil)
+	silent, silentEnd := run(fault.Scaled(42, 0))
+	if bareEnd != silentEnd {
+		t.Fatalf("rate-zero plan ends at %d, no plan at %d", silentEnd, bareEnd)
+	}
+	t.Logf("objects allocated: %.0f with no plan, %.0f with a rate-zero plan (%.2fx)", bare, silent, silent/bare)
+	if silent > 1.1*bare {
+		t.Fatalf("a rate-zero plan allocated %.0f objects, %.2fx the %.0f of no plan (budget 1.1x)", silent, silent/bare, bare)
+	}
+}
+
 // The acceptance sweep: every rate completes with verified payloads; the
 // rate-0 row equals fig13; the top rate actually injects and retries.
 func TestChaosSweepAllRatesVerified(t *testing.T) {

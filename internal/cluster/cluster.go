@@ -55,8 +55,10 @@ type Config struct {
 
 	// Fault, when non-nil, attaches a deterministic fault injector to the
 	// fabric and verbs layers and enables the reliability machinery (retry,
-	// timeouts, proxy failover) in the offload framework. Nil keeps every
-	// fast path bit-identical to a fault-free build.
+	// timeouts, proxy failover) in the offload framework. Faults or not,
+	// every transfer takes the same pooled path, so a plan that injects
+	// nothing times and allocates like none (a crash plan adds the
+	// framework's crash tolerance).
 	Fault *fault.Config
 
 	// Metrics, when non-nil, records per-layer counters, gauges and

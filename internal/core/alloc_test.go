@@ -86,7 +86,7 @@ func replayAllocs(t *testing.T, sends int) float64 {
 
 // A warm replayed group send — posted from the entry queue, landed, its
 // delivery notification posted, carried and counted at the destination's
-// proxy — allocates nothing in any layer on the no-injector fast path: a
+// proxy — allocates nothing in any layer: a
 // call of 64 sends allocates exactly what a call of 4 does (the replay
 // request and the completion update of each side).
 func TestGroupReplaySendAllocFree(t *testing.T) {
@@ -103,7 +103,7 @@ func TestGroupReplaySendAllocFree(t *testing.T) {
 // A warm Send_Offload/Recv_Offload pair through started proxies allocates
 // exactly the two OffloadRequests handed to the callers: the RTS/RTR/FIN
 // payloads and packets, the proxy's transfer record and the RDMA write are
-// all recycled on the no-injector fast path.
+// all recycled.
 func TestBasicPrimitivePairAllocFree(t *testing.T) {
 	const size = 4096
 	allocs, _ := roundAllocs(t, func(h *Host) func() {

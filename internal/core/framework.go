@@ -91,8 +91,8 @@ type Framework struct {
 	stopped bool
 	tenancy *Tenancy // nil = single-job framework (see tenancy.go)
 
-	// Free lists of control payloads on the no-injector fast path (see
-	// ctrlPacket); their packets come from the verbs registry's pool.
+	// Free lists of control payloads (see ctrlPacket); their packets come
+	// from the verbs registry's pool.
 	dlvFree freeList[dlvMsg]
 	rtsFree freeList[rtsMsg]
 	rtrFree freeList[rtrMsg]
@@ -155,38 +155,23 @@ func (fw *Framework) crashesConfigured() bool {
 	return f != nil && len(f.Crashes) > 0
 }
 
-// ctrlPacket returns a control packet carrying pay. Without a fault plan
-// packet and payload come from free lists that their consumer refills, like
-// the verbs flight records: the proxy recycles delivery notifications, the
-// RTS/RTR packets as it queues their payloads, and a matched pair's payloads
-// once its FINs are out; the host recycles FINs. Under a fault plan a packet
-// may be dropped, duplicated or retransmitted, so no consumer can know it
-// holds the last reference and both stay freshly allocated (recycling).
+// ctrlPacket returns a control packet carrying pay. Packet and payload
+// come from free lists that their consumer refills, like the verbs flight
+// records: the proxy recycles delivery notifications, the RTS/RTR packets as
+// it queues their payloads, and a matched pair's payloads once its FINs are
+// out; the host recycles FINs, and under a crash plan its counter daemon the
+// delivery notifications it counted. Fault plans change nothing here: verbs
+// re-sends only a packet that was not delivered, so each reaches at most one
+// inbox, at most once, and its consumer is its last holder. A packet that
+// never arrives — retries exhausted, polled away by a crashed proxy, or a
+// dead proxy's dropped FIN — is simply never recycled.
 func (fw *Framework) ctrlPacket(kind string, size int, pay any, parent span.ID) *verbs.Packet {
-	var pkt *verbs.Packet
-	if fw.recycling() {
-		pkt = fw.cl.Reg.GetPacket()
-	} else {
-		pkt = &verbs.Packet{}
-	}
+	pkt := fw.cl.Reg.GetPacket()
 	pkt.Kind, pkt.Size, pkt.Payload, pkt.Span = kind, size, pay, parent
 	return pkt
 }
 
-// recycling reports whether consumed control records go back to their free
-// lists: only on the no-injector fast path (see ctrlPacket).
-func (fw *Framework) recycling() bool { return fw.cl.Inj == nil }
-
-// freePacket returns a consumed control packet to the registry's pool (fast
-// path only).
-func (fw *Framework) freePacket(pkt *verbs.Packet) {
-	if fw.recycling() {
-		fw.cl.Reg.PutPacket(pkt)
-	}
-}
-
-// freeList recycles records of one type. It is filled only while
-// recycling, so get allocates whenever it is not.
+// freeList recycles records of one type.
 type freeList[T any] []*T
 
 func (l *freeList[T]) get() *T {
@@ -325,7 +310,10 @@ func (fw *Framework) Start() {
 			p.SetDaemon(true)
 			for !fw.stopped {
 				for _, pkt := range h.dlvCtx.PollInbox() {
-					h.noteDelivery(p.Now(), pkt.Payload.(*dlvMsg))
+					m := pkt.Payload.(*dlvMsg)
+					h.noteDelivery(p.Now(), m)
+					fw.cl.Reg.PutPacket(pkt)
+					fw.dlvFree.put(m)
 				}
 				if h.dlvCtx.InboxLen() == 0 && !fw.stopped {
 					h.dlvCtx.InboxCond.Wait(p)

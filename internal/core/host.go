@@ -269,10 +269,8 @@ func (h *Host) drainInbox() bool {
 				h.dropRecords(m.ReqID)
 				h.spans().End(q.span)
 			}
-			if fw := h.fw; fw.recycling() {
-				fw.cl.Reg.PutPacket(pkt)
-				fw.finFree.put(m)
-			}
+			h.fw.cl.Reg.PutPacket(pkt)
+			h.fw.finFree.put(m)
 		case *gmetaMsg:
 			h.gmetaQ = append(h.gmetaQ, m)
 		case *gdoneMsg:

@@ -89,8 +89,7 @@ type pairMsg struct {
 // xfer is one matched pair in flight on its proxy. Its landed and finish
 // handlers are bound once, when the record is first built, so a transfer
 // builds no closure (the group entries' landed handlers work the same way).
-// finish returns the record, and on the fast path the pair's payloads, to
-// their free lists.
+// finish returns the record and the pair's payloads to their free lists.
 type xfer struct {
 	px     *Proxy
 	pr     pairMsg
@@ -109,10 +108,8 @@ func (x *xfer) onFinish() {
 	px.finish(pr)
 	x.pr, x.ts = pairMsg{}, 0
 	px.xferFree = append(px.xferFree, x)
-	if fw := px.fw; fw.recycling() {
-		fw.rtsFree.put(pr.rts)
-		fw.rtrFree.put(pr.rtr)
-	}
+	px.fw.rtsFree.put(pr.rts)
+	px.fw.rtrFree.put(pr.rtr)
 }
 
 // getXfer returns a free transfer record, building one on first use.
@@ -344,7 +341,7 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 	px.CtrlMsgs++
 	switch m := pkt.Payload.(type) {
 	case *rtsMsg:
-		px.fw.freePacket(pkt)
+		px.fw.cl.Reg.PutPacket(pkt)
 		k := matchKey{m.Src, m.Dst, m.Tag}
 		if rtr, ok := popHead(px.recvQ, k); ok {
 			px.combined = append(px.combined, pairMsg{rts: m, rtr: rtr})
@@ -352,7 +349,7 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 			px.sendQ[k] = append(px.sendQ[k], m)
 		}
 	case *rtrMsg:
-		px.fw.freePacket(pkt)
+		px.fw.cl.Reg.PutPacket(pkt)
 		k := matchKey{m.Src, m.Dst, m.Tag}
 		if rts, ok := popHead(px.sendQ, k); ok {
 			px.combined = append(px.combined, pairMsg{rts: rts, rtr: m})
@@ -365,10 +362,8 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 		px.replayGroup(m)
 	case *dlvMsg:
 		px.group(m.DstHost, m.DstGroup).bar.deliver(m.SrcHost)
-		if fw := px.fw; fw.recycling() {
-			fw.cl.Reg.PutPacket(pkt)
-			fw.dlvFree.put(m)
-		}
+		px.fw.cl.Reg.PutPacket(pkt)
+		px.fw.dlvFree.put(m)
 	case *oneSidedMsg:
 		px.handleOneSided(m)
 	default:

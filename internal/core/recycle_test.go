@@ -22,15 +22,26 @@ type rigRun struct {
 
 // The recycled-records rig: four backed ranks on two nodes. In each of
 // three iterations every rank sends every other rank an MPI eager message,
-// a large MPI message (intra-node shm or inter-node rendezvous) and, across
-// nodes, an offloaded Send_Offload/Recv_Offload message, each with a byte
-// pattern of its own. Odd ranks compute before posting their receives, so
-// their messages arrive unexpected. A barrier closes every iteration.
+// a large MPI message (intra-node shm or inter-node rendezvous), across
+// nodes an offloaded Send_Offload/Recv_Offload message, and one block of a
+// group-offloaded exchange (whose delivery notifications are pooled too),
+// each with a byte pattern of its own. Odd ranks compute before posting
+// their receives, so their messages arrive unexpected. A barrier closes
+// every iteration.
 const rigIters = 3
 
 // rigSizes are the rig's message sizes by kind: MPI eager, MPI large,
-// offloaded.
-var rigSizes = [3]int{1000, 40000, 24000}
+// offloaded, group-offloaded.
+var rigSizes = [4]int{1000, 40000, 24000, 8000}
+
+// rigFaults is a plan with every message fault kind — drops, corruption,
+// delay spikes and error CQEs — and one proxy crash with restart, which
+// sends the ranks it serves to the host-progressed fallback.
+func rigFaults() *fault.Config {
+	plan := fault.Scaled(5, 0.1)
+	plan.Crashes = []fault.Crash{{Proxy: 0, At: 30 * sim.Microsecond, RestartAfter: 20 * sim.Microsecond}}
+	return plan
+}
 
 // rigPattern is the payload of message kind k from src to dst in iteration
 // it: distinct per message and per iteration, so a stale record shows.
@@ -73,28 +84,46 @@ func runRig(t *testing.T, plan *fault.Config) rigRun {
 				slots = append(slots, slot{peer, k, r.Alloc(rigSizes[k]), r.Alloc(rigSizes[k])})
 			}
 		}
+		g := h.GroupStart()
+		for _, s := range slots {
+			if s.k == 3 {
+				g.Recv(s.recv.Addr(), rigSizes[3], s.peer, 3)
+			}
+		}
+		for _, s := range slots {
+			if s.k == 3 {
+				g.Send(s.send.Addr(), rigSizes[3], s.peer, 3)
+			}
+		}
+		g.End()
 		for it := 0; it < rigIters; it++ {
 			var mreqs []*mpi.Request
 			var oreqs []*OffloadRequest
 			for _, s := range slots {
 				copy(s.send.Bytes(), rigPattern(me, s.peer, s.k, it))
-				if s.k == 2 {
+				switch s.k {
+				case 2:
 					oreqs = append(oreqs, h.SendOffload(s.send.Addr(), rigSizes[2], s.peer, 2))
-				} else {
+				case 3: // sent by the group call
+				default:
 					mreqs = append(mreqs, r.Isend(s.send.Addr(), rigSizes[s.k], s.peer, s.k))
 				}
 			}
+			h.GroupCall(g)
 			if me%2 == 1 {
 				r.Compute(30 * sim.Microsecond)
 			}
 			for _, s := range slots {
-				if s.k == 2 {
+				switch s.k {
+				case 2:
 					oreqs = append(oreqs, h.RecvOffload(s.recv.Addr(), rigSizes[2], s.peer, 2))
-				} else {
+				case 3:
+				default:
 					mreqs = append(mreqs, r.Irecv(s.recv.Addr(), rigSizes[s.k], s.peer, s.k))
 				}
 			}
 			h.WaitAll(oreqs...)
+			h.GroupWait(g)
 			r.WaitAll(mreqs...)
 			for _, s := range slots {
 				if !bytes.Equal(s.recv.Bytes(), rigPattern(s.peer, me, s.k, it)) {
@@ -117,26 +146,33 @@ func runRig(t *testing.T, plan *fault.Config) rigRun {
 
 // Recycled records must never leak one message's bytes into another: every
 // receive of the rig holds its sender's pattern. A zero-rate fault plan
-// takes the non-recycling path with nothing injected, so it must reproduce
-// the fast path's bytes and virtual times exactly; a plan that drops
-// packets must still deliver the same bytes.
+// takes the same path with nothing injected, so it must reproduce the
+// no-plan bytes and virtual times exactly; a plan that drops packets, and
+// one with every fault kind and a proxy crash, must still deliver the same
+// bytes.
 func TestRecycledRecordsKeepPayloads(t *testing.T) {
-	fast := runRig(t, nil)
-	fresh := runRig(t, fault.DefaultConfig(1))
-	for i := range fast.got {
-		if !bytes.Equal(fast.got[i], fresh.got[i]) || fast.end[i] != fresh.end[i] {
-			t.Errorf("rank %d: recycled and fresh records differ (finish %v vs %v)", i, fast.end[i], fresh.end[i])
+	bare := runRig(t, nil)
+	silent := runRig(t, fault.DefaultConfig(1))
+	for i := range bare.got {
+		if !bytes.Equal(bare.got[i], silent.got[i]) || bare.end[i] != silent.end[i] {
+			t.Errorf("rank %d: a zero-rate plan changed the run (finish %v vs %v)", i, bare.end[i], silent.end[i])
 		}
 	}
-	plan := fault.DefaultConfig(3)
-	plan.DropRate = 0.05
-	lossy := runRig(t, plan)
-	if lossy.cl.Inj.Stats.Drops == 0 {
-		t.Fatal("the drop plan dropped nothing")
-	}
-	for i := range fast.got {
-		if !bytes.Equal(fast.got[i], lossy.got[i]) {
-			t.Errorf("rank %d: bytes differ under drops", i)
+	drops := fault.DefaultConfig(3)
+	drops.DropRate = 0.05
+	for _, pc := range []struct {
+		name string
+		plan *fault.Config
+	}{{"drops", drops}, {"faults", rigFaults()}} {
+		lossy := runRig(t, pc.plan)
+		st := lossy.cl.Inj.Stats
+		if st.Drops == 0 || (pc.name == "faults" && (st.Corrupts == 0 || st.Delays == 0 || st.CQErrors == 0 || lossy.fw.Stats().Failovers == 0)) {
+			t.Fatalf("%s: the plan did not inject every fault it names, or no host failed over: %+v", pc.name, st)
+		}
+		for i := range bare.got {
+			if !bytes.Equal(bare.got[i], lossy.got[i]) {
+				t.Errorf("%s: rank %d: bytes differ", pc.name, i)
+			}
 		}
 	}
 }
@@ -157,9 +193,14 @@ func distinct[T comparable](t *testing.T, name string, list []T) map[T]bool {
 // After the rig drains, every free list of the p2p path holds each record
 // at most once and none that is still queued: the proxies' RTS/RTR queues
 // and matched pairs, the transfer records, FINs, delivery notifications and
-// the packets themselves.
+// the packets themselves — with no plan, and under every fault kind and a
+// proxy crash with restart, where records recycle just the same.
 func TestRecycledRecordsNoDoubleFree(t *testing.T) {
-	run := runRig(t, nil)
+	t.Run("no plan", func(t *testing.T) { checkRigFreeLists(t, runRig(t, nil)) })
+	t.Run("faults", func(t *testing.T) { checkRigFreeLists(t, runRig(t, rigFaults())) })
+}
+
+func checkRigFreeLists(t *testing.T, run rigRun) {
 	fw := run.fw
 	rts := distinct(t, "rts", fw.rtsFree)
 	rtr := distinct(t, "rtr", fw.rtrFree)

@@ -13,10 +13,10 @@ type recordAction struct {
 
 func (a *recordAction) Fire(at sim.Time) { a.n++; a.last = at }
 
-// TransferAction must deliver at exactly the times Transfer would and,
-// with a reusable Action, schedule with zero allocations per message in
-// steady state — the "fabric packets" leg of the pooled hot path.
-func TestTransferActionMatchesTransferAndAllocFree(t *testing.T) {
+// TransferAction delivers to its Action exactly at the arrival times it
+// returns and, with a reusable Action, schedules with zero allocations per
+// message in steady state — the "fabric packets" leg of the pooled hot path.
+func TestTransferActionDeliversOnTimeAllocFree(t *testing.T) {
 	build := func() (*sim.Kernel, *Fabric, *Endpoint, *Endpoint) {
 		k := sim.NewKernel()
 		f := New(k, DefaultConfig())
@@ -25,40 +25,31 @@ func TestTransferActionMatchesTransferAndAllocFree(t *testing.T) {
 		return k, f, src, dst
 	}
 
-	// Timing equivalence, message by message.
+	// Timing: five back-to-back messages each fire their Action once, at
+	// their own (serialized) arrival time.
 	k1, f1, s1, d1 := build()
-	var closureTimes []sim.Time
-	for i := 0; i < 5; i++ {
-		f1.Transfer(s1, d1, 2048, func() { closureTimes = append(closureTimes, k1.Now()) })
+	var acts [5]recordAction
+	var arrive [5]sim.Time
+	for i := range acts {
+		_, arrive[i], _ = f1.TransferAction(s1, d1, 2048, &acts[i])
 	}
 	k1.Run()
-
-	k2, f2, s2, d2 := build()
-	act := &recordAction{}
-	for i := 0; i < 5; i++ {
-		f2.TransferAction(s2, d2, 2048, act)
-	}
-	k2.Run()
-	if act.n != len(closureTimes) {
-		t.Fatalf("action fired %d times, closure %d", act.n, len(closureTimes))
-	}
-	if act.last != closureTimes[len(closureTimes)-1] {
-		t.Fatalf("last action delivery at %v, closure at %v", act.last, closureTimes[len(closureTimes)-1])
-	}
-	if k1.Now() != k2.Now() {
-		t.Fatalf("final times differ: closure %v, action %v", k1.Now(), k2.Now())
+	for i, a := range acts {
+		if a.n != 1 || a.last != arrive[i] || (i > 0 && arrive[i] <= arrive[i-1]) {
+			t.Fatalf("message %d: action fired %d times, last at %v, want once at %v", i, a.n, a.last, arrive[i])
+		}
 	}
 
 	// Allocation budget: a recycled Action transfers at 0 allocs/op.
-	k3, f3, s3, d3 := build()
+	k2, f2, s2, d2 := build()
 	warm := &recordAction{}
 	for i := 0; i < 8; i++ {
-		f3.TransferAction(s3, d3, 1024, warm)
+		f2.TransferAction(s2, d2, 1024, warm)
 	}
-	k3.Run()
+	k2.Run()
 	allocs := testing.AllocsPerRun(200, func() {
-		f3.TransferAction(s3, d3, 1024, warm)
-		k3.Run()
+		f2.TransferAction(s2, d2, 1024, warm)
+		k2.Run()
 	})
 	if allocs > 0 {
 		t.Fatalf("TransferAction allocated %.2f objects per message in steady state, want 0", allocs)

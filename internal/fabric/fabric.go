@@ -141,12 +141,9 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 // Kernel returns the owning simulation kernel.
 func (f *Fabric) Kernel() *sim.Kernel { return f.k }
 
-// SetInjector attaches a fault injector; nil disables injection. Plain
-// Transfer is unaffected either way — only TransferFated consults it.
+// SetInjector attaches a fault injector; nil disables injection. Every
+// transfer then draws its fate from it (see TransferActionCtx).
 func (f *Fabric) SetInjector(inj *fault.Injector) { f.inj = inj }
-
-// Injector returns the attached fault injector (nil when faults are off).
-func (f *Fabric) Injector() *fault.Injector { return f.inj }
 
 // SetMetrics attaches a metrics registry; nil disables metrics. Call it
 // before creating endpoints — each endpoint binds its counter handles at
@@ -157,10 +154,10 @@ func (f *Fabric) SetMetrics(m *metrics.Registry) { f.met = m }
 // Metrics returns the attached registry (nil when metrics are off).
 func (f *Fabric) Metrics() *metrics.Registry { return f.met }
 
-// SetSpans attaches a span collector; nil disables tracing. Fated or not,
-// every transfer carrying a parent span then records an injection span on
-// the sender port and a wire span for the flight. Span collection never
-// consumes virtual time.
+// SetSpans attaches a span collector; nil disables tracing. Every transfer
+// carrying a parent span then records an injection span on the sender port
+// and a wire span for the flight. Span collection never consumes virtual
+// time.
 func (f *Fabric) SetSpans(c *span.Collector) { f.sp = c }
 
 // Spans returns the attached span collector (nil when tracing is off).
@@ -194,67 +191,25 @@ func (f *Fabric) Latency(src, dst *Endpoint) sim.Time {
 	return f.cfg.WireLatency
 }
 
-// Transfer injects a message of size bytes from src to dst and schedules
-// deliver (which may be nil) in handler context at the arrival time.
-// It returns the time the sender endpoint is free again (local completion)
-// and the delivery time at the receiver.
-//
-// Transfer may be called from process or handler context; it never blocks.
-// CPU costs of composing the message are the caller's business.
-func (f *Fabric) Transfer(src, dst *Endpoint, size int, deliver func()) (txDone, arrive sim.Time) {
-	return f.transfer(src, dst, size, deliver, nil, fault.FateDeliver, 0)
+// TransferAction is TransferActionCtx with no parent span.
+func (f *Fabric) TransferAction(src, dst *Endpoint, size int, act sim.Action) (txDone, arrive sim.Time, fate fault.Fate) {
+	return f.TransferActionCtx(src, dst, size, act, 0)
 }
 
-// TransferAction is Transfer delivering to a pooled sim.Action instead of a
-// closure: the hot per-message path for callers that recycle their delivery
-// records (the verbs layer's completion flights), so steady-state traffic
-// schedules nothing on the heap. Timing is identical to Transfer.
-func (f *Fabric) TransferAction(src, dst *Endpoint, size int, act sim.Action) (txDone, arrive sim.Time) {
-	return f.transfer(src, dst, size, nil, act, fault.FateDeliver, 0)
-}
-
-// TransferActionCtx is TransferAction carrying span context: when a
-// collector is attached, the transfer's injection and wire spans are
-// recorded as children of parent. Timing is identical to TransferAction.
-func (f *Fabric) TransferActionCtx(src, dst *Endpoint, size int, act sim.Action, parent span.ID) (txDone, arrive sim.Time) {
-	return f.transfer(src, dst, size, nil, act, fault.FateDeliver, parent)
-}
-
-// TransferFated is Transfer with fault injection: the attached injector
-// draws a fate for the message and the returned fate tells the caller
-// (the verbs layer) whether to arrange a retransmission. A dropped message
-// consumes only the sender's overhead and serialization; a corrupted one
-// occupies both endpoints but is discarded by the receiver's ICRC check
-// (deliver never runs for either); a delayed one is delivered DelaySpike
-// late. With no injector attached this is exactly Transfer.
-//
-// delivered reports whether the deliver callback was (or would have been)
-// scheduled — true for FateDeliver and FateDelay, false for FateDrop and
-// FateCorrupt. arrive is only meaningful when delivered is true (for
-// FateCorrupt it is the end of port occupancy; for FateDrop it is zero and
-// must not be used as a timestamp).
-func (f *Fabric) TransferFated(src, dst *Endpoint, size int, deliver func()) (txDone, arrive sim.Time, delivered bool, fate fault.Fate) {
-	return f.TransferFatedCtx(src, dst, size, deliver, 0)
-}
-
-// TransferFatedCtx is TransferFated carrying span context (see
-// TransferActionCtx). Drop and corrupt fates are recorded on the spans as a
-// "fate" attribute, so a retransmitted op shows every attempt's flight.
-func (f *Fabric) TransferFatedCtx(src, dst *Endpoint, size int, deliver func(), parent span.ID) (txDone, arrive sim.Time, delivered bool, fate fault.Fate) {
-	fate = f.inj.FateFor()
-	if fate != fault.FateDeliver && f.inj.Tracing() {
-		f.inj.Note(f.k.Now(), span.ClassHCA, src.name, fate.String(),
-			fmt.Sprintf("dst=%s size=%d", dst.name, size))
-	}
-	txDone, arrive = f.transfer(src, dst, size, deliver, nil, fate, parent)
-	delivered = fate == fault.FateDeliver || fate == fault.FateDelay
-	return txDone, arrive, delivered, fate
-}
-
-// transfer computes endpoint occupancy and schedules delivery according to
-// the message's fate. Exactly one of deliver/act carries the delivery (both
-// may be nil for fire-and-forget).
-func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.Action, fate fault.Fate, parent span.ID) (txDone, arrive sim.Time) {
+// TransferActionCtx is the one way a message crosses the fabric: it injects
+// size bytes from src to dst and schedules act (which may be nil) in handler
+// context at the arrival time. It returns the time the sender endpoint is
+// free again (local completion), the arrival time, and the fate drawn from
+// the attached injector (FateDeliver without one). A dropped message
+// occupies only the sender (arrive is 0); a corrupted one occupies both
+// ports and is discarded by the receiver's ICRC check; act runs for neither,
+// and fate.Lost() tells the caller to retransmit. A delayed message arrives
+// DelaySpike late. With a collector attached, the injection and wire spans
+// are recorded under parent, lost and delayed ones with a "fate" attribute.
+// act is a pooled record, not a closure, so callers that recycle theirs
+// (the verbs flights) schedule nothing on the heap. It may be called from
+// process or handler context and never blocks.
+func (f *Fabric) TransferActionCtx(src, dst *Endpoint, size int, act sim.Action, parent span.ID) (txDone, arrive sim.Time, fate fault.Fate) {
 	if src == nil || dst == nil {
 		panic("fabric: nil endpoint")
 	}
@@ -262,6 +217,11 @@ func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.
 		panic(fmt.Sprintf("fabric: negative transfer size %d", size))
 	}
 	now := f.k.Now()
+	fate = f.inj.FateFor()
+	if fate != fault.FateDeliver && f.inj.Tracing() {
+		f.inj.Note(now, span.ClassHCA, src.name, fate.String(),
+			fmt.Sprintf("dst=%s size=%d", dst.name, size))
+	}
 
 	txPar, rxPar := src.par, dst.par
 	if src.node == dst.node && f.cfg.LoopbackGBps > 0 {
@@ -288,7 +248,7 @@ func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.
 			f.sp.AttrStr(inj, "fate", "drop")
 			f.sp.EndAt(inj, txDone)
 		}
-		return txDone, 0
+		return txDone, 0, fate
 	}
 
 	headArrive := start + txPar.Overhead + f.Latency(src, dst)
@@ -315,7 +275,7 @@ func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.
 			f.sp.AttrStr(wire, "fate", "corrupt")
 			f.sp.EndAt(wire, arrive)
 		}
-		return txDone, arrive
+		return txDone, arrive, fate
 	}
 	dst.MsgsRecv++
 	dst.BytesRecv += int64(size)
@@ -346,8 +306,6 @@ func (f *Fabric) transfer(src, dst *Endpoint, size int, deliver func(), act sim.
 
 	if act != nil {
 		f.k.AtAction(arrive-now, act)
-	} else if deliver != nil {
-		f.k.At(arrive-now, deliver)
 	}
-	return txDone, arrive
+	return txDone, arrive, fate
 }

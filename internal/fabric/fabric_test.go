@@ -29,8 +29,8 @@ func testFabric() (*sim.Kernel, *Fabric, *Endpoint, *Endpoint, *Endpoint) {
 func TestTransferLatencyModel(t *testing.T) {
 	k, f, h0, h1, _ := testFabric()
 	size := 1024
-	var arrived sim.Time
-	txDone, arrive := f.Transfer(h0, h1, size, func() { arrived = k.Now() })
+	act := &recordAction{}
+	txDone, arrive, _ := f.TransferAction(h0, h1, size, act)
 	wantSer := sim.Time(float64(size) / testHostPort.GBps)
 	if want := testHostPort.Overhead + wantSer; txDone != want {
 		t.Fatalf("txDone = %v, want %v", txDone, want)
@@ -39,8 +39,8 @@ func TestTransferLatencyModel(t *testing.T) {
 		t.Fatalf("arrive = %v, want %v", arrive, want)
 	}
 	k.Run()
-	if arrived != arrive {
-		t.Fatalf("deliver fired at %v, want %v", arrived, arrive)
+	if act.n != 1 || act.last != arrive {
+		t.Fatalf("delivery fired %d times, last at %v, want once at %v", act.n, act.last, arrive)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestSenderSerialization(t *testing.T) {
 	_, f, h0, h1, _ := testFabric()
 	// Two back-to-back messages: the second's injection starts after the
 	// first finishes.
-	tx1, _ := f.Transfer(h0, h1, 4096, nil)
-	tx2, _ := f.Transfer(h0, h1, 4096, nil)
+	tx1, _, _ := f.TransferAction(h0, h1, 4096, nil)
+	tx2, _, _ := f.TransferAction(h0, h1, 4096, nil)
 	per := testHostPort.Overhead + sim.Time(4096/testHostPort.GBps)
 	if tx1 != per || tx2 != 2*per {
 		t.Fatalf("tx1=%v tx2=%v, want %v and %v", tx1, tx2, per, 2*per)
@@ -72,7 +72,7 @@ func TestReceiverSerializationIncast(t *testing.T) {
 	var last sim.Time
 	for i := 0; i < n; i++ {
 		src := f.NewEndpoint("src", i, testHostPort)
-		_, a := f.Transfer(src, dst, size, nil)
+		_, a, _ := f.TransferAction(src, dst, size, nil)
 		if a > last {
 			last = a
 		}
@@ -119,8 +119,8 @@ func TestHostVsDPUInjectionShape(t *testing.T) {
 
 func TestTransferStats(t *testing.T) {
 	k, f, h0, h1, _ := testFabric()
-	f.Transfer(h0, h1, 100, nil)
-	f.Transfer(h0, h1, 200, nil)
+	f.TransferAction(h0, h1, 100, nil)
+	f.TransferAction(h0, h1, 200, nil)
 	k.Run()
 	if h0.MsgsSent != 2 || h0.BytesSent != 300 {
 		t.Fatalf("sender stats = %d msgs / %d bytes, want 2/300", h0.MsgsSent, h0.BytesSent)
@@ -137,12 +137,12 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	f.Transfer(h0, h1, -1, nil)
+	f.TransferAction(h0, h1, -1, nil)
 }
 
 func TestZeroSizeTransferStillHasOverheadAndLatency(t *testing.T) {
 	_, f, h0, h1, _ := testFabric()
-	tx, ar := f.Transfer(h0, h1, 0, nil)
+	tx, ar, _ := f.TransferAction(h0, h1, 0, nil)
 	if tx != testHostPort.Overhead {
 		t.Fatalf("txDone = %v, want overhead %v", tx, testHostPort.Overhead)
 	}
@@ -162,7 +162,7 @@ func TestPropertyArrivalMonotone(t *testing.T) {
 		floor := testHostPort.Overhead + fb.Config().WireLatency
 		var prevArrive sim.Time
 		for _, sz := range sizes {
-			_, a := fb.Transfer(src, dst, int(sz), nil)
+			_, a, _ := fb.TransferAction(src, dst, int(sz), nil)
 			if a < floor || a < prevArrive {
 				return false
 			}
@@ -182,11 +182,11 @@ func TestLoopbackFasterThanWire(t *testing.T) {
 	b := f.NewEndpoint("b", 0, testHostPort) // same node
 	c := f.NewEndpoint("c", 1, testHostPort) // remote
 	const size = 1 << 20
-	_, local := f.Transfer(a, b, size, nil)
+	_, local, _ := f.TransferAction(a, b, size, nil)
 	f2 := New(sim.NewKernel(), DefaultConfig())
 	a2 := f2.NewEndpoint("a", 0, testHostPort)
 	c2 := f2.NewEndpoint("c", 1, testHostPort)
-	_, remote := f2.Transfer(a2, c2, size, nil)
+	_, remote, _ := f2.TransferAction(a2, c2, size, nil)
 	_ = c
 	if local >= remote {
 		t.Fatalf("same-node transfer (%v) should beat the wire (%v): PCIe loopback", local, remote)

@@ -21,20 +21,16 @@ func fatedFabric(cfg *fault.Config) (*sim.Kernel, *Fabric, *Endpoint, *Endpoint,
 	return k, f, src, dst, met
 }
 
-// Regression (satellite 2): a dropped message must be reported through the
-// explicit delivered flag, not the arrive=0 sentinel callers used to have to
-// know about.
+// A dropped message is reported through its fate, which says it was lost,
+// and its delivery never runs.
 func TestFatedDropReportsNotDelivered(t *testing.T) {
 	cfg := fault.DefaultConfig(1)
 	cfg.DropRate = 1
 	k, f, src, dst, met := fatedFabric(cfg)
-	ran := false
-	txDone, arrive, delivered, fate := f.TransferFated(src, dst, 4096, func() { ran = true })
-	if fate != fault.FateDrop {
-		t.Fatalf("fate = %v, want drop", fate)
-	}
-	if delivered {
-		t.Fatal("dropped message reported delivered")
+	act := &recordAction{}
+	txDone, arrive, fate := f.TransferAction(src, dst, 4096, act)
+	if fate != fault.FateDrop || !fate.Lost() {
+		t.Fatalf("fate = %v, want a lost drop", fate)
 	}
 	if arrive != 0 {
 		t.Fatalf("arrive = %v for a drop (documented invalid = 0)", arrive)
@@ -43,8 +39,8 @@ func TestFatedDropReportsNotDelivered(t *testing.T) {
 		t.Fatalf("txDone = %v, want sender occupancy", txDone)
 	}
 	k.Run()
-	if ran {
-		t.Fatal("deliver callback ran for a dropped message")
+	if act.n != 0 {
+		t.Fatal("delivery ran for a dropped message")
 	}
 	if src.MsgsSent != 1 || dst.MsgsRecv != 0 || dst.MsgsDiscarded != 0 {
 		t.Fatalf("stats sent=%d recv=%d disc=%d, want 1/0/0",
@@ -56,19 +52,16 @@ func TestFatedDropReportsNotDelivered(t *testing.T) {
 	}
 }
 
-// Regression (satellite 3): a corrupted message occupies the receive port but
+// A corrupted message occupies the receive port but
 // must count as discard, not goodput.
 func TestCorruptCountsDiscardedNotGoodput(t *testing.T) {
 	cfg := fault.DefaultConfig(1)
 	cfg.CorruptRate = 1
 	k, f, src, dst, met := fatedFabric(cfg)
-	ran := false
-	_, arrive, delivered, fate := f.TransferFated(src, dst, 4096, func() { ran = true })
-	if fate != fault.FateCorrupt {
-		t.Fatalf("fate = %v, want corrupt", fate)
-	}
-	if delivered {
-		t.Fatal("corrupted message reported delivered")
+	act := &recordAction{}
+	_, arrive, fate := f.TransferAction(src, dst, 4096, act)
+	if fate != fault.FateCorrupt || !fate.Lost() {
+		t.Fatalf("fate = %v, want a lost corruption", fate)
 	}
 	if arrive == 0 {
 		t.Fatal("corrupt arrive = 0; it should be the end of port occupancy")
@@ -77,8 +70,8 @@ func TestCorruptCountsDiscardedNotGoodput(t *testing.T) {
 		t.Fatalf("rx port busy until %v, want %v (corrupt occupies the port)", dst.rxBusyUntil, arrive)
 	}
 	k.Run()
-	if ran {
-		t.Fatal("deliver callback ran for a corrupted message")
+	if act.n != 0 {
+		t.Fatal("delivery ran for a corrupted message")
 	}
 	if dst.MsgsRecv != 0 || dst.BytesRecv != 0 {
 		t.Fatalf("goodput stats recv=%d/%d bytes, want 0 (message was discarded)",
@@ -100,7 +93,7 @@ func TestCorruptCountsDiscardedNotGoodput(t *testing.T) {
 	}
 }
 
-// Regression (satellite 4): a FateDelay spike extends delivery, not port
+// A FateDelay spike extends delivery, not port
 // occupancy, so a later message on the same port may overtake the delayed
 // one. That inversion is intended — the spike models a switch-buffering
 // excursion beyond the receiver, after the port already serialized the
@@ -125,21 +118,21 @@ func TestDelaySpikeAllowsOvertakingPinned(t *testing.T) {
 	cfg.DelaySpike = 50 * sim.Microsecond
 	k, f, src, dst, _ := fatedFabric(cfg)
 
-	var firstAt, secondAt sim.Time
-	_, a1, d1, f1 := f.TransferFated(src, dst, 1024, func() { firstAt = k.Now() })
-	_, a2, d2, f2 := f.TransferFated(src, dst, 1024, func() { secondAt = k.Now() })
+	first, second := &recordAction{}, &recordAction{}
+	_, a1, f1 := f.TransferAction(src, dst, 1024, first)
+	_, a2, f2 := f.TransferAction(src, dst, 1024, second)
 	if f1 != fault.FateDelay || f2 != fault.FateDeliver {
 		t.Fatalf("fates = %v/%v, want delay/deliver (seed scan broken)", f1, f2)
 	}
-	if !d1 || !d2 {
-		t.Fatal("both messages should report delivered=true")
+	if f1.Lost() || f2.Lost() {
+		t.Fatal("both messages should be delivered")
 	}
 	if a2 >= a1 {
 		t.Fatalf("no inversion: second delivers at %v, delayed first at %v", a2, a1)
 	}
 	k.Run()
-	if secondAt >= firstAt {
-		t.Fatalf("delivery order not inverted: first=%v second=%v", firstAt, secondAt)
+	if second.last >= first.last {
+		t.Fatalf("delivery order not inverted: first=%v second=%v", first.last, second.last)
 	}
 	// The port itself stays FIFO: the delayed first message freed the port
 	// at its nominal time, so the second's occupancy (and rxBusyUntil) is
@@ -157,8 +150,8 @@ func TestFabricMetricsMirrorStats(t *testing.T) {
 	f.SetMetrics(met)
 	src := f.NewEndpoint("a", 0, testHostPort)
 	dst := f.NewEndpoint("b", 1, testHostPort)
-	f.Transfer(src, dst, 1000, nil)
-	f.Transfer(src, dst, 24, nil)
+	f.TransferAction(src, dst, 1000, nil)
+	f.TransferAction(src, dst, 24, nil)
 	k.Run()
 	snap := met.Snapshot()
 	if v := snap.CounterValue("fabric", "a", "msgs_tx"); v != src.MsgsSent {

@@ -2,12 +2,14 @@
 // simulated cluster. A fault plan (Config) is attached to cluster.Config;
 // from it the cluster builds one seeded Injector that every layer consults:
 //
-//   - fabric: per-message drop / corruption / delay-spike fates
-//     (Fabric.TransferFated);
+//   - fabric: per-message drop / corruption / delay-spike fates, drawn by
+//     the one transfer entry point (Fabric.TransferActionCtx);
 //   - verbs: completion-queue entries with error status and failed memory
 //     registrations, plus the retransmission machinery that tolerates both
 //     verbs- and fabric-level faults (per-op retry with exponential
-//     backoff, terminal error after RetryConfig.MaxAttempts);
+//     backoff, terminal error after RetryConfig.MaxAttempts) — the pooled
+//     flight record of an op carries its own retries, so a run with a plan
+//     takes the same path as one without;
 //   - core: proxy-process crashes and restarts at scheduled virtual times
 //     (Config.Crashes), detected by hosts through lost heartbeats and
 //     tolerated by host-progressed fallback.
@@ -56,6 +58,11 @@ func (f Fate) String() string {
 	}
 	return "deliver"
 }
+
+// Lost reports whether the message never reaches the receiver's software:
+// dropped on the wire or discarded by the ICRC check. The sender retransmits
+// exactly these fates.
+func (f Fate) Lost() bool { return f == FateDrop || f == FateCorrupt }
 
 // RetryConfig tunes the verbs-level retransmission machinery.
 type RetryConfig struct {
@@ -134,12 +141,10 @@ type Config struct {
 
 	// Crashes schedules proxy-process failures at virtual times.
 	Crashes []Crash
-	// HeartbeatPeriod is how often a live proxy refreshes its liveness
-	// counter in host memory (modelled as a zero-wire-cost 8-byte RDMA
-	// write, the same mechanism as the completion counters).
-	HeartbeatPeriod sim.Time
 	// HeartbeatTimeout is how long a host waits without a heartbeat before
-	// declaring its proxy dead and failing over.
+	// declaring its proxy dead and failing over. A live proxy's liveness
+	// counter is never stale, so detection is modelled directly as
+	// now-crashedAt >= HeartbeatTimeout; no refresh period is simulated.
 	HeartbeatTimeout sim.Time
 
 	// Retry tunes the verbs retransmission machinery; zero fields fall back
@@ -153,7 +158,6 @@ func DefaultConfig(seed int64) *Config {
 	return &Config{
 		Seed:             seed,
 		DelaySpike:       20 * sim.Microsecond,
-		HeartbeatPeriod:  5 * sim.Microsecond,
 		HeartbeatTimeout: 20 * sim.Microsecond,
 		Retry:            DefaultRetry(),
 	}
@@ -220,17 +224,6 @@ type Injector struct {
 // are noted in spans (nil = not recorded).
 func NewInjector(cfg *Config, spans *span.Collector) *Injector {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), spans: spans}
-}
-
-// Enabled reports whether fault injection is active; nil-safe.
-func (in *Injector) Enabled() bool { return in != nil }
-
-// Config returns the plan; nil-safe (nil injector has no plan).
-func (in *Injector) Config() *Config {
-	if in == nil {
-		return nil
-	}
-	return in.cfg
 }
 
 // FateFor draws the fate of one fabric message and counts it.

@@ -11,12 +11,6 @@ import (
 // A nil injector must behave as "no faults, no draws" everywhere.
 func TestNilInjectorSafe(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Fatal("nil injector reports enabled")
-	}
-	if in.Config() != nil {
-		t.Fatal("nil injector has a config")
-	}
 	if f := in.FateFor(); f != FateDeliver {
 		t.Fatalf("nil FateFor = %v, want deliver", f)
 	}
@@ -150,6 +144,15 @@ func TestRetryBackoff(t *testing.T) {
 	cfg := &Config{}
 	if got := cfg.RetryOrDefault(); got != DefaultRetry() {
 		t.Fatalf("RetryOrDefault on zero config = %+v", got)
+	}
+}
+
+// Exactly the fates the receiver never sees are lost, and so retransmitted.
+func TestFateLost(t *testing.T) {
+	for f, lost := range map[Fate]bool{FateDeliver: false, FateDrop: true, FateCorrupt: true, FateDelay: false} {
+		if f.Lost() != lost {
+			t.Fatalf("%v.Lost() = %v, want %v", f, f.Lost(), lost)
+		}
 	}
 }
 

@@ -328,8 +328,8 @@ var ChaosRates = []float64{0, 1e-4, 1e-3, 1e-2}
 // measurement repeated under deterministic fault injection at increasing
 // rates, with every payload verified end to end. The rate-0 row attaches a
 // silent injector and reproduces the fault-free Figure 13 timings exactly
-// (the rate-zero fast paths draw no randomness and schedule the same
-// events); nonzero rows show the retry/redelivery cost.
+// (a rate-zero plan draws no randomness and schedules the same events);
+// nonzero rows show the retry/redelivery cost.
 func FigChaos(nodes, ppn int, seed int64, rates []float64, msgSize, warmup, iters int) *bench.Table {
 	opt := bench.Options{Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed}
 	results := bench.ChaosSweep(opt, seed, rates, msgSize, warmup, iters)

@@ -14,7 +14,13 @@ import (
 // completion, failing the test on deadlock.
 func runWorld(t *testing.T, nodes, ppn int, main func(r *Rank)) *World {
 	t.Helper()
-	cl := cluster.New(cluster.DefaultConfig(nodes, ppn))
+	return runWorldOn(t, cluster.DefaultConfig(nodes, ppn), main)
+}
+
+// runWorldOn is runWorld on a cluster built from ccfg (a fault plan, say).
+func runWorldOn(t *testing.T, ccfg cluster.Config, main func(r *Rank)) *World {
+	t.Helper()
+	cl := cluster.New(ccfg)
 	w := NewWorld(cl, DefaultConfig())
 	w.Launch(main)
 	cl.K.Run()

@@ -323,7 +323,7 @@ func (r *Rank) Progress() {
 		}
 		for _, pkt := range r.ctx.PollInbox() {
 			m := pkt.Payload.(*inMsg)
-			r.w.freePacket(pkt)
+			r.w.Cl.Reg.PutPacket(pkt)
 			r.dispatch(m)
 			acted = true
 		}

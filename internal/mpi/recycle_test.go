@@ -4,16 +4,26 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/verbs"
 )
 
 // After every rank of a backed 2×2 world has exchanged eager, large (shm or
 // rendezvous) and self messages with every rank for three iterations — odd
 // ranks computing first so their messages arrive unexpected — every receive
-// holds its sender's bytes, and the message free list holds each record at
-// most once and none still queued.
+// holds its sender's bytes, and the message and packet free lists hold each
+// record at most once and none still queued: with no plan, and under drops,
+// corruption, delay spikes and error CQEs, where records recycle just the
+// same.
 func TestRecycledMessagesNoDoubleFree(t *testing.T) {
+	t.Run("no plan", func(t *testing.T) { recycledMessages(t, nil) })
+	t.Run("faults", func(t *testing.T) { recycledMessages(t, fault.Scaled(5, 0.1)) })
+}
+
+func recycledMessages(t *testing.T, plan *fault.Config) {
 	sizes := [2]int{1000, 40000}
 	pattern := func(src, dst, k, it int) []byte {
 		b := make([]byte, sizes[k])
@@ -22,7 +32,9 @@ func TestRecycledMessagesNoDoubleFree(t *testing.T) {
 		}
 		return b
 	}
-	w := runWorld(t, 2, 2, func(r *Rank) {
+	ccfg := cluster.DefaultConfig(2, 2)
+	ccfg.Fault = plan
+	w := runWorldOn(t, ccfg, func(r *Rank) {
 		me := r.RankID()
 		var send, recv [][2]*mem.Buffer
 		for range r.Size() {
@@ -72,5 +84,18 @@ func TestRecycledMessagesNoDoubleFree(t *testing.T) {
 				t.Errorf("rank %d: a queued message is on the free list", r.rank)
 			}
 		}
+	}
+	if plan != nil && w.Cl.Inj.Stats.Retries == 0 {
+		t.Fatalf("the plan caused no retransmission: %+v", w.Cl.Inj.Stats)
+	}
+	// The packet pool is verbs-private: drain it through GetPacket. Fresh
+	// packets are distinct, so a pointer seen twice was put twice.
+	pkts := make(map[*verbs.Packet]bool)
+	for range 1 << 14 {
+		pkt := w.Cl.Reg.GetPacket()
+		if pkts[pkt] {
+			t.Fatalf("packet free list holds %p twice", pkt)
+		}
+		pkts[pkt] = true
 	}
 }

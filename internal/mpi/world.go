@@ -63,8 +63,8 @@ type World struct {
 	nodeOf []int  // node of each world rank (placed worlds need not follow cluster geometry)
 	prefix string // site/process name prefix ("" for the single-world case)
 
-	// msgFree recycles message records on the no-injector fast path (see
-	// newMsg); their packets come from the verbs registry's pool.
+	// msgFree recycles message records (see newMsg); their packets come from
+	// the verbs registry's pool.
 	msgFree []*inMsg
 
 	// Metric handles; nil (inert) when metrics are off.
@@ -120,11 +120,10 @@ func NewPlacedWorld(cl *cluster.Cluster, cfg Config, prefix string, nodeOf []int
 }
 
 // newMsg returns a zeroed message record (a recycled one keeps its empty
-// payload storage, see copyIn). Without a fault plan it comes from the
-// world's free list, which the message's consumer refills (freeMsg), like
-// the verbs flight records; under a fault plan a packet may be dropped,
-// duplicated or retransmitted, so no consumer can know it holds the last
-// reference and records stay freshly allocated.
+// payload storage, see copyIn) from the world's free list, which the
+// message's consumer refills (freeMsg), like the verbs flight records. Fault
+// plans change nothing here: verbs re-sends only a packet that was not
+// delivered, so each message reaches at most one rank, at most once.
 func (w *World) newMsg() *inMsg {
 	if n := len(w.msgFree); n > 0 {
 		m := w.msgFree[n-1]
@@ -134,33 +133,18 @@ func (w *World) newMsg() *inMsg {
 	return &inMsg{}
 }
 
-// freeMsg recycles a consumed message record (fast path only; see newMsg).
+// freeMsg recycles a consumed message record.
 func (w *World) freeMsg(m *inMsg) {
-	if w.Cl.Inj != nil {
-		return
-	}
 	*m = inMsg{buf: m.buf[:0]}
 	w.msgFree = append(w.msgFree, m)
 }
 
-// packet wraps m for the wire: a pooled packet on the fast path, which the
-// receiving Progress returns once it has read the payload (freePacket).
+// packet wraps m for the wire in a pooled packet, which the receiving
+// Progress returns to the registry once it has read the payload.
 func (w *World) packet(size int, m *inMsg, parent span.ID) *verbs.Packet {
-	var pkt *verbs.Packet
-	if w.Cl.Inj != nil {
-		pkt = &verbs.Packet{}
-	} else {
-		pkt = w.Cl.Reg.GetPacket()
-	}
+	pkt := w.Cl.Reg.GetPacket()
 	pkt.Kind, pkt.Size, pkt.Payload, pkt.Span = "mpi", size, m, parent
 	return pkt
-}
-
-// freePacket recycles a consumed packet (fast path only; see packet).
-func (w *World) freePacket(pkt *verbs.Packet) {
-	if w.Cl.Inj == nil {
-		w.Cl.Reg.PutPacket(pkt)
-	}
 }
 
 // SameNode reports whether two world ranks share a node. Placed worlds must

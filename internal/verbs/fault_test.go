@@ -2,11 +2,16 @@ package verbs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/span"
 )
 
 // faultRig is a rig with an injector attached.
@@ -264,6 +269,106 @@ func TestZeroRateInjectorZeroOverhead(t *testing.T) {
 	silent := run(fault.DefaultConfig(123)) // all rates zero
 	if bare == 0 || bare != silent {
 		t.Fatalf("rate-zero injector changed timing: %v vs %v", bare, silent)
+	}
+}
+
+// retryOutcome posts a burst of writes, reads and sends under a plan harsh
+// enough that some exhaust a three-attempt budget — half of the writes and
+// reads with an OnError, half without — and returns its record: one line per
+// completion, terminal error and arrival with its virtual time, the events
+// fired, the fault counters, hashes of both memories and (traced) of the
+// span JSONL.
+func retryOutcome(t *testing.T, traced bool) []byte {
+	cfg := fault.Scaled(5, 0.8)
+	cfg.Retry = fault.RetryConfig{MaxAttempts: 3, Backoff: sim.Microsecond, BackoffMax: 4 * sim.Microsecond}
+	rg := newRig(2)
+	var sc *span.Collector
+	if traced {
+		sc = span.New(0)
+		rg.f.SetSpans(sc)
+		rg.r.SetSpans(sc)
+	}
+	in := fault.NewInjector(cfg, sc)
+	rg.f.SetInjector(in)
+	rg.r.SetInjector(in)
+	const n, size = 8, 512
+	a := rg.sp[0].Alloc(2*n*size, true)
+	b := rg.sp[1].Alloc(2*n*size, true)
+	for i := range a.Bytes() {
+		a.Bytes()[i], b.Bytes()[i] = byte(i*7), byte(i*13)
+	}
+	var log bytes.Buffer
+	note := func(what string, i int, at sim.Time) { fmt.Fprintf(&log, "%s %d at %d\n", what, i, at) }
+	rg.k.Spawn("recv", func(p *sim.Proc) {
+		for {
+			rg.ctx[1].AwaitInbox(p)
+			for _, pkt := range rg.ctx[1].PollInbox() {
+				note("send arrived", pkt.Payload.(int), p.Now())
+			}
+		}
+	}).SetDaemon(true)
+	rg.k.Spawn("post", func(p *sim.Proc) {
+		amr := rg.ctx[0].RegisterMR(p, a.Addr(), a.Size())
+		bmr := rg.ctx[1].RegisterMR(p, b.Addr(), b.Size())
+		for i := 0; i < n; i++ {
+			w := WriteOp{
+				LocalKey: amr.LKey(), LocalAddr: a.Addr() + mem.Addr(i*size),
+				RemoteKey: bmr.RKey(), RemoteAddr: b.Addr() + mem.Addr(i*size), Size: size,
+				OnRemoteComplete: func(at sim.Time) { note("write landed", i, at) },
+			}
+			if i%2 == 0 {
+				w.OnError = func(at sim.Time) { note("write failed", i, at) }
+			}
+			if err := rg.ctx[0].PostWrite(p, w); err != nil {
+				t.Fatalf("PostWrite: %v", err)
+			}
+			r := ReadOp{
+				LocalKey: amr.LKey(), LocalAddr: a.Addr() + mem.Addr((n+i)*size),
+				RemoteKey: bmr.RKey(), RemoteAddr: b.Addr() + mem.Addr((n+i)*size), Size: size,
+				OnComplete: func(at sim.Time) { note("read landed", i, at) },
+			}
+			if i%2 == 1 {
+				r.OnError = func(at sim.Time) { note("read failed", i, at) }
+			}
+			if err := rg.ctx[0].PostRead(p, r); err != nil {
+				t.Fatalf("PostRead: %v", err)
+			}
+			rg.ctx[0].PostSend(p, rg.ctx[1], &Packet{Kind: "ctrl", Size: 64, Payload: i})
+		}
+	})
+	rg.k.Run()
+	fmt.Fprintf(&log, "fired %d\nfaults %+v\nmemory %x %x\n", rg.k.Stats().Fired, in.Stats,
+		sha256.Sum256(a.Bytes()), sha256.Sum256(b.Bytes()))
+	if traced {
+		h := sha256.New()
+		if err := sc.WriteJSONL(h); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&log, "spans %d %x\n", sc.Len(), h.Sum(nil))
+	}
+	return log.Bytes()
+}
+
+// Retries, terminal errors and their span records are pinned exactly: every
+// completion and failure time, the number of events fired, the fault
+// counters, the landed bytes and, traced, every span. A different hash is a
+// change of fault behaviour, not a refactoring.
+func TestRetryOutcomesPinned(t *testing.T) {
+	for _, c := range []struct {
+		traced bool
+		want   string
+	}{
+		{false, "1a6c576c006550cd17db6f81ede695fb7a1d1305df36cbcd7d3baa6c2e6605ca"},
+		{true, "b1f22f327d55426b2ab745f1c3a45c8a13436dee86122124ce63a68aec0a0941"},
+	} {
+		out := retryOutcome(t, c.traced)
+		if !bytes.Contains(out, []byte("failed")) || !bytes.Contains(out, []byte("Exhausted:")) {
+			t.Fatalf("traced=%v: the plan exhausted no retry budget:\n%s", c.traced, out)
+		}
+		sum := sha256.Sum256(out)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("traced=%v: outcome hashes to %s, want %s\n%s", c.traced, got, c.want, out)
+		}
 	}
 }
 

@@ -68,8 +68,8 @@ type Registry struct {
 	inj *fault.Injector // nil = no fault injection
 	sp  *span.Collector // nil = no span tracing
 
-	// Free lists for the pooled hot-path records (see pool.go). The
-	// simulation is single-threaded, so plain slices suffice.
+	// Free lists of the pooled flight records and packets (see pool.go).
+	// The simulation is single-threaded, so plain slices suffice.
 	wfFree []*writeFlight
 	rfFree []*readFlight
 	sfFree []*sendFlight
@@ -104,12 +104,9 @@ func (r *Registry) Fabric() *fabric.Fabric { return r.f }
 // SetInjector attaches a fault injector: posted operations then draw error
 // CQEs and fabric fates, and failed attempts are retransmitted with
 // exponential backoff up to the injector's retry budget. Nil (the default)
-// keeps the original no-error fast paths, bit-identical to a build without
-// the fault subsystem.
+// draws nothing; either way every op rides the same pooled flight (pool.go),
+// and a plan that injects nothing times and allocates exactly like none.
 func (r *Registry) SetInjector(inj *fault.Injector) { r.inj = inj }
-
-// Injector returns the attached fault injector (nil when faults are off).
-func (r *Registry) Injector() *fault.Injector { return r.inj }
 
 // SetMetrics attaches a metrics registry; nil disables metrics. Like the
 // fault injector, metrics never consume virtual time.
