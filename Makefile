@@ -68,11 +68,12 @@ snap-check:
 	$(GO) test -run 'TestBaselines|ValidateRejects|TestSplitDriftWindows' ./internal/bench/
 
 # Perf smoke: allocation budgets on the event core, verbs (with and without
-# a fault plan), a rate-zero chaos run, the MPI point-to-point and barrier
-# paths, the basic-primitive and group-replay paths, and the
-# serial-vs-parallel determinism guard.
+# a fault plan), a rate-zero chaos run, the MPI eager and rendezvous pairs,
+# barrier and NBC alltoall, the staged datapath's lease, the basic-primitive
+# pair on both proxy paths, the group-replay path and the uncached staged
+# gather, and the serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/verbs/ ./internal/mpi/
+	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet

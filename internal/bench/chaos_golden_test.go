@@ -40,7 +40,8 @@ type chaosCase struct {
 // chaosCases are the fault plans the golden pins: the scaled sweep at three
 // rates and two sizes on the Proposed scheme, the same top rate on the host
 // and staged schemes (MPI rendezvous, staging reads), a crash, a crash with
-// restart, and that restart plan with every fault kind on top. Two of them
+// restart, that restart plan with every fault kind on top, and a BluesMPI
+// crash and crash with restart (staged leases in flight). Two of them
 // are traced, so the span records of retries, failures and failover are
 // pinned too.
 func chaosCases() []chaosCase {
@@ -73,6 +74,20 @@ func chaosCases() []chaosCase {
 	opt := guardOpt()
 	opt.ProxiesPerDPU = 1
 	cs = append(cs, chaosCase{name: "crash-restart-faults", opt: opt, plan: all, rate: 5e-2, size: 8192, traced: true})
+
+	// BluesMPI crashes land in the last call, while its staged transfers
+	// hold stage-buffer leases; the restart comes back before they have all
+	// landed, so some leases return to the pool of the restarted proxy. (An
+	// earlier crash hangs BluesMPI: with no group cache every call gathers
+	// again, and a failed-over host no longer answers its peers' gathers.)
+	blues := small()
+	blues.Scheme = baseline.NameBluesMPI
+	bcrash := fault.DefaultConfig(1)
+	bcrash.Crashes = []fault.Crash{{Proxy: 0, At: 7326 * sim.Microsecond}}
+	cs = append(cs, chaosCase{name: "BluesMPI-crash", opt: blues, plan: bcrash, size: 8192})
+	brestart := fault.DefaultConfig(2)
+	brestart.Crashes = []fault.Crash{{Proxy: 0, At: 7318 * sim.Microsecond, RestartAfter: sim.Microsecond}}
+	cs = append(cs, chaosCase{name: "BluesMPI-crash-restart", opt: blues, plan: brestart, size: 8192})
 	return cs
 }
 

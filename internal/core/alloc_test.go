@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -13,7 +14,7 @@ import (
 // once per period of virtual time and returns the allocations of one warm
 // round — every layer, both proxies. prepare runs once per host, in its
 // process, and returns the host's round.
-func roundAllocs(t *testing.T, prepare func(h *Host) func()) (float64, *Framework) {
+func roundAllocs(t *testing.T, cfg Config, prepare func(h *Host) func()) (float64, *Framework) {
 	t.Helper()
 	const period = 500 * sim.Microsecond
 	ccfg := cluster.DefaultConfig(2, 1)
@@ -22,7 +23,7 @@ func roundAllocs(t *testing.T, prepare func(h *Host) func()) (float64, *Framewor
 	for i := range sites {
 		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("host%d", i))
 	}
-	fw := New(cl, DefaultConfig(), sites)
+	fw := New(cl, cfg, sites)
 	fw.Start()
 	rounds := 0
 	for i := 0; i < ccfg.NP(); i++ {
@@ -51,14 +52,13 @@ func roundAllocs(t *testing.T, prepare func(h *Host) func()) (float64, *Framewor
 	return allocs, fw
 }
 
-// replayAllocs runs rank 0 → rank 1 group requests of the given number of
-// sends, one replayed call per round, and returns the allocations of one
-// warm call — everything from the hosts' GroupCall to their GroupWait
-// returning.
-func replayAllocs(t *testing.T, sends int) float64 {
+// groupAllocs runs rank 0 → rank 1 group requests of the given number of
+// sends, one call per round, and returns the allocations of one warm call —
+// everything from the hosts' GroupCall to their GroupWait returning.
+func groupAllocs(t *testing.T, cfg Config, sends int) (float64, *Framework) {
 	t.Helper()
 	const size = 4096
-	allocs, fw := roundAllocs(t, func(h *Host) func() {
+	return roundAllocs(t, cfg, func(h *Host) func() {
 		buf := h.site.Space.Alloc(sends*size, false)
 		g := h.GroupStart()
 		for s := 0; s < sends; s++ {
@@ -74,6 +74,13 @@ func replayAllocs(t *testing.T, sends int) float64 {
 			h.GroupWait(g)
 		}
 	})
+}
+
+// replayAllocs is groupAllocs on the proposed design, whose calls after the
+// first are group-cache replays.
+func replayAllocs(t *testing.T, sends int) float64 {
+	t.Helper()
+	allocs, fw := groupAllocs(t, DefaultConfig(), sends)
 	var hits int64
 	for i := 0; i < len(fw.proxies); i++ {
 		hits += fw.Proxy(i).GroupHits
@@ -84,39 +91,63 @@ func replayAllocs(t *testing.T, sends int) float64 {
 	return allocs
 }
 
-// A warm replayed group send — posted from the entry queue, landed, its
-// delivery notification posted, carried and counted at the destination's
-// proxy — allocates nothing in any layer: a
-// call of 64 sends allocates exactly what a call of 4 does (the replay
-// request and the completion update of each side).
+// A warm replayed group call allocates nothing in any layer: its sends —
+// posted from the entry queue, landed, their delivery notifications posted,
+// carried and counted at the destination's proxy — and the replay request
+// and completion update of each side are all recycled.
 func TestGroupReplaySendAllocFree(t *testing.T) {
 	few, many := replayAllocs(t, 4), replayAllocs(t, 64)
 	if many != few {
 		t.Fatalf("a replayed call of 64 sends allocates %.1f objects, one of 4 sends %.1f: %.3f per send, want 0",
 			many, few, (many-few)/60)
 	}
-	if few > 8 {
-		t.Fatalf("a replayed call allocates %.1f objects beside its sends, want at most 8 (greplay and gdone, packet and payload, per side)", few)
+	if few != 0 {
+		t.Fatalf("a replayed call allocates %.1f objects beside its sends, want 0", few)
+	}
+}
+
+// A warm group call with no group cache on the staged datapath (the BluesMPI
+// design minus its warm-up penalty) re-gathers and re-installs the whole
+// pattern, but nothing per send: a call of 64 sends allocates exactly what a
+// call of 4 does. Each send's metadata is recycled after the gather, and its
+// read and write ride the staging lease it holds.
+func TestUncachedStagedGroupCallAllocFree(t *testing.T) {
+	few, _ := groupAllocs(t, stagedConfig(), 4)
+	many, fw := groupAllocs(t, stagedConfig(), 64)
+	if many != few {
+		t.Fatalf("an uncached staged call of 64 sends allocates %.1f objects, one of 4 sends %.1f: %.3f per send, want 0",
+			many, few, (many-few)/60)
+	}
+	var misses, staged int64
+	for _, px := range fw.proxies {
+		misses += px.GroupMiss
+		staged += px.StagedOps
+	}
+	if misses < 2*21 || staged < 64*21 {
+		t.Fatalf("%d group installs and %d staged sends, want one install per host and call, every send staged", misses, staged)
 	}
 }
 
 // A warm Send_Offload/Recv_Offload pair through started proxies allocates
-// exactly the two OffloadRequests handed to the callers: the RTS/RTR/FIN
-// payloads and packets, the proxy's transfer record and the RDMA write are
-// all recycled.
+// exactly the two OffloadRequests handed to the callers, on either proxy
+// datapath: the RTS/RTR/FIN payloads and packets, the proxy's transfer
+// record, the RDMA operations and, on the staged path, the transfer's state
+// (kept in its staging lease) are all recycled.
 func TestBasicPrimitivePairAllocFree(t *testing.T) {
 	const size = 4096
-	allocs, _ := roundAllocs(t, func(h *Host) func() {
-		buf := h.site.Space.Alloc(size, true)
-		return func() {
-			if h.Rank() == 0 {
-				h.Wait(h.SendOffload(buf.Addr(), size, 1, 3))
-			} else {
-				h.Wait(h.RecvOffload(buf.Addr(), size, 0, 3))
+	for _, path := range []datapath.Kind{datapath.KindCrossGVMI, datapath.KindStaged} {
+		allocs, _ := roundAllocs(t, DefaultConfig(), func(h *Host) func() {
+			buf := h.site.Space.Alloc(size, true)
+			return func() {
+				if h.Rank() == 0 {
+					h.Wait(h.SendOffloadVia(path, buf.Addr(), size, 1, 3))
+				} else {
+					h.Wait(h.RecvOffload(buf.Addr(), size, 0, 3))
+				}
 			}
+		})
+		if allocs != 2 {
+			t.Errorf("a warm offloaded %v pair allocates %.1f objects, want 2 (its requests)", path, allocs)
 		}
-	})
-	if allocs != 2 {
-		t.Fatalf("a warm offloaded pair allocates %.1f objects, want 2 (its requests)", allocs)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
-	"repro/internal/mem"
 	"repro/internal/span"
 	"repro/internal/verbs"
 )
@@ -36,13 +35,31 @@ func (px *Proxy) CrossReg(srcHost int, info gvmi.MKeyInfo, parent span.ID) *verb
 	return px.crossReg(srcHost, info, parent)
 }
 
-// AcquireStage implements datapath.Exec.
-func (px *Proxy) AcquireStage(size int, parent span.ID) datapath.Stage {
-	return px.getStage(size, parent)
+// AcquireStage implements datapath.Exec: it leases a registered DPU staging
+// buffer of at least size bytes from the proxy's power-of-two pool. The
+// first lease of a buffer charges its registration to the proxy's ARM core,
+// recorded under parent.
+func (px *Proxy) AcquireStage(size int, parent span.ID) *datapath.Stage {
+	cls := 1
+	for cls < size {
+		cls <<= 1
+	}
+	if pool := px.stagePool[cls]; len(pool) > 0 {
+		s := pool[len(pool)-1]
+		pool[len(pool)-1] = nil
+		px.stagePool[cls] = pool[:len(pool)-1]
+		return s
+	}
+	buf := px.site.Space.Alloc(cls, px.fw.cl.Cfg.BackedPayload)
+	mr := px.ctx.RegisterMRCtx(px.proc, buf.Addr(), cls, parent)
+	return &datapath.Stage{LKey: mr.LKey(), Addr: buf.Addr(), Cap: cls}
 }
 
-// ReleaseStage implements datapath.Exec.
-func (px *Proxy) ReleaseStage(s datapath.Stage) { px.putStage(s.(*stageBuf)) }
+// ReleaseStage implements datapath.Exec: the lease returns to the pool of
+// its size class. After a crash that is the restarted proxy's new pool.
+func (px *Proxy) ReleaseStage(s *datapath.Stage) {
+	px.stagePool[s.Cap] = append(px.stagePool[s.Cap], s)
+}
 
 // Later implements datapath.Exec.
 func (px *Proxy) Later(fn func()) { px.later(fn) }
@@ -58,12 +75,3 @@ func (px *Proxy) CountStaged() { px.StagedOps++ }
 
 // CountEngine implements datapath.Exec.
 func (px *Proxy) CountEngine() { px.EngineOps++ }
-
-// stageBuf implements datapath.Stage.
-var _ datapath.Stage = (*stageBuf)(nil)
-
-// LKey implements datapath.Stage.
-func (sb *stageBuf) LKey() verbs.Key { return sb.mr.LKey() }
-
-// Addr implements datapath.Stage.
-func (sb *stageBuf) Addr() mem.Addr { return sb.buf.Addr() }

@@ -93,10 +93,14 @@ type Framework struct {
 
 	// Free lists of control payloads (see ctrlPacket); their packets come
 	// from the verbs registry's pool.
-	dlvFree freeList[dlvMsg]
-	rtsFree freeList[rtsMsg]
-	rtrFree freeList[rtrMsg]
-	finFree freeList[finMsg]
+	dlvFree     freeList[dlvMsg]
+	rtsFree     freeList[rtsMsg]
+	rtrFree     freeList[rtrMsg]
+	finFree     freeList[finMsg]
+	gmetaFree   freeList[gmetaMsg]
+	greplayFree freeList[greplayMsg]
+	gdoneFree   freeList[gdoneMsg]
+	gfailFree   freeList[gfailMsg]
 }
 
 // New builds the framework for the given host attachment sites (one per
@@ -157,10 +161,12 @@ func (fw *Framework) crashesConfigured() bool {
 
 // ctrlPacket returns a control packet carrying pay. Packet and payload
 // come from free lists that their consumer refills, like the verbs flight
-// records: the proxy recycles delivery notifications, the RTS/RTR packets as
-// it queues their payloads, and a matched pair's payloads once its FINs are
-// out; the host recycles FINs, and under a crash plan its counter daemon the
-// delivery notifications it counted. Fault plans change nothing here: verbs
+// records: the proxy recycles delivery notifications and group replays, the
+// RTS/RTR packets as it queues their payloads, and a matched pair's payloads
+// once its FINs are out; the host recycles FINs and group completions and
+// failures, gathered metadata once the send it matched has copied it, and
+// under a crash plan its counter daemon the delivery notifications it
+// counted. Fault plans change nothing here: verbs
 // re-sends only a packet that was not delivered, so each reaches at most one
 // inbox, at most once, and its consumer is its last holder. A packet that
 // never arrives — retries exhausted, polled away by a crashed proxy, or a

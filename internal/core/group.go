@@ -176,8 +176,9 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 	}
 
 	if h.failedOver {
-		// The proxy is dead: the host executes the pattern itself.
-		if g.wire == nil {
+		// The proxy is dead: the host executes the pattern itself. With no
+		// group cache its peers gather on every call, so it gathers too.
+		if g.wire == nil || !h.fw.cfg.GroupCache {
 			g.wire = h.buildWire(g, px)
 		}
 		h.startFallbackCall(g, g.callSeq)
@@ -186,11 +187,9 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 
 	if h.fw.cfg.GroupCache && g.sentToProxy {
 		// Host-side cache hit: "the host sends the request ID to the DPU".
-		h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
-			Kind: "greplay", Size: h.fw.cfg.CtrlSize,
-			Payload: &greplayMsg{HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Span: parent},
-			Span:    parent,
-		})
+		m := h.fw.greplayFree.get()
+		*m = greplayMsg{HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Span: parent}
+		h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("greplay", h.fw.cfg.CtrlSize, m, parent))
 		return
 	}
 
@@ -240,14 +239,12 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 			sendRegs[i] = sr
 		case OpRecv:
 			mr := h.ibRegister(op.Addr, op.Size)
-			peer := h.fw.hosts[op.Peer]
-			h.ctx.PostSend(h.proc, peer.ctx, &verbs.Packet{
-				Kind: "gmeta", Size: h.fw.cfg.CtrlSize,
-				Payload: &gmetaMsg{
-					DstRank: h.rank, Tag: op.Tag, Size: op.Size,
-					DstAddr: op.Addr, RKey: mr.RKey(), DstGroup: g.id,
-				},
-			})
+			m := h.fw.gmetaFree.get()
+			*m = gmetaMsg{
+				DstRank: h.rank, Tag: op.Tag, Size: op.Size,
+				DstAddr: op.Addr, RKey: mr.RKey(), DstGroup: g.id,
+			}
+			h.ctx.PostSend(h.proc, h.fw.hosts[op.Peer].ctx, h.fw.ctrlPacket("gmeta", h.fw.cfg.CtrlSize, m, 0))
 		}
 	}
 
@@ -266,6 +263,7 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 				panic(fmt.Sprintf("core: group size mismatch: send %d vs recv %d", op.Size, meta.Size))
 			}
 			w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, meta.DstGroup
+			h.fw.gmetaFree.put(meta)
 		case OpRecv:
 			w.Src = op.Peer
 		}
@@ -279,28 +277,41 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 // are not looked at again: only this call removes from the queue, and
 // arrivals join at its end.
 func (h *Host) awaitGmeta(dst, tag int) *gmetaMsg {
-	seen := 0
+	seen := 0 // live entries looked at
 	for {
-		for i := seen; i < len(h.gmetaQ); i++ {
-			m := h.gmetaQ[i]
+		q := h.gmetaQ
+		for i := h.gmetaHead + seen; i < len(q); i++ {
+			m := q[i]
 			if m.DstRank != dst || m.Tag != tag {
 				continue
 			}
-			if i == 0 {
-				// The usual case (every match of a 64-rank alltoall): peers
-				// gather in the order this rank sends.
-				h.gmetaQ = h.gmetaQ[1:]
-			} else {
-				h.gmetaQ = append(h.gmetaQ[:i], h.gmetaQ[i+1:]...)
-			}
+			// Take m and close the gap from the head, which moves nothing in
+			// the usual case (every match of a 64-rank alltoall): peers
+			// gather in the order this rank sends, so m is the head. The
+			// vacated slot is cleared, as m goes back to its free list.
+			copy(q[h.gmetaHead+1:i+1], q[h.gmetaHead:i])
+			q[h.gmetaHead] = nil
+			h.gmetaHead++
 			return m
 		}
-		seen = len(h.gmetaQ)
+		seen = len(q) - h.gmetaHead
 		h.drainInbox()
-		if len(h.gmetaQ) == seen && h.ctx.InboxLen() == 0 {
+		if len(h.gmetaQ)-h.gmetaHead == seen && h.ctx.InboxLen() == 0 {
 			h.ctx.InboxCond.Wait(h.proc)
 		}
 	}
+}
+
+// queueGmeta appends gathered metadata to the queue. An append that would
+// outgrow the storage first moves the live entries down over the slots
+// already taken, so a warm gather allocates nothing.
+func (h *Host) queueGmeta(m *gmetaMsg) {
+	if q := h.gmetaQ; len(q) == cap(q) && h.gmetaHead > 0 {
+		n := copy(q, q[h.gmetaHead:])
+		clear(q[n:])
+		h.gmetaQ, h.gmetaHead = q[:n], 0
+	}
+	h.gmetaQ = append(h.gmetaQ, m)
 }
 
 // GroupWait blocks until every issued GroupCall of g has completed

@@ -193,11 +193,9 @@ func (px *Proxy) replayGroup(m *greplayMsg) {
 		if px.fw.crashesConfigured() {
 			// The group cache died with a crash; tell the host so it fails
 			// over to host-progressed execution.
-			h := px.fw.hosts[m.HostRank]
-			px.ctx.PostSend(px.proc, h.ctx, &verbs.Packet{
-				Kind: "gfail", Size: px.fw.cfg.CtrlSize,
-				Payload: &gfailMsg{GroupID: m.GroupID, CallSeq: m.CallSeq},
-			})
+			f := px.fw.gfailFree.get()
+			*f = gfailMsg{GroupID: m.GroupID, CallSeq: m.CallSeq}
+			px.ctx.PostSend(px.proc, px.fw.hosts[m.HostRank].ctx, px.fw.ctrlPacket("gfail", px.fw.cfg.CtrlSize, f, 0))
 			return
 		}
 		panic(fmt.Sprintf("core: proxy %d: replay of unknown group %d/%d", px.global, m.HostRank, m.GroupID))
@@ -293,12 +291,9 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 	// pre-registered counter; a minimal control packet has the same cost).
 	// The flight parents to the root span: the completion notification is
 	// the tail of the collective's critical path.
-	h := px.fw.hosts[g.host]
-	px.ctx.PostSend(px.proc, h.ctx, &verbs.Packet{
-		Kind: "gdone", Size: px.fw.cfg.CtrlSize,
-		Payload: &gdoneMsg{GroupID: g.id, CallSeq: g.finishedSeq},
-		Span:    root,
-	})
+	done := px.fw.gdoneFree.get()
+	*done = gdoneMsg{GroupID: g.id, CallSeq: g.finishedSeq}
+	px.ctx.PostSend(px.proc, px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", px.fw.cfg.CtrlSize, done, root))
 	return true
 }
 

@@ -31,8 +31,12 @@ type Host struct {
 
 	nextSeq int64
 	reqs    map[int64]*OffloadRequest
-	gmetaQ  []*gmetaMsg
 	groups  []*GroupRequest // by request id
+
+	// gmetaQ[gmetaHead:] is the gathered receive-entry metadata not yet
+	// matched by a send (see awaitGmeta); the slots before the head are nil.
+	gmetaQ    []*gmetaMsg
+	gmetaHead int
 
 	// peers maps caller-local peer ranks to global framework ranks; nil is
 	// the identity map. Multi-tenant runs drive each host from a placed MPI
@@ -272,13 +276,18 @@ func (h *Host) drainInbox() bool {
 			h.fw.cl.Reg.PutPacket(pkt)
 			h.fw.finFree.put(m)
 		case *gmetaMsg:
-			h.gmetaQ = append(h.gmetaQ, m)
+			h.fw.cl.Reg.PutPacket(pkt)
+			h.queueGmeta(m)
 		case *gdoneMsg:
 			if g := h.groups[m.GroupID]; m.CallSeq > g.doneSeq {
 				g.doneSeq = m.CallSeq
 			}
+			h.fw.cl.Reg.PutPacket(pkt)
+			h.fw.gdoneFree.put(m)
 		case *gfailMsg:
 			h.handleGroupFail(m)
+			h.fw.cl.Reg.PutPacket(pkt)
+			h.fw.gfailFree.put(m)
 		case *foSendMsg:
 			h.handleFoSend(m)
 		case *foAckMsg:

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/regcache"
 	"repro/internal/sim"
@@ -57,7 +56,7 @@ type Proxy struct {
 	groups    [][]*proxyGroup
 	groupList []*proxyGroup // install order, for deterministic iteration
 
-	stagePool map[int][]*stageBuf
+	stagePool map[int][]*datapath.Stage // free staging leases, by size class
 
 	// Stats
 	CtrlMsgs   int64
@@ -124,11 +123,6 @@ func (px *Proxy) getXfer() *xfer {
 	return x
 }
 
-type stageBuf struct {
-	buf *mem.Buffer
-	mr  *verbs.MR
-}
-
 func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy {
 	px := &Proxy{
 		fw:         fw,
@@ -142,7 +136,7 @@ func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy
 		sendQ:      make(map[matchKey][]*rtsMsg),
 		recvQ:      make(map[matchKey][]*rtrMsg),
 		groups:     make([][]*proxyGroup, fw.cl.Cfg.PPN),
-		stagePool:  make(map[int][]*stageBuf),
+		stagePool:  make(map[int][]*datapath.Stage),
 	}
 	if site.Node.DSAEP != nil {
 		px.dsaCtx = site.Ctx.Registry().NewCtx(site.Ctx.Name()+".dsa", site.Space, site.Node.DSAEP)
@@ -292,7 +286,7 @@ func (px *Proxy) crash() {
 			}
 		}
 	}
-	px.stagePool = make(map[int][]*stageBuf)
+	px.stagePool = make(map[int][]*datapath.Stage)
 	px.crossCache = regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, func(mr *verbs.MR) { mr.Deregister() })
 	px.instrument()
 	px.initTenancy(fw.tenancy) // queued packets died with the process
@@ -360,6 +354,8 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 		px.installGroup(m)
 	case *greplayMsg:
 		px.replayGroup(m)
+		px.fw.cl.Reg.PutPacket(pkt)
+		px.fw.greplayFree.put(m)
 	case *dlvMsg:
 		px.group(m.DstHost, m.DstGroup).bar.deliver(m.SrcHost)
 		px.fw.cl.Reg.PutPacket(pkt)
@@ -465,26 +461,4 @@ func (px *Proxy) later(fn func()) {
 	}
 	px.deferred = append(px.deferred, fn)
 	px.ctx.InboxCond.Broadcast()
-}
-
-// getStage returns a registered DPU staging buffer of at least size bytes
-// (power-of-two pool; registration is charged to the proxy's ARM core on
-// first allocation, recorded under parent when it happens).
-func (px *Proxy) getStage(size int, parent span.ID) *stageBuf {
-	cls := 1
-	for cls < size {
-		cls <<= 1
-	}
-	if pool := px.stagePool[cls]; len(pool) > 0 {
-		sb := pool[len(pool)-1]
-		px.stagePool[cls] = pool[:len(pool)-1]
-		return sb
-	}
-	buf := px.site.Space.Alloc(cls, px.fw.cl.Cfg.BackedPayload)
-	mr := px.ctx.RegisterMRCtx(px.proc, buf.Addr(), cls, parent)
-	return &stageBuf{buf: buf, mr: mr}
-}
-
-func (px *Proxy) putStage(sb *stageBuf) {
-	px.stagePool[sb.buf.Size()] = append(px.stagePool[sb.buf.Size()], sb)
 }

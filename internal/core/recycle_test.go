@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/datapath"
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/mpi"
@@ -27,7 +28,9 @@ type rigRun struct {
 // group-offloaded exchange (whose delivery notifications are pooled too),
 // each with a byte pattern of its own. Odd ranks compute before posting
 // their receives, so their messages arrive unexpected. A barrier closes
-// every iteration.
+// every iteration. The framework runs the proposed design, or the staged
+// one with no group cache (stagedConfig), where the offloaded messages ride
+// staging leases and every group call gathers its metadata again.
 const rigIters = 3
 
 // rigSizes are the rig's message sizes by kind: MPI eager, MPI large,
@@ -43,6 +46,27 @@ func rigFaults() *fault.Config {
 	return plan
 }
 
+// stagedConfig is the BluesMPI design minus its warm-up penalty: the staged
+// datapath with no group cache.
+func stagedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Path = datapath.KindStaged
+	cfg.GroupCache = false
+	return cfg
+}
+
+// rigPlans are the fault plans every rig check runs under: none, a
+// zero-rate plan (the same path with nothing injected), every message fault
+// kind without crashes, and rigFaults.
+func rigPlans() []rigPlan {
+	return []rigPlan{{"no plan", nil}, {"zero rate", fault.DefaultConfig(1)}, {"lossy", fault.Scaled(5, 0.1)}, {"faults", rigFaults()}}
+}
+
+type rigPlan struct {
+	name string
+	plan *fault.Config
+}
+
 // rigPattern is the payload of message kind k from src to dst in iteration
 // it: distinct per message and per iteration, so a stale record shows.
 func rigPattern(src, dst, k, it int) []byte {
@@ -53,7 +77,7 @@ func rigPattern(src, dst, k, it int) []byte {
 	return b
 }
 
-func runRig(t *testing.T, plan *fault.Config) rigRun {
+func runRig(t *testing.T, cfg Config, plan *fault.Config) rigRun {
 	t.Helper()
 	ccfg := cluster.DefaultConfig(2, 2)
 	ccfg.Fault = plan
@@ -64,7 +88,7 @@ func runRig(t *testing.T, plan *fault.Config) rigRun {
 	for i := range sites {
 		sites[i] = w.Rank(i).Site()
 	}
-	fw := New(cl, DefaultConfig(), sites)
+	fw := New(cl, cfg, sites)
 	fw.Start()
 	run := rigRun{cl: cl, fw: fw, got: make([][]byte, np), end: make([]sim.Time, np)}
 	w.Launch(func(r *mpi.Rank) {
@@ -145,32 +169,39 @@ func runRig(t *testing.T, plan *fault.Config) rigRun {
 }
 
 // Recycled records must never leak one message's bytes into another: every
-// receive of the rig holds its sender's pattern. A zero-rate fault plan
-// takes the same path with nothing injected, so it must reproduce the
-// no-plan bytes and virtual times exactly; a plan that drops packets, and
-// one with every fault kind and a proxy crash, must still deliver the same
-// bytes.
+// receive of the rig holds its sender's pattern, on either design. A
+// zero-rate fault plan takes the same path with nothing injected, so it must
+// reproduce the no-plan bytes and virtual times exactly; a plan that drops,
+// corrupts and fails packets, and one that adds a proxy crash, must still
+// deliver the same bytes.
 func TestRecycledRecordsKeepPayloads(t *testing.T) {
-	bare := runRig(t, nil)
-	silent := runRig(t, fault.DefaultConfig(1))
-	for i := range bare.got {
-		if !bytes.Equal(bare.got[i], silent.got[i]) || bare.end[i] != silent.end[i] {
-			t.Errorf("rank %d: a zero-rate plan changed the run (finish %v vs %v)", i, bare.end[i], silent.end[i])
-		}
-	}
-	drops := fault.DefaultConfig(3)
-	drops.DropRate = 0.05
-	for _, pc := range []struct {
-		name string
-		plan *fault.Config
-	}{{"drops", drops}, {"faults", rigFaults()}} {
-		lossy := runRig(t, pc.plan)
-		st := lossy.cl.Inj.Stats
-		if st.Drops == 0 || (pc.name == "faults" && (st.Corrupts == 0 || st.Delays == 0 || st.CQErrors == 0 || lossy.fw.Stats().Failovers == 0)) {
-			t.Fatalf("%s: the plan did not inject every fault it names, or no host failed over: %+v", pc.name, st)
+	keepPayloads(t, DefaultConfig())
+	t.Run("staged", func(t *testing.T) { keepPayloads(t, stagedConfig()) })
+}
+
+func keepPayloads(t *testing.T, cfg Config) {
+	bare := runRig(t, cfg, nil)
+	for _, pc := range rigPlans()[1:] {
+		run := runRig(t, cfg, pc.plan)
+		st := run.cl.Inj.Stats
+		switch pc.name {
+		case "zero rate":
+			for i := range bare.got {
+				if bare.end[i] != run.end[i] {
+					t.Errorf("rank %d: a zero-rate plan changed the run (finish %v vs %v)", i, bare.end[i], run.end[i])
+				}
+			}
+		case "lossy":
+			if st.Drops == 0 || st.Corrupts == 0 || st.CQErrors == 0 {
+				t.Fatalf("%s: the plan did not inject every fault it names: %+v", pc.name, st)
+			}
+		case "faults":
+			if st.Drops == 0 || st.Corrupts == 0 || st.Delays == 0 || st.CQErrors == 0 || run.fw.Stats().Failovers == 0 {
+				t.Fatalf("%s: the plan did not inject every fault it names, or no host failed over: %+v", pc.name, st)
+			}
 		}
 		for i := range bare.got {
-			if !bytes.Equal(bare.got[i], lossy.got[i]) {
+			if !bytes.Equal(bare.got[i], run.got[i]) {
 				t.Errorf("%s: rank %d: bytes differ", pc.name, i)
 			}
 		}
@@ -190,14 +221,21 @@ func distinct[T comparable](t *testing.T, name string, list []T) map[T]bool {
 	return seen
 }
 
-// After the rig drains, every free list of the p2p path holds each record
-// at most once and none that is still queued: the proxies' RTS/RTR queues
-// and matched pairs, the transfer records, FINs, delivery notifications and
-// the packets themselves — with no plan, and under every fault kind and a
-// proxy crash with restart, where records recycle just the same.
+// After the rig drains, every free list of the p2p and group paths holds
+// each record at most once and none that is still queued: the proxies'
+// RTS/RTR queues and matched pairs, the transfer records and staging
+// leases, FINs, delivery notifications, group replays, completions and
+// failures, gathered metadata, and the packets themselves — on either
+// design and under every rig plan, where records recycle just the same.
 func TestRecycledRecordsNoDoubleFree(t *testing.T) {
-	t.Run("no plan", func(t *testing.T) { checkRigFreeLists(t, runRig(t, nil)) })
-	t.Run("faults", func(t *testing.T) { checkRigFreeLists(t, runRig(t, rigFaults())) })
+	for _, pc := range rigPlans() {
+		t.Run(pc.name, func(t *testing.T) { checkRigFreeLists(t, runRig(t, DefaultConfig(), pc.plan)) })
+	}
+	t.Run("staged", func(t *testing.T) {
+		for _, pc := range rigPlans() {
+			t.Run(pc.name, func(t *testing.T) { checkRigFreeLists(t, runRig(t, stagedConfig(), pc.plan)) })
+		}
+	})
 }
 
 func checkRigFreeLists(t *testing.T, run rigRun) {
@@ -206,10 +244,26 @@ func checkRigFreeLists(t *testing.T, run rigRun) {
 	rtr := distinct(t, "rtr", fw.rtrFree)
 	distinct(t, "fin", fw.finFree)
 	distinct(t, "dlv", fw.dlvFree)
-	if len(rts) == 0 || len(rtr) == 0 || len(fw.finFree) == 0 {
-		t.Fatalf("nothing recycled: %d rts, %d rtr, %d fin", len(rts), len(rtr), len(fw.finFree))
+	distinct(t, "greplay", fw.greplayFree)
+	distinct(t, "gdone", fw.gdoneFree)
+	distinct(t, "gfail", fw.gfailFree)
+	gmeta := distinct(t, "gmeta", fw.gmetaFree)
+	if len(rts) == 0 || len(rtr) == 0 || len(fw.finFree) == 0 || len(fw.gdoneFree) == 0 {
+		t.Fatalf("nothing recycled: %d rts, %d rtr, %d fin, %d gdone", len(rts), len(rtr), len(fw.finFree), len(fw.gdoneFree))
+	}
+	staged := fw.cfg.Path == datapath.KindStaged
+	if staged && len(gmeta) == 0 {
+		t.Fatal("no gathered metadata was recycled")
+	}
+	for _, h := range fw.hosts {
+		for _, m := range h.gmetaQ[:cap(h.gmetaQ)] {
+			if gmeta[m] {
+				t.Errorf("host %d: the gather queue holds a recycled record", h.rank)
+			}
+		}
 	}
 	var xfers []*xfer
+	var stages []*datapath.Stage
 	for _, px := range fw.proxies {
 		for _, q := range px.sendQ {
 			for _, m := range q {
@@ -236,8 +290,15 @@ func checkRigFreeLists(t *testing.T, run rigRun) {
 			}
 		}
 		xfers = append(xfers, px.xferFree...)
+		for _, pool := range px.stagePool {
+			stages = append(stages, pool...)
+		}
 	}
 	distinct(t, "transfer", xfers)
+	distinct(t, "stage lease", stages)
+	if staged && len(stages) == 0 {
+		t.Fatal("no staging lease was returned")
+	}
 
 	// The packet pool is verbs-private: drain it through GetPacket. Fresh
 	// packets are distinct, so a pointer seen twice was put twice. The rig

@@ -124,11 +124,26 @@ const (
 	RegNone
 )
 
-// Stage is a registered DPU staging buffer leased from the executor's
-// pool (Staged path only).
-type Stage interface {
-	LKey() verbs.Key
-	Addr() mem.Addr
+// Stage is a registered DPU staging buffer, leased from the executor's pool
+// by AcquireStage and returned by ReleaseStage (Staged path only). The
+// executor builds it and fills in the buffer fields; the rest is the state
+// of the one transfer that holds the lease, so a staged send rides its lease
+// and allocates nothing. Its two handlers are bound the first time the
+// stage carries a transfer.
+type Stage struct {
+	LKey verbs.Key // local key of the buffer's registration
+	Addr mem.Addr
+	Cap  int // buffer size: the pool's size class
+
+	x       Exec
+	dstAddr mem.Addr
+	dstRKey verbs.Key
+	size    int
+	span    span.ID
+	landed  func(at sim.Time)
+	wrote   bool              // the read has landed and the write is posted
+	cqe     func(at sim.Time) // completion handler of the read and the write
+	step    func()            // deferred step: post the write, or release
 }
 
 // Exec is the proxy-side execution surface a Datapath posts through. It is
@@ -142,8 +157,8 @@ type Exec interface {
 	// enabled), recording the work under parent.
 	CrossReg(srcHost int, info gvmi.MKeyInfo, parent span.ID) *verbs.MR
 	// AcquireStage / ReleaseStage lease DPU staging buffers.
-	AcquireStage(size int, parent span.ID) Stage
-	ReleaseStage(Stage)
+	AcquireStage(size int, parent span.ID) *Stage
+	ReleaseStage(*Stage)
 	// Later defers fn to the executor's next progress round (completion
 	// handlers run in kernel handler context).
 	Later(fn func())
@@ -187,10 +202,11 @@ type Transfer struct {
 // so it may only queue work (Exec.Later) — when the data has fully landed
 // in the destination memory (for Staged, after the staging buffer's return
 // to the pool has been queued, so whatever landed defers runs behind it).
-// The single-write paths hand landed to the HCA as it is: a caller that
-// keeps one per transfer slot (group entries do) posts without allocating.
-// Execute returns the cross-registration it used (CrossGVMI only; nil
-// otherwise) so callers may memoize it.
+// No path builds a closure: the single-write paths hand landed to the HCA as
+// it is, and Staged keeps it in the leased Stage, so a caller that keeps one
+// landed per transfer slot (group entries and proxy transfer records do)
+// posts without allocating. Execute returns the cross-registration it used
+// (CrossGVMI only; nil otherwise) so callers may memoize it.
 type Datapath interface {
 	Kind() Kind
 	SrcReg() SrcReg
@@ -262,39 +278,60 @@ func (Staged) Kind() Kind { return KindStaged }
 // SrcReg implements Datapath.
 func (Staged) SrcReg() SrcReg { return RegIB }
 
-// Execute implements Datapath.
+// Execute implements Datapath. The transfer rides its staging lease: the
+// read's completion queues the write, and the write's queues the lease's
+// return and then reports the landing.
 func (Staged) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
-	sb := x.AcquireStage(t.Size, t.Span)
+	s := x.AcquireStage(t.Size, t.Span)
+	if s.cqe == nil {
+		s.cqe, s.step = s.onCQE, s.advance
+	}
+	s.x, s.landed, s.wrote = x, landed, false
+	s.dstAddr, s.dstRKey, s.size, s.span = t.DstAddr, t.DstRKey, t.Size, t.Span
 	x.CountStaged()
 	x.CountRead()
 	err := x.PostRead(verbs.ReadOp{
-		LocalKey: sb.LKey(), LocalAddr: sb.Addr(),
+		LocalKey: s.LKey, LocalAddr: s.Addr,
 		RemoteKey: t.SrcRKey, RemoteAddr: t.SrcAddr,
-		Size: t.Size,
-		Span: t.Span,
-		OnComplete: func(sim.Time) {
-			x.Later(func() {
-				x.CountWrite()
-				err := x.PostWrite(verbs.WriteOp{
-					LocalKey: sb.LKey(), LocalAddr: sb.Addr(),
-					RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
-					Size: t.Size,
-					Span: t.Span,
-					OnRemoteComplete: func(at sim.Time) {
-						x.Later(func() { x.ReleaseStage(sb) })
-						landed(at)
-					},
-				})
-				if err != nil {
-					panic(fmt.Sprintf("datapath: staged write: %v", err))
-				}
-			})
-		},
+		Size:       t.Size,
+		Span:       t.Span,
+		OnComplete: s.cqe,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("datapath: staged read: %v", err))
 	}
 	return nil
+}
+
+// onCQE completes the read, then the write (kernel handler context).
+func (s *Stage) onCQE(at sim.Time) {
+	s.x.Later(s.step)
+	if s.wrote {
+		s.landed(at)
+	}
+}
+
+// advance posts the write once the read has landed, and returns the lease
+// once the write has.
+func (s *Stage) advance() {
+	x := s.x
+	if s.wrote {
+		s.x, s.landed = nil, nil
+		x.ReleaseStage(s)
+		return
+	}
+	s.wrote = true
+	x.CountWrite()
+	err := x.PostWrite(verbs.WriteOp{
+		LocalKey: s.LKey, LocalAddr: s.Addr,
+		RemoteKey: s.dstRKey, RemoteAddr: s.dstAddr,
+		Size:             s.size,
+		Span:             s.span,
+		OnRemoteComplete: s.cqe,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("datapath: staged write: %v", err))
+	}
 }
 
 // ---------------------------------------------------------------------------

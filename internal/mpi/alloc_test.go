@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -59,5 +60,39 @@ func TestEagerPairAllocFree(t *testing.T) {
 	})
 	if a != 2 {
 		t.Fatalf("a warm eager Isend/Irecv pair allocates %.1f objects, want 2 (its requests)", a)
+	}
+}
+
+// A warm inter-node rendezvous pair allocates exactly its two requests: the
+// RTS, the RDMA read and its FIN ride recycled records.
+func TestRendezvousPairAllocFree(t *testing.T) {
+	const size = 40000
+	a := roundAllocs(t, 2, 1, func(r *Rank) {
+		buf := r.scratch(size)
+		if r.RankID() == 0 {
+			r.Wait(r.Isend(buf, size, 1, 5))
+		} else {
+			r.Wait(r.Irecv(buf, size, 0, 5))
+		}
+	})
+	if a != 2 {
+		t.Fatalf("a warm rendezvous Isend/Irecv pair allocates %.1f objects, want 2 (its requests)", a)
+	}
+}
+
+// A warm Ialltoall of rendezvous-sized blocks allocates a fixed number of
+// objects per rank, whatever the rank count: the 2(np-1) requests of a call
+// come from one slab, and every message record is recycled.
+func TestIalltoallAllocFree(t *testing.T) {
+	const per = 20000
+	perRank := func(nodes, ppn int) float64 {
+		np := nodes * ppn
+		return roundAllocs(t, nodes, ppn, func(r *Rank) {
+			buf := r.scratch(2 * np * per)
+			r.WaitColl(r.Ialltoall(buf, buf+mem.Addr(np*per), per))
+		}) / float64(np)
+	}
+	if a8, a16 := perRank(2, 4), perRank(4, 4); a8 != a16 {
+		t.Fatalf("a warm Ialltoall allocates %.2f objects per rank at 8 ranks and %.2f at 16, want the same", a8, a16)
 	}
 }

@@ -71,19 +71,20 @@ func (c *Comm) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 	r.proc.AdvanceBusy(r.w.Cl.CopyCost(per))
 	r.site.Space.WriteAt(recvAddr+mem.Addr(me*per), self, per)
 
-	reqs := make([]*Request, 0, 2*(np-1))
+	// The requests never leave the collective: one slab holds them all.
+	reqs := make([]Request, 2*(np-1))
 	for i := 1; i < np; i++ {
 		src := (me - i + np) % np
-		reqs = append(reqs, r.Irecv(recvAddr+mem.Addr(src*per), per, c.World(src), tag))
+		r.irecv(&reqs[i-1], recvAddr+mem.Addr(src*per), per, c.World(src), tag)
 	}
 	for i := 1; i < np; i++ {
 		dst := (me + i) % np
-		reqs = append(reqs, r.Isend(sendAddr+mem.Addr(dst*per), per, c.World(dst), tag))
+		r.isend(&reqs[np-2+i], sendAddr+mem.Addr(dst*per), per, c.World(dst), tag)
 	}
 	cr := &CollRequest{r: r}
 	cr.step = func() bool {
-		for _, q := range reqs {
-			if !q.done {
+		for i := range reqs {
+			if !reqs[i].done {
 				return false
 			}
 		}

@@ -75,7 +75,8 @@ func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
 }
 
 // isend starts a send whose state lives in req, a record the caller owns and
-// may reuse once it is done (Barrier keeps two per rank).
+// may reuse once it is done (Barrier keeps two per rank, Ialltoall takes one
+// slab per call).
 func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 	*req = Request{r: r, addr: addr, size: size, peer: dst, tag: tag}
 	r.startP2PSpan(req, "isend", dst)
@@ -239,30 +240,18 @@ func (r *Rank) handleMatch(req *Request, m *inMsg) {
 		m.srcCtx.InboxCond.Broadcast() // wake the sender if it is waiting
 	case "rts":
 		// Rendezvous: RDMA-read the payload from the sender's buffer. The
-		// completion outlives m (recycled when this returns), so it keeps
-		// copies of what the FIN needs.
-		srcCtx, sendReq, sendSpan := m.srcCtx, m.sendReq, m.span
+		// read outlives m (recycled when this returns), so a rndv record
+		// keeps what its completion and the FIN need.
+		v := r.w.newRndv()
+		v.r, v.req, v.matchedAt = r, req, matchedAt
+		v.srcCtx, v.sendReq, v.sendSpan = m.srcCtx, m.sendReq, m.span
 		mr := r.registerCachedCtx(req.addr, req.size, req.span)
 		err := r.ctx.PostRead(r.proc, verbs.ReadOp{
 			LocalKey: mr.LKey(), LocalAddr: req.addr,
 			RemoteKey: m.rkey, RemoteAddr: m.srcAddr,
-			Size: m.size,
-			Span: req.span,
-			OnComplete: func(at sim.Time) {
-				req.done = true
-				r.w.mRecvLat.Observe(at - matchedAt)
-				r.spans().EndAt(req.span, at)
-				// FIN goes out the next time the receiver is inside the
-				// library (the HCA completed; the CPU must post the FIN).
-				// The FIN flight parents to the *sender's* span: it is the
-				// tail of the sender's completion path.
-				r.deferred = append(r.deferred, func() {
-					fin := r.w.newMsg()
-					fin.kind, fin.src, fin.sendReq = "fin", r.rank, sendReq
-					r.ctx.PostSend(r.proc, srcCtx, r.w.packet(r.w.cfg.HeaderSize, fin, sendSpan))
-				})
-				r.ctx.InboxCond.Broadcast()
-			},
+			Size:       m.size,
+			Span:       req.span,
+			OnComplete: v.onRead,
 		})
 		if err != nil {
 			panic("mpi: rendezvous read failed: " + err.Error())
@@ -270,6 +259,44 @@ func (r *Rank) handleMatch(req *Request, m *inMsg) {
 	default:
 		panic("mpi: unknown message kind " + m.kind)
 	}
+}
+
+// rndv is one rendezvous receive in flight: the RDMA read of a matched RTS
+// and the FIN that follows it. Records come from World.rndvFree with their
+// read-completion handler bound once, when first built, so a rendezvous
+// message builds no closure; Progress returns each after posting its FIN.
+type rndv struct {
+	r         *Rank
+	req       *Request // the matched receive
+	matchedAt sim.Time
+	srcCtx    *verbs.Ctx // sender's context: the FIN's destination
+	sendReq   *Request   // sender's request, completed by the FIN
+	sendSpan  span.ID    // sender's root span, the FIN flight's parent
+	onRead    func(at sim.Time)
+}
+
+// read completes the receive when its data has landed (kernel handler
+// context). The FIN goes out the next time the receiver is inside the
+// library: the HCA completed, but the CPU must post the FIN.
+func (v *rndv) read(at sim.Time) {
+	r := v.r
+	v.req.done = true
+	r.w.mRecvLat.Observe(at - v.matchedAt)
+	r.spans().EndAt(v.req.span, at)
+	r.deferred = append(r.deferred, v)
+	r.ctx.InboxCond.Broadcast()
+}
+
+// fin posts the FIN that completes the sender's request, then recycles the
+// record. The FIN flight parents to the *sender's* span: it is the tail of
+// the sender's completion path.
+func (v *rndv) fin() {
+	r := v.r
+	fin := r.w.newMsg()
+	fin.kind, fin.src, fin.sendReq = "fin", r.rank, v.sendReq
+	r.ctx.PostSend(r.proc, v.srcCtx, r.w.packet(r.w.cfg.HeaderSize, fin, v.sendSpan))
+	*v = rndv{onRead: v.onRead}
+	r.w.rndvFree = append(r.w.rndvFree, v)
 }
 
 // dispatch routes one incoming message: match a posted receive or queue it
@@ -302,13 +329,13 @@ func (r *Rank) Progress() {
 		// deferred and shmIn alternate with a spare buffer, as the verbs
 		// inbox does: drain one while handlers append to the other.
 		for len(r.deferred) > 0 {
-			fns := r.deferred
+			fins := r.deferred
 			r.deferred = r.drained[:0]
-			for _, fn := range fns {
-				fn()
+			for _, v := range fins {
+				v.fin()
 			}
-			clear(fns)
-			r.drained = fns
+			clear(fins)
+			r.drained = fins
 			acted = true
 		}
 		if len(r.shmIn) > 0 {

@@ -14,12 +14,13 @@ import (
 // After every rank of a backed 2×2 world has exchanged eager, large (shm or
 // rendezvous) and self messages with every rank for three iterations — odd
 // ranks computing first so their messages arrive unexpected — every receive
-// holds its sender's bytes, and the message and packet free lists hold each
-// record at most once and none still queued: with no plan, and under drops,
-// corruption, delay spikes and error CQEs, where records recycle just the
-// same.
+// holds its sender's bytes, and the message, rendezvous and packet free
+// lists hold each record at most once and none still queued: with no plan,
+// under a zero-rate plan, and under drops, corruption, delay spikes and
+// error CQEs, where records recycle just the same.
 func TestRecycledMessagesNoDoubleFree(t *testing.T) {
 	t.Run("no plan", func(t *testing.T) { recycledMessages(t, nil) })
+	t.Run("zero rate", func(t *testing.T) { recycledMessages(t, fault.DefaultConfig(1)) })
 	t.Run("faults", func(t *testing.T) { recycledMessages(t, fault.Scaled(5, 0.1)) })
 }
 
@@ -85,7 +86,27 @@ func recycledMessages(t *testing.T, plan *fault.Config) {
 			}
 		}
 	}
-	if plan != nil && w.Cl.Inj.Stats.Retries == 0 {
+	if len(w.rndvFree) == 0 {
+		t.Fatal("no rendezvous record was recycled")
+	}
+	freeRndv := make(map[*rndv]bool)
+	for _, v := range w.rndvFree {
+		if freeRndv[v] {
+			t.Errorf("rendezvous free list holds %p twice", v)
+		}
+		freeRndv[v] = true
+		if v.r != nil || v.req != nil || v.sendReq != nil || v.onRead == nil {
+			t.Errorf("a free rendezvous record is still bound to a message, or lost its handler")
+		}
+	}
+	for _, r := range w.ranks {
+		for _, v := range r.deferred {
+			if freeRndv[v] {
+				t.Errorf("rank %d: a rendezvous awaiting its FIN is on the free list", r.rank)
+			}
+		}
+	}
+	if plan != nil && plan.DropRate > 0 && w.Cl.Inj.Stats.Retries == 0 {
 		t.Fatalf("the plan caused no retransmission: %+v", w.Cl.Inj.Stats)
 	}
 	// The packet pool is verbs-private: drain it through GetPacket. Fresh

@@ -64,8 +64,9 @@ type World struct {
 	prefix string // site/process name prefix ("" for the single-world case)
 
 	// msgFree recycles message records (see newMsg); their packets come from
-	// the verbs registry's pool.
-	msgFree []*inMsg
+	// the verbs registry's pool. rndvFree recycles rendezvous reads (rndv).
+	msgFree  []*inMsg
+	rndvFree []*rndv
 
 	// Metric handles; nil (inert) when metrics are off.
 	mEager   *metrics.Counter
@@ -133,6 +134,18 @@ func (w *World) newMsg() *inMsg {
 	return &inMsg{}
 }
 
+// newRndv returns a free rendezvous record, building one on first use.
+func (w *World) newRndv() *rndv {
+	if n := len(w.rndvFree); n > 0 {
+		v := w.rndvFree[n-1]
+		w.rndvFree = w.rndvFree[:n-1]
+		return v
+	}
+	v := &rndv{}
+	v.onRead = v.read
+	return v
+}
+
 // freeMsg recycles a consumed message record.
 func (w *World) freeMsg(m *inMsg) {
 	*m = inMsg{buf: m.buf[:0]}
@@ -186,8 +199,8 @@ type Rank struct {
 
 	posted     []*Request // posted receives, in post order
 	unexpected []*inMsg   // arrived but unmatched messages
-	deferred   []func()   // actions queued by handlers for the next progress
-	drained    []func()   // the buffer deferred swaps with in Progress
+	deferred   []*rndv    // rendezvous reads done, FINs to post at the next progress
+	drained    []*rndv    // the buffer deferred swaps with in Progress
 	shmIn      []*inMsg   // intra-node (shared-memory) arrivals
 	shmDrained []*inMsg   // the buffer shmIn swaps with in Progress
 	barReqs    [2]Request // Barrier's send and receive, reused every round
