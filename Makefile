@@ -3,8 +3,9 @@
 # validation plus regeneration of the checked-in baselines.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test vet staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim loc
+.PHONY: all build test vet fmt-check staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim loc
 
 all: build
 
@@ -16,6 +17,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file is gofmt-clean: `gofmt -l` lists the ones that are not.
+fmt-check:
+	@out=$$($(GOFMT) -l cmd internal benchmark examples); \
+	if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 # Runs staticcheck when it is on PATH and skips (loudly) when it is not:
 # dev containers without network access cannot `go install` it, but CI does
@@ -46,7 +52,7 @@ loc:
 		| LC_ALL=C sort | uniq -c \
 		| awk '{ printf "%6d  %s\n", $$1, $$2; t += $$1 } END { printf "%6d  total\n", t }'
 
-check: vet staticcheck build race race-sim bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
+check: fmt-check vet staticcheck build race race-sim bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/bench/ ./internal/sim/
@@ -70,21 +76,24 @@ snap-check:
 # Perf smoke: allocation budgets on the event core, verbs (with and without
 # a fault plan), a rate-zero chaos run, the MPI eager and rendezvous pairs,
 # barrier and NBC alltoall, the staged datapath's lease, the basic-primitive
-# pair on both proxy paths, the group-replay path and the uncached staged
-# gather, and the serial-vs-parallel determinism guard.
+# pair on both proxy paths, the group-replay path, the uncached staged
+# gather and the registration cache, and the serial-vs-parallel determinism
+# guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/
+	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet
-# specs and offloadbench command lines — and for the verbs retry machinery
-# under random fault plans (`go test -fuzz` takes one target and one package
-# per run; two workers keep it small).
+# specs and offloadbench command lines — for the verbs retry machinery
+# under random fault plans, and for the registration cache against a map
+# model (`go test -fuzz` takes one target and one package per run; two
+# workers keep it small).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
 	$(GO) test -run '^$$' -fuzz '^FuzzArgs$$' -fuzztime 5s -parallel 2 ./cmd/offloadbench/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerbsFaults$$' -fuzztime 5s -parallel 2 ./internal/verbs/
+	$(GO) test -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 5s -parallel 2 ./internal/regcache/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

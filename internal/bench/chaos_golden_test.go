@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -58,16 +57,12 @@ func chaosCases() []chaosCase {
 	}
 	cs = append(cs, chaosCase{name: "traced", opt: guardOpt(), plan: fault.Scaled(7, 0.1), rate: 0.1, size: 8192, traced: true})
 
-	small := func() Options {
-		ccfg := cluster.DefaultConfig(2, 2)
-		return Options{Nodes: 2, PPN: 2, Scheme: baseline.NameProposed, ProxiesPerDPU: 1, Cluster: &ccfg}
-	}
 	crash := fault.DefaultConfig(1)
 	crash.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond}}
-	cs = append(cs, chaosCase{name: "crash", opt: small(), plan: crash, size: 8192})
+	cs = append(cs, chaosCase{name: "crash", opt: smallCrashOpt(baseline.NameProposed), plan: crash, size: 8192})
 	restart := fault.DefaultConfig(2)
 	restart.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond, RestartAfter: 15 * sim.Microsecond}}
-	cs = append(cs, chaosCase{name: "crash-restart", opt: small(), plan: restart, size: 8192})
+	cs = append(cs, chaosCase{name: "crash-restart", opt: smallCrashOpt(baseline.NameProposed), plan: restart, size: 8192})
 	all := fault.Scaled(7, 5e-2)
 	all.RegFailRate = 0.2
 	all.Crashes = restart.Crashes
@@ -80,8 +75,7 @@ func chaosCases() []chaosCase {
 	// landed, so some leases return to the pool of the restarted proxy. (An
 	// earlier crash hangs BluesMPI: with no group cache every call gathers
 	// again, and a failed-over host no longer answers its peers' gathers.)
-	blues := small()
-	blues.Scheme = baseline.NameBluesMPI
+	blues := smallCrashOpt(baseline.NameBluesMPI)
 	bcrash := fault.DefaultConfig(1)
 	bcrash.Crashes = []fault.Crash{{Proxy: 0, At: 7326 * sim.Microsecond}}
 	cs = append(cs, chaosCase{name: "BluesMPI-crash", opt: blues, plan: bcrash, size: 8192})

@@ -306,6 +306,64 @@ func TestProxyCrashWithRestartStillCorrect(t *testing.T) {
 	}
 }
 
+// smallCrashOpt is the crash cases' shape: 2 nodes x 2 PPN, one proxy per
+// DPU, so proxy 0 serves both ranks of node 0.
+func smallCrashOpt(scheme string) Options {
+	ccfg := cluster.DefaultConfig(2, 2)
+	return Options{Nodes: 2, PPN: 2, Scheme: scheme, ProxiesPerDPU: 1, Cluster: &ccfg}
+}
+
+// crashRestartPlan crashes proxy 0 at `at` and restarts it one microsecond
+// later.
+func crashRestartPlan(at sim.Time) *fault.Config {
+	plan := fault.DefaultConfig(2)
+	plan.Crashes = []fault.Crash{{Proxy: 0, At: at, RestartAfter: sim.Microsecond}}
+	return plan
+}
+
+// A crashed proxy is dead at once, even when the crash lands while it is
+// parked mid-round: neither it nor its DPU's NIC starts any work before the
+// restart. (At 64 860 ns proxy 0 is inside a round of host 1's group call 2;
+// a proxy that finished that round injected two control packets while dead.)
+func TestDeadProxyStartsNoSpan(t *testing.T) {
+	const crashAt = 64860 * sim.Nanosecond
+	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed), crashRestartPlan(crashAt), 0, 8192, 1, 2)
+	if !r.Verified || r.Fault.Crashes != 1 || r.Fault.Restarts != 1 {
+		t.Fatalf("verified=%v crashes=%d restarts=%d, want true 1 1", r.Verified, r.Fault.Crashes, r.Fault.Restarts)
+	}
+	for _, s := range sc.Spans() {
+		if (s.Entity == "proxy0" || s.Entity == "n0.dpu") && s.Begin > crashAt && s.Begin < crashAt+sim.Microsecond {
+			t.Errorf("dead proxy 0 began %s/%s on %s at %v", s.Layer, s.Name, s.Entity, s.Begin)
+		}
+	}
+}
+
+// A proxy crash with a prompt restart, at any of 199 instants across the
+// run, on the cached (Proposed) and uncached (BluesMPI) group paths: every
+// payload arrives, no call is executed twice by the proxies, and the run
+// ends within half again of the fault-free end.
+func TestCrashAtAnyInstant(t *testing.T) {
+	const size, instants = 8192, 200
+	for _, scheme := range []string{baseline.NameProposed, baseline.NameBluesMPI} {
+		base := MeasureChaosIalltoall(smallCrashOpt(scheme), nil, 0, size, 1, 2)
+		if !base.Verified || base.Core.RDMAWrites != 60 {
+			t.Fatalf("%s fault-free: verified=%v writes=%d, want true 60", scheme, base.Verified, base.Core.RDMAWrites)
+		}
+		for k := 1; k < instants; k++ {
+			at := base.EndTime * sim.Time(k) / instants
+			r := MeasureChaosIalltoall(smallCrashOpt(scheme), crashRestartPlan(at), 0, size, 1, 2)
+			switch {
+			case !r.Verified:
+				t.Errorf("%s crash at %v: %d payload mismatches", scheme, at, r.Mismatches)
+			case r.Core.RDMAWrites > base.Core.RDMAWrites:
+				t.Errorf("%s crash at %v: proxies posted %d RDMA writes, fault-free %d", scheme, at, r.Core.RDMAWrites, base.Core.RDMAWrites)
+			case 2*r.EndTime > 3*base.EndTime:
+				t.Errorf("%s crash at %v: ends at %v, fault-free %v", scheme, at, r.EndTime, base.EndTime)
+			}
+		}
+	}
+}
+
 func BenchmarkFig13Ialltoall8K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := MeasureIalltoall(guardOpt(), 8192, 1, 2)

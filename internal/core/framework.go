@@ -131,7 +131,7 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 			reqs:   make(map[int64]*OffloadRequest),
 		}
 		h.gvmiCache = regcache.New[gvmi.MKeyInfo](nProxies, 0, nil)
-		h.ibCache = regcache.New[*verbs.MR](1, 0, func(mr *verbs.MR) { mr.Deregister() })
+		h.ibCache = regcache.New[*verbs.MR](1, 0, nil)
 		h.gvmiCache.Instrument(cl.Met, fmt.Sprintf("gvmi.rank%d", r))
 		h.ibCache.Instrument(cl.Met, fmt.Sprintf("ib.rank%d", r))
 		if fw.crashesConfigured() {
@@ -285,10 +285,7 @@ func (fw *Framework) Start() {
 	for _, px := range fw.proxies {
 		px := px
 		px.gvmiID = fw.cl.GVMI.GenerateID(px.ctx)
-		fw.cl.K.Spawn(px.entity, func(p *sim.Proc) {
-			p.SetDaemon(true)
-			px.run(p)
-		})
+		px.spawn()
 	}
 	if !fw.crashesConfigured() {
 		return

@@ -47,10 +47,20 @@ func (b *recvBarrier) deliver(src int) {
 	}
 }
 
-// forgetExpected drops the walked-receive counts, keeping the deliveries.
-func (b *recvBarrier) forgetExpected() {
+// rewind sets the walked-receive counts to those of done whole calls of the
+// entry queue, keeping the deliveries, and recomputes missing.
+func (b *recvBarrier) rewind(entries []wireOp, done int) {
 	clear(b.want)
+	for i := range entries {
+		if e := &entries[i]; e.Type == OpRecv {
+			b.cover(e.Src)
+			b.want[e.Src] += int32(done)
+		}
+	}
 	b.missing = 0
+	for src, w := range b.want {
+		b.missing += max(0, int(w-b.got[src]))
+	}
 }
 
 // proxyGroup is the DPU-side state of one offloaded group request — the
@@ -69,7 +79,6 @@ type proxyGroup struct {
 	running     bool
 	idx         int // next entry to process in the running call
 	pending     int // RDMA writes posted but not yet completed
-	numBarriers int
 
 	// bar holds the group's delivery counters. When crashes are configured
 	// it is the block in the destination host's memory (RDMA counter
@@ -129,7 +138,12 @@ func (px *Proxy) installGroup(m *groupPacket) {
 	// entries, and its pending sends notify the destinations those name —
 	// the same ones, or the handlers built below would be wrong.
 	if !g.installed {
+		// A fresh entry starts at the host's call: the calls before it ran
+		// on this proxy before a restart emptied its cache, and the host's
+		// delivery counters already hold theirs.
 		g.installed = true
+		g.finishedSeq = m.CallSeq - 1
+		g.bar.rewind(m.Entries, g.finishedSeq)
 		px.groupList = append(px.groupList, g)
 		g.landed = make([]func(sim.Time), len(m.Entries))
 		for i := range m.Entries {
@@ -267,7 +281,6 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 			if g.pending > 0 || g.bar.missing != 0 {
 				return progressed
 			}
-			g.numBarriers++
 			g.idx++
 			progressed = true
 		}

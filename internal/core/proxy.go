@@ -132,7 +132,7 @@ func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy
 		local:      local,
 		site:       site,
 		ctx:        site.Ctx,
-		crossCache: regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, func(mr *verbs.MR) { mr.Deregister() }),
+		crossCache: regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, nil),
 		sendQ:      make(map[matchKey][]*rtsMsg),
 		recvQ:      make(map[matchKey][]*rtrMsg),
 		groups:     make([][]*proxyGroup, fw.cl.Cfg.PPN),
@@ -182,22 +182,19 @@ func (px *Proxy) sampleQueueDepth() {
 // spans returns the cluster's span collector (nil when tracing is off).
 func (px *Proxy) spans() *span.Collector { return px.fw.cl.Spans }
 
+// spawn starts the proxy's progress engine as a new daemon process: at
+// Start, and again at every restart.
+func (px *Proxy) spawn() {
+	px.proc = px.fw.cl.K.Spawn(px.entity, func(p *sim.Proc) {
+		p.SetDaemon(true)
+		px.run(p)
+	})
+}
+
 // run is the proxy progress engine (Figure 8 / Algorithm 1): drain control
 // messages, fire matched transfers, resume blocked group schedules, repeat.
 func (px *Proxy) run(p *sim.Proc) {
-	px.proc = p
 	for !px.fw.stopped {
-		if px.crashed {
-			// A dead process consumes nothing: anything that arrives while
-			// down is silently lost (the reliability layer re-sends or the
-			// hosts fail over).
-			px.ctx.PollInbox()
-			px.deferred, px.combined = nil, nil
-			if px.crashed && !px.fw.stopped {
-				px.ctx.InboxCond.Wait(p)
-			}
-			continue
-		}
 		progressed := false
 		if px.sched != nil {
 			progressed = px.tenantRound()
@@ -257,17 +254,19 @@ func (px *Proxy) idle() bool {
 }
 
 // crash kills the proxy process at the scheduled virtual time (handler
-// context): all in-memory state — match queues, group cache, delivery
-// counters, staging pool — is lost. RDMA operations already on the wire
-// still land (the HCA completes them), but the dead software never sends
-// their notifications. A heartbeat-timeout later every host is woken so the
-// loss can be detected.
+// context), wherever it is parked, even mid-round: all in-memory state —
+// match queues, group cache, staging pool — is lost. Delivery counters in
+// host memory survive. RDMA operations already on the wire still land (the
+// HCA completes them), but the dead software never sends their
+// notifications. A heartbeat-timeout later every host is woken so the loss
+// can be detected.
 func (px *Proxy) crash() {
 	if px.crashed {
 		return
 	}
 	fw := px.fw
 	now := fw.cl.K.Now()
+	px.proc.Kill()
 	px.crashed = true
 	px.crashedAt = now
 	px.gen++
@@ -277,17 +276,8 @@ func (px *Proxy) crash() {
 	px.combined, px.deferred = nil, nil
 	px.groups = make([][]*proxyGroup, fw.cl.Cfg.PPN)
 	px.groupList = nil
-	for _, h := range fw.hosts {
-		if fw.proxyFor(h.rank) == px {
-			// The deliveries counted in host memory survive; what the lost
-			// group engines had walked does not.
-			for _, b := range h.barriers {
-				b.forgetExpected()
-			}
-		}
-	}
 	px.stagePool = make(map[int][]*datapath.Stage)
-	px.crossCache = regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, func(mr *verbs.MR) { mr.Deregister() })
+	px.crossCache = regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, nil)
 	px.instrument()
 	px.initTenancy(fw.tenancy) // queued packets died with the process
 	px.mCrashes.Inc()
@@ -306,8 +296,9 @@ func (px *Proxy) crash() {
 	})
 }
 
-// restart brings the proxy process back with empty state (handler context).
-// The generation bump tells hosts that anything posted before is gone.
+// restart brings the proxy back as a new process with empty state (handler
+// context); what arrived while it was down was never received. The
+// generation bump tells hosts that anything posted before is gone.
 func (px *Proxy) restart() {
 	if !px.crashed {
 		return
@@ -316,6 +307,8 @@ func (px *Proxy) restart() {
 	now := fw.cl.K.Now()
 	px.crashed = false
 	px.gen++
+	px.ctx.PollInbox()
+	px.spawn()
 	px.mRestarts.Inc()
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Restarts++
@@ -323,7 +316,6 @@ func (px *Proxy) restart() {
 			inj.Note(now, span.ClassProxy, px.entity, "restart", "process restarted with empty state")
 		}
 	}
-	px.ctx.InboxCond.Broadcast()
 	for _, h := range fw.hosts {
 		h.ctx.InboxCond.Broadcast()
 	}

@@ -23,9 +23,9 @@ func TestPercentileKnownDistributions(t *testing.T) {
 		{"single", []sim.Time{42}, 0, 42},
 		{"single-p100", []sim.Time{42}, 100, 42},
 		{"uniform-p0", seq, 0, 1},
-		{"uniform-p50", seq, 50, 50},  // index 99*50/100 = 49
-		{"uniform-p90", seq, 90, 90},  // index 89
-		{"uniform-p99", seq, 99, 99},  // index 98
+		{"uniform-p50", seq, 50, 50}, // index 99*50/100 = 49
+		{"uniform-p90", seq, 90, 90}, // index 89
+		{"uniform-p99", seq, 99, 99}, // index 98
 		{"uniform-p100", seq, 100, 100},
 		{"five-p50", []sim.Time{10, 20, 30, 40, 50}, 50, 30},
 		{"five-p99", []sim.Time{10, 20, 30, 40, 50}, 99, 40}, // index 4*99/100 = 3

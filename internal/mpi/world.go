@@ -39,18 +39,14 @@ type Config struct {
 	HeaderSize int
 	// MatchCost is the CPU cost of processing one incoming header.
 	MatchCost sim.Time
-	// RegCacheEntries bounds the per-peer IB registration cache
-	// (0 = unbounded).
-	RegCacheEntries int
 }
 
 // DefaultConfig returns production-typical settings (16 KiB eager cutoff).
 func DefaultConfig() Config {
 	return Config{
-		EagerThreshold:  16 << 10,
-		HeaderSize:      64,
-		MatchCost:       60 * sim.Nanosecond,
-		RegCacheEntries: 0,
+		EagerThreshold: 16 << 10,
+		HeaderSize:     64,
+		MatchCost:      60 * sim.Nanosecond,
 	}
 }
 
@@ -105,14 +101,12 @@ func NewPlacedWorld(cl *cluster.Cluster, cfg Config, prefix string, nodeOf []int
 		entity := fmt.Sprintf("rank%d", i)
 		site := cl.NewHostSite(nodeOf[i], prefix+entity)
 		r := &Rank{
-			w:      w,
-			rank:   i,
-			entity: entity,
-			site:   site,
-			ctx:    site.Ctx,
-			regCache: regcache.New[*verbs.MR](np, cfg.RegCacheEntries, func(mr *verbs.MR) {
-				mr.Deregister()
-			}),
+			w:        w,
+			rank:     i,
+			entity:   entity,
+			site:     site,
+			ctx:      site.Ctx,
+			regCache: regcache.New[*verbs.MR](1, 0, nil), // registerCachedCtx keys slot 0 only
 		}
 		r.regCache.Instrument(cl.Met, fmt.Sprintf("mpi.%srank%d", prefix, i))
 		w.ranks = append(w.ranks, r)

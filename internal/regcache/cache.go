@@ -1,8 +1,7 @@
 // Package regcache implements the registration caches of Section VII-B of
 // the paper: a two-level structure with a rank-indexed array at the first
 // level ("there is only a finite number of ranks allowed in a communicator")
-// and a balanced binary search tree keyed by (buffer address, size) at the
-// second level.
+// and an index keyed by (buffer address, size) at the second level.
 //
 // The same structure backs three caches in the framework:
 //
@@ -11,8 +10,12 @@
 //     value = mkey2),
 //   - the IB registration cache (value = lkey/rkey MR).
 //
-// Values are opaque to the cache. An optional per-rank capacity enables LRU
-// eviction with a callback (used to deregister evicted regions).
+// Values are opaque to the cache. Every lookup is an exact (address, size)
+// match and nothing is ever evicted, so the second level is one slice per
+// rank kept sorted by key: a lookup is a binary search, an insert shifts
+// the entries above it up one. It allocates only when a slice doubles,
+// where a tree allocates a node per entry and a Go map over-allocates as it
+// grows.
 package regcache
 
 import (
@@ -20,115 +23,100 @@ import (
 	"repro/internal/metrics"
 )
 
-// Cache is a rank-indexed array of AVL trees with optional per-rank LRU
-// eviction.
-type Cache[V any] struct {
-	shards  []shard[V]
-	perRank int // 0 = unbounded
-	onEvict func(V)
-
-	// Stats
-	Hits      int64
-	Misses    int64
-	Evictions int64
-
-	// Metric handles; nil (inert) unless Instrument attached a registry.
-	mHits, mMisses, mEvicts *metrics.Counter
+// key orders cache entries by (address, size), matching the paper's BST
+// "indexed by memory address ... queried using the address and size".
+type key struct {
+	addr mem.Addr
+	size int
 }
 
-// Instrument binds the cache's hit/miss/evict counters to a metrics
-// registry under (layer "regcache", entity). Nil-safe: a nil registry
-// leaves the cache uninstrumented.
+func (a key) less(b key) bool {
+	return a.addr < b.addr || a.addr == b.addr && a.size < b.size
+}
+
+type entry[V any] struct {
+	k key
+	v V
+}
+
+// search returns the position of k in the sorted slot s and whether it is
+// there. slices.BinarySearchFunc would call its comparison through a func
+// value at every probe; that made a hit in a 1 000-entry slot twice as slow
+// as the AVL tree this index replaced, while this loop is faster than it.
+func search[V any](s []entry[V], k key) (int, bool) {
+	i, j := 0, len(s)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if s[h].k.less(k) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(s) && s[i].k == k
+}
+
+// Cache is a rank-indexed array of sorted (address, size) indexes.
+type Cache[V any] struct {
+	slots [][]entry[V]
+
+	// Stats
+	Hits   int64
+	Misses int64
+
+	// Metric handles; nil (inert) unless Instrument attached a registry.
+	mHits, mMisses *metrics.Counter
+}
+
+// New creates a cache for numRanks ranks. The cache is unbounded: perRank
+// must be 0 and onEvict nil.
+func New[V any](numRanks, perRank int, onEvict func(V)) *Cache[V] {
+	if perRank != 0 || onEvict != nil {
+		panic("regcache: capacity and eviction are not supported")
+	}
+	return &Cache[V]{slots: make([][]entry[V], numRanks)}
+}
+
+// Instrument binds the cache's hit/miss counters to a metrics registry
+// under (layer "regcache", entity). It also registers an "evictions"
+// counter, always 0, that the pinned baselines list. Nil-safe: a nil
+// registry leaves the cache uninstrumented.
 func (c *Cache[V]) Instrument(m *metrics.Registry, entity string) {
 	if !m.Enabled() {
 		return
 	}
 	c.mHits = m.Counter("regcache", entity, "hits")
 	c.mMisses = m.Counter("regcache", entity, "misses")
-	c.mEvicts = m.Counter("regcache", entity, "evictions")
+	m.Counter("regcache", entity, "evictions")
 }
 
-type shard[V any] struct {
-	root       *node[V]
-	n          int
-	head, tail *node[V] // LRU chain: head = most recently used
-}
-
-// New creates a cache for numRanks ranks. perRank bounds each rank's entry
-// count (0 = unbounded); onEvict, if non-nil, is called with each evicted
-// value.
-func New[V any](numRanks, perRank int, onEvict func(V)) *Cache[V] {
-	return &Cache[V]{shards: make([]shard[V], numRanks), perRank: perRank, onEvict: onEvict}
-}
-
-// Len returns the total number of cached entries.
-func (c *Cache[V]) Len() int {
-	total := 0
-	for i := range c.shards {
-		total += c.shards[i].n
-	}
-	return total
-}
-
-func (s *shard[V]) unlink(n *node[V]) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else if s.head == n {
-		s.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else if s.tail == n {
-		s.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (s *shard[V]) pushFront(n *node[V]) {
-	n.prev, n.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = n
-	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
-	}
-}
-
-// Get looks up (rank, addr, size) and marks the entry most recently used.
+// Get looks up (rank, addr, size).
 func (c *Cache[V]) Get(rank int, addr mem.Addr, size int) (V, bool) {
-	s := &c.shards[rank]
-	n := find(s.root, key{addr, size})
-	if n == nil {
-		c.Misses++
-		c.mMisses.Inc()
-		var zero V
-		return zero, false
+	s := c.slots[rank]
+	if i, ok := search(s, key{addr, size}); ok {
+		c.Hits++
+		c.mHits.Inc()
+		return s[i].v, true
 	}
-	c.Hits++
-	c.mHits.Inc()
-	s.unlink(n)
-	s.pushFront(n)
-	return n.v, true
+	c.Misses++
+	c.mMisses.Inc()
+	var zero V
+	return zero, false
 }
 
 // Put inserts or replaces the entry for (rank, addr, size).
 func (c *Cache[V]) Put(rank int, addr mem.Addr, size int, v V) {
-	s := &c.shards[rank]
 	k := key{addr, size}
-	if n := find(s.root, k); n != nil {
-		n.v = v
-		s.unlink(n)
-		s.pushFront(n)
-		return
+	s := c.slots[rank]
+	i, ok := search(s, k)
+	if !ok {
+		// Grow with append, not slices.Insert: under the race detector its
+		// make of the gap escapes, an extra allocation per growth.
+		s = append(s, entry[V]{})
+		copy(s[i+1:], s[i:])
+		c.slots[rank] = s
 	}
-	nn := &node[V]{k: k, v: v}
-	s.root = insert(s.root, nn)
-	s.pushFront(nn)
-	s.n++
-	if c.perRank > 0 && s.n > c.perRank {
-		c.evictLRU(s)
-	}
+	s[i] = entry[V]{k, v}
 }
 
 // GetOrCreate returns the cached value for (rank, addr, size), or installs
@@ -140,70 +128,4 @@ func (c *Cache[V]) GetOrCreate(rank int, addr mem.Addr, size int, create func() 
 	v = create()
 	c.Put(rank, addr, size, v)
 	return v, false
-}
-
-func (c *Cache[V]) evictLRU(s *shard[V]) {
-	t := s.tail
-	if t == nil {
-		return
-	}
-	s.unlink(t)
-	s.root = remove(s.root, t.k)
-	s.n--
-	c.Evictions++
-	c.mEvicts.Inc()
-	if c.onEvict != nil {
-		c.onEvict(t.v)
-	}
-}
-
-// Delete removes the entry for (rank, addr, size) if present, without
-// invoking the eviction callback.
-func (c *Cache[V]) Delete(rank int, addr mem.Addr, size int) bool {
-	s := &c.shards[rank]
-	n := find(s.root, key{addr, size})
-	if n == nil {
-		return false
-	}
-	s.unlink(n)
-	s.root = remove(s.root, n.k)
-	s.n--
-	return true
-}
-
-// Clear drops every entry, invoking the eviction callback for each.
-func (c *Cache[V]) Clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		for s.tail != nil {
-			c.evictLRU(s)
-		}
-		// evictLRU counts these as evictions; that is intended (resources
-		// are released through the same path).
-	}
-}
-
-// wellFormed verifies internal invariants (tests only).
-func (c *Cache[V]) wellFormed() bool {
-	for i := range c.shards {
-		s := &c.shards[i]
-		if !checkAVL(s.root, nil, nil) {
-			return false
-		}
-		if treeSize(s.root) != s.n {
-			return false
-		}
-		// Chain length matches and is consistent.
-		cnt := 0
-		for n := s.head; n != nil; n = n.next {
-			if n.next != nil && n.next.prev != n {
-				return false
-			}
-			cnt++
-		}
-		if cnt != s.n {
-			return false
-		}
-	}
-	return true
 }

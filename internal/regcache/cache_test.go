@@ -1,9 +1,7 @@
 package regcache
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mem"
 )
@@ -54,8 +52,8 @@ func TestPutReplaces(t *testing.T) {
 	c := New[int](1, 0, nil)
 	c.Put(0, 0x1000, 64, 1)
 	c.Put(0, 0x1000, 64, 2)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if n := len(c.slots[0]); n != 1 {
+		t.Fatalf("slot holds %d entries, want 1", n)
 	}
 	if v, _ := c.Get(0, 0x1000, 64); v != 2 {
 		t.Fatal("replacement lost")
@@ -75,152 +73,103 @@ func TestGetOrCreate(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	var evicted []int
-	c := New[int](1, 3, func(v int) { evicted = append(evicted, v) })
-	for i := 0; i < 5; i++ {
-		c.Put(0, mem.Addr(0x1000+i*64), 64, i)
-	}
-	if c.shards[0].n != 3 {
-		t.Fatalf("RankLen = %d, want 3", c.shards[0].n)
-	}
-	if len(evicted) != 2 || evicted[0] != 0 || evicted[1] != 1 {
-		t.Fatalf("evicted %v, want [0 1]", evicted)
-	}
-	if c.Evictions != 2 {
-		t.Fatalf("Evictions = %d", c.Evictions)
-	}
-}
-
-func TestLRUOrderUpdatedByGet(t *testing.T) {
-	var evicted []int
-	c := New[int](1, 2, func(v int) { evicted = append(evicted, v) })
-	c.Put(0, 0x1000, 64, 1)
-	c.Put(0, 0x2000, 64, 2)
-	c.Get(0, 0x1000, 64) // 1 becomes MRU
-	c.Put(0, 0x3000, 64, 3)
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("evicted %v, want [2]", evicted)
+func TestNewRejectsCapacityAndEviction(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		perRank int
+		onEvict func(int)
+	}{
+		{"capacity", 4, nil},
+		{"eviction", 0, func(int) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New accepted an option the cache does not honour")
+				}
+			}()
+			New[int](1, tc.perRank, tc.onEvict)
+		})
 	}
 }
 
-func TestDelete(t *testing.T) {
-	c := New[int](1, 0, nil)
-	c.Put(0, 0x1000, 64, 1)
-	if !c.Delete(0, 0x1000, 64) {
-		t.Fatal("Delete missed existing entry")
+// TestCacheAllocFree pins the index's allocation budget: a warm hit
+// allocates nothing, and a slot's entries share storage that grows by
+// doubling instead of one allocation per entry.
+func TestCacheAllocFree(t *testing.T) {
+	c := New[int](2, 0, nil)
+	c.Put(1, 0x1000, 64, 1)
+	create := func() int { return 2 }
+	if n := testing.AllocsPerRun(100, func() {
+		c.Get(1, 0x1000, 64)
+		c.GetOrCreate(1, 0x1000, 64, create)
+	}); n != 0 {
+		t.Errorf("warm hit allocates %.0f times, want 0", n)
 	}
-	if c.Delete(0, 0x1000, 64) {
-		t.Fatal("Delete found removed entry")
-	}
-	if _, ok := c.Get(0, 0x1000, 64); ok {
-		t.Fatal("entry survives Delete")
-	}
-	if !c.wellFormed() {
-		t.Fatal("cache invariants broken")
-	}
-}
-
-func TestClearInvokesEvict(t *testing.T) {
-	n := 0
-	c := New[int](2, 0, func(int) { n++ })
-	c.Put(0, 0x1000, 64, 1)
-	c.Put(0, 0x2000, 64, 2)
-	c.Put(1, 0x1000, 64, 3)
-	c.Clear()
-	if n != 3 || c.Len() != 0 {
-		t.Fatalf("Clear: evicted %d, Len %d", n, c.Len())
+	// Descending addresses: every insert lands at the front of the slot, the
+	// order alltoall receive blocks register in.
+	if n := testing.AllocsPerRun(1, func() {
+		c := New[int](1, 0, nil)
+		for i := 1000; i > 0; i-- {
+			c.Put(0, mem.Addr(i*64), 64, i)
+		}
+	}); n > 16 {
+		t.Errorf("1000 inserts into one slot allocate %.0f times, want <= 16", n)
 	}
 }
 
-// Property: the cache behaves exactly like a map from (rank,addr,size) to
-// value under any sequence of Put/Get/Delete (with unbounded capacity), and
-// internal invariants hold throughout.
-func TestPropertyMatchesMapModel(t *testing.T) {
+// FuzzCache drives random Put/Get/GetOrCreate sequences over four slots and
+// checks every answer, and the hit/miss counters, against a map model. Each
+// op is two bytes: the first picks the operation and the slot, the second
+// the address (16 choices) and the size (4 choices), so keys collide often.
+func FuzzCache(f *testing.F) {
 	type ref struct {
 		rank int
 		addr mem.Addr
 		size int
 	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	f.Fuzz(func(t *testing.T, ops []byte) {
 		const ranks = 4
 		c := New[int](ranks, 0, nil)
 		model := make(map[ref]int)
-		for op := 0; op < 500; op++ {
-			r := ref{rng.Intn(ranks), mem.Addr(rng.Intn(32) * 64), 64 * (1 + rng.Intn(4))}
-			switch rng.Intn(3) {
+		var hits, misses int64
+		for i := 0; i+1 < len(ops); i += 2 {
+			r := ref{int(ops[i]/3) % ranks, mem.Addr(ops[i+1]%16) * 64, 64 * (1 + int(ops[i+1]/16)%4)}
+			want, cached := model[r]
+			switch ops[i] % 3 {
 			case 0:
-				v := rng.Intn(1000)
-				c.Put(r.rank, r.addr, r.size, v)
-				model[r] = v
+				c.Put(r.rank, r.addr, r.size, i)
+				model[r] = i
+				continue
 			case 1:
 				got, ok := c.Get(r.rank, r.addr, r.size)
-				want, wok := model[r]
-				if ok != wok || (ok && got != want) {
-					return false
+				if ok != cached || got != want {
+					t.Fatalf("op %d: Get%v = (%d, %v), model has (%d, %v)", i/2, r, got, ok, want, cached)
 				}
 			case 2:
-				ok := c.Delete(r.rank, r.addr, r.size)
-				_, wok := model[r]
-				if ok != wok {
-					return false
+				got, hit := c.GetOrCreate(r.rank, r.addr, r.size, func() int { return i })
+				if !cached {
+					want, model[r] = i, i
 				}
-				delete(model, r)
+				if hit != cached || got != want {
+					t.Fatalf("op %d: GetOrCreate%v = (%d, %v), model has (%d, %v)", i/2, r, got, hit, want, cached)
+				}
 			}
-			if op%97 == 0 && !c.wellFormed() {
-				return false
-			}
-		}
-		if c.Len() != len(model) {
-			return false
-		}
-		return c.wellFormed()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: with per-rank capacity k, the cache never holds more than k
-// entries per rank and total evictions equal insertions minus live entries.
-func TestPropertyCapacityRespected(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(8)
-		c := New[int](2, k, nil)
-		inserts := 0
-		for op := 0; op < 300; op++ {
-			rank := rng.Intn(2)
-			addr := mem.Addr(rng.Intn(64) * 64)
-			if _, ok := c.Get(rank, addr, 64); !ok {
-				c.Put(rank, addr, 64, op)
-				inserts++
-			}
-			if c.shards[rank].n > k {
-				return false
+			if cached {
+				hits++
+			} else {
+				misses++
 			}
 		}
-		if int(c.Evictions) != inserts-c.Len() {
-			return false
+		if c.Hits != hits || c.Misses != misses {
+			t.Fatalf("counters hits=%d misses=%d, model %d/%d", c.Hits, c.Misses, hits, misses)
 		}
-		return c.wellFormed()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAVLStaysBalancedUnderSequentialInserts(t *testing.T) {
-	c := New[int](1, 0, nil)
-	for i := 0; i < 4096; i++ {
-		c.Put(0, mem.Addr(i*64), 64, i)
-	}
-	s := &c.shards[0]
-	if h := height(s.root); h > 14 { // 1.44*log2(4096) ~ 17; AVL of 4096 <= 14..16
-		t.Fatalf("tree height %d too large for 4096 nodes", h)
-	}
-	if !c.wellFormed() {
-		t.Fatal("invariants broken")
-	}
+		n := 0
+		for _, s := range c.slots {
+			n += len(s)
+		}
+		if n != len(model) {
+			t.Fatalf("cache holds %d entries, model %d", n, len(model))
+		}
+	})
 }

@@ -287,7 +287,7 @@ func (k *Kernel) drive(self *Proc) outcome {
 		k.stats.Fired++
 		switch {
 		case p != nil:
-			if p.state == procDone {
+			if p.state >= procKilled {
 				continue
 			}
 			k.stats.Wakeups++
@@ -408,8 +408,7 @@ func (k *Kernel) Shutdown() {
 		}
 		p.stop()
 		if p.state != procDone { // never started: its exit never ran
-			p.state = procDone
-			k.live--
+			p.done()
 		}
 	}
 	k.dead = true

@@ -8,13 +8,14 @@ const (
 	procReady procState = iota
 	procRunning
 	procBlocked
+	procKilled // ended by Kill: never resumed, its coroutine parked until Shutdown
 	procDone
 )
 
 // Proc is a simulated process: a coroutine that executes in virtual time.
-// All Proc methods must be called from the process's own stack while it has
-// control (i.e. from inside the function passed to Spawn, directly or
-// indirectly).
+// All Proc methods but Kill must be called from the process's own stack
+// while it has control (i.e. from inside the function passed to Spawn,
+// directly or indirectly).
 type Proc struct {
 	k     *Kernel
 	id    int
@@ -82,9 +83,32 @@ func (p *Proc) exit() {
 	if r := recover(); r != nil && r != errShutdown {
 		k.failure = k.panicError(r, p)
 	}
-	p.state = procDone
-	k.live--
+	p.done()
 	k.running = nil
+}
+
+// done marks p finished. Live stops counting it here unless Kill already did.
+func (p *Proc) done() {
+	if p.state != procKilled {
+		p.k.live--
+	}
+	p.state = procDone
+}
+
+// Kill ends the process from handler context (an event callback, not a
+// process body): it is never resumed again, and a wake-up still pending for
+// it is dropped, as for a finished process. Live stops counting it at once;
+// Shutdown unwinds its parked coroutine. Killing a finished or killed
+// process does nothing.
+func (p *Proc) Kill() {
+	if p.k.running != nil {
+		panic(fmt.Sprintf("sim: Kill(%q) called from proc %q", p.name, p.k.running.name))
+	}
+	if p.state >= procKilled {
+		return
+	}
+	p.state = procKilled
+	p.k.live--
 }
 
 // Sleep advances the process's virtual time by d. Other events and processes
