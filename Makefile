@@ -85,15 +85,16 @@ bench-smoke:
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet
 # specs and offloadbench command lines — for the verbs retry machinery
-# under random fault plans, and for the registration cache against a map
-# model (`go test -fuzz` takes one target and one package per run; two
-# workers keep it small).
+# under random fault plans, and for the registration cache and the delivery
+# counters' exactly-once window against map models (`go test -fuzz` takes
+# one target and one package per run; two workers keep it small).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
 	$(GO) test -run '^$$' -fuzz '^FuzzArgs$$' -fuzztime 5s -parallel 2 ./cmd/offloadbench/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerbsFaults$$' -fuzztime 5s -parallel 2 ./internal/verbs/
 	$(GO) test -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 5s -parallel 2 ./internal/regcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeliveries$$' -fuzztime 5s -parallel 2 ./internal/core/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

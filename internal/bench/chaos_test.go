@@ -316,9 +316,60 @@ func smallCrashOpt(scheme string) Options {
 // crashRestartPlan crashes proxy 0 at `at` and restarts it one microsecond
 // later.
 func crashRestartPlan(at sim.Time) *fault.Config {
+	return crashRestartAfter(at, sim.Microsecond)
+}
+
+// crashRestartAfter crashes proxy 0 at `at` and restarts it `after` later.
+func crashRestartAfter(at, after sim.Time) *fault.Config {
 	plan := fault.DefaultConfig(2)
-	plan.Crashes = []fault.Crash{{Proxy: 0, At: at, RestartAfter: sim.Microsecond}}
+	plan.Crashes = []fault.Crash{{Proxy: 0, At: at, RestartAfter: after}}
 	return plan
+}
+
+// rerunByRestart returns the group_exec spans proxy 0 began at or after its
+// restart for a call (root span and call number) that a host fallback also
+// ran: the calls two executors walked.
+func rerunByRestart(sc *span.Collector, restart sim.Time) []span.Span {
+	type call struct {
+		root span.ID
+		n    int64
+	}
+	callOf := func(s span.Span) call {
+		for _, a := range s.Attrs {
+			if a.Key == "call" {
+				return call{s.Parent, a.Int}
+			}
+		}
+		return call{s.Parent, 0}
+	}
+	fellBack := make(map[call]bool)
+	for _, s := range sc.Spans() {
+		if s.Name == "fallback_exec" {
+			fellBack[callOf(s)] = true
+		}
+	}
+	var twice []span.Span
+	for _, s := range sc.Spans() {
+		if s.Name == "group_exec" && s.Entity == "proxy0" && s.Begin >= restart && fellBack[callOf(s)] {
+			twice = append(twice, s)
+		}
+	}
+	return twice
+}
+
+// A group install the hosts post while proxy 0 is down reaches it after its
+// restart, 10 µs after a crash at 7 763 ns. The restarted proxy refuses it, so
+// the hosts' fallback is the only executor of the call; a proxy that installed
+// it would walk each of those calls beside the failed-over hosts.
+func TestRestartedProxyRefusesStaleInstall(t *testing.T) {
+	const at, after = 7763 * sim.Nanosecond, 10 * sim.Microsecond
+	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed), crashRestartAfter(at, after), 0, 8192, 1, 2)
+	if !r.Verified || r.Fault.Restarts != 1 || r.Core.Failovers != 2 {
+		t.Fatalf("verified=%v restarts=%d failovers=%d, want true 1 2", r.Verified, r.Fault.Restarts, r.Core.Failovers)
+	}
+	for _, s := range rerunByRestart(sc, at+after) {
+		t.Errorf("restarted proxy 0 began group_exec span %d (root %d) at %v for a call a host fallback also ran", s.ID, s.Parent, s.Begin)
+	}
 }
 
 // A crashed proxy is dead at once, even when the crash lands while it is
@@ -338,10 +389,11 @@ func TestDeadProxyStartsNoSpan(t *testing.T) {
 	}
 }
 
-// A proxy crash with a prompt restart, at any of 199 instants across the
-// run, on the cached (Proposed) and uncached (BluesMPI) group paths: every
-// payload arrives, no call is executed twice by the proxies, and the run
-// ends within half again of the fault-free end.
+// A proxy crash with a restart 1 µs or 10 µs later, at any of 199 instants
+// across the run, on the cached (Proposed) and uncached (BluesMPI) group
+// paths: every payload arrives, no call is executed twice by the proxies or
+// by the restarted proxy and a host fallback, and the run ends within half
+// again of the fault-free end.
 func TestCrashAtAnyInstant(t *testing.T) {
 	const size, instants = 8192, 200
 	for _, scheme := range []string{baseline.NameProposed, baseline.NameBluesMPI} {
@@ -349,16 +401,21 @@ func TestCrashAtAnyInstant(t *testing.T) {
 		if !base.Verified || base.Core.RDMAWrites != 60 {
 			t.Fatalf("%s fault-free: verified=%v writes=%d, want true 60", scheme, base.Verified, base.Core.RDMAWrites)
 		}
-		for k := 1; k < instants; k++ {
-			at := base.EndTime * sim.Time(k) / instants
-			r := MeasureChaosIalltoall(smallCrashOpt(scheme), crashRestartPlan(at), 0, size, 1, 2)
-			switch {
-			case !r.Verified:
-				t.Errorf("%s crash at %v: %d payload mismatches", scheme, at, r.Mismatches)
-			case r.Core.RDMAWrites > base.Core.RDMAWrites:
-				t.Errorf("%s crash at %v: proxies posted %d RDMA writes, fault-free %d", scheme, at, r.Core.RDMAWrites, base.Core.RDMAWrites)
-			case 2*r.EndTime > 3*base.EndTime:
-				t.Errorf("%s crash at %v: ends at %v, fault-free %v", scheme, at, r.EndTime, base.EndTime)
+		for _, after := range []sim.Time{sim.Microsecond, 10 * sim.Microsecond} {
+			for k := 1; k < instants; k++ {
+				at := base.EndTime * sim.Time(k) / instants
+				sc, r := CollectChaosSpans(smallCrashOpt(scheme), crashRestartAfter(at, after), 0, size, 1, 2)
+				twice := rerunByRestart(sc, at+after)
+				switch {
+				case !r.Verified:
+					t.Errorf("%s crash at %v, restart %v later: %d payload mismatches", scheme, at, after, r.Mismatches)
+				case r.Core.RDMAWrites > base.Core.RDMAWrites:
+					t.Errorf("%s crash at %v, restart %v later: proxies posted %d RDMA writes, fault-free %d", scheme, at, after, r.Core.RDMAWrites, base.Core.RDMAWrites)
+				case len(twice) > 0:
+					t.Errorf("%s crash at %v, restart %v later: the restarted proxy and a host fallback both ran %d calls", scheme, at, after, len(twice))
+				case 2*r.EndTime > 3*base.EndTime:
+					t.Errorf("%s crash at %v, restart %v later: ends at %v, fault-free %v", scheme, at, after, r.EndTime, base.EndTime)
+				}
 			}
 		}
 	}

@@ -17,7 +17,6 @@ import (
 type refGroup struct {
 	entries   []wireOp
 	want, got map[int]int
-	touched   bool // installed, or counted a delivery: the proxy holds an entry
 	installed bool
 	running   bool
 	idx       int
@@ -73,11 +72,11 @@ func (r *refGroup) advance() {
 // TestCounterBarrierMatchesReferencePredicate interleaves, at random, group
 // installs and replays, engine rounds and delivery notifications — before the
 // group they count toward is installed, across calls, for several groups per
-// host — and checks after every step that the engine stands where the
-// reference engine stands and that missing == 0 says what the old predicate
-// says. With crashes configured the counters are the ones in host memory,
-// fed through the counter daemon's exactly-once dedup with duplicates thrown
-// in.
+// host, with duplicates thrown in — and checks after every step that the
+// engine stands where the reference engine stands, that missing == 0 says
+// what the old predicate says, and that every duplicate, and nothing else,
+// was suppressed. The notifications reach the host's counters through its
+// proxy, or with crashes configured through the host's counter endpoint.
 func TestCounterBarrierMatchesReferencePredicate(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -113,40 +112,59 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 		for id := 0; id < groupsPerHost; id++ {
 			k := key{host, id}
 			r := &refGroup{want: map[int]int{}, got: map[int]int{}}
+			g := fw.Host(host).GroupStart() // sizes the host's counters at End
 			for n := 1 + rng.Intn(8); n > 0; n-- {
 				if rng.Intn(3) == 0 {
 					r.entries = append(r.entries, wireOp{Type: OpBarrier})
+					g.LocalBarrier()
 				} else {
 					r.entries = append(r.entries, wireOp{Type: OpRecv, Src: rng.Intn(np)})
+					g.Recv(0, 0, r.entries[len(r.entries)-1].Src, 0)
 				}
 			}
+			g.End()
 			refs[k] = r
 			keys = append(keys, k)
 		}
 	}
-	var sent []*dlvMsg // crash placement: every notification so far, for duplicates
+	type srcKey struct {
+		key
+		src int
+	}
+	sentBy := make(map[srcKey]int) // notifications sent so far per (group, source)
+	var sent []dlvMsg              // every notification so far, for duplicates
+	dups := int64(0)
 
 	// check reports through Errorf: the caller is a simulated process, which
 	// must return rather than exit its goroutine.
 	check := func(step int, what string) bool {
+		var suppressed int64
 		for _, k := range keys {
 			r := refs[k]
-			if !r.touched {
-				continue // leave the entry for a delivery or an install to create
-			}
-			g := px.group(k.host, k.id)
-			if g.installed != r.installed || g.running != r.running || g.idx != r.idx ||
+			if g := px.group(k.host, k.id); g == nil {
+				if r.installed {
+					t.Errorf("step %d (%s): group %v installed, but the proxy holds no entry", step, what, k)
+					return false
+				}
+			} else if !r.installed || g.running != r.running || g.idx != r.idx ||
 				g.callSeq != r.callSeq || g.finishedSeq != r.finished {
-				t.Errorf("step %d (%s): group %v engine at {installed %v running %v idx %d call %d finished %d}, reference at {%v %v %d %d %d}",
-					step, what, k, g.installed, g.running, g.idx, g.callSeq, g.finishedSeq,
+				t.Errorf("step %d (%s): group %v engine at {installed true running %v idx %d call %d finished %d}, reference at {%v %v %d %d %d}",
+					step, what, k, g.running, g.idx, g.callSeq, g.finishedSeq,
 					r.installed, r.running, r.idx, r.callSeq, r.finished)
 				return false
 			}
-			if g.bar.missing != r.missing() || (g.bar.missing == 0) != r.satisfied() {
+			if b := fw.Host(k.host).barrier(k.id); b.missing != r.missing() || (b.missing == 0) != r.satisfied() {
 				t.Errorf("step %d (%s): group %v missing = %d, reference Σmax(0,want−got) = %d, old predicate %v",
-					step, what, k, g.bar.missing, r.missing(), r.satisfied())
+					step, what, k, b.missing, r.missing(), r.satisfied())
 				return false
 			}
+		}
+		for host := 0; host < ppn; host++ {
+			suppressed += fw.Host(host).DlvDup
+		}
+		if suppressed != dups {
+			t.Errorf("step %d (%s): %d duplicate notifications suppressed, %d thrown", step, what, suppressed, dups)
+			return false
 		}
 		return true
 	}
@@ -161,7 +179,6 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 			case op == 0 && r.callSeq-r.finished < 3: // a new call: install first, replay after
 				what = "call"
 				r.callSeq++
-				r.touched = true
 				if !r.installed {
 					r.installed = true
 					px.handle(&verbs.Packet{Kind: "group", Payload: &groupPacket{
@@ -182,23 +199,37 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 						refs[k].advance()
 					}
 				}
-			default: // a delivery notification, perhaps a duplicate (crash placement only)
+			default: // a delivery notification, perhaps a duplicate
 				what = "dlv"
-				m := &dlvMsg{SrcHost: rng.Intn(np), DstHost: k.host, DstGroup: k.id, Call: 1 + step, Entry: 0}
-				if crash && len(sent) > 0 && rng.Intn(4) == 0 {
-					dup := *sent[rng.Intn(len(sent))]
-					m = &dup
+				var m dlvMsg
+				if len(sent) > 0 && rng.Intn(4) == 0 {
+					m = sent[rng.Intn(len(sent))]
 					what = "dlv-dup"
+					dups++
 				} else {
+					// The source's next notification: entry n of its call,
+					// per of them a call (each source's notifications
+					// arrive in order here; FuzzDeliveries reorders them).
+					sk := srcKey{k, rng.Intn(np)}
+					n, per := sentBy[sk], 0
+					for _, e := range r.entries {
+						if e.Type == OpRecv && e.Src == sk.src {
+							per++
+						}
+					}
+					m = dlvMsg{SrcHost: sk.src, DstHost: k.host, DstGroup: k.id, Call: 1 + n, Entry: 0}
+					if per > 0 {
+						m.Call, m.Entry = 1+n/per, n%per
+					}
+					sentBy[sk]++
 					sent = append(sent, m)
 					r.got[m.SrcHost]++
 				}
-				refs[key{m.DstHost, m.DstGroup}].touched = true
+				pkt := &verbs.Packet{Kind: "dlv", Payload: &m}
 				if crash {
-					fw.Host(m.DstHost).noteDelivery(p.Now(), m)
+					fw.Host(m.DstHost).countDelivery(pkt)
 				} else {
-					sent = nil // the consuming handle recycles the message
-					px.handle(&verbs.Packet{Kind: "dlv", Payload: m})
+					px.handle(pkt)
 				}
 			}
 			if !check(step, what) {

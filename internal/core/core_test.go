@@ -544,6 +544,28 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
+// The reliability block prints when any of its six counters is nonzero, and
+// only then: a run whose only recovery was a one-sided re-issue reports it.
+func TestStatsStringReliabilityBlock(t *testing.T) {
+	for _, c := range []struct {
+		s    Stats
+		want string // "" = no reliability block
+	}{
+		{Stats{CtrlMsgs: 7, RDMAWrites: 3}, ""},
+		{Stats{Failovers: 1}, "failovers=1 "},
+		{Stats{FallbackGroupCalls: 2}, "fbcalls=2 "},
+		{Stats{FallbackWrites: 3}, "fbwrites=3 "},
+		{Stats{FoEagerSends: 4}, "fosends=4 "},
+		{Stats{OneSidedReissues: 5}, "1s-reissues=5 "},
+		{Stats{DlvDeduped: 6}, "dlv-dedup=6"},
+	} {
+		out := c.s.String()
+		if block := strings.Contains(out, "failovers="); block != (c.want != "") || !strings.Contains(out, c.want) {
+			t.Errorf("renders %q, want a reliability block with %q", out, c.want)
+		}
+	}
+}
+
 func TestGroupMisusePanics(t *testing.T) {
 	runFw(t, 1, 1, DefaultConfig(), func(h *Host) {
 		g := h.GroupStart()

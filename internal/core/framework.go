@@ -89,7 +89,11 @@ type Framework struct {
 	hosts   []*Host
 	proxies []*Proxy
 	stopped bool
+	crashed bool     // some proxy has crashed: hosts run the failure detector
 	tenancy *Tenancy // nil = single-job framework (see tenancy.go)
+
+	// reqFree recycles the hosts' request records (see reqRec).
+	reqFree freeList[reqRec]
 
 	// Free lists of control payloads (see ctrlPacket); their packets come
 	// from the verbs registry's pool.
@@ -128,45 +132,33 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 			entity: fmt.Sprintf("rank%d", r),
 			site:   sites[r],
 			ctx:    sites[r].NewCtx(fmt.Sprintf("offload%d", r)),
-			reqs:   make(map[int64]*OffloadRequest),
+			reqs:   make(map[int64]*reqRec),
 		}
 		h.gvmiCache = regcache.New[gvmi.MKeyInfo](nProxies, 0, nil)
 		h.ibCache = regcache.New[*verbs.MR](1, 0, nil)
 		h.gvmiCache.Instrument(cl.Met, fmt.Sprintf("gvmi.rank%d", r))
 		h.ibCache.Instrument(cl.Met, fmt.Sprintf("ib.rank%d", r))
-		if fw.crashesConfigured() {
-			// Crash tolerance: delivery counters move into host memory
-			// (dlvCtx receives the RDMA counter writes) and the host tracks
-			// enough request state to re-execute lost work itself.
-			h.dlvCtx = sites[r].NewCtx(fmt.Sprintf("dlvctr%d", r))
-			h.dlvSeen = make(map[dlvID]bool)
-			h.pendingSends = make(map[int64]*sendRec)
-			h.osPending = make(map[int64]*osRec)
-			h.mHeartbeatLosses = cl.Met.Counter("core", h.entity, "heartbeat_losses")
-			h.mFailovers = cl.Met.Counter("core", h.entity, "failovers")
+		// The host's delivery counters are written where they are read
+		// (Section VII-C): by its proxy, which pays ProxyHandleCost per
+		// notification. A crash plan moves the writes into host memory, so
+		// they survive the proxy.
+		h.dlvEP = fw.proxyFor(r).ctx
+		if f := cl.Cfg.Fault; f != nil && len(f.Crashes) > 0 {
+			h.dlvEP = sites[r].NewCtx(fmt.Sprintf("dlvctr%d", r))
 		}
 		fw.hosts = append(fw.hosts, h)
 	}
 	return fw
 }
 
-// crashesConfigured reports whether the fault plan schedules any proxy
-// crash. Only then does the framework pay for crash tolerance (host-side
-// delivery counters, request records); without crashes every code path is
-// identical to a fault-free build.
-func (fw *Framework) crashesConfigured() bool {
-	f := fw.cl.Cfg.Fault
-	return f != nil && len(f.Crashes) > 0
-}
-
 // ctrlPacket returns a control packet carrying pay. Packet and payload
 // come from free lists that their consumer refills, like the verbs flight
-// records: the proxy recycles delivery notifications and group replays, the
+// records: whoever counts a delivery notification (the proxy, or under a
+// crash plan the host's counter daemon) and the proxy's group replays, the
 // RTS/RTR packets as it queues their payloads, and a matched pair's payloads
 // once its FINs are out; the host recycles FINs and group completions and
-// failures, gathered metadata once the send it matched has copied it, and
-// under a crash plan its counter daemon the delivery notifications it
-// counted. Fault plans change nothing here: verbs
+// failures, and gathered metadata once the send it matched has copied it.
+// Fault plans change nothing here: verbs
 // re-sends only a packet that was not delivered, so each reaches at most one
 // inbox, at most once, and its consumer is its last holder. A packet that
 // never arrives — retries exhausted, polled away by a crashed proxy, or a
@@ -260,10 +252,8 @@ func (fw *Framework) Stop() {
 	for _, px := range fw.proxies {
 		px.ctx.InboxCond.Broadcast()
 	}
-	if fw.crashesConfigured() {
-		for _, h := range fw.hosts {
-			h.dlvCtx.InboxCond.Broadcast()
-		}
+	for _, h := range fw.hosts {
+		h.dlvEP.InboxCond.Broadcast()
 	}
 }
 
@@ -287,39 +277,39 @@ func (fw *Framework) Start() {
 		px.gvmiID = fw.cl.GVMI.GenerateID(px.ctx)
 		px.spawn()
 	}
-	if !fw.crashesConfigured() {
-		return
-	}
 	// Schedule the fault plan's proxy crashes/restarts at their virtual
 	// times (Start runs at t=0, before the kernel).
-	for _, cr := range fw.cl.Cfg.Fault.Crashes {
-		cr := cr
-		if cr.Proxy < 0 || cr.Proxy >= len(fw.proxies) {
-			panic(fmt.Sprintf("core: crash plan references proxy %d of %d", cr.Proxy, len(fw.proxies)))
-		}
-		px := fw.proxies[cr.Proxy]
-		fw.cl.K.At(cr.At, func() { px.crash() })
-		if cr.RestartAfter > 0 {
-			fw.cl.K.At(cr.At+cr.RestartAfter, func() { px.restart() })
+	if f := fw.cl.Cfg.Fault; f != nil {
+		for _, cr := range f.Crashes {
+			if cr.Proxy < 0 || cr.Proxy >= len(fw.proxies) {
+				panic(fmt.Sprintf("core: crash plan references proxy %d of %d", cr.Proxy, len(fw.proxies)))
+			}
+			px := fw.proxies[cr.Proxy]
+			fw.cl.K.At(cr.At, func() { px.crash() })
+			if cr.RestartAfter > 0 {
+				fw.cl.K.At(cr.At+cr.RestartAfter, func() { px.restart() })
+			}
 		}
 	}
-	// One counter daemon per host: it models the destination HCA updating
-	// the pre-registered delivery counters in host memory — zero CPU cost,
+	// A host whose counters are written into its own memory runs a counter
+	// daemon: it models the destination HCA updating them — zero CPU cost,
 	// it only accounts arrivals and wakes the readers (the host's own wait
 	// loops and its proxy's progress engine).
 	for _, h := range fw.hosts {
-		h := h
-		fw.cl.K.Spawn(fmt.Sprintf("dlvctr%d", h.rank), func(p *sim.Proc) {
+		if h.dlvEP == fw.proxyFor(h.rank).ctx {
+			continue
+		}
+		fw.cl.K.Spawn(h.dlvEP.Name(), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			for !fw.stopped {
-				for _, pkt := range h.dlvCtx.PollInbox() {
-					m := pkt.Payload.(*dlvMsg)
-					h.noteDelivery(p.Now(), m)
-					fw.cl.Reg.PutPacket(pkt)
-					fw.dlvFree.put(m)
+				for _, pkt := range h.dlvEP.PollInbox() {
+					if h.countDelivery(pkt) {
+						h.ctx.InboxCond.Broadcast()
+						fw.proxyFor(h.rank).ctx.InboxCond.Broadcast()
+					}
 				}
-				if h.dlvCtx.InboxLen() == 0 && !fw.stopped {
-					h.dlvCtx.InboxCond.Wait(p)
+				if h.dlvEP.InboxLen() == 0 && !fw.stopped {
+					h.dlvEP.InboxCond.Wait(p)
 				}
 			}
 		})

@@ -42,31 +42,17 @@ type GroupRequest struct {
 	doneSeq     int // completed calls (proxy's completion updates)
 	sentToProxy bool
 
-	// Crash-tolerance state (populated only when crashes are configured):
-	// the gathered wire entries let the host re-execute the pattern itself,
+	// The gathered wire entries let the host re-execute the pattern itself,
 	// and sentGen records the proxy generation the request was installed
-	// under so a restart (= lost group cache) is detectable.
+	// under, so a restart (= lost group cache) is detectable and the
+	// restarted proxy refuses the install if it arrives late.
 	wire    []wireOp
 	sentGen int
-	perCall map[int]int // recv entries per source host in one call
 
-	// rootByCall remembers each outstanding call's root span so fallback
+	// roots holds each call's root span, by call number − 1, so fallback
 	// re-execution after a proxy failure stays attributed to the original
-	// operation (entries are dropped as calls complete).
-	rootByCall map[int]span.ID
-}
-
-// recvsPerCall returns how many receive entries one call expects from src.
-func (g *GroupRequest) recvsPerCall(src int) int {
-	if g.perCall == nil {
-		g.perCall = make(map[int]int)
-		for _, e := range g.wire {
-			if e.Type == OpRecv {
-				g.perCall[e.Src]++
-			}
-		}
-	}
-	return g.perCall[src]
+	// operation. Recorded only while tracing.
+	roots []span.ID
 }
 
 // GroupOp is one recorded entry.
@@ -130,9 +116,26 @@ func (g *GroupRequest) record(op GroupOp) {
 	g.ops = append(g.ops, op)
 }
 
-// End finishes recording (Group_Offload_end).
+// End finishes recording (Group_Offload_end) and sizes the request's
+// delivery counters: one per receive entry and call, from each source.
 func (g *GroupRequest) End() {
+	if g.ended {
+		return
+	}
 	g.ended = true
+	b := g.h.barrier(g.id)
+	top := -1
+	for _, op := range g.ops {
+		if op.Type == OpRecv {
+			top = max(top, op.Peer)
+		}
+	}
+	b.cover(top) // at once, up to the highest source
+	for _, op := range g.ops {
+		if op.Type == OpRecv {
+			b.src[op.Peer].per++
+		}
+	}
 }
 
 // Ops returns the recorded entries (for inspection).
@@ -155,6 +158,12 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 	}
 	t0 := h.proc.Now()
 	defer func() { h.OffloadTime += h.proc.Now() - t0 }()
+	if h.fw.crashed && !h.failedOver {
+		// Fail over before posting if earlier work is lost: a restarted
+		// proxy would accept this call, and the host fallback would run it
+		// too.
+		h.checkRecovery()
+	}
 	g.callSeq++
 	px := h.fw.proxyFor(h.rank)
 	if sp := h.spans(); sp.Enabled() {
@@ -164,10 +173,7 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 		gc := sp.Start(parent, span.ClassRank, h.entity, "core", "group_call")
 		sp.AttrInt(gc, "call", int64(g.callSeq))
 		sp.AttrStr(gc, "path", g.path.String())
-		if g.rootByCall == nil {
-			g.rootByCall = make(map[int]span.ID)
-		}
-		g.rootByCall[g.callSeq] = parent
+		g.roots = append(g.roots, parent)
 		h.curSpan = gc
 		defer func() {
 			h.curSpan = 0
@@ -193,22 +199,19 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 		return
 	}
 
-	entries := h.buildWire(g, px)
+	g.wire = h.buildWire(g, px)
+	g.sentGen = px.gen
 
 	// One contiguous Group_Offload_packet to the proxy.
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "group",
-		Size: h.fw.cfg.CtrlSize + len(entries)*h.fw.cfg.GroupOpWireSize,
+		Size: h.fw.cfg.CtrlSize + len(g.wire)*h.fw.cfg.GroupOpWireSize,
 		Payload: &groupPacket{
-			HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Entries: entries, Span: parent,
+			HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Gen: g.sentGen, Entries: g.wire, Span: parent,
 		},
 		Span: parent,
 	})
 	g.sentToProxy = true
-	if h.fw.crashesConfigured() {
-		g.wire = entries
-		g.sentGen = px.gen
-	}
 }
 
 // buildWire performs the gather phase of Group_Offload_call: register every
@@ -325,4 +328,32 @@ func (h *Host) GroupWait(g *GroupRequest) {
 func (h *Host) GroupTest(g *GroupRequest) bool {
 	h.progress()
 	return g.doneSeq >= g.callSeq
+}
+
+// barrier returns the delivery counters of group request id, creating them
+// on first touch.
+func (h *Host) barrier(id int) *recvBarrier {
+	for id >= len(h.barriers) {
+		h.barriers = append(h.barriers, new(recvBarrier))
+	}
+	return h.barriers[id]
+}
+
+// countDelivery counts the delivery notification pkt carries, exactly once,
+// and recycles packet and payload. It reports whether the notification was
+// new; a duplicate — a fallback host re-sending a delivery its proxy had
+// already sent — is counted in DlvDup.
+func (h *Host) countDelivery(pkt *verbs.Packet) bool {
+	m := pkt.Payload.(*dlvMsg)
+	fresh := h.barrier(m.DstGroup).count(m.SrcHost, m.Call, m.Entry)
+	if !fresh {
+		h.DlvDup++
+		if inj := h.fw.cl.Inj; inj.Tracing() {
+			inj.Note(h.fw.cl.K.Now(), span.ClassRank, h.entity, "dlv-dup",
+				fmt.Sprintf("src=%d group=%d call=%d entry=%d", m.SrcHost, m.DstGroup, m.Call, m.Entry))
+		}
+	}
+	h.fw.cl.Reg.PutPacket(pkt)
+	h.fw.dlvFree.put(m)
+	return fresh
 }

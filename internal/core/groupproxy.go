@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/datapath"
 	"repro/internal/sim"
@@ -10,80 +13,187 @@ import (
 )
 
 // recvBarrier is the block of receive-progress counters of one (host, group
-// request) — the barrier counters of Section VII-C. want counts, per source
-// rank and cumulatively across calls, the receive entries the group's engine
-// has walked; got counts the delivery notifications that have arrived.
-// missing is kept equal to Σ max(0, want[src]−got[src]), so "every delivery
-// accounted so far is in" (isRecvBarrierDone of Algorithm 1) is missing == 0
-// with no walk over the sources.
+// request) — the barrier counters of Section VII-C. It belongs to the
+// receiving host (Host.barriers): whoever executes the group reads it, its
+// proxy or, after a failover, the host itself. Per source rank, want counts
+// cumulatively across calls the receive entries the executor has walked and
+// got the delivery notifications counted. missing is kept equal to
+// Σ max(0, want−got), so "every delivery accounted so far is in"
+// (isRecvBarrierDone of Algorithm 1) is missing == 0 with no walk over the
+// sources.
+//
+// A notification is counted once however often it arrives — a fallback host
+// re-executing a call re-sends what its proxy may already have sent. Each
+// names its (call, entry). Per source, done counts the calls whose
+// deliveries (per of them a call, one per receive entry from the source) are
+// all in; early holds, sorted, the deliveries of later calls until theirs
+// are all in too, so it stays short: one call's worth per source, while
+// calls arrive in order.
 type recvBarrier struct {
-	got, want []int32
-	missing   int
+	src     []srcCounters // by source rank
+	missing int
+	early   []earlyDlv
+}
+
+type srcCounters struct {
+	got, want  int32
+	done, held int32 // calls whose deliveries are all in; deliveries of the next one in early
+	per        int32
+}
+
+// earlyDlv is one counted delivery beyond its source's done calls.
+type earlyDlv struct{ src, call, entry int32 }
+
+func (d earlyDlv) compare(e earlyDlv) int {
+	return cmp.Or(cmp.Compare(d.src, e.src), cmp.Compare(d.call, e.call), cmp.Compare(d.entry, e.entry))
 }
 
 // cover grows the counters to include src.
 func (b *recvBarrier) cover(src int) {
-	for src >= len(b.got) {
-		b.got = append(b.got, 0)
-		b.want = append(b.want, 0)
+	if n := src + 1 - len(b.src); n > 0 {
+		b.src = append(b.src, make([]srcCounters, n)...)
 	}
 }
 
 // expect accounts one walked receive entry from src.
 func (b *recvBarrier) expect(src int) {
 	b.cover(src)
-	b.want[src]++
-	if b.got[src] < b.want[src] {
+	c := &b.src[src]
+	c.want++
+	if c.got < c.want {
 		b.missing++
 	}
 }
 
-// deliver accounts one delivery notification from src.
-func (b *recvBarrier) deliver(src int) {
+// count accounts delivery (call, entry) from src unless it was counted
+// before, and reports whether it was new.
+func (b *recvBarrier) count(src, call, entry int) bool {
 	b.cover(src)
-	b.got[src]++
-	if b.got[src] <= b.want[src] {
+	c := &b.src[src]
+	d := earlyDlv{int32(src), int32(call), int32(entry)}
+	switch {
+	case d.call <= c.done:
+		return false
+	case d.call == c.done+1 && c.per == 1:
+		// The call's only delivery: it completes the call (none of this call
+		// is held, or it would be complete already).
+		c.done++
+		if len(b.early) > 0 {
+			b.settle(d.src)
+		}
+	default:
+		// In order, d sorts last: no search, no shift.
+		if n := len(b.early); n == 0 || b.early[n-1].compare(d) < 0 {
+			b.early = append(b.early, d)
+		} else if i, seen := slices.BinarySearchFunc(b.early, d, earlyDlv.compare); seen {
+			return false
+		} else {
+			b.early = slices.Insert(b.early, i, d)
+		}
+		if d.call == c.done+1 {
+			if c.held++; c.held == c.per {
+				b.settle(d.src)
+			}
+		}
+	}
+	c.got++
+	if c.got <= c.want {
 		b.missing--
+	}
+	return true
+}
+
+// settle moves src's done past every call whose deliveries early holds in
+// full, and drops them: the next call's held deliveries sort together, the
+// following call's right after them.
+func (b *recvBarrier) settle(src int32) {
+	c := &b.src[src]
+	lo, _ := slices.BinarySearchFunc(b.early, earlyDlv{src, c.done + 1, math.MinInt32}, earlyDlv.compare)
+	for {
+		c.held = 0
+		for _, e := range b.early[lo:] {
+			if e.src != src || e.call != c.done+1 {
+				break
+			}
+			c.held++
+		}
+		if c.held < c.per {
+			return
+		}
+		b.early = slices.Delete(b.early, lo, lo+int(c.held))
+		c.done++
 	}
 }
 
 // rewind sets the walked-receive counts to those of done whole calls of the
 // entry queue, keeping the deliveries, and recomputes missing.
 func (b *recvBarrier) rewind(entries []wireOp, done int) {
-	clear(b.want)
+	for i := range b.src {
+		b.src[i].want = 0
+	}
 	for i := range entries {
 		if e := &entries[i]; e.Type == OpRecv {
 			b.cover(e.Src)
-			b.want[e.Src] += int32(done)
+			b.src[e.Src].want += int32(done)
 		}
 	}
 	b.missing = 0
-	for src, w := range b.want {
-		b.missing += max(0, int(w-b.got[src]))
+	for _, c := range b.src {
+		b.missing += max(0, int(c.want-c.got))
 	}
+}
+
+// walk is one executor's place in a group call's entry queue.
+type walk struct {
+	idx     int // next entry to process in the running call
+	pending int // sends posted but not yet landed
+}
+
+// blocked reports whether the walk stands at a barrier entry or at the end of
+// the queue with a send still in flight or an expected delivery missing:
+// "after all the preceding sends are completed ..." — and all receives
+// recorded so far must have been delivered by the remote proxies.
+func (w *walk) blocked(entries []wireOp, bar *recvBarrier) bool {
+	return (w.idx == len(entries) || entries[w.idx].Type == OpBarrier) && (w.pending > 0 || bar.missing != 0)
+}
+
+// advance is the entry loop of Algorithm 1, shared by the proxy engine and
+// the host fallback: it posts send entries through post, accounts receive
+// entries in bar, and passes a barrier entry once it is not blocked. It
+// reports whether it moved, and whether the call is complete: every entry
+// walked, every send landed, every delivery in.
+func (w *walk) advance(entries []wireOp, bar *recvBarrier, post func(idx int)) (moved, done bool) {
+	for !w.blocked(entries, bar) {
+		if w.idx == len(entries) {
+			return moved, true
+		}
+		switch e := &entries[w.idx]; e.Type {
+		case OpSend:
+			post(w.idx)
+		case OpRecv:
+			bar.expect(e.Src)
+		}
+		w.idx++
+		moved = true
+	}
+	return moved, false
 }
 
 // proxyGroup is the DPU-side state of one offloaded group request — the
 // entry of the paper's DPU group cache ("indexed by the host's request ID
-// and rank", Section VII-D). A delivery notification may arrive before the
-// group it counts toward is installed, so the entry is created by whichever
-// touches it first and joins the progress engine's list when installed.
+// and rank", Section VII-D), created when the group is installed.
 type proxyGroup struct {
-	host      int
-	id        int
-	installed bool
-	entries   []wireOp
+	host    int
+	id      int
+	entries []wireOp
 
 	callSeq     int // latest call requested by the host
 	finishedSeq int // calls fully executed
 	running     bool
-	idx         int // next entry to process in the running call
-	pending     int // RDMA writes posted but not yet completed
+	walk
 
-	// bar holds the group's delivery counters. When crashes are configured
-	// it is the block in the destination host's memory (RDMA counter
-	// writes, Section VII-C), which survives a proxy failure and which the
-	// proxy reads across the PCIe switch.
+	// bar is the group's delivery counters, in the host's block (RDMA
+	// counter writes, Section VII-C).
 	bar *recvBarrier
 
 	// cachedMRs memoizes cross-registrations per entry so replays skip even
@@ -105,29 +215,23 @@ type proxyGroup struct {
 	execSpan span.ID
 }
 
-// group returns the cache entry of (host, id), creating it on first touch.
+// group returns the cache entry of (host, id), or nil if the group is not
+// installed.
 func (px *Proxy) group(host, id int) *proxyGroup {
-	local := host - px.node*px.fw.cl.Cfg.PPN // the proxy serves hosts of its own node
-	gs := px.groups[local]
-	if id < len(gs) && gs[id] != nil {
+	gs := px.groups[host-px.node*px.fw.cl.Cfg.PPN] // the proxy serves hosts of its own node
+	if id < len(gs) {
 		return gs[id]
 	}
-	for id >= len(gs) {
-		gs = append(gs, nil)
-	}
-	px.groups[local] = gs
-	g := &proxyGroup{host: host, id: id}
-	if px.fw.crashesConfigured() {
-		g.bar = px.fw.hosts[host].barrier(id)
-	} else {
-		g.bar = new(recvBarrier)
-	}
-	gs[id] = g
-	return g
+	return nil
 }
 
-// installGroup handles a full Group_Offload_packet.
+// installGroup handles a full Group_Offload_packet. One posted before the
+// proxy's last restart is refused: its host has lost the proxy and runs the
+// group itself.
 func (px *Proxy) installGroup(m *groupPacket) {
+	if m.Gen < px.gen {
+		return
+	}
 	px.GroupMiss++
 	px.mGroupMiss.Inc()
 	px.sampleQueueDepth()
@@ -137,13 +241,18 @@ func (px *Proxy) installGroup(m *groupPacket) {
 	// while an earlier call is running: that call goes on through the new
 	// entries, and its pending sends notify the destinations those name —
 	// the same ones, or the handlers built below would be wrong.
-	if !g.installed {
+	if g == nil {
 		// A fresh entry starts at the host's call: the calls before it ran
 		// on this proxy before a restart emptied its cache, and the host's
 		// delivery counters already hold theirs.
-		g.installed = true
-		g.finishedSeq = m.CallSeq - 1
+		g = &proxyGroup{host: m.HostRank, id: m.GroupID, finishedSeq: m.CallSeq - 1,
+			bar: px.fw.hosts[m.HostRank].barrier(m.GroupID)}
 		g.bar.rewind(m.Entries, g.finishedSeq)
+		gs := &px.groups[m.HostRank-px.node*px.fw.cl.Cfg.PPN]
+		for m.GroupID >= len(*gs) {
+			*gs = append(*gs, nil)
+		}
+		(*gs)[m.GroupID] = g
 		px.groupList = append(px.groupList, g)
 		g.landed = make([]func(sim.Time), len(m.Entries))
 		for i := range m.Entries {
@@ -203,8 +312,8 @@ func (g *proxyGroup) root() span.ID {
 // replayGroup handles a cache-hit replay: only the request ID travelled.
 func (px *Proxy) replayGroup(m *greplayMsg) {
 	g := px.group(m.HostRank, m.GroupID)
-	if !g.installed {
-		if px.fw.crashesConfigured() {
+	if g == nil {
+		if px.gen > 0 {
 			// The group cache died with a crash; tell the host so it fails
 			// over to host-progressed execution.
 			f := px.fw.gfailFree.get()
@@ -261,35 +370,12 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 			px.proc.AdvanceBusy(px.fw.cfg.WarmupPerOp * sim.Time(len(g.entries)))
 		}
 		progressed = true
+	} else if g.blocked(g.entries, g.bar) {
+		return false // the engine's usual answer: waiting on a write or a delivery
 	}
-
-	for g.idx < len(g.entries) {
-		e := &g.entries[g.idx]
-		switch e.Type {
-		case OpSend:
-			px.postGroupSend(g, g.idx)
-			g.idx++
-			progressed = true
-		case OpRecv:
-			g.bar.expect(e.Src)
-			g.idx++
-			progressed = true
-		case OpBarrier:
-			// "After all the preceding sends are completed ..." — and all
-			// receives recorded so far must have been delivered by the
-			// remote proxies.
-			if g.pending > 0 || g.bar.missing != 0 {
-				return progressed
-			}
-			g.idx++
-			progressed = true
-		}
-	}
-
-	// End of the entry queue: the call completes when every posted write
-	// has finished and every expected delivery has arrived.
-	if g.pending > 0 || g.bar.missing != 0 {
-		return progressed
+	moved, done := g.advance(g.entries, g.bar, func(i int) { px.postGroupSend(g, i) })
+	if !done {
+		return progressed || moved
 	}
 	g.running = false
 	g.finishedSeq++
@@ -304,9 +390,9 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 	// pre-registered counter; a minimal control packet has the same cost).
 	// The flight parents to the root span: the completion notification is
 	// the tail of the collective's critical path.
-	done := px.fw.gdoneFree.get()
-	*done = gdoneMsg{GroupID: g.id, CallSeq: g.finishedSeq}
-	px.ctx.PostSend(px.proc, px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", px.fw.cfg.CtrlSize, done, root))
+	m := px.fw.gdoneFree.get()
+	*m = gdoneMsg{GroupID: g.id, CallSeq: g.finishedSeq}
+	px.ctx.PostSend(px.proc, px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", px.fw.cfg.CtrlSize, m, root))
 	return true
 }
 
@@ -341,16 +427,10 @@ func (px *Proxy) groupSendLanded(g *proxyGroup, idx int) func(sim.Time) {
 	notify := func() {
 		g.pending--
 		e := &g.entries[idx]
-		pkt := px.fw.dlvPacket(dlvMsg{
+		px.ctx.PostSend(px.proc, px.fw.hosts[e.Dst].dlvEP, px.fw.dlvPacket(dlvMsg{
 			SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
 			Call: g.finishedSeq + 1, Entry: idx,
-		}, g.execSpan)
-		if px.fw.crashesConfigured() {
-			// Counter write into destination host memory (crash-safe).
-			px.ctx.PostSend(px.proc, px.fw.hosts[e.Dst].dlvCtx, pkt)
-			return
-		}
-		px.ctx.PostSend(px.proc, px.fw.proxyFor(e.Dst).ctx, pkt)
+		}, g.execSpan))
 	}
 	return func(sim.Time) { px.later(notify) }
 }

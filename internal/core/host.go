@@ -8,7 +8,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/gvmi"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/regcache"
 	"repro/internal/sim"
 	"repro/internal/span"
@@ -30,8 +29,8 @@ type Host struct {
 	ibCache   *regcache.Cache[*verbs.MR]
 
 	nextSeq int64
-	reqs    map[int64]*OffloadRequest
-	groups  []*GroupRequest // by request id
+	reqs    map[int64]*reqRec // outstanding basic-primitive and one-sided requests
+	groups  []*GroupRequest   // by request id
 
 	// gmetaQ[gmetaHead:] is the gathered receive-entry metadata not yet
 	// matched by a send (see awaitGmeta); the slots before the head are nil.
@@ -45,26 +44,16 @@ type Host struct {
 	// the translation so callers never see global numbering.
 	peers []int
 
-	// Crash-tolerance state; allocated only when the fault plan schedules
-	// proxy crashes (see failover.go). dlvCtx receives the RDMA delivery-
-	// counter writes of Section VII-C, which move into host memory so they
-	// survive a proxy failure: barriers holds them, by group request id.
-	dlvCtx       *verbs.Ctx
-	dlvSeen      map[dlvID]bool
-	barriers     []*recvBarrier
-	pendingSends map[int64]*sendRec
-	pendingRecvs []*recvRec
-	foQ          []*foSendMsg
-	osPending    map[int64]*osRec
-	fbRun        []*fbCall
-	deferred     []func()
-	failedOver   bool
+	// barriers holds the delivery counters of Section VII-C, by group
+	// request id; dlvEP is where they are written (see New).
+	barriers []*recvBarrier
+	dlvEP    *verbs.Ctx
 
-	// Failure-detector metric handles; bound at construction (only under a
-	// crash-configured fault plan, alongside the state above) so failover
-	// never pays a registry lookup.
-	mHeartbeatLosses *metrics.Counter
-	mFailovers       *metrics.Counter
+	// Host-progressed fallback state (see failover.go).
+	foQ        []*foSendMsg
+	fbRun      []*fbCall
+	deferred   []func()
+	failedOver bool
 
 	// Reliability counters (aggregated by Framework.Stats).
 	Failovers      int64
@@ -111,7 +100,6 @@ func (h *Host) Proc() *sim.Proc { return h.proc }
 // OffloadRequest identifies one basic-primitive transfer (Send_Offload /
 // Recv_Offload); pass it to Wait.
 type OffloadRequest struct {
-	h    *Host
 	id   int64
 	done bool
 	span span.ID // root span of the operation (0 = untraced)
@@ -120,12 +108,58 @@ type OffloadRequest struct {
 // Done reports completion without progressing.
 func (q *OffloadRequest) Done() bool { return q.done }
 
-func (h *Host) newReq() *OffloadRequest {
+// reqKind says what a request record is for.
+type reqKind uint8
+
+const (
+	reqSend reqKind = iota
+	reqRecv
+	reqPut
+	reqGet
+)
+
+// reqRec is the host's record of one outstanding request: what completes it
+// and what the host needs to finish it itself if the proxy executing it dies
+// (see failover.go). Records are recycled when their request completes; the
+// caller keeps only the OffloadRequest.
+type reqRec struct {
+	req   *OffloadRequest
+	kind  reqKind
+	proxy *Proxy // executing proxy
+	gen   int    // its generation when the request was posted
+	peer  int    // send: destination rank; receive: source rank
+	tag   int
+	size  int
+	addr  mem.Addr // the local buffer
+
+	// One-sided requests: the local window's key and the remote window.
+	lKey, rKey verbs.Key
+	rAddr      mem.Addr
+
+	moved bool // the host took over: pushed the send eagerly, or re-posted the transfer
+}
+
+// newReq opens a request executed by px and records it in the table.
+func (h *Host) newReq(kind reqKind, px *Proxy) *reqRec {
 	h.nextSeq++
-	id := int64(h.rank)<<32 | h.nextSeq
-	q := &OffloadRequest{h: h, id: id}
-	h.reqs[id] = q
-	return q
+	r := h.fw.reqFree.get()
+	r.req = &OffloadRequest{id: int64(h.rank)<<32 | h.nextSeq}
+	r.kind, r.proxy, r.gen = kind, px, px.gen
+	h.reqs[r.req.id] = r
+	return r
+}
+
+// complete finishes request id and recycles its record. A request the host
+// already finished — a late FIN after a re-post, say — is ignored.
+func (h *Host) complete(id int64) {
+	r, ok := h.reqs[id]
+	if !ok {
+		return
+	}
+	r.req.done = true
+	delete(h.reqs, id)
+	h.spans().End(r.req.span)
+	h.fw.reqFree.put(r)
 }
 
 // gvmiRegister returns the MKeyInfo for a source buffer, through the GVMI
@@ -191,7 +225,9 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 	kind = datapath.Resolve(kind, h.fw.CapsOfRank(h.rank))
 	dst = h.peer(dst)
 	px := h.fw.proxyFor(h.rank)
-	req := h.newReq()
+	rec := h.newReq(reqSend, px)
+	rec.peer, rec.tag, rec.size, rec.addr = dst, tag, size, addr
+	req := rec.req
 	if sp := h.spans(); sp.Enabled() {
 		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "send_offload")
 		sp.AttrInt(req.span, "dst", int64(dst))
@@ -201,14 +237,10 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 		h.curSpan = req.span
 		defer func() { h.curSpan = 0 }()
 	}
-	if h.fw.crashesConfigured() {
-		rec := &sendRec{req: req, dst: dst, tag: tag, size: size, addr: addr, gen: px.gen}
-		h.pendingSends[req.id] = rec
-		if h.failedOver {
-			// The proxy is gone: push the payload eagerly to the peer host.
-			h.foSendNow(rec)
-			return req
-		}
+	if h.failedOver {
+		// The proxy is gone: push the payload eagerly to the peer host.
+		h.foSendNow(rec)
+		return req
 	}
 	rts := h.fw.rtsFree.get()
 	*rts = rtsMsg{Src: h.rank, Dst: dst, Tag: tag, Size: size, SrcReqID: req.id, Path: kind, SrcAddr: addr, Span: req.span}
@@ -230,7 +262,9 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 	src = h.peer(src)
 	px := h.fw.proxyFor(src)
-	req := h.newReq()
+	rec := h.newReq(reqRecv, px)
+	rec.peer, rec.tag, rec.size, rec.addr = src, tag, size, addr
+	req := rec.req
 	if sp := h.spans(); sp.Enabled() {
 		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "recv_offload")
 		sp.AttrInt(req.span, "src", int64(src))
@@ -239,19 +273,10 @@ func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 		h.curSpan = req.span
 		defer func() { h.curSpan = 0 }()
 	}
-	if h.fw.crashesConfigured() {
-		// A failed-over sender may already have pushed the payload eagerly.
-		if m := h.takeFoSend(src, tag); m != nil {
-			if m.Data != nil {
-				h.site.Space.WriteAt(addr, m.Data, m.Size)
-			}
-			req.done = true
-			delete(h.reqs, req.id)
-			h.spans().End(req.span)
-			h.foAck(m)
-			return req
-		}
-		h.pendingRecvs = append(h.pendingRecvs, &recvRec{req: req, src: src, tag: tag, size: size, addr: addr})
+	// A failed-over sender may already have pushed the payload eagerly.
+	if m := h.takeFoSend(src, tag); m != nil {
+		h.acceptFoSend(rec, m)
+		return req
 	}
 	mr := h.ibRegister(addr, size)
 	rtr := h.fw.rtrFree.get()
@@ -267,12 +292,7 @@ func (h *Host) drainInbox() bool {
 	for _, pkt := range pkts {
 		switch m := pkt.Payload.(type) {
 		case *finMsg:
-			if q, ok := h.reqs[m.ReqID]; ok {
-				q.done = true
-				delete(h.reqs, m.ReqID)
-				h.dropRecords(m.ReqID)
-				h.spans().End(q.span)
-			}
+			h.complete(m.ReqID)
 			h.fw.cl.Reg.PutPacket(pkt)
 			h.fw.finFree.put(m)
 		case *gmetaMsg:
@@ -285,18 +305,18 @@ func (h *Host) drainInbox() bool {
 			h.fw.cl.Reg.PutPacket(pkt)
 			h.fw.gdoneFree.put(m)
 		case *gfailMsg:
-			h.handleGroupFail(m)
+			// The proxy restarted and lost its group cache: the replayed call
+			// cannot run on the DPU, so the host takes over. (A host that
+			// has failed over already queued every call it issued.)
+			if !h.failedOver {
+				h.failover(h.proc.Now())
+			}
 			h.fw.cl.Reg.PutPacket(pkt)
 			h.fw.gfailFree.put(m)
 		case *foSendMsg:
 			h.handleFoSend(m)
 		case *foAckMsg:
-			if q, ok := h.reqs[m.ReqID]; ok {
-				q.done = true
-				delete(h.reqs, m.ReqID)
-				h.dropRecords(m.ReqID)
-				h.spans().End(q.span)
-			}
+			h.complete(m.ReqID)
 		default:
 			panic(fmt.Sprintf("core: host %d: unexpected packet %T", h.rank, pkt.Payload))
 		}
@@ -305,16 +325,16 @@ func (h *Host) drainInbox() bool {
 }
 
 // progress runs one round of host-side progress: drain completions, run
-// deferred actions queued by RDMA completion handlers, detect dead proxies,
-// and advance any host-progressed fallback execution. Without a fault plan
-// it reduces to drainInbox.
+// deferred actions queued by RDMA completion handlers, detect dead proxies
+// once one has crashed, and advance any host-progressed fallback execution.
+// Until a proxy crashes it reduces to drainInbox.
 func (h *Host) progress() {
 	h.drainInbox()
-	if h.fw.crashesConfigured() {
-		h.runDeferred()
+	h.runDeferred()
+	if h.fw.crashed {
 		h.checkRecovery()
-		h.progressFallback()
 	}
+	h.progressFallback()
 }
 
 // waitFor drains completions until pred holds.

@@ -102,6 +102,7 @@ type groupPacket struct {
 	HostRank int
 	GroupID  int
 	CallSeq  int
+	Gen      int // the proxy generation the host posted under (see installGroup)
 	Entries  []wireOp
 
 	// Span is the host-side root span of this call; the proxy's execution
@@ -125,11 +126,10 @@ type greplayMsg struct {
 // RDMA write on behalf of srcHost, it bumps a counter attributed to the
 // destination host's group request. (The paper uses pre-registered RDMA
 // counter writes; a small control packet has the same wire cost in our
-// model.) Normally it travels proxy-to-proxy; when proxy crashes are
-// configured the counters live in destination *host* memory instead —
-// exactly the paper's RDMA-counter placement — so they survive a proxy
-// failure, and Call/Entry identify the notification uniquely so a fallback
-// retransmission is counted exactly once.
+// model.) The counters are the destination host's (Host.barriers); the
+// notification travels to its proxy, or under a crash plan into the host's
+// own memory, so it survives a proxy failure. Call/Entry identify it, so a
+// fallback retransmission is counted exactly once (recvBarrier.count).
 type dlvMsg struct {
 	SrcHost  int
 	DstHost  int

@@ -69,22 +69,16 @@ func (h *Host) PutOffload(src Window, srcOff int, dst Window, dstOff, n int) *Of
 	}
 	src.checkRange(srcOff, n)
 	dst.checkRange(dstOff, n)
-	req := h.newReq()
+	// The record holds enough to re-post the write from the host NIC if the
+	// proxy dies: the window keys resolve identically on the host.
 	px := h.fw.proxyFor(h.rank)
+	rec := h.newReq(reqPut, px)
+	rec.lKey, rec.addr, rec.rKey, rec.rAddr, rec.size = src.RKey, src.Addr+mem.Addr(srcOff), dst.RKey, dst.Addr+mem.Addr(dstOff), n
+	req := rec.req
 	if sp := h.spans(); sp.Enabled() {
 		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "put_offload")
 		sp.AttrInt(req.span, "dst", int64(dst.Rank))
 		sp.AttrInt(req.span, "size", int64(n))
-	}
-	if h.fw.crashesConfigured() {
-		// Enough to re-post the write from the host NIC if the proxy dies:
-		// the window keys resolve identically on the host.
-		h.osPending[req.id] = &osRec{
-			req: req, proxy: px.global, isPut: true,
-			lKey: src.RKey, lAddr: src.Addr + mem.Addr(srcOff),
-			rKey: dst.RKey, rAddr: dst.Addr + mem.Addr(dstOff),
-			size: n, gen: px.gen,
-		}
 	}
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "1sided", Size: h.fw.cfg.CtrlSize + gvmi.WireSize,
@@ -109,22 +103,16 @@ func (h *Host) GetOffload(dst Window, dstOff int, src Window, srcOff, n int) *Of
 	}
 	src.checkRange(srcOff, n)
 	dst.checkRange(dstOff, n)
-	req := h.newReq()
+	// The fallback is an RDMA read posted by the initiator: pull from the
+	// remote window straight into the local one.
 	px := h.fw.proxyFor(src.Rank)
+	rec := h.newReq(reqGet, px)
+	rec.lKey, rec.addr, rec.rKey, rec.rAddr, rec.size = dst.RKey, dst.Addr+mem.Addr(dstOff), src.RKey, src.Addr+mem.Addr(srcOff), n
+	req := rec.req
 	if sp := h.spans(); sp.Enabled() {
 		req.span = sp.Start(0, span.ClassRank, h.entity, "core", "get_offload")
 		sp.AttrInt(req.span, "src", int64(src.Rank))
 		sp.AttrInt(req.span, "size", int64(n))
-	}
-	if h.fw.crashesConfigured() {
-		// Fallback is an RDMA read posted by the initiator: pull from the
-		// remote window straight into the local one.
-		h.osPending[req.id] = &osRec{
-			req: req, proxy: px.global, isPut: false,
-			lKey: dst.RKey, lAddr: dst.Addr + mem.Addr(dstOff),
-			rKey: src.RKey, rAddr: src.Addr + mem.Addr(srcOff),
-			size: n, gen: px.gen,
-		}
 	}
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "1sided", Size: h.fw.cfg.CtrlSize + gvmi.WireSize,

@@ -76,8 +76,6 @@ type Proxy struct {
 	mGroupMiss *metrics.Counter
 	mQDepth    *metrics.Gauge
 	mQDepthMax *metrics.Gauge
-	mCrashes   *metrics.Counter // bound only under a crash-configured fault plan
-	mRestarts  *metrics.Counter
 }
 
 type pairMsg struct {
@@ -158,14 +156,6 @@ func (px *Proxy) instrument() {
 	px.mGroupMiss = m.Counter("core", px.entity, "group_misses")
 	px.mQDepth = m.Gauge("core", px.entity, "queue_depth")
 	px.mQDepthMax = m.Gauge("core", px.entity, "queue_depth_max")
-	if px.fw.crashesConfigured() {
-		// Pre-resolve the crash-path handles so crash/restart never pays a
-		// registry lookup (or the fmt.Sprintf key build) at event time. Only
-		// bound under a crash-configured plan, so fault-free runs export the
-		// exact same series set as before.
-		px.mCrashes = m.Counter("core", px.entity, "crashes")
-		px.mRestarts = m.Counter("core", px.entity, "restarts")
-	}
 }
 
 // sampleQueueDepth records the proxy's backlog (control inbox, deferred
@@ -270,6 +260,7 @@ func (px *Proxy) crash() {
 	px.crashed = true
 	px.crashedAt = now
 	px.gen++
+	fw.crashed = true
 	px.ctx.PollInbox() // queued packets die with the process
 	px.sendQ = make(map[matchKey][]*rtsMsg)
 	px.recvQ = make(map[matchKey][]*rtrMsg)
@@ -280,7 +271,7 @@ func (px *Proxy) crash() {
 	px.crossCache = regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, nil)
 	px.instrument()
 	px.initTenancy(fw.tenancy) // queued packets died with the process
-	px.mCrashes.Inc()
+	fw.cl.Met.Counter("core", px.entity, "crashes").Inc()
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Crashes++
 		if inj.Tracing() {
@@ -309,7 +300,7 @@ func (px *Proxy) restart() {
 	px.gen++
 	px.ctx.PollInbox()
 	px.spawn()
-	px.mRestarts.Inc()
+	fw.cl.Met.Counter("core", px.entity, "restarts").Inc()
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Restarts++
 		if inj.Tracing() {
@@ -349,9 +340,7 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 		px.fw.cl.Reg.PutPacket(pkt)
 		px.fw.greplayFree.put(m)
 	case *dlvMsg:
-		px.group(m.DstHost, m.DstGroup).bar.deliver(m.SrcHost)
-		px.fw.cl.Reg.PutPacket(pkt)
-		px.fw.dlvFree.put(m)
+		px.fw.hosts[m.DstHost].countDelivery(pkt)
 	case *oneSidedMsg:
 		px.handleOneSided(m)
 	default:

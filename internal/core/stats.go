@@ -69,7 +69,7 @@ func (s Stats) String() string {
 		s.HostGVMICacheHits, s.HostGVMICacheMisses,
 		s.HostIBCacheHits, s.HostIBCacheMisses,
 		s.CrossCacheHits, s.CrossCacheMisses)
-	if s.Failovers > 0 || s.FallbackWrites > 0 || s.FoEagerSends > 0 || s.DlvDeduped > 0 {
+	if s.Failovers|s.FallbackGroupCalls|s.FallbackWrites|s.FoEagerSends|s.OneSidedReissues|s.DlvDeduped != 0 {
 		out += fmt.Sprintf(
 			" failovers=%d fbcalls=%d fbwrites=%d fosends=%d 1s-reissues=%d dlv-dedup=%d",
 			s.Failovers, s.FallbackGroupCalls, s.FallbackWrites,
