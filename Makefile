@@ -85,9 +85,10 @@ bench-smoke:
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet
 # specs and offloadbench command lines — for the verbs retry machinery
-# under random fault plans, and for the registration cache and the delivery
-# counters' exactly-once window against map models (`go test -fuzz` takes
-# one target and one package per run; two workers keep it small).
+# under random fault plans, for the registration cache and the delivery
+# counters' exactly-once window against map models, and for the kernel's
+# firing order against the (at, seq) heap it replaced (`go test -fuzz`
+# takes one target and one package per run; two workers keep it small).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerbsFaults$$' -fuzztime 5s -parallel 2 ./internal/verbs/
 	$(GO) test -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 5s -parallel 2 ./internal/regcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliveries$$' -fuzztime 5s -parallel 2 ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 5s -parallel 2 ./internal/sim/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

@@ -81,10 +81,12 @@ func (c *Comm) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 		dst := (me + i) % np
 		r.isend(&reqs[np-2+i], sendAddr+mem.Addr(dst*per), per, c.World(dst), tag)
 	}
+	// A request never comes undone, so each check resumes at the first one
+	// the last check found pending.
 	cr := &CollRequest{r: r}
 	cr.step = func() bool {
-		for i := range reqs {
-			if !reqs[i].done {
+		for ; cr.next < len(reqs); cr.next++ {
+			if !reqs[cr.next].done {
 				return false
 			}
 		}

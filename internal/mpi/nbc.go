@@ -9,6 +9,7 @@ type CollRequest struct {
 	r    *Rank
 	done bool
 	step func() bool // advances the schedule; reports completion
+	next int         // Ialltoall: the first request step may find pending
 }
 
 // Done reports completion without progressing.

@@ -102,7 +102,7 @@ func TestRunUntilThenRunMatchesUninterruptedRun(t *testing.T) {
 }
 
 // RunUntil must honour the deadline exactly when it is a process that finds
-// the heap's head beyond it: events at the deadline fire, later
+// the queue's head beyond it: events at the deadline fire, later
 // ones stay queued, and the count includes the wake-ups.
 func TestRunUntilDeadlineOnProcGoroutine(t *testing.T) {
 	k := NewKernel()
@@ -113,7 +113,7 @@ func TestRunUntilDeadlineOnProcGoroutine(t *testing.T) {
 		}
 	})
 	for i := 1; i <= 8; i++ {
-		k.At(Time(5*i), func() { cbs++ }) // 5, 10, ..., 40; on a tie the callback has the lower seq
+		k.At(Time(5*i), func() { cbs++ }) // 5, 10, ..., 40; on a tie the callback was scheduled first
 	}
 	// Start event + callback@5 + callback@10 + wake@10; the wake@10 handler
 	// is the sleeper itself, which then finds callback@15 beyond the deadline.
@@ -162,6 +162,7 @@ func TestSelfWakeSleepMakesNoHandoff(t *testing.T) {
 		Wakeups:     sleeps + 1,
 		SelfWakeups: sleeps,
 		Handoffs:    1, // the start; a body that returns is not resumed again
+		Slots:       2, // a callback and the wake-up
 	}
 	if st != want {
 		t.Fatalf("Stats = %+v, want %+v", st, want)

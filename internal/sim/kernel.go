@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math/bits"
 	"runtime/debug"
 )
 
@@ -19,31 +20,33 @@ type Action interface {
 
 // event is one arena slot: a scheduled callback, a timed callback, a parked
 // process waiting to be dispatched, or a pooled Action. Exactly one of
-// fn/fnT/p/act is set. Events with equal timestamps fire in scheduling order
-// (seq), which makes runs deterministic.
+// fn/fnT/p/act is set. Events with equal timestamps fire in scheduling order,
+// which makes runs deterministic (see push).
 //
 // Events live in the kernel's arena (a value slice indexed by evIdx) and are
 // recycled through a free list, so steady-state scheduling allocates
-// nothing: no per-event heap object and no interface{} boxing, unlike the
-// container/heap implementation this replaced.
+// nothing: no per-event heap object and no interface{} boxing. A pending
+// event is linked into its queue bucket's chain through next.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()     // plain callback (handler context)
-	fnT func(Time) // timed callback; receives the firing time
-	p   *Proc      // parked process to wake
-	act Action     // pooled deliverable; receives the firing time
+	at   Time
+	next evIdx      // next event in the same bucket, when not its tail
+	fn   func()     // plain callback (handler context)
+	fnT  func(Time) // timed callback; receives the firing time
+	p    *Proc      // parked process to wake
+	act  Action     // pooled deliverable; receives the firing time
 }
 
-// evIdx indexes the event arena. int32 keeps the heap slice compact; two
-// billion simultaneously-pending events is far beyond any plausible run.
+// evIdx indexes the event arena. int32 keeps the links compact; two billion
+// simultaneously-pending events is far beyond any plausible run.
 type evIdx = int32
 
-// heapArity is the fan-out of the event min-heap. A 4-ary heap does the same
-// number of comparisons per level as binary on sift-down but halves the tree
-// depth, which wins on the pop-heavy DES workload (every event is popped
-// exactly once).
-const heapArity = 4
+// bucket is one FIFO chain of the event queue, linked through event.next,
+// with the least timestamp it holds. It is empty unless its bit is set in
+// Kernel.full; head, tail and min are stale then.
+type bucket struct {
+	head, tail evIdx
+	min        Time
+}
 
 // Kernel is the discrete-event simulation engine. Create one with NewKernel,
 // spawn processes with Spawn, schedule raw callbacks with At, then call Run.
@@ -55,11 +58,17 @@ const heapArity = 4
 // coroutine switch, so kernel state needs no locks.
 type Kernel struct {
 	now Time
-	seq uint64
 
-	arena []event // event storage; slots are recycled via freeList
+	arena []event // event storage; slots are recycled via freeL
 	freeL []evIdx // free slots in arena
-	heap  []evIdx // min-heap of pending events ordered by (at, seq)
+
+	// The event queue: a monotone radix queue over the pending events'
+	// timestamps (see push). last is the time of the latest refill and
+	// never passes the clock; bit b of full is set when buckets[b] holds
+	// an event.
+	buckets [64]bucket
+	full    uint64
+	last    Time
 
 	procs   []*Proc
 	live    int   // spawned but not finished
@@ -81,8 +90,8 @@ type Kernel struct {
 	// dispatched, and returns the next time it wants to fire. It is a pure
 	// observer — it must not schedule events or consume virtual time — and
 	// exists so samplers (the telemetry recorder) can close fixed-width
-	// virtual-time buckets without injecting events into the heap, which
-	// would perturb seq numbering and break bit-identical timings.
+	// virtual-time buckets without injecting events into the queue, which
+	// would perturb the firing order and break bit-identical timings.
 	tick   func(Time) Time
 	tickAt Time
 
@@ -91,16 +100,22 @@ type Kernel struct {
 	Deadlocked []*Proc
 }
 
-// Stats are exact counters of what the run loop has done since NewKernel.
+// Stats are exact counters of what the run loop has done since NewKernel,
+// and the event arena's size.
 type Stats struct {
 	Fired       uint64 // events popped and fired, of every kind
 	Wakeups     uint64 // of those, process wake-ups delivered
 	SelfWakeups uint64 // wake-ups popped by the process they wake: no switch
 	Handoffs    uint64 // coroutine resumes by the run loop: Wakeups - SelfWakeups
+	Slots       int    // event arena size: the most events ever pending at once
 }
 
-// Stats returns the run-loop counters.
-func (k *Kernel) Stats() Stats { return k.stats }
+// Stats returns the run-loop counters and the arena's high-water mark.
+func (k *Kernel) Stats() Stats {
+	s := k.stats
+	s.Slots = len(k.arena)
+	return s
+}
 
 // NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel { return &Kernel{} }
@@ -134,11 +149,7 @@ func (k *Kernel) AtCall(delay Time, fn func(Time)) {
 	if delay < 0 {
 		delay = 0
 	}
-	i := k.slot()
-	ev := &k.arena[i]
-	k.seq++
-	ev.at, ev.seq, ev.fnT = k.now+delay, k.seq, fn
-	k.hpush(i)
+	k.push(k.now + delay).fnT = fn
 }
 
 // AtAction schedules a pooled deliverable at now+delay (see Action). The
@@ -148,31 +159,15 @@ func (k *Kernel) AtAction(delay Time, a Action) {
 	if delay < 0 {
 		delay = 0
 	}
-	i := k.slot()
-	ev := &k.arena[i]
-	k.seq++
-	ev.at, ev.seq, ev.act = k.now+delay, k.seq, a
-	k.hpush(i)
+	k.push(k.now + delay).act = a
 }
 
-func (k *Kernel) schedule(at Time, fn func()) {
-	i := k.slot()
-	ev := &k.arena[i]
-	k.seq++
-	ev.at, ev.seq, ev.fn = at, k.seq, fn
-	k.hpush(i)
-}
+func (k *Kernel) schedule(at Time, fn func()) { k.push(at).fn = fn }
 
 // scheduleProc schedules a wake-up of p at the given time. This is the
 // allocation-free fast path for Sleep and condition wakeups: the event
 // carries the process pointer itself, so no per-wakeup closure is created.
-func (k *Kernel) scheduleProc(at Time, p *Proc) {
-	i := k.slot()
-	ev := &k.arena[i]
-	k.seq++
-	ev.at, ev.seq, ev.p = at, k.seq, p
-	k.hpush(i)
-}
+func (k *Kernel) scheduleProc(at Time, p *Proc) { k.push(at).p = p }
 
 // slot returns a free arena index, growing the arena only when the free
 // list is empty (steady state reuses slots and allocates nothing).
@@ -189,95 +184,109 @@ func (k *Kernel) slot() evIdx {
 	return evIdx(len(k.arena) - 1)
 }
 
-// less orders heap entries by (at, seq).
-func (k *Kernel) less(a, b evIdx) bool {
-	ea, eb := &k.arena[a], &k.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+// The event queue is a monotone radix queue. Bucket b holds the pending
+// events whose time first differs from last at bit b-1, bucket 0 those at
+// last itself, each chain in the order its events were filed; the lowest
+// non-empty bucket holds the earliest events. Pushing appends to one chain.
+// Popping takes bucket 0's head; when bucket 0 is empty, the lowest
+// non-empty bucket b is refilled: last moves to its minimum and its events
+// are re-filed, into buckets below b that are all empty.
+//
+// No event is ever behind the clock (push refuses one), and last never
+// passes the clock, so times are at least last and, as Time is never
+// negative, differ from it below bit 63: 64 buckets suffice. A refill from
+// bucket b keeps every bit of last at or above b-1, so events in higher
+// buckets stay correctly filed. Two events at the same time are therefore
+// always in the same bucket, in the order they were pushed, and ties fire
+// in scheduling order with no sequence number.
+
+// push files a new event at time at and returns its slot for the caller to
+// fill. An event behind the clock would be filed against last and fire
+// after later ones, so it panics here, on the stack that scheduled it.
+func (k *Kernel) push(at Time) *event {
+	if at < k.now {
+		panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", at, k.now))
 	}
-	return ea.seq < eb.seq
+	i := k.slot()
+	ev := &k.arena[i]
+	ev.at = at
+	k.file(i, at)
+	return ev
 }
 
-// hpush adds an event index to the heap and restores the invariant.
-func (k *Kernel) hpush(i evIdx) {
-	h := append(k.heap, i)
-	k.heap = h
-	c := len(h) - 1
-	for c > 0 {
-		parent := (c - 1) / heapArity
-		if !k.less(h[c], h[parent]) {
-			break
-		}
-		h[c], h[parent] = h[parent], h[c]
-		c = parent
+// file appends event i, at time at, to its bucket's chain.
+func (k *Kernel) file(i evIdx, at Time) {
+	b := bits.Len64(uint64(at ^ k.last))
+	bk := &k.buckets[b]
+	if k.full&(1<<b) == 0 {
+		k.full |= 1 << b
+		bk.head, bk.tail, bk.min = i, i, at
+		return
+	}
+	k.arena[bk.tail].next = i
+	bk.tail = i
+	if at < bk.min {
+		bk.min = at
 	}
 }
 
-// hpop removes and returns the minimum of the heap.
-func (k *Kernel) hpop() evIdx {
-	h := k.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	k.heap = h
-	// Sift down.
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if k.less(h[c], h[best]) {
-				best = c
+// pop removes and returns the earliest pending event, which is in bucket b,
+// the lowest non-empty one.
+func (k *Kernel) pop(b int) evIdx {
+	if b > 0 {
+		bk := &k.buckets[b]
+		k.full &^= 1 << b
+		k.last = bk.min
+		for i, tail := bk.head, bk.tail; ; {
+			next := k.arena[i].next
+			k.file(i, k.arena[i].at)
+			if i == tail {
+				break
 			}
+			i = next
 		}
-		if !k.less(h[best], h[i]) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
 	}
-	return top
+	bk := &k.buckets[0]
+	i := bk.head
+	if i == bk.tail {
+		k.full &^= 1
+	} else {
+		bk.head = k.arena[i].next
+	}
+	return i
 }
 
 // outcome is how a call of drive ended.
 type outcome int
 
 const (
-	drained   outcome = iota // nothing left to fire: heap empty, or its head is beyond the RunUntil deadline
+	drained   outcome = iota // nothing left to fire: queue empty, or its head is beyond the RunUntil deadline
 	wokeSelf                 // popped the driving process's own wake-up: it is running again, on this stack
 	handedOff                // popped another process's wake-up and left that process in k.handoff
 )
 
-// drive is the run loop. It pops and fires events in (at, seq) order on the
-// calling stack: the Run/RunUntil caller's (self == nil) or that of a process
-// that has just blocked. Callbacks and Actions run inline, in handler context
-// (k.running is nil, whichever stack this is). A wake-up of self ends the
-// loop with no switch at all; a wake-up of another process ends it with that
-// process in k.handoff, for the Run/RunUntil caller to resume (see run).
+// drive is the run loop. It pops and fires events in time order, ties in
+// scheduling order, on the calling stack: the Run/RunUntil caller's (self ==
+// nil) or that of a process that has just blocked. Callbacks and Actions run
+// inline, in handler context (k.running is nil, whichever stack this is). A
+// wake-up of self ends the loop with no switch at all; a wake-up of another
+// process ends it with that process in k.handoff, for the Run/RunUntil
+// caller to resume (see run).
 //
-// The arena slot is freed before the payload runs, so events scheduled from
-// inside it can reuse the slot; the fields needed are copied out first. This
-// is the one place events are popped, so it is where the corruption every
-// run must catch — an event scheduled in the past — panics.
+// The earliest time is read before the refill that would move last to it,
+// so a run that stops at its deadline leaves last behind the clock. The
+// arena slot is freed before the payload runs, so events scheduled from
+// inside it can reuse the slot; the fields needed are copied out first.
 func (k *Kernel) drive(self *Proc) outcome {
-	for len(k.heap) > 0 {
-		if k.bounded && k.arena[k.heap[0]].at > k.deadline {
+	for k.full != 0 {
+		b := bits.TrailingZeros64(k.full)
+		at := k.buckets[b].min
+		if k.bounded && at > k.deadline {
 			break
 		}
-		i := k.hpop()
+		i := k.pop(b)
 		ev := &k.arena[i]
-		at, fn, fnT, p, act := ev.at, ev.fn, ev.fnT, ev.p, ev.act
-		if at < k.now {
-			panic(fmt.Sprintf("sim: event scheduled in the past: %v < %v", at, k.now))
-		}
+		fn, fnT, p, act := ev.fn, ev.fnT, ev.p, ev.act
 		ev.fn, ev.fnT, ev.p, ev.act = nil, nil, nil, nil
 		k.freeL = append(k.freeL, i)
 		k.now = at
@@ -481,10 +490,9 @@ func (k *Kernel) Run() Time {
 
 // RunUntil executes events with timestamps <= deadline, then stops. Pending
 // events beyond the deadline remain queued; the clock is advanced to the
-// deadline. It returns the number of events fired. Like Run, it panics on
-// events scheduled in the past, and populates k.Deadlocked when it drains
-// the whole queue (not merely reaches the deadline) with blocked non-daemon
-// processes remaining.
+// deadline. It returns the number of events fired. Like Run, it populates
+// k.Deadlocked when it drains the whole queue (not merely reaches the
+// deadline) with blocked non-daemon processes remaining.
 func (k *Kernel) RunUntil(deadline Time) int {
 	if k.dead {
 		panic("sim: RunUntil on a kernel after Shutdown")
@@ -516,7 +524,7 @@ func (k *Kernel) SetTick(first Time, fn func(Time) Time) {
 }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int { return len(k.arena) - len(k.freeL) }
 
 // Live reports the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }

@@ -7,14 +7,14 @@ import (
 	"testing/quick"
 )
 
-// The zero-alloc contract of the event core: once the arena and heap have
+// The zero-alloc contract of the event core: once the arena and free list have
 // grown to the run's high-water mark, scheduling and firing events performs
 // no allocation at all.
 
 func TestAtSteadyStateAllocFree(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
-	// Warm the arena/heap/free-list.
+	// Warm the arena and free list.
 	for i := 0; i < 8; i++ {
 		k.At(Time(i), fn)
 	}
@@ -49,7 +49,7 @@ func TestSleepSteadyStateAllocFree(t *testing.T) {
 			p.Sleep(10)
 		}
 	})
-	k.RunUntil(1000) // warm up: arena, heap, coroutine stack
+	k.RunUntil(1000) // warm up: arena, free list, coroutine stack
 	allocs := testing.AllocsPerRun(100, func() {
 		k.RunUntil(k.Now() + 100)
 	})
@@ -78,7 +78,7 @@ func TestCondSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 	}
-	k.RunUntil(100) // warm up: arena, heap, waiter arrays, coroutine stacks
+	k.RunUntil(100) // warm up: arena, free list, waiter arrays, coroutine stacks
 	before := turn
 	allocs := testing.AllocsPerRun(100, func() {
 		k.RunUntil(k.Now() + 10)
@@ -240,6 +240,77 @@ func TestShutdownFromInsideSimulationPanics(t *testing.T) {
 	k.Run()
 }
 
+// deepDepth is the pending-event count of the deep-queue hold model: what
+// one 256-rank alltoall keeps queued.
+const deepDepth = 65536
+
+// deepHold returns the fire callback of the hold model that the benchmark's
+// sim.event_deep times: every call schedules one more firing of itself at a
+// pseudo-random distance in [1, deepDepth], so after deepDepth calls the
+// queue holds deepDepth events and stays that deep while it runs.
+func deepHold(k *Kernel) func() {
+	x := uint64(1)
+	var fire func()
+	fire = func() {
+		x = x*6364136223846793005 + 1442695040888963407
+		k.At(Time(1+(x>>33)%deepDepth), fire)
+	}
+	return fire
+}
+
+// A queue 65 536 events deep costs no allocation per event once its arena
+// is warm, and filling it from a cold kernel allocates only to grow the
+// arena: O(log n) times, 28–35 (the 4-ary heap it replaced grew an index
+// slice too: 52–59).
+func TestDeepQueueAllocFree(t *testing.T) {
+	k := NewKernel()
+	fire := deepHold(k)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for range deepDepth {
+		fire()
+	}
+	runtime.ReadMemStats(&ms)
+	cold := ms.Mallocs - before
+	t.Logf("filling %d events from a cold kernel: %d allocations", deepDepth, cold)
+	if cold > 40 {
+		t.Errorf("filling %d events allocated %d objects, want at most 40 (arena growth)", deepDepth, cold)
+	}
+	k.RunUntil(k.Now() + deepDepth) // warm the free list
+	fired := k.Stats().Fired
+	allocs := testing.AllocsPerRun(20, func() {
+		k.RunUntil(k.Now() + 1000)
+	})
+	if st := k.Stats(); st.Fired == fired || st.Slots != deepDepth {
+		t.Fatalf("fired %d events with %d slots, want some with %d", st.Fired-fired, st.Slots, deepDepth)
+	}
+	if allocs > 0 {
+		t.Fatalf("a deep queue allocated %.1f objects per 1 000 ns of run, want 0", allocs)
+	}
+}
+
+// Slots is the arena's high-water mark: the most events pending at once,
+// counted while a handler schedules from inside its own firing, and kept
+// when the queue is shallower later.
+func TestStatsSlotsIsPeakPending(t *testing.T) {
+	k := NewKernel()
+	for i := 1; i <= 4; i++ {
+		k.At(Time(i), func() {})
+	}
+	k.At(0, func() { // fires first: its slot is free again, four wait
+		for range 3 {
+			k.At(10, func() {})
+		}
+	})
+	k.Run()
+	k.At(1, func() {})
+	k.Run()
+	if s := k.Stats().Slots; s != 7 {
+		t.Fatalf("Slots = %d, want 7 (four callbacks and three scheduled by the first)", s)
+	}
+}
+
 // Steady-state scheduling benchmarks; with a warm arena both should report
 // 0 allocs/op.
 
@@ -254,6 +325,27 @@ func BenchmarkAtSteadyState(b *testing.B) {
 		k.At(1, fn)
 		k.RunUntil(k.Now() + 1)
 	}
+}
+
+// The hold model at deepDepth pending events: one op is deepDepth ns of
+// virtual time, about as many events, each a pop and a push on a deep
+// queue, so that one op (make bench runs one) already says what an event
+// costs.
+func BenchmarkDeepQueue(b *testing.B) {
+	k := NewKernel()
+	fire := deepHold(k)
+	for range deepDepth {
+		fire()
+	}
+	k.RunUntil(k.Now() + deepDepth)
+	fired := k.Stats().Fired
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.RunUntil(k.Now() + deepDepth)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.Stats().Fired-fired), "ns/event")
 }
 
 // One Sleep per RunUntil slice: the caller resumes the sleeper, which finds

@@ -214,19 +214,28 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// Regression: RunUntil must apply the same past-event guard as Run (it
-// silently accepted and fired stale events before).
+// An event behind the clock is refused where it is scheduled, after a
+// RunUntil as after a Run, and the queue is left as it was: filed against
+// the queue's last refill, it would fire after later events.
 func TestRunUntilPanicsOnPastEvent(t *testing.T) {
 	k := NewKernel()
 	k.At(100, func() {})
-	k.RunUntil(100)
-	k.schedule(50, func() {}) // corrupt: behind the clock
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunUntil accepted an event scheduled in the past")
-		}
+	k.At(150, func() {})
+	k.RunUntil(120)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("schedule accepted an event in the past")
+			}
+		}()
+		k.schedule(110, func() {}) // corrupt: behind the clock
 	}()
-	k.RunUntil(200)
+	if k.Pending() != 1 {
+		t.Fatalf("%d events pending after the refused one, want 1", k.Pending())
+	}
+	if n := k.RunUntil(200); n != 1 || k.Now() != 200 {
+		t.Fatalf("RunUntil(200) fired %d events, clock %v; want 1 at 200", n, k.Now())
+	}
 }
 
 // Regression: RunUntil never populated Deadlocked; when it drains the whole
