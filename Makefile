@@ -86,9 +86,11 @@ bench-smoke:
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet
 # specs and offloadbench command lines — for the verbs retry machinery
 # under random fault plans, for the registration cache and the delivery
-# counters' exactly-once window against map models, and for the kernel's
-# firing order against the (at, seq) heap it replaced (`go test -fuzz`
-# takes one target and one package per run; two workers keep it small).
+# counters' exactly-once window against map models, for the kernel's
+# firing order against the (at, seq) heap it replaced, and for the policy
+# learner's rank lockstep under random Decide/Observe interleavings (`go
+# test -fuzz` takes one target and one package per run; two workers keep
+# it small).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCache$$' -fuzztime 5s -parallel 2 ./internal/regcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliveries$$' -fuzztime 5s -parallel 2 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 5s -parallel 2 ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzLearnerLockstep$$' -fuzztime 5s -parallel 2 ./internal/policy/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

@@ -58,7 +58,7 @@ var bundles = map[string]Bundle{
 	},
 	"measure": {
 		Name: "measure", Framework: true, Core: ProposedConfig,
-		New: func() policy.Policy { return policy.NewMeasuring() },
+		New: func() policy.Policy { return policy.NewFeedback(policy.FeedbackConfig{}) },
 	},
 	"feedback": {
 		Name: "feedback", Framework: true, Core: ProposedConfig,

@@ -218,7 +218,7 @@ func AttributeDrift(run DriftRun) (DriftAttribution, error) {
 
 // MeasureDriftAttribution runs the drift scenario at the checked-in
 // BENCH_drift.json shape for the two policies whose gap is the re-route win
-// — the frozen Measuring policy and the feedback policy — with span tracing
+// — the frozen measure policy and the feedback policy — with span tracing
 // on, and attributes both. The returned runs keep their recorders for
 // export.
 func MeasureDriftAttribution(nodes, ppn, fgIters int) ([]DriftAttribution, []DriftRun, error) {

@@ -113,7 +113,7 @@ func TestTimelineSweepParallelIdentical(t *testing.T) {
 // The drift-attribution report must reproduce the BENCH_drift claims from
 // first principles: per-phase critical paths that tile exactly (checked
 // inside AttributeDrift), the feedback policy's re-probes landing in the
-// degraded window, and the post-drift gap between the frozen Measuring
+// degraded window, and the post-drift gap between the frozen measure
 // policy and the re-routed feedback policy.
 func TestDriftAttributionClaims(t *testing.T) {
 	atts, runs, err := MeasureDriftAttribution(2, 2, 32)

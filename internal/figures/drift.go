@@ -11,7 +11,7 @@ import (
 // (overlapped compute, where offload wins) under each offload policy,
 // with chatty background tenants arriving mid-run and saturating the
 // single shared proxy ARM worker per node. The table contrasts pre- and
-// post-arrival foreground latency: fixed gvmi and the frozen Measuring
+// post-arrival foreground latency: fixed gvmi and the frozen measure
 // policy stay stuck on the saturated proxy while the feedback policy
 // re-probes and re-routes to host-direct.
 func Drift(nodes, ppn, fgIters int) *bench.Table {
@@ -87,7 +87,7 @@ func DriftAttributionTable(atts []bench.DriftAttribution) *bench.Table {
 	return t
 }
 
-// DriftAttribution runs the drift scenario for the frozen Measuring policy
+// DriftAttribution runs the drift scenario for the frozen measure policy
 // and the feedback policy with span tracing and a flight recorder attached,
 // and renders the attribution table — the "why" behind the Drift table's
 // re-route win: post-drift, measure's collective time concentrates in the

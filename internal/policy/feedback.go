@@ -1,93 +1,135 @@
-// The Feedback policy closes ROADMAP item 4's loop: Measuring probes then
-// freezes on the argmin — correct for a static fabric, wrong and *stuck
-// wrong* the moment background tenants saturate the DPU mid-run. Feedback
-// keeps the freeze (collective participants must stay in lockstep) but
-// watches the frozen path with windowed cost estimates and re-probes when
-// the observed world drifts away from the one the freeze was taken in.
+// The learner measures per-(op-class, size-bucket) costs online: the first
+// group calls of a site probe each candidate path in turn, then the entry
+// freezes on the cheapest observed mean and later calls replay it (through
+// the group caches, so steady state pays no learning overhead). Costs come
+// from span-measured issue-to-completion times the caller feeds to Observe.
+//
+// With re-probing off (the "measure" policy) the freeze is final — correct
+// for a static fabric, wrong and *stuck wrong* the moment background
+// tenants saturate the DPU mid-run. With re-probing on (the "feedback"
+// policy) the learner keeps the freeze (collective participants must stay
+// in lockstep) but watches the frozen path with windowed cost estimates and
+// re-probes when the observed world drifts away from the one the freeze was
+// taken in.
 package policy
 
 import (
+	"math/bits"
+
 	"repro/internal/datapath"
 	"repro/internal/device"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-// fbCandidates are the group paths Feedback probes. Unlike Measuring it
-// includes HostDirect: coll.PolicyOps executes host-direct group decisions
-// on the host MPI backend, which is exactly the escape hatch a saturated
-// proxy needs (pattern.Run clamps host-direct to the proxy default, same
-// as for the Adaptive policy's small-size decisions).
+// fbCandidates are the group paths the learner probes. HostDirect is
+// among them: coll.PolicyOps executes host-direct group decisions on the
+// host MPI backend, which is exactly the escape hatch a saturated proxy
+// needs (pattern.Run clamps host-direct to the proxy default, same as for
+// the Adaptive policy's small-size decisions).
 var fbCandidates = []datapath.Kind{
 	datapath.KindCrossGVMI,
 	datapath.KindStaged,
 	datapath.KindHostDirect,
 }
 
-// FeedbackConfig tunes the feedback policy's windows and drift triggers.
-type FeedbackConfig struct {
-	// Window is W, the sliding-window length of the per-(class,
+// The learner's window and drift-trigger tuning, which the drift bench is
+// validated with.
+const (
+	// fbWindow is W, the sliding-window length of the per-(class,
 	// size-bucket, path) cost estimate (observations, not time).
-	Window int
-	// HystNum/HystDen form the hysteresis factor H = HystNum/HystDen
-	// (> 1): a frozen choice drifts only when its windowed mean exceeds
-	// its freeze-time mean by H, and a queue-depth trigger only fires
-	// when the depth exceeds the freeze-time depth by H. H is what keeps
-	// decisions from flapping: a re-frozen choice re-bases both
-	// references, so a persistently congested (or persistently idle)
-	// world triggers once, not every cooldown.
-	HystNum, HystDen int64
-	// Cooldown is the minimum number of calls between a (re-)freeze and
+	fbWindow = 8
+	// fbHystNum/fbHystDen form the hysteresis factor H = 3/2: a frozen
+	// choice drifts only when its windowed mean exceeds its freeze-time
+	// mean by H, and a queue-depth trigger only fires when the depth
+	// exceeds the freeze-time depth by H. H is what keeps decisions from
+	// flapping: a re-frozen choice re-bases both references, so a
+	// persistently congested (or persistently idle) world triggers once,
+	// not every cooldown.
+	fbHystNum, fbHystDen = 3, 2
+	// fbCooldown is the minimum number of calls between a (re-)freeze and
 	// the next drift evaluation — back-to-back re-probes cannot happen.
-	Cooldown int
-	// QueueDepthLimit arms the registry-gauge drift trigger: when the
+	fbCooldown = 4
+	// fbQueueDepthLimit arms the registry-gauge drift trigger: when the
 	// maximum "core … queue_depth" gauge (proxy backlog, sampled at group
 	// boundaries) is at least this AND exceeds the freeze-time depth by
 	// the hysteresis factor, the frozen choice is re-probed even before
-	// its own cost estimate degrades. 0 disables the gauge trigger; it is
-	// also inert when the engine records into no registry.
-	QueueDepthLimit float64
+	// its own cost estimate degrades. The trigger is inert when the engine
+	// records into no registry.
+	fbQueueDepthLimit = 8
+)
+
+// FeedbackConfig selects the learner's variant.
+type FeedbackConfig struct {
+	// Reprobe arms the drift triggers (frozen-path cost exceeding its
+	// freeze-time mean by the hysteresis factor, or proxy queue-depth
+	// gauges crossing a threshold), which unfreeze the choice and re-probe.
+	// The zero value probes once and freezes for good: the "measure"
+	// policy.
+	Reprobe bool
 }
 
-// DefaultFeedbackConfig returns the tuning the drift bench is validated
-// with: 8-observation windows, 3/2 hysteresis, a 4-call cooldown, and the
-// gauge trigger armed at a backlog of 8.
-func DefaultFeedbackConfig() FeedbackConfig {
-	return FeedbackConfig{Window: 8, HystNum: 3, HystDen: 2, Cooldown: 4, QueueDepthLimit: 8}
+// DefaultFeedbackConfig returns the re-probing learner: the "feedback"
+// policy.
+func DefaultFeedbackConfig() FeedbackConfig { return FeedbackConfig{Reprobe: true} }
+
+// costKey indexes the learned-cost table. Sizes are bucketed by log2
+// (sizeBucket) so a site whose payload jitters by a few bytes shares one
+// learned entry instead of re-probing forever on an unboundedly growing
+// table.
+type costKey struct {
+	class  OpClass
+	bucket int
 }
 
-// fbPathStats tracks one path at one key: lifetime totals plus a sliding
-// window of the last W observed costs.
+// sizeBucket maps a payload size to its log2 bucket, matching the metrics
+// histograms' convention: bucket 0 holds non-positive sizes, bucket i
+// (i >= 1) holds sizes in [2^(i-1), 2^i).
+func sizeBucket(size int) int {
+	if size <= 0 {
+		return 0
+	}
+	return bits.Len(uint(size))
+}
+
+// meanLess reports aSum/aN < bSum/bN exactly, comparing the cross-products
+// aSum*bN and bSum*aN in 128-bit integer space. Observed costs are integer
+// sim.Time sums, and the float64 division the comparison used to go
+// through ties at large magnitudes (2^53 and 2^53+1 round to the same
+// float), which silently flipped argmin outcomes.
+func meanLess(aSum sim.Time, aN int64, bSum sim.Time, bN int64) bool {
+	ah, al := bits.Mul64(uint64(aSum), uint64(bN))
+	bh, bl := bits.Mul64(uint64(bSum), uint64(aN))
+	return ah < bh || (ah == bh && al < bl)
+}
+
+// fbPathStats tracks one path at one key: a sliding window of the last
+// fbWindow observed costs.
 type fbPathStats struct {
-	n    int64
-	sum  sim.Time
-	win  []sim.Time // ring buffer, len == Window
-	wi   int        // next write index
-	wn   int        // live entries (<= len(win))
-	wsum sim.Time   // sum of live entries
+	win  [fbWindow]sim.Time // ring buffer
+	wi   int                // next write index
+	wn   int                // live entries (<= fbWindow)
+	wsum sim.Time           // sum of live entries
 }
 
 func (st *fbPathStats) add(cost sim.Time) {
-	st.n++
-	st.sum += cost
-	if st.wn == len(st.win) {
+	if st.wn == fbWindow {
 		st.wsum -= st.win[st.wi]
 	} else {
 		st.wn++
 	}
 	st.win[st.wi] = cost
 	st.wsum += cost
-	st.wi = (st.wi + 1) % len(st.win)
+	st.wi = (st.wi + 1) % fbWindow
 }
 
-// resetWindow drops the windowed estimate (kept lifetime totals are for
-// accounting only; decisions use windows). Called when a re-probe epoch
+// resetWindow drops the windowed estimate. Called when a re-probe epoch
 // opens so stale pre-drift samples cannot outvote fresh probe costs.
 func (st *fbPathStats) resetWindow() {
 	st.wi, st.wn, st.wsum = 0, 0, 0
 }
 
-// fbEntry is the feedback table row for one (class, size-bucket).
+// fbEntry is the learner's table row for one (class, size-bucket).
 type fbEntry struct {
 	obs map[datapath.Kind]*fbPathStats
 
@@ -127,38 +169,27 @@ type fbEntry struct {
 // can no longer be requested and are pruned.
 const fbMemoHorizon = 64
 
-// Feedback is the online, feedback-driven measuring policy. See the
-// package comment for the rank-consistency argument and FeedbackConfig
-// for the drift triggers.
+// Feedback is the online learner behind the "measure" and "feedback"
+// policies. See the package comment for the rank-consistency argument and
+// FeedbackConfig for the drift triggers.
 type Feedback struct {
-	cfg   FeedbackConfig
-	table map[costKey]*fbEntry
-	reg   *metrics.Registry
+	reprobe bool
+	table   map[costKey]*fbEntry
+	reg     *metrics.Registry
 }
 
-// NewFeedback returns an empty-table feedback policy. Zero/invalid window,
-// hysteresis, and cooldown fields fall back to DefaultFeedbackConfig
-// values; QueueDepthLimit stays as given (0 legitimately means "no gauge
-// trigger" — the registered "feedback" bundle passes the armed default).
+// NewFeedback returns an empty-table learner of the given variant.
 func NewFeedback(cfg FeedbackConfig) *Feedback {
-	def := DefaultFeedbackConfig()
-	if cfg.Window <= 0 {
-		cfg.Window = def.Window
-	}
-	if cfg.HystNum <= 0 || cfg.HystDen <= 0 || cfg.HystNum <= cfg.HystDen {
-		cfg.HystNum, cfg.HystDen = def.HystNum, def.HystDen
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = def.Cooldown
-	}
-	if cfg.QueueDepthLimit < 0 {
-		cfg.QueueDepthLimit = 0
-	}
-	return &Feedback{cfg: cfg, table: make(map[costKey]*fbEntry)}
+	return &Feedback{reprobe: cfg.Reprobe, table: make(map[costKey]*fbEntry)}
 }
 
 // Name implements Policy.
-func (*Feedback) Name() string { return "feedback" }
+func (f *Feedback) Name() string {
+	if f.reprobe {
+		return "feedback"
+	}
+	return "measure"
+}
 
 // AttachRegistry implements RegistryConsumer: the policy reads proxy
 // queue-depth gauges out of the registry the engine records into. A nil
@@ -202,8 +233,9 @@ func capsCandidates(p *device.Profile) []datapath.Kind {
 // Decide implements Policy.
 func (f *Feedback) Decide(q Request) Decision {
 	if q.Class != ClassGroup {
-		// Same lockstep constraint as Measuring: p2p/one-sided probing
-		// would need both endpoints to flip paths together.
+		// Probing p2p/one-sided traffic would need both endpoints to flip
+		// paths together; stay on the class/size-deterministic rule (see
+		// the package comment).
 		return sizeRule(q, SmallMsgCutoff)
 	}
 	e := f.entry(q)
@@ -228,8 +260,10 @@ func (f *Feedback) decide(e *fbEntry, call int) Decision {
 		}
 		best, ok := f.argmin(e)
 		if !ok {
-			// Every probe cost was lost (chaos drops): never freeze an
-			// unobserved entry, keep probing round-robin.
+			// Every probe cost was lost (a chaos drop can kill the
+			// completion that would have fed Observe). Freezing now would
+			// lock argmin on an empty table, so keep probing round-robin
+			// until a cost lands.
 			return Decision{Path: e.cands[(call-e.probeStart)%len(e.cands)], Reason: "probe-retry"}
 		}
 		st := e.obs[best]
@@ -239,7 +273,7 @@ func (f *Feedback) decide(e *fbEntry, call int) Decision {
 		e.freezeCall = call
 		return Decision{Path: best, Reason: "learned"}
 	}
-	if call-e.freezeCall >= f.cfg.Cooldown && f.drifted(e) {
+	if f.reprobe && call-e.freezeCall >= fbCooldown && f.drifted(e) {
 		// Open a re-probe epoch: fresh windows, candidates walked in
 		// order starting at this call; the freeze a few calls later
 		// re-bases the drift references.
@@ -255,9 +289,10 @@ func (f *Feedback) decide(e *fbEntry, call int) Decision {
 }
 
 // argmin picks the observed candidate with the lowest windowed mean,
-// compared exactly via integer cross-products. On re-probe epochs the
-// incumbent is considered first, so a full tie keeps the previous choice
-// (no flap on equal costs); the initial epoch prefers candidate order.
+// compared exactly via integer cross-products; an unobserved candidate
+// never wins. On re-probe epochs the incumbent is considered first, so a
+// full tie keeps the previous choice (no flap on equal costs); the initial
+// epoch prefers candidate order.
 func (f *Feedback) argmin(e *fbEntry) (datapath.Kind, bool) {
 	order := e.cands
 	if e.epoch > 0 {
@@ -295,16 +330,15 @@ func (f *Feedback) drifted(e *fbEntry) bool {
 		// winMean > frozenMean * H  <=>  fSum*wn*HNum < wsum*fN*HDen,
 		// compared in 128-bit integer space (counts and H are small, so
 		// folding them into one 64-bit factor cannot overflow).
-		if meanLess(e.fSum, e.fN*f.cfg.HystDen, st.wsum, int64(st.wn)*f.cfg.HystNum) {
+		if meanLess(e.fSum, e.fN*fbHystDen, st.wsum, int64(st.wn)*fbHystNum) {
 			return true
 		}
 	}
-	if f.cfg.QueueDepthLimit > 0 && e.choice != datapath.KindHostDirect {
+	if e.choice != datapath.KindHostDirect {
 		// Proxy backlog only concerns proxy-backed choices: a frozen
 		// host-direct decision is immune to the very congestion it
 		// routed around, so a deep queue must not bounce it back.
-		if d := f.queueDepth(); d >= f.cfg.QueueDepthLimit &&
-			d*float64(f.cfg.HystDen) > e.fDepth*float64(f.cfg.HystNum) {
+		if d := f.queueDepth(); d >= fbQueueDepthLimit && d*fbHystDen > e.fDepth*fbHystNum {
 			return true
 		}
 	}
@@ -322,9 +356,8 @@ func (f *Feedback) queueDepth() float64 {
 }
 
 // Observe implements Policy: costs feed both the lifetime totals and the
-// sliding window. Unlike Measuring, observation continues after the
-// freeze — the frozen path's window is exactly what the drift trigger
-// watches.
+// sliding window. Observation continues after the freeze — the frozen
+// path's window is exactly what the drift trigger watches.
 func (f *Feedback) Observe(q Request, k datapath.Kind, cost sim.Time) {
 	if q.Class != ClassGroup {
 		return
@@ -332,7 +365,7 @@ func (f *Feedback) Observe(q Request, k datapath.Kind, cost sim.Time) {
 	e := f.entry(q)
 	st := e.obs[k]
 	if st == nil {
-		st = &fbPathStats{win: make([]sim.Time, f.cfg.Window)}
+		st = &fbPathStats{}
 		e.obs[k] = st
 	}
 	st.add(cost)

@@ -234,7 +234,8 @@ func TestConfigValidation(t *testing.T) {
 // A tenant pattern job and pattern.Run drive the same pattern.Replayer: over
 // one spec, policy and call count they take the same decisions per datapath
 // and record (install on the proxies) the same number of groups — one per
-// rank for each of the two proxy paths the measuring policy probes.
+// rank for each of the two proxy paths the measure policy probes (its
+// host-direct probe is clamped to the proxy default, which is cross-GVMI).
 func TestPatternJobRecordsGroupsLikePatternRun(t *testing.T) {
 	spec := pattern.Ring(4, 32<<10)
 	const warmup, iters = 2, 4
