@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet fmt-check staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim loc
+.PHONY: all build test vet fmt-check staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim shuffle loc
 
 all: build
 
@@ -43,6 +43,12 @@ race:
 race-sim:
 	$(GO) test -race -count=10 -cpu 1,2,4 ./internal/sim/
 
+# The bench, figures and offloadbench tests run under t.Parallel and share
+# no package state; a shuffled order catches a test that comes to depend on
+# another's leftovers.
+shuffle:
+	$(GO) test -shuffle=on -count=1 ./internal/bench ./internal/figures ./cmd/offloadbench
+
 # Size trajectory ("least code" as a number): non-test Go lines that are
 # neither blank nor a // comment, per package under internal/ and cmd/, and
 # their total. CI prints it on every run; CHANGES.md quotes the delta.
@@ -52,7 +58,7 @@ loc:
 		| LC_ALL=C sort | uniq -c \
 		| awk '{ printf "%6d  %s\n", $$1, $$2; t += $$1 } END { printf "%6d  total\n", t }'
 
-check: fmt-check vet staticcheck build race race-sim bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
+check: fmt-check vet staticcheck build race race-sim shuffle bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/bench/ ./internal/sim/

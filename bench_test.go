@@ -18,7 +18,7 @@ import (
 
 func BenchmarkFig02RDMALatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.MeasureRDMALatency([]int{8, 2048}, 10)
+		rows := bench.MeasureRDMALatency(bench.SweepEnv{}, []int{8, 2048}, 10)
 		b.ReportMetric(rows[0].HostHost.Micros(), "host-us")
 		b.ReportMetric(rows[0].HostDPU.Micros(), "dpu-us")
 	}
@@ -26,7 +26,7 @@ func BenchmarkFig02RDMALatency(b *testing.B) {
 
 func BenchmarkFig03RDMABandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.MeasureRDMABandwidth([]int{4096, 4 << 20}, 64, 2)
+		rows := bench.MeasureRDMABandwidth(bench.SweepEnv{}, []int{4096, 4 << 20}, 64, 2)
 		b.ReportMetric(rows[0].Normalized, "small-msg-norm")
 		b.ReportMetric(rows[1].Normalized, "large-msg-norm")
 	}

@@ -175,10 +175,11 @@ func union(a, b []string) []string {
 	return a
 }
 
-// exec runs the plan between the shared flags' Activate and Finish.
+// exec runs the plan in the SweepEnv its shared flags build, then writes
+// the exports they requested.
 func (pl *plan) exec(out io.Writer) error {
 	p := pl.p
-	p.cf.Activate()
+	p.env = p.cf.Env()
 	if p.cf.HandleDeviceQuery(out) {
 		return nil // -device list / -fleet help: documented exit 0
 	}
@@ -196,7 +197,7 @@ func (pl *plan) exec(out io.Writer) error {
 	if err := pl.run(p, out); err != nil {
 		return err
 	}
-	if err := p.cf.Finish(out); err != nil || p.memProfile == "" {
+	if err := p.cf.Finish(p.env, out); err != nil || p.memProfile == "" {
 		return err
 	}
 	return bench.WriteFile(p.memProfile, func(w io.Writer) error {
@@ -210,6 +211,7 @@ func (pl *plan) exec(out io.Writer) error {
 type params struct {
 	fs                     *flag.FlagSet // the word's, after parsing
 	cf                     *bench.CommonFlags
+	env                    bench.SweepEnv // the run's sinks, device, fleet and workers: cf's, built by exec
 	cpuProfile, memProfile string
 
 	ppn, iters, warmup, memGB, nb, maxRanks, size int

@@ -24,8 +24,8 @@ import (
 
 // The shared-flag tails of the table. built: the word's runs build their
 // clusters with bench.Build (so -device applies and the exports record
-// them) and sweep them with bench.Sweep (-parallel). omb: what the OSU-style
-// collective words read.
+// them) and sweep them with SweepEnv.Sweep (-parallel). omb: what the
+// OSU-style collective words read.
 const (
 	built = " metrics spans timeseries parallel device"
 	omb   = "nodes ppn min max warmup iters scheme policy metrics spans timeseries device fleet"
@@ -35,11 +35,11 @@ const (
 // from it, so a word and the flags it reads are written down once.
 var words = []word{
 	{name: "fig2", help: "RDMA-write latency, host vs DPU posting", reads: "iters full parallel", all: true,
-		run: func(p *params, out io.Writer) error { return show(out, figures.Fig2(p.it(20))) }},
+		run: func(p *params, out io.Writer) error { return show(out, figures.Fig2(p.env, p.it(20))) }},
 	{name: "fig3", help: "RDMA-write bandwidth, normalized", reads: "iters full parallel", all: true,
-		run: func(p *params, out io.Writer) error { return show(out, figures.Fig3(64, p.it(4))) }},
+		run: func(p *params, out io.Writer) error { return show(out, figures.Fig3(p.env, 64, p.it(4))) }},
 	{name: "fig4", help: "nonblocking pingpong, host vs staging offload", reads: "warmup iters full" + built, all: true,
-		run: func(p *params, out io.Writer) error { return show(out, figures.Fig4(p.warmup, p.it(10))) }},
+		run: func(p *params, out io.Writer) error { return show(out, figures.Fig4(p.env, p.warmup, p.it(10))) }},
 	{name: "fig5", help: "cross-GVMI registration overheads", all: true,
 		run: func(p *params, out io.Writer) error { return show(out, figures.Fig5()) }},
 	{name: "fig11", help: "3D stencil normalized overall time", reads: "ppn warmup iters full" + built, all: true,
@@ -53,60 +53,62 @@ var words = []word{
 	{name: "fig15", help: "scatter-destination: Simple vs Group primitives", reads: "ppn warmup iters full" + built, all: true,
 		run: func(p *params, out io.Writer) error {
 			sizes := scaled(p.full, []int{4 << 10, 16 << 10, 64 << 10}, []int{1 << 10, 4 << 10, 16 << 10, 64 << 10})
-			return show(out, figures.Fig15(8, p.a2aPPN(), sizes, p.warmup, p.it(3), true))
+			return show(out, figures.Fig15(p.env, 8, p.a2aPPN(), sizes, p.warmup, p.it(3), true))
 		}},
 	{name: "fig16a", help: "P3DFFT normalized runtime, 8 nodes", reads: "ppn iters full" + built, all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.Fig16(8, p.a2aPPN(), 256, []int{512, 1024, 2048}, p.it(2)))
+			return show(out, figures.Fig16(p.env, 8, p.a2aPPN(), 256, []int{512, 1024, 2048}, p.it(2)))
 		}},
 	{name: "fig16b", help: "P3DFFT normalized runtime, 16 nodes", reads: "ppn iters full" + built, all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.Fig16(16, p.a2aPPN(), 512, []int{1024, 2048, 4096}, p.it(2)))
+			return show(out, figures.Fig16(p.env, 16, p.a2aPPN(), 512, []int{1024, 2048, 4096}, p.it(2)))
 		}},
 	{name: "fig16c", help: "P3DFFT single-phase compute/MPI profile", reads: "ppn iters full" + built, all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.Fig16C(8, p.a2aPPN(), 256, 512, p.it(2)))
+			return show(out, figures.Fig16C(p.env, 8, p.a2aPPN(), 256, 512, p.it(2)))
 		}},
 	{name: "fig17", help: "HPL normalized runtime vs memory fraction (~15 min)", reads: "ppn full memgb nb" + built, all: true,
 		run: func(p *params, out io.Writer) error {
 			// 16 PPN and 16 GB/node keep the broadcast-vs-update race of the
 			// paper's 32 PPN, 256 GB/node runs while finishing in minutes.
 			ppn, memGB := cmp.Or(p.ppn, scaled(p.full, 16, 32)), cmp.Or(p.memGB, scaled(p.full, 16, 256))
-			return show(out, figures.Fig17(16, ppn, memGB, cmp.Or(p.nb, 256), []int{5, 10, 25, 50, 75}))
+			return show(out, figures.Fig17(p.env, 16, ppn, memGB, cmp.Or(p.nb, 256), []int{5, 10, 25, 50, 75}))
 		}},
 	{name: "ablation", help: "design-choice ablations (caches, mechanism, proxies)", reads: "ppn warmup iters full" + built, all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.Ablations(p.a2aPPN(), p.warmup, p.it(2))...)
+			return show(out, figures.Ablations(p.env, p.a2aPPN(), p.warmup, p.it(2))...)
 		}},
 	{name: "policy", help: "offload-policy ablation: fixed datapaths vs adaptive vs measuring (-policy NAME: one bundle)",
 		reads: "ppn warmup iters full policy" + built, all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.PolicyAblation(4, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2), p.cf.Policy))
+			return show(out, figures.PolicyAblation(p.env, 4, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2), p.cf.Policy))
 		}},
 	{name: "ext-bf3", help: "future-work extension: BlueField-3 + NDR platform",
 		reads: "ppn warmup iters full metrics spans timeseries parallel", all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.ExtBF3(4, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2)))
+			return show(out, figures.ExtBF3(p.env, 4, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2)))
 		}},
 	{name: "ext-allgather", help: "Iallgather (ref [9] workload) across schemes", reads: "ppn warmup iters full" + built, all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.ExtIallgather(4, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2)))
+			return show(out, figures.ExtIallgather(p.env, 4, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2)))
 		}},
 	{name: "chaos", help: "Ialltoall under fault injection (rates 0, 1e-4, 1e-3, 1e-2)", reads: "ppn warmup iters full seed size" + built, all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.FigChaos(2, p.a2aPPN(), p.seed, figures.ChaosRates, cmp.Or(p.size, 32<<10), p.warmup, p.it(2)))
+			return show(out, figures.FigChaos(p.env, 2, p.a2aPPN(), p.seed, figures.ChaosRates, cmp.Or(p.size, 32<<10), p.warmup, p.it(2)))
 		}},
 	{name: "tenants", help: "multi-tenant crossover: fg tail latency & goodput vs background bulk jobs on one proxy worker",
 		reads: "ppn iters full metrics spans parallel", all: true,
-		run: func(p *params, out io.Writer) error { return show(out, figures.Tenants(2, p.tenantPPN(), p.it(8))) }},
+		run: func(p *params, out io.Writer) error {
+			return show(out, figures.Tenants(p.env, 2, p.tenantPPN(), p.it(8)))
+		}},
 	{name: "drift", help: "mid-run drift: fg latency before/after chatty tenants saturate the proxy (feedback re-routes)",
 		reads: "ppn iters full metrics spans parallel", all: true,
 		run: func(p *params, out io.Writer) error {
-			return show(out, figures.Drift(2, p.tenantPPN(), p.it(80)), figures.DriftAttribution(2, p.tenantPPN(), p.it(80)))
+			return show(out, figures.Drift(p.env, 2, p.tenantPPN(), p.it(80)), figures.DriftAttribution(p.env, 2, p.tenantPPN(), p.it(80)))
 		}},
 	{name: "fleet", help: "mixed half-bf2/half-bf3 fleet: fixed paths vs capability-blind vs capability-aware policies",
 		reads: "spans timeseries parallel",
-		run:   func(p *params, out io.Writer) error { return show(out, figures.FleetTable(bench.MeasureFleet())) }},
+		run:   func(p *params, out io.Writer) error { return show(out, figures.FleetTable(bench.MeasureFleet(p.env))) }},
 	{name: "scale", help: "fig13 shapes at 128..1024 ranks, validating the ordering/overlap claims (-o: also the snapshot)",
 		reads: "ppn iters size maxranks o" + built, run: runScale},
 	{name: "critical-path", help: "span critical path + latency attribution of the fig13 Ialltoall loop and a chaos run",
@@ -167,13 +169,13 @@ func (p *params) a2aSizes() []int {
 
 // stencil runs the one sweep behind Figures 11 and 12.
 func (p *params) stencil() [2]*bench.Table {
-	t11, t12 := figures.Fig11And12(16, p.a2aPPN(), p.warmup, p.it(3), scaled(p.full, []int{256, 512, 1024}, []int{512, 1024, 2048}))
+	t11, t12 := figures.Fig11And12(p.env, 16, p.a2aPPN(), p.warmup, p.it(3), scaled(p.full, []int{256, 512, 1024}, []int{512, 1024, 2048}))
 	return [2]*bench.Table{t11, t12}
 }
 
 // alltoall runs the one sweep behind Figures 13 and 14.
 func (p *params) alltoall() [2][]*bench.Table {
-	t13, t14 := figures.Fig13And14([]int{4, 8, 16}, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2))
+	t13, t14 := figures.Fig13And14(p.env, []int{4, 8, 16}, p.a2aPPN(), p.a2aSizes(), p.warmup, p.it(2))
 	return [2][]*bench.Table{t13, t14}
 }
 
@@ -203,7 +205,8 @@ func runSnap(p *params, out io.Writer) error {
 		rows = []bench.Baseline{b}
 	}
 	verb, do := "wrote", func(b bench.Baseline, path string) (string, error) {
-		return b.Write(path, b.Measure())
+		// Only the worker count reaches a pinned snapshot: no CLI sink.
+		return b.Write(path, b.Measure(bench.SweepEnv{Parallel: p.env.Parallel}))
 	}
 	if p.snapCheck {
 		verb, do = "checked", bench.Baseline.CheckFile
@@ -237,7 +240,7 @@ func runScale(p *params, out io.Writer) error {
 		}
 	}
 	t0 := time.Now()
-	snap := bench.MeasureScale(cfg)
+	snap := bench.MeasureScale(p.env, cfg)
 	wall := time.Since(t0)
 	if err := snap.Validate(); err != nil {
 		return err
@@ -264,7 +267,7 @@ func runTimeline(p *params, out io.Writer) error {
 	path := cmp.Or(p.out, "TIMELINE")
 	policies := []string{"gvmi", "hostdirect", "measure", "feedback"}
 	spansFor := map[string]bool{"measure": true, "feedback": true}
-	runs := bench.CollectDriftTimelines(2, p.tenantPPN(), p.it(80), policies, spansFor)
+	runs := bench.CollectDriftTimelines(p.env, 2, p.tenantPPN(), p.it(80), policies, spansFor)
 
 	recs := make([]*telemetry.Recorder, len(runs))
 	for i := range runs {
@@ -321,12 +324,12 @@ func criticalPath(p *params, out io.Writer) error {
 
 	fmt.Fprintf(out, "=== critical path: ialltoall np=%d size=%d (proposed) ===\n",
 		opt.Nodes*opt.PPN, size)
-	sc, r := bench.CollectSpans(opt, size, p.warmup, p.it(2))
+	sc, r := bench.CollectSpans(p.env.Attach(opt), size, p.warmup, p.it(2))
 	printAttribution(out, sc)
 	fmt.Fprintf(out, "pure_comm=%s overall=%s\n\n", r.PureComm, r.Overall)
 
 	fmt.Fprintf(out, "=== critical path: ialltoall under chaos (rate 1e-3, seed %d) ===\n", p.seed)
-	csc, cr := bench.CollectChaosSpans(opt, fault.Scaled(p.seed, 1e-3), 1e-3, size, p.warmup, p.it(2))
+	csc, cr := bench.CollectChaosSpans(p.env.Attach(opt), fault.Scaled(p.seed, 1e-3), 1e-3, size, p.warmup, p.it(2))
 	printAttribution(out, csc)
 	fmt.Fprintf(out, "overall=%s verified=%v retries=%d\n", cr.Overall, cr.Verified, cr.Fault.Retries)
 	return nil
@@ -396,7 +399,7 @@ func ombNBC(measure func(bench.Options, int, int, int) bench.NBCResult, title st
 		fmt.Fprintf(out, "# OMB %s, %d nodes x %d PPN, %s (virtual time)\n", title, p.nodes, p.ppn, p.backend())
 		fmt.Fprintf(out, "%-10s %14s %14s %14s %9s\n", "size", "pure (us)", "compute (us)", "overall (us)", "overlap")
 		for _, size := range bench.Pow2Sizes(p.minSize, p.maxSize) {
-			r := measure(p.ombOptions(), size, p.warmup, p.iters)
+			r := measure(p.env.Attach(p.ombOptions()), size, p.warmup, p.iters)
 			fmt.Fprintf(out, "%-10s %14.2f %14.2f %14.2f %8.1f%%\n",
 				bench.SizeLabel(size), r.PureComm.Micros(), r.Compute.Micros(), r.Overall.Micros(), r.Overlap)
 		}
@@ -408,7 +411,7 @@ func ombPingpong(p *params, out io.Writer) error {
 	fmt.Fprintf(out, "# Nonblocking pingpong (us), %s\n", p.backend())
 	fmt.Fprintf(out, "%-10s %12s\n", "size", "latency")
 	for _, size := range bench.Pow2Sizes(p.minSize, p.maxSize) {
-		lat := bench.MeasurePingpongNB(p.ombOptions(), size, p.warmup, p.iters)
+		lat := bench.MeasurePingpongNB(p.env.Attach(p.ombOptions()), size, p.warmup, p.iters)
 		fmt.Fprintf(out, "%-10s %12.2f\n", bench.SizeLabel(size), lat.Micros())
 	}
 	return nil
@@ -420,10 +423,10 @@ func ombTenants(p *params, out io.Writer) error {
 		p.nodes, p.ppn, pol)
 	fmt.Fprintf(out, "%-8s %14s %14s %14s %14s\n", "bg jobs", "fg p50 (us)", "fg p99 (us)", "goodput GB/s", "makespan (us)")
 	results, errs := make([]*tenant.Result, p.bgJobs+1), make([]error, p.bgJobs+1)
-	bench.Sweep(p.bgJobs+1, func(i int, env bench.SweepEnv) {
+	p.env.Sweep(p.bgJobs+1, func(i int, env bench.SweepEnv) {
 		cfg := bench.TenantsCase(p.nodes, p.ppn, i, pol, p.iters)
 		cfg.Metrics, cfg.Spans = env.Met, env.Sp
-		cfg.Timeline = bench.DefaultTimeline.NewRecorder(fmt.Sprintf("bg%d", i))
+		cfg.Timeline = env.Tl.NewRecorder(fmt.Sprintf("bg%d", i))
 		results[i], errs[i] = tenant.Run(cfg)
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -442,8 +445,8 @@ func ombDrift(p *params, out io.Writer) error {
 	fmt.Fprintf(out, "# Drift: foreground Ialltoall latency before/after chatty background tenants arrive, %d nodes x %d PPN/job, fg policy=%s, 1 FIFO proxy/DPU\n",
 		p.nodes, p.ppn, pol)
 	cfg := bench.DriftCase(p.nodes, p.ppn, p.iters, pol)
-	cfg.Metrics, cfg.Spans = bench.DefaultMetrics, bench.DefaultSpans
-	cfg.Timeline = bench.DefaultTimeline.NewRecorder("")
+	cfg.Metrics, cfg.Spans = p.env.Met, p.env.Sp
+	cfg.Timeline = p.env.Tl.NewRecorder("")
 	r, err := tenant.Run(cfg)
 	if err != nil {
 		return fmt.Errorf("drift: %w", err)
@@ -522,7 +525,7 @@ func runPattern(p *params, out io.Writer) error {
 	}
 	res, err := pattern.Run(spec, pattern.RunOptions{
 		Nodes: p.nodes, PPN: p.ppn, Core: p.core, Compute: sim.Time(p.compute), Calls: p.calls, Backed: p.verify,
-		Policy: p.cf.Policy, Metrics: p.cf.Registry(), Spans: p.cf.Spans(),
+		Policy: p.cf.Policy, Metrics: p.env.Met, Spans: p.env.Sp,
 	})
 	if err != nil {
 		return err
@@ -564,7 +567,7 @@ func (p *params) patternTenants(spec *pattern.Spec, out io.Writer) error {
 				Start: sim.Time(i) * sim.Time(p.bgStart)}}
 	}
 	res, err := tenant.Run(tenant.Config{Nodes: nodes, ProxiesPerDPU: 1, Jobs: jobs,
-		Metrics: p.cf.Registry(), Spans: p.cf.Spans(), Timeline: p.cf.Timeline().NewRecorder("")})
+		Metrics: p.env.Met, Spans: p.env.Sp, Timeline: p.env.Tl.NewRecorder("")})
 	if err != nil {
 		return err
 	}

@@ -15,9 +15,9 @@ import (
 type Baseline struct {
 	Name string // the word after `offloadbench snap`
 	File string // file name at the repo root
-	// Measure runs the family's default configuration and returns its
-	// snapshot struct.
-	Measure func() any
+	// Measure runs the family's default configuration, sweeping with env,
+	// and returns its snapshot struct.
+	Measure func(env SweepEnv) any
 	// Check decodes data and runs the family's Validate (schema plus
 	// headline claims); dir is where sibling baselines are looked up. The
 	// summary is the one-line description printed after a regeneration.
@@ -32,35 +32,35 @@ type Baseline struct {
 var Baselines = []Baseline{
 	{
 		Name: "fig13", File: "BENCH_fig13.json",
-		Measure: func() any { return Fig13Snapshot() },
+		Measure: func(env SweepEnv) any { return Fig13Snapshot(env) },
 		Check: checker(func(s BenchSnapshot) string {
 			return fmt.Sprintf("%d series, %d counter series", len(s.Series), len(s.Metrics.Counters))
 		}),
 	},
 	{
 		Name: "tenants", File: "BENCH_tenants.json",
-		Measure: func() any { return MeasureTenants() },
+		Measure: func(env SweepEnv) any { return MeasureTenants(env) },
 		Check: checker(func(s TenantsSnapshot) string {
 			return fmt.Sprintf("%d points, crossover verified, %d counter series", len(s.Series), len(s.Metrics.Counters))
 		}),
 	},
 	{
 		Name: "drift", File: "BENCH_drift.json",
-		Measure: func() any { return MeasureDrift() },
+		Measure: func(env SweepEnv) any { return MeasureDrift(env) },
 		Check: checker(func(s DriftSnapshot) string {
 			return fmt.Sprintf("%d points, re-route verified, %d counter series", len(s.Series), len(s.Metrics.Counters))
 		}),
 	},
 	{
 		Name: "scale", File: "BENCH_scale.json", Slow: true,
-		Measure: func() any { return MeasureScale(DefaultScaleConfig()) },
+		Measure: func(env SweepEnv) any { return MeasureScale(env, DefaultScaleConfig()) },
 		Check: checker(func(s ScaleSnapshot) string {
 			return fmt.Sprintf("%d rank counts up to %d, claims validated", len(s.Series), s.Series[len(s.Series)-1].Ranks)
 		}),
 	},
 	{
 		Name: "fleet", File: "BENCH_fleet.json",
-		Measure: func() any { return MeasureFleet() },
+		Measure: func(env SweepEnv) any { return MeasureFleet(env) },
 		Check: func(data []byte, dir string) (string, error) {
 			s, err := loadFleet(data, dir)
 			if err != nil {

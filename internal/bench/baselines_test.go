@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,38 +20,11 @@ const repoRoot = "../.."
 // cannot differ, and a file that no longer regenerates is stale. Regenerate
 // with `make snap-NAME` after an intentional change.
 func TestBaselines(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-
-	for _, b := range Baselines {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			checked, err := os.ReadFile(filepath.Join(repoRoot, b.File))
-			if err != nil {
-				t.Fatalf("missing baseline (run `make snap-%s`): %v", b.Name, err)
-			}
-			if _, err := b.Check(checked, repoRoot); err != nil {
-				t.Fatal(err)
-			}
-			if b.Slow {
-				return
-			}
-			for _, workers := range []int{1, 4} {
-				Parallelism = workers
-				fresh, err := encode(b.Measure())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fresh, checked) {
-					t.Fatalf("%s is stale: Measure at -parallel %d no longer reproduces it (run `make snap-%s`)",
-						b.File, workers, b.Name)
-				}
-			}
-		})
-	}
-
 	// The fleet row looks its fig13 sibling up next to the file it checks,
-	// not in the working directory.
+	// not in the working directory. The subtest changes the process's
+	// working directory, so it runs first and serially: t.Parallel below
+	// holds the rest of TestBaselines, and every other parallel test, until
+	// the sequential tests are done.
 	t.Run("fleet outside the repo", func(t *testing.T) {
 		dir := t.TempDir()
 		for _, name := range []string{"BENCH_fig13.json", "BENCH_fleet.json"} {
@@ -75,4 +49,34 @@ func TestBaselines(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	t.Parallel()
+	for _, b := range Baselines {
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			checked, err := os.ReadFile(filepath.Join(repoRoot, b.File))
+			if err != nil {
+				t.Fatalf("missing baseline (run `make snap-%s`): %v", b.Name, err)
+			}
+			if _, err := b.Check(checked, repoRoot); err != nil {
+				t.Fatal(err)
+			}
+			if b.Slow {
+				return
+			}
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("parallel_%d", workers), func(t *testing.T) {
+					t.Parallel()
+					fresh, err := encode(b.Measure(SweepEnv{Parallel: workers}))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(fresh, checked) {
+						t.Fatalf("%s is stale: Measure at -parallel %d no longer reproduces it (run `make snap-%s`)",
+							b.File, workers, b.Name)
+					}
+				})
+			}
+		})
+	}
 }

@@ -115,9 +115,9 @@ func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSiz
 // ChaosSweep measures the Ialltoall benchmark across fault rates. Rate 0
 // attaches a real (but silent) injector, which must reproduce the
 // fault-free timings; every nonzero rate uses fault.Scaled(seed, rate).
-func ChaosSweep(opt Options, seed int64, rates []float64, msgSize, warmup, iters int) []ChaosResult {
+func ChaosSweep(env SweepEnv, opt Options, seed int64, rates []float64, msgSize, warmup, iters int) []ChaosResult {
 	out := make([]ChaosResult, len(rates))
-	Sweep(len(rates), func(i int, env SweepEnv) {
+	env.Sweep(len(rates), func(i int, env SweepEnv) {
 		o := env.Attach(opt)
 		if opt.Cluster != nil {
 			// MeasureChaosIalltoall writes the fault plan into the cluster

@@ -112,6 +112,7 @@ func runChaosCases(t *testing.T) chaosGolden {
 // records of the traced runs. `go test -run TestChaosMatchesParentGolden
 // -update` rewrites the file after an intended change of fault behaviour.
 func TestChaosMatchesParentGolden(t *testing.T) {
+	t.Parallel()
 	got := runChaosCases(t)
 	path := filepath.FromSlash(chaosGoldenFile)
 	if *updateChaosGolden {

@@ -36,6 +36,7 @@ func guardOpt() Options {
 // Zero-overhead guard: with no fault plan the timings are bit-identical to
 // the values captured before the fault subsystem existed.
 func TestFig13TimingsBitIdenticalToSeed(t *testing.T) {
+	t.Parallel()
 	r := MeasureIalltoall(guardOpt(), 8192, 1, 2)
 	if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
 		t.Fatalf("8K timings moved: pure=%d overall=%d, want %d/%d",
@@ -58,6 +59,7 @@ func TestFig13TimingsBitIdenticalToSeed(t *testing.T) {
 // A rate-zero fault plan must take the silent fast paths: same timings as
 // no plan at all, for both a nil config and Scaled(seed, 0).
 func TestRateZeroChaosMatchesFig13Exactly(t *testing.T) {
+	t.Parallel()
 	for _, fcfg := range []*fault.Config{nil, fault.Scaled(42, 0)} {
 		r := MeasureChaosIalltoall(guardOpt(), fcfg, 0, 8192, 1, 2)
 		if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
@@ -100,8 +102,9 @@ func TestRateZeroChaosAllocFree(t *testing.T) {
 // The acceptance sweep: every rate completes with verified payloads; the
 // rate-0 row equals fig13; the top rate actually injects and retries.
 func TestChaosSweepAllRatesVerified(t *testing.T) {
+	t.Parallel()
 	rates := []float64{0, 1e-4, 1e-3, 1e-2}
-	results := ChaosSweep(guardOpt(), 42, rates, 8192, 1, 2)
+	results := ChaosSweep(SweepEnv{}, guardOpt(), 42, rates, 8192, 1, 2)
 	if len(results) != len(rates) {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -134,6 +137,7 @@ func TestChaosSweepAllRatesVerified(t *testing.T) {
 // seed produces byte-identical span records (every interval, parent link,
 // attribute and noted fault) and identical timings and fault counters.
 func TestChaosRunsAreDeterministic(t *testing.T) {
+	t.Parallel()
 	run := func() (ChaosResult, []byte) {
 		opt := guardOpt()
 		opt.Spans = span.New(0)
@@ -164,6 +168,7 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 // Every kind of fault a chaos run counted is also in its span export: one
 // instantaneous fault-layer span per counted event, named after the kind.
 func TestChaosExportsAFaultSpanPerCountedFault(t *testing.T) {
+	t.Parallel()
 	fcfg := fault.Scaled(7, 5e-2)
 	fcfg.RegFailRate = 0.2
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond, RestartAfter: 15 * sim.Microsecond}}
@@ -201,6 +206,7 @@ func TestChaosExportsAFaultSpanPerCountedFault(t *testing.T) {
 // host-progressed execution, all payloads still arrive intact, and the
 // span record notes crash -> heartbeat-loss -> failover in causal order.
 func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
+	t.Parallel()
 	fcfg := fault.DefaultConfig(1)
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond}}
 	ccfg := cluster.DefaultConfig(2, 2)
@@ -289,6 +295,7 @@ func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 // A crashed proxy that restarts comes back with empty state; hosts that
 // already failed over stay on the fallback path and payloads stay correct.
 func TestProxyCrashWithRestartStillCorrect(t *testing.T) {
+	t.Parallel()
 	fcfg := fault.DefaultConfig(2)
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond, RestartAfter: 15 * sim.Microsecond}}
 	ccfg := cluster.DefaultConfig(2, 2)
@@ -362,6 +369,7 @@ func rerunByRestart(sc *span.Collector, restart sim.Time) []span.Span {
 // the hosts' fallback is the only executor of the call; a proxy that installed
 // it would walk each of those calls beside the failed-over hosts.
 func TestRestartedProxyRefusesStaleInstall(t *testing.T) {
+	t.Parallel()
 	const at, after = 7763 * sim.Nanosecond, 10 * sim.Microsecond
 	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed), crashRestartAfter(at, after), 0, 8192, 1, 2)
 	if !r.Verified || r.Fault.Restarts != 1 || r.Core.Failovers != 2 {
@@ -377,6 +385,7 @@ func TestRestartedProxyRefusesStaleInstall(t *testing.T) {
 // restart. (At 64 860 ns proxy 0 is inside a round of host 1's group call 2;
 // a proxy that finished that round injected two control packets while dead.)
 func TestDeadProxyStartsNoSpan(t *testing.T) {
+	t.Parallel()
 	const crashAt = 64860 * sim.Nanosecond
 	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed), crashRestartPlan(crashAt), 0, 8192, 1, 2)
 	if !r.Verified || r.Fault.Crashes != 1 || r.Fault.Restarts != 1 {
@@ -395,6 +404,7 @@ func TestDeadProxyStartsNoSpan(t *testing.T) {
 // by the restarted proxy and a host fallback, and the run ends within half
 // again of the fault-free end.
 func TestCrashAtAnyInstant(t *testing.T) {
+	t.Parallel()
 	const size, instants = 8192, 200
 	for _, scheme := range []string{baseline.NameProposed, baseline.NameBluesMPI} {
 		base := MeasureChaosIalltoall(smallCrashOpt(scheme), nil, 0, size, 1, 2)

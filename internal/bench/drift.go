@@ -147,8 +147,8 @@ type DriftSnapshot struct {
 // DriftSeries measures every foreground policy's drift behaviour, one
 // independent simulation per policy, distributed by the sweep runner —
 // results are byte-identical at any -parallel value; per-run metrics merge
-// into target (nil = the process-wide DefaultMetrics sink).
-func DriftSeries(target *metrics.Registry, nodes, ppn, fgIters int) []DriftPoint {
+// into env.Met.
+func DriftSeries(env SweepEnv, nodes, ppn, fgIters int) []DriftPoint {
 	series := make([]DriftPoint, len(driftPolicies))
 	job := func(i int, env SweepEnv) {
 		pol := driftPolicies[i]
@@ -173,16 +173,16 @@ func DriftSeries(target *metrics.Registry, nodes, ppn, fgIters int) []DriftPoint
 			FinishNS: int64(fg.Finish), MakespanNS: int64(res.Makespan),
 		}
 	}
-	SweepInto(target, len(series), job)
+	env.Sweep(len(series), job)
 	return series
 }
 
 // MeasureDrift runs the full drift scenario (2 nodes × 2 PPN per job, 80
 // measured foreground iterations) with a live metrics registry attached
 // and packages the series plus merged metrics into a DriftSnapshot.
-func MeasureDrift() DriftSnapshot {
+func MeasureDrift(env SweepEnv) DriftSnapshot {
 	const nodes, ppn, fgIters = 2, 2, 80
-	met := metrics.NewRegistry()
+	env.Met = metrics.NewRegistry()
 	s := DriftSnapshot{
 		Schema: DriftSchema,
 		Figure: "drift",
@@ -191,8 +191,8 @@ func MeasureDrift() DriftSnapshot {
 			ArrivalNS: int64(DriftArrival), SettleNS: int64(DriftSettle),
 		},
 	}
-	s.Series = DriftSeries(met, nodes, ppn, fgIters)
-	s.Metrics = met.Snapshot()
+	s.Series = DriftSeries(env, nodes, ppn, fgIters)
+	s.Metrics = env.Met.Snapshot()
 	return s
 }
 

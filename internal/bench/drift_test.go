@@ -14,6 +14,7 @@ import (
 // measurement at -parallel 1 and 4) must carry its headline re-route claim
 // and keep the foreground ranks in lockstep across re-probes.
 func TestDriftSnapshotValidDeterministicAndParallel(t *testing.T) {
+	t.Parallel()
 	data, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_drift.json"))
 	if err != nil {
 		t.Fatalf("missing drift baseline (run `make snap-drift`): %v", err)
@@ -48,6 +49,7 @@ func TestDriftSnapshotValidDeterministicAndParallel(t *testing.T) {
 // "pre", iterations that start after arrival+settle are "post", and
 // transition iterations spanning either boundary belong to neither.
 func TestSplitDriftWindows(t *testing.T) {
+	t.Parallel()
 	samples := []struct{ at, dur int64 }{
 		{900, 100},   // ends exactly at arrival: pre
 		{1100, 300},  // spans the arrival: neither

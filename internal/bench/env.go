@@ -4,6 +4,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/baseline"
@@ -19,35 +20,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultMetrics, when set, is attached to every environment Build creates
-// that does not carry its own registry (Options.Metrics or a full cluster
-// override). offloadbench sets it from the -metrics flag so all figure
-// paths record without threading a registry through every signature.
-var DefaultMetrics *metrics.Registry
-
-// DefaultSpans is the span-collector analogue of DefaultMetrics: when set,
-// Build attaches it to every environment that does not carry its own
-// collector. offloadbench sets it from the -spans flag.
-var DefaultSpans *span.Collector
-
-// DefaultTimeline, when set, hands every environment Build creates (that
-// does not carry its own recorder) a fresh telemetry recorder, so each
-// simulated run becomes one labelled set of time series. offloadbench sets
-// it from the -timeseries flag. Like spans, an installed timeline forces
-// sweeps serial: recorder creation order is the export order of runs.
-var DefaultTimeline *telemetry.Timeline
-
-// DefaultDevice, when set, names the device profile Build configures every
-// node of every environment with (unless the environment carries its own
-// Device/Fleet/Cluster). offloadbench sets it from the -device flag; ""
-// keeps the legacy baseline part.
-var DefaultDevice string
-
-// DefaultFleet is the -fleet analogue of DefaultDevice: a per-node profile
-// spec in device.ExpandFleet grammar ("bf2:2,bf3:2"). It overrides
-// DefaultDevice.
-var DefaultFleet string
-
 // Options describe one benchmark environment.
 type Options struct {
 	Nodes         int
@@ -56,7 +28,7 @@ type Options struct {
 	Policy        string          // offload-policy bundle name (overrides Scheme's backend wiring)
 	Backed        bool            // payload-backed buffers (correctness runs)
 	ProxiesPerDPU int             // 0 = cluster default
-	Device        string          // device profile for every node ("" = DefaultDevice, then baseline)
+	Device        string          // device profile for every node ("" = the baseline part)
 	Fleet         string          // per-node profile spec, device.ExpandFleet grammar (overrides Device)
 	Cluster       *cluster.Config // full override (optional)
 	Core          *core.Config    // framework override (optional)
@@ -107,18 +79,11 @@ func Build(opt Options) *Env {
 		panic("bench: " + err.Error())
 	}
 	var ccfg cluster.Config
-	dev, fleet := opt.Device, opt.Fleet
-	if dev == "" {
-		dev = DefaultDevice
-	}
-	if fleet == "" {
-		fleet = DefaultFleet
-	}
 	switch {
 	case opt.Cluster != nil:
 		ccfg = *opt.Cluster
-	case fleet != "":
-		names, err := device.ExpandFleet(fleet, opt.Nodes)
+	case opt.Fleet != "":
+		names, err := device.ExpandFleet(opt.Fleet, opt.Nodes)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
@@ -127,11 +92,11 @@ func Build(opt Options) *Env {
 		// per-node ports and capabilities come from NodeProfiles.
 		ccfg = cluster.ProfileConfig(names[0], opt.Nodes, opt.PPN)
 		ccfg.NodeProfiles = names
-	case dev != "":
-		ccfg = cluster.ProfileConfig(dev, opt.Nodes, opt.PPN)
+	case opt.Device != "":
+		ccfg = cluster.ProfileConfig(opt.Device, opt.Nodes, opt.PPN)
 		names := make([]string, opt.Nodes)
 		for i := range names {
-			names[i] = dev
+			names[i] = opt.Device
 		}
 		ccfg.NodeProfiles = names
 	default:
@@ -141,29 +106,10 @@ func Build(opt Options) *Env {
 	if opt.ProxiesPerDPU > 0 {
 		ccfg.ProxiesPerDPU = opt.ProxiesPerDPU
 	}
-	if ccfg.Metrics == nil {
-		if opt.Metrics != nil {
-			ccfg.Metrics = opt.Metrics
-		} else {
-			ccfg.Metrics = DefaultMetrics
-		}
-	}
-	if ccfg.Spans == nil {
-		if opt.Spans != nil {
-			ccfg.Spans = opt.Spans
-		} else {
-			ccfg.Spans = DefaultSpans
-		}
-	}
-	if ccfg.Timeline == nil {
-		if opt.Timeline != nil {
-			ccfg.Timeline = opt.Timeline
-		} else {
-			// One fresh recorder per simulated run; a nil DefaultTimeline
-			// hands out a nil (inert) recorder.
-			ccfg.Timeline = DefaultTimeline.NewRecorder("")
-		}
-	}
+	// A full cluster override keeps the sinks it carries.
+	ccfg.Metrics = cmp.Or(ccfg.Metrics, opt.Metrics)
+	ccfg.Spans = cmp.Or(ccfg.Spans, opt.Spans)
+	ccfg.Timeline = cmp.Or(ccfg.Timeline, opt.Timeline)
 	cl := cluster.New(ccfg)
 	w := mpi.NewWorld(cl, mpi.DefaultConfig())
 	e := &Env{Opt: opt, Cl: cl, W: w}

@@ -13,6 +13,7 @@ import (
 )
 
 func TestBuildSchemesFrameworkPresence(t *testing.T) {
+	t.Parallel()
 	if e := Build(Options{Nodes: 2, PPN: 1, Scheme: baseline.NameIntelMPI}); e.Fw != nil {
 		t.Fatal("host scheme must not build a framework")
 	}
@@ -39,6 +40,7 @@ func TestBuildSchemesFrameworkPresence(t *testing.T) {
 }
 
 func TestLaunchBindsBackendsAndStopsProxies(t *testing.T) {
+	t.Parallel()
 	e := Build(Options{Nodes: 2, PPN: 2, Scheme: baseline.NameProposed})
 	names := make([]string, e.Cl.Cfg.NP())
 	e.Launch(func(r *mpi.Rank, ops coll.Ops, p2p coll.P2P) {
@@ -56,6 +58,7 @@ func TestLaunchBindsBackendsAndStopsProxies(t *testing.T) {
 }
 
 func TestOverlapPctFormula(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		pure, comp, overall sim.Time
 		want                float64
@@ -74,6 +77,7 @@ func TestOverlapPctFormula(t *testing.T) {
 }
 
 func TestSizeLabel(t *testing.T) {
+	t.Parallel()
 	cases := map[int]string{100: "100", 1024: "1K", 65536: "64K", 1 << 20: "1M", 3 << 20: "3M"}
 	for in, want := range cases {
 		if got := SizeLabel(in); got != want {
@@ -83,6 +87,7 @@ func TestSizeLabel(t *testing.T) {
 }
 
 func TestPow2Sizes(t *testing.T) {
+	t.Parallel()
 	got := Pow2Sizes(4, 64)
 	want := []int{4, 8, 16, 32, 64}
 	if len(got) != len(want) {
@@ -96,6 +101,7 @@ func TestPow2Sizes(t *testing.T) {
 }
 
 func TestTableFprint(t *testing.T) {
+	t.Parallel()
 	tab := &Table{Title: "T", Headers: []string{"a", "bb"}, Notes: []string{"n"}}
 	tab.AddRow("1", "2")
 	var sb strings.Builder
@@ -109,6 +115,7 @@ func TestTableFprint(t *testing.T) {
 }
 
 func TestMeasureIbcastAndIallgather(t *testing.T) {
+	t.Parallel()
 	for _, scheme := range []string{baseline.NameIntelMPI, baseline.NameProposed} {
 		opt := Options{Nodes: 2, PPN: 2, Scheme: scheme}
 		b := MeasureIbcast(opt, 32<<10, 1, 2)
@@ -152,11 +159,12 @@ func TestMeasureIbcastAndIallgather(t *testing.T) {
 }
 
 func TestMicroMeasurementsSane(t *testing.T) {
-	rows := MeasureRDMALatency([]int{8, 1024}, 3)
+	t.Parallel()
+	rows := MeasureRDMALatency(SweepEnv{}, []int{8, 1024}, 3)
 	if len(rows) != 2 || rows[0].HostDPU <= rows[0].HostHost {
 		t.Fatalf("latency rows wrong: %+v", rows)
 	}
-	bw := MeasureRDMABandwidth([]int{4096}, 16, 2)
+	bw := MeasureRDMABandwidth(SweepEnv{}, []int{4096}, 16, 2)
 	if bw[0].Normalized <= 0 || bw[0].Normalized >= 1 {
 		t.Fatalf("small-message normalized bandwidth %v", bw[0].Normalized)
 	}
@@ -171,6 +179,7 @@ func TestMicroMeasurementsSane(t *testing.T) {
 }
 
 func TestScatterDestSimpleVsGroupRuns(t *testing.T) {
+	t.Parallel()
 	opt := Options{Nodes: 2, PPN: 2, Scheme: baseline.NameProposed}
 	s := MeasureScatterDest(opt, 8<<10, 1, 1, true)
 	g := MeasureScatterDest(opt, 8<<10, 1, 1, false)

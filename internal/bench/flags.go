@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -26,10 +27,6 @@ type CommonFlags struct {
 	Device         string
 	Fleet          string
 	Parallel       int
-
-	reg *metrics.Registry
-	sc  *span.Collector
-	tl  *telemetry.Timeline
 }
 
 // RegisterCommonFlags registers the seven shared flags on fs. A front end
@@ -113,76 +110,59 @@ func RejectFlags(fs *flag.FlagSet, what string, names ...string) error {
 	return err
 }
 
-// Activate applies the parsed flags to the bench globals — Parallelism plus
-// the default metrics registry / span collector attached to every
-// environment. Neither attachment consumes virtual time, so results are
+// Env builds the SweepEnv the flags ask for: a fresh sink per export
+// requested, the -device/-fleet profiles and the -parallel worker count
+// (0 = one per CPU). Neither sink consumes virtual time, so results are
 // unchanged.
-func (cf *CommonFlags) Activate() {
-	workers := cf.Parallel
-	if workers <= 0 {
-		workers = DefaultParallelism()
+func (cf *CommonFlags) Env() SweepEnv {
+	env := SweepEnv{Device: cf.Device, Fleet: cf.Fleet, Parallel: cf.Parallel}
+	if env.Parallel <= 0 {
+		env.Parallel = runtime.GOMAXPROCS(0)
 	}
-	Parallelism = workers
-	DefaultDevice = cf.Device
-	DefaultFleet = cf.Fleet
-	if cf.MetricsPath != "" {
-		cf.reg = metrics.NewRegistry()
-		DefaultMetrics = cf.reg
+	// The recorder samples the metrics registry, so -timeseries implies a
+	// live registry even without -metrics (only -metrics writes the
+	// snapshot files, though).
+	if cf.MetricsPath != "" || cf.TimeseriesPath != "" {
+		env.Met = metrics.NewRegistry()
 	}
 	if cf.SpansPath != "" {
-		cf.sc = span.New(0)
-		DefaultSpans = cf.sc
+		env.Sp = span.New(0)
 	}
 	if cf.TimeseriesPath != "" {
-		// The recorder samples the metrics registry, so -timeseries
-		// implies a live registry even without -metrics (only -metrics
-		// writes the snapshot files, though).
-		if DefaultMetrics == nil {
-			DefaultMetrics = metrics.NewRegistry()
-		}
-		cf.tl = telemetry.NewTimeline(telemetry.Config{})
-		DefaultTimeline = cf.tl
+		env.Tl = telemetry.NewTimeline(telemetry.Config{})
 	}
+	return env
 }
 
-// Registry returns the registry Activate installed (nil without -metrics).
-func (cf *CommonFlags) Registry() *metrics.Registry { return cf.reg }
-
-// Spans returns the collector Activate installed (nil without -spans).
-func (cf *CommonFlags) Spans() *span.Collector { return cf.sc }
-
-// Timeline returns the timeline Activate installed (nil without
-// -timeseries).
-func (cf *CommonFlags) Timeline() *telemetry.Timeline { return cf.tl }
-
-// Finish writes the exports the flags requested and prints one summary line
-// per export to out.
-func (cf *CommonFlags) Finish(out io.Writer) error {
-	if cf.reg != nil {
-		if err := WriteMetricsFiles(cf.MetricsPath, cf.reg); err != nil {
+// Finish writes the exports the flags requested from env, the value Env
+// built and the run recorded into, and prints one summary line per export
+// to out.
+func (cf *CommonFlags) Finish(env SweepEnv, out io.Writer) error {
+	if cf.MetricsPath != "" {
+		if err := WriteMetricsFiles(cf.MetricsPath, env.Met); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "metrics: %s, %s.prom\n", cf.MetricsPath, cf.MetricsPath)
 	}
-	if cf.sc != nil {
+	if cf.SpansPath != "" {
 		// With both -spans and -timeseries, the recorders' counter tracks
 		// merge into the Chrome trace next to the span tracks.
 		var extra []string
-		for _, rec := range cf.tl.Recorders() {
+		for _, rec := range env.Tl.Recorders() {
 			extra = append(extra, rec.ChromeCounterLines()...)
 		}
-		if err := WriteSpanFilesWith(cf.SpansPath, cf.sc, extra); err != nil {
+		if err := WriteSpanFilesWith(cf.SpansPath, env.Sp, extra); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "spans: %s, %s.folded, %s.jsonl (%d spans, %d dropped)\n",
-			cf.SpansPath, cf.SpansPath, cf.SpansPath, cf.sc.Len(), cf.sc.Dropped())
+			cf.SpansPath, cf.SpansPath, cf.SpansPath, env.Sp.Len(), env.Sp.Dropped())
 	}
-	if cf.tl != nil {
-		if err := WriteTimeseriesFiles(cf.TimeseriesPath, cf.tl); err != nil {
+	if cf.TimeseriesPath != "" {
+		if err := WriteTimeseriesFiles(cf.TimeseriesPath, env.Tl); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "timeseries: %s.jsonl, %s.prom (%d runs)\n",
-			cf.TimeseriesPath, cf.TimeseriesPath, len(cf.tl.Recorders()))
+			cf.TimeseriesPath, cf.TimeseriesPath, len(env.Tl.Recorders()))
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 // Check turns the shared-flag values Build would panic on into errors, and
 // passes valid values and the two documentation queries.
 func TestCommonFlagsCheck(t *testing.T) {
+	t.Parallel()
 	fs := flag.NewFlagSet("word", flag.ContinueOnError)
 	cf := RegisterCommonFlags(fs)
 	if err := fs.Parse([]string{"-parallel", "3", "-policy", "adaptive", "-fleet", "bf2:2,bf3:2"}); err != nil {
@@ -44,6 +45,7 @@ func TestCommonFlagsCheck(t *testing.T) {
 // true, which every CLI translates into a clean exit-0 without running a
 // benchmark. Anything else runs normally.
 func TestHandleDeviceQuery(t *testing.T) {
+	t.Parallel()
 	var buf strings.Builder
 	cf := &CommonFlags{Device: "list"}
 	if !cf.HandleDeviceQuery(&buf) {

@@ -112,8 +112,8 @@ func meanTime(ts []sim.Time) sim.Time {
 // MeasureFleet produces the checked-in fleet snapshot: the fig13 guard
 // points on an explicit homogeneous bf2 fleet plus the mixed-fleet policy
 // table, all under one metrics registry.
-func MeasureFleet() FleetSnapshot {
-	met := metrics.NewRegistry()
+func MeasureFleet(env SweepEnv) FleetSnapshot {
+	env.Met = metrics.NewRegistry()
 	s := FleetSnapshot{
 		Schema: FleetSchema,
 		Fleet:  fleetSpec,
@@ -124,7 +124,7 @@ func MeasureFleet() FleetSnapshot {
 	nh := len(fig13SnapshotPoints)
 	s.Homogeneous = make([]BenchPoint, nh)
 	s.Mixed = make([]FleetPoint, len(fleetPolicies))
-	SweepInto(met, nh+len(fleetPolicies), func(i int, env SweepEnv) {
+	env.Sweep(nh+len(fleetPolicies), func(i int, env SweepEnv) {
 		if i < nh {
 			s.Homogeneous[i] = measureFig13Point(env, i, "bf2")
 			return
@@ -135,7 +135,7 @@ func MeasureFleet() FleetSnapshot {
 		s.Mixed[i-nh] = FleetPoint{Policy: pol,
 			Timings: timingsOf(MeasureFleetExchange(opt, fleetSize, fleetWarmup, fleetIters))}
 	})
-	s.Metrics = met.Snapshot()
+	s.Metrics = env.Met.Snapshot()
 	return s
 }
 

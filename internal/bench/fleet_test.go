@@ -10,6 +10,7 @@ import (
 // schema drift, a homogeneous section that diverged from fig13, a lost
 // crossover, and a missing policy point.
 func TestFleetValidateRejects(t *testing.T) {
+	t.Parallel()
 	figData, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_fig13.json"))
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 // the pinned seed constants while the registry fills with series from every
 // instrumented layer.
 func TestMetricsLiveRegistryMatchesFig13Exactly(t *testing.T) {
+	t.Parallel()
 	met := metrics.NewRegistry()
 	opt := guardOpt()
 	opt.Metrics = met
@@ -57,6 +58,7 @@ func TestMetricsLiveRegistryMatchesFig13Exactly(t *testing.T) {
 // configuration TestFig13TimingsBitIdenticalToSeed exercises implicitly;
 // here the nil is explicit so a future non-nil default cannot slip in.
 func TestMetricsNilRegistryMatchesFig13Exactly(t *testing.T) {
+	t.Parallel()
 	opt := guardOpt()
 	opt.Metrics = nil
 	r := MeasureIalltoall(opt, 8192, 1, 2)
@@ -66,19 +68,17 @@ func TestMetricsNilRegistryMatchesFig13Exactly(t *testing.T) {
 	}
 }
 
-// DefaultMetrics is how offloadbench attaches -metrics without threading a
-// registry through every figure function; Build must pick it up when the
-// Options carry none, and timings must stay pinned.
-func TestDefaultMetricsAttachedByBuild(t *testing.T) {
+// A SweepEnv's registry is how offloadbench attaches -metrics: Attach must
+// route it into the environment, and timings must stay pinned.
+func TestAttachFillsMetrics(t *testing.T) {
+	t.Parallel()
 	met := metrics.NewRegistry()
-	DefaultMetrics = met
-	defer func() { DefaultMetrics = nil }()
-	r := MeasureIalltoall(guardOpt(), 8192, 1, 2)
+	r := MeasureIalltoall(SweepEnv{Met: met}.Attach(guardOpt()), 8192, 1, 2)
 	if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
-		t.Fatalf("timings moved under DefaultMetrics: pure=%d overall=%d, want %d/%d",
+		t.Fatalf("timings moved under an env registry: pure=%d overall=%d, want %d/%d",
 			r.PureComm, r.Overall, guardPure8K, guardOverall8K)
 	}
 	if !met.Snapshot().Has("fabric") {
-		t.Fatal("DefaultMetrics registry recorded nothing")
+		t.Fatal("the env's registry recorded nothing")
 	}
 }

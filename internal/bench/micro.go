@@ -46,12 +46,12 @@ func newMicroRig() *microRig {
 // measured as half of a write-write pingpong. Each (size, writer) sample is
 // an independent rig, so the sweep parallelizes; samples write disjoint
 // fields of their pre-sized row.
-func MeasureRDMALatency(sizes []int, iters int) []LatencyRow {
+func MeasureRDMALatency(env SweepEnv, sizes []int, iters int) []LatencyRow {
 	rows := make([]LatencyRow, len(sizes))
 	for i, size := range sizes {
 		rows[i].Size = size
 	}
-	Sweep(2*len(sizes), func(j int, _ SweepEnv) {
+	env.Sweep(2*len(sizes), func(j int, _ SweepEnv) {
 		i := j / 2
 		if j%2 == 0 {
 			rows[i].HostHost = pingpongHalf(rows[i].Size, iters, false)
@@ -127,12 +127,12 @@ func pingpongHalf(size, iters int, writerOnDPU bool) sim.Time {
 // MeasureRDMABandwidth reproduces Figure 3: streaming RDMA-write bandwidth
 // with a window of outstanding writes, for a host writer versus a DPU
 // writer, normalized to the host writer.
-func MeasureRDMABandwidth(sizes []int, window, iters int) []BandwidthRow {
+func MeasureRDMABandwidth(env SweepEnv, sizes []int, window, iters int) []BandwidthRow {
 	rows := make([]BandwidthRow, len(sizes))
 	for i, size := range sizes {
 		rows[i].Size = size
 	}
-	Sweep(2*len(sizes), func(j int, _ SweepEnv) {
+	env.Sweep(2*len(sizes), func(j int, _ SweepEnv) {
 		i := j / 2
 		if j%2 == 0 {
 			rows[i].HostHost = streamBW(rows[i].Size, window, iters, false)

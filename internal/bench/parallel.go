@@ -1,80 +1,70 @@
 package bench
 
 import (
-	"runtime"
+	"cmp"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/span"
+	"repro/internal/telemetry"
 )
 
-// Parallelism is the worker count the sweep runners use. 1 (the default)
-// runs every job inline on the calling goroutine — the exact code path the
-// pre-parallel tree had. Values above 1 run sweep jobs on a worker pool of
-// that many goroutines; cmd/offloadbench sets it from the -parallel flag.
+// SweepEnv is everything a sweep or a figure takes from outside its own
+// parameters: the sinks its runs record into, the device profile or fleet
+// they run on, and the sweep's worker count. offloadbench builds one from
+// its flags (CommonFlags.Env); the zero value records nothing, runs on the
+// baseline part and sweeps serially.
 //
 // Every simulation in a sweep owns a private Kernel, so jobs share no
 // simulator state; determinism is preserved because results are always
 // stored by sweep index and per-job metric registries are merged back in
-// ascending index order (see Sweep). Span collection forces serial
-// execution: span IDs are assigned sequentially across an entire run, so
-// interleaving two simulations would renumber them.
-var Parallelism = 1
-
-// DefaultParallelism returns the worker count meant by "parallel 0": one
-// worker per available CPU.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// SweepEnv is what a sweep job is given instead of the process-wide
-// DefaultMetrics/DefaultSpans globals: under parallel execution Met is a
-// private registry (merged into the sweep target after the join) and Sp is
-// nil; under serial execution they are the sweep's own sinks. Jobs must
-// route them into every environment they build — Attach does it for an
-// Options value.
+// ascending index order (see Sweep). Spans and time series force serial
+// execution: span IDs and recorder labels are assigned sequentially across
+// an entire run, so interleaving two simulations would renumber them.
 type SweepEnv struct {
 	Met *metrics.Registry
 	Sp  *span.Collector
+	// Tl, when set, hands every environment Attach fills a fresh recorder,
+	// so each simulated run becomes one labelled set of time series.
+	Tl     *telemetry.Timeline
+	Device string // device profile of every node ("" = the baseline part)
+	Fleet  string // per-node profiles in device.ExpandFleet grammar; overrides Device
+	// Parallel is the sweep worker count; 1 or less runs every job inline on
+	// the calling goroutine.
+	Parallel int
 }
 
-// Attach returns opt with the env's sinks filled in, so a sweep job reads
+// Attach returns opt with the env's sinks and one fresh recorder filled in,
+// and the env's device and fleet where opt names none, so a sweep job reads
 //
 //	r := MeasureIalltoall(env.Attach(Options{...}), size, warmup, iters)
+//
+// Each Attach feeds exactly one Build: the recorders' creation order is the
+// export order of runs.
 func (env SweepEnv) Attach(opt Options) Options {
 	opt.Metrics = env.Met
 	opt.Spans = env.Sp
+	opt.Device = cmp.Or(opt.Device, env.Device)
+	opt.Fleet = cmp.Or(opt.Fleet, env.Fleet)
+	opt.Timeline = env.Tl.NewRecorder("")
 	return opt
 }
 
 // Sweep runs n independent simulation jobs — one per index — against the
-// process-wide DefaultMetrics/DefaultSpans sinks. With Parallelism <= 1 (or
-// with a live span collector, which needs sequential ID assignment) the
-// jobs run inline in index order; otherwise they are distributed over a
-// worker pool. Jobs must be independent: each builds its own environment
-// (own Kernel) from the SweepEnv it receives and writes its result into a
-// caller-owned slot addressed by its index, so result ordering never
-// depends on completion order.
-func Sweep(n int, job func(i int, env SweepEnv)) {
-	SweepInto(nil, n, job)
-}
-
-// SweepInto is Sweep with an explicit metrics target, for callers that
-// aggregate into their own registry (Fig13Snapshot); nil means
-// DefaultMetrics.
-func SweepInto(met *metrics.Registry, n int, job func(i int, env SweepEnv)) {
-	if met == nil {
-		met = DefaultMetrics
-	}
-	sp := DefaultSpans
-	workers := Parallelism
-	if workers > n {
-		workers = n
-	}
-	// Spans and timelines both force serial execution: span IDs and
-	// recorder labels are assigned sequentially across the whole run.
-	if workers <= 1 || sp != nil || DefaultTimeline != nil {
+// env's sinks. With Parallel <= 1, a live span collector or a timeline the
+// jobs run inline in index order, each handed env itself; otherwise they
+// are distributed over a worker pool, and each job's env carries a private
+// registry (merged into env.Met after the join) in place of env.Met. Jobs
+// must be independent: each builds its own environment (own Kernel) from
+// the SweepEnv it receives and writes its result into a caller-owned slot
+// addressed by its index, so result ordering never depends on completion
+// order.
+func (env SweepEnv) Sweep(n int, job func(i int, env SweepEnv)) {
+	workers := min(env.Parallel, n)
+	if workers <= 1 || env.Sp != nil || env.Tl != nil {
 		for i := 0; i < n; i++ {
-			job(i, SweepEnv{Met: met, Sp: sp})
+			job(i, env)
 		}
 		return
 	}
@@ -84,7 +74,7 @@ func SweepInto(met *metrics.Registry, n int, job func(i int, env SweepEnv)) {
 	// reaches serially (counters/histograms are additive, Set-gauges take
 	// the last writer in index order, SetMax-gauges the maximum).
 	regs := make([]*metrics.Registry, n)
-	if met != nil {
+	if env.Met != nil {
 		for i := range regs {
 			regs[i] = metrics.NewRegistry()
 		}
@@ -115,7 +105,9 @@ func SweepInto(met *metrics.Registry, n int, job func(i int, env SweepEnv)) {
 							panicMu.Unlock()
 						}
 					}()
-					job(i, SweepEnv{Met: regs[i]})
+					jenv := env
+					jenv.Met = regs[i]
+					job(i, jenv)
 				}()
 			}
 		}()
@@ -124,9 +116,9 @@ func SweepInto(met *metrics.Registry, n int, job func(i int, env SweepEnv)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-	if met != nil {
+	if env.Met != nil {
 		for i := 0; i < n; i++ {
-			met.Merge(regs[i])
+			env.Met.Merge(regs[i])
 		}
 	}
 }

@@ -71,10 +71,10 @@ var scaleSchemes = []string{baseline.NameBluesMPI, baseline.NameProposed, baseli
 // ScaleSeries measures every (ranks, scheme) point of cfg. Runs are
 // independent simulations distributed by the sweep runner, so results are
 // byte-identical at any -parallel value.
-func ScaleSeries(cfg ScaleConfig) []ScalePoint {
+func ScaleSeries(env SweepEnv, cfg ScaleConfig) []ScalePoint {
 	nsch := len(scaleSchemes)
 	res := make([]NBCResult, len(cfg.Ranks)*nsch)
-	Sweep(len(res), func(j int, env SweepEnv) {
+	env.Sweep(len(res), func(j int, env SweepEnv) {
 		ranks := cfg.Ranks[j/nsch]
 		scheme := scaleSchemes[j%nsch]
 		nodes := ranks / cfg.PPN
@@ -108,12 +108,12 @@ func DefaultScaleConfig() ScaleConfig {
 }
 
 // MeasureScale runs the default scaling sweep and packages it.
-func MeasureScale(cfg ScaleConfig) ScaleSnapshot {
+func MeasureScale(env SweepEnv, cfg ScaleConfig) ScaleSnapshot {
 	return ScaleSnapshot{
 		Schema: ScaleSchema,
 		Figure: "scale",
 		Config: cfg,
-		Series: ScaleSeries(cfg),
+		Series: ScaleSeries(env, cfg),
 	}
 }
 

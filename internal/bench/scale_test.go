@@ -9,6 +9,7 @@ import (
 // The checked-in scaling baseline (whose fig-shape claims TestBaselines
 // validates) must be the full sweep: it actually reaches 1024 ranks.
 func TestCheckedInScaleSnapshotValid(t *testing.T) {
+	t.Parallel()
 	data, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_scale.json"))
 	if err != nil {
 		t.Fatalf("missing scale baseline (run `make snap-scale`): %v", err)
@@ -29,6 +30,7 @@ func TestCheckedInScaleSnapshotValid(t *testing.T) {
 // schema drift, a lost fig13 ordering, a collapsed overlap, and an
 // advantage that shrinks with scale.
 func TestScaleValidateRejects(t *testing.T) {
+	t.Parallel()
 	mk := func() ScaleSnapshot {
 		point := func(ranks int, propOverall int64, vsBlues float64) ScalePoint {
 			return ScalePoint{

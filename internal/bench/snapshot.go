@@ -57,8 +57,8 @@ const fig13Nodes, fig13PPN, fig13Warmup, fig13Iters = 2, 4, 1, 2
 // Fig13Snapshot measures the fig13 guard configurations (Proposed scheme,
 // 2 nodes x 4 PPN, warmup 1, iters 2) with a live metrics registry attached
 // and packages timings plus metrics into a BenchSnapshot.
-func Fig13Snapshot() BenchSnapshot {
-	met := metrics.NewRegistry()
+func Fig13Snapshot(env SweepEnv) BenchSnapshot {
+	env.Met = metrics.NewRegistry()
 	s := BenchSnapshot{
 		Schema: BenchSchema,
 		Figure: "fig13",
@@ -66,10 +66,10 @@ func Fig13Snapshot() BenchSnapshot {
 			Scheme: baseline.NameProposed},
 	}
 	s.Series = make([]BenchPoint, len(fig13SnapshotPoints))
-	SweepInto(met, len(s.Series), func(i int, env SweepEnv) {
+	env.Sweep(len(s.Series), func(i int, env SweepEnv) {
 		s.Series[i] = measureFig13Point(env, i, "")
 	})
-	s.Metrics = met.Snapshot()
+	s.Metrics = env.Met.Snapshot()
 	return s
 }
 

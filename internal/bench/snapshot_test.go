@@ -11,7 +11,8 @@ import (
 // the checked-in file, which TestBaselines holds byte-identical to it — and
 // round-trip through the JSON writer/parser unchanged.
 func TestFig13SnapshotMatchesPinnedGuards(t *testing.T) {
-	snap := Fig13Snapshot()
+	t.Parallel()
+	snap := Fig13Snapshot(SweepEnv{})
 	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 // pinned seed constants while the collector fills with spans from every
 // instrumented layer.
 func TestSpansLiveCollectorMatchesFig13Exactly(t *testing.T) {
+	t.Parallel()
 	opt := guardOpt()
 	sc, r := CollectSpans(opt, 8192, 1, 2)
 	if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
@@ -58,6 +59,7 @@ func TestSpansLiveCollectorMatchesFig13Exactly(t *testing.T) {
 // hashes to the value captured before fault events moved onto the span
 // stream, so nothing but injected faults ever adds (or reorders) a span.
 func TestSpansFaultFreeJSONLFrozen(t *testing.T) {
+	t.Parallel()
 	const want = "24f525c59a39264acf594e25789b1373e008deac5363962b6ffb06af28e0eff5"
 	sc, _ := CollectSpans(guardOpt(), 8192, 1, 2)
 	h := sha256.New()
@@ -73,6 +75,7 @@ func TestSpansFaultFreeJSONLFrozen(t *testing.T) {
 // untouched fast paths and reproduces the same constants, keeping fig13
 // bit-identical to BENCH_fig13.json.
 func TestSpansNilCollectorMatchesFig13Exactly(t *testing.T) {
+	t.Parallel()
 	opt := guardOpt()
 	opt.Spans = nil
 	r := MeasureIalltoall(opt, 8192, 1, 2)
@@ -82,20 +85,18 @@ func TestSpansNilCollectorMatchesFig13Exactly(t *testing.T) {
 	}
 }
 
-// DefaultSpans is how offloadbench attaches -spans without threading a
-// collector through every figure function; Build must pick it up when the
-// Options carry none, and timings must stay pinned.
-func TestDefaultSpansAttachedByBuild(t *testing.T) {
+// A SweepEnv's collector is how offloadbench attaches -spans: Attach must
+// route it into the environment, and timings must stay pinned.
+func TestAttachFillsSpans(t *testing.T) {
+	t.Parallel()
 	sc := span.New(0)
-	DefaultSpans = sc
-	defer func() { DefaultSpans = nil }()
-	r := MeasureIalltoall(guardOpt(), 8192, 1, 2)
+	r := MeasureIalltoall(SweepEnv{Sp: sc}.Attach(guardOpt()), 8192, 1, 2)
 	if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
-		t.Fatalf("timings moved under DefaultSpans: pure=%d overall=%d, want %d/%d",
+		t.Fatalf("timings moved under an env collector: pure=%d overall=%d, want %d/%d",
 			r.PureComm, r.Overall, guardPure8K, guardOverall8K)
 	}
 	if sc.Len() == 0 {
-		t.Fatal("DefaultSpans collector recorded nothing")
+		t.Fatal("the env's collector recorded nothing")
 	}
 }
 
@@ -103,6 +104,7 @@ func TestDefaultSpansAttachedByBuild(t *testing.T) {
 // of a fig13 run, the path segments tile the root's window exactly — their
 // durations sum to the root's end-to-end latency, nanosecond for nanosecond.
 func TestCriticalPathSumsToRootLatencyFig13(t *testing.T) {
+	t.Parallel()
 	sc, _ := CollectSpans(guardOpt(), 8192, 1, 2)
 	roots := sc.Roots()
 	if len(roots) == 0 {
@@ -154,6 +156,7 @@ func TestCriticalPathSumsToRootLatencyFig13(t *testing.T) {
 // the layers the collective's critical path passes through. This is the
 // golden contract the critical-path subcommand prints.
 func TestAttributionTableDeterministicGolden(t *testing.T) {
+	t.Parallel()
 	render := func() string {
 		sc, _ := CollectSpans(guardOpt(), 8192, 1, 2)
 		roots := sc.RootsNamed("coll", "ialltoall")
@@ -185,6 +188,7 @@ func TestAttributionTableDeterministicGolden(t *testing.T) {
 // ended root still has an exactly-tiling critical path (retransmissions,
 // failover control and fallback execution included).
 func TestCriticalPathExactUnderChaos(t *testing.T) {
+	t.Parallel()
 	opt := Options{Nodes: 2, PPN: 4, Scheme: guardOpt().Scheme}
 	fcfg := fault.Scaled(7, 1e-3)
 	sc, res := CollectChaosSpans(opt, fcfg, 1e-3, 8192, 1, 2)

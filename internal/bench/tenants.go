@@ -84,9 +84,8 @@ type TenantsSnapshot struct {
 // TenantsSeries sweeps the background-load × foreground-policy grid and
 // returns one point per configuration, in grid order. Runs are independent
 // simulations distributed by the sweep runner, so results are byte-identical
-// at any -parallel value; per-run metrics merge into target (nil = the
-// process-wide DefaultMetrics sink).
-func TenantsSeries(target *metrics.Registry, nodes, ppn, iters int) []TenantsPoint {
+// at any -parallel value; per-run metrics merge into env.Met.
+func TenantsSeries(env SweepEnv, nodes, ppn, iters int) []TenantsPoint {
 	series := make([]TenantsPoint, len(tenantsBgLevels)*len(tenantsPolicies))
 	job := func(i int, env SweepEnv) {
 		bg := tenantsBgLevels[i/len(tenantsPolicies)]
@@ -113,23 +112,23 @@ func TenantsSeries(target *metrics.Registry, nodes, ppn, iters int) []TenantsPoi
 		pt.FgP50NS, pt.FgP99NS = int64(fg.P50), int64(fg.P99)
 		series[i] = pt
 	}
-	SweepInto(target, len(series), job)
+	env.Sweep(len(series), job)
 	return series
 }
 
 // MeasureTenants runs the full crossover sweep (2 nodes × 2 PPN per job,
 // 8 measured iterations) with a live metrics registry attached and packages
 // the series plus merged metrics into a TenantsSnapshot.
-func MeasureTenants() TenantsSnapshot {
+func MeasureTenants(env SweepEnv) TenantsSnapshot {
 	const nodes, ppn, iters = 2, 2, 8
-	met := metrics.NewRegistry()
+	env.Met = metrics.NewRegistry()
 	s := TenantsSnapshot{
 		Schema: TenantsSchema,
 		Figure: "tenants",
 		Config: TenantsConfig{Nodes: nodes, PPN: ppn, ProxiesPerDPU: 1, Iters: iters},
 	}
-	s.Series = TenantsSeries(met, nodes, ppn, iters)
-	s.Metrics = met.Snapshot()
+	s.Series = TenantsSeries(env, nodes, ppn, iters)
+	s.Metrics = env.Met.Snapshot()
 	return s
 }
 

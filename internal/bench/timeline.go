@@ -44,11 +44,11 @@ type DriftRun struct {
 // job tracking DriftSLOObjective, distributing runs through the sweep runner
 // — recorded series are byte-identical at any -parallel value because every
 // run owns a private registry, recorder, and (optionally) span collector.
-// Per-run metrics still merge into the process-wide sweep sink, so -metrics
-// snapshots keep working.
-func CollectDriftTimelines(nodes, ppn, fgIters int, policies []string, spansFor map[string]bool) []DriftRun {
+// Per-run metrics still merge into env.Met, so -metrics snapshots keep
+// working.
+func CollectDriftTimelines(env SweepEnv, nodes, ppn, fgIters int, policies []string, spansFor map[string]bool) []DriftRun {
 	runs := make([]DriftRun, len(policies))
-	Sweep(len(runs), func(i int, env SweepEnv) {
+	env.Sweep(len(runs), func(i int, env SweepEnv) {
 		pol := policies[i]
 		met := metrics.NewRegistry()
 		rec := telemetry.NewRecorder(pol, DriftTimelineConfig())
@@ -221,10 +221,10 @@ func AttributeDrift(run DriftRun) (DriftAttribution, error) {
 // — the frozen measure policy and the feedback policy — with span tracing
 // on, and attributes both. The returned runs keep their recorders for
 // export.
-func MeasureDriftAttribution(nodes, ppn, fgIters int) ([]DriftAttribution, []DriftRun, error) {
+func MeasureDriftAttribution(env SweepEnv, nodes, ppn, fgIters int) ([]DriftAttribution, []DriftRun, error) {
 	policies := []string{"measure", "feedback"}
 	spansFor := map[string]bool{"measure": true, "feedback": true}
-	runs := CollectDriftTimelines(nodes, ppn, fgIters, policies, spansFor)
+	runs := CollectDriftTimelines(env, nodes, ppn, fgIters, policies, spansFor)
 	out := make([]DriftAttribution, len(runs))
 	for i, run := range runs {
 		a, err := AttributeDrift(run)

@@ -13,6 +13,7 @@ import (
 // stay bit-identical to the pinned seed constants — the tick hook observes,
 // never schedules.
 func TestTimelineRecorderMatchesFig13Exactly(t *testing.T) {
+	t.Parallel()
 	met := metrics.NewRegistry()
 	rec := telemetry.NewRecorder("guard", telemetry.Config{})
 	opt := guardOpt()
@@ -45,6 +46,7 @@ func TestTimelineRecorderMatchesFig13Exactly(t *testing.T) {
 // untouched fast paths and reproduces the same constants, so a future
 // non-nil default cannot slip in.
 func TestTimelineNilRecorderMatchesFig13Exactly(t *testing.T) {
+	t.Parallel()
 	opt := guardOpt()
 	opt.Timeline = nil
 	r := MeasureIalltoall(opt, 8192, 1, 2)
@@ -54,18 +56,16 @@ func TestTimelineNilRecorderMatchesFig13Exactly(t *testing.T) {
 	}
 }
 
-// DefaultTimeline is how offloadbench attaches -timeseries without
-// threading a recorder through every figure function; Build must hand each
-// environment a fresh recorder from it, and timings must stay pinned.
-func TestDefaultTimelineAttachedByBuild(t *testing.T) {
-	met := metrics.NewRegistry()
+// A SweepEnv's timeline is how offloadbench attaches -timeseries: Attach
+// must hand each environment a fresh recorder from it, and timings must stay
+// pinned.
+func TestAttachFillsTimeline(t *testing.T) {
+	t.Parallel()
 	tl := telemetry.NewTimeline(telemetry.Config{})
-	DefaultMetrics = met
-	DefaultTimeline = tl
-	defer func() { DefaultMetrics = nil; DefaultTimeline = nil }()
-	r := MeasureIalltoall(guardOpt(), 8192, 1, 2)
+	env := SweepEnv{Met: metrics.NewRegistry(), Tl: tl}
+	r := MeasureIalltoall(env.Attach(guardOpt()), 8192, 1, 2)
 	if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
-		t.Fatalf("timings moved under DefaultTimeline: pure=%d overall=%d, want %d/%d",
+		t.Fatalf("timings moved under an env timeline: pure=%d overall=%d, want %d/%d",
 			r.PureComm, r.Overall, guardPure8K, guardOverall8K)
 	}
 	recs := tl.Recorders()
@@ -82,11 +82,9 @@ func TestDefaultTimelineAttachedByBuild(t *testing.T) {
 // private registry and recorder, so the parallel runner cannot reorder or
 // interleave samples.
 func TestTimelineSweepParallelIdentical(t *testing.T) {
+	t.Parallel()
 	export := func(workers int) string {
-		old := Parallelism
-		Parallelism = workers
-		defer func() { Parallelism = old }()
-		runs := CollectDriftTimelines(2, 2, 10, []string{"measure", "feedback"}, nil)
+		runs := CollectDriftTimelines(SweepEnv{Parallel: workers}, 2, 2, 10, []string{"measure", "feedback"}, nil)
 		recs := make([]*telemetry.Recorder, len(runs))
 		for i := range runs {
 			recs[i] = runs[i].Rec
@@ -116,7 +114,8 @@ func TestTimelineSweepParallelIdentical(t *testing.T) {
 // degraded window, and the post-drift gap between the frozen measure
 // policy and the re-routed feedback policy.
 func TestDriftAttributionClaims(t *testing.T) {
-	atts, runs, err := MeasureDriftAttribution(2, 2, 32)
+	t.Parallel()
+	atts, runs, err := MeasureDriftAttribution(SweepEnv{}, 2, 2, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // registration caches (Challenge 3), the group-request cache (Section
 // VII-D), the GVMI-vs-staging mechanism (Section V), and the number of
 // proxies per DPU (Section VII-A).
-func Ablations(ppn, warmup, iters int) []*bench.Table {
+func Ablations(env bench.SweepEnv, ppn, warmup, iters int) []*bench.Table {
 	const nodes = 4
 	sizes := []int{8 << 10, 64 << 10, 256 << 10}
 	var tables []*bench.Table
@@ -25,7 +25,7 @@ func Ablations(ppn, warmup, iters int) []*bench.Table {
 	off := baseline.ProposedConfig()
 	off.RegCaches = false
 	regRes := make([]bench.NBCResult, 2*len(sizes))
-	bench.Sweep(len(regRes), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(regRes), func(j int, env bench.SweepEnv) {
 		cfg := &on
 		if j%2 == 1 {
 			cfg = &off
@@ -50,7 +50,7 @@ func Ablations(ppn, warmup, iters int) []*bench.Table {
 	gOff := baseline.ProposedConfig()
 	gOff.GroupCache = false
 	grpRes := make([]bench.NBCResult, 2*len(sizes))
-	bench.Sweep(len(grpRes), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(grpRes), func(j int, env bench.SweepEnv) {
 		cfg := &gOn
 		if j%2 == 1 {
 			cfg = &gOff
@@ -73,7 +73,7 @@ func Ablations(ppn, warmup, iters int) []*bench.Table {
 	}
 	stg := baseline.StagingNoWarmupConfig()
 	mechRes := make([]bench.NBCResult, 2*len(sizes))
-	bench.Sweep(len(mechRes), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(mechRes), func(j int, env bench.SweepEnv) {
 		if j%2 == 0 {
 			mechRes[j] = bench.MeasureIalltoall(env.Attach(bench.Options{Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed}), sizes[j/2], warmup, iters)
 		} else {
@@ -96,7 +96,7 @@ func Ablations(ppn, warmup, iters int) []*bench.Table {
 	}
 	proxyCounts := []int{1, 2, 4, 8}
 	pxRes := make([]bench.NBCResult, len(proxyCounts))
-	bench.Sweep(len(pxRes), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(pxRes), func(j int, env bench.SweepEnv) {
 		pxRes[j] = bench.MeasureIalltoall(env.Attach(bench.Options{
 			Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed, ProxiesPerDPU: proxyCounts[j],
 		}), 64<<10, warmup, iters)

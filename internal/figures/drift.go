@@ -14,13 +14,13 @@ import (
 // post-arrival foreground latency: fixed gvmi and the frozen measure
 // policy stay stuck on the saturated proxy while the feedback policy
 // re-probes and re-routes to host-direct.
-func Drift(nodes, ppn, fgIters int) *bench.Table {
+func Drift(env bench.SweepEnv, nodes, ppn, fgIters int) *bench.Table {
 	t := &bench.Table{
 		Title: fmt.Sprintf("Drift: fg latency before/after background arrival, %d nodes x %d PPN/job, 1 FIFO proxy/DPU",
 			nodes, ppn),
 		Headers: []string{"FG policy", "Pre p50 (us)", "Pre p99 (us)", "Post p50 (us)", "Post p99 (us)", "Reprobes"},
 	}
-	for _, p := range bench.DriftSeries(nil, nodes, ppn, fgIters) {
+	for _, p := range bench.DriftSeries(env, nodes, ppn, fgIters) {
 		t.AddRow(p.FgPolicy,
 			bench.F2(sim.Time(p.PreP50N).Micros()),
 			bench.F2(sim.Time(p.PreP99N).Micros()),
@@ -92,8 +92,8 @@ func DriftAttributionTable(atts []bench.DriftAttribution) *bench.Table {
 // and renders the attribution table — the "why" behind the Drift table's
 // re-route win: post-drift, measure's collective time concentrates in the
 // saturated proxy layers while feedback's moves back to the host path.
-func DriftAttribution(nodes, ppn, fgIters int) *bench.Table {
-	atts, _, err := bench.MeasureDriftAttribution(nodes, ppn, fgIters)
+func DriftAttribution(env bench.SweepEnv, nodes, ppn, fgIters int) *bench.Table {
+	atts, _, err := bench.MeasureDriftAttribution(env, nodes, ppn, fgIters)
 	if err != nil {
 		panic(fmt.Sprintf("figures: drift attribution: %v", err))
 	}

@@ -12,7 +12,7 @@ import (
 // Ialltoall comparison on a BlueField-3 + NDR testbed. Faster ARM cores
 // shrink the host/DPU injection gap, so the offload schemes gain on both
 // axes: lower proxy overheads and double the line rate.
-func ExtBF3(nodes, ppn int, sizes []int, warmup, iters int) *bench.Table {
+func ExtBF3(env bench.SweepEnv, nodes, ppn int, sizes []int, warmup, iters int) *bench.Table {
 	t := &bench.Table{
 		Title:   fmt.Sprintf("Extension: BlueField-3 + NDR (future work), Ialltoall overall time, %d nodes x %d PPN (us)", nodes, ppn),
 		Headers: []string{"Size", "BF2 Proposed", "BF3 Proposed", "BF3 BluesMPI", "BF3 IntelMPI", "BF3 vs BF2"},
@@ -21,7 +21,7 @@ func ExtBF3(nodes, ppn int, sizes []int, warmup, iters int) *bench.Table {
 	// serial nesting order.
 	stride := 1 + len(nbcSchemes)
 	res := make([]bench.NBCResult, len(sizes)*stride)
-	bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(res), func(j int, env bench.SweepEnv) {
 		size := sizes[j/stride]
 		k := j % stride
 		if k == 0 {
@@ -56,14 +56,14 @@ func ExtBF3(nodes, ppn int, sizes []int, warmup, iters int) *bench.Table {
 // collective reference [9] offloads by staging, implemented here over the
 // Group primitives with ordering barriers (each forwarding step depends on
 // the previous receive).
-func ExtIallgather(nodes, ppn int, sizes []int, warmup, iters int) *bench.Table {
+func ExtIallgather(env bench.SweepEnv, nodes, ppn int, sizes []int, warmup, iters int) *bench.Table {
 	t := &bench.Table{
 		Title:   fmt.Sprintf("Extension: Iallgather (ref [9] workload) overall time, %d nodes x %d PPN (us)", nodes, ppn),
 		Headers: []string{"Size", "BluesMPI", "Proposed", "IntelMPI", "Proposed overlap"},
 	}
 	nsch := len(nbcSchemes)
 	res := make([]bench.NBCResult, len(sizes)*nsch)
-	bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(res), func(j int, env bench.SweepEnv) {
 		res[j] = bench.MeasureIallgather(env.Attach(bench.Options{
 			Nodes: nodes, PPN: ppn, Scheme: nbcSchemes[j%nsch],
 		}), sizes[j/nsch], warmup, iters)

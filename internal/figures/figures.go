@@ -26,12 +26,12 @@ import (
 var nbcSchemes = []string{baseline.NameBluesMPI, baseline.NameProposed, baseline.NameIntelMPI}
 
 // Fig2 reproduces Figure 2: RDMA-write latency, host-driven vs DPU-driven.
-func Fig2(iters int) *bench.Table {
+func Fig2(env bench.SweepEnv, iters int) *bench.Table {
 	t := &bench.Table{
 		Title:   "Fig 2: RDMA-Write Latency — Host-to-Host vs Host-to-DPU (us)",
 		Headers: []string{"Size", "Host-to-Host", "Host-to-DPU", "Ratio"},
 	}
-	for _, row := range bench.MeasureRDMALatency(bench.Pow2Sizes(2, 2048), iters) {
+	for _, row := range bench.MeasureRDMALatency(env, bench.Pow2Sizes(2, 2048), iters) {
 		t.AddRow(bench.SizeLabel(row.Size),
 			bench.F2(row.HostHost.Micros()),
 			bench.F2(row.HostDPU.Micros()),
@@ -42,12 +42,12 @@ func Fig2(iters int) *bench.Table {
 }
 
 // Fig3 reproduces Figure 3: RDMA-write bandwidth normalized to host-to-host.
-func Fig3(window, iters int) *bench.Table {
+func Fig3(env bench.SweepEnv, window, iters int) *bench.Table {
 	t := &bench.Table{
 		Title:   "Fig 3: RDMA-Write Bandwidth — normalized to Host-to-Host (higher is better)",
 		Headers: []string{"Size", "Host GB/s", "DPU GB/s", "Normalized"},
 	}
-	for _, row := range bench.MeasureRDMABandwidth(bench.Pow2Sizes(2, 4<<20), window, iters) {
+	for _, row := range bench.MeasureRDMABandwidth(env, bench.Pow2Sizes(2, 4<<20), window, iters) {
 		t.AddRow(bench.SizeLabel(row.Size),
 			bench.F2(row.HostHost), bench.F2(row.HostDPU), bench.F2(row.Normalized))
 	}
@@ -57,7 +57,7 @@ func Fig3(window, iters int) *bench.Table {
 
 // Fig4 reproduces Figure 4: nonblocking pingpong latency, host MPI vs a
 // staging-based offload design.
-func Fig4(warmup, iters int) *bench.Table {
+func Fig4(env bench.SweepEnv, warmup, iters int) *bench.Table {
 	t := &bench.Table{
 		Title:   "Fig 4: Nonblocking Pingpong Latency — Host MPI vs Staging offload (us)",
 		Headers: []string{"Size", "Host", "Staged", "Degradation"},
@@ -66,7 +66,7 @@ func Fig4(warmup, iters int) *bench.Table {
 	sizes := bench.Pow2Sizes(4<<10, 2<<20)
 	host := make([]sim.Time, len(sizes))
 	staged := make([]sim.Time, len(sizes))
-	bench.Sweep(2*len(sizes), func(j int, env bench.SweepEnv) {
+	env.Sweep(2*len(sizes), func(j int, env bench.SweepEnv) {
 		i := j / 2
 		if j%2 == 0 {
 			host[i] = bench.MeasurePingpongNB(env.Attach(bench.Options{
@@ -103,7 +103,7 @@ func Fig5() *bench.Table {
 
 // Fig11And12 reproduces Figures 11 and 12: the 3D-stencil overall time
 // (normalized to IntelMPI) and overlap percentage, Proposed vs IntelMPI.
-func Fig11And12(nodes, ppn, warmup, iters int, problems []int) (*bench.Table, *bench.Table) {
+func Fig11And12(env bench.SweepEnv, nodes, ppn, warmup, iters int, problems []int) (*bench.Table, *bench.Table) {
 	t11 := &bench.Table{
 		Title:   fmt.Sprintf("Fig 11: 3DStencil normalized overall time, %d nodes x %d PPN (lower is better)", nodes, ppn),
 		Headers: []string{"Problem", "Proposed", "IntelMPI", "Proposed overall", "IntelMPI overall"},
@@ -114,7 +114,7 @@ func Fig11And12(nodes, ppn, warmup, iters int, problems []int) (*bench.Table, *b
 	}
 	hostR := make([]stencil.Result, len(problems))
 	propR := make([]stencil.Result, len(problems))
-	bench.Sweep(2*len(problems), func(j int, env bench.SweepEnv) {
+	env.Sweep(2*len(problems), func(j int, env bench.SweepEnv) {
 		i := j / 2
 		if j%2 == 0 {
 			hostR[i] = stencil.Run(env.Attach(bench.Options{Nodes: nodes, PPN: ppn, Scheme: baseline.NameIntelMPI}), problems[i], warmup, iters)
@@ -139,13 +139,13 @@ func Fig11And12(nodes, ppn, warmup, iters int, problems []int) (*bench.Table, *b
 // Fig13And14 reproduces Figures 13(a-c) and 14: Ialltoall overall time and
 // overlap for BluesMPI / Proposed / IntelMPI across node counts and message
 // sizes.
-func Fig13And14(nodesList []int, ppn int, sizes []int, warmup, iters int) ([]*bench.Table, []*bench.Table) {
+func Fig13And14(env bench.SweepEnv, nodesList []int, ppn int, sizes []int, warmup, iters int) ([]*bench.Table, []*bench.Table) {
 	// One sweep job per (nodes, size, scheme) point, indexed in the exact
 	// nesting order of the serial loops so the shared-registry metrics state
 	// (and therefore -metrics output) is identical at any parallelism.
 	ns, nsch := len(sizes), len(nbcSchemes)
 	res := make([]bench.NBCResult, len(nodesList)*ns*nsch)
-	bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(res), func(j int, env bench.SweepEnv) {
 		nodes := nodesList[j/(ns*nsch)]
 		size := sizes[j/nsch%ns]
 		scheme := nbcSchemes[j%nsch]
@@ -189,7 +189,7 @@ func Fig13And14(nodesList []int, ppn int, sizes []int, warmup, iters int) ([]*be
 // with Simple (basic) primitives versus Group primitives, on the Proposed
 // framework. Disabling the group cache isolates the metadata-exchange
 // saving.
-func Fig15(nodes, ppn int, sizes []int, warmup, iters int, groupCache bool) *bench.Table {
+func Fig15(env bench.SweepEnv, nodes, ppn int, sizes []int, warmup, iters int, groupCache bool) *bench.Table {
 	title := fmt.Sprintf("Fig 15: Scatter-destination pattern — Simple vs Group primitives, %d nodes x %d PPN (us)", nodes, ppn)
 	if !groupCache {
 		title += " [group cache OFF]"
@@ -201,7 +201,7 @@ func Fig15(nodes, ppn int, sizes []int, warmup, iters int, groupCache bool) *ben
 	cfg := baseline.ProposedConfig()
 	cfg.GroupCache = groupCache
 	res := make([]bench.NBCResult, 2*len(sizes))
-	bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(res), func(j int, env bench.SweepEnv) {
 		opt := env.Attach(bench.Options{Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed, Core: &cfg})
 		res[j] = bench.MeasureScatterDest(opt, sizes[j/2], warmup, iters, j%2 == 0)
 	})
@@ -217,7 +217,7 @@ func Fig15(nodes, ppn int, sizes []int, warmup, iters int, groupCache bool) *ben
 
 // Fig16 reproduces Figures 16(a) and 16(b): P3DFFT runtimes normalized to
 // IntelMPI for a set of Z extents at fixed X=Y.
-func Fig16(nodes, ppn, xy int, zs []int, iters int) *bench.Table {
+func Fig16(env bench.SweepEnv, nodes, ppn, xy int, zs []int, iters int) *bench.Table {
 	// Application-level runs use no warm-up iterations: the paper traces
 	// BluesMPI's app-level loss to exactly this (Section VIII-D).
 	const warmup = 0
@@ -227,7 +227,7 @@ func Fig16(nodes, ppn, xy int, zs []int, iters int) *bench.Table {
 	}
 	nsch := len(nbcSchemes)
 	res := make([]fft.BenchResult, len(zs)*nsch)
-	bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(res), func(j int, env bench.SweepEnv) {
 		res[j] = fft.RunBench(env.Attach(bench.Options{
 			Nodes: nodes, PPN: ppn, Scheme: nbcSchemes[j%nsch],
 		}), xy, xy, zs[j/nsch], warmup, iters)
@@ -252,7 +252,7 @@ func Fig16(nodes, ppn, xy int, zs []int, iters int) *bench.Table {
 
 // Fig16C reproduces Figure 16(c): the single-phase profile (compute vs time
 // in MPI) of the forward transform for problem P1.
-func Fig16C(nodes, ppn, xy, z, iters int) *bench.Table {
+func Fig16C(env bench.SweepEnv, nodes, ppn, xy, z, iters int) *bench.Table {
 	const warmup = 0 // application level: no warm-up iterations
 	t := &bench.Table{
 		Title:   fmt.Sprintf("Fig 16(c): P3DFFT single-phase profile, %d nodes x %d PPN, %dx%dx%d (ms)", nodes, ppn, xy, xy, z),
@@ -260,7 +260,7 @@ func Fig16C(nodes, ppn, xy, z, iters int) *bench.Table {
 	}
 	schemes := []string{baseline.NameIntelMPI, baseline.NameBluesMPI, baseline.NameProposed}
 	res := make([]fft.BenchResult, len(schemes))
-	bench.Sweep(len(schemes), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(schemes), func(j int, env bench.SweepEnv) {
 		res[j] = fft.RunBench(env.Attach(bench.Options{Nodes: nodes, PPN: ppn, Scheme: schemes[j]}), xy, xy, z, warmup, iters)
 	})
 	for i, scheme := range schemes {
@@ -288,7 +288,7 @@ var HPLVariants = []HPLVariant{
 
 // Fig17 reproduces Figure 17: HPL total runtime for problem sizes occupying
 // the given percentages of memGB per node, normalized to IntelMPI-1ring.
-func Fig17(nodes, ppn, memGB, nb int, fracs []int) *bench.Table {
+func Fig17(env bench.SweepEnv, nodes, ppn, memGB, nb int, fracs []int) *bench.Table {
 	t := &bench.Table{
 		Title: fmt.Sprintf("Fig 17: HPL normalized runtime, %d nodes x %d PPN, %d GB/node (lower is better)",
 			nodes, ppn, memGB),
@@ -296,7 +296,7 @@ func Fig17(nodes, ppn, memGB, nb int, fracs []int) *bench.Table {
 	}
 	nv := len(HPLVariants)
 	res := make([]hpl.Result, len(fracs)*nv)
-	bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(res), func(j int, env bench.SweepEnv) {
 		v := HPLVariants[j%nv]
 		par := hpl.DefaultParams(HPLSizeFor(nodes, memGB, fracs[j/nv], nb), nb, v.Variant)
 		res[j] = hpl.Run(env.Attach(bench.Options{Nodes: nodes, PPN: ppn, Scheme: v.Scheme}), par)
@@ -330,9 +330,9 @@ var ChaosRates = []float64{0, 1e-4, 1e-3, 1e-2}
 // silent injector and reproduces the fault-free Figure 13 timings exactly
 // (a rate-zero plan draws no randomness and schedules the same events);
 // nonzero rows show the retry/redelivery cost.
-func FigChaos(nodes, ppn int, seed int64, rates []float64, msgSize, warmup, iters int) *bench.Table {
+func FigChaos(env bench.SweepEnv, nodes, ppn int, seed int64, rates []float64, msgSize, warmup, iters int) *bench.Table {
 	opt := bench.Options{Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed}
-	results := bench.ChaosSweep(opt, seed, rates, msgSize, warmup, iters)
+	results := bench.ChaosSweep(env, opt, seed, rates, msgSize, warmup, iters)
 	t := bench.ChaosTable(results)
 	t.Title = fmt.Sprintf("Chaos: Ialltoall (Proposed) under fault injection, %d nodes x %d PPN, seed %d",
 		nodes, ppn, seed)

@@ -10,6 +10,7 @@ import (
 )
 
 func TestHPLSizeFor(t *testing.T) {
+	t.Parallel()
 	// 16 nodes x 256 GB at 75%: N = sqrt(0.75*16*256e9/8) ~ 619k.
 	n := HPLSizeFor(16, 256, 75, 256)
 	if n%256 != 0 {
@@ -25,7 +26,8 @@ func TestHPLSizeFor(t *testing.T) {
 }
 
 func TestFig2ShapeMatchesPaper(t *testing.T) {
-	tab := Fig2(5)
+	t.Parallel()
+	tab := Fig2(bench.SweepEnv{}, 5)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -39,7 +41,8 @@ func TestFig2ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
-	rows := bench.MeasureRDMABandwidth([]int{4096, 4 << 20}, 64, 2)
+	t.Parallel()
+	rows := bench.MeasureRDMABandwidth(bench.SweepEnv{}, []int{4096, 4 << 20}, 64, 2)
 	small, large := rows[0].Normalized, rows[1].Normalized
 	if small > 0.75 {
 		t.Fatalf("small-message normalized bandwidth %.2f, want ~0.5", small)
@@ -50,6 +53,7 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig4StagingDegrades(t *testing.T) {
+	t.Parallel()
 	staging := baseline.StagingNoWarmupConfig()
 	host := bench.MeasurePingpongNB(bench.Options{Nodes: 2, PPN: 1, Scheme: baseline.NameIntelMPI}, 256<<10, 1, 3)
 	staged := bench.MeasurePingpongNB(bench.Options{Nodes: 2, PPN: 1, Scheme: baseline.NameBluesMPI, Core: &staging}, 256<<10, 1, 3)
@@ -59,6 +63,7 @@ func TestFig4StagingDegrades(t *testing.T) {
 }
 
 func TestFig5CrossRegCostsMore(t *testing.T) {
+	t.Parallel()
 	tab := Fig5()
 	for _, row := range tab.Rows {
 		if row[1] >= row[2] && len(row[1]) >= len(row[2]) {
@@ -70,6 +75,7 @@ func TestFig5CrossRegCostsMore(t *testing.T) {
 // Determinism: identical options must produce byte-identical results across
 // independent simulations.
 func TestMeasurementsDeterministic(t *testing.T) {
+	t.Parallel()
 	opt := bench.Options{Nodes: 2, PPN: 4, Scheme: baseline.NameProposed}
 	a := bench.MeasureIalltoall(opt, 32<<10, 1, 2)
 	b := bench.MeasureIalltoall(opt, 32<<10, 1, 2)
@@ -79,7 +85,8 @@ func TestMeasurementsDeterministic(t *testing.T) {
 }
 
 func TestAblationsProduceTables(t *testing.T) {
-	tables := Ablations(2, 1, 1)
+	t.Parallel()
+	tables := Ablations(bench.SweepEnv{}, 2, 1, 1)
 	if len(tables) != 4 {
 		t.Fatalf("got %d ablation tables, want 4", len(tables))
 	}
@@ -91,7 +98,8 @@ func TestAblationsProduceTables(t *testing.T) {
 }
 
 func TestFig13ProposedWinsAtScaleSizes(t *testing.T) {
-	t13s, t14s := Fig13And14([]int{2}, 4, []int{128 << 10}, 4, 2)
+	t.Parallel()
+	t13s, t14s := Fig13And14(bench.SweepEnv{}, []int{2}, 4, []int{128 << 10}, 4, 2)
 	if len(t13s) != 1 || len(t13s[0].Rows) != 1 {
 		t.Fatal("unexpected table shape")
 	}
@@ -115,42 +123,47 @@ func TestFig13ProposedWinsAtScaleSizes(t *testing.T) {
 }
 
 func TestFig11And12SmallScale(t *testing.T) {
-	t11, t12 := Fig11And12(2, 2, 1, 1, []int{128})
+	t.Parallel()
+	t11, t12 := Fig11And12(bench.SweepEnv{}, 2, 2, 1, 1, []int{128})
 	if len(t11.Rows) != 1 || len(t12.Rows) != 1 {
 		t.Fatal("stencil tables wrong shape")
 	}
 }
 
 func TestFig15SmallScale(t *testing.T) {
-	tab := Fig15(2, 2, []int{8 << 10}, 1, 1, true)
+	t.Parallel()
+	tab := Fig15(bench.SweepEnv{}, 2, 2, []int{8 << 10}, 1, 1, true)
 	if len(tab.Rows) != 1 {
 		t.Fatal("fig15 table wrong shape")
 	}
 }
 
 func TestFig16SmallScale(t *testing.T) {
-	tab := Fig16(2, 2, 64, []int{64}, 1)
+	t.Parallel()
+	tab := Fig16(bench.SweepEnv{}, 2, 2, 64, []int{64}, 1)
 	if len(tab.Rows) != 1 {
 		t.Fatal("fig16 table wrong shape")
 	}
-	prof := Fig16C(2, 2, 64, 64, 1)
+	prof := Fig16C(bench.SweepEnv{}, 2, 2, 64, 64, 1)
 	if len(prof.Rows) != 3 {
 		t.Fatal("fig16c table wrong shape")
 	}
 }
 
 func TestFig17SmallScale(t *testing.T) {
-	tab := Fig17(2, 2, 1, 128, []int{5})
+	t.Parallel()
+	tab := Fig17(bench.SweepEnv{}, 2, 2, 1, 128, []int{5})
 	if len(tab.Rows) != 1 {
 		t.Fatal("fig17 table wrong shape")
 	}
 }
 
 func TestExtTablesSmallScale(t *testing.T) {
-	if tab := ExtBF3(2, 2, []int{8 << 10}, 1, 1); len(tab.Rows) != 1 {
+	t.Parallel()
+	if tab := ExtBF3(bench.SweepEnv{}, 2, 2, []int{8 << 10}, 1, 1); len(tab.Rows) != 1 {
 		t.Fatal("ext-bf3 wrong shape")
 	}
-	if tab := ExtIallgather(2, 2, []int{8 << 10}, 1, 1); len(tab.Rows) != 1 {
+	if tab := ExtIallgather(bench.SweepEnv{}, 2, 2, []int{8 << 10}, 1, 1); len(tab.Rows) != 1 {
 		t.Fatal("ext-allgather wrong shape")
 	}
 }

@@ -16,7 +16,7 @@ import (
 //
 // only restricts the sweep to a single bundle (the -policy flag); empty
 // runs all of them.
-func PolicyAblation(nodes, ppn int, sizes []int, warmup, iters int, only string) *bench.Table {
+func PolicyAblation(env bench.SweepEnv, nodes, ppn int, sizes []int, warmup, iters int, only string) *bench.Table {
 	policies := baseline.PolicyNames()
 	if only != "" {
 		policies = []string{only}
@@ -26,7 +26,7 @@ func PolicyAblation(nodes, ppn int, sizes []int, warmup, iters int, only string)
 		Headers: append([]string{"Size"}, policies...),
 	}
 	res := make([]bench.NBCResult, len(sizes)*len(policies))
-	bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
+	env.Sweep(len(res), func(j int, env bench.SweepEnv) {
 		size := sizes[j/len(policies)]
 		pol := policies[j%len(policies)]
 		res[j] = bench.MeasureIalltoall(env.Attach(bench.Options{

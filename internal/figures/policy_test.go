@@ -8,17 +8,10 @@ import (
 	"repro/internal/bench"
 )
 
-func withParallelism(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := bench.Parallelism
-	bench.Parallelism = n
-	defer func() { bench.Parallelism = prev }()
-	fn()
-}
-
 // The fixed policy bundles must reproduce the pre-refactor scheme presets
 // bit-exactly: same NBCResult, field for field, in virtual time.
 func TestFixedPoliciesReproduceSchemePresets(t *testing.T) {
+	t.Parallel()
 	staging := baseline.StagingNoWarmupConfig()
 	cases := []struct {
 		policy string
@@ -54,44 +47,42 @@ func TestFixedPoliciesReproduceSchemePresets(t *testing.T) {
 // all three feedback probes plus the freeze land before the measured
 // iterations.
 func TestAdaptiveNeverLosesToFixedPaths(t *testing.T) {
+	t.Parallel()
 	fixed := []string{"gvmi", "staged", "bluesmpi", "hostdirect"}
 	learned := []string{"adaptive", "feedback"}
 	sizes := []int{8 << 10, 32 << 10, 128 << 10}
-	withParallelism(t, 4, func() {
-		arms := append(append([]string{}, learned...), fixed...)
-		res := make([]bench.NBCResult, len(sizes)*len(arms))
-		bench.Sweep(len(res), func(j int, env bench.SweepEnv) {
-			size := sizes[j/len(arms)]
-			pol := arms[j%len(arms)]
-			res[j] = bench.MeasureIalltoall(env.Attach(bench.Options{
-				Nodes: 4, PPN: 8, Policy: pol,
-			}), size, 4, 1)
-		})
-		for i, size := range sizes {
-			adaptive := res[i*len(arms)].Overall
-			feedback := res[i*len(arms)+1].PureComm
-			for f := len(learned); f < len(arms); f++ {
-				if other := res[i*len(arms)+f].Overall; adaptive > other {
-					t.Errorf("size %d: adaptive %v loses to %s %v",
-						size, adaptive, arms[f], other)
-				}
-				if pure := res[i*len(arms)+f].PureComm; feedback*100 > pure*102 {
-					t.Errorf("size %d: feedback pure %v loses to %s pure %v",
-						size, feedback, arms[f], pure)
-				}
+	arms := append(append([]string{}, learned...), fixed...)
+	res := make([]bench.NBCResult, len(sizes)*len(arms))
+	bench.SweepEnv{Parallel: 4}.Sweep(len(res), func(j int, env bench.SweepEnv) {
+		size := sizes[j/len(arms)]
+		pol := arms[j%len(arms)]
+		res[j] = bench.MeasureIalltoall(env.Attach(bench.Options{
+			Nodes: 4, PPN: 8, Policy: pol,
+		}), size, 4, 1)
+	})
+	for i, size := range sizes {
+		adaptive := res[i*len(arms)].Overall
+		feedback := res[i*len(arms)+1].PureComm
+		for f := len(learned); f < len(arms); f++ {
+			if other := res[i*len(arms)+f].Overall; adaptive > other {
+				t.Errorf("size %d: adaptive %v loses to %s %v",
+					size, adaptive, arms[f], other)
+			}
+			if pure := res[i*len(arms)+f].PureComm; feedback*100 > pure*102 {
+				t.Errorf("size %d: feedback pure %v loses to %s pure %v",
+					size, feedback, arms[f], pure)
 			}
 		}
-	})
+	}
 }
 
 // The policy ablation table must render byte-identically at any sweep
 // worker count (the determinism contract every figure sweep carries).
 func TestPolicyAblationDeterministicAcrossParallelism(t *testing.T) {
+	t.Parallel()
 	render := func(workers int) string {
 		var buf bytes.Buffer
-		withParallelism(t, workers, func() {
-			PolicyAblation(2, 2, []int{8 << 10, 32 << 10}, 1, 1, "").Fprint(&buf)
-		})
+		PolicyAblation(bench.SweepEnv{Parallel: workers}, 2, 2, []int{8 << 10, 32 << 10}, 1, 1, "").Fprint(&buf)
 		return buf.String()
 	}
 	serial := render(1)

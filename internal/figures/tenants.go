@@ -12,13 +12,13 @@ import (
 // a single shared proxy ARM worker per node. The table locates the point
 // where the loaded proxy flips the offload win — fixed offload loses to
 // host-direct while the adaptive policy routes around the contention.
-func Tenants(nodes, ppn, iters int) *bench.Table {
+func Tenants(env bench.SweepEnv, nodes, ppn, iters int) *bench.Table {
 	t := &bench.Table{
 		Title: fmt.Sprintf("Tenants: fg tail latency & aggregate goodput vs background load, %d nodes x %d PPN/job, 1 proxy/DPU",
 			nodes, ppn),
 		Headers: []string{"BG jobs", "FG policy", "FG p50 (us)", "FG p99 (us)", "Goodput GB/s", "Makespan (us)"},
 	}
-	for _, p := range bench.TenantsSeries(nil, nodes, ppn, iters) {
+	for _, p := range bench.TenantsSeries(env, nodes, ppn, iters) {
 		t.AddRow(fmt.Sprintf("%d", p.BgJobs), p.FgPolicy,
 			bench.F2(sim.Time(p.FgP50NS).Micros()),
 			bench.F2(sim.Time(p.FgP99NS).Micros()),

@@ -219,7 +219,7 @@ func (r *Result) Job(name string) *JobResult {
 
 // Run executes all jobs concurrently on one shared cluster and framework.
 // Everything is deterministic: same config, same result, independent of
-// host parallelism (runs share nothing — sweep them with bench.Sweep).
+// host parallelism (runs share nothing — sweep them with bench.SweepEnv.Sweep).
 func Run(cfg Config) (*Result, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("tenant: need at least one node")
