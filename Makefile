@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet fmt-check staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim shuffle loc
+.PHONY: all build test vet fmt-check staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim shuffle loc examples-smoke
 
 all: build
 
@@ -58,7 +58,15 @@ loc:
 		| LC_ALL=C sort | uniq -c \
 		| awk '{ printf "%6d  %s\n", $$1, $$2; t += $$1 } END { printf "%6d  total\n", t }'
 
-check: fmt-check vet staticcheck build race race-sim shuffle bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
+# The examples are the public API's smallest callers (several select their
+# system by paper label): build and run each with its defaults, and fail on a
+# non-zero exit.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "examples-smoke: $$d"; $(GO) run ./$$d > /dev/null; \
+	done
+
+check: fmt-check vet staticcheck build race race-sim shuffle examples-smoke bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/bench/ ./internal/sim/

@@ -221,7 +221,6 @@ type params struct {
 	snapCheck                                     bool
 
 	nodes, minSize, maxSize, bgJobs int
-	scheme                          string
 
 	file, preset             string
 	np, calls, tenants       int
@@ -249,7 +248,6 @@ func (p *params) flags() *flag.FlagSet {
 	fs.IntVar(&p.maxRanks, "maxranks", 0, "largest rank count of the sweep (0 = all of them)")
 	fs.StringVar(&p.out, "o", "", "output path")
 	fs.IntVar(&p.nodes, "nodes", 0, "nodes (0 = the word's default)")
-	fs.StringVar(&p.scheme, "scheme", "Proposed", "Proposed | BluesMPI | IntelMPI (-policy overrides it)")
 	p.minSize, p.maxSize = 4<<10, 512<<10
 	fs.Func("min", "smallest message size (default 4K)", setSize(&p.minSize))
 	fs.Func("max", "largest message size (default 512K)", setSize(&p.maxSize))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"maps"
 	"os"
@@ -160,7 +161,7 @@ func TestReproducersExitTwo(t *testing.T) {
 	}{
 		{"-nb", "fig2 -nb 7 -maxranks 3 -seed 9 -memgb 1"},
 		{"-scheme", "omb drift -nodes 2 -ppn 2 -iters 2 -scheme Nope -min -5"},
-		{"Proposed|BluesMPI|IntelMPI", "omb ialltoall -nodes 2 -ppn 2 -min 4096 -max 4096 -scheme Nope"},
+		{fmt.Sprint(baseline.PolicyNames()), "omb ialltoall -nodes 2 -ppn 2 -min 4096 -max 4096 -policy Nope"},
 		{`fleet spec "bf2:3" names more than the cluster's 2 nodes`, "omb ialltoall -nodes 2 -ppn 2 -min 4096 -max 4096 -fleet bf2:3"},
 		{"-mech", "pattern -preset ring -np 8 -calls 3 -mech staging"},
 		// Counts parse used to accept and the run could not honour: the

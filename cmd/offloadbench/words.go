@@ -28,7 +28,7 @@ import (
 // OSU-style collective words read.
 const (
 	built = " metrics spans timeseries parallel device"
-	omb   = "nodes ppn min max warmup iters scheme policy metrics spans timeseries device fleet"
+	omb   = "nodes ppn min max warmup iters policy metrics spans timeseries device fleet"
 )
 
 // words is the table: dispatch, the `all` word and the usage text all come
@@ -118,7 +118,7 @@ var words = []word{
 	{name: "snap", help: "[-check] NAME|all: regenerate (-check: validate) BENCH_NAME.json, NAME = " + baselineNames() + "; all skips scale",
 		reads: "o parallel", check: snapCheck, run: runSnap},
 	{name: "omb pingpong", help: "OSU-style nonblocking pingpong latency, 2 nodes x 1 rank",
-		reads: "min max warmup iters scheme policy metrics spans timeseries device fleet",
+		reads: "min max warmup iters policy metrics spans timeseries device fleet",
 		check: func(p *params) error { p.nodes, p.ppn = 2, 1; return p.ombCheck() }, run: ombPingpong},
 	{name: "omb ialltoall", help: "OSU-style NBC alltoall: pure, overall, overlap%", reads: omb,
 		check: (*params).ombCheck, run: ombNBC(bench.MeasureIalltoall, "Ialltoall")},
@@ -361,9 +361,9 @@ const maxRanks = pattern.MaxRanks
 
 // ombCheck resolves the OSU-style words' defaults (4 nodes x 8 PPN, 3
 // iterations) and rejects what they cannot run: more than maxRanks ranks
-// (-bgjobs + 1 jobs of them for tenants), a size range bench.Pow2Sizes
-// cannot walk, or an unknown -scheme. The -fleet spec is checked against the
-// node count after it, by CommonFlags.Check.
+// (-bgjobs + 1 jobs of them for tenants) or a size range bench.Pow2Sizes
+// cannot walk. The -policy name and the -fleet spec (against the node
+// count) are checked after it, by CommonFlags.Check.
 func (p *params) ombCheck() error {
 	p.nodes, p.ppn, p.iters = cmp.Or(p.nodes, 4), cmp.Or(p.ppn, 8), cmp.Or(p.iters, 3)
 	switch {
@@ -373,22 +373,21 @@ func (p *params) ombCheck() error {
 		return fmt.Errorf("-bgjobs %d: with the foreground, jobs of %d ranks each are more than %d ranks", p.bgJobs, p.nodes*p.ppn, maxRanks)
 	case p.minSize > p.maxSize || p.maxSize > 1<<30:
 		return fmt.Errorf("want -min <= -max <= 1G, got %d and %d", p.minSize, p.maxSize)
-	case p.fs.Lookup("scheme") != nil:
-		return bench.CheckScheme(p.scheme)
 	}
 	return nil
 }
 
-// backend labels a run: the policy when one is set, the scheme otherwise.
+// backend labels a run: the -policy bundle when one is set, the paper's
+// Proposed otherwise.
 func (p *params) backend() string {
 	if p.cf.Policy != "" {
 		return "policy=" + p.cf.Policy
 	}
-	return p.scheme
+	return baseline.NameProposed
 }
 
 func (p *params) ombOptions() bench.Options {
-	return bench.Options{Nodes: p.nodes, PPN: p.ppn, Scheme: p.scheme, Policy: p.cf.Policy}
+	return bench.Options{Nodes: p.nodes, PPN: p.ppn, Scheme: cmp.Or(p.cf.Policy, baseline.NameProposed)}
 }
 
 // ombNBC is the run of one nonblocking-collective word: per size, the pure
@@ -502,7 +501,7 @@ func (p *params) patternCheck() error {
 	p.core = core.DefaultConfig()
 	if pol := p.cf.Policy; pol != "" {
 		b, _ := baseline.PolicyBundle(pol)
-		if !b.Framework {
+		if b.Core == nil {
 			return fmt.Errorf("-policy %s names no bundle that runs on proxies, and patterns always do", pol)
 		}
 		p.core = b.Core()

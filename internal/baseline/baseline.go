@@ -9,8 +9,11 @@
 //     inside MPI calls (package mpi is exactly that model, so IntelMPI
 //     needs no framework at all).
 //
-// Both are expressed as core.Config presets so that micro-benchmarks and
-// applications compare mechanisms under an otherwise identical substrate.
+// Each system, the paper's Proposed design included, is a Bundle
+// (bundle.go): a core.Config preset (none for IntelMPI) and, for the
+// extension policies, a per-operation datapath choice, so that
+// micro-benchmarks and applications compare mechanisms under an otherwise
+// identical substrate.
 package baseline
 
 import (
@@ -19,7 +22,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Scheme names used throughout benches and reports.
+// The paper's names for its three systems: the Labels of the gvmi, bluesmpi
+// and hostdirect bundles, which PolicyBundle resolves like their names.
 const (
 	NameProposed = "Proposed"
 	NameBluesMPI = "BluesMPI"

@@ -1,9 +1,12 @@
 package baseline
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/datapath"
+	"repro/internal/policy"
 )
 
 func TestProposedConfigIsGVMIWithCaches(t *testing.T) {
@@ -39,5 +42,44 @@ func TestStagingNoWarmupIsolatesMechanism(t *testing.T) {
 	}
 	if !cfg.GroupCache {
 		t.Fatal("mechanism isolation keeps all caches enabled")
+	}
+}
+
+// A paper label resolves to the bundle of that name, and an unknown name's
+// error lists all eight bundles.
+func TestPolicyBundleResolvesLabels(t *testing.T) {
+	for label, name := range map[string]string{NameProposed: "gvmi", NameBluesMPI: "bluesmpi", NameIntelMPI: "hostdirect"} {
+		b, err := PolicyBundle(label)
+		want, _ := PolicyBundle(name)
+		if err != nil || b.Name != want.Name || b.Label != want.Label || want.Label != label {
+			t.Errorf("PolicyBundle(%q) = %q/%q, %v; want the %q bundle", label, b.Name, b.Label, err, name)
+		}
+	}
+	names := PolicyNames()
+	if len(names) != 8 || !slices.IsSorted(names) {
+		t.Fatalf("PolicyNames() = %v, want eight sorted names", names)
+	}
+	_, err := PolicyBundle("Nope")
+	for _, n := range names {
+		if err == nil || !strings.Contains(err.Error(), n) {
+			t.Errorf("unknown bundle error %v does not list %q", err, n)
+		}
+	}
+	if _, err := PolicyBundle(""); err == nil {
+		t.Error(`PolicyBundle("") resolved an extension bundle's empty label`)
+	}
+}
+
+// A fixed bundle's policy is Fixed on its own core's path: host-direct
+// without one.
+func TestFixedBundlePolicyIsItsPath(t *testing.T) {
+	for name, path := range map[string]datapath.Kind{
+		"gvmi": datapath.KindCrossGVMI, "staged": datapath.KindStaged,
+		"bluesmpi": datapath.KindStaged, "hostdirect": datapath.KindHostDirect,
+	} {
+		b, _ := PolicyBundle(name)
+		if b.New != nil || b.Policy() != (policy.Fixed{Path: path}) {
+			t.Errorf("%s: policy %v, want fixed on %v with no constructor", name, b.Policy(), path)
+		}
 	}
 }

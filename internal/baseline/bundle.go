@@ -2,86 +2,71 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/datapath"
 	"repro/internal/policy"
 )
 
-// Bundle pairs an offload policy with the substrate it runs on: whether a
-// framework (proxies) is built at all, which core.Config to build it with,
-// and a constructor for the policy instance (fresh per environment — a
-// measuring policy's learned table must not leak between runs).
-//
-// The fixed bundles reproduce the scheme presets bit-exactly: "gvmi" is the
-// Proposed scheme, "bluesmpi" is the BluesMPI scheme, "hostdirect" is the
-// IntelMPI scheme, and "staged" is the staging mechanism without BluesMPI's
-// warm-up/cache handicaps (the mechanism ablation's configuration).
+// Bundle is one system the benchmarks can run: the substrate it runs on
+// and how it picks a datapath per operation. The paper's three systems are
+// the fixed bundles labelled Proposed ("gvmi"), BluesMPI ("bluesmpi") and
+// IntelMPI ("hostdirect"); "staged" is the staging mechanism without
+// BluesMPI's warm-up/cache handicaps (the mechanism ablation's
+// configuration).
 type Bundle struct {
 	// Name is the CLI value (-policy <name>).
 	Name string
-	// Framework reports whether the environment needs DPU proxies at all.
-	Framework bool
-	// Core returns the framework configuration (meaningful only when
-	// Framework is true).
+	// Label is the paper's name for the system, empty for the extensions.
+	Label string
+	// Core returns the framework configuration; nil means no DPU proxies.
 	Core func() core.Config
-	// New constructs the policy instance for one environment.
+	// New constructs the policy instance for one environment (fresh per
+	// environment — a learned table must not leak between runs); nil means
+	// every operation runs on the bundle's own path, which needs no engine.
 	New func() policy.Policy
 }
 
-// bundles maps -policy values to their substrate + policy pairs.
-var bundles = map[string]Bundle{
-	"gvmi": {
-		Name: "gvmi", Framework: true, Core: ProposedConfig,
-		New: func() policy.Policy { return policy.Fixed{Path: datapath.KindCrossGVMI} },
-	},
-	"staged": {
-		Name: "staged", Framework: true, Core: StagingNoWarmupConfig,
-		New: func() policy.Policy { return policy.Fixed{Path: datapath.KindStaged} },
-	},
-	"bluesmpi": {
-		Name: "bluesmpi", Framework: true, Core: BluesMPIConfig,
-		New: func() policy.Policy { return policy.Fixed{Path: datapath.KindStaged} },
-	},
-	"hostdirect": {
-		Name: "hostdirect", Framework: false, Core: nil,
-		New: func() policy.Policy { return policy.Fixed{Path: datapath.KindHostDirect} },
-	},
-	"adaptive": {
-		Name: "adaptive", Framework: true, Core: ProposedConfig,
-		New: func() policy.Policy { return policy.Adaptive{} },
-	},
-	"aware": {
-		Name: "aware", Framework: true, Core: ProposedConfig,
-		New: func() policy.Policy { return policy.Aware{} },
-	},
-	"measure": {
-		Name: "measure", Framework: true, Core: ProposedConfig,
-		New: func() policy.Policy { return policy.NewFeedback(policy.FeedbackConfig{}) },
-	},
-	"feedback": {
-		Name: "feedback", Framework: true, Core: ProposedConfig,
-		New: func() policy.Policy { return policy.NewFeedback(policy.DefaultFeedbackConfig()) },
-	},
+// Policy returns a fresh policy instance: New's, or else Fixed on the
+// bundle's own path (host-direct without proxies).
+func (b Bundle) Policy() policy.Policy {
+	switch {
+	case b.New != nil:
+		return b.New()
+	case b.Core == nil:
+		return policy.Fixed{Path: datapath.KindHostDirect}
+	}
+	return policy.Fixed{Path: b.Core().Path}
 }
 
-// PolicyBundle resolves a -policy value.
+// bundles are the known systems, sorted by name.
+var bundles = []Bundle{
+	{Name: "adaptive", Core: ProposedConfig, New: func() policy.Policy { return policy.Adaptive{} }},
+	{Name: "aware", Core: ProposedConfig, New: func() policy.Policy { return policy.Aware{} }},
+	{Name: "bluesmpi", Label: NameBluesMPI, Core: BluesMPIConfig},
+	{Name: "feedback", Core: ProposedConfig, New: func() policy.Policy { return policy.NewFeedback(policy.DefaultFeedbackConfig()) }},
+	{Name: "gvmi", Label: NameProposed, Core: ProposedConfig},
+	{Name: "hostdirect", Label: NameIntelMPI},
+	{Name: "measure", Core: ProposedConfig, New: func() policy.Policy { return policy.NewFeedback(policy.FeedbackConfig{}) }},
+	{Name: "staged", Core: StagingNoWarmupConfig},
+}
+
+// PolicyBundle resolves a bundle by name or by paper label.
 func PolicyBundle(name string) (Bundle, error) {
-	b, ok := bundles[name]
-	if !ok {
-		return Bundle{}, fmt.Errorf("baseline: unknown policy %q (have %v)", name, PolicyNames())
+	for _, b := range bundles {
+		if name == b.Name || name != "" && name == b.Label {
+			return b, nil
+		}
 	}
-	return b, nil
+	return Bundle{}, fmt.Errorf("baseline: unknown policy %q (have %v)", name, PolicyNames())
 }
 
 // PolicyNames lists the known -policy values, sorted.
 func PolicyNames() []string {
-	names := make([]string, 0, len(bundles))
-	for n := range bundles {
-		names = append(names, n)
+	names := make([]string, len(bundles))
+	for i, b := range bundles {
+		names[i] = b.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -102,13 +87,7 @@ func SharedCore(names []string) (core.Config, error) {
 		if err != nil {
 			return core.Config{}, err
 		}
-		if !b.Framework {
-			continue
-		}
-		if b.Core == nil {
-			return core.Config{}, fmt.Errorf("baseline: policy %q has no core config", n)
-		}
-		if b.Core() != ProposedConfig() {
+		if b.Core != nil && b.Core() != ProposedConfig() {
 			return core.Config{}, fmt.Errorf("baseline: policy %q needs core config %+v, which cannot be shared by a multi-tenant framework", n, b.Core())
 		}
 	}

@@ -1,6 +1,7 @@
 // Package bench assembles benchmark environments (cluster + MPI world +
-// offload framework per scheme) and implements the OMB-style measurement
-// loops used to regenerate every figure of the paper's evaluation.
+// whatever offload framework and policy engine a bundle asks for) and
+// implements the OMB-style measurement loops used to regenerate every
+// figure of the paper's evaluation.
 package bench
 
 import (
@@ -24,8 +25,7 @@ import (
 type Options struct {
 	Nodes         int
 	PPN           int
-	Scheme        string          // baseline.NameProposed / NameBluesMPI / NameIntelMPI
-	Policy        string          // offload-policy bundle name (overrides Scheme's backend wiring)
+	Scheme        string          // the system that runs: a bundle name or paper label (baseline.PolicyBundle)
 	Backed        bool            // payload-backed buffers (correctness runs)
 	ProxiesPerDPU int             // 0 = cluster default
 	Device        string          // device profile for every node ("" = the baseline part)
@@ -55,27 +55,14 @@ type Env struct {
 	Opt Options
 	Cl  *cluster.Cluster
 	W   *mpi.World
-	Fw  *core.Framework // nil for host-only schemes
-	Pol *policy.Engine  // nil unless Options.Policy named a bundle
+	Fw  *core.Framework // nil when neither the bundle nor Options.Core asks for proxies
+	Pol *policy.Engine  // nil for the fixed-path bundles
 }
 
-// needsFramework reports whether the scheme runs on DPU proxies.
-func needsFramework(scheme string) bool {
-	return scheme == baseline.NameProposed || scheme == baseline.NameBluesMPI
-}
-
-// CheckScheme rejects a scheme name Build does not know.
-func CheckScheme(name string) error {
-	if !needsFramework(name) && name != baseline.NameIntelMPI {
-		return fmt.Errorf("unknown scheme %q (have Proposed|BluesMPI|IntelMPI)", name)
-	}
-	return nil
-}
-
-// Build constructs the environment. Options.Policy, when set, decides the
-// backends; otherwise Options.Scheme must be one of the three schemes.
+// Build constructs the environment of the bundle Options.Scheme names.
 func Build(opt Options) *Env {
-	if err := CheckScheme(opt.Scheme); err != nil && opt.Policy == "" {
+	bundle, err := baseline.PolicyBundle(opt.Scheme)
+	if err != nil {
 		panic("bench: " + err.Error())
 	}
 	var ccfg cluster.Config
@@ -114,78 +101,41 @@ func Build(opt Options) *Env {
 	w := mpi.NewWorld(cl, mpi.DefaultConfig())
 	e := &Env{Opt: opt, Cl: cl, W: w}
 
-	var bundle baseline.Bundle
-	if opt.Policy != "" {
-		var err error
-		bundle, err = baseline.PolicyBundle(opt.Policy)
-		if err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
+	if bundle.New != nil {
 		// A fresh policy instance per environment: measuring policies must
 		// not carry learned tables across runs.
 		e.Pol = policy.NewEngine(bundle.New(), ccfg.Metrics)
 	}
-
-	wantFw := needsFramework(opt.Scheme) || opt.Core != nil
-	if opt.Policy != "" {
-		// The bundle decides the substrate; an explicit Core override still
-		// wins on configuration.
-		wantFw = bundle.Framework || opt.Core != nil
+	// The bundle decides the substrate; an explicit Core override still
+	// wins, and builds proxies even for a host-only bundle.
+	fcfg := opt.Core
+	if fcfg == nil && bundle.Core != nil {
+		c := bundle.Core()
+		fcfg = &c
 	}
-	if wantFw {
-		var fcfg core.Config
-		switch {
-		case opt.Core != nil:
-			fcfg = *opt.Core
-		case opt.Policy != "":
-			fcfg = bundle.Core()
-		case opt.Scheme == baseline.NameBluesMPI:
-			fcfg = baseline.BluesMPIConfig()
-		default:
-			fcfg = baseline.ProposedConfig()
-		}
+	if fcfg != nil {
 		sites := make([]*cluster.Site, ccfg.NP())
 		for i := range sites {
 			sites[i] = w.Rank(i).Site()
 		}
-		e.Fw = core.New(cl, fcfg, sites)
+		e.Fw = core.New(cl, *fcfg, sites)
 		e.Fw.Start()
 	}
 	return e
 }
 
-// backendName labels the backends an environment binds: the policy name
-// when one is active, the scheme otherwise.
-func (e *Env) backendName() string {
-	if e.Opt.Policy != "" {
-		return e.Opt.Policy
-	}
-	return e.Opt.Scheme
-}
-
-// Launch spawns all ranks running fn with the scheme's collective and
-// point-to-point backends bound, then runs the simulation to completion.
-// It returns the final virtual time and panics on deadlock (a bug).
+// Launch spawns all ranks running fn with the bundle's collective and
+// point-to-point backends bound (coll.Bind), then runs the simulation to
+// completion. It returns the final virtual time and panics on deadlock (a
+// bug).
 func (e *Env) Launch(fn func(r *mpi.Rank, ops coll.Ops, p2p coll.P2P)) sim.Time {
 	e.W.Launch(func(r *mpi.Rank) {
-		name := e.backendName()
-		var ops coll.Ops
-		var p2p coll.P2P
-		switch {
-		case e.Fw != nil && e.Pol != nil:
-			h := e.Fw.Host(r.RankID())
+		var h *core.Host
+		if e.Fw != nil {
+			h = e.Fw.Host(r.RankID())
 			h.Bind(r.Proc())
-			ops = coll.NewPolicyOps(name, r, h, e.Pol)
-			p2p = coll.NewPolicyP2P(name, r, h, e.Pol)
-		case e.Fw != nil:
-			h := e.Fw.Host(r.RankID())
-			h.Bind(r.Proc())
-			ops = coll.NewOffloadOps(name, r, h)
-			p2p = coll.NewOffloadP2P(name, r, h)
-		default:
-			ops = coll.NewHostOps(name, r)
-			p2p = coll.NewHostP2P(name, r)
 		}
+		ops, p2p := coll.Bind(e.Opt.Scheme, r, h, e.Pol)
 		fn(r, ops, p2p)
 	})
 	end := e.Cl.K.Run()

@@ -2,41 +2,63 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/coll"
-	"repro/internal/datapath"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
+// Every bundle, by name or paper label, builds the substrate it names:
+// proxies for all but hostdirect, and an engine only for the bundles whose
+// choice is not fixed.
 func TestBuildSchemesFrameworkPresence(t *testing.T) {
 	t.Parallel()
-	if e := Build(Options{Nodes: 2, PPN: 1, Scheme: baseline.NameIntelMPI}); e.Fw != nil {
-		t.Fatal("host scheme must not build a framework")
+	fixed := []string{"bluesmpi", "gvmi", "hostdirect", "staged"}
+	for _, name := range append(baseline.PolicyNames(), baseline.NameProposed, baseline.NameBluesMPI, baseline.NameIntelMPI) {
+		b, err := baseline.PolicyBundle(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := Build(Options{Nodes: 2, PPN: 1, Scheme: name})
+		if (e.Fw == nil) != (b.Name == "hostdirect") {
+			t.Errorf("%s: framework built = %v", name, e.Fw != nil)
+		}
+		if e.Fw != nil && e.Fw.Config() != b.Core() {
+			t.Errorf("%s: framework config %+v, want the bundle's %+v", name, e.Fw.Config(), b.Core())
+		}
+		if (e.Pol == nil) != slices.Contains(fixed, b.Name) {
+			t.Errorf("%s: engine built = %v", name, e.Pol != nil)
+		}
 	}
-	if e := Build(Options{Nodes: 2, PPN: 1, Scheme: baseline.NameProposed}); e.Fw == nil {
-		t.Fatal("proposed scheme needs a framework")
-	}
-	e := Build(Options{Nodes: 2, PPN: 1, Scheme: baseline.NameBluesMPI})
-	if e.Fw == nil || e.Fw.Config().Path != datapath.KindStaged {
-		t.Fatal("BluesMPI scheme must stage")
-	}
-	// A Core override forces a framework even for a host-named scheme.
+	// A Core override forces a framework even for the host-only bundle.
 	cfg := baseline.StagingNoWarmupConfig()
-	if e := Build(Options{Nodes: 2, PPN: 1, Scheme: baseline.NameIntelMPI, Core: &cfg}); e.Fw == nil {
-		t.Fatal("Core override must build a framework")
+	if e := Build(Options{Nodes: 2, PPN: 1, Scheme: baseline.NameIntelMPI, Core: &cfg}); e.Fw == nil || e.Fw.Config() != cfg {
+		t.Fatal("Core override must build a framework with its config")
 	}
-	// An unknown scheme is refused like an unknown policy, not run
-	// host-only under its name.
+	// An unknown scheme is refused, not run host-only under its name.
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Proposed|BluesMPI|IntelMPI") {
-			t.Fatalf(`Build with scheme "Nope" recovered %v; want a panic listing the schemes`, r)
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprint(baseline.PolicyNames())) {
+			t.Fatalf(`Build with scheme "Nope" recovered %v; want a panic listing the bundles`, r)
 		}
 	}()
 	Build(Options{Nodes: 2, PPN: 1, Scheme: "Nope"})
+}
+
+// Options.Core overrides the bundle's configuration: the paper's Proposed
+// run on the staging preset is the staged bundle, field for field.
+func TestCoreOverrideMatchesStagedBundle(t *testing.T) {
+	t.Parallel()
+	staging := baseline.StagingNoWarmupConfig()
+	a := MeasureIalltoall(Options{Nodes: 2, PPN: 2, Scheme: baseline.NameProposed, Core: &staging}, 32<<10, 1, 2)
+	b := MeasureIalltoall(Options{Nodes: 2, PPN: 2, Scheme: "staged"}, 32<<10, 1, 2)
+	a.Scheme, b.Scheme = "", "" // backend label, not a measurement
+	if a != b {
+		t.Errorf("Proposed on the staging core diverges from the staged bundle:\noverride: %+v\nstaged:   %+v", a, b)
+	}
 }
 
 func TestLaunchBindsBackendsAndStopsProxies(t *testing.T) {

@@ -43,7 +43,7 @@ func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	fs.IntVar(&cf.Parallel, "parallel", 1,
 		"sweep worker count (0 = all CPUs, 1 = serial); results are identical at any value")
 	fs.StringVar(&cf.Policy, "policy", "",
-		"offload policy: "+strings.Join(baseline.PolicyNames(), " | ")+" (empty = scheme default)")
+		"offload policy: "+strings.Join(baseline.PolicyNames(), " | ")+" (empty = gvmi, the paper's Proposed)")
 	fs.StringVar(&cf.Device, "device", "",
 		"device profile for every node: "+strings.Join(device.Names(), " | ")+
 			"; \"list\" prints the capability matrix and exits (empty = "+device.BaselineName+")")

@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/baseline"
 	"repro/internal/coll"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
@@ -96,7 +95,6 @@ func MeasureFleetExchange(opt Options, msgSize, warmup, iters int) NBCResult {
 				reqs[1] = p2p.Isend(sbuf.Addr(), msgSize, peer, 7)
 			}, func() { p2p.WaitAll(reqs) }
 		})
-	res.Scheme = opt.Policy
 	return res
 }
 
@@ -130,8 +128,7 @@ func MeasureFleet(env SweepEnv) FleetSnapshot {
 			return
 		}
 		pol := fleetPolicies[i-nh]
-		opt := env.Attach(Options{Nodes: fleetNodes, PPN: fleetPPN, Scheme: baseline.NameProposed,
-			Policy: pol, Fleet: fleetSpec})
+		opt := env.Attach(Options{Nodes: fleetNodes, PPN: fleetPPN, Scheme: pol, Fleet: fleetSpec})
 		s.Mixed[i-nh] = FleetPoint{Policy: pol,
 			Timings: timingsOf(MeasureFleetExchange(opt, fleetSize, fleetWarmup, fleetIters))}
 	})

@@ -7,8 +7,10 @@
 //     scatter-destination Ialltoall and (segmented) ring Ibcast executed by
 //     DPU proxies. With the framework configured for cross-GVMI this is the
 //     paper's "Proposed" scheme; configured for staging without the group
-//     cache it models "BluesMPI".
+//     cache it models "BluesMPI";
+//   - Policy: each call routed by a policy engine to one of the other two.
 //
+// Bind picks one for a rank, together with its point-to-point backend.
 // The slot argument of each collective identifies the call site: offloaded
 // backends cache one group request per (slot, buffers, size), so repeated
 // calls from the same site replay through the DPU group cache exactly as the
@@ -22,6 +24,7 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/mem"
 	"repro/internal/mpi"
+	"repro/internal/policy"
 	"repro/internal/span"
 )
 
@@ -315,71 +318,76 @@ type P2P interface {
 	WaitAll([]Request)
 }
 
-// HostP2P is plain MPI point-to-point.
-type HostP2P struct {
+// Bind returns rank r's collective and point-to-point backends: routed
+// through eng when there is one (it needs h), offloaded on h's framework
+// default path when there is a host handle but no engine — a fixed-path
+// system needs no engine — and the MPI library's own otherwise.
+func Bind(name string, r *mpi.Rank, h *core.Host, eng *policy.Engine) (Ops, P2P) {
+	p2p := &pointToPoint{name: name, r: r, h: h, eng: eng}
+	switch {
+	case eng != nil:
+		return NewPolicyOps(name, r, h, eng), p2p
+	case h != nil:
+		return NewOffloadOps(name, r, h), p2p
+	}
+	return NewHostOps(name, r), p2p
+}
+
+// pointToPoint is the one P2P backend. With a framework handle, inter-node
+// transfers use its Basic primitives (Send_Offload / Recv_Offload) and
+// progress on the DPU; node-local transfers always stay on host MPI (shared
+// memory beats any proxy round trip), which is why the paper's stencil
+// overlap plateaus near 78% rather than 100% (Section VIII-A).
+type pointToPoint struct {
 	name string
 	r    *mpi.Rank
+	h    *core.Host
+	eng  *policy.Engine
 	wait waitScratch
 }
 
-// NewHostP2P wraps a rank with MPI point-to-point transfer.
-func NewHostP2P(name string, r *mpi.Rank) *HostP2P { return &HostP2P{name: name, r: r} }
-
 // Name implements P2P.
-func (o *HostP2P) Name() string { return o.name }
+func (o *pointToPoint) Name() string { return o.name }
+
+// path picks the datapath of one transfer of size bytes to or from peer,
+// sent by rank sender: host-direct without a handle or to a node-local
+// peer, the framework's default path without an engine, and otherwise the
+// engine's decision. That decision is keyed on the *sender's* node profile
+// — a quantity both endpoints can compute — so sender and receiver resolve
+// capability fallbacks identically and never disagree about host-vs-proxy.
+func (o *pointToPoint) path(size, peer, sender int) datapath.Kind {
+	switch {
+	case o.h == nil || o.r.World().SameNode(o.r.RankID(), peer):
+		return datapath.KindHostDirect
+	case o.eng == nil:
+		return o.h.DefaultPath()
+	}
+	caps := o.h.ProfileOfRank(sender)
+	return o.eng.Decide(policy.Request{Class: policy.ClassP2P, Size: size, Caps: &caps}).Path
+}
 
 // Isend implements P2P.
-func (o *HostP2P) Isend(addr mem.Addr, size, dst, tag int) Request {
+func (o *pointToPoint) Isend(addr mem.Addr, size, dst, tag int) Request {
+	if k := o.path(size, dst, o.r.RankID()); k != datapath.KindHostDirect {
+		return o.h.SendOffloadVia(k, addr, size, dst, tag)
+	}
 	return o.r.Isend(addr, size, dst, tag)
 }
 
-// Irecv implements P2P.
-func (o *HostP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
+// Irecv implements P2P. The receive side is path-agnostic on the proxy
+// (RecvOffload registers the destination either way); it only needs to
+// agree with the sender about host-vs-proxy.
+func (o *pointToPoint) Irecv(addr mem.Addr, size, src, tag int) Request {
+	if o.path(size, src, src) != datapath.KindHostDirect {
+		return o.h.RecvOffload(addr, size, src, tag)
+	}
 	return o.r.Irecv(addr, size, src, tag)
 }
 
 // WaitAll implements P2P.
-func (o *HostP2P) WaitAll(qs []Request) { o.wait.waitAll(o.r, nil, qs) }
+func (o *pointToPoint) WaitAll(qs []Request) { o.wait.waitAll(o.r, o.h, qs) }
 
-// OffloadP2P uses the framework's Basic primitives (Send_Offload /
-// Recv_Offload). Inter-node transfers progress on the DPU; intra-node
-// transfers fall back to MPI, which is why the paper's stencil overlap
-// plateaus near 78% rather than 100% (Section VIII-A).
-type OffloadP2P struct {
-	name string
-	r    *mpi.Rank
-	h    *core.Host
-	wait waitScratch
-}
-
-// NewOffloadP2P wraps a rank and its framework handle.
-func NewOffloadP2P(name string, r *mpi.Rank, h *core.Host) *OffloadP2P {
-	return &OffloadP2P{name: name, r: r, h: h}
-}
-
-// Name implements P2P.
-func (o *OffloadP2P) Name() string { return o.name }
-
-// Isend implements P2P.
-func (o *OffloadP2P) Isend(addr mem.Addr, size, dst, tag int) Request {
-	if o.r.World().SameNode(o.r.RankID(), dst) {
-		return o.r.Isend(addr, size, dst, tag)
-	}
-	return o.h.SendOffload(addr, size, dst, tag)
-}
-
-// Irecv implements P2P.
-func (o *OffloadP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
-	if o.r.World().SameNode(o.r.RankID(), src) {
-		return o.r.Irecv(addr, size, src, tag)
-	}
-	return o.h.RecvOffload(addr, size, src, tag)
-}
-
-// WaitAll implements P2P.
-func (o *OffloadP2P) WaitAll(qs []Request) { o.wait.waitAll(o.r, o.h, qs) }
-
-// waitScratch is a P2P backend's pair of WaitAll sorting buffers, reused
+// waitScratch is the P2P backend's pair of WaitAll sorting buffers, reused
 // across calls so a wait allocates nothing.
 type waitScratch struct {
 	mpi []*mpi.Request

@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
@@ -134,7 +136,7 @@ func TestOffloadIbcastMaxSegmentsBoundsEntries(t *testing.T) {
 func TestOffloadP2PIntraNodeFallsBackToMPI(t *testing.T) {
 	const size = 64 << 10
 	launch(t, 1, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-		p2p := NewOffloadP2P("proposed", r, h)
+		_, p2p := Bind("proposed", r, h, nil)
 		buf := r.Alloc(size)
 		if r.RankID() == 0 {
 			for i := range buf.Bytes() {
@@ -158,7 +160,7 @@ func TestOffloadP2PIntraNodeFallsBackToMPI(t *testing.T) {
 func TestOffloadP2PInterNodeUsesFramework(t *testing.T) {
 	const size = 8 << 10
 	launch(t, 2, 1, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-		p2p := NewOffloadP2P("proposed", r, h)
+		_, p2p := Bind("proposed", r, h, nil)
 		buf := r.Alloc(size)
 		if r.RankID() == 0 {
 			q := p2p.Isend(buf.Addr(), size, 1, 0)
@@ -177,7 +179,7 @@ func TestMixedWaitAll(t *testing.T) {
 	// WaitAll — the stencil's everyday situation.
 	const size = 32 << 10
 	launch(t, 2, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-		p2p := NewOffloadP2P("proposed", r, h)
+		_, p2p := Bind("proposed", r, h, nil)
 		a, b := r.Alloc(size), r.Alloc(size)
 		switch r.RankID() {
 		case 0: // node 0; peer 1 intra, peer 2 inter
@@ -228,12 +230,11 @@ func TestTwoSlotsAreIndependent(t *testing.T) {
 func TestHostOpsNames(t *testing.T) {
 	cl := cluster.New(cluster.DefaultConfig(1, 1))
 	w := mpi.NewWorld(cl, mpi.DefaultConfig())
-	o := NewHostOps("intelmpi", w.Rank(0))
-	if o.Name() != "intelmpi" {
-		t.Fatal("name wrong")
+	o, p := Bind("intelmpi", w.Rank(0), nil, nil)
+	if _, ok := o.(*HostOps); !ok || o.Name() != "intelmpi" {
+		t.Fatalf("Bind with no handle: %T named %q, want the host backend", o, o.Name())
 	}
-	p := NewHostP2P("x", w.Rank(0))
-	if p.Name() != "x" {
+	if p.Name() != "intelmpi" {
 		t.Fatal("p2p name wrong")
 	}
 }
@@ -306,6 +307,43 @@ func TestWorldIalltoallIsCommIalltoall(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotData, wantData) {
 			t.Errorf("%s: explicit all-ranks comm and world call left different payloads", backend)
+		}
+	}
+}
+
+// A fixed-path bundle runs with no engine, while tenant and pattern still
+// run it through one on its Fixed policy: the two bindings must finish
+// every rank's Ialltoall and its Isend/Irecv (node-local and inter-node
+// peers) at the same virtual times.
+func TestBindWithoutEngineMatchesFixedEngine(t *testing.T) {
+	const nodes, ppn, per = 2, 4, 8 << 10
+	for _, name := range []string{"gvmi", "staged", "bluesmpi"} {
+		b, err := baseline.PolicyBundle(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(eng *policy.Engine) (ends [nodes * ppn][2]sim.Time) {
+			launch(t, nodes, ppn, b.Core(), func(r *mpi.Rank, h *core.Host) {
+				ops, p2p := Bind(name, r, h, eng)
+				np, me := r.Size(), r.RankID()
+				send, recv := r.Alloc(np*per), r.Alloc(np*per)
+				for it := 0; it < 3; it++ {
+					ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), per))
+				}
+				ends[me][0] = r.Now()
+				local, remote := me^1, (me+ppn)%np
+				p2p.WaitAll([]Request{
+					p2p.Irecv(recv.Addr(), per, local, 1),
+					p2p.Irecv(recv.Addr()+per, per, remote, 1),
+					p2p.Isend(send.Addr(), per, local, 1),
+					p2p.Isend(send.Addr()+per, per, remote, 1),
+				})
+				ends[me][1] = r.Now()
+			})
+			return ends
+		}
+		if free, fixed := run(nil), run(policy.NewEngine(b.Policy(), nil)); free != fixed {
+			t.Errorf("%s: engine-free ends %v, fixed-engine ends %v", name, free, fixed)
 		}
 	}
 }

@@ -192,66 +192,3 @@ func (o *PolicyOps) Test(q Request) bool {
 	}
 	return done
 }
-
-// ---------------------------------------------------------------------------
-// Policy-routed point-to-point.
-
-// PolicyP2P routes each Isend/Irecv through the policy engine. Node-local
-// transfers always stay on host MPI (shared memory beats any proxy round
-// trip — the same fallback OffloadP2P hard-codes); for inter-node transfers
-// the engine decides from (class, size), which sender and receiver evaluate
-// identically, so the two endpoints never disagree about whether a transfer
-// runs on the host library or the proxies.
-type PolicyP2P struct {
-	name string
-	r    *mpi.Rank
-	h    *core.Host
-	eng  *policy.Engine
-	wait waitScratch
-}
-
-// NewPolicyP2P builds the policy-routed point-to-point backend for a rank.
-func NewPolicyP2P(name string, r *mpi.Rank, h *core.Host, eng *policy.Engine) *PolicyP2P {
-	return &PolicyP2P{name: name, r: r, h: h, eng: eng}
-}
-
-// Name implements P2P.
-func (o *PolicyP2P) Name() string { return o.name }
-
-// decide asks the engine for the path of one inter-node transfer. The
-// decision is keyed on the *sender's* node profile — a quantity both
-// endpoints can compute (the receiver derives it from the source rank) —
-// so sender and receiver resolve capability fallbacks identically and
-// never disagree about host-vs-proxy.
-func (o *PolicyP2P) decide(size, sender int) datapath.Kind {
-	caps := o.h.ProfileOfRank(sender)
-	return o.eng.Decide(policy.Request{Class: policy.ClassP2P, Size: size, Caps: &caps}).Path
-}
-
-// Isend implements P2P.
-func (o *PolicyP2P) Isend(addr mem.Addr, size, dst, tag int) Request {
-	if o.r.World().SameNode(o.r.RankID(), dst) {
-		return o.r.Isend(addr, size, dst, tag)
-	}
-	if k := o.decide(size, o.r.RankID()); k != datapath.KindHostDirect {
-		return o.h.SendOffloadVia(k, addr, size, dst, tag)
-	}
-	return o.r.Isend(addr, size, dst, tag)
-}
-
-// Irecv implements P2P. The receive side is path-agnostic on the proxy
-// (RecvOffload registers the destination either way); it only needs to
-// agree with the sender about host-vs-proxy, which the shared sender-keyed
-// decision rule guarantees.
-func (o *PolicyP2P) Irecv(addr mem.Addr, size, src, tag int) Request {
-	if o.r.World().SameNode(o.r.RankID(), src) {
-		return o.r.Irecv(addr, size, src, tag)
-	}
-	if k := o.decide(size, src); k != datapath.KindHostDirect {
-		return o.h.RecvOffload(addr, size, src, tag)
-	}
-	return o.r.Irecv(addr, size, src, tag)
-}
-
-// WaitAll implements P2P.
-func (o *PolicyP2P) WaitAll(qs []Request) { o.wait.waitAll(o.r, o.h, qs) }

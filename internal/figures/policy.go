@@ -30,7 +30,7 @@ func PolicyAblation(env bench.SweepEnv, nodes, ppn int, sizes []int, warmup, ite
 		size := sizes[j/len(policies)]
 		pol := policies[j%len(policies)]
 		res[j] = bench.MeasureIalltoall(env.Attach(bench.Options{
-			Nodes: nodes, PPN: ppn, Policy: pol,
+			Nodes: nodes, PPN: ppn, Scheme: pol,
 		}), size, warmup, iters)
 	})
 	for i, size := range sizes {
@@ -41,7 +41,7 @@ func PolicyAblation(env bench.SweepEnv, nodes, ppn int, sizes []int, warmup, ite
 		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
-		"fixed bundles reproduce the scheme presets (gvmi=Proposed, bluesmpi=BluesMPI, hostdirect=IntelMPI) bit-exactly;",
+		"gvmi, bluesmpi and hostdirect are the paper's Proposed, BluesMPI and IntelMPI; staged stages without BluesMPI's handicaps;",
 		"adaptive picks per (op-class, size) with no feedback; measure probes each proxy path then freezes on the cheapest")
 	return t
 }

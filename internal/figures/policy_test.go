@@ -4,36 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/bench"
 )
-
-// The fixed policy bundles must reproduce the pre-refactor scheme presets
-// bit-exactly: same NBCResult, field for field, in virtual time.
-func TestFixedPoliciesReproduceSchemePresets(t *testing.T) {
-	t.Parallel()
-	staging := baseline.StagingNoWarmupConfig()
-	cases := []struct {
-		policy string
-		scheme bench.Options
-	}{
-		{"gvmi", bench.Options{Scheme: baseline.NameProposed}},
-		{"bluesmpi", bench.Options{Scheme: baseline.NameBluesMPI}},
-		{"hostdirect", bench.Options{Scheme: baseline.NameIntelMPI}},
-		{"staged", bench.Options{Scheme: baseline.NameProposed, Core: &staging}},
-	}
-	for _, c := range cases {
-		pre := c.scheme
-		pre.Nodes, pre.PPN = 2, 2
-		post := bench.Options{Nodes: 2, PPN: 2, Policy: c.policy}
-		a := bench.MeasureIalltoall(pre, 32<<10, 1, 2)
-		b := bench.MeasureIalltoall(post, 32<<10, 1, 2)
-		a.Scheme, b.Scheme = "", "" // backend label, not a measurement
-		if a != b {
-			t.Errorf("policy %q diverges from its scheme preset:\npreset: %+v\npolicy: %+v", c.policy, a, b)
-		}
-	}
-}
 
 // The acceptance bar of the policy ablation: at every swept size the
 // adaptive policy matches or beats the best fixed datapath on overall
@@ -57,7 +29,7 @@ func TestAdaptiveNeverLosesToFixedPaths(t *testing.T) {
 		size := sizes[j/len(arms)]
 		pol := arms[j%len(arms)]
 		res[j] = bench.MeasureIalltoall(env.Attach(bench.Options{
-			Nodes: 4, PPN: 8, Policy: pol,
+			Nodes: 4, PPN: 8, Scheme: pol,
 		}), size, 4, 1)
 	})
 	for i, size := range sizes {

@@ -58,10 +58,10 @@ func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !bundle.Framework {
+		if bundle.Core == nil {
 			return nil, fmt.Errorf("pattern: policy %q needs no proxies; patterns always run on proxies", opt.Policy)
 		}
-		eng = policy.NewEngine(bundle.New(), opt.Metrics)
+		eng = policy.NewEngine(bundle.Policy(), opt.Metrics)
 		for _, op := range spec.Ops {
 			if op.Size > maxSize {
 				maxSize = op.Size

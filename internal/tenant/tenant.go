@@ -328,7 +328,7 @@ func Run(cfg Config) (*Result, error) {
 		// One engine per job: decisions and measuring-policy tables are
 		// tenant-scoped (jobs see different proxy load), and the decision
 		// counters carry the tenant label.
-		eng := policy.NewEngineFor(bundle.New(), ccfg.Metrics, job.Name)
+		eng := policy.NewEngineFor(bundle.Policy(), ccfg.Metrics, job.Name)
 		// One tracker per job (nil when the job sets no objective): all
 		// ranks' measured iterations pool into the same tenant-labelled
 		// series, matching how JobResult pools Iters.
