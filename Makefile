@@ -91,10 +91,10 @@ snap-check:
 # a fault plan), a rate-zero chaos run, the MPI eager and rendezvous pairs,
 # barrier and NBC alltoall, the staged datapath's lease, the basic-primitive
 # pair on both proxy paths, the group-replay path, the uncached staged
-# gather and the registration cache, and the serial-vs-parallel determinism
-# guard.
+# gather and the registration cache, the first Ialltoall's objects per
+# message on each system, and the serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/
+	$(GO) test -run 'AllocFree|AllocBudget|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet
@@ -102,9 +102,9 @@ bench-smoke:
 # under random fault plans, for the registration cache and the delivery
 # counters' exactly-once window against map models, for the kernel's
 # firing order against the (at, seq) heap it replaced, and for the policy
-# learner's rank lockstep under random Decide/Observe interleavings (`go
-# test -fuzz` takes one target and one package per run; two workers keep
-# it small).
+# learner's rank lockstep under random Decide/Observe interleavings, and for
+# the record pool's free list and slab growth against a map (`go test -fuzz`
+# takes one target and one package per run; two workers keep it small).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -parallel 2 ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandFleet$$' -fuzztime 5s -parallel 2 ./internal/device/
@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliveries$$' -fuzztime 5s -parallel 2 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 5s -parallel 2 ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnerLockstep$$' -fuzztime 5s -parallel 2 ./internal/policy/
+	$(GO) test -run '^$$' -fuzz '^FuzzPool$$' -fuzztime 5s -parallel 2 ./internal/pool/
 
 # Timeline smoke: the flight-recorder zero-overhead guards (a live and a
 # nil recorder both reproduce the pinned fig13 timings bit for bit), then

@@ -1,0 +1,43 @@
+package bench
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/coll"
+	"repro/internal/mpi"
+)
+
+// The first call of a collective pays for installing it — group installs,
+// registrations, the growth of every record pool — but not once per message:
+// the pools grow by slabs, and completion handlers are the pooled records
+// themselves. One Ialltoall on a fresh 8×8 Build, spawning and retiring its
+// ranks included, stays within a budget of objects per payload message.
+// testing.AllocsPerRun cannot see this cost, because it warms up first. The
+// test is not parallel: runtime.MemStats counts the whole process.
+func TestFirstIalltoallAllocBudget(t *testing.T) {
+	const nodes, ppn, size = 8, 8, 32 << 10
+	const np = nodes * ppn
+	for _, c := range []struct {
+		scheme string
+		budget float64 // objects per payload message: 1.5× the measured 1.56, 1.64, 1.01
+	}{
+		{"gvmi", 2.3},
+		{"bluesmpi", 2.4},
+		{"hostdirect", 1.5},
+	} {
+		e := Build(Options{Nodes: nodes, PPN: ppn, Scheme: c.scheme})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
+			send, recv := r.Alloc(np*size), r.Alloc(np*size)
+			ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), size))
+		})
+		runtime.ReadMemStats(&after)
+		perMsg := float64(after.Mallocs-before.Mallocs) / (np * (np - 1))
+		t.Logf("%s: %.3f objects per payload message on the first Ialltoall", c.scheme, perMsg)
+		if perMsg > c.budget {
+			t.Errorf("%s: the first Ialltoall allocated %.3f objects per payload message, budget %.3f", c.scheme, perMsg, c.budget)
+		}
+	}
+}

@@ -171,7 +171,7 @@ func streamBW(size, window, iters int, writerOnDPU bool) float64 {
 			err := writerSite.Ctx.PostWrite(p, verbs.WriteOp{
 				LocalKey: wmr.LKey(), LocalAddr: wbuf.Addr(),
 				RemoteKey: dmr.RKey(), RemoteAddr: dbuf.Addr(), Size: size,
-				OnRemoteComplete: func(sim.Time) { done++ },
+				OnRemoteComplete: sim.Func(func(sim.Time) { done++ }),
 			})
 			if err != nil {
 				panic(err)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/gvmi"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -180,6 +181,8 @@ type Cluster struct {
 	Spans *span.Collector
 
 	Nodes []*Node
+
+	bufs pool.Slab[mem.Buffer] // the Buffer records of every site's space
 }
 
 // New builds a cluster on a fresh kernel.
@@ -282,7 +285,7 @@ func (c *Cluster) DeviceLabels() map[string]string {
 // NewHostSite creates the attachment point for a host process on a node.
 func (c *Cluster) NewHostSite(node int, name string) *Site {
 	n := c.Nodes[node]
-	sp := mem.NewSpace(name)
+	sp := mem.NewSpaceIn(name, &c.bufs)
 	return &Site{Node: n, Space: sp, Ctx: c.Reg.NewCtx(name, sp, n.HostEP)}
 }
 
@@ -290,7 +293,7 @@ func (c *Cluster) NewHostSite(node int, name string) *Site {
 // BlueField.
 func (c *Cluster) NewDPUSite(node int, name string) *Site {
 	n := c.Nodes[node]
-	sp := mem.NewSpace(name)
+	sp := mem.NewSpaceIn(name, &c.bufs)
 	return &Site{Node: n, Space: sp, Ctx: c.Reg.NewCtx(name, sp, n.DPUEP), OnDPU: true}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
+	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/verbs"
 )
@@ -52,7 +53,9 @@ func (px *Proxy) AcquireStage(size int, parent span.ID) *datapath.Stage {
 	}
 	buf := px.site.Space.Alloc(cls, px.fw.cl.Cfg.BackedPayload)
 	mr := px.ctx.RegisterMRCtx(px.proc, buf.Addr(), cls, parent)
-	return &datapath.Stage{LKey: mr.LKey(), Addr: buf.Addr(), Cap: cls}
+	s := px.fw.stages.New()
+	*s = datapath.Stage{LKey: mr.LKey(), Addr: buf.Addr(), Cap: cls}
+	return s
 }
 
 // ReleaseStage implements datapath.Exec: the lease returns to the pool of
@@ -62,7 +65,7 @@ func (px *Proxy) ReleaseStage(s *datapath.Stage) {
 }
 
 // Later implements datapath.Exec.
-func (px *Proxy) Later(fn func()) { px.later(fn) }
+func (px *Proxy) Later(a sim.Action) { px.later(a) }
 
 // CountWrite implements datapath.Exec.
 func (px *Proxy) CountWrite() { px.RDMAWrites++ }

@@ -49,20 +49,20 @@ type fbCall struct {
 	span span.ID // fallback-execution span, under the call's root
 }
 
-// later queues fn for the next waitFor round (used from RDMA completion
+// later queues a for the next waitFor round (used from RDMA completion
 // handlers, which cannot post work themselves).
-func (h *Host) later(fn func()) {
-	h.deferred = append(h.deferred, fn)
+func (h *Host) later(a sim.Action) {
+	h.deferred = append(h.deferred, a)
 	h.ctx.InboxCond.Broadcast()
 }
 
 // runDeferred executes queued completion actions in process context.
 func (h *Host) runDeferred() {
 	for len(h.deferred) > 0 {
-		fns := h.deferred
+		acts := h.deferred
 		h.deferred = nil
-		for _, fn := range fns {
-			fn()
+		for _, a := range acts {
+			a.Fire(h.proc.Now())
 		}
 	}
 }
@@ -191,12 +191,12 @@ func (h *Host) fbPostSend(fb *fbCall, idx int) {
 		RemoteKey: e.DstRKey, RemoteAddr: e.DstAddr,
 		Size: e.Size,
 		Span: fb.span,
-		OnRemoteComplete: func(sim.Time) {
-			h.later(func() {
+		OnRemoteComplete: sim.Func(func(sim.Time) {
+			h.later(sim.Func(func(sim.Time) {
 				fb.pending--
 				h.ctx.PostSend(h.proc, h.fw.hosts[m.DstHost].dlvEP, h.fw.dlvPacket(m, fb.span))
-			})
-		},
+			}))
+		}),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("core: rank %d fallback write: %v", h.rank, err))
@@ -273,7 +273,7 @@ func (h *Host) reissueOneSided(rec *reqRec, now sim.Time) {
 			fmt.Sprintf("proxy%d dead, re-posting size=%d", rec.proxy.global, rec.size))
 	}
 	id := rec.req.id
-	complete := func(sim.Time) { h.later(func() { h.complete(id) }) }
+	complete := sim.Func(func(sim.Time) { h.later(sim.Func(func(sim.Time) { h.complete(id) })) })
 	var err error
 	if rec.kind == reqPut {
 		err = h.ctx.PostWrite(h.proc, verbs.WriteOp{

@@ -34,6 +34,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/gvmi"
+	"repro/internal/pool"
 	"repro/internal/regcache"
 	"repro/internal/sim"
 	"repro/internal/span"
@@ -92,19 +93,23 @@ type Framework struct {
 	crashed bool     // some proxy has crashed: hosts run the failure detector
 	tenancy *Tenancy // nil = single-job framework (see tenancy.go)
 
-	// reqFree recycles the hosts' request records (see reqRec).
-	reqFree freeList[reqRec]
+	// reqFree recycles the hosts' request records (see reqRec), xferFree
+	// the proxies' records of matched pairs in flight (see xfer), and stages
+	// holds the records of the proxies' staging leases (see AcquireStage).
+	reqFree  pool.List[reqRec]
+	xferFree pool.List[xfer]
+	stages   pool.Slab[datapath.Stage]
 
 	// Free lists of control payloads (see ctrlPacket); their packets come
 	// from the verbs registry's pool.
-	dlvFree     freeList[dlvMsg]
-	rtsFree     freeList[rtsMsg]
-	rtrFree     freeList[rtrMsg]
-	finFree     freeList[finMsg]
-	gmetaFree   freeList[gmetaMsg]
-	greplayFree freeList[greplayMsg]
-	gdoneFree   freeList[gdoneMsg]
-	gfailFree   freeList[gfailMsg]
+	dlvFree     pool.List[dlvMsg]
+	rtsFree     pool.List[rtsMsg]
+	rtrFree     pool.List[rtrMsg]
+	finFree     pool.List[finMsg]
+	gmetaFree   pool.List[gmetaMsg]
+	greplayFree pool.List[greplayMsg]
+	gdoneFree   pool.List[gdoneMsg]
+	gfailFree   pool.List[gfailMsg]
 }
 
 // New builds the framework for the given host attachment sites (one per
@@ -169,28 +174,16 @@ func (fw *Framework) ctrlPacket(kind string, size int, pay any, parent span.ID) 
 	return pkt
 }
 
-// freeList recycles records of one type.
-type freeList[T any] []*T
-
-func (l *freeList[T]) get() *T {
-	if n := len(*l); n > 0 {
-		m := (*l)[n-1]
-		*l = (*l)[:n-1]
-		return m
-	}
-	return new(T)
-}
-
-// put zeroes m and recycles it; the caller must be its last holder.
-func (l *freeList[T]) put(m *T) {
+// recycle zeroes m and returns it to l; the caller must be its last holder.
+func recycle[T any](l *pool.List[T], m *T) {
 	var zero T
 	*m = zero
-	*l = append(*l, m)
+	l.Put(m)
 }
 
 // dlvPacket returns the control packet carrying delivery notification m.
 func (fw *Framework) dlvPacket(m dlvMsg, parent span.ID) *verbs.Packet {
-	pay := fw.dlvFree.get()
+	pay := fw.dlvFree.Get()
 	*pay = m
 	return fw.ctrlPacket("dlv", fw.cfg.CtrlSize, pay, parent)
 }

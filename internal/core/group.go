@@ -193,7 +193,7 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 
 	if h.fw.cfg.GroupCache && g.sentToProxy {
 		// Host-side cache hit: "the host sends the request ID to the DPU".
-		m := h.fw.greplayFree.get()
+		m := h.fw.greplayFree.Get()
 		*m = greplayMsg{HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Span: parent}
 		h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("greplay", h.fw.cfg.CtrlSize, m, parent))
 		return
@@ -242,7 +242,7 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 			sendRegs[i] = sr
 		case OpRecv:
 			mr := h.ibRegister(op.Addr, op.Size)
-			m := h.fw.gmetaFree.get()
+			m := h.fw.gmetaFree.Get()
 			*m = gmetaMsg{
 				DstRank: h.rank, Tag: op.Tag, Size: op.Size,
 				DstAddr: op.Addr, RKey: mr.RKey(), DstGroup: g.id,
@@ -266,7 +266,7 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 				panic(fmt.Sprintf("core: group size mismatch: send %d vs recv %d", op.Size, meta.Size))
 			}
 			w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, meta.DstGroup
-			h.fw.gmetaFree.put(meta)
+			recycle(&h.fw.gmetaFree, meta)
 		case OpRecv:
 			w.Src = op.Peer
 		}
@@ -354,6 +354,6 @@ func (h *Host) countDelivery(pkt *verbs.Packet) bool {
 		}
 	}
 	h.fw.cl.Reg.PutPacket(pkt)
-	h.fw.dlvFree.put(m)
+	recycle(&h.fw.dlvFree, m)
 	return fresh
 }

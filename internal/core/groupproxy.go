@@ -183,6 +183,7 @@ func (w *walk) advance(entries []wireOp, bar *recvBarrier, post func(idx int)) (
 // entry of the paper's DPU group cache ("indexed by the host's request ID
 // and rank", Section VII-D), created when the group is installed.
 type proxyGroup struct {
+	px      *Proxy
 	host    int
 	id      int
 	entries []wireOp
@@ -201,12 +202,13 @@ type proxyGroup struct {
 	// registration cache entry").
 	cachedMRs []*verbs.MR
 
-	// landed holds, per send entry, the remote-completion handler its write
-	// is posted with. They are built once, when the group is installed, so a
-	// replayed send builds no closure; each reads the running call's number
-	// and execution span from the group when it fires, which is safe because
-	// a call cannot finish while one of its writes is pending.
-	landed []func(at sim.Time)
+	// sends holds, per entry, the remote-completion handler a send entry's
+	// write is posted with. The slice is built once, when the group is
+	// installed, so no send builds a closure; each handler reads the running
+	// call's number and execution span from the group when it fires, which
+	// is safe because a call cannot finish while one of its writes is
+	// pending.
+	sends []groupSend
 
 	// roots queues the host-side root spans of the unfinished calls, oldest
 	// first (roots[i] belongs to call finishedSeq+1+i; 0 = untraced);
@@ -245,7 +247,7 @@ func (px *Proxy) installGroup(m *groupPacket) {
 		// A fresh entry starts at the host's call: the calls before it ran
 		// on this proxy before a restart emptied its cache, and the host's
 		// delivery counters already hold theirs.
-		g = &proxyGroup{host: m.HostRank, id: m.GroupID, finishedSeq: m.CallSeq - 1,
+		g = &proxyGroup{px: px, host: m.HostRank, id: m.GroupID, finishedSeq: m.CallSeq - 1,
 			bar: px.fw.hosts[m.HostRank].barrier(m.GroupID)}
 		g.bar.rewind(m.Entries, g.finishedSeq)
 		gs := &px.groups[m.HostRank-px.node*px.fw.cl.Cfg.PPN]
@@ -254,11 +256,9 @@ func (px *Proxy) installGroup(m *groupPacket) {
 		}
 		(*gs)[m.GroupID] = g
 		px.groupList = append(px.groupList, g)
-		g.landed = make([]func(sim.Time), len(m.Entries))
-		for i := range m.Entries {
-			if m.Entries[i].Type == OpSend {
-				g.landed[i] = px.groupSendLanded(g, i)
-			}
+		g.sends = make([]groupSend, len(m.Entries))
+		for i := range g.sends {
+			g.sends[i] = groupSend{g: g, idx: i}
 		}
 	} else if !samePattern(g.entries, m.Entries) {
 		panic(fmt.Sprintf("core: proxy %d: group %d/%d re-installed with a different pattern",
@@ -316,7 +316,7 @@ func (px *Proxy) replayGroup(m *greplayMsg) {
 		if px.gen > 0 {
 			// The group cache died with a crash; tell the host so it fails
 			// over to host-progressed execution.
-			f := px.fw.gfailFree.get()
+			f := px.fw.gfailFree.Get()
 			*f = gfailMsg{GroupID: m.GroupID, CallSeq: m.CallSeq}
 			px.ctx.PostSend(px.proc, px.fw.hosts[m.HostRank].ctx, px.fw.ctrlPacket("gfail", px.fw.cfg.CtrlSize, f, 0))
 			return
@@ -390,7 +390,7 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 	// pre-registered counter; a minimal control packet has the same cost).
 	// The flight parents to the root span: the completion notification is
 	// the tail of the collective's critical path.
-	m := px.fw.gdoneFree.get()
+	m := px.fw.gdoneFree.Get()
 	*m = gdoneMsg{GroupID: g.id, CallSeq: g.finishedSeq}
 	px.ctx.PostSend(px.proc, px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", px.fw.cfg.CtrlSize, m, root))
 	return true
@@ -414,23 +414,31 @@ func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 		SrcAddr: e.SrcAddr, SrcRKey: e.SrcRKey,
 		DstAddr: e.DstAddr, DstRKey: e.DstRKey,
 		Span: g.execSpan,
-	}, g.landed[idx])
+	}, &g.sends[idx])
 	if mr != nil && px.fw.cfg.GroupCache {
 		g.cachedMRs[idx] = mr
 	}
 }
 
-// groupSendLanded builds the remote-completion handler of send entry idx:
-// when the write has landed, the next engine round accounts the completion
-// and bumps the delivery counter of the destination's group request.
-func (px *Proxy) groupSendLanded(g *proxyGroup, idx int) func(sim.Time) {
-	notify := func() {
-		g.pending--
-		e := &g.entries[idx]
-		px.ctx.PostSend(px.proc, px.fw.hosts[e.Dst].dlvEP, px.fw.dlvPacket(dlvMsg{
-			SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
-			Call: g.finishedSeq + 1, Entry: idx,
-		}, g.execSpan))
-	}
-	return func(sim.Time) { px.later(notify) }
+// groupSend is the remote-completion handler of send entry idx: when the
+// write has landed, its twin groupSendDone runs in the next engine round.
+type groupSend struct {
+	g   *proxyGroup
+	idx int
+}
+
+func (s *groupSend) Fire(sim.Time) { s.g.px.later((*groupSendDone)(s)) }
+
+// groupSendDone accounts a landed send entry and bumps the delivery counter
+// of the destination's group request.
+type groupSendDone groupSend
+
+func (d *groupSendDone) Fire(sim.Time) {
+	g, px := d.g, d.g.px
+	g.pending--
+	e := &g.entries[d.idx]
+	px.ctx.PostSend(px.proc, px.fw.hosts[e.Dst].dlvEP, px.fw.dlvPacket(dlvMsg{
+		SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
+		Call: g.finishedSeq + 1, Entry: d.idx,
+	}, g.execSpan))
 }

@@ -52,7 +52,7 @@ type Host struct {
 	// Host-progressed fallback state (see failover.go).
 	foQ        []*foSendMsg
 	fbRun      []*fbCall
-	deferred   []func()
+	deferred   []sim.Action
 	failedOver bool
 
 	// Reliability counters (aggregated by Framework.Stats).
@@ -142,7 +142,7 @@ type reqRec struct {
 // newReq opens a request executed by px and records it in the table.
 func (h *Host) newReq(kind reqKind, px *Proxy) *reqRec {
 	h.nextSeq++
-	r := h.fw.reqFree.get()
+	r := h.fw.reqFree.Get()
 	r.req = &OffloadRequest{id: int64(h.rank)<<32 | h.nextSeq}
 	r.kind, r.proxy, r.gen = kind, px, px.gen
 	h.reqs[r.req.id] = r
@@ -159,7 +159,7 @@ func (h *Host) complete(id int64) {
 	r.req.done = true
 	delete(h.reqs, id)
 	h.spans().End(r.req.span)
-	h.fw.reqFree.put(r)
+	recycle(&h.fw.reqFree, r)
 }
 
 // gvmiRegister returns the MKeyInfo for a source buffer, through the GVMI
@@ -242,7 +242,7 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 		h.foSendNow(rec)
 		return req
 	}
-	rts := h.fw.rtsFree.get()
+	rts := h.fw.rtsFree.Get()
 	*rts = rtsMsg{Src: h.rank, Dst: dst, Tag: tag, Size: size, SrcReqID: req.id, Path: kind, SrcAddr: addr, Span: req.span}
 	switch datapath.ForKind(kind).SrcReg() {
 	case datapath.RegGVMI:
@@ -279,7 +279,7 @@ func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 		return req
 	}
 	mr := h.ibRegister(addr, size)
-	rtr := h.fw.rtrFree.get()
+	rtr := h.fw.rtrFree.Get()
 	*rtr = rtrMsg{Src: src, Dst: h.rank, Tag: tag, Size: size, DstReqID: req.id, DstAddr: addr, RKey: mr.RKey(), Span: req.span}
 	h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("rtr", h.fw.cfg.CtrlSize, rtr, req.span))
 	return req
@@ -294,7 +294,7 @@ func (h *Host) drainInbox() bool {
 		case *finMsg:
 			h.complete(m.ReqID)
 			h.fw.cl.Reg.PutPacket(pkt)
-			h.fw.finFree.put(m)
+			recycle(&h.fw.finFree, m)
 		case *gmetaMsg:
 			h.fw.cl.Reg.PutPacket(pkt)
 			h.queueGmeta(m)
@@ -303,7 +303,7 @@ func (h *Host) drainInbox() bool {
 				g.doneSeq = m.CallSeq
 			}
 			h.fw.cl.Reg.PutPacket(pkt)
-			h.fw.gdoneFree.put(m)
+			recycle(&h.fw.gdoneFree, m)
 		case *gfailMsg:
 			// The proxy restarted and lost its group cache: the replayed call
 			// cannot run on the DPU, so the host takes over. (A host that
@@ -312,7 +312,7 @@ func (h *Host) drainInbox() bool {
 				h.failover(h.proc.Now())
 			}
 			h.fw.cl.Reg.PutPacket(pkt)
-			h.fw.gfailFree.put(m)
+			recycle(&h.fw.gfailFree, m)
 		case *foSendMsg:
 			h.handleFoSend(m)
 		case *foAckMsg:

@@ -137,7 +137,7 @@ func (px *Proxy) handleOneSided(m *oneSidedMsg) {
 		SrcAddr: m.SrcAddr,
 		DstAddr: m.DstAddr, DstRKey: m.DstKey,
 		Span: m.Span,
-	}, func(sim.Time) {
-		px.later(func() { px.sendFIN(m.Initiator, m.ReqID, m.Span) })
-	})
+	}, sim.Func(func(sim.Time) {
+		px.later(sim.Func(func(sim.Time) { px.sendFIN(m.Initiator, m.ReqID, m.Span) }))
+	}))
 }

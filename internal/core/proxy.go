@@ -43,13 +43,10 @@ type Proxy struct {
 
 	sendQ    map[matchKey][]*rtsMsg
 	recvQ    map[matchKey][]*rtrMsg
-	combined []pairMsg // matched send/recv pairs awaiting transfer
-	paired   []pairMsg // the buffer combined swaps with
-	deferred []func()  // actions queued by RDMA completions
-	drained  []func()  // the buffer deferred swaps with, as the verbs inbox does
-
-	// xferFree recycles the in-flight records of matched pairs (see xfer).
-	xferFree []*xfer
+	combined []pairMsg    // matched send/recv pairs awaiting transfer
+	paired   []pairMsg    // the buffer combined swaps with
+	deferred []sim.Action // actions queued by RDMA completions
+	drained  []sim.Action // the buffer deferred swaps with, as the verbs inbox does
 
 	// groups is the DPU group cache, "indexed by the host's request ID and
 	// rank" (Section VII-D): groups[node-local host rank][group id].
@@ -83,42 +80,33 @@ type pairMsg struct {
 	rtr *rtrMsg
 }
 
-// xfer is one matched pair in flight on its proxy. Its landed and finish
-// handlers are bound once, when the record is first built, so a transfer
-// builds no closure (the group entries' landed handlers work the same way).
-// finish returns the record and the pair's payloads to their free lists.
+// xfer is one matched pair in flight on its proxy. The record is its
+// transfer's landed handler, and its twin xferDone the step that follows in
+// the next engine round, so a transfer builds no closure (the group entries'
+// handlers work the same way).
 type xfer struct {
-	px     *Proxy
-	pr     pairMsg
-	ts     span.ID // the proxy-side transfer span
-	landed func(at sim.Time)
-	finish func()
+	px *Proxy
+	pr pairMsg
+	ts span.ID // the proxy-side transfer span
 }
 
-func (x *xfer) onLanded(at sim.Time) {
+func (x *xfer) Fire(at sim.Time) {
 	x.px.spans().EndAt(x.ts, at)
-	x.px.later(x.finish)
+	x.px.later((*xferDone)(x))
 }
 
-func (x *xfer) onFinish() {
+// xferDone FINs both hosts of a landed pair, then returns the record and the
+// pair's payloads to their free lists.
+type xferDone xfer
+
+func (d *xferDone) Fire(sim.Time) {
+	x := (*xfer)(d)
 	px, pr := x.px, x.pr
 	px.finish(pr)
 	x.pr, x.ts = pairMsg{}, 0
-	px.xferFree = append(px.xferFree, x)
-	px.fw.rtsFree.put(pr.rts)
-	px.fw.rtrFree.put(pr.rtr)
-}
-
-// getXfer returns a free transfer record, building one on first use.
-func (px *Proxy) getXfer() *xfer {
-	if n := len(px.xferFree); n > 0 {
-		x := px.xferFree[n-1]
-		px.xferFree = px.xferFree[:n-1]
-		return x
-	}
-	x := &xfer{px: px}
-	x.landed, x.finish = x.onLanded, x.onFinish
-	return x
+	px.fw.xferFree.Put(x)
+	recycle(&px.fw.rtsFree, pr.rts)
+	recycle(&px.fw.rtrFree, pr.rtr)
 }
 
 func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy {
@@ -195,13 +183,13 @@ func (px *Proxy) run(p *sim.Proc) {
 			}
 		}
 		for len(px.deferred) > 0 {
-			fns := px.deferred
+			acts := px.deferred
 			px.deferred = px.drained[:0]
-			for _, fn := range fns {
-				fn()
+			for _, a := range acts {
+				a.Fire(p.Now())
 			}
-			clear(fns)
-			px.drained = fns
+			clear(acts)
+			px.drained = acts
 			progressed = true
 		}
 		if len(px.combined) > 0 {
@@ -338,7 +326,7 @@ func (px *Proxy) handle(pkt *verbs.Packet) {
 	case *greplayMsg:
 		px.replayGroup(m)
 		px.fw.cl.Reg.PutPacket(pkt)
-		px.fw.greplayFree.put(m)
+		recycle(&px.fw.greplayFree, m)
 	case *dlvMsg:
 		px.fw.hosts[m.DstHost].countDelivery(pkt)
 	case *oneSidedMsg:
@@ -366,15 +354,15 @@ func popHead[T any](qs map[matchKey][]*T, k matchKey) (*T, bool) {
 // sender chose (carried in the RTS), then FINs both hosts.
 func (px *Proxy) transfer(pr pairMsg) {
 	dp := datapath.ForKind(pr.rts.Path)
-	x := px.getXfer()
-	x.pr, x.ts = pr, px.transferSpan(pr, dp.Kind().String())
+	x := px.fw.xferFree.Get()
+	x.px, x.pr, x.ts = px, pr, px.transferSpan(pr, dp.Kind().String())
 	dp.Execute(px, datapath.Transfer{
 		SrcHost: pr.rts.Src, DstRank: pr.rtr.Dst, Size: pr.rts.Size,
 		MKey:    pr.rts.MKey,
 		SrcAddr: pr.rts.SrcAddr, SrcRKey: pr.rts.SrcRKey,
 		DstAddr: pr.rtr.DstAddr, DstRKey: pr.rtr.RKey,
 		Span: x.ts,
-	}, x.landed)
+	}, x)
 }
 
 // crossReg cross-registers a host mkey (through the cache when enabled,
@@ -427,19 +415,19 @@ func (px *Proxy) finish(pr pairMsg) {
 
 func (px *Proxy) sendFIN(hostRank int, reqID int64, root span.ID) {
 	fw := px.fw
-	fin := fw.finFree.get()
+	fin := fw.finFree.Get()
 	fin.ReqID = reqID
 	px.ctx.PostSend(px.proc, fw.hosts[hostRank].ctx, fw.ctrlPacket("fin", fw.cfg.CtrlSize, fin, root))
 }
 
-// later queues fn for the next engine round (used from completion handlers,
+// later queues a for the next engine round (used from completion handlers,
 // which run in kernel handler context). A crashed proxy's completions are
 // discarded: the data is on the wire regardless, but the dead software
 // never acts on the CQE.
-func (px *Proxy) later(fn func()) {
+func (px *Proxy) later(a sim.Action) {
 	if px.crashed {
 		return
 	}
-	px.deferred = append(px.deferred, fn)
+	px.deferred = append(px.deferred, a)
 	px.ctx.InboxCond.Broadcast()
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/mpi"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/verbs"
 )
@@ -238,18 +239,28 @@ func TestRecycledRecordsNoDoubleFree(t *testing.T) {
 	})
 }
 
+// free returns the records on l, failing t if one is on it twice.
+func free[T any](t *testing.T, name string, l *pool.List[T]) map[*T]bool {
+	t.Helper()
+	set, ok := l.Free()
+	if !ok {
+		t.Errorf("%s free list holds a record twice", name)
+	}
+	return set
+}
+
 func checkRigFreeLists(t *testing.T, run rigRun) {
 	fw := run.fw
-	rts := distinct(t, "rts", fw.rtsFree)
-	rtr := distinct(t, "rtr", fw.rtrFree)
-	distinct(t, "fin", fw.finFree)
-	distinct(t, "dlv", fw.dlvFree)
-	distinct(t, "greplay", fw.greplayFree)
-	distinct(t, "gdone", fw.gdoneFree)
-	distinct(t, "gfail", fw.gfailFree)
-	gmeta := distinct(t, "gmeta", fw.gmetaFree)
-	if len(rts) == 0 || len(rtr) == 0 || len(fw.finFree) == 0 || len(fw.gdoneFree) == 0 {
-		t.Fatalf("nothing recycled: %d rts, %d rtr, %d fin, %d gdone", len(rts), len(rtr), len(fw.finFree), len(fw.gdoneFree))
+	rts := free(t, "rts", &fw.rtsFree)
+	rtr := free(t, "rtr", &fw.rtrFree)
+	fin := free(t, "fin", &fw.finFree)
+	free(t, "dlv", &fw.dlvFree)
+	free(t, "greplay", &fw.greplayFree)
+	gdone := free(t, "gdone", &fw.gdoneFree)
+	free(t, "gfail", &fw.gfailFree)
+	gmeta := free(t, "gmeta", &fw.gmetaFree)
+	if len(rts) == 0 || len(rtr) == 0 || len(fin) == 0 || len(gdone) == 0 {
+		t.Fatalf("nothing recycled: %d rts, %d rtr, %d fin, %d gdone", len(rts), len(rtr), len(fin), len(gdone))
 	}
 	staged := fw.cfg.Path == datapath.KindStaged
 	if staged && len(gmeta) == 0 {
@@ -262,7 +273,6 @@ func checkRigFreeLists(t *testing.T, run rigRun) {
 			}
 		}
 	}
-	var xfers []*xfer
 	var stages []*datapath.Stage
 	for _, px := range fw.proxies {
 		for _, q := range px.sendQ {
@@ -284,17 +294,15 @@ func checkRigFreeLists(t *testing.T, run rigRun) {
 				t.Errorf("proxy %d: a matched pair is on the free list", px.global)
 			}
 		}
-		for _, x := range px.xferFree {
-			if x.px != px || x.pr != (pairMsg{}) {
-				t.Errorf("proxy %d: a free transfer record is still bound to a pair", px.global)
-			}
-		}
-		xfers = append(xfers, px.xferFree...)
-		for _, pool := range px.stagePool {
-			stages = append(stages, pool...)
+		for _, leases := range px.stagePool {
+			stages = append(stages, leases...)
 		}
 	}
-	distinct(t, "transfer", xfers)
+	for x := range free(t, "transfer", &fw.xferFree) {
+		if x.pr != (pairMsg{}) || x.ts != 0 {
+			t.Errorf("proxy %d: a free transfer record is still bound to a pair", x.px.global)
+		}
+	}
 	distinct(t, "stage lease", stages)
 	if staged && len(stages) == 0 {
 		t.Fatal("no staging lease was returned")

@@ -215,8 +215,13 @@ func (s *tenantSched) pick() (int, qpkt) {
 			}
 		}
 	}
-	qp := s.q[best][0]
-	s.q[best] = s.q[best][1:]
+	// Pop by copying down, as popHead does: the queue keeps its storage, so
+	// the next enqueue appends without reallocating.
+	q := s.q[best]
+	qp := q[0]
+	n := copy(q, q[1:])
+	q[n] = qpkt{}
+	s.q[best] = q[:n]
 	s.queued--
 	return best, qp
 }

@@ -128,8 +128,9 @@ const (
 // by AcquireStage and returned by ReleaseStage (Staged path only). The
 // executor builds it and fills in the buffer fields; the rest is the state
 // of the one transfer that holds the lease, so a staged send rides its lease
-// and allocates nothing. Its two handlers are bound the first time the
-// stage carries a transfer.
+// and allocates nothing. The stage is itself the completion handler of its
+// read and its write (Fire), and its twin stageStep the deferred step that
+// follows each.
 type Stage struct {
 	LKey verbs.Key // local key of the buffer's registration
 	Addr mem.Addr
@@ -140,10 +141,8 @@ type Stage struct {
 	dstRKey verbs.Key
 	size    int
 	span    span.ID
-	landed  func(at sim.Time)
-	wrote   bool              // the read has landed and the write is posted
-	cqe     func(at sim.Time) // completion handler of the read and the write
-	step    func()            // deferred step: post the write, or release
+	landed  sim.Action
+	wrote   bool // the read has landed and the write is posted
 }
 
 // Exec is the proxy-side execution surface a Datapath posts through. It is
@@ -159,9 +158,9 @@ type Exec interface {
 	// AcquireStage / ReleaseStage lease DPU staging buffers.
 	AcquireStage(size int, parent span.ID) *Stage
 	ReleaseStage(*Stage)
-	// Later defers fn to the executor's next progress round (completion
+	// Later defers a to the executor's next progress round (completion
 	// handlers run in kernel handler context).
-	Later(fn func())
+	Later(a sim.Action)
 	// PostEngineWrite posts an RDMA write through the node's DSA engine
 	// port instead of the ARM-driven proxy context (KindDSA only; panics
 	// on nodes whose profile has no engine — Resolve prevents that).
@@ -203,14 +202,15 @@ type Transfer struct {
 // in the destination memory (for Staged, after the staging buffer's return
 // to the pool has been queued, so whatever landed defers runs behind it).
 // No path builds a closure: the single-write paths hand landed to the HCA as
-// it is, and Staged keeps it in the leased Stage, so a caller that keeps one
-// landed per transfer slot (group entries and proxy transfer records do)
-// posts without allocating. Execute returns the cross-registration it used
-// (CrossGVMI only; nil otherwise) so callers may memoize it.
+// it is, and Staged keeps it in the leased Stage, so a caller whose pooled
+// record is its own landed handler (group entries and proxy transfer
+// records are) posts without allocating. Execute returns the
+// cross-registration it used (CrossGVMI only; nil otherwise) so callers may
+// memoize it.
 type Datapath interface {
 	Kind() Kind
 	SrcReg() SrcReg
-	Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR
+	Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR
 }
 
 // ForKind returns the shared implementation of a proxy-executable kind.
@@ -245,7 +245,7 @@ func (CrossGVMI) Kind() Kind { return KindCrossGVMI }
 func (CrossGVMI) SrcReg() SrcReg { return RegGVMI }
 
 // Execute implements Datapath.
-func (CrossGVMI) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
+func (CrossGVMI) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
 	mr := t.Cached
 	if mr == nil {
 		mr = x.CrossReg(t.SrcHost, t.MKey, t.Span)
@@ -281,11 +281,8 @@ func (Staged) SrcReg() SrcReg { return RegIB }
 // Execute implements Datapath. The transfer rides its staging lease: the
 // read's completion queues the write, and the write's queues the lease's
 // return and then reports the landing.
-func (Staged) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
+func (Staged) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
 	s := x.AcquireStage(t.Size, t.Span)
-	if s.cqe == nil {
-		s.cqe, s.step = s.onCQE, s.advance
-	}
 	s.x, s.landed, s.wrote = x, landed, false
 	s.dstAddr, s.dstRKey, s.size, s.span = t.DstAddr, t.DstRKey, t.Size, t.Span
 	x.CountStaged()
@@ -295,7 +292,7 @@ func (Staged) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
 		RemoteKey: t.SrcRKey, RemoteAddr: t.SrcAddr,
 		Size:       t.Size,
 		Span:       t.Span,
-		OnComplete: s.cqe,
+		OnComplete: s,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("datapath: staged read: %v", err))
@@ -303,17 +300,20 @@ func (Staged) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
 	return nil
 }
 
-// onCQE completes the read, then the write (kernel handler context).
-func (s *Stage) onCQE(at sim.Time) {
-	s.x.Later(s.step)
+// Fire completes the read, then the write (kernel handler context).
+func (s *Stage) Fire(at sim.Time) {
+	s.x.Later((*stageStep)(s))
 	if s.wrote {
-		s.landed(at)
+		s.landed.Fire(at)
 	}
 }
 
-// advance posts the write once the read has landed, and returns the lease
-// once the write has.
-func (s *Stage) advance() {
+// stageStep is a Stage's deferred step: it posts the write once the read
+// has landed, and returns the lease once the write has.
+type stageStep Stage
+
+func (st *stageStep) Fire(sim.Time) {
+	s := (*Stage)(st)
 	x := s.x
 	if s.wrote {
 		s.x, s.landed = nil, nil
@@ -327,7 +327,7 @@ func (s *Stage) advance() {
 		RemoteKey: s.dstRKey, RemoteAddr: s.dstAddr,
 		Size:             s.size,
 		Span:             s.span,
-		OnRemoteComplete: s.cqe,
+		OnRemoteComplete: s,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("datapath: staged write: %v", err))
@@ -354,7 +354,7 @@ func (DSA) Kind() Kind { return KindDSA }
 func (DSA) SrcReg() SrcReg { return RegIB }
 
 // Execute implements Datapath.
-func (DSA) Execute(x Exec, t Transfer, landed func(at sim.Time)) *verbs.MR {
+func (DSA) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
 	x.CountEngine()
 	x.CountWrite()
 	err := x.PostEngineWrite(verbs.WriteOp{
@@ -401,6 +401,6 @@ func (HostDirect) SrcReg() SrcReg { return RegNone }
 
 // Execute implements Datapath. HostDirect transfers never reach a proxy;
 // route them through a HostPoster instead.
-func (HostDirect) Execute(Exec, Transfer, func(sim.Time)) *verbs.MR {
+func (HostDirect) Execute(Exec, Transfer, sim.Action) *verbs.MR {
 	panic("datapath: HostDirect transfers are posted by the host, not a proxy")
 }

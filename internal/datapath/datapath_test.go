@@ -128,7 +128,7 @@ type stageExec struct {
 	releases       int
 	read           verbs.ReadOp
 	write          verbs.WriteOp
-	later          []func()
+	later          []sim.Action
 	counts         [4]int // writes, reads, staged, engine
 	queuedAtLanded int
 }
@@ -153,11 +153,11 @@ func (x *stageExec) ReleaseStage(s *Stage) {
 	x.leased = false
 	x.releases++
 }
-func (x *stageExec) Later(fn func()) { x.later = append(x.later, fn) }
-func (x *stageExec) CountWrite()     { x.counts[0]++ }
-func (x *stageExec) CountRead()      { x.counts[1]++ }
-func (x *stageExec) CountStaged()    { x.counts[2]++ }
-func (x *stageExec) CountEngine()    { x.counts[3]++ }
+func (x *stageExec) Later(a sim.Action) { x.later = append(x.later, a) }
+func (x *stageExec) CountWrite()        { x.counts[0]++ }
+func (x *stageExec) CountRead()         { x.counts[1]++ }
+func (x *stageExec) CountStaged()       { x.counts[2]++ }
+func (x *stageExec) CountEngine()       { x.counts[3]++ }
 
 // runLater runs the one queued step.
 func (x *stageExec) runLater(t *testing.T) {
@@ -165,9 +165,9 @@ func (x *stageExec) runLater(t *testing.T) {
 	if len(x.later) != 1 {
 		t.Fatalf("%d steps queued, want 1", len(x.later))
 	}
-	fn := x.later[0]
+	a := x.later[0]
 	x.later = x.later[:0]
-	fn()
+	a.Fire(0)
 }
 
 // A staged transfer rides its staging lease: the read lands in the stage,
@@ -175,19 +175,19 @@ func (x *stageExec) runLater(t *testing.T) {
 // return before reporting the landing. The lease comes back once, holding
 // nothing of the transfer, and a warm transfer allocates nothing.
 func TestStagedRidesItsLeaseAllocFree(t *testing.T) {
-	x := &stageExec{stage: Stage{LKey: 7, Addr: 0x1000, Cap: 4096}, later: make([]func(), 0, 1)}
+	x := &stageExec{stage: Stage{LKey: 7, Addr: 0x1000, Cap: 4096}, later: make([]sim.Action, 0, 1)}
 	landings := 0
-	landed := func(at sim.Time) {
+	landed := sim.Func(func(at sim.Time) {
 		landings++
 		x.queuedAtLanded = len(x.later)
-	}
+	})
 	tr := Transfer{Size: 4000, SrcAddr: 0x9000, SrcRKey: 3, DstAddr: 0x5000, DstRKey: 5, Span: 11}
 	transfer := func() {
 		x.read, x.write = verbs.ReadOp{}, verbs.WriteOp{}
 		Staged{}.Execute(x, tr, landed)
-		x.read.OnComplete(1)
+		x.read.OnComplete.Fire(1)
 		x.runLater(t)
-		x.write.OnRemoteComplete(2)
+		x.write.OnRemoteComplete.Fire(2)
 		x.runLater(t)
 	}
 

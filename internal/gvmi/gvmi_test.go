@@ -165,7 +165,7 @@ func TestGVMIWriteOnBehalfOfHost(t *testing.T) {
 		err = rg.dpuCtx[0].PostWrite(p, verbs.WriteOp{
 			LocalKey: mkey2.LKey(), LocalAddr: src.Addr(),
 			RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 512,
-			OnRemoteComplete: func(sim.Time) { done = true },
+			OnRemoteComplete: sim.Func(func(sim.Time) { done = true }),
 		})
 		if err != nil {
 			t.Errorf("PostWrite: %v", err)

@@ -10,6 +10,8 @@ package mem
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/pool"
 )
 
 // Addr is a virtual address within a Space.
@@ -20,12 +22,19 @@ type Space struct {
 	name string
 	next Addr
 	bufs []*Buffer // sorted by addr
+	slab *pool.Slab[Buffer]
 }
 
-// NewSpace returns an empty address space. Allocation starts at a nonzero
-// base so that Addr(0) is never valid.
-func NewSpace(name string) *Space {
-	return &Space{name: name, next: 0x1000}
+// NewSpace returns an empty address space with a Buffer slab of its own.
+func NewSpace(name string) *Space { return NewSpaceIn(name, new(pool.Slab[Buffer])) }
+
+// NewSpaceIn returns an empty address space whose Buffer records come from
+// slab, shared with the other spaces of one simulation (the cluster's):
+// most spaces hold a few buffers, so a slab each would cost more than their
+// records. Allocation starts at a nonzero base so that Addr(0) is never
+// valid.
+func NewSpaceIn(name string, slab *pool.Slab[Buffer]) *Space {
+	return &Space{name: name, next: 0x1000, slab: slab}
 }
 
 // Name returns the space's diagnostic name.
@@ -46,7 +55,8 @@ func (s *Space) Alloc(size int, backed bool) *Buffer {
 	if size < 0 {
 		panic("mem: negative allocation")
 	}
-	b := &Buffer{space: s, addr: s.next, size: size}
+	b := s.slab.New()
+	*b = Buffer{space: s, addr: s.next, size: size}
 	if backed {
 		b.data = make([]byte, size)
 	}

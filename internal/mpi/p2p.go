@@ -25,7 +25,7 @@ type Request struct {
 func (q *Request) Done() bool { return q.done }
 
 // inMsg is the receive-side view of an incoming message. Records are
-// recycled by whoever consumes them (see World.newMsg): dispatch after a FIN
+// recycled by whoever consumes them (see World.freeMsg): dispatch after a FIN
 // or a match, Irecv after matching an unexpected arrival.
 type inMsg struct {
 	kind     string // "eager", "shm", "rts"
@@ -81,7 +81,7 @@ func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 	*req = Request{r: r, addr: addr, size: size, peer: dst, tag: tag}
 	r.startP2PSpan(req, "isend", dst)
 	cl := r.w.Cl
-	msg := r.w.newMsg()
+	msg := r.w.msgs.Get()
 	msg.src, msg.tag, msg.size, msg.srcCtx, msg.span = r.rank, tag, size, r.ctx, req.span
 	dstRank := r.w.ranks[dst]
 
@@ -242,7 +242,7 @@ func (r *Rank) handleMatch(req *Request, m *inMsg) {
 		// Rendezvous: RDMA-read the payload from the sender's buffer. The
 		// read outlives m (recycled when this returns), so a rndv record
 		// keeps what its completion and the FIN need.
-		v := r.w.newRndv()
+		v := r.w.rndvs.Get()
 		v.r, v.req, v.matchedAt = r, req, matchedAt
 		v.srcCtx, v.sendReq, v.sendSpan = m.srcCtx, m.sendReq, m.span
 		mr := r.registerCachedCtx(req.addr, req.size, req.span)
@@ -251,7 +251,7 @@ func (r *Rank) handleMatch(req *Request, m *inMsg) {
 			RemoteKey: m.rkey, RemoteAddr: m.srcAddr,
 			Size:       m.size,
 			Span:       req.span,
-			OnComplete: v.onRead,
+			OnComplete: v,
 		})
 		if err != nil {
 			panic("mpi: rendezvous read failed: " + err.Error())
@@ -262,9 +262,9 @@ func (r *Rank) handleMatch(req *Request, m *inMsg) {
 }
 
 // rndv is one rendezvous receive in flight: the RDMA read of a matched RTS
-// and the FIN that follows it. Records come from World.rndvFree with their
-// read-completion handler bound once, when first built, so a rendezvous
-// message builds no closure; Progress returns each after posting its FIN.
+// and the FIN that follows it. Records come from World.rndvs and are their
+// read's completion handler, so a rendezvous message builds no closure;
+// Progress returns each after posting its FIN.
 type rndv struct {
 	r         *Rank
 	req       *Request // the matched receive
@@ -272,13 +272,12 @@ type rndv struct {
 	srcCtx    *verbs.Ctx // sender's context: the FIN's destination
 	sendReq   *Request   // sender's request, completed by the FIN
 	sendSpan  span.ID    // sender's root span, the FIN flight's parent
-	onRead    func(at sim.Time)
 }
 
-// read completes the receive when its data has landed (kernel handler
+// Fire completes the receive when its data has landed (kernel handler
 // context). The FIN goes out the next time the receiver is inside the
 // library: the HCA completed, but the CPU must post the FIN.
-func (v *rndv) read(at sim.Time) {
+func (v *rndv) Fire(at sim.Time) {
 	r := v.r
 	v.req.done = true
 	r.w.mRecvLat.Observe(at - v.matchedAt)
@@ -292,11 +291,11 @@ func (v *rndv) read(at sim.Time) {
 // the sender's completion path.
 func (v *rndv) fin() {
 	r := v.r
-	fin := r.w.newMsg()
+	fin := r.w.msgs.Get()
 	fin.kind, fin.src, fin.sendReq = "fin", r.rank, v.sendReq
 	r.ctx.PostSend(r.proc, v.srcCtx, r.w.packet(r.w.cfg.HeaderSize, fin, v.sendSpan))
-	*v = rndv{onRead: v.onRead}
-	r.w.rndvFree = append(r.w.rndvFree, v)
+	*v = rndv{}
+	r.w.rndvs.Put(v)
 }
 
 // dispatch routes one incoming message: match a posted receive or queue it

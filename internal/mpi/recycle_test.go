@@ -69,15 +69,12 @@ func recycledMessages(t *testing.T, plan *fault.Config) {
 			r.Barrier()
 		}
 	})
-	if len(w.msgFree) == 0 {
+	free, ok := w.msgs.Free()
+	if len(free) == 0 {
 		t.Fatal("no message record was recycled")
 	}
-	free := make(map[*inMsg]bool)
-	for _, m := range w.msgFree {
-		if free[m] {
-			t.Errorf("message free list holds %p twice", m)
-		}
-		free[m] = true
+	if !ok {
+		t.Error("message free list holds a record twice")
 	}
 	for _, r := range w.ranks {
 		for _, m := range append(r.unexpected, r.shmIn...) {
@@ -86,17 +83,16 @@ func recycledMessages(t *testing.T, plan *fault.Config) {
 			}
 		}
 	}
-	if len(w.rndvFree) == 0 {
+	freeRndv, ok := w.rndvs.Free()
+	if len(freeRndv) == 0 {
 		t.Fatal("no rendezvous record was recycled")
 	}
-	freeRndv := make(map[*rndv]bool)
-	for _, v := range w.rndvFree {
-		if freeRndv[v] {
-			t.Errorf("rendezvous free list holds %p twice", v)
-		}
-		freeRndv[v] = true
-		if v.r != nil || v.req != nil || v.sendReq != nil || v.onRead == nil {
-			t.Errorf("a free rendezvous record is still bound to a message, or lost its handler")
+	if !ok {
+		t.Error("rendezvous free list holds a record twice")
+	}
+	for v := range freeRndv {
+		if v.r != nil || v.req != nil || v.sendReq != nil {
+			t.Errorf("a free rendezvous record is still bound to a message")
 		}
 	}
 	for _, r := range w.ranks {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/regcache"
 	"repro/internal/sim"
 	"repro/internal/span"
@@ -59,10 +60,10 @@ type World struct {
 	nodeOf []int  // node of each world rank (placed worlds need not follow cluster geometry)
 	prefix string // site/process name prefix ("" for the single-world case)
 
-	// msgFree recycles message records (see newMsg); their packets come from
-	// the verbs registry's pool. rndvFree recycles rendezvous reads (rndv).
-	msgFree  []*inMsg
-	rndvFree []*rndv
+	// msgs recycles message records (see freeMsg); their packets come from
+	// the verbs registry's pool. rndvs recycles rendezvous reads (rndv).
+	msgs  pool.List[inMsg]
+	rndvs pool.List[rndv]
 
 	// Metric handles; nil (inert) when metrics are off.
 	mEager   *metrics.Counter
@@ -114,36 +115,15 @@ func NewPlacedWorld(cl *cluster.Cluster, cfg Config, prefix string, nodeOf []int
 	return w
 }
 
-// newMsg returns a zeroed message record (a recycled one keeps its empty
-// payload storage, see copyIn) from the world's free list, which the
-// message's consumer refills (freeMsg), like the verbs flight records. Fault
-// plans change nothing here: verbs re-sends only a packet that was not
-// delivered, so each message reaches at most one rank, at most once.
-func (w *World) newMsg() *inMsg {
-	if n := len(w.msgFree); n > 0 {
-		m := w.msgFree[n-1]
-		w.msgFree = w.msgFree[:n-1]
-		return m
-	}
-	return &inMsg{}
-}
-
-// newRndv returns a free rendezvous record, building one on first use.
-func (w *World) newRndv() *rndv {
-	if n := len(w.rndvFree); n > 0 {
-		v := w.rndvFree[n-1]
-		w.rndvFree = w.rndvFree[:n-1]
-		return v
-	}
-	v := &rndv{}
-	v.onRead = v.read
-	return v
-}
-
-// freeMsg recycles a consumed message record.
+// freeMsg recycles a consumed message record into w.msgs, whose Get hands
+// out zeroed records (a recycled one keeps its empty payload storage, see
+// copyIn); the message's consumer is its last holder, like the verbs flight
+// records. Fault plans change nothing here: verbs re-sends only a packet
+// that was not delivered, so each message reaches at most one rank, at most
+// once.
 func (w *World) freeMsg(m *inMsg) {
 	*m = inMsg{buf: m.buf[:0]}
-	w.msgFree = append(w.msgFree, m)
+	w.msgs.Put(m)
 }
 
 // packet wraps m for the wire in a pooled packet, which the receiving

@@ -18,6 +18,14 @@ type Action interface {
 	Fire(at Time)
 }
 
+// Func adapts a function to an Action, for the cold paths (failover, tests)
+// where a closure per operation costs nothing that matters. A func value is
+// pointer-shaped, so the conversion itself allocates nothing.
+type Func func(at Time)
+
+// Fire implements Action.
+func (f Func) Fire(at Time) { f(at) }
+
 // event is one arena slot: a scheduled callback, a timed callback, a parked
 // process waiting to be dispatched, or a pooled Action. Exactly one of
 // fn/fnT/p/act is set. Events with equal timestamps fire in scheduling order,

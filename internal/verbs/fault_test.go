@@ -41,7 +41,7 @@ func TestWriteRetriesUnderDrops(t *testing.T) {
 			if err := rg.ctx[0].PostWrite(p, WriteOp{
 				LocalKey: smr.LKey(), LocalAddr: src.Addr(),
 				RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 4096,
-				OnRemoteComplete: func(at sim.Time) { done = at },
+				OnRemoteComplete: sim.Func(func(at sim.Time) { done = at }),
 			}); err != nil {
 				t.Fatalf("PostWrite: %v", err)
 			}
@@ -81,8 +81,8 @@ func TestWriteRetryExhausted(t *testing.T) {
 		if err := rg.ctx[0].PostWrite(p, WriteOp{
 			LocalKey: smr.LKey(), LocalAddr: src.Addr(),
 			RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 64,
-			OnRemoteComplete: func(sim.Time) { completed = true },
-			OnError:          func(at sim.Time) { failedAt = at },
+			OnRemoteComplete: sim.Func(func(sim.Time) { completed = true }),
+			OnError:          sim.Func(func(at sim.Time) { failedAt = at }),
 		}); err != nil {
 			t.Fatalf("PostWrite: %v", err)
 		}
@@ -121,7 +121,7 @@ func TestCQErrorRetried(t *testing.T) {
 			if err := rg.ctx[0].PostWrite(p, WriteOp{
 				LocalKey: smr.LKey(), LocalAddr: src.Addr(),
 				RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 256,
-				OnRemoteComplete: func(sim.Time) { done++ },
+				OnRemoteComplete: sim.Func(func(sim.Time) { done++ }),
 			}); err != nil {
 				t.Fatalf("PostWrite: %v", err)
 			}
@@ -156,7 +156,7 @@ func TestReadRetriesUnderDrops(t *testing.T) {
 			if err := rg.ctx[0].PostRead(p, ReadOp{
 				LocalKey: lmr.LKey(), LocalAddr: local.Addr(),
 				RemoteKey: rmr.RKey(), RemoteAddr: remote.Addr(), Size: 512,
-				OnComplete: func(sim.Time) { done++ },
+				OnComplete: sim.Func(func(sim.Time) { done++ }),
 			}); err != nil {
 				t.Fatalf("PostRead: %v", err)
 			}
@@ -256,7 +256,7 @@ func TestZeroRateInjectorZeroOverhead(t *testing.T) {
 				if err := rg.ctx[0].PostWrite(p, WriteOp{
 					LocalKey: smr.LKey(), LocalAddr: src.Addr(),
 					RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 8192,
-					OnRemoteComplete: func(at sim.Time) { done = at },
+					OnRemoteComplete: sim.Func(func(at sim.Time) { done = at }),
 				}); err != nil {
 					t.Fatalf("PostWrite: %v", err)
 				}
@@ -314,10 +314,10 @@ func retryOutcome(t *testing.T, traced bool) []byte {
 			w := WriteOp{
 				LocalKey: amr.LKey(), LocalAddr: a.Addr() + mem.Addr(i*size),
 				RemoteKey: bmr.RKey(), RemoteAddr: b.Addr() + mem.Addr(i*size), Size: size,
-				OnRemoteComplete: func(at sim.Time) { note("write landed", i, at) },
+				OnRemoteComplete: sim.Func(func(at sim.Time) { note("write landed", i, at) }),
 			}
 			if i%2 == 0 {
-				w.OnError = func(at sim.Time) { note("write failed", i, at) }
+				w.OnError = sim.Func(func(at sim.Time) { note("write failed", i, at) })
 			}
 			if err := rg.ctx[0].PostWrite(p, w); err != nil {
 				t.Fatalf("PostWrite: %v", err)
@@ -325,10 +325,10 @@ func retryOutcome(t *testing.T, traced bool) []byte {
 			r := ReadOp{
 				LocalKey: amr.LKey(), LocalAddr: a.Addr() + mem.Addr((n+i)*size),
 				RemoteKey: bmr.RKey(), RemoteAddr: b.Addr() + mem.Addr((n+i)*size), Size: size,
-				OnComplete: func(at sim.Time) { note("read landed", i, at) },
+				OnComplete: sim.Func(func(at sim.Time) { note("read landed", i, at) }),
 			}
 			if i%2 == 1 {
-				r.OnError = func(at sim.Time) { note("read failed", i, at) }
+				r.OnError = sim.Func(func(at sim.Time) { note("read failed", i, at) })
 			}
 			if err := rg.ctx[0].PostRead(p, r); err != nil {
 				t.Fatalf("PostRead: %v", err)

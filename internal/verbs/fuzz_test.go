@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -44,15 +45,15 @@ func FuzzVerbsFaults(f *testing.F) {
 		}
 		addr := func(m *mem.Buffer, i int) mem.Addr { return m.Addr() + mem.Addr(i*slot) }
 		at := func(m *mem.Buffer, i int) []byte { return m.Bytes()[i*slot : i*slot+len(want[i])] }
-		complete := func(i int, landed []byte) func(sim.Time) {
-			return func(sim.Time) {
+		complete := func(i int, landed []byte) sim.Action {
+			return sim.Func(func(sim.Time) {
 				done[i]++
 				if !bytes.Equal(landed, want[i]) {
 					t.Errorf("op %d (kind %d) completed without its posted bytes", i, ops[i]%3)
 				}
-			}
+			})
 		}
-		fail := func(i int) func(sim.Time) { return func(sim.Time) { done[i]++; failed[i] = true } }
+		fail := func(i int) sim.Action { return sim.Func(func(sim.Time) { done[i]++; failed[i] = true }) }
 
 		rg.k.Spawn("recv", func(p *sim.Proc) {
 			for {
@@ -128,21 +129,20 @@ func FuzzVerbsFaults(f *testing.F) {
 		if in.Stats.Exhausted != exhausted {
 			t.Errorf("%d ops exhausted their retries, but the injector counted %d", exhausted, in.Stats.Exhausted)
 		}
-		noDuplicates(t, "write flight", rg.r.wfFree)
-		noDuplicates(t, "read flight", rg.r.rfFree)
-		noDuplicates(t, "send flight", rg.r.sfFree)
-		noDuplicates(t, "packet", rg.r.pkFree)
+		noDuplicates(t, "write flight", &rg.r.wf)
+		noDuplicates(t, "read flight", &rg.r.rf)
+		noDuplicates(t, "send flight", &rg.r.sf)
+		noDuplicates(t, "packet", &rg.r.pk)
+		if n := len(rg.r.onErr); n != 0 {
+			t.Errorf("%d OnError handlers outlived their flights", n)
+		}
 		rg.k.Shutdown()
 	})
 }
 
-func noDuplicates[T comparable](t *testing.T, name string, list []T) {
+func noDuplicates[T any](t *testing.T, name string, l *pool.List[T]) {
 	t.Helper()
-	seen := make(map[T]bool, len(list))
-	for _, x := range list {
-		if seen[x] {
-			t.Errorf("%s free list holds %v twice", name, x)
-		}
-		seen[x] = true
+	if _, distinct := l.Free(); !distinct {
+		t.Errorf("%s free list holds a record twice", name)
 	}
 }

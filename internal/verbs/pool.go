@@ -9,12 +9,15 @@ import (
 )
 
 // Flight records. Every RDMA write, RDMA read and control send travels as a
-// pooled flight: a sim.Action carrying the state its delivery needs, pooled
-// per Registry and recycled by its own Fire, the way the kernel's event arena
-// recycles event slots. At scale — a 1024-rank alltoall posts about a million
-// writes per iteration — per-op closures and payload copies would dominate
-// the allocator profile; once warm, posting and completing an op touches no
-// allocator at all (enforced by the AllocsPerRun tests in pool_test.go).
+// pooled flight: a sim.Action carrying the state its delivery needs, taken
+// from one of the Registry's pool.Lists and put back by its own Fire, the
+// way the kernel's event arena recycles event slots. A list that runs dry
+// grows by a slab, so even the first burst of a collective — a 256-rank
+// alltoall puts 65 280 writes in flight at once — allocates once per slab,
+// not once per op; once warm, posting and completing an op touches no
+// allocator at all (enforced by the AllocsPerRun tests in pool_test.go). The
+// completion handlers are sim.Actions too, so a caller's pooled record is
+// its own handler and posting builds no closure.
 //
 // There is one path, faults or not. Like the HCA's RC transport, which
 // retransmits below the verbs API, a flight carries its own retries: an
@@ -25,7 +28,7 @@ import (
 //
 // Handlers and processes run one at a time — processes are coroutines, and
 // each switch between them and the Run caller orders everything before it —
-// so the free lists need no locking.
+// so the lists need no locking.
 
 // Flight stages: what a flight's next Fire does.
 const (
@@ -36,9 +39,9 @@ const (
 )
 
 // tries is the retransmission state every flight embeds. Its fields are
-// narrow because the pools hold one record per op in flight — tens of
+// narrow because the lists hold one record per op in flight — tens of
 // thousands at 256 ranks — and a write flight must stay within 96 bytes, a
-// read within 112 and a send within 24 (one allocation size class each).
+// read within 112 and a send within 24: those sizes set a slab's bytes.
 type tries struct {
 	n     int32 // the attempt in progress, from 1
 	stage uint8 // what the next Fire does
@@ -47,21 +50,20 @@ type tries struct {
 func (t *tries) state() *tries { return t }
 
 // opTries is the retry state of an RDMA write or read: its tries, plus the
-// op span a completion or failure closes and the error callback a failure
-// fires.
+// op span a completion or failure closes. Its OnError handler, which few ops
+// have, waits in Registry.onErr, keeping the record within its size.
 type opTries struct {
-	onErr func(at sim.Time) // nil = none
-	sp    span.ID           // 0 = none
+	sp span.ID // 0 = none
 	tries
 }
 
-func (o *opTries) failure() (func(at sim.Time), span.ID) { return o.onErr, o.sp }
+func (o *opTries) opSpan() span.ID { return o.sp }
 
 // flight is a pooled work request in the retry machinery.
 type flight interface {
 	sim.Action
 	state() *tries
-	failure() (onErr func(at sim.Time), sp span.ID)
+	opSpan() span.ID
 	try()     // makes attempt state().n
 	recycle() // returns the record to its free list
 }
@@ -83,7 +85,7 @@ func (c *Ctx) retryOrFail(fl flight, kind string, size int, from sim.Time) {
 			inj.Note(k.Now(), span.ClassHCA, c.name, "retry-exhausted",
 				fmt.Sprintf("%s size=%d after %d attempts", kind, size, n))
 		}
-		if onErr, sp := fl.failure(); onErr == nil && sp == 0 {
+		if fl.opSpan() == 0 && c.reg.onErr[fl] == nil {
 			fl.recycle()
 			return
 		}
@@ -131,23 +133,21 @@ func (c *Ctx) fireRetry(fl flight, at sim.Time) {
 		fl.try()
 		return
 	}
-	onErr, sp := fl.failure()
+	onErr, sp := c.reg.onErr[fl], fl.opSpan()
 	fl.recycle()
 	c.reg.sp.AttrStr(sp, "error", "retry_exhausted")
 	c.reg.sp.EndAt(sp, at)
 	if onErr != nil {
-		onErr(at)
+		onErr.Fire(at)
 	}
 }
 
-// pop takes a record from free list l, or builds one.
-func pop[T any](l *[]*T) *T {
-	if n := len(*l); n > 0 {
-		x := (*l)[n-1]
-		*l = (*l)[:n-1]
-		return x
+// watch files an op's OnError handler, if it has one, under its flight;
+// recycling the flight drops it.
+func (r *Registry) watch(fl flight, onErr sim.Action) {
+	if onErr != nil {
+		r.onErr[fl] = onErr
 	}
-	return new(T)
 }
 
 // writeFlight is one in-flight RDMA write. buf is a grow-only payload
@@ -162,7 +162,7 @@ type writeFlight struct {
 	size   int
 	buf    []byte
 	notify *Packet
-	onRem  func(at sim.Time)
+	onRem  sim.Action
 }
 
 func (fl *writeFlight) try() {
@@ -196,14 +196,15 @@ func (fl *writeFlight) Fire(at sim.Time) {
 		dstCtx.deliver(notify)
 	}
 	if onRem != nil {
-		onRem(at)
+		onRem.Fire(at)
 	}
 }
 
 func (fl *writeFlight) recycle() {
 	r := fl.c.reg
+	delete(r.onErr, fl)
 	*fl = writeFlight{buf: fl.buf[:0]}
-	r.wfFree = append(r.wfFree, fl)
+	r.wf.Put(fl)
 }
 
 // readFlight is one in-flight RDMA read, pooled like writeFlight. Its serve
@@ -219,7 +220,7 @@ type readFlight struct {
 	remoteAddr mem.Addr
 	size       int
 	buf        []byte
-	onComplete func(at sim.Time)
+	onComplete sim.Action
 }
 
 func (fl *readFlight) try() {
@@ -257,14 +258,15 @@ func (fl *readFlight) Fire(at sim.Time) {
 	c.reg.sp.EndAt(fl.sp, at)
 	fl.recycle()
 	if onC != nil {
-		onC(at)
+		onC.Fire(at)
 	}
 }
 
 func (fl *readFlight) recycle() {
 	r := fl.c.reg
+	delete(r.onErr, fl)
 	*fl = readFlight{buf: fl.buf[:0]}
-	r.rfFree = append(r.rfFree, fl)
+	r.rf.Put(fl)
 }
 
 // sendFlight is one in-flight control send: the pooled deliverable that
@@ -277,7 +279,7 @@ type sendFlight struct {
 	pkt *Packet
 }
 
-func (fl *sendFlight) failure() (func(at sim.Time), span.ID) { return nil, 0 }
+func (fl *sendFlight) opSpan() span.ID { return 0 }
 
 func (fl *sendFlight) try() {
 	c, pkt := fl.pkt.From, fl.pkt
@@ -305,10 +307,10 @@ func (fl *sendFlight) Fire(at sim.Time) {
 func (fl *sendFlight) recycle() {
 	r := fl.dst.reg
 	*fl = sendFlight{}
-	r.sfFree = append(r.sfFree, fl)
+	r.sf.Put(fl)
 }
 
-// GetPacket returns a zeroed control packet from the registry's free list.
+// GetPacket returns a zeroed control packet from the registry's pool.
 // The per-message callers — mpi's eager, rendezvous and FIN packets, and
 // core's RTS, RTR, FIN and delivery notifications — take packets here, and
 // their receivers pair it with PutPacket once the payload is read. A flight
@@ -316,7 +318,7 @@ func (fl *sendFlight) recycle() {
 // most one inbox, at most once, and its receiver is its last holder. Other
 // callers allocate their own Packets; the pool is an optimization, never a
 // requirement.
-func (r *Registry) GetPacket() *Packet { return pop(&r.pkFree) }
+func (r *Registry) GetPacket() *Packet { return r.pk.Get() }
 
 // PutPacket recycles a consumed packet. The caller must be the packet's
 // final owner: after Put the packet's fields are zeroed and the next
@@ -327,5 +329,5 @@ func (r *Registry) PutPacket(p *Packet) {
 		return
 	}
 	*p = Packet{}
-	r.pkFree = append(r.pkFree, p)
+	r.pk.Put(p)
 }

@@ -82,7 +82,7 @@ func TestPostWriteSteadyStateAllocFree(t *testing.T) {
 		for _, backed := range []bool{false, true} {
 			rig := newPoolRig(t, backed, pc.plan())
 			done := 0
-			onRemote := func(at sim.Time) { done++ }
+			onRemote := sim.Func(func(sim.Time) { done++ })
 			rig.k.Spawn("writer", func(p *sim.Proc) {
 				for {
 					op := WriteOp{
@@ -112,7 +112,7 @@ func TestPostReadSteadyStateAllocFree(t *testing.T) {
 		for _, backed := range []bool{false, true} {
 			rig := newPoolRig(t, backed, pc.plan())
 			done := 0
-			onComplete := func(at sim.Time) { done++ }
+			onComplete := sim.Func(func(sim.Time) { done++ })
 			rig.k.Spawn("reader", func(p *sim.Proc) {
 				for {
 					err := rig.a.PostRead(p, ReadOp{
@@ -171,8 +171,9 @@ func TestPostSendPooledRoundTripAllocFree(t *testing.T) {
 	}
 }
 
-// The pools hold one flight per op in flight, so the retry state must not
-// push a flight record into a larger allocation size class.
+// The lists hold one flight per op in flight and grow by slabs of them, so
+// a flight's size is what a slab costs per op: the retry state and the
+// handlers must not push a record past these bounds.
 func TestFlightRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string

@@ -16,14 +16,14 @@ type WriteOp struct {
 
 	// OnRemoteComplete fires (handler context) when the data has landed in
 	// the destination memory.
-	OnRemoteComplete func(at sim.Time)
+	OnRemoteComplete sim.Action
 	// Notify, if non-nil, is delivered into the destination context's inbox
 	// with the data (RDMA write with immediate).
 	Notify *Packet
 	// OnError fires (handler context) if fault injection exhausts the
 	// operation's retry budget; the op will never complete. Nil leaves the
 	// failure counted in fault.Stats and traced only.
-	OnError func(at sim.Time)
+	OnError sim.Action
 
 	// Span is the causal parent for the op's "rdma_write" span (0 = none).
 	Span span.ID
@@ -55,13 +55,14 @@ func (c *Ctx) PostWrite(p *sim.Proc, op WriteOp) error {
 	}
 	p.AdvanceBusy(c.reg.costs.PostWR)
 
-	fl := pop(&c.reg.wfFree)
+	fl := c.reg.wf.Get()
 	fl.c, fl.dst, fl.addr, fl.size = c, dst, op.RemoteAddr, op.Size
 	if d := src.space.ReadAt(op.LocalAddr, op.Size); d != nil {
 		fl.buf = append(fl.buf[:0], d...)
 	}
 	fl.notify, fl.onRem = op.Notify, op.OnRemoteComplete
-	fl.opTries = opTries{onErr: op.OnError, sp: ws, tries: tries{n: 1}}
+	fl.opTries = opTries{sp: ws, tries: tries{n: 1}}
+	c.reg.watch(fl, op.OnError)
 	fl.try()
 	return nil
 }
@@ -75,9 +76,9 @@ type ReadOp struct {
 	Size       int
 
 	// OnComplete fires when the fetched data has landed locally.
-	OnComplete func(at sim.Time)
+	OnComplete sim.Action
 	// OnError fires if fault injection exhausts the retry budget.
-	OnError func(at sim.Time)
+	OnError sim.Action
 
 	// Span is the causal parent for the op's "rdma_read" span (0 = none).
 	Span span.ID
@@ -103,11 +104,12 @@ func (c *Ctx) PostRead(p *sim.Proc, op ReadOp) error {
 	}
 	p.AdvanceBusy(c.reg.costs.PostWR)
 
-	fl := pop(&c.reg.rfFree)
+	fl := c.reg.rf.Get()
 	fl.c, fl.dst, fl.src = c, dst, src
 	fl.localAddr, fl.remoteAddr, fl.size = op.LocalAddr, op.RemoteAddr, op.Size
 	fl.onComplete = op.OnComplete
-	fl.opTries = opTries{onErr: op.OnError, sp: rs, tries: tries{n: 1}}
+	fl.opTries = opTries{sp: rs, tries: tries{n: 1}}
+	c.reg.watch(fl, op.OnError)
 	fl.try()
 	return nil
 }
@@ -136,7 +138,7 @@ type Packet struct {
 func (c *Ctx) PostSend(p *sim.Proc, dst *Ctx, pkt *Packet) {
 	pkt.From = c
 	p.AdvanceBusy(c.reg.costs.PostWR)
-	fl := pop(&c.reg.sfFree)
+	fl := c.reg.sf.Get()
 	fl.dst, fl.pkt, fl.tries = dst, pkt, tries{n: 1}
 	fl.try()
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/span"
 )
@@ -68,12 +69,15 @@ type Registry struct {
 	inj *fault.Injector // nil = no fault injection
 	sp  *span.Collector // nil = no span tracing
 
-	// Free lists of the pooled flight records and packets (see pool.go).
-	// The simulation is single-threaded, so plain slices suffice.
-	wfFree []*writeFlight
-	rfFree []*readFlight
-	sfFree []*sendFlight
-	pkFree []*Packet
+	// The pooled flight records and packets (see pool.go), the OnError
+	// handlers of the flights that have one, and the slab the key table's
+	// regions come from.
+	wf     pool.List[writeFlight]
+	rf     pool.List[readFlight]
+	sf     pool.List[sendFlight]
+	pk     pool.List[Packet]
+	onErr  map[flight]sim.Action
+	mrSlab pool.Slab[MR]
 
 	// Stats
 	Registrations int64
@@ -92,7 +96,7 @@ const firstKey Key = 102
 
 // NewRegistry creates the key table for one simulation.
 func NewRegistry(f *fabric.Fabric, costs CostConfig) *Registry {
-	return &Registry{f: f, costs: costs}
+	return &Registry{f: f, costs: costs, onErr: make(map[flight]sim.Action)}
 }
 
 // Costs returns the registry's cost configuration.
@@ -235,7 +239,8 @@ func (c *Ctx) RegisterMRCtx(p *sim.Proc, addr mem.Addr, size int, parent span.ID
 // RegisterMR and by gvmi cross-registration, which has its own cost model).
 func (r *Registry) insertMR(ctx *Ctx, space *mem.Space, addr mem.Addr, size int) *MR {
 	lkey := firstKey + 2*Key(len(r.mrs))
-	mr := &MR{ctx: ctx, space: space, addr: addr, size: size, lkey: lkey, rkey: lkey + 1}
+	mr := r.mrSlab.New()
+	*mr = MR{ctx: ctx, space: space, addr: addr, size: size, lkey: lkey, rkey: lkey + 1}
 	r.mrs = append(r.mrs, mr)
 	return mr
 }

@@ -79,7 +79,7 @@ func TestRDMAWriteMovesBytes(t *testing.T) {
 			LocalKey: smr.LKey(), LocalAddr: src.Addr(),
 			RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(),
 			Size:             256,
-			OnRemoteComplete: func(at sim.Time) { remoteAt = at },
+			OnRemoteComplete: sim.Func(func(at sim.Time) { remoteAt = at }),
 		})
 		if err != nil {
 			t.Errorf("PostWrite: %v", err)
@@ -178,7 +178,7 @@ func TestRDMAReadFetchesBytes(t *testing.T) {
 			LocalKey: lmr.LKey(), LocalAddr: local.Addr(),
 			RemoteKey: rmr.RKey(), RemoteAddr: remote.Addr(),
 			Size:       128,
-			OnComplete: func(at sim.Time) { done = at },
+			OnComplete: sim.Func(func(at sim.Time) { done = at }),
 		}); err != nil {
 			t.Errorf("PostRead: %v", err)
 		}
@@ -205,7 +205,7 @@ func TestRDMAReadRoundTripSlowerThanWrite(t *testing.T) {
 		if err := rg.ctx[0].PostWrite(p, WriteOp{
 			LocalKey: amr.LKey(), LocalAddr: a.Addr(),
 			RemoteKey: bmr.RKey(), RemoteAddr: b.Addr(), Size: 4096,
-			OnRemoteComplete: func(at sim.Time) { writeDone = at - start; doneW = true },
+			OnRemoteComplete: sim.Func(func(at sim.Time) { writeDone = at - start; doneW = true }),
 		}); err != nil {
 			t.Errorf("write: %v", err)
 		}
@@ -217,7 +217,7 @@ func TestRDMAReadRoundTripSlowerThanWrite(t *testing.T) {
 		if err := rg.ctx[0].PostRead(p, ReadOp{
 			LocalKey: amr.LKey(), LocalAddr: a.Addr(),
 			RemoteKey: bmr.RKey(), RemoteAddr: b.Addr(), Size: 4096,
-			OnComplete: func(at sim.Time) { readDone = at - start; doneR = true },
+			OnComplete: sim.Func(func(at sim.Time) { readDone = at - start; doneR = true }),
 		}); err != nil {
 			t.Errorf("read: %v", err)
 		}
@@ -265,7 +265,7 @@ func TestSizeOnlyRDMAWriteAdvancesTimeWithoutCopy(t *testing.T) {
 		if err := rg.ctx[0].PostWrite(p, WriteOp{
 			LocalKey: smr.LKey(), LocalAddr: src.Addr(),
 			RemoteKey: dmr.RKey(), RemoteAddr: dst.Addr(), Size: 1 << 20,
-			OnRemoteComplete: func(at sim.Time) { done = at },
+			OnRemoteComplete: sim.Func(func(at sim.Time) { done = at }),
 		}); err != nil {
 			t.Errorf("PostWrite: %v", err)
 		}
