@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet fmt-check staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim shuffle loc examples-smoke
+.PHONY: all build test vet fmt-check one-builder staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim shuffle loc examples-smoke
 
 all: build
 
@@ -22,6 +22,19 @@ vet:
 fmt-check:
 	@out=$$($(GOFMT) -l cmd internal benchmark examples); \
 	if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
+
+# One builder: outside tests, only baseline.Build (internal/baseline/
+# system.go) constructs a cluster or a framework, so every runner reads
+# every option the same way. The verbs-level rig of internal/bench/micro.go,
+# with no ranks and no framework, is the one other cluster. A new call site
+# of cluster.New or core.New under internal/, cmd/ or examples/ fails.
+one-builder:
+	@got=$$(grep -rnoE --include='*.go' --exclude='*_test.go' '\b(cluster|core)\.New\(' internal cmd examples \
+		| sed -E 's/:[0-9]+:/ /' | LC_ALL=C sort); \
+	want=$$(printf '%s\n' 'internal/baseline/system.go cluster.New(' 'internal/baseline/system.go core.New(' \
+		'internal/bench/micro.go cluster.New('); \
+	if [ "$$got" != "$$want" ]; then \
+		echo "one-builder: build systems through baseline.Build; call sites:"; echo "$$got"; exit 1; fi
 
 # Runs staticcheck when it is on PATH and skips (loudly) when it is not:
 # dev containers without network access cannot `go install` it, but CI does
@@ -66,7 +79,7 @@ examples-smoke:
 		echo "examples-smoke: $$d"; $(GO) run ./$$d > /dev/null; \
 	done
 
-check: fmt-check vet staticcheck build race race-sim shuffle examples-smoke bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
+check: fmt-check one-builder vet staticcheck build race race-sim shuffle examples-smoke bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/bench/ ./internal/sim/

@@ -291,10 +291,10 @@ func TestSinkExportsFrozen(t *testing.T) {
 		}},
 		{"omb tenants -nodes 2 -ppn 2 -iters 2 -bgjobs 2 -parallel 2 -metrics M -timeseries T", map[string]string{
 			"stdout":  "6b4897daee98967f727f3775062491f14fd8d1153f8e174edaa18fe58814d310",
-			"M":       "ed3b85b35a709e6869c7a392d90b7e319023e71217e9f2cf3024061b7f3b048e",
-			"M.prom":  "27b262dc4626f660244a192da4ffb8f93a763355d37bf32b0c33a943d06cea1a",
-			"T.jsonl": "50b6efaa266826ef00bf9f524f2ad5ad977905f7380f9ef92abc729f43a4b552",
-			"T.prom":  "4a06d6eadbbfc61f92e3512ec6b8a6730f6d5248df1423944905bef749d8f883",
+			"M":       "55d98174e25cae1dc80455dd4b8d47db29ff07227bb4f253def7fe4e9948aec3",
+			"M.prom":  "253e518a6515c8ba2b70426e6f72808bbd7975ceeeb5c3e7a1082a57f8a42ef4",
+			"T.jsonl": "b98ebd8d498c2ba55d3647357b9202585fabe8526d100b62c47a93f86466c184",
+			"T.prom":  "6026437e2c6586ffa76d2e61a31cb5ee8ff691385008dbcc3931e0758f7bcc4a",
 		}},
 	} {
 		dir := t.TempDir()

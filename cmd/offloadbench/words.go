@@ -522,10 +522,10 @@ func runPattern(p *params, out io.Writer) error {
 	if p.tenants > 1 {
 		return p.patternTenants(spec, out)
 	}
-	res, err := pattern.Run(spec, pattern.RunOptions{
-		Nodes: p.nodes, PPN: p.ppn, Core: p.core, Compute: sim.Time(p.compute), Calls: p.calls, Backed: p.verify,
-		Policy: p.cf.Policy, Metrics: p.env.Met, Spans: p.env.Sp,
-	})
+	res, err := pattern.Run(spec, pattern.RunOptions{Spec: baseline.Spec{
+		Nodes: p.nodes, PPN: p.ppn, Scheme: p.cf.Policy, Core: &p.core, Backed: p.verify,
+		Metrics: p.env.Met, Spans: p.env.Sp,
+	}, Compute: sim.Time(p.compute), Calls: p.calls})
 	if err != nil {
 		return err
 	}

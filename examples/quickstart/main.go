@@ -11,25 +11,20 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/baseline"
 	"repro/internal/sim"
 )
 
 func main() {
-	// A 2-node cluster, one host process per node, 8 proxies per DPU.
-	ccfg := cluster.DefaultConfig(2, 1)
-	cl := cluster.New(ccfg)
-
-	// Attachment points for the two host processes.
-	sites := []*cluster.Site{
-		cl.NewHostSite(0, "rank0"),
-		cl.NewHostSite(1, "rank1"),
+	// A 2-node cluster, one host process per node, 8 proxies per DPU,
+	// running the paper's Proposed system: cross-GVMI mechanism, caches on.
+	// Bare host sites, not MPI ranks: the walkthrough spawns its own
+	// processes and drives the framework's host handles directly.
+	sys, err := baseline.Build(baseline.Spec{Nodes: 2, PPN: 1, Scheme: baseline.NameProposed, Backed: true, Bare: true})
+	if err != nil {
+		panic(err)
 	}
-
-	// The offload framework: cross-GVMI mechanism, caches on.
-	fw := core.New(cl, core.DefaultConfig(), sites)
-	fw.Start()
+	cl, fw, sites := sys.Cl, sys.Fw, sys.Sites
 
 	const size = 1 << 20 // 1 MiB
 	const compute = 2 * sim.Millisecond
@@ -63,6 +58,9 @@ func main() {
 			p.Now()-t0, buf.Bytes()[0], buf.Bytes()[size-1])
 	})
 
-	end := cl.K.Run()
+	end, err := sys.Run()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("simulation finished at t=%v (virtual)\n", end)
 }

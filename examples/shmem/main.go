@@ -8,8 +8,7 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/baseline"
 	"repro/internal/shmem"
 	"repro/internal/sim"
 )
@@ -21,19 +20,18 @@ func main() {
 		n       = 256 << 10
 		compute = 1 * sim.Millisecond
 	)
-	cl := cluster.New(cluster.DefaultConfig(nodes, ppn))
-	np := cl.Cfg.NP()
-	sites := make([]*cluster.Site, np)
-	for i := range sites {
-		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("pe%d", i))
+	// The paper's Proposed system on bare host sites: the PEs are not MPI
+	// ranks.
+	sys, err := baseline.Build(baseline.Spec{Nodes: nodes, PPN: ppn, Scheme: baseline.NameProposed, Backed: true, Bare: true})
+	if err != nil {
+		panic(err)
 	}
-	fw := core.New(cl, core.DefaultConfig(), sites)
-	fw.Start()
-	w := shmem.New(fw, sites, 4*n)
+	np := len(sys.Sites)
+	w := shmem.New(sys.Fw, sys.Sites, 4*n)
 
 	for i := 0; i < np; i++ {
 		pe := w.PE(i)
-		cl.K.Spawn(fmt.Sprintf("pe%d", i), func(p *sim.Proc) {
+		sys.Cl.K.Spawn(fmt.Sprintf("pe%d", i), func(p *sim.Proc) {
 			pe.Bind(p)
 			src := pe.Malloc(n)
 			inbox := pe.Malloc(n)
@@ -55,7 +53,10 @@ func main() {
 				pe.ID(), p.Now()-t0, peByte(pe, inbox), left, peByte(pe, fetched), left)
 		})
 	}
-	end := cl.K.Run()
+	end, err := sys.Run()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("done at t=%v\n", end)
 }
 

@@ -13,7 +13,10 @@
 // (bundle.go): a core.Config preset (none for IntelMPI) and, for the
 // extension policies, a per-operation datapath choice, so that
 // micro-benchmarks and applications compare mechanisms under an otherwise
-// identical substrate.
+// identical substrate. Build (system.go) is the one constructor of a
+// simulated system from a bundle: every runner — benchmarks, tenant jobs,
+// pattern replays, the examples — builds its cluster, worlds, framework and
+// engines through it.
 package baseline
 
 import (

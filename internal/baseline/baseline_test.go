@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/datapath"
-	"repro/internal/policy"
 )
 
 func TestProposedConfigIsGVMIWithCaches(t *testing.T) {
@@ -67,19 +66,5 @@ func TestPolicyBundleResolvesLabels(t *testing.T) {
 	}
 	if _, err := PolicyBundle(""); err == nil {
 		t.Error(`PolicyBundle("") resolved an extension bundle's empty label`)
-	}
-}
-
-// A fixed bundle's policy is Fixed on its own core's path: host-direct
-// without one.
-func TestFixedBundlePolicyIsItsPath(t *testing.T) {
-	for name, path := range map[string]datapath.Kind{
-		"gvmi": datapath.KindCrossGVMI, "staged": datapath.KindStaged,
-		"bluesmpi": datapath.KindStaged, "hostdirect": datapath.KindHostDirect,
-	} {
-		b, _ := PolicyBundle(name)
-		if b.New != nil || b.Policy() != (policy.Fixed{Path: path}) {
-			t.Errorf("%s: policy %v, want fixed on %v with no constructor", name, b.Policy(), path)
-		}
 	}
 }

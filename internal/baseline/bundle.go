@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/datapath"
 	"repro/internal/policy"
 )
 
@@ -25,18 +24,6 @@ type Bundle struct {
 	// environment — a learned table must not leak between runs); nil means
 	// every operation runs on the bundle's own path, which needs no engine.
 	New func() policy.Policy
-}
-
-// Policy returns a fresh policy instance: New's, or else Fixed on the
-// bundle's own path (host-direct without proxies).
-func (b Bundle) Policy() policy.Policy {
-	switch {
-	case b.New != nil:
-		return b.New()
-	case b.Core == nil:
-		return policy.Fixed{Path: datapath.KindHostDirect}
-	}
-	return policy.Fixed{Path: b.Core().Path}
 }
 
 // bundles are the known systems, sorted by name.
@@ -68,28 +55,4 @@ func PolicyNames() []string {
 		names[i] = b.Name
 	}
 	return names
-}
-
-// SharedCore resolves the framework configuration for a multi-tenant
-// environment whose jobs run the given policies. Tenant jobs share one
-// framework, so per-job core configs cannot differ: every framework-backed
-// policy must agree on the proposed substrate (staging-handicap bundles
-// would silently change the shared proxies for everyone). Host-only
-// policies ("hostdirect") are fine — their job just never touches the
-// proxies. At least one job must exist; the shared framework is always
-// built (other tenants may offload even if one job does not).
-func SharedCore(names []string) (core.Config, error) {
-	if len(names) == 0 {
-		return core.Config{}, fmt.Errorf("baseline: shared core needs at least one policy")
-	}
-	for _, n := range names {
-		b, err := PolicyBundle(n)
-		if err != nil {
-			return core.Config{}, err
-		}
-		if b.Core != nil && b.Core() != ProposedConfig() {
-			return core.Config{}, fmt.Errorf("baseline: policy %q needs core config %+v, which cannot be shared by a multi-tenant framework", n, b.Core())
-		}
-	}
-	return ProposedConfig(), nil
 }

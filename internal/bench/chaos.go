@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/coll"
@@ -55,7 +56,7 @@ func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSiz
 
 	// The fill and the verification run inside the timed window, at zero
 	// virtual cost.
-	nbc, end := measureOverlap(e, msgSize, warmup, iters, maxTime,
+	nbc, end := measureOverlap(e, msgSize, warmup, iters, slices.Max[[]sim.Time],
 		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
 			me := r.RankID()
 			sp := r.Space()

@@ -14,7 +14,9 @@ import (
 
 // Every bundle, by name or paper label, builds the substrate it names:
 // proxies for all but hostdirect, and an engine only for the bundles whose
-// choice is not fixed.
+// choice is not fixed. The same holds for each of the builder's placements,
+// except that placed jobs always share a framework, with tenancy, and
+// cannot run a bundle that needs another core.
 func TestBuildSchemesFrameworkPresence(t *testing.T) {
 	t.Parallel()
 	fixed := []string{"bluesmpi", "gvmi", "hostdirect", "staged"}
@@ -30,9 +32,55 @@ func TestBuildSchemesFrameworkPresence(t *testing.T) {
 		if e.Fw != nil && e.Fw.Config() != b.Core() {
 			t.Errorf("%s: framework config %+v, want the bundle's %+v", name, e.Fw.Config(), b.Core())
 		}
-		if (e.Pol == nil) != slices.Contains(fixed, b.Name) {
-			t.Errorf("%s: engine built = %v", name, e.Pol != nil)
+		if (e.Engines[0] == nil) != slices.Contains(fixed, b.Name) {
+			t.Errorf("%s: engine built = %v", name, e.Engines[0] != nil)
 		}
+	}
+	for _, scheme := range []string{"gvmi", "hostdirect", "adaptive"} {
+		for _, c := range []struct {
+			place  string
+			worlds int
+			spec   baseline.Spec
+		}{
+			{"one world", 1, baseline.Spec{Nodes: 2, PPN: 2, Scheme: scheme}},
+			{"two jobs", 2, baseline.Spec{Nodes: 2, Jobs: []baseline.Job{{Name: "a", PPN: 1, Scheme: scheme}, {Name: "b", PPN: 1, Scheme: scheme}}}},
+			{"bare sites", 0, baseline.Spec{Nodes: 2, PPN: 2, Scheme: scheme, Bare: true}},
+		} {
+			sys, err := baseline.Build(c.spec)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.place, scheme, err)
+			}
+			placed := c.spec.Jobs != nil
+			if (sys.Fw != nil) != (placed || scheme != "hostdirect") {
+				t.Errorf("%s, %s: framework built = %v", c.place, scheme, sys.Fw != nil)
+			}
+			if sys.Fw != nil && (sys.Fw.Tenancy() != nil) != placed {
+				t.Errorf("%s, %s: tenancy set = %v", c.place, scheme, sys.Fw.Tenancy() != nil)
+			}
+			if len(sys.Worlds) != c.worlds || len(sys.Engines) != max(c.worlds, 1) {
+				t.Errorf("%s, %s: %d worlds and %d engines", c.place, scheme, len(sys.Worlds), len(sys.Engines))
+			}
+			for j, eng := range sys.Engines {
+				if (eng == nil) != (scheme != "adaptive") {
+					t.Errorf("%s, %s: job %d engine built = %v", c.place, scheme, j, eng != nil)
+				}
+			}
+			for g, site := range sys.Sites {
+				want := fmt.Sprintf("rank%d", g)
+				if placed { // job a owns slot 0 of each node, job b slot 1
+					want = fmt.Sprintf("%c.rank%d", "ab"[g%2], g/2)
+				}
+				if got := site.Ctx.Name(); got != want {
+					t.Errorf("%s, %s: site %d is %q, want %q", c.place, scheme, g, got, want)
+				}
+			}
+			if _, err := sys.Run(); err != nil {
+				t.Errorf("%s, %s: %v", c.place, scheme, err)
+			}
+		}
+	}
+	if _, err := baseline.Build(baseline.Spec{Nodes: 2, Jobs: []baseline.Job{{Name: "a", PPN: 1, Scheme: "bluesmpi"}}}); err == nil {
+		t.Error("placed jobs ran bluesmpi, whose core they cannot share")
 	}
 	// A Core override forces a framework even for the host-only bundle.
 	cfg := baseline.StagingNoWarmupConfig()

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"repro/internal/coll"
 	"repro/internal/mem"
 	"repro/internal/mpi"
@@ -68,23 +70,12 @@ func measureOverlap(e *Env, msgSize, warmup, iters int, reduce func([]sim.Time) 
 		overall[me] = acc / sim.Time(iters)
 	})
 
-	res := NBCResult{Scheme: e.Opt.Scheme, Nodes: e.Opt.Nodes, PPN: e.Opt.PPN, MsgSize: msgSize}
+	res := NBCResult{Scheme: e.Spec.Scheme, Nodes: e.Spec.Nodes, PPN: e.Spec.PPN, MsgSize: msgSize}
 	res.PureComm = reduce(pure)
 	res.Compute = res.PureComm
 	res.Overall = reduce(overall)
 	res.Overlap = OverlapPct(res.PureComm, res.Compute, res.Overall)
 	return res, end
-}
-
-// maxTime is the OMB reduction: the slowest rank's value.
-func maxTime(ts []sim.Time) sim.Time {
-	var m sim.Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }
 
 // MeasureIalltoall runs the OMB Ialltoall overlap benchmark for one scheme
@@ -93,7 +84,7 @@ func maxTime(ts []sim.Time) sim.Time {
 func MeasureIalltoall(opt Options, msgSize, warmup, iters int) NBCResult {
 	e := Build(opt)
 	np := e.Cl.Cfg.NP()
-	res, _ := measureOverlap(e, msgSize, warmup, iters, maxTime,
+	res, _ := measureOverlap(e, msgSize, warmup, iters, slices.Max[[]sim.Time],
 		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
 			send := r.Alloc(np * msgSize)
 			recv := r.Alloc(np * msgSize)
@@ -109,7 +100,7 @@ func MeasureIalltoall(opt Options, msgSize, warmup, iters int) NBCResult {
 func MeasureIallgather(opt Options, msgSize, warmup, iters int) NBCResult {
 	e := Build(opt)
 	np := e.Cl.Cfg.NP()
-	res, _ := measureOverlap(e, msgSize, warmup, iters, maxTime,
+	res, _ := measureOverlap(e, msgSize, warmup, iters, slices.Max[[]sim.Time],
 		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
 			send := r.Alloc(msgSize)
 			recv := r.Alloc(np * msgSize)
@@ -123,7 +114,7 @@ func MeasureIallgather(opt Options, msgSize, warmup, iters int) NBCResult {
 // MeasureIbcast runs the OMB-style Ibcast overlap benchmark (root 0,
 // size bytes).
 func MeasureIbcast(opt Options, size, warmup, iters int) NBCResult {
-	res, _ := measureOverlap(Build(opt), size, warmup, iters, maxTime,
+	res, _ := measureOverlap(Build(opt), size, warmup, iters, slices.Max[[]sim.Time],
 		func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) (issue, wait func()) {
 			buf := r.Alloc(size)
 			var q coll.Request
@@ -195,7 +186,7 @@ func MeasureScatterDest(opt Options, msgSize, warmup, iters int, simple bool) NB
 	})
 
 	res := NBCResult{Scheme: opt.Scheme, Nodes: opt.Nodes, PPN: opt.PPN, MsgSize: msgSize}
-	res.PureComm = maxTime(lat)
+	res.PureComm = slices.Max(lat)
 	res.Overall = res.PureComm
 	return res
 }
@@ -230,5 +221,5 @@ func MeasurePingpongNB(opt Options, msgSize, warmup, iters int) sim.Time {
 		lat[me] = (r.Now() - t0) / sim.Time(iters)
 	})
 
-	return maxTime(lat)
+	return slices.Max(lat)
 }

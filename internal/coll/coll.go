@@ -68,26 +68,63 @@ func NewHostOps(name string, r *mpi.Rank) *HostOps {
 // Name implements Ops.
 func (o *HostOps) Name() string { return o.name }
 
+// hostReq is a host collective traced under its root span. Untraced,
+// HostOps hands out the bare *mpi.CollRequest and allocates nothing.
+type hostReq struct {
+	*mpi.CollRequest
+	root span.ID
+}
+
+// start opens the root span of one host collective, parents the library's
+// per-transfer spans under it until the collective completes (progress
+// during Wait can still post transfers for some algorithms), and issues it.
+func (o *HostOps) start(name string, size int, issue func() *mpi.CollRequest) Request {
+	root := rootSpan(o.r, name, size)
+	if root == 0 {
+		return issue()
+	}
+	o.r.World().Cl.Spans.AttrStr(root, "path", "hostdirect")
+	o.r.SetSpanParent(root)
+	return &hostReq{issue(), root}
+}
+
+// finish completes q by done (the library's wait or test) and, once it has
+// completed, ends its root span.
+func (o *HostOps) finish(q Request, done func(*mpi.CollRequest) bool) bool {
+	h, traced := q.(*hostReq)
+	if !traced {
+		return done(q.(*mpi.CollRequest))
+	}
+	ok := done(h.CollRequest)
+	if ok {
+		o.r.World().Cl.Spans.End(h.root)
+		o.r.SetSpanParent(0)
+	}
+	return ok
+}
+
 // Ialltoall implements Ops.
 func (o *HostOps) Ialltoall(_ int, sendAddr, recvAddr mem.Addr, per int) Request {
-	return o.r.Ialltoall(sendAddr, recvAddr, per)
+	return o.start("ialltoall", per, func() *mpi.CollRequest { return o.r.Ialltoall(sendAddr, recvAddr, per) })
 }
 
 // Ibcast implements Ops.
 func (o *HostOps) Ibcast(_ int, addr mem.Addr, size, root int) Request {
-	return o.r.Ibcast(addr, size, root)
+	return o.start("ibcast", size, func() *mpi.CollRequest { return o.r.Ibcast(addr, size, root) })
 }
 
 // Iallgather implements Ops.
 func (o *HostOps) Iallgather(_ int, sendAddr, recvAddr mem.Addr, per int) Request {
-	return o.r.Iallgather(sendAddr, recvAddr, per)
+	return o.start("iallgather", per, func() *mpi.CollRequest { return o.r.Iallgather(sendAddr, recvAddr, per) })
 }
 
 // Wait implements Ops.
-func (o *HostOps) Wait(q Request) { o.r.WaitColl(q.(*mpi.CollRequest)) }
+func (o *HostOps) Wait(q Request) {
+	o.finish(q, func(c *mpi.CollRequest) bool { o.r.WaitColl(c); return true })
+}
 
 // Test implements Ops.
-func (o *HostOps) Test(q Request) bool { return o.r.TestColl(q.(*mpi.CollRequest)) }
+func (o *HostOps) Test(q Request) bool { return o.finish(q, o.r.TestColl) }
 
 // ---------------------------------------------------------------------------
 // Offload backend.

@@ -9,9 +9,11 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/datapath"
 	"repro/internal/mpi"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/span"
 )
 
 // launch builds a cluster+world+framework and runs main with both backends
@@ -311,10 +313,21 @@ func TestWorldIalltoallIsCommIalltoall(t *testing.T) {
 	}
 }
 
-// A fixed-path bundle runs with no engine, while tenant and pattern still
-// run it through one on its Fixed policy: the two bindings must finish
-// every rank's Ialltoall and its Isend/Irecv (node-local and inter-node
-// peers) at the same virtual times.
+// onePath is a policy that always picks the same path.
+type onePath datapath.Kind
+
+func (k onePath) Name() string { return "one-" + datapath.Kind(k).String() }
+
+func (k onePath) Decide(policy.Request) policy.Decision {
+	return policy.Decision{Path: datapath.Kind(k), Reason: "one"}
+}
+
+func (onePath) Observe(policy.Request, datapath.Kind, sim.Time) {}
+
+// A fixed-path bundle runs with no engine: binding it must finish every
+// rank's Ialltoall and its Isend/Irecv (node-local and inter-node peers) at
+// the same virtual times as routing every call through an engine whose
+// policy always picks the bundle's path.
 func TestBindWithoutEngineMatchesFixedEngine(t *testing.T) {
 	const nodes, ppn, per = 2, 4, 8 << 10
 	for _, name := range []string{"gvmi", "staged", "bluesmpi"} {
@@ -342,8 +355,46 @@ func TestBindWithoutEngineMatchesFixedEngine(t *testing.T) {
 			})
 			return ends
 		}
-		if free, fixed := run(nil), run(policy.NewEngine(b.Policy(), nil)); free != fixed {
+		if free, fixed := run(nil), run(policy.NewEngine(onePath(b.Core().Path), nil)); free != fixed {
 			t.Errorf("%s: engine-free ends %v, fixed-engine ends %v", name, free, fixed)
 		}
+	}
+}
+
+// Every host-direct collective opens one "coll" root span, whether an
+// engine picked host-direct (adaptive, at 4 KiB) or the bundle runs on the
+// host with no engine at all: both record the same spans.
+func TestHostDirectCollectivesOpenRoots(t *testing.T) {
+	const nodes, ppn, per, iters = 2, 2, 4 << 10, 8
+	trace := func(scheme string) []span.Span {
+		sp := span.New(0)
+		sys, err := baseline.Build(baseline.Spec{Nodes: nodes, PPN: ppn, Scheme: scheme, Spans: sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Worlds[0].Launch(func(r *mpi.Rank) {
+			ops, _ := Bind(scheme, r, sys.Host(0, r), sys.Engines[0])
+			send, recv := r.Alloc(r.Size()*per), r.Alloc(r.Size()*per)
+			for range iters {
+				ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), per))
+			}
+		})
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sp.Spans()
+	}
+	host, adaptive := trace("hostdirect"), trace("adaptive")
+	roots := 0
+	for _, s := range host {
+		if s.Layer == "coll" && s.Parent == 0 {
+			roots++
+		}
+	}
+	if roots != nodes*ppn*iters {
+		t.Errorf("hostdirect recorded %d coll roots, want one per rank and call: %d", roots, nodes*ppn*iters)
+	}
+	if !reflect.DeepEqual(host, adaptive) {
+		t.Errorf("hostdirect recorded %d spans, adaptive (host-direct at 4 KiB) %d, or their contents differ", len(host), len(adaptive))
 	}
 }

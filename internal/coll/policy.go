@@ -8,7 +8,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/span"
 )
 
 // PolicyOps routes each collective call through a policy engine: the engine
@@ -94,52 +93,22 @@ type policyReq struct {
 	q        policy.Request
 	path     datapath.Kind
 	t0       sim.Time
-	root     span.ID // host-direct collective root (0 = untraced/offloaded)
 	observed bool
 }
 
 // Done implements Request.
 func (q *policyReq) Done() bool { return q.inner.Done() }
 
-// collName maps a route kind to the span name the offload backends use, so
-// "coll"-layer roots read identically whichever path executed the call.
-func collName(kind string) string {
-	switch kind {
-	case "a2a":
-		return "ialltoall"
-	case "bcast":
-		return "ibcast"
-	case "ag":
-		return "iallgather"
-	}
-	return kind
-}
-
-// hostRootSpan opens the collective root span of a host-direct decision.
-// The offload backends open their own roots; without this, host-direct
-// iterations would leave only per-transfer mpi spans and drop out of any
-// RootsNamed("coll", ...) attribution.
-func (o *PolicyOps) hostRootSpan(kind string, size int) span.ID {
-	s := rootSpan(o.r, collName(kind), size)
-	o.r.World().Cl.Spans.AttrStr(s, "path", "hostdirect")
-	return s
-}
-
+// start routes one call and issues it on the chosen backend: the host
+// library for a host-direct decision (HostOps opens the call's root span
+// there, as the offload backends do on theirs).
 func (o *PolicyOps) start(kind string, slot, size int, run func(Ops) Request) Request {
 	q, d := o.route(kind, slot, size)
-	var be Ops
-	var root span.ID
-	if d.Path == datapath.KindHostDirect {
-		be = o.host
-		// Parent the host library's per-transfer spans under the
-		// collective root until completion (progress during Wait can
-		// still post transfers for some algorithms).
-		root = o.hostRootSpan(kind, size)
-		o.r.SetSpanParent(root)
-	} else {
+	var be Ops = o.host
+	if d.Path != datapath.KindHostDirect {
 		be = o.backend(d.Path)
 	}
-	return &policyReq{inner: run(be), be: be, q: q, path: d.Path, t0: o.h.Proc().Now(), root: root}
+	return &policyReq{inner: run(be), be: be, q: q, path: d.Path, t0: o.h.Proc().Now()}
 }
 
 // observe feeds the issue-to-completion latency back to the policy (once).
@@ -148,10 +117,6 @@ func (o *PolicyOps) observe(r *policyReq) {
 		return
 	}
 	r.observed = true
-	if r.root != 0 {
-		o.r.World().Cl.Spans.End(r.root)
-		o.r.SetSpanParent(0)
-	}
 	o.eng.Observe(r.q, r.path, o.h.Proc().Now()-r.t0)
 }
 

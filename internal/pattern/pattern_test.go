@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datapath"
 	"repro/internal/sim"
@@ -92,8 +93,8 @@ func TestPresetsValid(t *testing.T) {
 func TestRunRingIntegrityAndOverlap(t *testing.T) {
 	spec := Ring(6, 64<<10)
 	res, err := Run(spec, RunOptions{
-		PPN: 2, Core: core.DefaultConfig(),
-		Compute: 2 * sim.Millisecond, Calls: 2, Backed: true,
+		Spec:    baseline.Spec{PPN: 2, Backed: true},
+		Compute: 2 * sim.Millisecond, Calls: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +116,7 @@ func TestRunAlltoallBothMechanisms(t *testing.T) {
 	for _, mech := range []datapath.Kind{datapath.KindCrossGVMI, datapath.KindStaged} {
 		cfg := core.DefaultConfig()
 		cfg.Path = mech
-		res, err := Run(Alltoall(6, 8<<10), RunOptions{PPN: 3, Core: cfg, Backed: true})
+		res, err := Run(Alltoall(6, 8<<10), RunOptions{Spec: baseline.Spec{PPN: 3, Core: &cfg, Backed: true}})
 		if err != nil {
 			t.Fatalf("%v: %v", mech, err)
 		}
@@ -129,7 +130,7 @@ func TestRunAlltoallBothMechanisms(t *testing.T) {
 }
 
 func TestRunRejectsOversubscription(t *testing.T) {
-	if _, err := Run(Ring(16, 1024), RunOptions{Nodes: 1, PPN: 2, Core: core.DefaultConfig()}); err == nil {
+	if _, err := Run(Ring(16, 1024), RunOptions{Spec: baseline.Spec{Nodes: 1, PPN: 2}}); err == nil {
 		t.Fatal("expected capacity error")
 	}
 }
@@ -157,7 +158,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		if _, err := Run(Ring(8, 4096), RunOptions{Nodes: 2, PPN: 4, Calls: 2}); err != nil {
+		if _, err := Run(Ring(8, 4096), RunOptions{Spec: baseline.Spec{Nodes: 2, PPN: 4}, Calls: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if n := runtime.NumGoroutine(); n > base {
@@ -165,7 +166,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		_, err := Run(dead, RunOptions{Nodes: 2, PPN: 1})
+		_, err := Run(dead, RunOptions{Spec: baseline.Spec{Nodes: 2, PPN: 1}})
 		if err == nil {
 			t.Fatal("deadlocking spec finished")
 		}

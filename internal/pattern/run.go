@@ -1,39 +1,27 @@
 package pattern
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/baseline"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/span"
 )
 
 // RunOptions configure pattern execution.
 type RunOptions struct {
-	Nodes   int
-	PPN     int // 0 = pack all ranks on as few nodes as PPN allows
-	Core    core.Config
+	// Spec is the system the pattern runs on (baseline.Build): its bundle
+	// (Scheme, "" = gvmi), an optional Core override, backed payloads
+	// (verifies data integrity) and the sinks. Patterns always run on
+	// proxies, so a host-only bundle needs a Core override. PPN 0 packs 8
+	// ranks per node, Nodes 0 as few nodes as the pattern needs. The ranks
+	// get bare host sites: no MPI world.
+	baseline.Spec
 	Compute sim.Time // overlapped compute per call on every rank
 	Calls   int      // GroupCall repetitions (cache behaviour shows at >1)
-	Backed  bool     // payload-backed buffers (verifies data integrity)
-
-	// Policy names an offload-policy bundle (baseline.PolicyBundle) whose
-	// policy picks the datapath per call. Run does not resolve the bundle's
-	// configuration: Core must be set when Policy is — to the bundle's
-	// (Bundle.Core()), with whatever edits the caller means to run — since
-	// Run takes Core as given, and the zero Config runs with every cache
-	// off. Patterns always run on proxies, so "hostdirect" is invalid.
-	Policy string
-
-	// Metrics / Spans attach observability to the run's cluster (both are
-	// free in virtual time).
-	Metrics *metrics.Registry
-	Spans   *span.Collector
 }
 
 // RunResult reports one execution.
@@ -48,70 +36,45 @@ type RunResult struct {
 
 // Run executes the spec on a fresh simulated cluster.
 func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
-	if opt.Calls <= 0 {
-		opt.Calls = 1
+	opt.Calls = max(opt.Calls, 1)
+	opt.Scheme = cmp.Or(opt.Scheme, "gvmi")
+	opt.PPN = cmp.Or(opt.PPN, 8)
+	opt.Nodes = cmp.Or(opt.Nodes, (spec.NRanks+opt.PPN-1)/opt.PPN)
+	if opt.Nodes*opt.PPN < spec.NRanks {
+		return nil, fmt.Errorf("pattern: %d ranks need more than %d nodes x %d ppn", spec.NRanks, opt.Nodes, opt.PPN)
 	}
-	var eng *policy.Engine
+	opt.Bare = true
+	sys, err := baseline.Build(opt.Spec)
+	if err != nil {
+		return nil, err
+	}
+	if sys.Fw == nil {
+		return nil, fmt.Errorf("pattern: policy %q needs no proxies; patterns always run on proxies", opt.Scheme)
+	}
 	maxSize := 0 // spec-global, so every rank decides from the same size
-	if opt.Policy != "" {
-		bundle, err := baseline.PolicyBundle(opt.Policy)
-		if err != nil {
-			return nil, err
-		}
-		if bundle.Core == nil {
-			return nil, fmt.Errorf("pattern: policy %q needs no proxies; patterns always run on proxies", opt.Policy)
-		}
-		eng = policy.NewEngine(bundle.Policy(), opt.Metrics)
-		for _, op := range spec.Ops {
-			if op.Size > maxSize {
-				maxSize = op.Size
-			}
-		}
+	for _, op := range spec.Ops {
+		maxSize = max(maxSize, op.Size)
 	}
-	ppn := opt.PPN
-	if ppn <= 0 {
-		ppn = 8
-	}
-	nodes := opt.Nodes
-	if nodes <= 0 {
-		nodes = (spec.NRanks + ppn - 1) / ppn
-	}
-	ccfg := cluster.DefaultConfig(nodes, ppn)
-	if ccfg.NP() < spec.NRanks {
-		return nil, fmt.Errorf("pattern: %d ranks need more than %d nodes x %d ppn", spec.NRanks, nodes, ppn)
-	}
-	ccfg.BackedPayload = opt.Backed
-	ccfg.Metrics = opt.Metrics
-	ccfg.Spans = opt.Spans
-	cl := cluster.New(ccfg)
-	sites := make([]*cluster.Site, ccfg.NP())
-	for i := range sites {
-		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("rank%d", i))
-	}
-	fw := core.New(cl, opt.Core, sites)
-	fw.Start()
-	defer fw.Retire() // on every way out, so a finished run can be collected
 
 	res := &RunResult{NRanks: spec.NRanks, PerRank: make([]sim.Time, spec.NRanks), DataOK: true}
 	for r := 0; r < spec.NRanks; r++ {
-		r := r
 		ops := spec.RankOps(r)
-		h := fw.Host(r)
-		cl.K.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+		h, site := sys.Fw.Host(r), sys.Sites[r]
+		sys.Cl.K.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			h.Bind(p)
 			bufs := make([]*mem.Buffer, len(ops))
 			for i, op := range ops {
 				switch op.Type {
 				case core.OpSend:
-					bufs[i] = sites[r].Space.Alloc(op.Size, opt.Backed)
+					bufs[i] = site.Space.Alloc(op.Size, opt.Backed)
 					if opt.Backed {
 						fillPattern(bufs[i].Bytes(), r, op.Tag)
 					}
 				case core.OpRecv:
-					bufs[i] = sites[r].Space.Alloc(op.Size, opt.Backed)
+					bufs[i] = site.Space.Alloc(op.Size, opt.Backed)
 				}
 			}
-			rp := NewReplayer(h, eng, ops, bufs, maxSize)
+			rp := NewReplayer(h, sys.Engines[0], ops, bufs, maxSize)
 			for c := 0; c < opt.Calls; c++ {
 				rp.Call(opt.Compute)
 			}
@@ -129,16 +92,11 @@ func Run(spec *Spec, opt RunOptions) (*RunResult, error) {
 			}
 		})
 	}
-	cl.K.Run()
-	if dead := cl.K.Deadlocked; len(dead) > 0 {
-		return nil, fmt.Errorf("pattern: deadlocked processes: %v (circular barrier dependency?)", dead)
+	if _, err := sys.Run(); err != nil {
+		return nil, fmt.Errorf("pattern: %w (circular barrier dependency?)", err)
 	}
-	for _, t := range res.PerRank {
-		if t > res.Last {
-			res.Last = t
-		}
-	}
-	res.Stats = fw.Stats()
+	res.Last = slices.Max(res.PerRank)
+	res.Stats = sys.Fw.Stats()
 	return res, nil
 }
 

@@ -2,9 +2,9 @@
 // communication should take. The paper fixes the path at job launch; the
 // quantitative-offloading literature (Wahlgren et al.; Karamati et al.)
 // finds that offloading everything is a loss and the win lies in judicious
-// per-operation selection. Besides Fixed — always the same path, which
-// reproduces the baseline presets (Proposed / BluesMPI / IntelMPI)
-// bit-exactly — two algorithms cover that spectrum:
+// per-operation selection. The baseline presets (Proposed / BluesMPI /
+// IntelMPI) need no policy: they run every operation on their own path.
+// Two algorithms cover that spectrum:
 //
 //   - the size rule: a static size/op-class rule (one-sided traffic goes
 //     cross-GVMI; groups and point-to-point stay on the host at or below a
@@ -19,9 +19,9 @@
 //     re-routes traffic instead of degrading forever.
 //
 // Decisions must be consistent across the ranks of one collective (a rank
-// building a DPU group while its peer runs host MPI deadlocks). Fixed and
-// the size rule decide from (class, size, locality, caps) alone, which
-// every participant sees identically. The learner probes by call number —
+// building a DPU group while its peer runs host MPI deadlocks). The size
+// rule decides from (class, size, locality, caps) alone, which every
+// participant sees identically. The learner probes by call number —
 // also rank-independent — and memoizes every decision by call number:
 // whichever rank decides a call first locks the answer for everyone (the
 // engine is shared per environment), so ranks whose Decide calls
@@ -83,7 +83,7 @@ type Request struct {
 	// for collectives (all ranks must agree — see device.Merge). Nil keeps
 	// the legacy capability-blind rules, bit-exactly. Only the Aware
 	// policy, the learner's candidate list and the engine's legality pass
-	// consult it; Fixed and Adaptive ignore it by construction.
+	// consult it; Adaptive ignores it by construction.
 	Caps *device.Profile
 }
 
@@ -100,7 +100,7 @@ type Policy interface {
 	Name() string
 	Decide(Request) Decision
 	// Observe feeds back the measured cost of a completed operation that
-	// ran on path k. Fixed and Adaptive ignore it.
+	// ran on path k. The size rules ignore it.
 	Observe(q Request, k datapath.Kind, cost sim.Time)
 }
 
@@ -109,22 +109,6 @@ type Policy interface {
 // default eager threshold); above it the proxy path wins on overlap and
 // zero-copy.
 const SmallMsgCutoff = 16 << 10
-
-// ---------------------------------------------------------------------------
-// Fixed
-
-// Fixed always picks the same path — the pre-refactor behaviour of a
-// construction-time mechanism.
-type Fixed struct{ Path datapath.Kind }
-
-// Name implements Policy.
-func (f Fixed) Name() string { return "fixed-" + f.Path.String() }
-
-// Decide implements Policy.
-func (f Fixed) Decide(Request) Decision { return Decision{Path: f.Path, Reason: "fixed"} }
-
-// Observe implements Policy.
-func (Fixed) Observe(Request, datapath.Kind, sim.Time) {}
 
 // ---------------------------------------------------------------------------
 // Adaptive

@@ -7,21 +7,6 @@ import (
 	"repro/internal/metrics"
 )
 
-func TestFixedAlwaysSamePath(t *testing.T) {
-	for k := datapath.Kind(0); k.Valid(); k++ {
-		f := Fixed{Path: k}
-		for _, q := range []Request{
-			{Class: ClassP2P, Size: 8},
-			{Class: ClassGroup, Size: 1 << 20, Call: 3},
-			{Class: ClassOneSided, Size: 64 << 10, Intra: true},
-		} {
-			if d := f.Decide(q); d.Path != k || d.Reason != "fixed" {
-				t.Fatalf("Fixed{%v}.Decide(%+v) = %+v", k, q, d)
-			}
-		}
-	}
-}
-
 func TestAdaptiveRule(t *testing.T) {
 	cases := []struct {
 		q      Request

@@ -2,7 +2,7 @@
 // simulation kernel.
 //
 // The kernel owns a virtual clock and an event queue. Simulated processes
-// (Proc) are goroutines that run one at a time under kernel control; a
+// (Proc) are coroutines that run one at a time under kernel control; a
 // process advances the virtual clock by sleeping (Sleep, AdvanceBusy) or by
 // blocking on a condition (Cond) until another process or event handler
 // signals it. Because exactly one process runs at any instant and ties in

@@ -1,7 +1,9 @@
 // Package tenant is the multi-tenant serving layer: it runs N concurrent
-// jobs — each with an independent MPI world, workload, and offload-policy
-// engine — on one shared simulated cluster, sharing fabric ports and the
-// proxy ARM cores inside a single deterministic simulation.
+// jobs — each with an independent MPI world, workload and system bundle,
+// with a policy engine of its own when the bundle decides per operation —
+// on one shared simulated cluster, sharing fabric ports and the proxy ARM
+// cores inside a single deterministic simulation. The cluster, worlds and
+// framework come from baseline.Build's placed jobs.
 //
 // The paper evaluates one job at a time; the quantitative-offloading
 // literature's core caveat is that offload only pays off while the DPU is
@@ -19,10 +21,9 @@ package tenant
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/baseline"
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -122,6 +123,7 @@ type JobSpec struct {
 	PPN int
 	// Policy names the offload-policy bundle deciding this job's paths
 	// (baseline.PolicyBundle; e.g. "gvmi", "hostdirect", "adaptive").
+	// Pattern jobs always run on proxies, so they refuse "hostdirect".
 	Policy string
 	// Weight is the job's proxy fair-share weight (<= 0 means 1).
 	Weight int
@@ -217,32 +219,16 @@ func (r *Result) Job(name string) *JobResult {
 	return nil
 }
 
-// Run executes all jobs concurrently on one shared cluster and framework.
-// Everything is deterministic: same config, same result, independent of
-// host parallelism (runs share nothing — sweep them with bench.SweepEnv.Sweep).
+// Run executes all jobs concurrently on one shared cluster and framework
+// (baseline.Build's placed jobs). Everything is deterministic: same config,
+// same result, independent of host parallelism (runs share nothing — sweep
+// them with bench.SweepEnv.Sweep).
 func Run(cfg Config) (*Result, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("tenant: need at least one node")
-	}
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("tenant: need at least one job")
 	}
-	names := make([]string, len(cfg.Jobs))
-	policies := make([]string, len(cfg.Jobs))
-	weights := make([]int, len(cfg.Jobs))
-	seen := map[string]bool{}
-	ppnTotal := 0
+	jobs := make([]baseline.Job, len(cfg.Jobs))
 	for j, job := range cfg.Jobs {
-		if job.Name == "" {
-			return nil, fmt.Errorf("tenant: job %d has no name", j)
-		}
-		if seen[job.Name] {
-			return nil, fmt.Errorf("tenant: duplicate job name %q", job.Name)
-		}
-		seen[job.Name] = true
-		if job.PPN <= 0 {
-			return nil, fmt.Errorf("tenant: job %q has ppn %d", job.Name, job.PPN)
-		}
 		if job.Workload.Kind == Pattern {
 			if job.Workload.Spec == nil {
 				return nil, fmt.Errorf("tenant: job %q: pattern workload without a spec", job.Name)
@@ -251,107 +237,47 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("tenant: job %q: pattern needs %d ranks, job has %d",
 					job.Name, job.Workload.Spec.NRanks, nr)
 			}
+			if b, err := baseline.PolicyBundle(job.Policy); err == nil && b.Core == nil {
+				return nil, fmt.Errorf("tenant: job %q: policy %q needs no proxies; patterns always run on proxies", job.Name, job.Policy)
+			}
 		}
-		names[j], policies[j], weights[j] = job.Name, job.Policy, job.Weight
-		ppnTotal += job.PPN
+		jobs[j] = baseline.Job{Name: job.Name, PPN: job.PPN, Weight: job.Weight, Scheme: job.Policy}
 	}
-	coreCfg, err := baseline.SharedCore(policies)
+	sys, err := baseline.Build(baseline.Spec{Nodes: cfg.Nodes, Backed: true, ProxiesPerDPU: cfg.ProxiesPerDPU,
+		FIFO: cfg.FIFO, Jobs: jobs, Metrics: cfg.Metrics, Spans: cfg.Spans, Timeline: cfg.Timeline})
 	if err != nil {
 		return nil, err
 	}
 
-	ccfg := cluster.DefaultConfig(cfg.Nodes, ppnTotal)
-	if cfg.ProxiesPerDPU > 0 {
-		ccfg.ProxiesPerDPU = cfg.ProxiesPerDPU
-	}
-	met := cfg.Metrics
-	if met == nil {
-		// Always record: the feedback policy's gauge-based drift trigger
-		// reads proxy backlog out of the registry, and its decisions must
-		// not depend on whether the caller asked for a metrics export.
-		// Recording is free in virtual time (guard-tested bit-exact), so
-		// every other result is unchanged.
-		met = metrics.NewRegistry()
-	}
-	ccfg.Metrics = met
-	ccfg.Spans = cfg.Spans
-	ccfg.Timeline = cfg.Timeline
-	cl := cluster.New(ccfg)
-
-	// Placement: job j owns node-local slots [off, off+ppn) on every node;
-	// its job-local rank l lives on node l/ppn at global rank
-	// node*ppnTotal + off + l%ppn.
-	worlds := make([]*mpi.World, len(cfg.Jobs))
-	peers := make([][]int, len(cfg.Jobs))
-	tenantOf := make([]int, ccfg.NP())
-	sites := make([]*cluster.Site, ccfg.NP())
-	off := 0
-	for j, job := range cfg.Jobs {
-		nr := cfg.Nodes * job.PPN
-		nodeOf := make([]int, nr)
-		peers[j] = make([]int, nr)
-		for l := 0; l < nr; l++ {
-			node := l / job.PPN
-			g := node*ppnTotal + off + l%job.PPN
-			nodeOf[l] = node
-			peers[j][l] = g
-			tenantOf[g] = j
-		}
-		worlds[j] = mpi.NewPlacedWorld(cl, mpi.DefaultConfig(), fmt.Sprintf("%s.", job.Name), nodeOf)
-		for l := 0; l < nr; l++ {
-			sites[peers[j][l]] = worlds[j].Rank(l).Site()
-		}
-		off += job.PPN
-	}
-
-	fw := core.New(cl, coreCfg, sites)
-	fw.SetTenancy(&core.Tenancy{TenantOf: tenantOf, Names: names, Weights: weights, FIFO: cfg.FIFO})
-	fw.Start()
-	defer fw.Retire() // on every way out, so a finished run can be collected
-
-	res := &Result{Jobs: make([]JobResult, len(cfg.Jobs)), Metrics: met}
+	res := &Result{Jobs: make([]JobResult, len(cfg.Jobs)), Metrics: sys.Cl.Met}
 	perRank := make([][][]IterSample, len(cfg.Jobs))
 	finish := make([][]sim.Time, len(cfg.Jobs))
 	for j, job := range cfg.Jobs {
-		j, job := j, job
 		w := job.Workload.withDefaults()
 		nr := cfg.Nodes * job.PPN
 		jr := &res.Jobs[j]
 		jr.Name, jr.Policy, jr.NRanks = job.Name, job.Policy, nr
 		perRank[j] = make([][]IterSample, nr)
 		finish[j] = make([]sim.Time, nr)
-
-		bundle, err := baseline.PolicyBundle(job.Policy)
-		if err != nil {
-			return nil, err
-		}
-		// One engine per job: decisions and measuring-policy tables are
-		// tenant-scoped (jobs see different proxy load), and the decision
-		// counters carry the tenant label.
-		eng := policy.NewEngineFor(bundle.Policy(), ccfg.Metrics, job.Name)
 		// One tracker per job (nil when the job sets no objective): all
 		// ranks' measured iterations pool into the same tenant-labelled
 		// series, matching how JobResult pools Iters.
-		slo := telemetry.NewSLOTracker(met, job.Name, job.SLO)
+		slo := telemetry.NewSLOTracker(sys.Cl.Met, job.Name, job.SLO)
 
-		worlds[j].Launch(func(r *mpi.Rank) {
-			h := fw.Host(peers[j][r.RankID()])
-			h.Bind(r.Proc())
-			h.SetPeers(peers[j])
+		sys.Worlds[j].Launch(func(r *mpi.Rank) {
+			h, eng := sys.Host(j, r), sys.Engines[j]
 			switch w.Kind {
 			case Pattern:
 				perRank[j][r.RankID()] = runPattern(r, h, eng, w, slo, jr)
 			default:
-				ops := coll.NewPolicyOps(job.Policy, r, h, eng)
+				ops, _ := coll.Bind(job.Policy, r, h, eng)
 				perRank[j][r.RankID()] = runAlltoall(r, ops, w, slo)
 			}
 			finish[j][r.RankID()] = r.Now()
 		})
 	}
-
-	cl.K.Run()
-	if dead := cl.K.Deadlocked; len(dead) > 0 {
-		return nil, fmt.Errorf("tenant: deadlocked processes: %v", dead)
+	if _, err := sys.Run(); err != nil {
+		return nil, fmt.Errorf("tenant: %w", err)
 	}
 
 	for j, job := range cfg.Jobs {
@@ -363,22 +289,16 @@ func Run(cfg Config) (*Result, error) {
 				jr.Iters = append(jr.Iters, s.Dur)
 			}
 		}
-		sort.Slice(jr.Iters, func(a, b int) bool { return jr.Iters[a] < jr.Iters[b] })
+		slices.Sort(jr.Iters)
 		jr.P50 = metrics.Percentile(jr.Iters, 50)
 		jr.P99 = metrics.Percentile(jr.Iters, 99)
 		jr.Max = metrics.Percentile(jr.Iters, 100)
-		for _, t := range finish[j] {
-			if t > jr.Finish {
-				jr.Finish = t
-			}
-		}
+		jr.Finish = slices.Max(finish[j])
 		if w.Kind != Pattern {
 			// Every rank sends Size to each of nr-1 peers per iteration.
 			jr.Bytes = int64(w.Iters) * int64(jr.NRanks) * int64(jr.NRanks-1) * int64(w.Size)
 		}
-		if jr.Finish > res.Makespan {
-			res.Makespan = jr.Finish
-		}
+		res.Makespan = max(res.Makespan, jr.Finish)
 		res.Bytes += jr.Bytes
 	}
 	return res, nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
+	"repro/internal/policy"
 )
 
 // twoJobs is the canonical contended configuration: one latency-bound job
@@ -129,10 +130,13 @@ func TestFIFOFallback(t *testing.T) {
 
 // Per-tenant congestion accounting must land in the registry: dispatch and
 // busy counters per tenant on the shared proxy, cross-tenant wait
-// histograms, and tenant-labelled policy decisions.
+// histograms, and tenant-labelled policy decisions (a learned bundle's: a
+// fixed one runs with no engine).
 func TestTenantMetricsAttribution(t *testing.T) {
 	m := metrics.NewRegistry()
-	cfg := twoJobs(false, "gvmi")
+	cfg := twoJobs(false, "adaptive")
+	cfg.Jobs[0].Workload.Size = 2 * policy.SmallMsgCutoff // offloaded, like bg's bulk
+	cfg.Jobs[1].Policy = "adaptive"
 	cfg.Metrics = m
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
@@ -145,7 +149,7 @@ func TestTenantMetricsAttribution(t *testing.T) {
 		if v := snap.CounterValueT("core", "proxy0", "tenant_busy_ns", tenant); v <= 0 {
 			t.Errorf("tenant %s: no proxy busy time attributed", tenant)
 		}
-		if v := snap.CounterValueT("policy", "fixed-gvmi", "decide_gvmi", tenant); v <= 0 {
+		if v := snap.CounterValueT("policy", "adaptive", "decide_gvmi", tenant); v <= 0 {
 			t.Errorf("tenant %s: no tenant-labelled policy decisions", tenant)
 		}
 	}
@@ -254,8 +258,8 @@ func TestPatternJobRecordsGroupsLikePatternRun(t *testing.T) {
 
 	solo := metrics.NewRegistry()
 	if _, err := pattern.Run(spec, pattern.RunOptions{
-		Nodes: 2, PPN: 2, Calls: warmup + iters, Policy: "measure", Metrics: solo,
-		Core: baseline.ProposedConfig(), // the measure bundle's
+		Spec:  baseline.Spec{Nodes: 2, PPN: 2, Scheme: "measure", Metrics: solo},
+		Calls: warmup + iters,
 	}); err != nil {
 		t.Fatal(err)
 	}
