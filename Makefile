@@ -24,15 +24,18 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 # One builder: outside tests, only baseline.Build (internal/baseline/
-# system.go) constructs a cluster or a framework, so every runner reads
-# every option the same way. The verbs-level rig of internal/bench/micro.go,
+# system.go) constructs a cluster or a framework, or picks a cluster
+# configuration, so every runner reads every option — -device and -fleet
+# included — the same way. The verbs-level rig of internal/bench/micro.go,
 # with no ranks and no framework, is the one other cluster. A new call site
-# of cluster.New or core.New under internal/, cmd/ or examples/ fails.
+# of cluster.New, core.New, cluster.FromProfile or a cluster.*Config
+# constructor under internal/, cmd/ or examples/ fails.
 one-builder:
-	@got=$$(grep -rnoE --include='*.go' --exclude='*_test.go' '\b(cluster|core)\.New\(' internal cmd examples \
+	@got=$$(grep -rnoE --include='*.go' --exclude='*_test.go' '\b(cluster\.(New|[A-Za-z0-9]*Config|FromProfile)|core\.New)\(' internal cmd examples \
 		| sed -E 's/:[0-9]+:/ /' | LC_ALL=C sort); \
-	want=$$(printf '%s\n' 'internal/baseline/system.go cluster.New(' 'internal/baseline/system.go core.New(' \
-		'internal/bench/micro.go cluster.New('); \
+	want=$$(printf '%s\n' 'internal/baseline/system.go cluster.DefaultConfig(' 'internal/baseline/system.go cluster.New(' \
+		'internal/baseline/system.go cluster.ProfileConfig(' 'internal/baseline/system.go cluster.ProfileConfig(' \
+		'internal/baseline/system.go core.New(' 'internal/bench/micro.go cluster.DefaultConfig(' 'internal/bench/micro.go cluster.New('); \
 	if [ "$$got" != "$$want" ]; then \
 		echo "one-builder: build systems through baseline.Build; call sites:"; echo "$$got"; exit 1; fi
 

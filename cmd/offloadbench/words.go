@@ -329,7 +329,9 @@ func criticalPath(p *params, out io.Writer) error {
 	fmt.Fprintf(out, "pure_comm=%s overall=%s\n\n", r.PureComm, r.Overall)
 
 	fmt.Fprintf(out, "=== critical path: ialltoall under chaos (rate 1e-3, seed %d) ===\n", p.seed)
-	csc, cr := bench.CollectChaosSpans(p.env.Attach(opt), fault.Scaled(p.seed, 1e-3), 1e-3, size, p.warmup, p.it(2))
+	copt := p.env.Attach(opt)
+	copt.Fault = fault.Scaled(p.seed, 1e-3)
+	csc, cr := bench.CollectChaosSpans(copt, 1e-3, size, p.warmup, p.it(2))
 	printAttribution(out, csc)
 	fmt.Fprintf(out, "overall=%s verified=%v retries=%d\n", cr.Overall, cr.Verified, cr.Fault.Retries)
 	return nil

@@ -1,13 +1,13 @@
 package baseline
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/policy"
@@ -21,14 +21,14 @@ import (
 // sinks it records into.
 type Spec struct {
 	Nodes         int
-	PPN           int             // ranks per node (placed jobs bring their own)
-	Scheme        string          // the system that runs: a bundle name or paper label (PolicyBundle)
-	Backed        bool            // payload-backed buffers (correctness runs)
-	ProxiesPerDPU int             // 0 = cluster default
-	Device        string          // device profile for every node ("" = the baseline part)
-	Fleet         string          // per-node profile spec, device.ExpandFleet grammar (overrides Device)
-	Cluster       *cluster.Config // full override (optional)
-	Core          *core.Config    // framework override (optional)
+	PPN           int           // ranks per node (placed jobs bring their own)
+	Scheme        string        // the system that runs: a bundle name or paper label (PolicyBundle)
+	Backed        bool          // payload-backed buffers (correctness runs)
+	ProxiesPerDPU int           // 0 = cluster default
+	Device        string        // device profile for every node ("" = the baseline part)
+	Fleet         string        // per-node profile spec, device.ExpandFleet grammar (overrides Device)
+	Fault         *fault.Config // deterministic fault plan (nil = no injector)
+	Core          *core.Config  // framework override (optional)
 
 	// Jobs, when set, places one MPI world per job on a shared framework
 	// instead of one world over every rank; Scheme and PPN are then unused.
@@ -122,8 +122,6 @@ func Build(spec Spec) (*System, error) {
 
 	var ccfg cluster.Config
 	switch {
-	case spec.Cluster != nil:
-		ccfg = *spec.Cluster
 	case spec.Fleet != "":
 		nodes, err := device.ExpandFleet(spec.Fleet, spec.Nodes)
 		if err != nil {
@@ -147,15 +145,9 @@ func Build(spec Spec) (*System, error) {
 	if spec.ProxiesPerDPU > 0 {
 		ccfg.ProxiesPerDPU = spec.ProxiesPerDPU
 	}
-	// A full cluster override keeps the sinks it carries.
-	ccfg.Metrics = cmp.Or(ccfg.Metrics, spec.Metrics)
+	ccfg.Fault, ccfg.Metrics, ccfg.Spans, ccfg.Timeline = spec.Fault, spec.Metrics, spec.Spans, spec.Timeline
 	if placed && ccfg.Metrics == nil {
 		ccfg.Metrics = metrics.NewRegistry()
-	}
-	ccfg.Spans = cmp.Or(ccfg.Spans, spec.Spans)
-	ccfg.Timeline = cmp.Or(ccfg.Timeline, spec.Timeline)
-	if !placed {
-		jobs[0].PPN = ccfg.PPN
 	}
 
 	s.Cl = cluster.New(ccfg)
@@ -179,7 +171,7 @@ func Build(spec Spec) (*System, error) {
 		}
 		off += job.PPN
 		if !spec.Bare {
-			w := mpi.NewPlacedWorld(s.Cl, mpi.DefaultConfig(), prefix, nodeOf)
+			w := mpi.NewPlacedWorld(s.Cl, prefix, nodeOf)
 			for l, g := range s.peers[j] {
 				s.Sites[g] = w.Rank(l).Site()
 			}

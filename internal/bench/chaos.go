@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -35,19 +34,13 @@ func chaosPattern(src, dst, seq, i int) byte {
 
 // MeasureChaosIalltoall runs the exact measurement loop of MeasureIalltoall
 // — same warmup, same barriers, same compute sizing — on payload-backed
-// buffers under the given fault plan, filling every send block with a
-// per-iteration pattern before each collective and verifying every recv
-// block after each Wait. Buffer fills and checks use mem.Space directly and
-// cost zero virtual time, so with a rate-zero plan the timings are identical
-// to MeasureIalltoall on the same Options.
-//
-// fcfg may be nil (no injector at all).
-func MeasureChaosIalltoall(opt Options, fcfg *fault.Config, rate float64, msgSize, warmup, iters int) ChaosResult {
-	if opt.Cluster == nil {
-		ccfg := cluster.DefaultConfig(opt.Nodes, opt.PPN)
-		opt.Cluster = &ccfg
-	}
-	opt.Cluster.Fault = fcfg
+// buffers under opt.Fault (nil: no injector at all), filling every send
+// block with a per-iteration pattern before each collective and verifying
+// every recv block after each Wait. Buffer fills and checks use mem.Space
+// directly and cost zero virtual time, so with a rate-zero plan the timings
+// are identical to MeasureIalltoall on the same Options. rate labels the
+// result.
+func MeasureChaosIalltoall(opt Options, rate float64, msgSize, warmup, iters int) ChaosResult {
 	opt.Backed = true
 
 	e := Build(opt)
@@ -120,13 +113,8 @@ func ChaosSweep(env SweepEnv, opt Options, seed int64, rates []float64, msgSize,
 	out := make([]ChaosResult, len(rates))
 	env.Sweep(len(rates), func(i int, env SweepEnv) {
 		o := env.Attach(opt)
-		if opt.Cluster != nil {
-			// MeasureChaosIalltoall writes the fault plan into the cluster
-			// config; give each rate its own copy.
-			ccfg := *opt.Cluster
-			o.Cluster = &ccfg
-		}
-		out[i] = MeasureChaosIalltoall(o, fault.Scaled(seed, rates[i]), rates[i], msgSize, warmup, iters)
+		o.Fault = fault.Scaled(seed, rates[i])
+		out[i] = MeasureChaosIalltoall(o, rates[i], msgSize, warmup, iters)
 	})
 	return out
 }

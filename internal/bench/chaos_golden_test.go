@@ -59,10 +59,10 @@ func chaosCases() []chaosCase {
 
 	crash := fault.DefaultConfig(1)
 	crash.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond}}
-	cs = append(cs, chaosCase{name: "crash", opt: smallCrashOpt(baseline.NameProposed), plan: crash, size: 8192})
+	cs = append(cs, chaosCase{name: "crash", opt: smallCrashOpt(baseline.NameProposed, nil), plan: crash, size: 8192})
 	restart := fault.DefaultConfig(2)
 	restart.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond, RestartAfter: 15 * sim.Microsecond}}
-	cs = append(cs, chaosCase{name: "crash-restart", opt: smallCrashOpt(baseline.NameProposed), plan: restart, size: 8192})
+	cs = append(cs, chaosCase{name: "crash-restart", opt: smallCrashOpt(baseline.NameProposed, nil), plan: restart, size: 8192})
 	all := fault.Scaled(7, 5e-2)
 	all.RegFailRate = 0.2
 	all.Crashes = restart.Crashes
@@ -75,7 +75,7 @@ func chaosCases() []chaosCase {
 	// landed, so some leases return to the pool of the restarted proxy. (An
 	// earlier crash hangs BluesMPI: with no group cache every call gathers
 	// again, and a failed-over host no longer answers its peers' gathers.)
-	blues := smallCrashOpt(baseline.NameBluesMPI)
+	blues := smallCrashOpt(baseline.NameBluesMPI, nil)
 	bcrash := fault.DefaultConfig(1)
 	bcrash.Crashes = []fault.Crash{{Proxy: 0, At: 7326 * sim.Microsecond}}
 	cs = append(cs, chaosCase{name: "BluesMPI-crash", opt: blues, plan: bcrash, size: 8192})
@@ -91,11 +91,12 @@ func runChaosCases(t *testing.T) chaosGolden {
 	g := chaosGolden{Runs: map[string]ChaosResult{}, Spans: map[string]string{}}
 	for _, c := range chaosCases() {
 		key := fmt.Sprintf("%s/%g/%d", c.name, c.rate, c.size)
+		c.opt.Fault = c.plan
 		if !c.traced {
-			g.Runs[key] = MeasureChaosIalltoall(c.opt, c.plan, c.rate, c.size, 1, 2)
+			g.Runs[key] = MeasureChaosIalltoall(c.opt, c.rate, c.size, 1, 2)
 			continue
 		}
-		sc, r := CollectChaosSpans(c.opt, c.plan, c.rate, c.size, 1, 2)
+		sc, r := CollectChaosSpans(c.opt, c.rate, c.size, 1, 2)
 		g.Runs[key] = r
 		h := sha256.New()
 		if err := sc.WriteJSONL(h); err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -57,20 +56,38 @@ func TestFig13TimingsBitIdenticalToSeed(t *testing.T) {
 }
 
 // A rate-zero fault plan must take the silent fast paths: same timings as
-// no plan at all, for both a nil config and Scaled(seed, 0).
+// no plan at all, for both a nil config and Scaled(seed, 0), on the
+// baseline part (the frozen guards) and on bf3, where a chaos run must time
+// what MeasureIalltoall times on the same Options.
 func TestRateZeroChaosMatchesFig13Exactly(t *testing.T) {
 	t.Parallel()
-	for _, fcfg := range []*fault.Config{nil, fault.Scaled(42, 0)} {
-		r := MeasureChaosIalltoall(guardOpt(), fcfg, 0, 8192, 1, 2)
-		if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
-			t.Fatalf("cfg=%+v: pure=%d overall=%d, want %d/%d",
-				fcfg, r.PureComm, r.Overall, guardPure8K, guardOverall8K)
-		}
-		if !r.Verified || r.Mismatches != 0 {
-			t.Fatalf("cfg=%+v: payload verification failed (%d mismatches)", fcfg, r.Mismatches)
-		}
-		if r.Fault != (fault.Stats{}) {
-			t.Fatalf("cfg=%+v: silent plan injected faults: %+v", fcfg, r.Fault)
+	bf3 := guardOpt()
+	bf3.Device = "bf3"
+	want := MeasureIalltoall(bf3, 8192, 1, 2)
+	if want.PureComm == guardPure8K || want.Overall == guardOverall8K {
+		t.Fatalf("bf3 times the bf2 guards: pure=%d overall=%d", want.PureComm, want.Overall)
+	}
+	for _, c := range []struct {
+		opt           Options
+		pure, overall sim.Time
+	}{
+		{guardOpt(), guardPure8K, guardOverall8K},
+		{bf3, want.PureComm, want.Overall},
+	} {
+		for _, fcfg := range []*fault.Config{nil, fault.Scaled(42, 0)} {
+			opt := c.opt
+			opt.Fault = fcfg
+			r := MeasureChaosIalltoall(opt, 0, 8192, 1, 2)
+			if r.PureComm != c.pure || r.Overall != c.overall {
+				t.Fatalf("device %q cfg=%+v: pure=%d overall=%d, want %d/%d",
+					opt.Device, fcfg, r.PureComm, r.Overall, c.pure, c.overall)
+			}
+			if !r.Verified || r.Mismatches != 0 {
+				t.Fatalf("device %q cfg=%+v: payload verification failed (%d mismatches)", opt.Device, fcfg, r.Mismatches)
+			}
+			if r.Fault != (fault.Stats{}) {
+				t.Fatalf("device %q cfg=%+v: silent plan injected faults: %+v", opt.Device, fcfg, r.Fault)
+			}
 		}
 	}
 }
@@ -83,8 +100,9 @@ func TestRateZeroChaosAllocFree(t *testing.T) {
 	opt := Options{Nodes: 4, PPN: 8, Scheme: baseline.NameProposed}
 	run := func(fcfg *fault.Config) (float64, sim.Time) {
 		var end sim.Time
+		opt.Fault = fcfg
 		allocs := testing.AllocsPerRun(1, func() {
-			end = MeasureChaosIalltoall(opt, fcfg, 0, 16384, 2, 6).EndTime
+			end = MeasureChaosIalltoall(opt, 0, 16384, 2, 6).EndTime
 		})
 		return allocs, end
 	}
@@ -141,7 +159,8 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 	run := func() (ChaosResult, []byte) {
 		opt := guardOpt()
 		opt.Spans = span.New(0)
-		r := MeasureChaosIalltoall(opt, fault.Scaled(7, 1e-2), 1e-2, 8192, 1, 2)
+		opt.Fault = fault.Scaled(7, 1e-2)
+		r := MeasureChaosIalltoall(opt, 1e-2, 8192, 1, 2)
 		var buf bytes.Buffer
 		if err := opt.Spans.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
@@ -173,8 +192,8 @@ func TestChaosExportsAFaultSpanPerCountedFault(t *testing.T) {
 	fcfg.RegFailRate = 0.2
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond, RestartAfter: 15 * sim.Microsecond}}
 	opt := guardOpt()
-	opt.ProxiesPerDPU = 1
-	sc, r := CollectChaosSpans(opt, fcfg, 5e-2, 8192, 1, 2)
+	opt.ProxiesPerDPU, opt.Fault = 1, fcfg
+	sc, r := CollectChaosSpans(opt, 5e-2, 8192, 1, 2)
 	if !r.Verified {
 		t.Fatalf("%d payload mismatches", r.Mismatches)
 	}
@@ -209,11 +228,9 @@ func TestProxyCrashFailsOverWithCorrectPayloads(t *testing.T) {
 	t.Parallel()
 	fcfg := fault.DefaultConfig(1)
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond}}
-	ccfg := cluster.DefaultConfig(2, 2)
-	ccfg.Fault = fcfg
 	opt := Options{
 		Nodes: 2, PPN: 2, Scheme: baseline.NameProposed,
-		Backed: true, ProxiesPerDPU: 1, Cluster: &ccfg,
+		Backed: true, ProxiesPerDPU: 1, Fault: fcfg,
 		Spans: span.New(0),
 	}
 	e := Build(opt)
@@ -298,13 +315,11 @@ func TestProxyCrashWithRestartStillCorrect(t *testing.T) {
 	t.Parallel()
 	fcfg := fault.DefaultConfig(2)
 	fcfg.Crashes = []fault.Crash{{Proxy: 0, At: 10 * sim.Microsecond, RestartAfter: 15 * sim.Microsecond}}
-	ccfg := cluster.DefaultConfig(2, 2)
-	ccfg.Fault = fcfg
 	opt := Options{
 		Nodes: 2, PPN: 2, Scheme: baseline.NameProposed,
-		Backed: true, ProxiesPerDPU: 1, Cluster: &ccfg,
+		Backed: true, ProxiesPerDPU: 1, Fault: fcfg,
 	}
-	r := MeasureChaosIalltoall(opt, fcfg, 0, 8192, 1, 2)
+	r := MeasureChaosIalltoall(opt, 0, 8192, 1, 2)
 	if !r.Verified {
 		t.Fatalf("%d payload mismatches across crash+restart", r.Mismatches)
 	}
@@ -313,11 +328,10 @@ func TestProxyCrashWithRestartStillCorrect(t *testing.T) {
 	}
 }
 
-// smallCrashOpt is the crash cases' shape: 2 nodes x 2 PPN, one proxy per
-// DPU, so proxy 0 serves both ranks of node 0.
-func smallCrashOpt(scheme string) Options {
-	ccfg := cluster.DefaultConfig(2, 2)
-	return Options{Nodes: 2, PPN: 2, Scheme: scheme, ProxiesPerDPU: 1, Cluster: &ccfg}
+// smallCrashOpt is the crash cases' shape under plan: 2 nodes x 2 PPN, one
+// proxy per DPU, so proxy 0 serves both ranks of node 0.
+func smallCrashOpt(scheme string, plan *fault.Config) Options {
+	return Options{Nodes: 2, PPN: 2, Scheme: scheme, ProxiesPerDPU: 1, Fault: plan}
 }
 
 // crashRestartPlan crashes proxy 0 at `at` and restarts it one microsecond
@@ -371,7 +385,7 @@ func rerunByRestart(sc *span.Collector, restart sim.Time) []span.Span {
 func TestRestartedProxyRefusesStaleInstall(t *testing.T) {
 	t.Parallel()
 	const at, after = 7763 * sim.Nanosecond, 10 * sim.Microsecond
-	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed), crashRestartAfter(at, after), 0, 8192, 1, 2)
+	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed, crashRestartAfter(at, after)), 0, 8192, 1, 2)
 	if !r.Verified || r.Fault.Restarts != 1 || r.Core.Failovers != 2 {
 		t.Fatalf("verified=%v restarts=%d failovers=%d, want true 1 2", r.Verified, r.Fault.Restarts, r.Core.Failovers)
 	}
@@ -387,7 +401,7 @@ func TestRestartedProxyRefusesStaleInstall(t *testing.T) {
 func TestDeadProxyStartsNoSpan(t *testing.T) {
 	t.Parallel()
 	const crashAt = 64860 * sim.Nanosecond
-	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed), crashRestartPlan(crashAt), 0, 8192, 1, 2)
+	sc, r := CollectChaosSpans(smallCrashOpt(baseline.NameProposed, crashRestartPlan(crashAt)), 0, 8192, 1, 2)
 	if !r.Verified || r.Fault.Crashes != 1 || r.Fault.Restarts != 1 {
 		t.Fatalf("verified=%v crashes=%d restarts=%d, want true 1 1", r.Verified, r.Fault.Crashes, r.Fault.Restarts)
 	}
@@ -407,14 +421,14 @@ func TestCrashAtAnyInstant(t *testing.T) {
 	t.Parallel()
 	const size, instants = 8192, 200
 	for _, scheme := range []string{baseline.NameProposed, baseline.NameBluesMPI} {
-		base := MeasureChaosIalltoall(smallCrashOpt(scheme), nil, 0, size, 1, 2)
+		base := MeasureChaosIalltoall(smallCrashOpt(scheme, nil), 0, size, 1, 2)
 		if !base.Verified || base.Core.RDMAWrites != 60 {
 			t.Fatalf("%s fault-free: verified=%v writes=%d, want true 60", scheme, base.Verified, base.Core.RDMAWrites)
 		}
 		for _, after := range []sim.Time{sim.Microsecond, 10 * sim.Microsecond} {
 			for k := 1; k < instants; k++ {
 				at := base.EndTime * sim.Time(k) / instants
-				sc, r := CollectChaosSpans(smallCrashOpt(scheme), crashRestartAfter(at, after), 0, size, 1, 2)
+				sc, r := CollectChaosSpans(smallCrashOpt(scheme, crashRestartAfter(at, after)), 0, size, 1, 2)
 				twice := rerunByRestart(sc, at+after)
 				switch {
 				case !r.Verified:
@@ -442,7 +456,9 @@ func BenchmarkFig13Ialltoall8K(b *testing.B) {
 
 func BenchmarkChaosIalltoall8K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := MeasureChaosIalltoall(guardOpt(), fault.Scaled(42, 1e-2), 1e-2, 8192, 1, 2)
+		opt := guardOpt()
+		opt.Fault = fault.Scaled(42, 1e-2)
+		r := MeasureChaosIalltoall(opt, 1e-2, 8192, 1, 2)
 		if !r.Verified {
 			b.Fatal("payload mismatch")
 		}

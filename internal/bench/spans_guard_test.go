@@ -189,9 +189,8 @@ func TestAttributionTableDeterministicGolden(t *testing.T) {
 // failover control and fallback execution included).
 func TestCriticalPathExactUnderChaos(t *testing.T) {
 	t.Parallel()
-	opt := Options{Nodes: 2, PPN: 4, Scheme: guardOpt().Scheme}
-	fcfg := fault.Scaled(7, 1e-3)
-	sc, res := CollectChaosSpans(opt, fcfg, 1e-3, 8192, 1, 2)
+	opt := Options{Nodes: 2, PPN: 4, Scheme: guardOpt().Scheme, Fault: fault.Scaled(7, 1e-3)}
+	sc, res := CollectChaosSpans(opt, 1e-3, 8192, 1, 2)
 	if !res.Verified {
 		t.Fatalf("chaos run failed verification: %d mismatches", res.Mismatches)
 	}

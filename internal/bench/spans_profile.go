@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"repro/internal/fault"
-	"repro/internal/span"
-)
+import "repro/internal/span"
 
 // CollectSpans runs the OMB Ialltoall measurement with a fresh span
 // collector attached and returns the collector alongside the timings. The
@@ -20,9 +17,9 @@ func CollectSpans(opt Options, msgSize, warmup, iters int) (*span.Collector, NBC
 // CollectChaosSpans is CollectSpans under deterministic fault injection:
 // the span record then includes retransmitted flights, fallback execution
 // and failover control traffic, attributed to the original roots.
-func CollectChaosSpans(opt Options, fcfg *fault.Config, rate float64, msgSize, warmup, iters int) (*span.Collector, ChaosResult) {
+func CollectChaosSpans(opt Options, rate float64, msgSize, warmup, iters int) (*span.Collector, ChaosResult) {
 	sc := span.New(0)
 	opt.Spans = sc
-	r := MeasureChaosIalltoall(opt, fcfg, rate, msgSize, warmup, iters)
+	r := MeasureChaosIalltoall(opt, rate, msgSize, warmup, iters)
 	return sc, r
 }

@@ -113,13 +113,6 @@ func DefaultConfig(nodes, ppn int) Config {
 	return ProfileConfig(device.BaselineName, nodes, ppn)
 }
 
-// BlueField3Config is the future-work platform of Section X: BlueField-3
-// SmartNICs (faster ARM cores) on an NDR InfiniBand fabric — the bf3
-// device profile.
-func BlueField3Config(nodes, ppn int) Config {
-	return ProfileConfig("bf3", nodes, ppn)
-}
-
 // NP returns the total number of host processes.
 func (c Config) NP() int { return c.Nodes * c.PPN }
 

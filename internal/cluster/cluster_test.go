@@ -92,7 +92,7 @@ func TestDefaultConfigSane(t *testing.T) {
 
 func TestBlueField3ConfigFaster(t *testing.T) {
 	bf2 := DefaultConfig(2, 2)
-	bf3 := BlueField3Config(2, 2)
+	bf3 := ProfileConfig("bf3", 2, 2)
 	if bf3.DPUPort.Overhead >= bf2.DPUPort.Overhead {
 		t.Fatal("BF3 ARM posting must be faster than BF2")
 	}
@@ -106,7 +106,7 @@ func TestBlueField3ConfigFaster(t *testing.T) {
 
 // TestProfileEquivalence pins the device-profile lookups to the exact
 // pre-substrate hard-coded configurations: DefaultConfig must equal the
-// old fabric.HostPortParams/DPUPortParams testbed and BlueField3Config
+// old fabric.HostPortParams/DPUPortParams testbed and the bf3 profile
 // the old HostPortParamsNDR/DPUPortParamsBF3 one, field for field. The
 // old constants are re-hard-coded here on purpose — this test is the
 // record of what the refactor must not move.
@@ -132,8 +132,8 @@ func TestProfileEquivalence(t *testing.T) {
 	legacyBF3.Fabric = fabric.NDRConfig()
 	legacyBF3.HostPort = fabric.Params{Overhead: 220 * sim.Nanosecond, GBps: 25}
 	legacyBF3.DPUPort = fabric.Params{Overhead: 350 * sim.Nanosecond, GBps: 25}
-	if got := BlueField3Config(4, 8); !reflect.DeepEqual(got, legacyBF3) {
-		t.Fatalf("BlueField3Config diverged from the pre-substrate platform:\ngot  %+v\nwant %+v", got, legacyBF3)
+	if got := ProfileConfig("bf3", 4, 8); !reflect.DeepEqual(got, legacyBF3) {
+		t.Fatalf("ProfileConfig(bf3) diverged from the pre-substrate platform:\ngot  %+v\nwant %+v", got, legacyBF3)
 	}
 
 	// The lookups really are profile-driven, not parallel copies.
@@ -141,7 +141,7 @@ func TestProfileEquivalence(t *testing.T) {
 		t.Fatalf("ProfileConfig(bf2) != DefaultConfig")
 	}
 	if got := FromProfile(device.MustLookup("bf3"), 4, 8); !reflect.DeepEqual(got, legacyBF3) {
-		t.Fatalf("FromProfile(bf3) != BlueField3Config")
+		t.Fatalf("FromProfile(bf3) != ProfileConfig(bf3)")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 func launch(t *testing.T, nodes, ppn int, fcfg core.Config, main func(r *mpi.Rank, h *core.Host)) {
 	t.Helper()
 	cl := cluster.New(cluster.DefaultConfig(nodes, ppn))
-	w := mpi.NewWorld(cl, mpi.DefaultConfig())
+	w := mpi.NewWorld(cl)
 	sites := make([]*cluster.Site, cl.Cfg.NP())
 	for i := range sites {
 		sites[i] = w.Rank(i).Site()
@@ -231,7 +231,7 @@ func TestTwoSlotsAreIndependent(t *testing.T) {
 
 func TestHostOpsNames(t *testing.T) {
 	cl := cluster.New(cluster.DefaultConfig(1, 1))
-	w := mpi.NewWorld(cl, mpi.DefaultConfig())
+	w := mpi.NewWorld(cl)
 	o, p := Bind("intelmpi", w.Rank(0), nil, nil)
 	if _, ok := o.(*HostOps); !ok || o.Name() != "intelmpi" {
 		t.Fatalf("Bind with no handle: %T named %q, want the host backend", o, o.Name())

@@ -75,6 +75,3 @@ func (px *Proxy) CountRead() { px.RDMAReads++ }
 
 // CountStaged implements datapath.Exec.
 func (px *Proxy) CountStaged() { px.StagedOps++ }
-
-// CountEngine implements datapath.Exec.
-func (px *Proxy) CountEngine() { px.EngineOps++ }

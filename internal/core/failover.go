@@ -213,7 +213,7 @@ func (h *Host) foSendNow(rec *reqRec) {
 		copy(data, d)
 	}
 	h.ctx.PostSend(h.proc, h.fw.hosts[rec.peer].ctx, &verbs.Packet{
-		Kind: "fosend", Size: h.fw.cfg.CtrlSize + rec.size,
+		Kind: "fosend", Size: ctrlSize + rec.size,
 		Payload: &foSendMsg{
 			Src: h.rank, Dst: rec.peer, Tag: rec.tag, Size: rec.size,
 			ReqID: rec.req.id, Data: data, Span: rec.req.span,
@@ -255,7 +255,7 @@ func (h *Host) acceptFoSend(rec *reqRec, m *foSendMsg) {
 	}
 	h.complete(rec.req.id)
 	h.ctx.PostSend(h.proc, h.fw.hosts[m.Src].ctx, &verbs.Packet{
-		Kind: "foack", Size: h.fw.cfg.CtrlSize, Payload: &foAckMsg{ReqID: m.ReqID},
+		Kind: "foack", Size: ctrlSize, Payload: &foAckMsg{ReqID: m.ReqID},
 		Span: m.Span,
 	})
 }

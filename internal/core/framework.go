@@ -54,12 +54,6 @@ type Config struct {
 	// GroupCache enables the group-request caches on host and DPU
 	// (Section VII-D): a replayed group request sends only its ID.
 	GroupCache bool
-	// CtrlSize is the wire size of a bare control message (RTS/RTR/FIN).
-	CtrlSize int
-	// GroupOpWireSize is the per-entry wire size of a Group_Offload_packet.
-	GroupOpWireSize int
-	// ProxyHandleCost is the DPU CPU cost of parsing one control message.
-	ProxyHandleCost sim.Time
 	// WarmupPerOp is a per-entry setup penalty the proxy pays during the
 	// first WarmupCalls executions of each group request; it models the
 	// first-several-iterations degradation the paper observed in BluesMPI
@@ -73,14 +67,18 @@ type Config struct {
 // DefaultConfig returns the proposed design: GVMI mechanism, all caches on.
 func DefaultConfig() Config {
 	return Config{
-		Path:            datapath.KindCrossGVMI,
-		RegCaches:       true,
-		GroupCache:      true,
-		CtrlSize:        48,
-		GroupOpWireSize: 64,
-		ProxyHandleCost: 120 * sim.Nanosecond,
+		Path:       datapath.KindCrossGVMI,
+		RegCaches:  true,
+		GroupCache: true,
 	}
 }
+
+// The control plane's wire and CPU costs, the same on every system.
+const (
+	ctrlSize        = 48                   // wire size of a bare control message (RTS/RTR/FIN)
+	groupOpWireSize = 64                   // per-entry wire size of a Group_Offload_packet
+	proxyHandleCost = 120 * sim.Nanosecond // DPU CPU cost of parsing one control message
+)
 
 // Framework ties hosts and proxies together. Create it with New, then call
 // Start before launching host processes.
@@ -144,7 +142,7 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 		h.gvmiCache.Instrument(cl.Met, fmt.Sprintf("gvmi.rank%d", r))
 		h.ibCache.Instrument(cl.Met, fmt.Sprintf("ib.rank%d", r))
 		// The host's delivery counters are written where they are read
-		// (Section VII-C): by its proxy, which pays ProxyHandleCost per
+		// (Section VII-C): by its proxy, which pays proxyHandleCost per
 		// notification. A crash plan moves the writes into host memory, so
 		// they survive the proxy.
 		h.dlvEP = fw.proxyFor(r).ctx
@@ -185,7 +183,7 @@ func recycle[T any](l *pool.List[T], m *T) {
 func (fw *Framework) dlvPacket(m dlvMsg, parent span.ID) *verbs.Packet {
 	pay := fw.dlvFree.Get()
 	*pay = m
-	return fw.ctrlPacket("dlv", fw.cfg.CtrlSize, pay, parent)
+	return fw.ctrlPacket("dlv", ctrlSize, pay, parent)
 }
 
 // hbTimeout returns the heartbeat timeout after which a silent proxy is

@@ -195,7 +195,7 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 		// Host-side cache hit: "the host sends the request ID to the DPU".
 		m := h.fw.greplayFree.Get()
 		*m = greplayMsg{HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Span: parent}
-		h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("greplay", h.fw.cfg.CtrlSize, m, parent))
+		h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("greplay", ctrlSize, m, parent))
 		return
 	}
 
@@ -205,7 +205,7 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 	// One contiguous Group_Offload_packet to the proxy.
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
 		Kind: "group",
-		Size: h.fw.cfg.CtrlSize + len(g.wire)*h.fw.cfg.GroupOpWireSize,
+		Size: ctrlSize + len(g.wire)*groupOpWireSize,
 		Payload: &groupPacket{
 			HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Gen: g.sentGen, Entries: g.wire, Span: parent,
 		},
@@ -247,7 +247,7 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 				DstRank: h.rank, Tag: op.Tag, Size: op.Size,
 				DstAddr: op.Addr, RKey: mr.RKey(), DstGroup: g.id,
 			}
-			h.ctx.PostSend(h.proc, h.fw.hosts[op.Peer].ctx, h.fw.ctrlPacket("gmeta", h.fw.cfg.CtrlSize, m, 0))
+			h.ctx.PostSend(h.proc, h.fw.hosts[op.Peer].ctx, h.fw.ctrlPacket("gmeta", ctrlSize, m, 0))
 		}
 	}
 

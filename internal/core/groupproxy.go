@@ -318,7 +318,7 @@ func (px *Proxy) replayGroup(m *greplayMsg) {
 			// over to host-progressed execution.
 			f := px.fw.gfailFree.Get()
 			*f = gfailMsg{GroupID: m.GroupID, CallSeq: m.CallSeq}
-			px.ctx.PostSend(px.proc, px.fw.hosts[m.HostRank].ctx, px.fw.ctrlPacket("gfail", px.fw.cfg.CtrlSize, f, 0))
+			px.ctx.PostSend(px.proc, px.fw.hosts[m.HostRank].ctx, px.fw.ctrlPacket("gfail", ctrlSize, f, 0))
 			return
 		}
 		panic(fmt.Sprintf("core: proxy %d: replay of unknown group %d/%d", px.global, m.HostRank, m.GroupID))
@@ -392,7 +392,7 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 	// the tail of the collective's critical path.
 	m := px.fw.gdoneFree.Get()
 	*m = gdoneMsg{GroupID: g.id, CallSeq: g.finishedSeq}
-	px.ctx.PostSend(px.proc, px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", px.fw.cfg.CtrlSize, m, root))
+	px.ctx.PostSend(px.proc, px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", ctrlSize, m, root))
 	return true
 }
 

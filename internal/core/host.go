@@ -252,7 +252,7 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 	default:
 		panic(fmt.Sprintf("core: SendOffloadVia on non-proxy path %v", kind))
 	}
-	h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("rts", h.fw.cfg.CtrlSize+gvmi.WireSize, rts, req.span))
+	h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("rts", ctrlSize+gvmi.WireSize, rts, req.span))
 	return req
 }
 
@@ -281,7 +281,7 @@ func (h *Host) RecvOffload(addr mem.Addr, size, src, tag int) *OffloadRequest {
 	mr := h.ibRegister(addr, size)
 	rtr := h.fw.rtrFree.Get()
 	*rtr = rtrMsg{Src: src, Dst: h.rank, Tag: tag, Size: size, DstReqID: req.id, DstAddr: addr, RKey: mr.RKey(), Span: req.span}
-	h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("rtr", h.fw.cfg.CtrlSize, rtr, req.span))
+	h.ctx.PostSend(h.proc, px.ctx, h.fw.ctrlPacket("rtr", ctrlSize, rtr, req.span))
 	return req
 }
 

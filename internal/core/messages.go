@@ -9,7 +9,7 @@ import (
 )
 
 // Control-message payloads exchanged between hosts and proxies. Their Size
-// fields on the wire are taken from Config (CtrlSize / GroupOpWireSize).
+// fields on the wire are the constants ctrlSize / groupOpWireSize.
 
 // rtsMsg is the Ready-To-Send a source host sends to its proxy
 // (Send_Offload, Figure 7): source buffer metadata for the chosen mechanism.
@@ -18,7 +18,7 @@ type rtsMsg struct {
 	Size          int
 	SrcReqID      int64
 	// Path selects the datapath the proxy executes this transfer on. The
-	// field rides inside CtrlSize, so wire cost is unchanged.
+	// field rides inside ctrlSize, so wire cost is unchanged.
 	Path datapath.Kind
 	// CrossGVMI path: the host-registered mkey for cross-registration.
 	MKey gvmi.MKeyInfo
@@ -80,7 +80,7 @@ type wireOp struct {
 	Tag  int
 	// Path is the datapath the proxy executes send entries on (set from
 	// the group request's path at gather time; rides inside
-	// GroupOpWireSize, so wire cost is unchanged).
+	// groupOpWireSize, so wire cost is unchanged).
 	Path datapath.Kind
 
 	// Send entries.

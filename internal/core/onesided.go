@@ -81,7 +81,7 @@ func (h *Host) PutOffload(src Window, srcOff int, dst Window, dstOff, n int) *Of
 		sp.AttrInt(req.span, "size", int64(n))
 	}
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
-		Kind: "1sided", Size: h.fw.cfg.CtrlSize + gvmi.WireSize,
+		Kind: "1sided", Size: ctrlSize + gvmi.WireSize,
 		Payload: &oneSidedMsg{
 			Initiator: h.rank, ReqID: req.id,
 			SrcHost: h.rank, SrcMKey: src.MKey, SrcAddr: src.Addr + mem.Addr(srcOff),
@@ -115,7 +115,7 @@ func (h *Host) GetOffload(dst Window, dstOff int, src Window, srcOff, n int) *Of
 		sp.AttrInt(req.span, "size", int64(n))
 	}
 	h.ctx.PostSend(h.proc, px.ctx, &verbs.Packet{
-		Kind: "1sided", Size: h.fw.cfg.CtrlSize + gvmi.WireSize,
+		Kind: "1sided", Size: ctrlSize + gvmi.WireSize,
 		Payload: &oneSidedMsg{
 			Initiator: h.rank, ReqID: req.id,
 			SrcHost: src.Rank, SrcMKey: src.MKey, SrcAddr: src.Addr + mem.Addr(srcOff),

@@ -60,7 +60,6 @@ type Proxy struct {
 	RDMAWrites int64
 	RDMAReads  int64
 	StagedOps  int64
-	EngineOps  int64
 	GroupHits  int64
 	GroupMiss  int64
 
@@ -302,7 +301,7 @@ func (px *Proxy) restart() {
 
 // handle dispatches one control message (Figure 8's DPU handler).
 func (px *Proxy) handle(pkt *verbs.Packet) {
-	px.proc.AdvanceBusy(px.fw.cfg.ProxyHandleCost)
+	px.proc.AdvanceBusy(proxyHandleCost)
 	px.CtrlMsgs++
 	switch m := pkt.Payload.(type) {
 	case *rtsMsg:
@@ -417,7 +416,7 @@ func (px *Proxy) sendFIN(hostRank int, reqID int64, root span.ID) {
 	fw := px.fw
 	fin := fw.finFree.Get()
 	fin.ReqID = reqID
-	px.ctx.PostSend(px.proc, fw.hosts[hostRank].ctx, fw.ctrlPacket("fin", fw.cfg.CtrlSize, fin, root))
+	px.ctx.PostSend(px.proc, fw.hosts[hostRank].ctx, fw.ctrlPacket("fin", ctrlSize, fin, root))
 }
 
 // later queues a for the next engine round (used from completion handlers,

@@ -83,7 +83,7 @@ func runRig(t *testing.T, cfg Config, plan *fault.Config) rigRun {
 	ccfg := cluster.DefaultConfig(2, 2)
 	ccfg.Fault = plan
 	cl := cluster.New(ccfg)
-	w := mpi.NewWorld(cl, mpi.DefaultConfig())
+	w := mpi.NewWorld(cl)
 	np := w.Size()
 	sites := make([]*cluster.Site, np)
 	for i := range sites {

@@ -169,7 +169,6 @@ type Exec interface {
 	CountWrite()
 	CountRead()
 	CountStaged()
-	CountEngine()
 }
 
 // Transfer describes one source-to-destination movement a proxy executes.
@@ -355,7 +354,6 @@ func (DSA) SrcReg() SrcReg { return RegIB }
 
 // Execute implements Datapath.
 func (DSA) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
-	x.CountEngine()
 	x.CountWrite()
 	err := x.PostEngineWrite(verbs.WriteOp{
 		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,

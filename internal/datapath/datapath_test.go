@@ -129,15 +129,13 @@ type stageExec struct {
 	read           verbs.ReadOp
 	write          verbs.WriteOp
 	later          []sim.Action
-	counts         [4]int // writes, reads, staged, engine
+	counts         [4]int // writes, reads, staged, engine writes posted
 	queuedAtLanded int
 }
 
-func (x *stageExec) PostWrite(op verbs.WriteOp) error { x.write = op; return nil }
-func (x *stageExec) PostRead(op verbs.ReadOp) error   { x.read = op; return nil }
-func (x *stageExec) PostEngineWrite(verbs.WriteOp) error {
-	panic("no engine")
-}
+func (x *stageExec) PostWrite(op verbs.WriteOp) error               { x.write = op; return nil }
+func (x *stageExec) PostRead(op verbs.ReadOp) error                 { x.read = op; return nil }
+func (x *stageExec) PostEngineWrite(verbs.WriteOp) error            { x.counts[3]++; return nil }
 func (x *stageExec) CrossReg(int, gvmi.MKeyInfo, span.ID) *verbs.MR { panic("no cross-registration") }
 func (x *stageExec) AcquireStage(size int, _ span.ID) *Stage {
 	if x.leased || size > x.stage.Cap {
@@ -157,7 +155,6 @@ func (x *stageExec) Later(a sim.Action) { x.later = append(x.later, a) }
 func (x *stageExec) CountWrite()        { x.counts[0]++ }
 func (x *stageExec) CountRead()         { x.counts[1]++ }
 func (x *stageExec) CountStaged()       { x.counts[2]++ }
-func (x *stageExec) CountEngine()       { x.counts[3]++ }
 
 // runLater runs the one queued step.
 func (x *stageExec) runLater(t *testing.T) {

@@ -57,17 +57,10 @@ type Endpoint struct {
 	txBusyUntil sim.Time
 	rxBusyUntil sim.Time
 
-	// Stats. MsgsRecv/BytesRecv count goodput only: messages actually
-	// handed to the receiver. Corrupted messages (failed ICRC) occupy the
-	// port but land in MsgsDiscarded/BytesDiscarded instead.
-	MsgsSent       int64
-	BytesSent      int64
-	MsgsRecv       int64
-	BytesRecv      int64
-	MsgsDiscarded  int64
-	BytesDiscarded int64
-
 	// Metric handles; nil (inert) when the fabric has no metrics registry.
+	// The rx series count goodput only: messages actually handed to the
+	// receiver. Corrupted messages (failed ICRC) occupy the port but land
+	// in the discarded series instead.
 	mMsgsTx, mBytesTx     *metrics.Counter
 	mMsgsRx, mBytesRx     *metrics.Counter
 	mMsgsDisc, mBytesDisc *metrics.Counter
@@ -234,8 +227,6 @@ func (f *Fabric) TransferActionCtx(src, dst *Endpoint, size int, act sim.Action,
 	}
 	txDone = start + txPar.Overhead + txPar.serialize(size)
 	src.txBusyUntil = txDone
-	src.MsgsSent++
-	src.BytesSent += int64(size)
 	src.mMsgsTx.Inc()
 	src.mBytesTx.Add(int64(size))
 
@@ -262,8 +253,6 @@ func (f *Fabric) TransferActionCtx(src, dst *Endpoint, size int, act sim.Action,
 	if fate == fault.FateCorrupt {
 		// Arrived but failed the ICRC check: occupies the port, then is
 		// discarded without delivery. Counted as discard, not goodput.
-		dst.MsgsDiscarded++
-		dst.BytesDiscarded += int64(size)
 		dst.mMsgsDisc.Inc()
 		dst.mBytesDisc.Add(int64(size))
 		if f.sp.Enabled() {
@@ -277,8 +266,6 @@ func (f *Fabric) TransferActionCtx(src, dst *Endpoint, size int, act sim.Action,
 		}
 		return txDone, arrive, fate
 	}
-	dst.MsgsRecv++
-	dst.BytesRecv += int64(size)
 	dst.mMsgsRx.Inc()
 	dst.mBytesRx.Add(int64(size))
 	if fate == fault.FateDelay {

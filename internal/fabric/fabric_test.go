@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -117,16 +118,28 @@ func TestHostVsDPUInjectionShape(t *testing.T) {
 	}
 }
 
+// An endpoint's series count every message and byte it sends and receives.
 func TestTransferStats(t *testing.T) {
-	k, f, h0, h1, _ := testFabric()
-	f.TransferAction(h0, h1, 100, nil)
-	f.TransferAction(h0, h1, 200, nil)
+	k := sim.NewKernel()
+	f := New(k, DefaultConfig())
+	met := metrics.NewRegistry()
+	f.SetMetrics(met)
+	src := f.NewEndpoint("a", 0, testHostPort)
+	dst := f.NewEndpoint("b", 1, testHostPort)
+	f.TransferAction(src, dst, 1000, nil)
+	f.TransferAction(src, dst, 24, nil)
 	k.Run()
-	if h0.MsgsSent != 2 || h0.BytesSent != 300 {
-		t.Fatalf("sender stats = %d msgs / %d bytes, want 2/300", h0.MsgsSent, h0.BytesSent)
-	}
-	if h1.MsgsRecv != 2 || h1.BytesRecv != 300 {
-		t.Fatalf("receiver stats = %d msgs / %d bytes, want 2/300", h1.MsgsRecv, h1.BytesRecv)
+	snap := met.Snapshot()
+	for _, c := range []struct {
+		ep, name string
+		want     int64
+	}{
+		{"a", "msgs_tx", 2}, {"a", "bytes_tx", 1024}, {"b", "msgs_rx", 2}, {"b", "bytes_rx", 1024},
+		{"a", "msgs_rx", 0}, {"b", "msgs_tx", 0}, {"b", "msgs_discarded", 0},
+	} {
+		if v := snap.CounterValue("fabric", c.ep, c.name); v != c.want {
+			t.Errorf("fabric/%s/%s = %d, want %d", c.ep, c.name, v, c.want)
+		}
 	}
 }
 

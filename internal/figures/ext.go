@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
-	"repro/internal/cluster"
 )
 
 // ExtBF3 explores the paper's future-work platform (Section X): the same
@@ -30,9 +29,8 @@ func ExtBF3(env bench.SweepEnv, nodes, ppn int, sizes []int, warmup, iters int) 
 			}), size, warmup, iters)
 			return
 		}
-		ccfg := cluster.BlueField3Config(nodes, ppn)
 		res[j] = bench.MeasureIalltoall(env.Attach(bench.Options{
-			Nodes: nodes, PPN: ppn, Scheme: nbcSchemes[k-1], Cluster: &ccfg,
+			Nodes: nodes, PPN: ppn, Scheme: nbcSchemes[k-1], Device: "bf3",
 		}), size, warmup, iters)
 	})
 	for si, size := range sizes {

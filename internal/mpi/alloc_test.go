@@ -16,7 +16,7 @@ func roundAllocs(t *testing.T, nodes, ppn int, round func(r *Rank)) float64 {
 	t.Helper()
 	const period = 200 * sim.Microsecond
 	cl := cluster.New(cluster.DefaultConfig(nodes, ppn))
-	w := NewWorld(cl, DefaultConfig())
+	w := NewWorld(cl)
 	rounds := 0
 	w.Launch(func(r *Rank) {
 		for n := sim.Time(1); ; n++ {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func runWorld(t *testing.T, nodes, ppn int, main func(r *Rank)) *World {
 func runWorldOn(t *testing.T, ccfg cluster.Config, main func(r *Rank)) *World {
 	t.Helper()
 	cl := cluster.New(ccfg)
-	w := NewWorld(cl, DefaultConfig())
+	w := NewWorld(cl)
 	w.Launch(main)
 	cl.K.Run()
 	if len(cl.K.Deadlocked) > 0 {
@@ -89,7 +90,9 @@ func TestIntraNodeShmPath(t *testing.T) {
 	for _, size := range []int{512, 128 << 10} {
 		size := size
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
-			w := runWorld(t, 1, 2, func(r *Rank) {
+			ccfg := cluster.DefaultConfig(1, 2)
+			ccfg.Metrics = metrics.NewRegistry()
+			w := runWorldOn(t, ccfg, func(r *Rank) {
 				buf := r.Alloc(size)
 				if r.RankID() == 0 {
 					fill(r, buf, 1)
@@ -102,7 +105,11 @@ func TestIntraNodeShmPath(t *testing.T) {
 				}
 			})
 			// Intra-node traffic must not touch the HCA.
-			if n := w.Cl.Nodes[0].HostEP.MsgsSent; n != 0 {
+			snap := ccfg.Metrics.Snapshot()
+			if n := snap.CounterValue("mpi", "all", "shm_msgs"); n != 1 {
+				t.Errorf("%d shm messages, want 1", n)
+			}
+			if n := snap.CounterValue("fabric", w.Cl.Nodes[0].HostEP.Name(), "msgs_tx"); n != 0 {
 				t.Errorf("intra-node send used the HCA (%d msgs)", n)
 			}
 		})

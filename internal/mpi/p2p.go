@@ -96,7 +96,7 @@ func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 
 	if r.w.SameNode(r.rank, dst) {
 		r.w.mShm.Inc()
-		if size <= r.w.cfg.EagerThreshold {
+		if size <= eagerThreshold {
 			// Copy-in/copy-out through a shared-memory slot; the send
 			// completes once the copy-in is done.
 			r.proc.AdvanceBusy(cl.CopyCost(size))
@@ -115,14 +115,14 @@ func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 		return
 	}
 
-	if size <= r.w.cfg.EagerThreshold {
+	if size <= eagerThreshold {
 		// Eager: payload is copied into a pre-registered bounce buffer and
 		// shipped with the header; the buffer is immediately reusable.
 		r.w.mEager.Inc()
 		r.proc.AdvanceBusy(cl.CopyCost(size))
 		msg.kind = "eager"
 		msg.copyIn(r.site.Space, addr, size)
-		r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(size+r.w.cfg.HeaderSize, msg, req.span))
+		r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(size+headerSize, msg, req.span))
 		req.done = true
 		r.spans().End(req.span)
 		return
@@ -136,7 +136,7 @@ func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 	mr := r.registerCachedCtx(addr, size, req.span)
 	msg.kind = "rts"
 	msg.srcAddr, msg.rkey, msg.sendReq = addr, mr.RKey(), req
-	r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(r.w.cfg.HeaderSize, msg, req.span))
+	r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(headerSize, msg, req.span))
 }
 
 // Irecv starts a nonblocking receive into [addr, addr+size) from src
@@ -293,7 +293,7 @@ func (v *rndv) fin() {
 	r := v.r
 	fin := r.w.msgs.Get()
 	fin.kind, fin.src, fin.sendReq = "fin", r.rank, v.sendReq
-	r.ctx.PostSend(r.proc, v.srcCtx, r.w.packet(r.w.cfg.HeaderSize, fin, v.sendSpan))
+	r.ctx.PostSend(r.proc, v.srcCtx, r.w.packet(headerSize, fin, v.sendSpan))
 	*v = rndv{}
 	r.w.rndvs.Put(v)
 }
@@ -301,7 +301,7 @@ func (v *rndv) fin() {
 // dispatch routes one incoming message: match a posted receive or queue it
 // as unexpected. FINs complete the sender-side request directly.
 func (r *Rank) dispatch(m *inMsg) {
-	r.proc.AdvanceBusy(r.w.cfg.MatchCost)
+	r.proc.AdvanceBusy(matchCost)
 	if m.kind == "fin" {
 		m.sendReq.done = true
 		r.spans().End(m.sendReq.span)

@@ -19,7 +19,7 @@ func TestPropertyRandomP2PTraffic(t *testing.T) {
 		nodes := 1 + rng.Intn(3)
 		ppn := 1 + rng.Intn(3)
 		cl := cluster.New(cluster.DefaultConfig(nodes, ppn))
-		w := NewWorld(cl, DefaultConfig())
+		w := NewWorld(cl)
 		np := cl.Cfg.NP()
 
 		type xfer struct {
@@ -100,7 +100,7 @@ func TestPropertySelfSendAllSizes(t *testing.T) {
 		size := int(rawSize)%(64<<10) + 1
 		good := true
 		cl := cluster.New(cluster.DefaultConfig(1, 1))
-		w := NewWorld(cl, DefaultConfig())
+		w := NewWorld(cl)
 		w.Launch(func(r *Rank) {
 			a, b := r.Alloc(size), r.Alloc(size)
 			for i := range a.Bytes() {
@@ -144,7 +144,7 @@ func TestPropertyCollectiveSequences(t *testing.T) {
 		good := true
 
 		cl := cluster.New(cluster.DefaultConfig(nodes, ppn))
-		w := NewWorld(cl, DefaultConfig())
+		w := NewWorld(cl)
 		w.Launch(func(r *Rank) {
 			for i, k := range kinds {
 				switch k {

@@ -31,31 +31,21 @@ const (
 	AnyTag    = -1
 )
 
-// Config tunes the library.
-type Config struct {
-	// EagerThreshold is the largest message sent eagerly (copied through
-	// bounce buffers); larger messages use the rendezvous protocol.
-	EagerThreshold int
-	// HeaderSize is the wire size of a message header / control packet.
-	HeaderSize int
-	// MatchCost is the CPU cost of processing one incoming header.
-	MatchCost sim.Time
-}
-
-// DefaultConfig returns production-typical settings (16 KiB eager cutoff).
-func DefaultConfig() Config {
-	return Config{
-		EagerThreshold: 16 << 10,
-		HeaderSize:     64,
-		MatchCost:      60 * sim.Nanosecond,
-	}
-}
+// The library's protocol constants.
+const (
+	// eagerThreshold is the largest message sent eagerly (copied through
+	// bounce buffers, 16 KiB); larger messages use the rendezvous protocol.
+	eagerThreshold = 16 << 10
+	// headerSize is the wire size of a message header / control packet.
+	headerSize = 64
+	// matchCost is the CPU cost of processing one incoming header.
+	matchCost = 60 * sim.Nanosecond
+)
 
 // World is a communicator spanning all host processes of the cluster (or,
 // for placed worlds, the subset of node slots one tenant job occupies).
 type World struct {
 	Cl     *cluster.Cluster
-	cfg    Config
 	ranks  []*Rank
 	nodeOf []int  // node of each world rank (placed worlds need not follow cluster geometry)
 	prefix string // site/process name prefix ("" for the single-world case)
@@ -75,12 +65,12 @@ type World struct {
 // NewWorld creates the world communicator and its rank state (processes are
 // spawned by Launch). It spans every host slot of the cluster in the
 // cluster's own rank geometry.
-func NewWorld(cl *cluster.Cluster, cfg Config) *World {
+func NewWorld(cl *cluster.Cluster) *World {
 	nodeOf := make([]int, cl.Cfg.NP())
 	for i := range nodeOf {
 		nodeOf[i] = cl.NodeOfRank(i)
 	}
-	return NewPlacedWorld(cl, cfg, "", nodeOf)
+	return NewPlacedWorld(cl, "", nodeOf)
 }
 
 // NewPlacedWorld creates a world of len(nodeOf) ranks where world rank i
@@ -89,8 +79,8 @@ func NewWorld(cl *cluster.Cluster, cfg Config) *World {
 // node's slots. prefix disambiguates site and process names between worlds
 // ("" reproduces the single-world names). World ranks are dense and
 // job-local; the cluster's NodeOfRank geometry does not apply to them.
-func NewPlacedWorld(cl *cluster.Cluster, cfg Config, prefix string, nodeOf []int) *World {
-	w := &World{Cl: cl, cfg: cfg, nodeOf: append([]int(nil), nodeOf...), prefix: prefix}
+func NewPlacedWorld(cl *cluster.Cluster, prefix string, nodeOf []int) *World {
+	w := &World{Cl: cl, nodeOf: append([]int(nil), nodeOf...), prefix: prefix}
 	if m := cl.Met; m.Enabled() {
 		w.mEager = m.Counter("mpi", "all", "eager_msgs")
 		w.mRdv = m.Counter("mpi", "all", "rendezvous_msgs")
@@ -138,9 +128,6 @@ func (w *World) packet(size int, m *inMsg, parent span.ID) *verbs.Packet {
 // use this instead of cluster.SameNode: world ranks are job-local and do
 // not follow the cluster's rank geometry.
 func (w *World) SameNode(a, b int) bool { return w.nodeOf[a] == w.nodeOf[b] }
-
-// Config returns the library configuration.
-func (w *World) Config() Config { return w.cfg }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }

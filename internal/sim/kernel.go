@@ -26,10 +26,10 @@ type Func func(at Time)
 // Fire implements Action.
 func (f Func) Fire(at Time) { f(at) }
 
-// event is one arena slot: a scheduled callback, a timed callback, a parked
-// process waiting to be dispatched, or a pooled Action. Exactly one of
-// fn/fnT/p/act is set. Events with equal timestamps fire in scheduling order,
-// which makes runs deterministic (see push).
+// event is one arena slot: a scheduled callback, a parked process waiting
+// to be dispatched, or a pooled Action. Exactly one of fn/p/act is set.
+// Events with equal timestamps fire in scheduling order, which makes runs
+// deterministic (see push).
 //
 // Events live in the kernel's arena (a value slice indexed by evIdx) and are
 // recycled through a free list, so steady-state scheduling allocates
@@ -37,11 +37,10 @@ func (f Func) Fire(at Time) { f(at) }
 // event is linked into its queue bucket's chain through next.
 type event struct {
 	at   Time
-	next evIdx      // next event in the same bucket, when not its tail
-	fn   func()     // plain callback (handler context)
-	fnT  func(Time) // timed callback; receives the firing time
-	p    *Proc      // parked process to wake
-	act  Action     // pooled deliverable; receives the firing time
+	next evIdx  // next event in the same bucket, when not its tail
+	fn   func() // plain callback (handler context)
+	p    *Proc  // parked process to wake
+	act  Action // pooled deliverable; receives the firing time
 }
 
 // evIdx indexes the event arena. int32 keeps the links compact; two billion
@@ -146,18 +145,6 @@ func (k *Kernel) At(delay Time, fn func()) {
 		delay = 0
 	}
 	k.schedule(k.now+delay, fn)
-}
-
-// AtCall schedules fn to run at now+delay in handler context, passing the
-// firing time. It exists so completion callbacks with a (Time) parameter can
-// be scheduled directly — `k.AtCall(d, op.OnComplete)` — instead of through
-// a `func() { op.OnComplete(k.Now()) }` wrapper that allocates a closure per
-// operation. A negative delay is treated as zero.
-func (k *Kernel) AtCall(delay Time, fn func(Time)) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.push(k.now + delay).fnT = fn
 }
 
 // AtAction schedules a pooled deliverable at now+delay (see Action). The
@@ -294,8 +281,8 @@ func (k *Kernel) drive(self *Proc) outcome {
 		}
 		i := k.pop(b)
 		ev := &k.arena[i]
-		fn, fnT, p, act := ev.fn, ev.fnT, ev.p, ev.act
-		ev.fn, ev.fnT, ev.p, ev.act = nil, nil, nil, nil
+		fn, p, act := ev.fn, ev.p, ev.act
+		ev.fn, ev.p, ev.act = nil, nil, nil
 		k.freeL = append(k.freeL, i)
 		k.now = at
 		for k.tick != nil && at >= k.tickAt {
@@ -316,8 +303,6 @@ func (k *Kernel) drive(self *Proc) outcome {
 			}
 			k.handoff = p
 			return handedOff
-		case fnT != nil:
-			fnT(at)
 		case act != nil:
 			act.Fire(at)
 		default:

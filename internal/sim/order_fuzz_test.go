@@ -135,14 +135,14 @@ func (r *orderRig) broadcast() {
 }
 
 // chain schedules a callback delay from now that, when it fires, schedules
-// a same-instant AtCall and, while depth lasts, another chain link; odd
+// a same-instant AtAction of a Func and, while depth lasts, another chain link; odd
 // depths also broadcast.
 func (r *orderRig) chain(delay Time, depth, arg int) {
 	id := r.sched(delay)
 	r.k.At(delay, func() {
 		r.fire(id, r.k.Now())
 		tie := r.sched(0)
-		r.k.AtCall(0, func(at Time) { r.fire(tie, at) })
+		r.k.AtAction(0, Func(func(at Time) { r.fire(tie, at) }))
 		if depth > 0 {
 			r.chain(fuzzDelays[(arg*31+depth)%len(fuzzDelays)], depth-1, arg)
 		}
@@ -190,7 +190,7 @@ func (r *orderRig) check(what string) error {
 // RunUntil cut and the final runs the clock and Pending must agree.
 //
 // The input is read two bytes at a time, op and arg; arg picks a delay from
-// fuzzDelays. op%8: 0 At, 1 AtCall, 2 AtAction, 3 a chain of op/8%4 further
+// fuzzDelays. op%8: 0 At, 1 AtAction of a Func, 2 AtAction, 3 a chain of op/8%4 further
 // callbacks (see chain), 4 Spawn a process sleeping twice (waiting on a Cond
 // between its sleeps when op/8 is odd), 5 Broadcast, 6 RunUntil(now+delay),
 // 7 At with a negative delay.
@@ -211,7 +211,7 @@ func FuzzEventOrder(f *testing.F) {
 				k.At(d, func() { r.fire(id, k.Now()) })
 			case 1:
 				id := r.sched(d)
-				k.AtCall(d, func(at Time) { r.fire(id, at) })
+				k.AtAction(d, Func(func(at Time) { r.fire(id, at) }))
 			case 2:
 				k.AtAction(d, &orderAction{r, r.sched(d)})
 			case 3:

@@ -28,20 +28,6 @@ func TestAtSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-func TestAtCallSteadyStateAllocFree(t *testing.T) {
-	k := NewKernel()
-	fn := func(Time) {}
-	k.AtCall(0, fn)
-	k.Run()
-	allocs := testing.AllocsPerRun(200, func() {
-		k.AtCall(1, fn)
-		k.RunUntil(k.Now() + 1)
-	})
-	if allocs > 0 {
-		t.Fatalf("AtCall+RunUntil allocated %.1f objects per event in steady state, want 0", allocs)
-	}
-}
-
 func TestSleepSteadyStateAllocFree(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) {
@@ -442,23 +428,27 @@ type countAction struct {
 
 func (a *countAction) Fire(at Time) { a.n++; a.at = at }
 
-// AtAction must be allocation-free in steady state.
+// AtAction must be allocation-free in steady state, for a pooled pointer
+// Action and for a Func (the timed-callback form).
 func TestAtActionSteadyStateAllocFree(t *testing.T) {
-	k := NewKernel()
 	a := &countAction{}
-	for i := 0; i < 8; i++ {
-		k.AtAction(Time(i), a)
-	}
-	k.Run()
-	allocs := testing.AllocsPerRun(200, func() {
-		k.AtAction(1, a)
-		k.RunUntil(k.Now() + 1)
-	})
-	if allocs > 0 {
-		t.Fatalf("AtAction allocated %.1f objects per op in steady state, want 0", allocs)
-	}
-	if a.n == 0 || a.at != k.Now() {
-		t.Fatalf("action fired %d times, last at %v (now %v)", a.n, a.at, k.Now())
+	for name, act := range map[string]Action{"pointer": a, "func": Func(a.Fire)} {
+		*a = countAction{}
+		k := NewKernel()
+		for i := 0; i < 8; i++ {
+			k.AtAction(Time(i), act)
+		}
+		k.Run()
+		allocs := testing.AllocsPerRun(200, func() {
+			k.AtAction(1, act)
+			k.RunUntil(k.Now() + 1)
+		})
+		if allocs > 0 {
+			t.Fatalf("%s: AtAction allocated %.1f objects per op in steady state, want 0", name, allocs)
+		}
+		if a.n == 0 || a.at != k.Now() {
+			t.Fatalf("%s: action fired %d times, last at %v (now %v)", name, a.n, a.at, k.Now())
+		}
 	}
 }
 
@@ -487,7 +477,6 @@ func TestShutdownKillsObserverAndPooledStorage(t *testing.T) {
 		fn()
 	}
 	mustPanic("At", func() { k.At(1, func() {}) })
-	mustPanic("AtCall", func() { k.AtCall(1, func(Time) {}) })
 	mustPanic("AtAction", func() { k.AtAction(1, &countAction{}) })
 	mustPanic("Spawn", func() { k.Spawn("late", func(p *Proc) {}) })
 	mustPanic("Run", func() { k.Run() })

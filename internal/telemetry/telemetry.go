@@ -28,30 +28,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Match selects registry series to record: Layer must match exactly; an
-// empty Name matches every series in the layer.
-type Match struct {
-	Layer string
-	Name  string
-}
-
-// DefaultWatch is the standard watchlist: fabric per-endpoint goodput,
-// proxy backlog (total and per-tenant) plus cross-tenant HOL wait, verbs
-// retries, every policy counter (decides, probes, re-probes), and every SLO
-// tracker series.
-func DefaultWatch() []Match {
-	return []Match{
-		{Layer: "fabric", Name: "msgs_tx"},
-		{Layer: "fabric", Name: "bytes_tx"},
-		{Layer: "fabric", Name: "msgs_rx"},
-		{Layer: "fabric", Name: "bytes_rx"},
-		{Layer: "core", Name: "queue_depth"},
-		{Layer: "core", Name: "tenant_queue_depth"},
-		{Layer: "core", Name: "cross_tenant_wait_ns"},
-		{Layer: "verbs", Name: "retries"},
-		{Layer: "policy"},
-		{Layer: "slo"},
-	}
+// watchlist selects the registry series a recorder samples: fabric
+// per-endpoint goodput, proxy backlog (total and per-tenant) plus
+// cross-tenant HOL wait, verbs retries, every policy counter (decides,
+// probes, re-probes), and every SLO tracker series. A key's layer must
+// match exactly; an empty name matches every series in the layer.
+var watchlist = []struct{ layer, name string }{
+	{"fabric", "msgs_tx"},
+	{"fabric", "bytes_tx"},
+	{"fabric", "msgs_rx"},
+	{"fabric", "bytes_rx"},
+	{"core", "queue_depth"},
+	{"core", "tenant_queue_depth"},
+	{"core", "cross_tenant_wait_ns"},
+	{"verbs", "retries"},
+	{"policy", ""},
+	{"slo", ""},
 }
 
 // Config tunes one recorder (and every recorder of a Timeline).
@@ -61,8 +53,6 @@ type Config struct {
 	// Buckets is the ring capacity per series — the number of most-recent
 	// buckets retained. 0 means DefaultBuckets.
 	Buckets int
-	// Watch selects the series to record; nil means DefaultWatch().
-	Watch []Match
 }
 
 // DefaultWidth is the default bucket width: 50µs resolves the drift
@@ -79,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Buckets <= 0 {
 		c.Buckets = DefaultBuckets
-	}
-	if c.Watch == nil {
-		c.Watch = DefaultWatch()
 	}
 	return c
 }
@@ -280,10 +267,9 @@ func (r *Recorder) Start(k *sim.Kernel, reg *metrics.Registry) {
 }
 
 // watched reports whether a registry key is on the watchlist.
-func (r *Recorder) watched(k metrics.Key) bool {
-	for i := range r.cfg.Watch {
-		m := &r.cfg.Watch[i]
-		if m.Layer == k.Layer && (m.Name == "" || m.Name == k.Name) {
+func watched(k metrics.Key) bool {
+	for _, m := range watchlist {
+		if m.layer == k.Layer && (m.name == "" || m.name == k.Name) {
 			return true
 		}
 	}
@@ -309,7 +295,7 @@ func (r *Recorder) lookup(id seriesID) *Series {
 
 // primeCounter records a pre-existing counter's total as its zero point.
 func (r *Recorder) primeCounter(k metrics.Key, c *metrics.Counter) {
-	if !r.watched(k) {
+	if !watched(k) {
 		return
 	}
 	r.lookup(seriesID{k, KindCounter}).last = c.Value()
@@ -317,7 +303,7 @@ func (r *Recorder) primeCounter(k metrics.Key, c *metrics.Counter) {
 
 // primeHistogram records a pre-existing histogram's totals as zero points.
 func (r *Recorder) primeHistogram(k metrics.Key, h *metrics.Histogram) {
-	if !r.watched(k) {
+	if !watched(k) {
 		return
 	}
 	r.lookup(seriesID{k, KindHistCount}).last = h.Count()
@@ -326,7 +312,7 @@ func (r *Recorder) primeHistogram(k metrics.Key, h *metrics.Histogram) {
 
 // sampleCounter pushes one counter's increase into the closing bucket.
 func (r *Recorder) sampleCounter(k metrics.Key, c *metrics.Counter) {
-	if !r.watched(k) {
+	if !watched(k) {
 		return
 	}
 	s := r.lookup(seriesID{k, KindCounter})
@@ -337,7 +323,7 @@ func (r *Recorder) sampleCounter(k metrics.Key, c *metrics.Counter) {
 
 // sampleGauge pushes one gauge's value at the closing bucket's end.
 func (r *Recorder) sampleGauge(k metrics.Key, g *metrics.Gauge) {
-	if !r.watched(k) {
+	if !watched(k) {
 		return
 	}
 	r.lookup(seriesID{k, KindGauge}).push(r.cur, 0, g.Value())
@@ -345,7 +331,7 @@ func (r *Recorder) sampleGauge(k metrics.Key, g *metrics.Gauge) {
 
 // sampleHistogram pushes one histogram's count and sum increases.
 func (r *Recorder) sampleHistogram(k metrics.Key, h *metrics.Histogram) {
-	if !r.watched(k) {
+	if !watched(k) {
 		return
 	}
 	sc := r.lookup(seriesID{k, KindHistCount})

@@ -8,14 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// testConfig watches the "fabric" and "core" layers with a tiny ring so
-// eviction is reachable in a few buckets.
+// testConfig is a tiny ring, so eviction is reachable in a few buckets.
 func testConfig(buckets int) Config {
-	return Config{
-		Width:   100 * sim.Nanosecond,
-		Buckets: buckets,
-		Watch:   []Match{{Layer: "fabric"}, {Layer: "core"}},
-	}
+	return Config{Width: 100 * sim.Nanosecond, Buckets: buckets}
 }
 
 // run starts a recorder on a fresh kernel/registry, lets the caller
@@ -95,13 +90,13 @@ func TestRecorderSamplesGaugesAtBucketClose(t *testing.T) {
 
 func TestRecorderExpandsHistograms(t *testing.T) {
 	r, _ := run(t, testConfig(64), func(k *sim.Kernel, reg *metrics.Registry) {
-		h := reg.Histogram("core", "proxy0", "wait_ns")
+		h := reg.Histogram("core", "proxy0", "cross_tenant_wait_ns")
 		k.At(50, func() { h.Observe(100) })
 		k.At(60, func() { h.Observe(200) })
 		k.At(150, func() { h.Observe(1000) })
 	})
-	cnt := findSeries(r, "core", "proxy0", "wait_ns", KindHistCount)
-	sum := findSeries(r, "core", "proxy0", "wait_ns", KindHistSum)
+	cnt := findSeries(r, "core", "proxy0", "cross_tenant_wait_ns", KindHistCount)
+	sum := findSeries(r, "core", "proxy0", "cross_tenant_wait_ns", KindHistSum)
 	if cnt == nil || sum == nil {
 		t.Fatal("histogram series not recorded")
 	}
@@ -327,7 +322,7 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 func TestWritePrometheusTS(t *testing.T) {
-	cfg := Config{Width: sim.Millisecond, Buckets: 16, Watch: []Match{{Layer: "fabric"}}}
+	cfg := Config{Width: sim.Millisecond, Buckets: 16}
 	r, _ := run(t, cfg, func(k *sim.Kernel, reg *metrics.Registry) {
 		c := reg.Counter("fabric", "port0", "msgs_tx")
 		k.At(sim.Millisecond/2, func() { c.Add(2) })
@@ -390,7 +385,7 @@ func TestSamplingHotPathDoesNotAllocate(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.Counter("fabric", "port0", "msgs_tx")
 	g := reg.Gauge("core", "proxy0", "queue_depth")
-	h := reg.Histogram("core", "proxy0", "wait_ns")
+	h := reg.Histogram("core", "proxy0", "cross_tenant_wait_ns")
 	r := NewRecorder("", testConfig(64))
 	r.Start(k, reg)
 	// Warm: create every series and close a few buckets.
