@@ -137,3 +137,29 @@ func TestDelaySpikeAllowsOvertakingPinned(t *testing.T) {
 		t.Fatalf("rxBusyUntil = %v, want second arrival %v (spike must not hold the port)", dst.rxBusyUntil, a2)
 	}
 }
+
+// For plain traffic the receiver's rx series mirror the sender's tx series,
+// and neither side counts traffic in the other direction or any discard.
+func TestFabricMetricsMirrorStats(t *testing.T) {
+	k := sim.NewKernel()
+	f := New(k, DefaultConfig())
+	met := metrics.NewRegistry()
+	f.SetMetrics(met)
+	src := f.NewEndpoint("a", 0, testHostPort)
+	dst := f.NewEndpoint("b", 1, testHostPort)
+	f.TransferAction(src, dst, 1000, nil)
+	f.TransferAction(src, dst, 24, nil)
+	k.Run()
+	snap := met.Snapshot()
+	for _, c := range []struct {
+		ep, name string
+		want     int64
+	}{
+		{"a", "msgs_tx", 2}, {"a", "bytes_tx", 1024}, {"b", "msgs_rx", 2}, {"b", "bytes_rx", 1024},
+		{"a", "msgs_rx", 0}, {"b", "msgs_tx", 0}, {"b", "msgs_discarded", 0},
+	} {
+		if v := snap.CounterValue("fabric", c.ep, c.name); v != c.want {
+			t.Errorf("fabric/%s/%s = %d, want %d", c.ep, c.name, v, c.want)
+		}
+	}
+}

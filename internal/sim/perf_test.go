@@ -28,6 +28,26 @@ func TestAtSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// A timed callback (AtAction of a Func) must be allocation-free in steady
+// state.
+func TestAtCallSteadyStateAllocFree(t *testing.T) {
+	k := NewKernel()
+	var n int
+	fn := Func(func(Time) { n++ })
+	k.AtAction(0, fn)
+	k.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		k.AtAction(1, fn)
+		k.RunUntil(k.Now() + 1)
+	})
+	if allocs > 0 {
+		t.Fatalf("AtAction(Func)+RunUntil allocated %.1f objects per event in steady state, want 0", allocs)
+	}
+	if n < 201 {
+		t.Fatalf("callback fired %d times, want at least 201", n)
+	}
+}
+
 func TestSleepSteadyStateAllocFree(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) {
@@ -428,27 +448,23 @@ type countAction struct {
 
 func (a *countAction) Fire(at Time) { a.n++; a.at = at }
 
-// AtAction must be allocation-free in steady state, for a pooled pointer
-// Action and for a Func (the timed-callback form).
+// AtAction must be allocation-free in steady state.
 func TestAtActionSteadyStateAllocFree(t *testing.T) {
+	k := NewKernel()
 	a := &countAction{}
-	for name, act := range map[string]Action{"pointer": a, "func": Func(a.Fire)} {
-		*a = countAction{}
-		k := NewKernel()
-		for i := 0; i < 8; i++ {
-			k.AtAction(Time(i), act)
-		}
-		k.Run()
-		allocs := testing.AllocsPerRun(200, func() {
-			k.AtAction(1, act)
-			k.RunUntil(k.Now() + 1)
-		})
-		if allocs > 0 {
-			t.Fatalf("%s: AtAction allocated %.1f objects per op in steady state, want 0", name, allocs)
-		}
-		if a.n == 0 || a.at != k.Now() {
-			t.Fatalf("%s: action fired %d times, last at %v (now %v)", name, a.n, a.at, k.Now())
-		}
+	for i := 0; i < 8; i++ {
+		k.AtAction(Time(i), a)
+	}
+	k.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		k.AtAction(1, a)
+		k.RunUntil(k.Now() + 1)
+	})
+	if allocs > 0 {
+		t.Fatalf("AtAction allocated %.1f objects per op in steady state, want 0", allocs)
+	}
+	if a.n == 0 || a.at != k.Now() {
+		t.Fatalf("action fired %d times, last at %v (now %v)", a.n, a.at, k.Now())
 	}
 }
 
