@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet fmt-check one-builder staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim shuffle loc examples-smoke
+.PHONY: all build test vet fmt-check one-builder no-proxy-procs staticcheck race check bench bench-smoke fuzz-smoke snap snap-check timeline-smoke scale-smoke race-sim shuffle loc examples-smoke
 
 all: build
 
@@ -38,6 +38,14 @@ one-builder:
 		'internal/baseline/system.go core.New(' 'internal/bench/micro.go cluster.DefaultConfig(' 'internal/bench/micro.go cluster.New('); \
 	if [ "$$got" != "$$want" ]; then \
 		echo "one-builder: build systems through baseline.Build; call sites:"; echo "$$got"; exit 1; fi
+
+# No proxy process: a proxy's progress engine is an event handler on a
+# busy-until clock (internal/core/engine.go), so outside tests internal/core
+# spawns nothing, sleeps nothing and needs neither daemons nor kills. A call
+# that brings a proxy stack back fails.
+no-proxy-procs:
+	@got=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'Spawn\(|px\.proc|AdvanceBusy\(|SetDaemon|\.Kill\(' internal/core); \
+	if [ -n "$$got" ]; then echo "no-proxy-procs: internal/core runs proxies as event handlers; found:"; echo "$$got"; exit 1; fi
 
 # Runs staticcheck when it is on PATH and skips (loudly) when it is not:
 # dev containers without network access cannot `go install` it, but CI does
@@ -82,7 +90,7 @@ examples-smoke:
 		echo "examples-smoke: $$d"; $(GO) run ./$$d > /dev/null; \
 	done
 
-check: fmt-check one-builder vet staticcheck build race race-sim shuffle examples-smoke bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
+check: fmt-check one-builder no-proxy-procs vet staticcheck build race race-sim shuffle examples-smoke bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/bench/ ./internal/sim/

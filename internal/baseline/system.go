@@ -215,7 +215,7 @@ func (s *System) Host(j int, r *mpi.Rank) *core.Host {
 
 // Run runs the simulation to completion and returns the final virtual
 // time, or a deadlock as an error naming the blocked processes. On every way
-// out it retires the system — proxy daemons stopped, whatever is still
+// out it retires the system — proxies stopped, whatever is still
 // parked unwound — so that a finished run can be collected.
 func (s *System) Run() (sim.Time, error) {
 	defer func() {

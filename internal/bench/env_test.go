@@ -121,9 +121,10 @@ func TestLaunchBindsBackendsAndStopsProxies(t *testing.T) {
 			t.Fatalf("rank %d backends %q", i, n)
 		}
 	}
-	// Proxies must have been shut down (no live daemons holding memory).
-	if live := e.Cl.K.Live(); live != 0 {
-		t.Fatalf("%d processes still live after Launch", live)
+	// The proxies are no processes: once the ranks are done nothing is live,
+	// and no proxy step is left pending in the retired kernel.
+	if live, pending := e.Cl.K.Live(), e.Cl.K.Pending(); live != 0 || pending != 0 {
+		t.Fatalf("%d processes live and %d events pending after Launch, want none", live, pending)
 	}
 }
 

@@ -31,10 +31,9 @@ func roundAllocs(t *testing.T, cfg Config, plan *fault.Config, prepare func(h *H
 	for i := 0; i < ccfg.NP(); i++ {
 		h := fw.Host(i)
 		cl.K.Spawn(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
-			p.SetDaemon(true)
 			h.Bind(p)
 			round := prepare(h)
-			for n := sim.Time(1); ; n++ {
+			for n := sim.Time(1); n <= 4+2*20+1; n++ { // to the last measured period
 				round()
 				if h.Rank() == 0 {
 					rounds++
@@ -58,7 +57,7 @@ func roundAllocs(t *testing.T, cfg Config, plan *fault.Config, prepare func(h *H
 
 // budgetPlans are the plans every budget holds under: none, and a crash plan
 // whose only crash never comes, so the delivery counters are written into
-// host memory and counted by the hosts' counter daemons.
+// host memory and counted by the hosts' counter handlers.
 func budgetPlans() []rigPlan {
 	crash := fault.DefaultConfig(1)
 	crash.Crashes = []fault.Crash{{Proxy: 0, At: 1 << 60}}

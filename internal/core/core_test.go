@@ -645,6 +645,10 @@ func TestGroupSizeMismatchPanics(t *testing.T) {
 	}
 }
 
+// Proxies are event handlers, not processes: once the ranks have finished,
+// nothing is live and nothing is pending, with no Stop needed to unblock
+// anything. After Stop a proxy serves nothing more: an arriving request
+// wakes it, and it neither handles the request nor parks again.
 func TestFrameworkStopUnblocksProxies(t *testing.T) {
 	fw := runFw(t, 2, 1, DefaultConfig(), func(h *Host) {
 		buf := h.site.Space.Alloc(1024, true)
@@ -655,10 +659,21 @@ func TestFrameworkStopUnblocksProxies(t *testing.T) {
 		}
 	})
 	cl := fw.Cluster()
+	if cl.K.Live() != 0 || cl.K.Pending() != 0 {
+		t.Fatalf("%d processes live and %d events pending after the ranks finished, want none", cl.K.Live(), cl.K.Pending())
+	}
 	fw.Stop()
+	px := fw.Proxy(0)
+	handled := px.CtrlMsgs
+	h := fw.Host(0)
+	cl.K.Spawn("late", func(p *sim.Proc) {
+		h.Bind(p)
+		h.SendOffload(h.site.Space.Alloc(64, true).Addr(), 64, 1, 1)
+	})
 	cl.K.Run()
-	if cl.K.Live() != 0 {
-		t.Fatalf("%d proxies still live after Stop", cl.K.Live())
+	if px.CtrlMsgs != handled || cl.K.Live() != 0 || cl.K.Pending() != 0 {
+		t.Fatalf("after Stop the proxy handled %d more messages, with %d processes live and %d events pending; want none",
+			px.CtrlMsgs-handled, cl.K.Live(), cl.K.Pending())
 	}
 }
 

@@ -165,7 +165,10 @@ func (h *Host) progressFallback() {
 		if fb.idx == 0 {
 			bar.rewind(g.wire, fb.call-1)
 		}
-		if _, done := fb.advance(g.wire, bar, func(i int) { h.fbPostSend(fb, i) }); !done {
+		if _, done := fb.advance(g.wire, bar, func(i int) bool {
+			h.fbPostSend(fb, i)
+			return false
+		}); !done {
 			return
 		}
 		g.doneSeq = max(g.doneSeq, fb.call)

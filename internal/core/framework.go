@@ -157,7 +157,7 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 // ctrlPacket returns a control packet carrying pay. Packet and payload
 // come from free lists that their consumer refills, like the verbs flight
 // records: whoever counts a delivery notification (the proxy, or under a
-// crash plan the host's counter daemon) and the proxy's group replays, the
+// crash plan the host's counter handler) and the proxy's group replays, the
 // RTS/RTR packets as it queues their payloads, and a matched pair's payloads
 // once its FINs are out; the host recycles FINs and group completions and
 // failures, and gathered metadata once the send it matched has copied it.
@@ -234,39 +234,29 @@ func (fw *Framework) proxyFor(rank int) *Proxy {
 	return fw.proxies[node*fw.cl.Cfg.ProxiesPerDPU+fw.cl.ProxyOfRank(rank)]
 }
 
-// Stop asks all proxy worker processes to exit (Finalize_Offload). Call it
-// after the application processes have finished, then run the kernel once
-// more so the proxies unwind — this releases the goroutines (and therefore
-// the whole simulated cluster) for garbage collection.
-func (fw *Framework) Stop() {
-	fw.stopped = true
-	for _, px := range fw.proxies {
-		px.ctx.InboxCond.Broadcast()
-	}
-	for _, h := range fw.hosts {
-		h.dlvEP.InboxCond.Broadcast()
-	}
-}
+// Stop ends the proxies' service (Finalize_Offload): an engine finishes the
+// round it is in, and one that is idle does nothing more, whatever arrives.
+// The proxies are event handlers with no stack, so there is nothing to
+// unwind.
+func (fw *Framework) Stop() { fw.stopped = true }
 
-// Retire ends a finished (or deadlocked) run: it stops the proxies, runs the
-// kernel until they have unwound, and shuts the kernel down so whatever is
-// still parked on it — deadlocked ranks included — is released. Call it from
-// outside the simulation; the cluster is dead afterwards.
+// Retire ends a finished (or deadlocked) run: it stops the proxies and shuts
+// the kernel down, so whatever is still parked on it — deadlocked ranks
+// included — is released. Call it from outside the simulation; the cluster
+// is dead afterwards.
 func (fw *Framework) Retire() {
 	fw.Stop()
-	fw.cl.K.Run()
 	fw.cl.K.Shutdown()
 }
 
-// Start spawns the proxy worker processes and performs the Init_Offload
+// Start starts the proxies' progress engines and performs the Init_Offload
 // setup: every proxy generates its GVMI-ID, which is exchanged with all
 // processes in the global communicator (modelled as part of initialization,
 // before timing starts).
 func (fw *Framework) Start() {
 	for _, px := range fw.proxies {
-		px := px
 		px.gvmiID = fw.cl.GVMI.GenerateID(px.ctx)
-		px.spawn()
+		px.start()
 	}
 	// Schedule the fault plan's proxy crashes/restarts at their virtual
 	// times (Start runs at t=0, before the kernel).
@@ -282,27 +272,32 @@ func (fw *Framework) Start() {
 			}
 		}
 	}
-	// A host whose counters are written into its own memory runs a counter
-	// daemon: it models the destination HCA updating them — zero CPU cost,
-	// it only accounts arrivals and wakes the readers (the host's own wait
-	// loops and its proxy's progress engine).
+	// A host whose counters are written into its own memory has a counter
+	// handler: it models the destination HCA updating them.
 	for _, h := range fw.hosts {
-		if h.dlvEP == fw.proxyFor(h.rank).ctx {
-			continue
+		if h.dlvEP != fw.proxyFor(h.rank).ctx {
+			fw.cl.K.AtAction(0, (*dlvCounter)(h))
 		}
-		fw.cl.K.Spawn(h.dlvEP.Name(), func(p *sim.Proc) {
-			p.SetDaemon(true)
-			for !fw.stopped {
-				for _, pkt := range h.dlvEP.PollInbox() {
-					if h.countDelivery(pkt) {
-						h.ctx.InboxCond.Broadcast()
-						fw.proxyFor(h.rank).ctx.InboxCond.Broadcast()
-					}
-				}
-				if h.dlvEP.InboxLen() == 0 && !fw.stopped {
-					h.dlvEP.InboxCond.Wait(p)
-				}
-			}
-		})
 	}
+}
+
+// dlvCounter is the counter handler of a host whose delivery counters are
+// in its own memory: at no CPU cost, it accounts the notifications that
+// arrived and wakes the readers (the host's own wait loops and its proxy's
+// progress engine), then parks until the next arrival.
+type dlvCounter Host
+
+func (c *dlvCounter) Fire(sim.Time) {
+	h := (*Host)(c)
+	fw := h.fw
+	if fw.stopped {
+		return
+	}
+	for _, pkt := range h.dlvEP.PollInbox() {
+		if h.countDelivery(pkt) {
+			h.ctx.InboxCond.Broadcast()
+			fw.proxyFor(h.rank).ctx.InboxCond.Broadcast()
+		}
+	}
+	h.dlvEP.InboxCond.Park(fw.cl.K, c)
 }

@@ -161,20 +161,26 @@ func (w *walk) blocked(entries []wireOp, bar *recvBarrier) bool {
 // the host fallback: it posts send entries through post, accounts receive
 // entries in bar, and passes a barrier entry once it is not blocked. It
 // reports whether it moved, and whether the call is complete: every entry
-// walked, every send landed, every delivery in.
-func (w *walk) advance(entries []wireOp, bar *recvBarrier, post func(idx int)) (moved, done bool) {
+// walked, every send landed, every delivery in. A post that reports true —
+// the proxy's, whose posting is a costed call — ends the loop right after
+// its entry; calling advance again goes on from the next one.
+func (w *walk) advance(entries []wireOp, bar *recvBarrier, post func(idx int) (cut bool)) (moved, done bool) {
 	for !w.blocked(entries, bar) {
 		if w.idx == len(entries) {
 			return moved, true
 		}
+		cut := false
 		switch e := &entries[w.idx]; e.Type {
 		case OpSend:
-			post(w.idx)
+			cut = post(w.idx)
 		case OpRecv:
 			bar.expect(e.Src)
 		}
 		w.idx++
 		moved = true
+		if cut {
+			break
+		}
 	}
 	return moved, false
 }
@@ -318,7 +324,7 @@ func (px *Proxy) replayGroup(m *greplayMsg) {
 			// over to host-progressed execution.
 			f := px.fw.gfailFree.Get()
 			*f = gfailMsg{GroupID: m.GroupID, CallSeq: m.CallSeq}
-			px.ctx.PostSend(px.proc, px.fw.hosts[m.HostRank].ctx, px.fw.ctrlPacket("gfail", ctrlSize, f, 0))
+			px.send(px.fw.hosts[m.HostRank].ctx, px.fw.ctrlPacket("gfail", ctrlSize, f, 0))
 			return
 		}
 		panic(fmt.Sprintf("core: proxy %d: replay of unknown group %d/%d", px.global, m.HostRank, m.GroupID))
@@ -345,6 +351,11 @@ func (g *proxyGroup) active() bool { return g.running || g.finishedSeq < g.callS
 // arrived. When it cannot proceed it returns to the progress engine rather
 // than spinning — the deadlock-avoidance requirement called out in the
 // paper (one proxy may serve both ends of a dependency).
+//
+// A costed call — the warm-up, a send entry's transfer, the completion
+// notice — cuts the advance short, and the engine calls it again once the
+// cost is paid while the call is still running; a cut advance has always
+// progressed.
 func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 	progressed := false
 	if !g.running {
@@ -367,13 +378,17 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 		if px.fw.cfg.WarmupPerOp > 0 && g.finishedSeq < px.fw.cfg.WarmupCalls {
 			// First-iterations setup penalty (staging-buffer and queue
 			// setup per peer in the modelled baseline).
-			px.proc.AdvanceBusy(px.fw.cfg.WarmupPerOp * sim.Time(len(g.entries)))
+			px.eng.busy(px.fw.cfg.WarmupPerOp * sim.Time(len(g.entries)))
+			return true
 		}
 		progressed = true
 	} else if g.blocked(g.entries, g.bar) {
 		return false // the engine's usual answer: waiting on a write or a delivery
 	}
-	moved, done := g.advance(g.entries, g.bar, func(i int) { px.postGroupSend(g, i) })
+	moved, done := g.advance(g.entries, g.bar, func(i int) bool {
+		px.postGroupSend(g, i)
+		return true
+	})
 	if !done {
 		return progressed || moved
 	}
@@ -392,32 +407,28 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 	// the tail of the collective's critical path.
 	m := px.fw.gdoneFree.Get()
 	*m = gdoneMsg{GroupID: g.id, CallSeq: g.finishedSeq}
-	px.ctx.PostSend(px.proc, px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", ctrlSize, m, root))
+	px.send(px.fw.hosts[g.host].ctx, px.fw.ctrlPacket("gdone", ctrlSize, m, root))
 	return true
 }
 
 // postGroupSend issues the RDMA for one send entry on the datapath the
 // entry was recorded with; the entry's landed handler notifies the
-// destination's proxy on completion. A cross-registration returned by the
-// datapath is memoized per entry when the group cache is on, so replays skip
-// even the cache lookup.
+// destination's proxy on completion. The entry's cross-registration is
+// memoized when the group cache is on, so replays skip even the cache
+// lookup.
 func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
 	e := &g.entries[idx]
 	g.pending++
 	if px.sched != nil {
 		px.wireCharge(px.sched.ten.TenantOf[g.host], e.Size)
 	}
-	dp := datapath.ForKind(e.Path)
-	mr := dp.Execute(px, datapath.Transfer{
+	px.execute(e.Path, datapath.Transfer{
 		SrcHost: g.host, DstRank: e.Dst, Size: e.Size,
-		MKey: e.MKey, Cached: g.cachedMRs[idx],
+		MKey: e.MKey, MR: g.cachedMRs[idx],
 		SrcAddr: e.SrcAddr, SrcRKey: e.SrcRKey,
 		DstAddr: e.DstAddr, DstRKey: e.DstRKey,
 		Span: g.execSpan,
-	}, &g.sends[idx])
-	if mr != nil && px.fw.cfg.GroupCache {
-		g.cachedMRs[idx] = mr
-	}
+	}, &g.sends[idx], &g.cachedMRs[idx])
 }
 
 // groupSend is the remote-completion handler of send entry idx: when the
@@ -437,7 +448,7 @@ func (d *groupSendDone) Fire(sim.Time) {
 	g, px := d.g, d.g.px
 	g.pending--
 	e := &g.entries[d.idx]
-	px.ctx.PostSend(px.proc, px.fw.hosts[e.Dst].dlvEP, px.fw.dlvPacket(dlvMsg{
+	px.send(px.fw.hosts[e.Dst].dlvEP, px.fw.dlvPacket(dlvMsg{
 		SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
 		Call: g.finishedSeq + 1, Entry: d.idx,
 	}, g.execSpan))

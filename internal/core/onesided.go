@@ -131,7 +131,7 @@ func (h *Host) GetOffload(dst Window, dstOff int, src Window, srcOff, n int) *Of
 // publish cross-GVMI mkeys, so one-sided transfers always run the CrossGVMI
 // datapath — the owner's CPU never participates.
 func (px *Proxy) handleOneSided(m *oneSidedMsg) {
-	datapath.CrossGVMI{}.Execute(px, datapath.Transfer{
+	px.execute(datapath.KindCrossGVMI, datapath.Transfer{
 		SrcHost: m.SrcHost, DstRank: m.Initiator, Size: m.Size,
 		MKey:    m.SrcMKey,
 		SrcAddr: m.SrcAddr,
@@ -139,5 +139,5 @@ func (px *Proxy) handleOneSided(m *oneSidedMsg) {
 		Span: m.Span,
 	}, sim.Func(func(sim.Time) {
 		px.later(sim.Func(func(sim.Time) { px.sendFIN(m.Initiator, m.ReqID, m.Span) }))
-	}))
+	}), nil)
 }

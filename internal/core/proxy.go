@@ -18,8 +18,9 @@ import (
 type matchKey struct{ src, dst, tag int }
 
 // Proxy is a worker process on a BlueField DPU serving the host processes
-// mapped to it. Its progress engine runs as a dedicated daemon — the reason
-// offloaded patterns advance without host CPU intervention.
+// mapped to it. Its progress engine (engine.go) runs on the DPU whatever the
+// hosts do — the reason offloaded patterns advance without host CPU
+// intervention.
 type Proxy struct {
 	fw     *Framework
 	global int
@@ -29,7 +30,7 @@ type Proxy struct {
 	site   *cluster.Site
 	ctx    *verbs.Ctx
 	dsaCtx *verbs.Ctx // posts through the node's DSA engine port; nil without one
-	proc   *sim.Proc
+	eng    *engine    // the engine's current life; nil while crashed
 	gvmiID gvmi.ID
 
 	// Crash state (fault injection). gen counts crash/restart transitions:
@@ -94,16 +95,28 @@ func (x *xfer) Fire(at sim.Time) {
 	x.px.later((*xferDone)(x))
 }
 
-// xferDone FINs both hosts of a landed pair, then returns the record and the
-// pair's payloads to their free lists.
+// xferDone FINs the sender of a landed pair, and its twin xferFin the
+// receiver, once the first FIN is posted. Each FIN flight parents to the
+// respective host's root span — the completion notification is the tail of
+// that operation's critical path.
 type xferDone xfer
 
 func (d *xferDone) Fire(sim.Time) {
 	x := (*xfer)(d)
+	x.px.sendFIN(x.pr.rts.Src, x.pr.rts.SrcReqID, x.pr.rts.Span)
+	x.px.eng.then = (*xferFin)(x)
+}
+
+// xferFin FINs the receiver, then returns the record and the pair's
+// payloads to their free lists.
+type xferFin xfer
+
+func (f *xferFin) Fire(sim.Time) {
+	x := (*xfer)(f)
 	px, pr := x.px, x.pr
-	px.finish(pr)
 	x.pr, x.ts = pairMsg{}, 0
 	px.fw.xferFree.Put(x)
+	px.sendFIN(pr.rtr.Dst, pr.rtr.DstReqID, pr.rtr.Span)
 	recycle(&px.fw.rtsFree, pr.rts)
 	recycle(&px.fw.rtrFree, pr.rtr)
 }
@@ -159,79 +172,12 @@ func (px *Proxy) sampleQueueDepth() {
 // spans returns the cluster's span collector (nil when tracing is off).
 func (px *Proxy) spans() *span.Collector { return px.fw.cl.Spans }
 
-// spawn starts the proxy's progress engine as a new daemon process: at
-// Start, and again at every restart.
-func (px *Proxy) spawn() {
-	px.proc = px.fw.cl.K.Spawn(px.entity, func(p *sim.Proc) {
-		p.SetDaemon(true)
-		px.run(p)
-	})
-}
-
-// run is the proxy progress engine (Figure 8 / Algorithm 1): drain control
-// messages, fire matched transfers, resume blocked group schedules, repeat.
-func (px *Proxy) run(p *sim.Proc) {
-	for !px.fw.stopped {
-		progressed := false
-		if px.sched != nil {
-			progressed = px.tenantRound()
-		} else {
-			for _, pkt := range px.ctx.PollInbox() {
-				px.handle(pkt)
-				progressed = true
-			}
-		}
-		for len(px.deferred) > 0 {
-			acts := px.deferred
-			px.deferred = px.drained[:0]
-			for _, a := range acts {
-				a.Fire(p.Now())
-			}
-			clear(acts)
-			px.drained = acts
-			progressed = true
-		}
-		if len(px.combined) > 0 {
-			pairs := px.combined
-			px.combined = px.paired[:0]
-			for _, pr := range pairs {
-				if s := px.sched; s != nil {
-					t, size := s.ten.TenantOf[pr.rts.Src], pr.rts.Size
-					t0 := px.proc.Now()
-					px.transfer(pr)
-					s.addBusy(t, px.proc.Now()-t0)
-					px.wireCharge(t, size)
-				} else {
-					px.transfer(pr)
-				}
-			}
-			clear(pairs)
-			px.paired = pairs
-			progressed = true
-		}
-		if px.sched != nil {
-			if px.tenantGroupRound() {
-				progressed = true
-			}
-		} else {
-			for _, g := range px.groupList {
-				if g.active() && px.advanceGroup(g) {
-					progressed = true
-				}
-			}
-		}
-		if !progressed && px.idle() {
-			px.ctx.InboxCond.Wait(p)
-		}
-	}
-}
-
 func (px *Proxy) idle() bool {
 	return px.ctx.InboxLen() == 0 && len(px.deferred) == 0 && len(px.combined) == 0
 }
 
 // crash kills the proxy process at the scheduled virtual time (handler
-// context), wherever it is parked, even mid-round: all in-memory state —
+// context), wherever its engine stands, even mid-round: all in-memory state —
 // match queues, group cache, staging pool — is lost. Delivery counters in
 // host memory survive. RDMA operations already on the wire still land (the
 // HCA completes them), but the dead software never sends their
@@ -243,7 +189,7 @@ func (px *Proxy) crash() {
 	}
 	fw := px.fw
 	now := fw.cl.K.Now()
-	px.proc.Kill()
+	px.eng = nil
 	px.crashed = true
 	px.crashedAt = now
 	px.gen++
@@ -286,7 +232,7 @@ func (px *Proxy) restart() {
 	px.crashed = false
 	px.gen++
 	px.ctx.PollInbox()
-	px.spawn()
+	px.start()
 	fw.cl.Met.Counter("core", px.entity, "restarts").Inc()
 	if inj := fw.cl.Inj; inj != nil {
 		inj.Stats.Restarts++
@@ -299,9 +245,9 @@ func (px *Proxy) restart() {
 	}
 }
 
-// handle dispatches one control message (Figure 8's DPU handler).
-func (px *Proxy) handle(pkt *verbs.Packet) {
-	px.proc.AdvanceBusy(proxyHandleCost)
+// dispatch acts on one control message whose parsing (proxyHandleCost) is
+// paid for (Figure 8's DPU handler).
+func (px *Proxy) dispatch(pkt *verbs.Packet) {
 	px.CtrlMsgs++
 	switch m := pkt.Payload.(type) {
 	case *rtsMsg:
@@ -352,40 +298,15 @@ func popHead[T any](qs map[matchKey][]*T, k matchKey) (*T, bool) {
 // transfer moves one matched basic-primitive pair on the datapath the
 // sender chose (carried in the RTS), then FINs both hosts.
 func (px *Proxy) transfer(pr pairMsg) {
-	dp := datapath.ForKind(pr.rts.Path)
 	x := px.fw.xferFree.Get()
-	x.px, x.pr, x.ts = px, pr, px.transferSpan(pr, dp.Kind().String())
-	dp.Execute(px, datapath.Transfer{
+	x.px, x.pr, x.ts = px, pr, px.transferSpan(pr, pr.rts.Path.String())
+	px.execute(pr.rts.Path, datapath.Transfer{
 		SrcHost: pr.rts.Src, DstRank: pr.rtr.Dst, Size: pr.rts.Size,
 		MKey:    pr.rts.MKey,
 		SrcAddr: pr.rts.SrcAddr, SrcRKey: pr.rts.SrcRKey,
 		DstAddr: pr.rtr.DstAddr, DstRKey: pr.rtr.RKey,
 		Span: x.ts,
-	}, x)
-}
-
-// crossReg cross-registers a host mkey (through the cache when enabled,
-// keyed by source host rank per Section VII-B). The span is created inside
-// the create closure so cache hits — which cost nothing — record nothing.
-func (px *Proxy) crossReg(srcHost int, info gvmi.MKeyInfo, parent span.ID) *verbs.MR {
-	create := func() *verbs.MR {
-		var s span.ID
-		if sp := px.spans(); sp.Enabled() {
-			s = sp.Start(parent, span.ClassHCA, px.entity, "verbs", "cross_reg")
-			sp.AttrInt(s, "size", int64(info.Size))
-		}
-		mr, err := px.fw.cl.GVMI.CrossRegister(px.proc, px.ctx, info)
-		if err != nil {
-			panic(fmt.Sprintf("core: proxy %d cross-registration: %v", px.global, err))
-		}
-		px.spans().End(s)
-		return mr
-	}
-	if !px.fw.cfg.RegCaches {
-		return create()
-	}
-	mr, _ := px.crossCache.GetOrCreate(srcHost, info.Addr, info.Size, create)
-	return mr
+	}, x, nil)
 }
 
 // transferSpan opens the proxy-side "transfer" span of a matched pair,
@@ -404,19 +325,11 @@ func (px *Proxy) transferSpan(pr pairMsg, mech string) span.ID {
 	return ts
 }
 
-// finish sends the FIN packets to both hosts of a completed pair. Each FIN
-// flight parents to the respective host's root span — the completion
-// notification is the tail of that operation's critical path.
-func (px *Proxy) finish(pr pairMsg) {
-	px.sendFIN(pr.rts.Src, pr.rts.SrcReqID, pr.rts.Span)
-	px.sendFIN(pr.rtr.Dst, pr.rtr.DstReqID, pr.rtr.Span)
-}
-
 func (px *Proxy) sendFIN(hostRank int, reqID int64, root span.ID) {
 	fw := px.fw
 	fin := fw.finFree.Get()
 	fin.ReqID = reqID
-	px.ctx.PostSend(px.proc, fw.hosts[hostRank].ctx, fw.ctrlPacket("fin", ctrlSize, fin, root))
+	px.send(fw.hosts[hostRank].ctx, fw.ctrlPacket("fin", ctrlSize, fin, root))
 }
 
 // later queues a for the next engine round (used from completion handlers,

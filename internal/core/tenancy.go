@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -255,101 +254,4 @@ func (s *tenantSched) charge(t int, d sim.Time) {
 // arbitration must ration.
 func (px *Proxy) wireCharge(t, size int) {
 	px.sched.charge(t, px.fw.cl.Cfg.DPUPort.XferTime(size))
-}
-
-// tenantGroupRound advances active group schedules with per-tenant
-// arbitration. Under FIFO every group advances once in install order (the
-// no-isolation baseline). Under weighted fair scheduling each grant is a
-// single group advancement given to the tenant with the least consumed
-// weighted pass; the pass grows by the wire time of whatever the grant
-// posted (over the tenant's weight), and the order re-evaluates after
-// every grant. The quantum matters: when several tenants hold postable
-// work at the same virtual instant, per-grant re-sorting is what
-// interleaves their RDMA onto the shared port in weight proportion —
-// coarser grants would let install order decide the wire order. A tenant
-// whose groups cannot progress (waiting on remote deliveries) falls
-// through to the next, so arbitration never blocks the engine.
-func (px *Proxy) tenantGroupRound() bool {
-	s := px.sched
-	if s.ten.FIFO {
-		progressed := false
-		for _, g := range px.groupList {
-			if !g.active() {
-				continue
-			}
-			t := s.ten.TenantOf[g.host]
-			t0 := px.proc.Now()
-			adv := px.advanceGroup(g)
-			s.addBusy(t, px.proc.Now()-t0)
-			if adv {
-				progressed = true
-			}
-		}
-		return progressed
-	}
-	progressed := false
-	for {
-		var tenants []int
-		seen := make(map[int]bool)
-		for _, g := range px.groupList {
-			if t := s.ten.TenantOf[g.host]; g.active() && !seen[t] {
-				seen[t] = true
-				tenants = append(tenants, t)
-			}
-		}
-		sort.SliceStable(tenants, func(a, b int) bool { return s.pass[tenants[a]] < s.pass[tenants[b]] })
-		served := false
-	grant:
-		for _, t := range tenants {
-			for _, g := range px.groupList {
-				if !g.active() || s.ten.TenantOf[g.host] != t {
-					continue
-				}
-				t0 := px.proc.Now()
-				adv := px.advanceGroup(g)
-				s.addBusy(t, px.proc.Now()-t0)
-				if adv {
-					served = true
-					break grant // one grant, then re-evaluate pass order
-				}
-			}
-		}
-		if !served {
-			return progressed
-		}
-		progressed = true
-	}
-}
-
-// tenantRound is the tenant-mode control loop body: poll arrivals into the
-// per-tenant queues, then dispatch until the queues drain, re-polling after
-// every dispatch so packets arriving while a handler advanced virtual time
-// enter the arbitration immediately. Reports whether anything happened.
-func (px *Proxy) tenantRound() bool {
-	s := px.sched
-	progressed := false
-	poll := func() {
-		for _, pkt := range px.ctx.PollInbox() {
-			s.enqueue(pkt)
-			progressed = true
-		}
-	}
-	poll()
-	for s.queued > 0 {
-		t, qp := s.pick()
-		if !s.ten.FIFO {
-			s.vtime = s.pass[t]
-		}
-		// Head-of-line delay: how much proxy time went to other tenants
-		// while this packet sat queued.
-		s.mWait[t].Observe((s.totalBusy - s.busy[t]) - qp.othersBusy)
-		s.mDispatch[t].Inc()
-		t0 := px.proc.Now()
-		px.handle(qp.pkt)
-		s.addBusy(t, px.proc.Now()-t0)
-		s.mDepth[t].Set(float64(len(s.q[t])))
-		progressed = true
-		poll()
-	}
-	return progressed
 }

@@ -125,8 +125,8 @@ const (
 )
 
 // Stage is a registered DPU staging buffer, leased from the executor's pool
-// by AcquireStage and returned by ReleaseStage (Staged path only). The
-// executor builds it and fills in the buffer fields; the rest is the state
+// before Execute (Transfer.Stage) and returned by ReleaseStage (Staged path
+// only). The executor builds it and fills in the buffer fields; the rest is the state
 // of the one transfer that holds the lease, so a staged send rides its lease
 // and allocates nothing. The stage is itself the completion handler of its
 // read and its write (Fire), and its twin stageStep the deferred step that
@@ -152,11 +152,7 @@ type Exec interface {
 	// PostWrite / PostRead post RDMA from the proxy's context.
 	PostWrite(op verbs.WriteOp) error
 	PostRead(op verbs.ReadOp) error
-	// CrossReg cross-registers a host mkey (through the proxy's cache when
-	// enabled), recording the work under parent.
-	CrossReg(srcHost int, info gvmi.MKeyInfo, parent span.ID) *verbs.MR
-	// AcquireStage / ReleaseStage lease DPU staging buffers.
-	AcquireStage(size int, parent span.ID) *Stage
+	// ReleaseStage returns a staging lease to the executor's pool.
 	ReleaseStage(*Stage)
 	// Later defers a to the executor's next progress round (completion
 	// handlers run in kernel handler context).
@@ -177,10 +173,15 @@ type Transfer struct {
 	DstRank int // destination rank (trace detail only)
 	Size    int
 
-	// CrossGVMI source: the host-registered GVMI mkey, plus an optional
-	// memoized cross-registration (group replays cache it per entry).
-	MKey   gvmi.MKeyInfo
-	Cached *verbs.MR
+	// CrossGVMI source: the host-registered GVMI mkey, and its
+	// cross-registration, which the executor resolves before Execute
+	// (through its caches, or by registering).
+	MKey gvmi.MKeyInfo
+	MR   *verbs.MR
+
+	// Staged: the staging lease of at least Size bytes the executor took
+	// for the transfer before Execute.
+	Stage *Stage
 
 	// Source address, and — Staged path — the plain IB rkey the proxy
 	// reads through.
@@ -195,21 +196,22 @@ type Transfer struct {
 	Span span.ID
 }
 
-// Datapath is one data-movement path. Execute posts the RDMA sequence for
-// one transfer and arranges for landed to run — in kernel handler context,
+// Datapath is one data-movement path. Execute posts the first work request
+// of one transfer — the one costed call it makes, and its last — and
+// arranges for landed to run — in kernel handler context,
 // so it may only queue work (Exec.Later) — when the data has fully landed
 // in the destination memory (for Staged, after the staging buffer's return
 // to the pool has been queued, so whatever landed defers runs behind it).
 // No path builds a closure: the single-write paths hand landed to the HCA as
 // it is, and Staged keeps it in the leased Stage, so a caller whose pooled
 // record is its own landed handler (group entries and proxy transfer
-// records are) posts without allocating. Execute returns the
-// cross-registration it used (CrossGVMI only; nil otherwise) so callers may
-// memoize it.
+// records are) posts without allocating. The resources a path
+// posts with are resolved by the executor first: the cross-registration for
+// CrossGVMI (t.MR), the staging lease for Staged (t.Stage).
 type Datapath interface {
 	Kind() Kind
 	SrcReg() SrcReg
-	Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR
+	Execute(x Exec, t Transfer, landed sim.Action)
 }
 
 // ForKind returns the shared implementation of a proxy-executable kind.
@@ -244,14 +246,10 @@ func (CrossGVMI) Kind() Kind { return KindCrossGVMI }
 func (CrossGVMI) SrcReg() SrcReg { return RegGVMI }
 
 // Execute implements Datapath.
-func (CrossGVMI) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
-	mr := t.Cached
-	if mr == nil {
-		mr = x.CrossReg(t.SrcHost, t.MKey, t.Span)
-	}
+func (CrossGVMI) Execute(x Exec, t Transfer, landed sim.Action) {
 	x.CountWrite()
 	err := x.PostWrite(verbs.WriteOp{
-		LocalKey: mr.LKey(), LocalAddr: t.SrcAddr,
+		LocalKey: t.MR.LKey(), LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
 		Size:             t.Size,
 		Span:             t.Span,
@@ -260,7 +258,6 @@ func (CrossGVMI) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
 	if err != nil {
 		panic(fmt.Sprintf("datapath: gvmi write: %v", err))
 	}
-	return mr
 }
 
 // ---------------------------------------------------------------------------
@@ -280,8 +277,8 @@ func (Staged) SrcReg() SrcReg { return RegIB }
 // Execute implements Datapath. The transfer rides its staging lease: the
 // read's completion queues the write, and the write's queues the lease's
 // return and then reports the landing.
-func (Staged) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
-	s := x.AcquireStage(t.Size, t.Span)
+func (Staged) Execute(x Exec, t Transfer, landed sim.Action) {
+	s := t.Stage
 	s.x, s.landed, s.wrote = x, landed, false
 	s.dstAddr, s.dstRKey, s.size, s.span = t.DstAddr, t.DstRKey, t.Size, t.Span
 	x.CountStaged()
@@ -296,7 +293,6 @@ func (Staged) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
 	if err != nil {
 		panic(fmt.Sprintf("datapath: staged read: %v", err))
 	}
-	return nil
 }
 
 // Fire completes the read, then the write (kernel handler context).
@@ -353,7 +349,7 @@ func (DSA) Kind() Kind { return KindDSA }
 func (DSA) SrcReg() SrcReg { return RegIB }
 
 // Execute implements Datapath.
-func (DSA) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
+func (DSA) Execute(x Exec, t Transfer, landed sim.Action) {
 	x.CountWrite()
 	err := x.PostEngineWrite(verbs.WriteOp{
 		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,
@@ -365,7 +361,6 @@ func (DSA) Execute(x Exec, t Transfer, landed sim.Action) *verbs.MR {
 	if err != nil {
 		panic(fmt.Sprintf("datapath: dsa write: %v", err))
 	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -399,6 +394,6 @@ func (HostDirect) SrcReg() SrcReg { return RegNone }
 
 // Execute implements Datapath. HostDirect transfers never reach a proxy;
 // route them through a HostPoster instead.
-func (HostDirect) Execute(Exec, Transfer, sim.Action) *verbs.MR {
+func (HostDirect) Execute(Exec, Transfer, sim.Action) {
 	panic("datapath: HostDirect transfers are posted by the host, not a proxy")
 }

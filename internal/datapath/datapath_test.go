@@ -3,9 +3,7 @@ package datapath
 import (
 	"testing"
 
-	"repro/internal/gvmi"
 	"repro/internal/sim"
-	"repro/internal/span"
 	"repro/internal/verbs"
 )
 
@@ -133,11 +131,12 @@ type stageExec struct {
 	queuedAtLanded int
 }
 
-func (x *stageExec) PostWrite(op verbs.WriteOp) error               { x.write = op; return nil }
-func (x *stageExec) PostRead(op verbs.ReadOp) error                 { x.read = op; return nil }
-func (x *stageExec) PostEngineWrite(verbs.WriteOp) error            { x.counts[3]++; return nil }
-func (x *stageExec) CrossReg(int, gvmi.MKeyInfo, span.ID) *verbs.MR { panic("no cross-registration") }
-func (x *stageExec) AcquireStage(size int, _ span.ID) *Stage {
+func (x *stageExec) PostWrite(op verbs.WriteOp) error    { x.write = op; return nil }
+func (x *stageExec) PostRead(op verbs.ReadOp) error      { x.read = op; return nil }
+func (x *stageExec) PostEngineWrite(verbs.WriteOp) error { x.counts[3]++; return nil }
+
+// acquire leases the one staging buffer, as an executor does before Execute.
+func (x *stageExec) acquire(size int) *Stage {
 	if x.leased || size > x.stage.Cap {
 		panic("stage already leased, or too small")
 	}
@@ -181,6 +180,7 @@ func TestStagedRidesItsLeaseAllocFree(t *testing.T) {
 	tr := Transfer{Size: 4000, SrcAddr: 0x9000, SrcRKey: 3, DstAddr: 0x5000, DstRKey: 5, Span: 11}
 	transfer := func() {
 		x.read, x.write = verbs.ReadOp{}, verbs.WriteOp{}
+		tr.Stage = x.acquire(tr.Size)
 		Staged{}.Execute(x, tr, landed)
 		x.read.OnComplete.Fire(1)
 		x.runLater(t)

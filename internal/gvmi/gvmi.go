@@ -167,28 +167,54 @@ func (m *Manager) RegisterHost(p *sim.Proc, hostCtx *verbs.Ctx, addr mem.Addr, s
 // host-supplied parameters and mints mkey2 — a verbs MR owned by the DPU
 // context but backed by the host buffer, usable as the lkey of RDMA writes
 // the proxy posts on the host's behalf. p is charged the cross-registration
-// cost.
+// cost. It is StartCross, p paying the cost, and Finish.
 func (m *Manager) CrossRegister(p *sim.Proc, dpuCtx *verbs.Ctx, info MKeyInfo) (*verbs.MR, error) {
+	x, err := m.StartCross(dpuCtx, info)
+	if err != nil {
+		return nil, err
+	}
+	p.AdvanceBusy(x.Cost())
+	return x.Finish(), nil
+}
+
+// Crossing is a validated cross-registration whose cost is being paid, for
+// a registrant that is not a process: StartCross validates and accounts it,
+// and Finish, once Cost has been paid, mints mkey2.
+type Crossing struct {
+	m     *Manager
+	ctx   *verbs.Ctx
+	space *mem.Space
+	info  MKeyInfo
+}
+
+// StartCross validates the host-supplied parameters against the host
+// registration and accounts the cross-registration; see Crossing.
+func (m *Manager) StartCross(dpuCtx *verbs.Ctx, info MKeyInfo) (Crossing, error) {
 	owner, ok := m.owners[info.Gvmi]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownGVMI, info.Gvmi)
+		return Crossing{}, fmt.Errorf("%w: %d", ErrUnknownGVMI, info.Gvmi)
 	}
 	if owner != dpuCtx {
-		return nil, fmt.Errorf("%w: id %d", ErrWrongOwner, info.Gvmi)
+		return Crossing{}, fmt.Errorf("%w: id %d", ErrWrongOwner, info.Gvmi)
 	}
 	ent := m.entry(info.MKey)
 	if ent == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownMKey, info.MKey)
+		return Crossing{}, fmt.Errorf("%w: %d", ErrUnknownMKey, info.MKey)
 	}
 	if ent.info != info {
-		return nil, fmt.Errorf("%w: got %+v want %+v", ErrMKeyMismatch, info, ent.info)
+		return Crossing{}, fmt.Errorf("%w: got %+v want %+v", ErrMKeyMismatch, info, ent.info)
 	}
-	cost := m.costs.CrossRegCost(info.Size)
 	m.CrossRegs++
-	m.CrossRegTime += cost
-	p.AdvanceBusy(cost)
+	m.CrossRegTime += m.costs.CrossRegCost(info.Size)
+	return Crossing{m: m, ctx: dpuCtx, space: ent.space, info: info}, nil
+}
 
-	return m.reg.InsertForeignMR(dpuCtx, ent.space, info.Addr, info.Size), nil
+// Cost returns the CPU time the cross-registration takes.
+func (x Crossing) Cost() sim.Time { return x.m.costs.CrossRegCost(x.info.Size) }
+
+// Finish mints mkey2 once the cost has been paid.
+func (x Crossing) Finish() *verbs.MR {
+	return x.m.reg.InsertForeignMR(x.ctx, x.space, x.info.Addr, x.info.Size)
 }
 
 // InvalidateHost removes an mkey (host buffer freed / cache eviction).

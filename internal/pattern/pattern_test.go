@@ -146,8 +146,8 @@ const deadlockSpec = `
 1 send 0 4K
 `
 
-// Run retires its simulation on every way out: proxy daemons and deadlocked
-// ranks are unwound, so repeated runs leave no goroutine behind, and the
+// Run retires its simulation on every way out: deadlocked ranks are
+// unwound, so repeated runs leave no goroutine behind, and the
 // deadlock report names the blocked ranks. The count may fall below the
 // baseline (under -race a goroutine was still exiting when it was read) but
 // never rise above it.

@@ -291,9 +291,6 @@ func (k *Kernel) drive(self *Proc) outcome {
 		k.stats.Fired++
 		switch {
 		case p != nil:
-			if p.state >= procKilled {
-				continue
-			}
 			k.stats.Wakeups++
 			p.state = procRunning
 			k.running = p
@@ -391,10 +388,10 @@ var errShutdown = errors.New("sim: kernel shut down")
 // process's coroutine makes its yield return false, and it unwinds via a
 // sentinel panic that its Spawn wrapper recovers; a spawned-but-never-started
 // process ends without running its body. Without it, a kernel abandoned with
-// blocked processes (deadlock reports, RunUntil stopping early, daemons
-// whose wakeup never came) leaks one parked goroutine per process for the
-// life of the OS process — benchmark sweeps build thousands of kernels, so
-// bench/test helpers call Shutdown on every kernel they retire.
+// blocked processes (deadlock reports, RunUntil stopping early) leaks one
+// parked goroutine per process for the life of the OS process — benchmark
+// sweeps build thousands of kernels, so bench/test helpers call Shutdown on
+// every kernel they retire.
 //
 // Shutdown must be called from outside the kernel (not from a process or
 // handler). Afterwards the kernel is dead: Spawn, Run, RunUntil, and every
@@ -426,14 +423,14 @@ func (k *Kernel) reraise() {
 	}
 }
 
-// collectDeadlocked records non-daemon processes that are blocked with no
-// pending event left to wake them.
+// collectDeadlocked records the processes that are blocked with no pending
+// event left to wake them.
 func (k *Kernel) collectDeadlocked() {
 	if k.live == 0 {
 		return
 	}
 	for _, p := range k.procs {
-		if p.state == procBlocked && !p.daemon {
+		if p.state == procBlocked {
 			k.Deadlocked = append(k.Deadlocked, p)
 		}
 	}
@@ -485,7 +482,7 @@ func (k *Kernel) Run() Time {
 // events beyond the deadline remain queued; the clock is advanced to the
 // deadline. It returns the number of events fired. Like Run, it populates
 // k.Deadlocked when it drains the whole queue (not merely reaches the
-// deadline) with blocked non-daemon processes remaining.
+// deadline) with blocked processes remaining.
 func (k *Kernel) RunUntil(deadline Time) int {
 	if k.dead {
 		panic("sim: RunUntil on a kernel after Shutdown")

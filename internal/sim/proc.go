@@ -8,14 +8,13 @@ const (
 	procReady procState = iota
 	procRunning
 	procBlocked
-	procKilled // ended by Kill: never resumed, its coroutine parked until Shutdown
 	procDone
 )
 
 // Proc is a simulated process: a coroutine that executes in virtual time.
-// All Proc methods but Kill must be called from the process's own stack
-// while it has control (i.e. from inside the function passed to Spawn,
-// directly or indirectly).
+// All Proc methods must be called from the process's own stack while it has
+// control (i.e. from inside the function passed to Spawn, directly or
+// indirectly).
 type Proc struct {
 	k     *Kernel
 	id    int
@@ -27,13 +26,7 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-
-	daemon bool
 }
-
-// SetDaemon marks the process as a daemon: it is expected to block forever
-// (e.g. a progress engine) and is excluded from deadlock reporting.
-func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
 // ID returns the process's kernel-unique identifier.
 func (p *Proc) ID() int { return p.id }
@@ -87,28 +80,10 @@ func (p *Proc) exit() {
 	k.running = nil
 }
 
-// done marks p finished. Live stops counting it here unless Kill already did.
+// done marks p finished.
 func (p *Proc) done() {
-	if p.state != procKilled {
-		p.k.live--
-	}
-	p.state = procDone
-}
-
-// Kill ends the process from handler context (an event callback, not a
-// process body): it is never resumed again, and a wake-up still pending for
-// it is dropped, as for a finished process. Live stops counting it at once;
-// Shutdown unwinds its parked coroutine. Killing a finished or killed
-// process does nothing.
-func (p *Proc) Kill() {
-	if p.k.running != nil {
-		panic(fmt.Sprintf("sim: Kill(%q) called from proc %q", p.name, p.k.running.name))
-	}
-	if p.state >= procKilled {
-		return
-	}
-	p.state = procKilled
 	p.k.live--
+	p.state = procDone
 }
 
 // Sleep advances the process's virtual time by d. Other events and processes
@@ -128,35 +103,56 @@ func (p *Proc) Sleep(d Time) {
 // (compute, posting overheads), as opposed to waiting.
 func (p *Proc) AdvanceBusy(d Time) { p.Sleep(d) }
 
-// Cond is a condition variable for simulated processes. It has no associated
-// lock (the simulation is single-threaded); use it with a predicate loop:
+// Cond is a condition variable for simulated processes and event handlers.
+// It has no associated lock (the simulation is single-threaded); use it with
+// a predicate loop:
 //
 //	for !pred() {
 //	    cond.Wait(p)
 //	}
 //
-// Broadcast may be called from any context (another process or an event
-// handler).
+// An event handler waits by parking an Action on it (Park), which the next
+// Broadcast schedules. Broadcast may be called from any context (a process
+// or an event handler).
 type Cond struct {
-	waiters []*Proc
+	waiters []waiter
+}
+
+// waiter is a process blocked in Wait, or an Action parked on k.
+type waiter struct {
+	k *Kernel
+	p *Proc
+	a Action
 }
 
 // Wait blocks p until the condition is signalled. Spurious wakeups are
 // possible by design; always re-check the predicate.
 func (c *Cond) Wait(p *Proc) {
 	p.checkRunning()
-	c.waiters = append(c.waiters, p)
+	c.waiters = append(c.waiters, waiter{k: p.k, p: p})
 	p.block()
 }
 
-// Broadcast wakes all waiting processes at the current virtual time. The
-// waiter list is emptied in place — scheduling a wake-up never re-enters
-// Wait — so a Cond in steady use keeps its backing array and Wait does not
-// allocate.
+// Park is Wait for code that is not a process: the next Broadcast schedules
+// a on k at the broadcast's instant, in the same order as the processes
+// waiting with it, as if a were a process woken there. a is scheduled once;
+// it parks again if it wants the following broadcast too.
+func (c *Cond) Park(k *Kernel, a Action) {
+	c.waiters = append(c.waiters, waiter{k: k, a: a})
+}
+
+// Broadcast wakes all waiting processes and schedules all parked Actions at
+// the current virtual time. The waiter list is emptied in place — scheduling
+// a wake-up never re-enters Wait — so a Cond in steady use keeps its backing
+// array and Wait does not allocate.
 func (c *Cond) Broadcast() {
 	for i, w := range c.waiters {
-		w.k.scheduleProc(w.k.now, w)
-		c.waiters[i] = nil
+		if w.p != nil {
+			w.k.scheduleProc(w.k.now, w.p)
+		} else {
+			w.k.AtAction(0, w.a)
+		}
+		c.waiters[i] = waiter{}
 	}
 	c.waiters = c.waiters[:0]
 }

@@ -239,7 +239,7 @@ func TestRunUntilPanicsOnPastEvent(t *testing.T) {
 }
 
 // Regression: RunUntil never populated Deadlocked; when it drains the whole
-// queue with blocked non-daemon processes left, it must report them like Run.
+// queue with blocked processes left, it must report them like Run.
 func TestRunUntilReportsDeadlock(t *testing.T) {
 	k := NewKernel()
 	var c Cond
@@ -389,37 +389,39 @@ func TestPropertyProcIsolation(t *testing.T) {
 	}
 }
 
-func TestDaemonExcludedFromDeadlock(t *testing.T) {
+// An Action parked on a Cond is not a process: it is neither live nor
+// reported as deadlocked while it waits, and a Broadcast schedules it in
+// waiter order with the processes waiting alongside it, once.
+func TestParkedActionNotDeadlocked(t *testing.T) {
 	k := NewKernel()
 	var cond Cond
-	k.Spawn("daemon", func(p *Proc) {
-		p.SetDaemon(true)
-		for {
-			cond.Wait(p)
-		}
+	var log []string
+	fired := 0
+	cond.Park(k, Func(func(at Time) {
+		fired++
+		log = append(log, fmt.Sprintf("action@%d", at))
+	}))
+	k.Spawn("waiter", func(p *Proc) {
+		cond.Wait(p)
+		log = append(log, fmt.Sprintf("waiter@%d", p.Now()))
 	})
-	k.Spawn("worker", func(p *Proc) { p.Sleep(100) })
-	k.Run()
-	if len(k.Deadlocked) != 0 {
-		t.Fatalf("daemon reported as deadlocked: %v", k.Deadlocked)
-	}
-	if k.Live() != 1 {
-		t.Fatalf("Live = %d, want 1 (the daemon)", k.Live())
-	}
-}
-
-func TestDaemonFlagReadable(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("d", func(p *Proc) {
-		if p.daemon {
-			t.Error("daemon flag set before SetDaemon")
-		}
-		p.SetDaemon(true)
-		if !p.daemon {
-			t.Error("daemon flag not set")
-		}
+	k.Spawn("signaller", func(p *Proc) {
+		p.Sleep(100)
+		cond.Broadcast()
+		cond.Broadcast() // both waiters were taken by the first
 	})
 	k.Run()
+	if len(k.Deadlocked) != 0 || k.Live() != 0 {
+		t.Fatalf("deadlocked %v, live %d; want none", k.Deadlocked, k.Live())
+	}
+	if want := "[action@100 waiter@100]"; fmt.Sprint(log) != want || fired != 1 {
+		t.Fatalf("fired %d times, log %v; want once, %s", fired, log, want)
+	}
+	cond.Park(k, Func(func(Time) { fired++ }))
+	k.Run()
+	if fired != 1 || len(k.Deadlocked) != 0 {
+		t.Fatalf("a parked action with no broadcast fired (%d) or deadlocked %v", fired, k.Deadlocked)
+	}
 }
 
 func TestPendingAndProcs(t *testing.T) {

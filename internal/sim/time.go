@@ -5,7 +5,8 @@
 // (Proc) are coroutines that run one at a time under kernel control; a
 // process advances the virtual clock by sleeping (Sleep, AdvanceBusy) or by
 // blocking on a condition (Cond) until another process or event handler
-// signals it. Because exactly one process runs at any instant and ties in
+// signals it. Event handlers (Action, Func) run to completion when their
+// time comes and have no stack of their own; one can park on a Cond too. Because exactly one process runs at any instant and ties in
 // the event queue are broken by insertion order, every simulation run is
 // fully deterministic.
 //

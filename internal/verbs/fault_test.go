@@ -299,14 +299,7 @@ func retryOutcome(t *testing.T, traced bool) []byte {
 	}
 	var log bytes.Buffer
 	note := func(what string, i int, at sim.Time) { fmt.Fprintf(&log, "%s %d at %d\n", what, i, at) }
-	rg.k.Spawn("recv", func(p *sim.Proc) {
-		for {
-			rg.ctx[1].AwaitInbox(p)
-			for _, pkt := range rg.ctx[1].PollInbox() {
-				note("send arrived", pkt.Payload.(int), p.Now())
-			}
-		}
-	}).SetDaemon(true)
+	receive(rg.k, rg.ctx[1], func(pkt *Packet, at sim.Time) { note("send arrived", pkt.Payload.(int), at) })
 	rg.k.Spawn("post", func(p *sim.Proc) {
 		amr := rg.ctx[0].RegisterMR(p, a.Addr(), a.Size())
 		bmr := rg.ctx[1].RegisterMR(p, b.Addr(), b.Size())

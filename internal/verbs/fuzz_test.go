@@ -55,15 +55,10 @@ func FuzzVerbsFaults(f *testing.F) {
 		}
 		fail := func(i int) sim.Action { return sim.Func(func(sim.Time) { done[i]++; failed[i] = true }) }
 
-		rg.k.Spawn("recv", func(p *sim.Proc) {
-			for {
-				rg.ctx[1].AwaitInbox(p)
-				for _, pkt := range rg.ctx[1].PollInbox() {
-					arrived[pkt.Payload.(int)]++
-					rg.r.PutPacket(pkt)
-				}
-			}
-		}).SetDaemon(true)
+		receive(rg.k, rg.ctx[1], func(pkt *Packet, _ sim.Time) {
+			arrived[pkt.Payload.(int)]++
+			rg.r.PutPacket(pkt)
+		})
 		rg.k.Spawn("post", func(p *sim.Proc) {
 			amr := rg.ctx[0].RegisterMR(p, a.Addr(), a.Size())
 			bmr := rg.ctx[1].RegisterMR(p, b.Addr(), b.Size())

@@ -64,6 +64,21 @@ func newPoolRig(t *testing.T, backed bool, plan *fault.Config) *poolRig {
 	return rig
 }
 
+// receive drains c's inbox into each from an event handler that fires now,
+// as a spawned process would start, and then at every arrival, parked on
+// c's InboxCond in between. The handler is a func value, so parking it
+// again allocates nothing.
+func receive(k *sim.Kernel, c *Ctx, each func(pkt *Packet, at sim.Time)) {
+	var drain sim.Func
+	drain = func(at sim.Time) {
+		for _, pkt := range c.PollInbox() {
+			each(pkt, at)
+		}
+		c.InboxCond.Park(k, drain)
+	}
+	k.AtAction(0, drain)
+}
+
 // steadyAllocs warms rig for 200 µs, measures the objects allocated per
 // 10 µs op period, then runs 50 µs more and reports whether *done moved.
 func (rig *poolRig) steadyAllocs(done *int) (allocs float64, progressed bool) {
@@ -144,15 +159,10 @@ func TestPostSendPooledRoundTripAllocFree(t *testing.T) {
 	for _, pc := range poolPlans {
 		rig := newPoolRig(t, false, pc.plan())
 		received := 0
-		rig.k.Spawn("receiver", func(p *sim.Proc) {
-			for {
-				rig.b.AwaitInbox(p)
-				for _, pkt := range rig.b.PollInbox() {
-					received++
-					rig.reg.PutPacket(pkt)
-				}
-			}
-		}).SetDaemon(true)
+		receive(rig.k, rig.b, func(pkt *Packet, _ sim.Time) {
+			received++
+			rig.reg.PutPacket(pkt)
+		})
 		rig.k.Spawn("sender", func(p *sim.Proc) {
 			for {
 				pkt := rig.reg.GetPacket()
@@ -160,7 +170,7 @@ func TestPostSendPooledRoundTripAllocFree(t *testing.T) {
 				rig.a.PostSend(p, rig.b, pkt)
 				p.Sleep(10 * sim.Microsecond)
 			}
-		}).SetDaemon(true)
+		})
 		allocs, progressed := rig.steadyAllocs(&received)
 		if !progressed {
 			t.Fatalf("%s: control packets stopped arriving", pc.name)

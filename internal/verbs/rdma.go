@@ -37,34 +37,72 @@ type WriteOp struct {
 // Under fault injection the NIC retransmits autonomously on error CQEs and
 // wire loss (exponential backoff, no further CPU cost); after the retry
 // budget the op terminates via OnError.
+//
+// It is StartWrite, p paying the post's cost, and Issue.
 func (c *Ctx) PostWrite(p *sim.Proc, op WriteOp) error {
-	src, err := c.reg.lookupKey(op.LocalKey, op.LocalAddr, op.Size)
+	w, err := c.StartWrite(op)
 	if err != nil {
 		return err
+	}
+	p.AdvanceBusy(w.Cost())
+	w.Issue()
+	return nil
+}
+
+// Post is a work request whose posting cost — the CPU time of handing it
+// to the HCA — is being paid. StartWrite, StartRead and StartSend validate
+// the request and take its flight; once the poster has paid Cost, Issue
+// makes the first attempt, an RDMA write's payload snapshot included. The
+// Post* methods are the three steps in a row on a process; a poster that is
+// not a process schedules Issue at the end of the cost instead.
+type Post struct {
+	c    *Ctx
+	fl   flight
+	src  *mem.Space // an RDMA write's source, read when the post issues
+	addr mem.Addr
+}
+
+// Pending reports whether p holds a request not yet issued.
+func (p Post) Pending() bool { return p.fl != nil }
+
+// Cost returns the CPU time posting the request takes.
+func (p Post) Cost() sim.Time { return p.c.reg.costs.PostWR }
+
+// Issue hands the request to the HCA: the payload of an RDMA write is
+// snapshot now, and every attempt sends that snapshot.
+func (p Post) Issue() {
+	if p.src != nil {
+		fl := p.fl.(*writeFlight)
+		if d := p.src.ReadAt(p.addr, fl.size); d != nil {
+			fl.buf = append(fl.buf[:0], d...)
+		}
+	}
+	p.fl.try()
+}
+
+// StartWrite validates an RDMA write and opens its op span, from the
+// posting instant; see Post.
+func (c *Ctx) StartWrite(op WriteOp) (Post, error) {
+	src, err := c.reg.lookupKey(op.LocalKey, op.LocalAddr, op.Size)
+	if err != nil {
+		return Post{}, err
 	}
 	dst, err := c.reg.lookupKey(op.RemoteKey, op.RemoteAddr, op.Size)
 	if err != nil {
-		return err
+		return Post{}, err
 	}
-	k := c.reg.f.Kernel()
 	var ws span.ID
 	if c.reg.sp.Enabled() {
 		// Op span: from posting (before the WR cost) to remote completion.
-		ws = c.reg.sp.StartAt(op.Span, span.ClassHCA, c.name, "verbs", "rdma_write", k.Now())
+		ws = c.reg.sp.StartAt(op.Span, span.ClassHCA, c.name, "verbs", "rdma_write", c.reg.f.Kernel().Now())
 		c.reg.sp.AttrInt(ws, "size", int64(op.Size))
 	}
-	p.AdvanceBusy(c.reg.costs.PostWR)
-
 	fl := c.reg.wf.Get()
 	fl.c, fl.dst, fl.addr, fl.size = c, dst, op.RemoteAddr, op.Size
-	if d := src.space.ReadAt(op.LocalAddr, op.Size); d != nil {
-		fl.buf = append(fl.buf[:0], d...)
-	}
 	fl.notify, fl.onRem = op.Notify, op.OnRemoteComplete
 	fl.opTries = opTries{sp: ws, tries: tries{n: 1}}
 	c.reg.watch(fl, op.OnError)
-	fl.try()
-	return nil
+	return Post{c: c, fl: fl, src: src.space, addr: op.LocalAddr}, nil
 }
 
 // ReadOp describes one RDMA-read work request.
@@ -87,31 +125,40 @@ type ReadOp struct {
 // PostRead posts an RDMA read: a small request travels to the remote
 // endpoint, whose HCA streams the data back without remote CPU involvement.
 // Under fault injection, loss of either leg retries the whole operation.
+// It is StartRead, p paying the post's cost, and Issue.
 func (c *Ctx) PostRead(p *sim.Proc, op ReadOp) error {
-	dst, err := c.reg.lookupKey(op.LocalKey, op.LocalAddr, op.Size)
+	r, err := c.StartRead(op)
 	if err != nil {
 		return err
+	}
+	p.AdvanceBusy(r.Cost())
+	r.Issue()
+	return nil
+}
+
+// StartRead validates an RDMA read and opens its op span, from the posting
+// instant; see Post.
+func (c *Ctx) StartRead(op ReadOp) (Post, error) {
+	dst, err := c.reg.lookupKey(op.LocalKey, op.LocalAddr, op.Size)
+	if err != nil {
+		return Post{}, err
 	}
 	src, err := c.reg.lookupKey(op.RemoteKey, op.RemoteAddr, op.Size)
 	if err != nil {
-		return err
+		return Post{}, err
 	}
-	k := c.reg.f.Kernel()
 	var rs span.ID
 	if c.reg.sp.Enabled() {
-		rs = c.reg.sp.StartAt(op.Span, span.ClassHCA, c.name, "verbs", "rdma_read", k.Now())
+		rs = c.reg.sp.StartAt(op.Span, span.ClassHCA, c.name, "verbs", "rdma_read", c.reg.f.Kernel().Now())
 		c.reg.sp.AttrInt(rs, "size", int64(op.Size))
 	}
-	p.AdvanceBusy(c.reg.costs.PostWR)
-
 	fl := c.reg.rf.Get()
 	fl.c, fl.dst, fl.src = c, dst, src
 	fl.localAddr, fl.remoteAddr, fl.size = op.LocalAddr, op.RemoteAddr, op.Size
 	fl.onComplete = op.OnComplete
 	fl.opTries = opTries{sp: rs, tries: tries{n: 1}}
 	c.reg.watch(fl, op.OnError)
-	fl.try()
-	return nil
+	return Post{c: c, fl: fl}, nil
 }
 
 // Packet is a two-sided control message (RTS/RTR/FIN, rendezvous handshakes,
@@ -134,13 +181,20 @@ type Packet struct {
 // is not involved until it drains its inbox (PollInbox); arrival only
 // signals dst.InboxCond. Under fault injection lost packets are
 // retransmitted like any other work request, so the control plane tolerates
-// the same faults as the data plane.
+// the same faults as the data plane. It is StartSend, p paying the post's
+// cost, and Issue.
 func (c *Ctx) PostSend(p *sim.Proc, dst *Ctx, pkt *Packet) {
+	s := c.StartSend(dst, pkt)
+	p.AdvanceBusy(s.Cost())
+	s.Issue()
+}
+
+// StartSend takes the flight of a control send; see Post.
+func (c *Ctx) StartSend(dst *Ctx, pkt *Packet) Post {
 	pkt.From = c
-	p.AdvanceBusy(c.reg.costs.PostWR)
 	fl := c.reg.sf.Get()
 	fl.dst, fl.pkt, fl.tries = dst, pkt, tries{n: 1}
-	fl.try()
+	return Post{c: c, fl: fl}
 }
 
 // deliver appends to the inbox in handler context.

@@ -209,30 +209,67 @@ func (c *Ctx) RegisterMR(p *sim.Proc, addr mem.Addr, size int) *MR {
 // RegisterMRCtx is RegisterMR carrying span context: when a collector is
 // attached, the registration (including failed fault-injected attempts) is
 // recorded as a "reg_mr" span under parent. Timing is identical to
-// RegisterMR.
+// RegisterMR. It is StartReg, then, until an attempt succeeds, Attempt and p
+// paying its cost before Finish.
 func (c *Ctx) RegisterMRCtx(p *sim.Proc, addr mem.Addr, size int, parent span.ID) *MR {
-	cost := c.reg.costs.RegCost(size)
-	start := p.Now()
-	var rs span.ID
-	if c.reg.sp.Enabled() {
-		rs = c.reg.sp.StartAt(parent, span.ClassHCA, c.name, "verbs", "reg_mr", start)
-		c.reg.sp.AttrInt(rs, "size", int64(size))
-	}
-	for c.reg.inj.RegFail() {
-		c.reg.Registrations++
-		c.reg.RegTime += cost
-		p.AdvanceBusy(cost)
-		if c.reg.inj.Tracing() {
-			c.reg.inj.Note(p.Now(), span.ClassHCA, c.name, "reg-fail",
-				fmt.Sprintf("addr=%d size=%d (retrying)", addr, size))
+	r := c.StartReg(addr, size, parent)
+	for {
+		p.AdvanceBusy(r.Attempt())
+		if mr := r.Finish(); mr != nil {
+			return mr
 		}
 	}
-	c.reg.Registrations++
-	c.reg.RegTime += cost
-	p.AdvanceBusy(cost)
-	c.reg.mRegLatency.Observe(p.Now() - start)
-	c.reg.sp.EndAt(rs, p.Now())
-	return c.reg.insertMR(c, c.space, addr, size)
+}
+
+// Reg is a memory registration in progress, for a registrant that is not a
+// process: StartReg opens it, each Attempt draws whether the try fails and
+// returns its cost, and Finish, once that cost is paid, ends the try — nil
+// after a failed one, which the registrant retries with another Attempt.
+type Reg struct {
+	c      *Ctx
+	addr   mem.Addr
+	size   int
+	start  sim.Time
+	sp     span.ID
+	failed bool
+}
+
+// StartReg opens the registration of [addr, addr+size), recorded under
+// parent.
+func (c *Ctx) StartReg(addr mem.Addr, size int, parent span.ID) Reg {
+	r := Reg{c: c, addr: addr, size: size, start: c.reg.f.Kernel().Now()}
+	if c.reg.sp.Enabled() {
+		r.sp = c.reg.sp.StartAt(parent, span.ClassHCA, c.name, "verbs", "reg_mr", r.start)
+		c.reg.sp.AttrInt(r.sp, "size", int64(size))
+	}
+	return r
+}
+
+// Attempt begins one try and returns the CPU time it costs.
+func (r *Reg) Attempt() sim.Time {
+	reg := r.c.reg
+	r.failed = reg.inj.RegFail()
+	cost := reg.costs.RegCost(r.size)
+	reg.Registrations++
+	reg.RegTime += cost
+	return cost
+}
+
+// Finish ends the try whose cost has been paid: nil if it failed (pinning
+// pressure), the registered region otherwise.
+func (r *Reg) Finish() *MR {
+	c := r.c
+	now := c.reg.f.Kernel().Now()
+	if r.failed {
+		if c.reg.inj.Tracing() {
+			c.reg.inj.Note(now, span.ClassHCA, c.name, "reg-fail",
+				fmt.Sprintf("addr=%d size=%d (retrying)", r.addr, r.size))
+		}
+		return nil
+	}
+	c.reg.mRegLatency.Observe(now - r.start)
+	c.reg.sp.EndAt(r.sp, now)
+	return c.reg.insertMR(c, c.space, r.addr, r.size)
 }
 
 // insertMR adds a region to the key table without charging time (used by
