@@ -149,13 +149,7 @@ func (e *engine) run() {
 				e.pkts, e.i = px.ctx.PollInbox(), 0
 			}
 		case phInbox:
-			cut := false
-			if px.sched != nil {
-				cut = e.tenantRound()
-			} else {
-				cut = e.inbox()
-			}
-			if cut {
+			if e.inbox() {
 				return
 			}
 			e.phase, e.acts, e.i = phDeferred, nil, 0
@@ -174,13 +168,7 @@ func (e *engine) run() {
 			}
 			e.phase, e.i = phGroups, 0
 		case phGroups:
-			cut := false
-			if px.sched != nil && !px.sched.ten.FIFO {
-				cut = e.fairGroupRound()
-			} else {
-				cut = e.groupRound()
-			}
-			if cut {
+			if e.groupRound() {
 				return
 			}
 			e.phase = phTop
@@ -192,20 +180,43 @@ func (e *engine) run() {
 	}
 }
 
-// inbox handles the polled control messages, each its parsing cost and then
-// its dispatch.
+// inbox handles control messages, each its parsing cost and then its
+// dispatch: the polled ones in arrival order or, on a tenant framework, the
+// tenant queues' picks, billed to their tenants and re-polled after every
+// packet, so packets that arrived while a handler was busy enter the
+// arbitration at once.
 func (e *engine) inbox() bool {
-	if e.pkt != nil && !e.dispatch() {
-		return true
+	s := e.px.sched
+	if e.pkt != nil {
+		if !e.dispatch() {
+			return true
+		}
+		if s != nil {
+			e.bill()
+			s.mDepth[e.ten].Set(float64(len(s.q[e.ten])))
+			e.pollTenants()
+		}
 	}
-	if e.i < len(e.pkts) {
+	switch {
+	case s == nil && e.i < len(e.pkts):
 		e.pkt = e.pkts[e.i]
 		e.i++
-		e.progressed = true
-		e.busy(proxyHandleCost)
-		return true
+	case s != nil && s.queued > 0:
+		t, qp := s.pick()
+		if !s.ten.FIFO {
+			s.vtime = s.pass[t]
+		}
+		// Head-of-line delay: how much proxy time went to other tenants
+		// while this packet sat queued.
+		s.mWait[t].Observe((s.totalBusy - s.busy[t]) - qp.othersBusy)
+		s.mDispatch[t].Inc()
+		e.ten, e.t0, e.pkt = t, e.px.fw.cl.K.Now(), qp.pkt
+	default:
+		return false
 	}
-	return false
+	e.progressed = true
+	e.busy(proxyHandleCost)
+	return true
 }
 
 // dispatch acts on e.pkt, whose parsing is paid for, unless a costed call
@@ -335,6 +346,9 @@ func (e *engine) advance(g *proxyGroup) (adv, cut bool) {
 // groupRound advances every active group once, in install order — on a
 // tenant framework too when it schedules FIFO (the no-isolation baseline).
 func (e *engine) groupRound() bool {
+	if s := e.px.sched; s != nil && !s.ten.FIFO {
+		return e.fairGroupRound()
+	}
 	if e.grp != nil && e.resumeGroup() {
 		return true
 	}
@@ -362,38 +376,6 @@ func (e *engine) pollTenants() {
 		e.px.sched.enqueue(pkt)
 		e.progressed = true
 	}
-}
-
-// tenantRound is the tenant-mode control loop body: dispatch from the
-// per-tenant queues until they drain, billing each packet's handling to its
-// tenant and re-polling after every one, so packets that arrived while a
-// handler was busy enter the arbitration at once.
-func (e *engine) tenantRound() bool {
-	px := e.px
-	s := px.sched
-	if e.pkt != nil {
-		if !e.dispatch() {
-			return true
-		}
-		e.bill()
-		s.mDepth[e.ten].Set(float64(len(s.q[e.ten])))
-		e.progressed = true
-		e.pollTenants()
-	}
-	if s.queued == 0 {
-		return false
-	}
-	t, qp := s.pick()
-	if !s.ten.FIFO {
-		s.vtime = s.pass[t]
-	}
-	// Head-of-line delay: how much proxy time went to other tenants while
-	// this packet sat queued.
-	s.mWait[t].Observe((s.totalBusy - s.busy[t]) - qp.othersBusy)
-	s.mDispatch[t].Inc()
-	e.ten, e.t0, e.pkt = t, px.fw.cl.K.Now(), qp.pkt
-	e.busy(proxyHandleCost)
-	return true
 }
 
 // fairGroupRound advances active group schedules under weighted fair
