@@ -20,10 +20,14 @@ func TestFirstIalltoallAllocBudget(t *testing.T) {
 	const np = nodes * ppn
 	for _, c := range []struct {
 		scheme string
-		budget float64 // objects per payload message: 1.5× the measured 1.56, 1.64, 1.01
+		// Objects per payload message: gvmi and bluesmpi 1.1× the measured
+		// 1.207 and 1.320 (1.557 and 1.621 while every registration was
+		// a sorted insert and the install's lists grew by append),
+		// hostdirect 1.5× the measured 1.01.
+		budget float64
 	}{
-		{"gvmi", 2.3},
-		{"bluesmpi", 2.4},
+		{"gvmi", 1.33},
+		{"bluesmpi", 1.45},
 		{"hostdirect", 1.5},
 	} {
 		e := Build(Options{Nodes: nodes, PPN: ppn, Scheme: c.scheme})

@@ -223,6 +223,7 @@ func (o *OffloadOps) IalltoallOn(c *mpi.Comm, slot int, sendAddr, recvAddr mem.A
 	if !ok {
 		tag := tagFor(slot)
 		g = o.h.GroupStartVia(o.path)
+		g.Reserve(2 * (np - 1))
 		for i := 1; i < np; i++ {
 			src := (me - i + np) % np
 			g.Recv(recvAddr+mem.Addr(src*per), per, c.World(src), tag)

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
 	"repro/internal/mem"
+	"repro/internal/regcache"
 	"repro/internal/span"
 	"repro/internal/verbs"
 )
@@ -85,6 +87,10 @@ func (h *Host) GroupStartVia(kind datapath.Kind) *GroupRequest {
 	return g
 }
 
+// Reserve makes room for n more recorded entries, so a caller that knows a
+// pattern's size records it without growing the entry list.
+func (g *GroupRequest) Reserve(n int) { g.ops = slices.Grow(g.ops, n) }
+
 // Path returns the datapath this request's send entries execute on.
 func (g *GroupRequest) Path() datapath.Kind { return g.path }
 
@@ -125,14 +131,14 @@ func (g *GroupRequest) End() {
 	g.ended = true
 	b := g.h.barrier(g.id)
 	top := -1
-	for _, op := range g.ops {
-		if op.Type == OpRecv {
+	for i := range g.ops {
+		if op := &g.ops[i]; op.Type == OpRecv {
 			top = max(top, op.Peer)
 		}
 	}
 	b.cover(top) // at once, up to the highest source
-	for _, op := range g.ops {
-		if op.Type == OpRecv {
+	for i := range g.ops {
+		if op := &g.ops[i]; op.Type == OpRecv {
 			b.src[op.Peer].per++
 		}
 	}
@@ -218,30 +224,41 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 // buffer, push receive-entry metadata to the source hosts, and match each
 // send entry with the metadata gathered from its destination.
 func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
-	// 1. Register buffers: send buffers as the request's datapath demands
-	//    (GVMI cache for cross-GVMI, IB cache for staged), receive buffers
-	//    through the IB cache — and push each receive entry's metadata to its
-	//    source host.
-	type sendReg struct {
-		mkey gvmi.MKeyInfo
-		rkey verbs.Key
+	srcReg := datapath.ForKind(g.path).SrcReg()
+	sends, recvs := 0, 0
+	for i := range g.ops {
+		switch g.ops[i].Type {
+		case OpSend:
+			sends++
+		case OpRecv:
+			recvs++
+		}
 	}
-	sendRegs := make([]sendReg, len(g.ops)) // by op index
-	for i, op := range g.ops {
+	h.reserveGmeta(sends)
+
+	// 1. Register buffers in call order — send buffers as the request's
+	//    datapath demands (GVMI cache for cross-GVMI, IB cache for staged),
+	//    receive buffers through the IB cache — straight into the wire
+	//    entries, and push each receive entry's metadata to its source host.
+	regs := h.installRegs(g, px, srcReg, sends, recvs)
+	entries := make([]wireOp, len(g.ops))
+	for i := range g.ops {
+		op, w := &g.ops[i], &entries[i]
+		*w = wireOp{Type: op.Type, Size: op.Size, Tag: op.Tag, Path: g.path}
 		switch op.Type {
 		case OpSend:
-			var sr sendReg
-			switch datapath.ForKind(g.path).SrcReg() {
+			w.SrcAddr, w.Dst = op.Addr, op.Peer
+			switch srcReg {
 			case datapath.RegGVMI:
-				sr.mkey = h.gvmiRegister(px, op.Addr, op.Size)
+				w.MKey = regs.mkey(h, px, op)
 			case datapath.RegIB:
-				sr.rkey = h.ibRegister(op.Addr, op.Size).RKey()
+				w.SrcRKey = regs.mr(h, op).RKey()
 			default:
 				panic(fmt.Sprintf("core: group send on non-proxy path %v", g.path))
 			}
-			sendRegs[i] = sr
 		case OpRecv:
-			mr := h.ibRegister(op.Addr, op.Size)
+			w.Src = op.Peer
+			mr := regs.mr(h, op)
 			m := h.fw.gmetaFree.Get()
 			*m = gmetaMsg{
 				DstRank: h.rank, Tag: op.Tag, Size: op.Size,
@@ -250,29 +267,86 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 			h.ctx.PostSend(h.proc, h.fw.hosts[op.Peer].ctx, h.fw.ctrlPacket("gmeta", ctrlSize, m, 0))
 		}
 	}
+	regs.commit()
 
-	// 2. Build wire entries; each send is matched with the corresponding
-	//    receive entry gathered from its destination (rank/tag matching).
-	entries := make([]wireOp, len(g.ops))
-	for i, op := range g.ops {
-		w := wireOp{Type: op.Type, Size: op.Size, Tag: op.Tag, Path: g.path}
-		switch op.Type {
-		case OpSend:
-			w.SrcAddr, w.Dst = op.Addr, op.Peer
-			w.MKey = sendRegs[i].mkey
-			w.SrcRKey = sendRegs[i].rkey
-			meta := h.awaitGmeta(op.Peer, op.Tag)
-			if meta.Size != op.Size {
-				panic(fmt.Sprintf("core: group size mismatch: send %d vs recv %d", op.Size, meta.Size))
-			}
-			w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, meta.DstGroup
-			recycle(&h.fw.gmetaFree, meta)
-		case OpRecv:
-			w.Src = op.Peer
+	// 2. Match each send entry with the corresponding receive entry
+	//    gathered from its destination (rank/tag matching).
+	for i := range entries {
+		w := &entries[i]
+		if w.Type != OpSend {
+			continue
 		}
-		entries[i] = w
+		meta := h.awaitGmeta(w.Dst, w.Tag)
+		if meta.Size != w.Size {
+			panic(fmt.Sprintf("core: group size mismatch: send %d vs recv %d", w.Size, meta.Size))
+		}
+		w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, meta.DstGroup
+		recycle(&h.fw.gmetaFree, meta)
 	}
 	return entries
+}
+
+// installRegs resolves one install's registrations in call order. With the
+// caches on, each cache looks the call's keys up in one pass (a
+// regcache.Batch per cache); with them off, every buffer is registered
+// afresh.
+type installRegs struct {
+	cached bool
+	gvmi   regcache.Batch[gvmi.MKeyInfo]
+	ib     regcache.Batch[*verbs.MR]
+}
+
+// installRegs collects g's keys for each cache and classifies them.
+func (h *Host) installRegs(g *GroupRequest, px *Proxy, srcReg datapath.SrcReg, sends, recvs int) installRegs {
+	if !h.fw.cfg.RegCaches {
+		return installRegs{}
+	}
+	gvmiSends := 0
+	if srcReg == datapath.RegGVMI {
+		gvmiSends = sends
+	}
+	r := installRegs{
+		cached: true,
+		gvmi:   h.gvmiCache.Batch(px.global, gvmiSends),
+		ib:     h.ibCache.Batch(0, sends+recvs-gvmiSends),
+	}
+	for i := range g.ops {
+		switch op := &g.ops[i]; {
+		case op.Type == OpSend && srcReg == datapath.RegGVMI:
+			r.gvmi.Add(op.Addr, op.Size)
+		case op.Type != OpBarrier:
+			r.ib.Add(op.Addr, op.Size)
+		}
+	}
+	r.gvmi.Classify()
+	r.ib.Classify()
+	return r
+}
+
+// mkey returns the MKeyInfo of op's send buffer.
+func (r *installRegs) mkey(h *Host, px *Proxy, op *GroupOp) gvmi.MKeyInfo {
+	if !r.cached {
+		return h.gvmiCreate(px, op.Addr, op.Size)
+	}
+	info, _ := r.gvmi.Next(func() gvmi.MKeyInfo { return h.gvmiCreate(px, op.Addr, op.Size) })
+	return info
+}
+
+// mr returns the MR of op's buffer.
+func (r *installRegs) mr(h *Host, op *GroupOp) *verbs.MR {
+	if !r.cached {
+		return h.ibCreate(op.Addr, op.Size)
+	}
+	mr, _ := r.ib.Next(func() *verbs.MR { return h.ibCreate(op.Addr, op.Size) })
+	return mr
+}
+
+// commit ends the install's batches once every entry is registered.
+func (r *installRegs) commit() {
+	if r.cached {
+		r.gvmi.Commit()
+		r.ib.Commit()
+	}
 }
 
 // awaitGmeta blocks until receive-entry metadata from dst with the given
@@ -303,6 +377,25 @@ func (h *Host) awaitGmeta(dst, tag int) *gmetaMsg {
 			h.ctx.InboxCond.Wait(h.proc)
 		}
 	}
+}
+
+// reserveGmeta makes room in the gather queue for n more entries, so the
+// metadata an install gathers for its n sends joins it without growing it.
+func (h *Host) reserveGmeta(n int) {
+	q := h.gmetaQ
+	if len(q)+n <= cap(q) {
+		return
+	}
+	live := q[h.gmetaHead:]
+	if len(live)+n > cap(q) {
+		q = make([]*gmetaMsg, len(live), len(live)+n)
+		copy(q, live)
+	} else {
+		k := copy(q, live)
+		clear(q[k:])
+		q = q[:k]
+	}
+	h.gmetaQ, h.gmetaHead = q, 0
 }
 
 // queueGmeta appends gathered metadata to the queue. An append that would

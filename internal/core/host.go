@@ -165,19 +165,7 @@ func (h *Host) complete(id int64) {
 // gvmiRegister returns the MKeyInfo for a source buffer, through the GVMI
 // registration cache when enabled (keyed by the proxy's rank, per VII-B).
 func (h *Host) gvmiRegister(px *Proxy, addr mem.Addr, size int) gvmi.MKeyInfo {
-	create := func() gvmi.MKeyInfo {
-		var s span.ID
-		if sp := h.spans(); sp.Enabled() {
-			s = sp.Start(h.curSpan, span.ClassHCA, h.entity, "verbs", "gvmi_reg")
-			sp.AttrInt(s, "size", int64(size))
-		}
-		info, err := h.fw.cl.GVMI.RegisterHost(h.proc, h.ctx, addr, size, px.gvmiID)
-		if err != nil {
-			panic(fmt.Sprintf("core: host GVMI registration: %v", err))
-		}
-		h.spans().End(s)
-		return info
-	}
+	create := func() gvmi.MKeyInfo { return h.gvmiCreate(px, addr, size) }
 	if !h.fw.cfg.RegCaches {
 		return create()
 	}
@@ -185,15 +173,36 @@ func (h *Host) gvmiRegister(px *Proxy, addr mem.Addr, size int) gvmi.MKeyInfo {
 	return info
 }
 
+// gvmiCreate performs the host-side GVMI registration of a source buffer
+// for px, bypassing the cache.
+func (h *Host) gvmiCreate(px *Proxy, addr mem.Addr, size int) gvmi.MKeyInfo {
+	var s span.ID
+	if sp := h.spans(); sp.Enabled() {
+		s = sp.Start(h.curSpan, span.ClassHCA, h.entity, "verbs", "gvmi_reg")
+		sp.AttrInt(s, "size", int64(size))
+	}
+	info, err := h.fw.cl.GVMI.RegisterHost(h.proc, h.ctx, addr, size, px.gvmiID)
+	if err != nil {
+		panic(fmt.Sprintf("core: host GVMI registration: %v", err))
+	}
+	h.spans().End(s)
+	return info
+}
+
 // ibRegister returns an MR for a local buffer through the IB registration
 // cache when enabled.
 func (h *Host) ibRegister(addr mem.Addr, size int) *verbs.MR {
-	create := func() *verbs.MR { return h.ctx.RegisterMRCtx(h.proc, addr, size, h.curSpan) }
+	create := func() *verbs.MR { return h.ibCreate(addr, size) }
 	if !h.fw.cfg.RegCaches {
 		return create()
 	}
 	mr, _ := h.ibCache.GetOrCreate(0, addr, size, create)
 	return mr
+}
+
+// ibCreate registers a local buffer with the NIC, bypassing the cache.
+func (h *Host) ibCreate(addr mem.Addr, size int) *verbs.MR {
+	return h.ctx.RegisterMRCtx(h.proc, addr, size, h.curSpan)
 }
 
 // DefaultPath returns the datapath operations take when no per-call path

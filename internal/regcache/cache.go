@@ -12,13 +12,19 @@
 //
 // Values are opaque to the cache. Every lookup is an exact (address, size)
 // match and nothing is ever evicted, so the second level is one slice per
-// rank kept sorted by key: a lookup is a binary search, an insert shifts
-// the entries above it up one. It allocates only when a slice doubles,
+// rank kept sorted by key: a lookup is a binary search. A single Put shifts
+// the entries above it up one and allocates only when the slice doubles,
 // where a tree allocates a node per entry and a Go map over-allocates as it
-// grows.
+// grows. A group install registers a whole call's buffers at once, in an
+// order (alltoall receives descend) that would make every Put shift the
+// slot, so it goes through a Batch instead: the call's keys are classified
+// with one sort and one merge-walk, and its misses join the slot in one
+// merge with at most one growth.
 package regcache
 
 import (
+	"slices"
+
 	"repro/internal/mem"
 	"repro/internal/metrics"
 )
@@ -128,4 +134,137 @@ func (c *Cache[V]) GetOrCreate(rank int, addr mem.Addr, size int, create func() 
 	v = create()
 	c.Put(rank, addr, size, v)
 	return v, false
+}
+
+// Batch looks up the keys of one slot in one pass, with the results of a
+// GetOrCreate per key in the order they were added: the same values, the
+// same hits and misses counted at the same points, the same create calls
+// in the same order and, once every key is resolved, the same slot. A key
+// repeated within the batch is a miss the first time and a hit after. Use
+// it as
+//
+//	b := c.Batch(rank, n)
+//	for each key: b.Add(addr, size)
+//	b.Classify()
+//	for each key, in Add order: v, hit := b.Next(create)
+//	b.Commit()
+//
+// Classify merges the batch's misses into the slot, growing it at most
+// once, as zero values that Next fills in, so nothing else may look the
+// slot up until the last Next. Commit drops the batch's scratch.
+type Batch[V any] struct {
+	c    *Cache[V]
+	rank int
+	keys []batchKey
+	next int // keys[next] is the one Next resolves
+}
+
+// batchKey is one added key and, once classified, the slot position of its
+// entry: ref for a hit, -1-ref for the miss that creates the entry.
+type batchKey struct {
+	k   key
+	ref int32
+}
+
+// Batch starts a batch over slot rank, sized for n keys.
+func (c *Cache[V]) Batch(rank, n int) Batch[V] {
+	return Batch[V]{c: c, rank: rank, keys: make([]batchKey, 0, n)}
+}
+
+// Add appends (addr, size) to the batch's keys.
+func (b *Batch[V]) Add(addr mem.Addr, size int) {
+	b.keys = append(b.keys, batchKey{k: key{addr, size}})
+}
+
+// Classify finds every added key in the slot — one sort of an index of the
+// keys, then one walk over it and the slot together — and merges the
+// misses in.
+func (b *Batch[V]) Classify() {
+	keys := b.keys
+	ord := make([]int32, len(keys))
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	// Equal keys stay in Add order: the first of each run creates the entry.
+	slices.SortFunc(ord, func(x, y int32) int {
+		switch kx, ky := keys[x].k, keys[y].k; {
+		case kx.less(ky):
+			return -1
+		case ky.less(kx):
+			return 1
+		}
+		return int(x - y)
+	})
+	// Each distinct key is a binary search of the slot above the previous
+	// one; its position once the misses are in adds the misses below it.
+	s := b.c.slots[b.rank]
+	lo, misses := 0, 0
+	for p := 0; p < len(ord); {
+		k := keys[ord[p]].k
+		j, ok := search(s[lo:], k)
+		lo += j
+		pos := int32(lo + misses)
+		if ok {
+			keys[ord[p]].ref = pos
+		} else {
+			keys[ord[p]].ref = -1 - pos
+			misses++
+		}
+		for p++; p < len(ord) && keys[ord[p]].k == k; p++ {
+			keys[ord[p]].ref = pos
+		}
+	}
+	if misses == 0 {
+		return
+	}
+	a := len(s) - 1
+	if len(s)+misses > cap(s) {
+		// Not append(s, make(…)...): under the race detector its make
+		// escapes, a second allocation.
+		grown := make([]entry[V], len(s), max(len(s)+misses, 2*len(s)))
+		copy(grown, s)
+		s = grown
+	}
+	s = s[:len(s)+misses]
+	w := len(s) - 1
+	for p := len(ord) - 1; p >= 0; p-- {
+		bk := &keys[ord[p]]
+		if bk.ref >= 0 {
+			continue
+		}
+		for ; a >= 0 && bk.k.less(s[a].k); a, w = a-1, w-1 {
+			s[w] = s[a]
+		}
+		s[w] = entry[V]{k: bk.k}
+		w--
+	}
+	b.c.slots[b.rank] = s
+}
+
+// Next resolves the next key in Add order as GetOrCreate would: a key in
+// the slot, or one created earlier in the batch, is a hit; otherwise it is
+// a miss and create() makes its value.
+func (b *Batch[V]) Next(create func() V) (v V, hit bool) {
+	ref := b.keys[b.next].ref
+	b.next++
+	c := b.c
+	if ref >= 0 {
+		c.Hits++
+		c.mHits.Inc()
+		return c.slots[b.rank][ref].v, true
+	}
+	c.Misses++
+	c.mMisses.Inc()
+	v = create()
+	c.slots[b.rank][-1-ref].v = v
+	return v, false
+}
+
+// Commit ends the batch, whose every key must have been resolved, and
+// drops its scratch.
+func (b *Batch[V]) Commit() {
+	if b.next != len(b.keys) {
+		panic("regcache: batch committed with keys unresolved")
+	}
+	*b = Batch[V]{}
 }

@@ -1,6 +1,7 @@
 package regcache
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -116,19 +117,52 @@ func TestCacheAllocFree(t *testing.T) {
 	}); n > 16 {
 		t.Errorf("1000 inserts into one slot allocate %.0f times, want <= 16", n)
 	}
+	// The same 1000 keys as one batch, over a fresh copy of a slot holding
+	// every other one: three allocations build the cache, then the batch's
+	// scratch (keys, sort index) and one growth of the slot.
+	var half []entry[int]
+	for i := 2; i <= 1000; i += 2 {
+		half = append(half, entry[int]{key{mem.Addr(i * 64), 64}, i})
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		c := New[int](1, 0, nil)
+		c.slots[0] = slices.Clone(half)
+		b := c.Batch(0, 1000)
+		for i := 1000; i > 0; i-- {
+			b.Add(mem.Addr(i*64), 64)
+		}
+		b.Classify()
+		for i := 1000; i > 0; i-- {
+			b.Next(create)
+		}
+		b.Commit()
+		if len(c.slots[0]) != 1000 {
+			t.Fatalf("slot holds %d entries after the batch, want 1000", len(c.slots[0]))
+		}
+	}); n > 6 {
+		t.Errorf("a 1000-key batch allocates %.0f times, want <= 6", n)
+	}
 }
 
 // FuzzCache drives random Put/Get/GetOrCreate sequences over four slots and
 // checks every answer, and the hit/miss counters, against a map model. Each
 // op is two bytes: the first picks the operation and the slot, the second
 // the address (16 choices) and the size (4 choices), so keys collide often.
+//
+// It then resolves batch — one install's keys in call order — over the
+// cache the ops left behind, once through a Batch and once on a copy by
+// sequential GetOrCreate, and checks the two agree on every value and hit,
+// the counters, the order of the create calls and every slot's contents.
+// batch[0] picks the slot; each further two bytes, little-endian, are a
+// key: the low 14 bits the address in 64-byte blocks (the first 16 are the
+// ops' addresses), the top two the size.
 func FuzzCache(f *testing.F) {
 	type ref struct {
 		rank int
 		addr mem.Addr
 		size int
 	}
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	f.Fuzz(func(t *testing.T, ops, batch []byte) {
 		const ranks = 4
 		c := New[int](ranks, 0, nil)
 		model := make(map[ref]int)
@@ -170,6 +204,51 @@ func FuzzCache(f *testing.F) {
 		}
 		if n != len(model) {
 			t.Fatalf("cache holds %d entries, model %d", n, len(model))
+		}
+
+		if len(batch) == 0 {
+			return
+		}
+		rank := int(batch[0]) % ranks
+		var keys []key
+		for i := 1; i+1 < len(batch); i += 2 {
+			u := uint16(batch[i]) | uint16(batch[i+1])<<8
+			keys = append(keys, key{mem.Addr(u&0x3fff) * 64, 64 * (1 + int(u>>14))})
+		}
+		seq := &Cache[int]{Hits: c.Hits, Misses: c.Misses}
+		for _, s := range c.slots {
+			seq.slots = append(seq.slots, slices.Clone(s))
+		}
+		var seqCreated, batchCreated []int
+		b := c.Batch(rank, len(keys))
+		for _, k := range keys {
+			b.Add(k.addr, k.size)
+		}
+		b.Classify()
+		for i, k := range keys {
+			want, wantHit := seq.GetOrCreate(rank, k.addr, k.size, func() int {
+				seqCreated = append(seqCreated, i)
+				return -1 - i
+			})
+			got, hit := b.Next(func() int {
+				batchCreated = append(batchCreated, i)
+				return -1 - i
+			})
+			if got != want || hit != wantHit {
+				t.Fatalf("batch key %d %v: Next = (%d, %v), GetOrCreate (%d, %v)", i, k, got, hit, want, wantHit)
+			}
+		}
+		b.Commit()
+		if !slices.Equal(batchCreated, seqCreated) {
+			t.Fatalf("batch created %v, GetOrCreate %v", batchCreated, seqCreated)
+		}
+		if c.Hits != seq.Hits || c.Misses != seq.Misses {
+			t.Fatalf("batch counters hits=%d misses=%d, GetOrCreate %d/%d", c.Hits, c.Misses, seq.Hits, seq.Misses)
+		}
+		for r := range c.slots {
+			if !slices.Equal(c.slots[r], seq.slots[r]) {
+				t.Fatalf("slot %d after the batch: %v, after GetOrCreate: %v", r, c.slots[r], seq.slots[r])
+			}
 		}
 	})
 }
