@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/coll"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -16,38 +17,65 @@ import (
 // event count and moves only with the model; Wakeups and Handoffs count the
 // coroutine resumes a run pays for. The one-call row is the install alone:
 // its handoffs are nearly all the host's gather, a rank blocking for each
-// peer's receive metadata.
+// peer's receive metadata. The two tenant rows place two jobs of unequal
+// size on one framework of 4 nodes with two proxies per DPU, each job
+// running its own Ialltoall, so the proxies arbitrate between them: in
+// arrival order, and by weighted fair share. Done, the sum of the instants
+// the ranks finish at, tells the two apart where the counts alone might not.
 func TestKernelCountsPinned(t *testing.T) {
 	t.Parallel()
 	const nodes, ppn, size = 8, 8, 32 << 10
-	const np = nodes * ppn
 	for _, c := range []struct {
 		scheme string
 		calls  int
+		jobs   []baseline.Job // placed jobs sharing the framework; nil: one world of scheme
+		fifo   bool
 		want   sim.Stats
+		done   sim.Time // the sum of the instants the ranks finish at
 	}{
-		{"gvmi", 3, sim.Stats{Fired: 105432, Wakeups: 12736, SelfWakeups: 3, Handoffs: 12733, Slots: 4032}},
-		{"bluesmpi", 3, sim.Stats{Fired: 177408, Wakeups: 28496, SelfWakeups: 1, Handoffs: 28495, Slots: 4032}},
-		{"hostdirect", 3, sim.Stats{Fired: 134495, Wakeups: 90143, SelfWakeups: 151, Handoffs: 89992, Slots: 3600}},
-		{"gvmi", 1, sim.Stats{Fired: 47976, Wakeups: 12352, SelfWakeups: 1, Handoffs: 12351, Slots: 4032}},
+		{"gvmi", 3, nil, false, sim.Stats{Fired: 105432, Wakeups: 12736, SelfWakeups: 3, Handoffs: 12733, Slots: 4032}, 390384032},
+		{"bluesmpi", 3, nil, false, sim.Stats{Fired: 177408, Wakeups: 28496, SelfWakeups: 1, Handoffs: 28495, Slots: 4032}, 4092424864},
+		{"hostdirect", 3, nil, false, sim.Stats{Fired: 134495, Wakeups: 90143, SelfWakeups: 151, Handoffs: 89992, Slots: 3600}, 318150700},
+		{"gvmi", 1, nil, false, sim.Stats{Fired: 47976, Wakeups: 12352, SelfWakeups: 1, Handoffs: 12351, Slots: 4032}, 152960288},
+		{"fifo", 2, tenantJobs, true, sim.Stats{Fired: 9392, Wakeups: 1760, Handoffs: 1760, Slots: 384}, 28666732},
+		{"fair", 2, tenantJobs, false, sim.Stats{Fired: 9376, Wakeups: 1760, Handoffs: 1760, Slots: 400}, 31971220},
 	} {
-		e := Build(Options{Nodes: nodes, PPN: ppn, Scheme: c.scheme})
-		e.Worlds[0].Launch(func(r *mpi.Rank) {
-			ops, _ := coll.Bind(e.Spec.Scheme, r, e.Host(0, r), e.Engines[0])
-			send, recv := r.Alloc(np*size), r.Alloc(np*size)
-			for i := 0; i < c.calls; i++ {
-				ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), size))
+		var done sim.Time
+		opt := Options{Nodes: nodes, PPN: ppn, Scheme: c.scheme}
+		if c.jobs != nil {
+			opt = Options{Nodes: 4, ProxiesPerDPU: 2, Jobs: c.jobs, FIFO: c.fifo}
+		}
+		e := Build(opt)
+		for j, w := range e.Worlds {
+			scheme, np := c.scheme, nodes*ppn
+			if c.jobs != nil {
+				scheme, np = c.jobs[j].Scheme, opt.Nodes*c.jobs[j].PPN
 			}
-		})
+			w.Launch(func(r *mpi.Rank) {
+				ops, _ := coll.Bind(scheme, r, e.Host(j, r), e.Engines[j])
+				send, recv := r.Alloc(np*size), r.Alloc(np*size)
+				for i := 0; i < c.calls; i++ {
+					ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), size))
+				}
+				done += r.Now()
+			})
+		}
 		e.Cl.K.Run()
 		got := e.Cl.K.Stats()
 		if _, err := e.Run(); err != nil {
 			t.Fatalf("%s ×%d: %v", c.scheme, c.calls, err)
 		}
-		if got != c.want {
-			t.Errorf("%s ×%d: kernel counts %+v, want %+v", c.scheme, c.calls, got, c.want)
+		if got != c.want || done != c.done {
+			t.Errorf("%s ×%d: kernel counts %+v, ranks done at Σ %d, want %+v, Σ %d", c.scheme, c.calls, got, done, c.want, c.done)
 		}
 	}
+}
+
+// tenantJobs are the tenant rows' two jobs: five and three ranks per node,
+// the smaller one weighted three times the larger.
+var tenantJobs = []baseline.Job{
+	{Name: "a", PPN: 5, Weight: 1, Scheme: "gvmi"},
+	{Name: "b", PPN: 3, Weight: 3, Scheme: "gvmi"},
 }
 
 // The simulator's goroutines are its ranks' coroutines and nothing else: a
