@@ -1,9 +1,14 @@
 package bench
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/coll"
+	"repro/internal/mem"
+	"repro/internal/mpi"
 )
 
 // Validate rejects the failure modes the fleet baseline guards against:
@@ -54,5 +59,49 @@ func TestFleetValidateRejects(t *testing.T) {
 	}
 	if err := corrupt(func(s *FleetSnapshot) { s.Mixed[0].PureNS = 0 }); err == nil {
 		t.Error("non-positive timing accepted")
+	}
+}
+
+// On a part with a DSA engine and no cross-GVMI, the Proposed bundle's
+// transfers resolve to the engine-driven path: each of the 2×2 Ialltoall's
+// twelve messages is one write the engine posts from the source's plain IB
+// registration, with no staging read and no cross-registration, and every
+// block lands intact.
+func TestDSADeviceIalltoallPayloads(t *testing.T) {
+	t.Parallel()
+	const size = 4096
+	e := Build(Options{Nodes: 2, PPN: 2, Scheme: "gvmi", Device: "dsa-offpath", Backed: true})
+	np := e.Cl.Cfg.NP()
+	pattern := func(src, dst, i int) byte { return byte(src*31 + dst*7 + i) }
+	bad := 0
+	e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
+		me, sp := r.RankID(), r.Space()
+		send, recv := r.Alloc(np*size), r.Alloc(np*size)
+		blk := make([]byte, size)
+		for dst := 0; dst < np; dst++ {
+			for i := range blk {
+				blk[i] = pattern(me, dst, i)
+			}
+			sp.WriteAt(send.Addr()+mem.Addr(dst*size), blk, size)
+		}
+		ops.Wait(ops.Ialltoall(0, send.Addr(), recv.Addr(), size))
+		for src := 0; src < np; src++ {
+			for i := range blk {
+				blk[i] = pattern(src, me, i)
+			}
+			if !bytes.Equal(sp.ReadAt(recv.Addr()+mem.Addr(src*size), size), blk) {
+				bad++
+			}
+		}
+	})
+	if bad != 0 {
+		t.Errorf("%d blocks corrupted on the DSA path", bad)
+	}
+	st := e.Fw.Stats()
+	if st.RDMAWrites != 12 || st.RDMAReads != 0 || st.StagedOps != 0 {
+		t.Errorf("writes=%d reads=%d staged=%d, want 12 engine writes and nothing staged", st.RDMAWrites, st.RDMAReads, st.StagedOps)
+	}
+	if st.CrossCacheHits+st.CrossCacheMisses != 0 || st.HostIBCacheMisses != 24 {
+		t.Errorf("%s: want no cross-registration and 24 IB registrations", st)
 	}
 }

@@ -65,3 +65,69 @@ func TestFailoverBeforeInstallingOnRestartedProxy(t *testing.T) {
 	}
 	fw.Retire()
 }
+
+// A proxy that dies with one-sided transfers in flight leaves them to their
+// initiators: once the heartbeat times out, each host re-posts its request
+// from its own NIC — the put as a write, the get as a read. Proxy 0 executes
+// both, rank 0's put into rank 1's window and rank 1's get from rank 0's,
+// and dies at 12 µs, with the first one's cross-registration under way and
+// the second still queued, so it posts no write. Both payloads land, both
+// requests are reissued, and each completes once: its record is recycled a
+// single time.
+func TestOneSidedReissuedAfterProxyCrash(t *testing.T) {
+	const size = 16 << 10
+	ccfg := cluster.DefaultConfig(2, 1)
+	ccfg.Fault = fault.DefaultConfig(1)
+	ccfg.Fault.Crashes = []fault.Crash{{Proxy: 0, At: 12 * sim.Microsecond}}
+	cl := cluster.New(ccfg)
+	sites := []*cluster.Site{cl.NewHostSite(0, "host0"), cl.NewHostSite(1, "host1")}
+	fw := New(cl, DefaultConfig(), sites)
+	fw.Start()
+	var wins [2]Window
+	var bufs [2][]byte
+	exposed := 0
+	var ready sim.Cond
+	for i := range sites {
+		h := fw.Host(i)
+		cl.K.Spawn(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
+			h.Bind(p)
+			me := h.Rank()
+			buf := h.site.Space.Alloc(2*size, true)
+			copy(buf.Bytes(), pattern(byte(10*me), 2*size))
+			wins[me], bufs[me] = h.ExposeWindow(buf.Addr(), buf.Size()), buf.Bytes()
+			exposed++
+			ready.Broadcast()
+			for exposed < 2 {
+				ready.Wait(p)
+			}
+			var req *OffloadRequest
+			if me == 0 {
+				req = h.PutOffload(wins[0], 0, wins[1], 0, size) // rank 0's first half into rank 1's
+			} else {
+				req = h.GetOffload(wins[1], size, wins[0], size, size) // rank 0's second half into rank 1's
+			}
+			h.Wait(req)
+		})
+	}
+	cl.K.Run()
+	if len(cl.K.Deadlocked) > 0 {
+		t.Fatalf("%d processes deadlocked", len(cl.K.Deadlocked))
+	}
+	if want := pattern(0, 2*size); !bytes.Equal(bufs[1], want) {
+		t.Error("rank 1's window does not hold rank 0's put and get")
+	}
+	st := fw.Stats()
+	if st.OneSidedReissues != 2 || st.RDMAWrites != 0 {
+		t.Errorf("%d one-sided reissues and %d proxy writes, want the put and the get reissued and nothing written by the proxy", st.OneSidedReissues, st.RDMAWrites)
+	}
+	recs, ok := fw.reqFree.Free()
+	if !ok || len(recs) != 2 {
+		t.Errorf("%d request records recycled (each once: %v), want 2", len(recs), ok)
+	}
+	for _, h := range fw.hosts {
+		if len(h.reqs) != 0 {
+			t.Errorf("rank %d: %d requests outstanding", h.rank, len(h.reqs))
+		}
+	}
+	fw.Retire()
+}
