@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/datapath"
 	"repro/internal/gvmi"
@@ -34,35 +35,31 @@ type engine struct {
 	charged bool
 
 	// What the paid-for call leaves to the next step: the work request to
-	// issue, the transfer being prepared, a deferred action's next stretch.
+	// issue, the transfer being prepared, and then the rest of the unit of
+	// work the call cut short (a packet's dispatch, a pair's billing, a
+	// group's advance) or of a deferred action.
 	post verbs.Post
 	tx   transfer
 	then sim.Action
 
 	// The round: which phase it is in, the snapshot the phase works through
-	// (the inbox, the deferred completions, the matched pairs; the group
-	// list does not change within a round) and how far, and the work a
-	// costed call cut short within it.
+	// (the inbox, the deferred completions, the matched pairs, the groups in
+	// the order the round advances them) and how far.
 	phase      phase
 	progressed bool
 	pkts       []*verbs.Packet
 	acts       []sim.Action
 	pairs      []pairMsg
+	order      []*proxyGroup
 	i          int
 
-	pkt        *verbs.Packet // the packet being handled, its parsing paid for
-	dispatched bool          // pkt's dispatch made a costed call
-	pairing    bool          // the transfer of pairs[i-1] is posted
-	grp        *proxyGroup   // the group whose advance a costed call cut
+	pkt *verbs.Packet // the packet being handled
+	grp *proxyGroup   // the group being advanced
 
-	// Tenant rounds: the tenant of the work in progress and when it began,
-	// the size of a pair's transfer (for its wire charge), and the fair
-	// group round's pass-ordered tenants and place among them.
-	ten, size int
-	t0        sim.Time
-	granting  bool
-	tenants   []int
-	ti        int
+	// On a tenant framework: the tenant of the work in progress and when
+	// it began.
+	ten int
+	t0  sim.Time
 }
 
 // phase is where a round stands.
@@ -113,8 +110,8 @@ func (e *engine) await(p verbs.Post) {
 }
 
 // settle finishes the call the last step paid for — the post issues, a
-// transfer being prepared goes on, a deferred action's next stretch runs —
-// and reports whether that paid for another.
+// transfer being prepared goes on, or, once it is posted, the work the call
+// cut short goes on — and reports whether that paid for another.
 func (e *engine) settle() bool {
 	if e.post.Pending() {
 		p := e.post
@@ -126,6 +123,16 @@ func (e *engine) settle() bool {
 	} else if a := e.then; a != nil {
 		e.then = nil
 		a.Fire(e.px.fw.cl.K.Now())
+	}
+	return e.charged
+}
+
+// cut reports whether the running step paid for a costed call, and if so
+// leaves rest, what remains of the unit of work the call cut short, to run
+// once the call and whatever it chains are settled.
+func (e *engine) cut(rest sim.Action) bool {
+	if e.charged {
+		e.then = rest
 	}
 	return e.charged
 }
@@ -166,7 +173,8 @@ func (e *engine) run() {
 			if e.combinedRound() {
 				return
 			}
-			e.phase, e.i = phGroups, 0
+			e.phase = phGroups
+			e.orderGroups()
 		case phGroups:
 			if e.groupRound() {
 				return
@@ -180,57 +188,60 @@ func (e *engine) run() {
 	}
 }
 
-// inbox handles control messages, each its parsing cost and then its
-// dispatch: the polled ones in arrival order or, on a tenant framework, the
-// tenant queues' picks, billed to their tenants and re-polled after every
-// packet, so packets that arrived while a handler was busy enter the
-// arbitration at once.
+// inbox takes the next control message and pays its parsing cost, after
+// which dispatchStep acts on it: the polled ones in arrival order or, on a
+// tenant framework, the tenant queues' picks.
 func (e *engine) inbox() bool {
 	s := e.px.sched
-	if e.pkt != nil {
-		if !e.dispatch() {
-			return true
-		}
-		if s != nil {
-			e.bill()
-			s.mDepth[e.ten].Set(float64(len(s.q[e.ten])))
-			e.pollTenants()
-		}
-	}
 	switch {
 	case s == nil && e.i < len(e.pkts):
 		e.pkt = e.pkts[e.i]
 		e.i++
 	case s != nil && s.queued > 0:
 		t, qp := s.pick()
+		ts := &s.ts[t]
 		if !s.ten.FIFO {
-			s.vtime = s.pass[t]
+			s.vtime = ts.pass
 		}
 		// Head-of-line delay: how much proxy time went to other tenants
 		// while this packet sat queued.
-		s.mWait[t].Observe((s.totalBusy - s.busy[t]) - qp.othersBusy)
-		s.mDispatch[t].Inc()
+		ts.mWait.Observe((s.totalBusy - ts.busy) - qp.othersBusy)
+		ts.mDispatch.Inc()
 		e.ten, e.t0, e.pkt = t, e.px.fw.cl.K.Now(), qp.pkt
 	default:
 		return false
 	}
 	e.progressed = true
 	e.busy(proxyHandleCost)
+	e.then = (*dispatchStep)(e)
 	return true
 }
 
-// dispatch acts on e.pkt, whose parsing is paid for, unless a costed call
-// already cut its dispatch short; it reports whether the packet is done.
-func (e *engine) dispatch() bool {
-	if !e.dispatched {
-		e.dispatched = true
-		e.px.dispatch(e.pkt)
-		if e.charged {
-			return false
-		}
+// dispatchStep acts on e.pkt, whose parsing is paid for; packetDone
+// follows once the dispatch and whatever costed calls it made are done.
+type dispatchStep engine
+
+func (st *dispatchStep) Fire(now sim.Time) {
+	e := (*engine)(st)
+	e.px.dispatch(e.pkt)
+	if d := (*packetDone)(e); !e.cut(d) {
+		d.Fire(now)
 	}
-	e.pkt, e.dispatched = nil, false
-	return true
+}
+
+// packetDone ends a packet's handling: on a tenant framework the packet is
+// billed to its tenant and the inbox re-polled, so packets that arrived
+// while a handler was busy enter the arbitration at once.
+type packetDone engine
+
+func (d *packetDone) Fire(sim.Time) {
+	e := (*engine)(d)
+	if s := e.px.sched; s != nil {
+		e.bill()
+		ts := &s.ts[e.ten]
+		ts.mDepth.Set(float64(len(ts.q)))
+		e.pollTenants()
+	}
 }
 
 // deferredRound fires the completions queued by RDMA handlers, snapshot by
@@ -260,25 +271,20 @@ func (e *engine) deferredRound() bool {
 	}
 }
 
-// combinedRound transfers the matched pairs, billing each to its tenant on
-// a tenant framework once its transfer is posted.
+// combinedRound transfers the matched pairs, each billed by pairDone once
+// its transfer is posted.
 func (e *engine) combinedRound() bool {
 	px := e.px
-	if e.pairing {
-		e.pairing = false
-		e.pairDone()
-	}
 	for e.i < len(e.pairs) {
 		pr := e.pairs[e.i]
 		e.i++
 		e.begin(pr.rts.Src)
-		e.size = pr.rts.Size
 		px.transfer(pr)
-		if e.charged {
-			e.pairing = true
+		d := (*pairDone)(e)
+		if e.cut(d) {
 			return true
 		}
-		e.pairDone()
+		d.Fire(px.fw.cl.K.Now())
 	}
 	if e.pairs != nil {
 		clear(e.pairs)
@@ -289,9 +295,14 @@ func (e *engine) combinedRound() bool {
 	return false
 }
 
-func (e *engine) pairDone() {
+// pairDone bills the pair whose transfer is posted, on a tenant framework,
+// for the proxy time and the wire time it took.
+type pairDone engine
+
+func (d *pairDone) Fire(sim.Time) {
+	e := (*engine)(d)
 	if e.bill() {
-		e.px.wireCharge(e.ten, e.size)
+		e.px.wireCharge(e.ten, e.pairs[e.i-1].rts.Size)
 	}
 }
 
@@ -312,56 +323,62 @@ func (e *engine) bill() bool {
 	return s != nil
 }
 
-// resumeGroup finishes the advance of e.grp that a costed call cut short —
-// a call still running goes on walking its entries, one that ended with its
-// completion notice is done — and bills it. It reports whether a costed
-// call cut it again.
-func (e *engine) resumeGroup() bool {
-	g := e.grp
-	e.grp = nil
-	if g.running {
-		e.px.advanceGroup(g)
-		if e.charged {
-			e.grp = g
-			return true
+// orderGroups starts the group phase over its order: the groups in install
+// order — on a tenant framework too when it schedules FIFO (the
+// no-isolation baseline) — or, under weighted fair scheduling, the active
+// groups in grant order. Each grant is a single group advancement, given to
+// the tenant with the least consumed weighted pass (ties to the tenant whose
+// first active group was installed first, a tenant's groups in install
+// order); the pass grows by the wire time of whatever the grant posted
+// (over the tenant's weight). Only a grant that a costed call cut can post,
+// so only after one is the order drawn again (groupStep); a grant that
+// posted nothing moves no pass and changes no other group, and drawing the
+// order again after it would give the same order. The quantum matters: when
+// several tenants hold postable work at the same virtual instant, per-grant
+// re-sorting is what interleaves their RDMA onto the shared port in weight
+// proportion — coarser grants would let install order decide the wire
+// order. A tenant whose groups cannot progress (waiting on remote
+// deliveries) falls through to the next, so arbitration never blocks the
+// engine.
+func (e *engine) orderGroups() {
+	px := e.px
+	e.i = 0
+	s := px.sched
+	if s == nil || s.ten.FIFO {
+		e.order = px.groupList
+		return
+	}
+	e.order = e.order[:0]
+	for _, g := range px.groupList {
+		if g.active() {
+			e.order = append(e.order, g)
 		}
 	}
-	e.bill()
-	e.progressed = true // a cut advance has progressed
-	return false
-}
-
-// advance advances g once and bills it; cut reports a costed call.
-func (e *engine) advance(g *proxyGroup) (adv, cut bool) {
-	e.begin(g.host)
-	adv = e.px.advanceGroup(g)
-	if e.charged {
-		e.grp = g
-		return true, true
+	for i := len(e.order) - 1; i >= 0; i-- {
+		s.of(e.order[i].host).first = i
 	}
-	e.bill()
-	return adv, false
+	slices.SortStableFunc(e.order, func(a, b *proxyGroup) int {
+		ta, tb := s.of(a.host), s.of(b.host)
+		return cmp.Or(cmp.Compare(ta.pass, tb.pass), cmp.Compare(ta.first, tb.first))
+	})
 }
 
-// groupRound advances every active group once, in install order — on a
-// tenant framework too when it schedules FIFO (the no-isolation baseline).
+// groupRound advances each active group of the order once, billing it to
+// its tenant; groupStep finishes an advance that a costed call cut.
 func (e *engine) groupRound() bool {
-	if s := e.px.sched; s != nil && !s.ten.FIFO {
-		return e.fairGroupRound()
-	}
-	if e.grp != nil && e.resumeGroup() {
-		return true
-	}
-	for e.i < len(e.px.groupList) {
-		g := e.px.groupList[e.i]
+	for e.i < len(e.order) {
+		g := e.order[e.i]
 		e.i++
 		if !g.active() {
 			continue
 		}
-		adv, cut := e.advance(g)
-		if cut {
+		e.begin(g.host)
+		e.grp = g
+		adv := e.px.advanceGroup(g)
+		if e.cut((*groupStep)(e)) {
 			return true
 		}
+		e.bill()
 		if adv {
 			e.progressed = true
 		}
@@ -369,70 +386,33 @@ func (e *engine) groupRound() bool {
 	return false
 }
 
+// groupStep finishes the advance of e.grp that a costed call cut short — a
+// call still running goes on walking its entries, one that ended with its
+// completion notice is done — and bills it. A cut advance has progressed,
+// and under weighted fair scheduling it ends a grant that may have moved a
+// pass, so the order is drawn again.
+type groupStep engine
+
+func (st *groupStep) Fire(sim.Time) {
+	e := (*engine)(st)
+	if g := e.grp; g.running {
+		e.px.advanceGroup(g)
+		if e.cut(st) {
+			return
+		}
+	}
+	e.bill()
+	e.progressed = true
+	if s := e.px.sched; s != nil && !s.ten.FIFO {
+		e.orderGroups()
+	}
+}
+
 // pollTenants files the arrived control messages into their tenants'
 // queues.
 func (e *engine) pollTenants() {
 	for _, pkt := range e.px.ctx.PollInbox() {
 		e.px.sched.enqueue(pkt)
-		e.progressed = true
-	}
-}
-
-// fairGroupRound advances active group schedules under weighted fair
-// scheduling: each grant is a single group advancement given to the tenant
-// with the least consumed weighted pass; the pass grows by the wire time of
-// whatever the grant posted (over the tenant's weight), and the order
-// re-evaluates after every grant. The quantum matters: when several tenants
-// hold postable work at the same virtual instant, per-grant re-sorting is
-// what interleaves their RDMA onto the shared port in weight proportion —
-// coarser grants would let install order decide the wire order. A tenant
-// whose groups cannot progress (waiting on remote deliveries) falls
-// through to the next, so arbitration never blocks the engine.
-func (e *engine) fairGroupRound() bool {
-	px := e.px
-	s := px.sched
-	for {
-		if e.grp != nil {
-			if e.resumeGroup() {
-				return true
-			}
-			e.granting = false // a grant served: re-evaluate
-		}
-		if !e.granting {
-			var tenants []int
-			seen := make(map[int]bool)
-			for _, g := range px.groupList {
-				if t := s.ten.TenantOf[g.host]; g.active() && !seen[t] {
-					seen[t] = true
-					tenants = append(tenants, t)
-				}
-			}
-			sort.SliceStable(tenants, func(a, b int) bool { return s.pass[tenants[a]] < s.pass[tenants[b]] })
-			e.granting, e.tenants, e.ti, e.i = true, tenants, 0, 0
-		}
-		served := false
-	grant:
-		for ; e.ti < len(e.tenants); e.ti, e.i = e.ti+1, 0 {
-			for e.i < len(px.groupList) {
-				g := px.groupList[e.i]
-				e.i++
-				if !g.active() || s.ten.TenantOf[g.host] != e.tenants[e.ti] {
-					continue
-				}
-				adv, cut := e.advance(g)
-				if cut {
-					return true
-				}
-				if adv {
-					served = true
-					break grant // one grant, then re-evaluate pass order
-				}
-			}
-		}
-		e.granting = false
-		if !served {
-			return false
-		}
 		e.progressed = true
 	}
 }
@@ -505,7 +485,7 @@ func (px *Proxy) advanceTransfer() {
 	}
 	kind, t, landed := tx.kind, tx.t, tx.landed
 	*tx = transfer{}
-	datapath.ForKind(kind).Execute(px, t, landed)
+	kind.Execute(px, t, landed)
 }
 
 // crossCached looks the source's cross-registration up in the proxy's

@@ -224,7 +224,7 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 // buffer, push receive-entry metadata to the source hosts, and match each
 // send entry with the metadata gathered from its destination.
 func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
-	srcReg := datapath.ForKind(g.path).SrcReg()
+	srcReg := g.path.SrcReg()
 	sends, recvs := 0, 0
 	for i := range g.ops {
 		switch g.ops[i].Type {

@@ -253,7 +253,7 @@ func (h *Host) SendOffloadVia(kind datapath.Kind, addr mem.Addr, size, dst, tag 
 	}
 	rts := h.fw.rtsFree.Get()
 	*rts = rtsMsg{Src: h.rank, Dst: dst, Tag: tag, Size: size, SrcReqID: req.id, Path: kind, SrcAddr: addr, Span: req.span}
-	switch datapath.ForKind(kind).SrcReg() {
+	switch kind.SrcReg() {
 	case datapath.RegGVMI:
 		rts.MKey = h.gvmiRegister(px, addr, size)
 	case datapath.RegIB:

@@ -94,23 +94,28 @@ type qpkt struct {
 
 // tenantSched is one proxy's per-tenant queueing and attribution state.
 type tenantSched struct {
-	ten     *Tenancy
-	q       [][]qpkt
-	pass    []int64 // weighted-fair virtual time consumed per tenant
-	scale   []int64 // passScale / weight, precomputed
-	vtime   int64   // pass of the most recently served tenant
-	nextSeq int64
-	queued  int
-
-	busy      []sim.Time // proxy CPU time attributed per tenant
+	ten       *Tenancy
+	ts        []tenantState
+	vtime     int64 // pass of the most recently served tenant
+	nextSeq   int64
+	queued    int
 	totalBusy sim.Time
+}
 
-	// Per-tenant metric handles (nil-inert when metrics are off).
-	mDepth    []*metrics.Gauge
-	mDepthMax []*metrics.Gauge
-	mBusy     []*metrics.Counter
-	mWait     []*metrics.Histogram
-	mDispatch []*metrics.Counter
+// tenantState is one tenant's share of a proxy.
+type tenantState struct {
+	q     []qpkt
+	pass  int64    // weighted-fair virtual time consumed
+	scale int64    // passScale / weight, precomputed
+	busy  sim.Time // proxy CPU time attributed
+	first int      // where its first group stands in a fair order being drawn
+
+	// Metric handles (nil-inert when metrics are off).
+	mDepth    *metrics.Gauge
+	mDepthMax *metrics.Gauge
+	mBusy     *metrics.Counter
+	mWait     *metrics.Histogram
+	mDispatch *metrics.Counter
 }
 
 // initTenancy (re)builds the proxy's scheduler state for a tenancy (nil
@@ -123,33 +128,24 @@ func (px *Proxy) initTenancy(t *Tenancy) {
 		px.sched = nil
 		return
 	}
-	n := len(t.Names)
-	s := &tenantSched{
-		ten:       t,
-		q:         make([][]qpkt, n),
-		pass:      make([]int64, n),
-		scale:     make([]int64, n),
-		busy:      make([]sim.Time, n),
-		mDepth:    make([]*metrics.Gauge, n),
-		mDepthMax: make([]*metrics.Gauge, n),
-		mBusy:     make([]*metrics.Counter, n),
-		mWait:     make([]*metrics.Histogram, n),
-		mDispatch: make([]*metrics.Counter, n),
-	}
-	for i := 0; i < n; i++ {
-		s.scale[i] = passScale / t.weight(i)
-	}
-	if m := px.fw.cl.Met; m.Enabled() {
-		for i, name := range t.Names {
-			s.mDepth[i] = m.GaugeT("core", px.entity, "tenant_queue_depth", name)
-			s.mDepthMax[i] = m.GaugeT("core", px.entity, "tenant_queue_depth_max", name)
-			s.mBusy[i] = m.CounterT("core", px.entity, "tenant_busy_ns", name)
-			s.mWait[i] = m.HistogramT("core", px.entity, "cross_tenant_wait_ns", name)
-			s.mDispatch[i] = m.CounterT("core", px.entity, "tenant_dispatches", name)
+	s := &tenantSched{ten: t, ts: make([]tenantState, len(t.Names))}
+	m := px.fw.cl.Met
+	for i, name := range t.Names {
+		ts := &s.ts[i]
+		ts.scale = passScale / t.weight(i)
+		if m.Enabled() {
+			ts.mDepth = m.GaugeT("core", px.entity, "tenant_queue_depth", name)
+			ts.mDepthMax = m.GaugeT("core", px.entity, "tenant_queue_depth_max", name)
+			ts.mBusy = m.CounterT("core", px.entity, "tenant_busy_ns", name)
+			ts.mWait = m.HistogramT("core", px.entity, "cross_tenant_wait_ns", name)
+			ts.mDispatch = m.CounterT("core", px.entity, "tenant_dispatches", name)
 		}
 	}
 	px.sched = s
 }
+
+// of returns the share of the tenant of host rank.
+func (s *tenantSched) of(host int) *tenantState { return &s.ts[s.ten.TenantOf[host]] }
 
 // tenantOf attributes one control packet to a tenant: RTS/RTR traffic to
 // the sending host's tenant (both land on the sender's proxy), group wires
@@ -178,49 +174,39 @@ func (s *tenantSched) tenantOf(pkt *verbs.Packet) int {
 // from idle has its pass pulled up to the scheduler's current virtual time,
 // so sleeping never banks credit (the standard stride-scheduler fix).
 func (s *tenantSched) enqueue(pkt *verbs.Packet) {
-	t := s.tenantOf(pkt)
-	if len(s.q[t]) == 0 && s.pass[t] < s.vtime {
-		s.pass[t] = s.vtime
+	ts := &s.ts[s.tenantOf(pkt)]
+	if len(ts.q) == 0 && ts.pass < s.vtime {
+		ts.pass = s.vtime
 	}
-	s.q[t] = append(s.q[t], qpkt{pkt: pkt, seq: s.nextSeq, othersBusy: s.totalBusy - s.busy[t]})
+	ts.q = append(ts.q, qpkt{pkt: pkt, seq: s.nextSeq, othersBusy: s.totalBusy - ts.busy})
 	s.nextSeq++
 	s.queued++
-	d := float64(len(s.q[t]))
-	s.mDepth[t].Set(d)
-	s.mDepthMax[t].SetMax(d)
+	d := float64(len(ts.q))
+	ts.mDepth.Set(d)
+	ts.mDepthMax.SetMax(d)
 }
 
 // pick chooses the next tenant to serve: lowest pass under fair scheduling
 // (ties to the lower tenant index), global arrival order under FIFO.
 func (s *tenantSched) pick() (int, qpkt) {
 	best := -1
-	if s.ten.FIFO {
-		var bestSeq int64
-		for t := range s.q {
-			if len(s.q[t]) == 0 {
-				continue
-			}
-			if best < 0 || s.q[t][0].seq < bestSeq {
-				best, bestSeq = t, s.q[t][0].seq
-			}
-		}
-	} else {
-		for t := range s.q {
-			if len(s.q[t]) == 0 {
-				continue
-			}
-			if best < 0 || s.pass[t] < s.pass[best] {
-				best = t
-			}
+	for t := range s.ts {
+		q := s.ts[t].q
+		switch {
+		case len(q) == 0:
+		case best < 0,
+			s.ten.FIFO && q[0].seq < s.ts[best].q[0].seq,
+			!s.ten.FIFO && s.ts[t].pass < s.ts[best].pass:
+			best = t
 		}
 	}
 	// Pop by copying down, as popHead does: the queue keeps its storage, so
 	// the next enqueue appends without reallocating.
-	q := s.q[best]
-	qp := q[0]
-	n := copy(q, q[1:])
-	q[n] = qpkt{}
-	s.q[best] = q[:n]
+	ts := &s.ts[best]
+	qp := ts.q[0]
+	n := copy(ts.q, ts.q[1:])
+	ts.q[n] = qpkt{}
+	ts.q = ts.q[:n]
 	s.queued--
 	return best, qp
 }
@@ -232,10 +218,11 @@ func (s *tenantSched) addBusy(t int, d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	s.busy[t] += d
+	ts := &s.ts[t]
+	ts.busy += d
 	s.totalBusy += d
 	s.charge(t, d)
-	s.mBusy[t].Add(int64(d))
+	ts.mBusy.Add(int64(d))
 }
 
 // charge advances tenant t's weighted-fair pass by d of consumed service
@@ -244,7 +231,7 @@ func (s *tenantSched) charge(t int, d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	s.pass[t] += int64(d) * s.scale[t]
+	s.ts[t].pass += int64(d) * s.ts[t].scale
 }
 
 // wireCharge bills tenant t's pass for the DPU-port serialization time of a

@@ -1,8 +1,8 @@
-// Package datapath defines the pluggable data-movement paths of the
-// offload framework. The paper fixes the execution path at job launch
-// (Section VII's mechanism enum); here each path is a first-class value
-// behind one interface so a policy engine (package policy) can choose a
-// path per operation instead of per job:
+// Package datapath defines the data-movement paths of the offload
+// framework. The paper fixes the execution path at job launch (Section
+// VII's mechanism enum); here a path is a Kind, chosen per operation by a
+// policy engine (package policy) instead of per job, and Kind.Execute
+// switches on it:
 //
 //   - CrossGVMI: the paper's proposed path — the proxy cross-registers the
 //     source host buffer through cross-GVMI and RDMA-writes it straight
@@ -10,14 +10,15 @@
 //   - Staged: the BluesMPI-style state-of-the-art path — RDMA-read into
 //     DPU staging memory, then RDMA-write toward the destination (one
 //     extra hop);
+//   - DSA: the engine-driven path of DSA-equipped off-path parts — the
+//     proxy hands the write to the hardware DMA engine;
 //   - HostDirect: no proxy at all — the transfer runs on the host MPI
 //     library's eager/rendezvous path (the "IntelMPI" baseline). It has no
-//     proxy-side execution; callers route it through a HostPoster.
+//     proxy-side execution: the host's MPI calls post it.
 //
-// Proxy-executed paths (CrossGVMI, Staged) are driven through Execute,
-// which byte-for-byte reproduces the RDMA post sequences, statistics, and
-// completion ordering of the pre-refactor mechanism branches — fixed
-// policies therefore reproduce the old presets bit-exactly.
+// The proxy-executed paths byte-for-byte reproduce the RDMA post sequences,
+// statistics, and completion ordering of the pre-refactor mechanism
+// branches — fixed policies therefore reproduce the old presets bit-exactly.
 package datapath
 
 import (
@@ -124,6 +125,21 @@ const (
 	RegNone
 )
 
+// SrcReg returns what a transfer on path k needs registered. DSA needs
+// plain IB registration, like Staged: the engine addresses host memory
+// through the source rkey.
+func (k Kind) SrcReg() SrcReg {
+	switch k {
+	case KindCrossGVMI:
+		return RegGVMI
+	case KindStaged, KindDSA:
+		return RegIB
+	case KindHostDirect:
+		return RegNone
+	}
+	panic(fmt.Sprintf("datapath: no implementation for %v", k))
+}
+
 // Stage is a registered DPU staging buffer, leased from the executor's pool
 // before Execute (Transfer.Stage) and returned by ReleaseStage (Staged path
 // only). The executor builds it and fills in the buffer fields; the rest is the state
@@ -145,9 +161,9 @@ type Stage struct {
 	wrote   bool // the read has landed and the write is posted
 }
 
-// Exec is the proxy-side execution surface a Datapath posts through. It is
+// Exec is the proxy-side execution surface a path posts through. It is
 // implemented by core.Proxy; keeping it an interface here breaks the
-// import cycle and lets datapath implementations be tested against fakes.
+// import cycle and lets the paths be tested against fakes.
 type Exec interface {
 	// PostWrite / PostRead post RDMA from the proxy's context.
 	PostWrite(op verbs.WriteOp) error
@@ -196,102 +212,74 @@ type Transfer struct {
 	Span span.ID
 }
 
-// Datapath is one data-movement path. Execute posts the first work request
-// of one transfer — the one costed call it makes, and its last — and
-// arranges for landed to run — in kernel handler context,
-// so it may only queue work (Exec.Later) — when the data has fully landed
-// in the destination memory (for Staged, after the staging buffer's return
-// to the pool has been queued, so whatever landed defers runs behind it).
-// No path builds a closure: the single-write paths hand landed to the HCA as
-// it is, and Staged keeps it in the leased Stage, so a caller whose pooled
-// record is its own landed handler (group entries and proxy transfer
-// records are) posts without allocating. The resources a path
-// posts with are resolved by the executor first: the cross-registration for
-// CrossGVMI (t.MR), the staging lease for Staged (t.Stage).
-type Datapath interface {
-	Kind() Kind
-	SrcReg() SrcReg
-	Execute(x Exec, t Transfer, landed sim.Action)
-}
-
-// ForKind returns the shared implementation of a proxy-executable kind.
-// HostDirect is returned too (for SrcReg queries), but its Execute panics:
-// host-direct transfers are posted by the host, not a proxy.
-func ForKind(k Kind) Datapath {
+// Execute posts the first work request of one transfer on path k — the
+// one costed call it makes, and its last — and arranges for landed to run —
+// in kernel handler context, so it may only queue work (Exec.Later) — when
+// the data has fully landed in the destination memory (for Staged, after
+// the staging buffer's return to the pool has been queued, so whatever
+// landed defers runs behind it). No path builds a closure: the
+// single-write paths hand landed to the HCA as it is, and Staged keeps it
+// in the leased Stage, so a caller whose pooled record is its own landed
+// handler (group entries and proxy transfer records are) posts without
+// allocating. The resources a path posts with are resolved by the executor
+// first: the cross-registration for CrossGVMI (t.MR), the staging lease for
+// Staged (t.Stage).
+//
+// CrossGVMI writes from the cross-registered source straight into the
+// destination. Staged RDMA-reads the source into the staging lease, and its
+// read's completion queues the write from the stage to the destination —
+// the extra hop the cross-GVMI design removes. DSA has the node's DMA
+// engine post the write, through its own port, from the source's plain IB
+// registration: the proxy still matches the rendezvous (the control plane
+// stays in software), but no cross-function registration is needed and
+// the engine's per-descriptor overhead undercuts even the host port.
+// HostDirect transfers never reach a proxy: the host MPI library posts and
+// progresses them (progress only inside MPI calls — the semantic mismatch
+// the paper's Section II-A criticizes).
+func (k Kind) Execute(x Exec, t Transfer, landed sim.Action) {
 	switch k {
 	case KindCrossGVMI:
-		return CrossGVMI{}
+		x.CountWrite()
+		must(k, "write", x.PostWrite(write(t, t.MR.LKey(), landed)))
 	case KindStaged:
-		return Staged{}
-	case KindHostDirect:
-		return HostDirect{}
+		s := t.Stage
+		s.x, s.landed, s.wrote = x, landed, false
+		s.dstAddr, s.dstRKey, s.size, s.span = t.DstAddr, t.DstRKey, t.Size, t.Span
+		x.CountStaged()
+		x.CountRead()
+		must(k, "read", x.PostRead(verbs.ReadOp{
+			LocalKey: s.LKey, LocalAddr: s.Addr,
+			RemoteKey: t.SrcRKey, RemoteAddr: t.SrcAddr,
+			Size:       t.Size,
+			Span:       t.Span,
+			OnComplete: s,
+		}))
 	case KindDSA:
-		return DSA{}
+		x.CountWrite()
+		must(k, "write", x.PostEngineWrite(write(t, t.SrcRKey, landed)))
+	case KindHostDirect:
+		panic("datapath: HostDirect transfers are posted by the host, not a proxy")
 	default:
 		panic(fmt.Sprintf("datapath: no implementation for %v", k))
 	}
 }
 
-// ---------------------------------------------------------------------------
-// CrossGVMI
-
-// CrossGVMI is the proposed path: cross-register the source host buffer
-// and RDMA-write it straight into the destination host's memory.
-type CrossGVMI struct{}
-
-// Kind implements Datapath.
-func (CrossGVMI) Kind() Kind { return KindCrossGVMI }
-
-// SrcReg implements Datapath.
-func (CrossGVMI) SrcReg() SrcReg { return RegGVMI }
-
-// Execute implements Datapath.
-func (CrossGVMI) Execute(x Exec, t Transfer, landed sim.Action) {
-	x.CountWrite()
-	err := x.PostWrite(verbs.WriteOp{
-		LocalKey: t.MR.LKey(), LocalAddr: t.SrcAddr,
+// write is the single write of t from the source, under local key lkey.
+func write(t Transfer, lkey verbs.Key, landed sim.Action) verbs.WriteOp {
+	return verbs.WriteOp{
+		LocalKey: lkey, LocalAddr: t.SrcAddr,
 		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
 		Size:             t.Size,
 		Span:             t.Span,
 		OnRemoteComplete: landed,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("datapath: gvmi write: %v", err))
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Staged
-
-// Staged is the baseline path: RDMA-read the source into DPU staging
-// memory, then RDMA-write from the staging buffer to the destination —
-// the extra hop the cross-GVMI design removes.
-type Staged struct{}
-
-// Kind implements Datapath.
-func (Staged) Kind() Kind { return KindStaged }
-
-// SrcReg implements Datapath.
-func (Staged) SrcReg() SrcReg { return RegIB }
-
-// Execute implements Datapath. The transfer rides its staging lease: the
-// read's completion queues the write, and the write's queues the lease's
-// return and then reports the landing.
-func (Staged) Execute(x Exec, t Transfer, landed sim.Action) {
-	s := t.Stage
-	s.x, s.landed, s.wrote = x, landed, false
-	s.dstAddr, s.dstRKey, s.size, s.span = t.DstAddr, t.DstRKey, t.Size, t.Span
-	x.CountStaged()
-	x.CountRead()
-	err := x.PostRead(verbs.ReadOp{
-		LocalKey: s.LKey, LocalAddr: s.Addr,
-		RemoteKey: t.SrcRKey, RemoteAddr: t.SrcAddr,
-		Size:       t.Size,
-		Span:       t.Span,
-		OnComplete: s,
-	})
+// must panics on a post the executor refused: the transfer's keys and
+// windows were resolved for it, so a refusal is a bug.
+func must(k Kind, op string, err error) {
 	if err != nil {
-		panic(fmt.Sprintf("datapath: staged read: %v", err))
+		panic(fmt.Sprintf("datapath: %v %s: %v", k, op, err))
 	}
 }
 
@@ -317,83 +305,11 @@ func (st *stageStep) Fire(sim.Time) {
 	}
 	s.wrote = true
 	x.CountWrite()
-	err := x.PostWrite(verbs.WriteOp{
+	must(KindStaged, "write", x.PostWrite(verbs.WriteOp{
 		LocalKey: s.LKey, LocalAddr: s.Addr,
 		RemoteKey: s.dstRKey, RemoteAddr: s.dstAddr,
 		Size:             s.size,
 		Span:             s.span,
 		OnRemoteComplete: s,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("datapath: staged write: %v", err))
-	}
-}
-
-// ---------------------------------------------------------------------------
-// DSA
-
-// DSA is the engine-driven path of DSA-equipped off-path SmartNICs: the
-// proxy still matches the rendezvous (its handler cost is unavoidable —
-// the control plane stays in software) but the data movement is posted by
-// the hardware DMA engine through its own port, whose per-descriptor
-// overhead undercuts even the host port. The engine has host-memory
-// access through the source's plain IB registration, so no
-// cross-function registration is needed — one write, zero staging.
-type DSA struct{}
-
-// Kind implements Datapath.
-func (DSA) Kind() Kind { return KindDSA }
-
-// SrcReg implements Datapath: plain IB registration, like Staged — the
-// engine addresses host memory through the source rkey.
-func (DSA) SrcReg() SrcReg { return RegIB }
-
-// Execute implements Datapath.
-func (DSA) Execute(x Exec, t Transfer, landed sim.Action) {
-	x.CountWrite()
-	err := x.PostEngineWrite(verbs.WriteOp{
-		LocalKey: t.SrcRKey, LocalAddr: t.SrcAddr,
-		RemoteKey: t.DstRKey, RemoteAddr: t.DstAddr,
-		Size:             t.Size,
-		Span:             t.Span,
-		OnRemoteComplete: landed,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("datapath: dsa write: %v", err))
-	}
-}
-
-// ---------------------------------------------------------------------------
-// HostDirect
-
-// Pending is a started host-direct transfer (an mpi.Request, behind an
-// interface so this package does not import the MPI library).
-type Pending interface {
-	Done() bool
-}
-
-// HostPoster is the host-side posting surface of the HostDirect path —
-// the MPI library's nonblocking point-to-point calls. mpi.Rank exposes it
-// via Rank.Direct().
-type HostPoster interface {
-	Isend(addr mem.Addr, size, dst, tag int) Pending
-	Irecv(addr mem.Addr, size, src, tag int) Pending
-}
-
-// HostDirect is the no-framework path: transfers are posted and progressed
-// by the host MPI library (progress only inside MPI calls — the semantic
-// mismatch the paper's Section II-A criticizes, and the reason this path
-// loses overlap benchmarks even when its latency wins).
-type HostDirect struct{}
-
-// Kind implements Datapath.
-func (HostDirect) Kind() Kind { return KindHostDirect }
-
-// SrcReg implements Datapath.
-func (HostDirect) SrcReg() SrcReg { return RegNone }
-
-// Execute implements Datapath. HostDirect transfers never reach a proxy;
-// route them through a HostPoster instead.
-func (HostDirect) Execute(Exec, Transfer, sim.Action) {
-	panic("datapath: HostDirect transfers are posted by the host, not a proxy")
+	}))
 }

@@ -38,31 +38,36 @@ func TestKindValid(t *testing.T) {
 	}
 }
 
-func TestForKindRoundTrip(t *testing.T) {
-	wantReg := map[Kind]SrcReg{
+func TestKindSrcReg(t *testing.T) {
+	want := map[Kind]SrcReg{
 		KindCrossGVMI:  RegGVMI,
 		KindStaged:     RegIB,
 		KindHostDirect: RegNone,
 		KindDSA:        RegIB,
 	}
 	for _, k := range []Kind{KindCrossGVMI, KindStaged, KindHostDirect, KindDSA} {
-		dp := ForKind(k)
-		if dp.Kind() != k {
-			t.Errorf("ForKind(%v).Kind() = %v", k, dp.Kind())
-		}
-		if dp.SrcReg() != wantReg[k] {
-			t.Errorf("ForKind(%v).SrcReg() = %v, want %v", k, dp.SrcReg(), wantReg[k])
+		if got := k.SrcReg(); got != want[k] {
+			t.Errorf("%v.SrcReg() = %v, want %v", k, got, want[k])
 		}
 	}
 }
 
-func TestForKindPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ForKind(invalid) did not panic")
-		}
-	}()
-	ForKind(Kind(99))
+// An invalid kind names no path: asking what it registers, or running it,
+// panics.
+func TestKindPanicsOnInvalid(t *testing.T) {
+	for name, f := range map[string]func(){
+		"SrcReg":  func() { Kind(99).SrcReg() },
+		"Execute": func() { Kind(99).Execute(nil, Transfer{}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Kind(99).%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestResolveFallbacks(t *testing.T) {
@@ -112,10 +117,10 @@ func TestResolveFallbacks(t *testing.T) {
 func TestHostDirectExecutePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("HostDirect.Execute did not panic")
+			t.Fatal("KindHostDirect.Execute did not panic")
 		}
 	}()
-	HostDirect{}.Execute(nil, Transfer{}, nil)
+	KindHostDirect.Execute(nil, Transfer{}, nil)
 }
 
 // stageExec is an Exec that posts nothing: it keeps the last read and write
@@ -181,7 +186,7 @@ func TestStagedRidesItsLeaseAllocFree(t *testing.T) {
 	transfer := func() {
 		x.read, x.write = verbs.ReadOp{}, verbs.WriteOp{}
 		tr.Stage = x.acquire(tr.Size)
-		Staged{}.Execute(x, tr, landed)
+		KindStaged.Execute(x, tr, landed)
 		x.read.OnComplete.Fire(1)
 		x.runLater(t)
 		x.write.OnRemoteComplete.Fire(2)
