@@ -17,11 +17,15 @@ import (
 // event count and moves only with the model; Wakeups and Handoffs count the
 // coroutine resumes a run pays for. The one-call row is the install alone:
 // its handoffs are nearly all the host's gather, a rank blocking for each
-// peer's receive metadata. The two tenant rows place two jobs of unequal
-// size on one framework of 4 nodes with two proxies per DPU, each job
-// running its own Ialltoall, so the proxies arbitrate between them: in
-// arrival order, and by weighted fair share. Done, the sum of the instants
-// the ranks finish at, tells the two apart where the counts alone might not.
+// peer's receive metadata. The tenant rows place two jobs of unequal size
+// on one framework of 4 nodes with two proxies per DPU, each job running
+// four Ialltoalls of its own, so the proxies arbitrate between them: in
+// arrival order, by weighted fair share, and by fair share with equal
+// weights. Done, the sum of the instants the ranks finish at, tells them
+// apart where the counts alone might not. The fair rows guard the grant
+// order: skipping the re-sort after a cut grant moves the weighted row,
+// and reversing the tie-break between tenants of equal pass moves the
+// equal-weight row's event count.
 func TestKernelCountsPinned(t *testing.T) {
 	t.Parallel()
 	const nodes, ppn, size = 8, 8, 32 << 10
@@ -37,8 +41,9 @@ func TestKernelCountsPinned(t *testing.T) {
 		{"bluesmpi", 3, nil, false, sim.Stats{Fired: 177408, Wakeups: 28496, SelfWakeups: 1, Handoffs: 28495, Slots: 4032}, 4092424864},
 		{"hostdirect", 3, nil, false, sim.Stats{Fired: 134495, Wakeups: 90143, SelfWakeups: 151, Handoffs: 89992, Slots: 3600}, 318150700},
 		{"gvmi", 1, nil, false, sim.Stats{Fired: 47976, Wakeups: 12352, SelfWakeups: 1, Handoffs: 12351, Slots: 4032}, 152960288},
-		{"fifo", 2, tenantJobs, true, sim.Stats{Fired: 9392, Wakeups: 1760, Handoffs: 1760, Slots: 384}, 28666732},
-		{"fair", 2, tenantJobs, false, sim.Stats{Fired: 9376, Wakeups: 1760, Handoffs: 1760, Slots: 400}, 31971220},
+		{"fifo", 4, tenantJobs, true, sim.Stats{Fired: 17008, Wakeups: 1952, Handoffs: 1952, Slots: 496}, 57882040},
+		{"fair", 4, tenantJobs, false, sim.Stats{Fired: 16964, Wakeups: 1952, Handoffs: 1952, Slots: 420}, 61202068},
+		{"fair-equal", 4, equalJobs, false, sim.Stats{Fired: 16968, Wakeups: 1952, Handoffs: 1952, Slots: 484}, 61202068},
 	} {
 		var done sim.Time
 		opt := Options{Nodes: nodes, PPN: ppn, Scheme: c.scheme}
@@ -72,10 +77,16 @@ func TestKernelCountsPinned(t *testing.T) {
 }
 
 // tenantJobs are the tenant rows' two jobs: five and three ranks per node,
-// the smaller one weighted three times the larger.
+// the smaller one weighted three times the larger; equalJobs weight them
+// alike.
 var tenantJobs = []baseline.Job{
 	{Name: "a", PPN: 5, Weight: 1, Scheme: "gvmi"},
 	{Name: "b", PPN: 3, Weight: 3, Scheme: "gvmi"},
+}
+
+var equalJobs = []baseline.Job{
+	{Name: "a", PPN: 5, Weight: 1, Scheme: "gvmi"},
+	{Name: "b", PPN: 3, Weight: 1, Scheme: "gvmi"},
 }
 
 // The simulator's goroutines are its ranks' coroutines and nothing else: a
