@@ -111,14 +111,17 @@ snap:
 snap-check:
 	$(GO) test -run 'TestBaselines|ValidateRejects|TestSplitDriftWindows' ./internal/bench/
 
-# Perf smoke: allocation budgets on the event core, verbs (with and without
-# a fault plan), a rate-zero chaos run, the MPI eager and rendezvous pairs,
-# barrier and NBC alltoall, the staged datapath's lease, the basic-primitive
-# pair on both proxy paths, the group-replay path, the uncached staged
-# gather and the registration cache, the first Ialltoall's objects per
-# message on each system, and the serial-vs-parallel determinism guard.
+# Perf smoke: allocation budgets on the event core, the fabric's pooled
+# transfer action, span recording after a reset, verbs (with and without a
+# fault plan), a rate-zero chaos run, the MPI eager and rendezvous pairs
+# (0: Wait releases their requests), barrier and NBC alltoall, the staged
+# datapath's lease, the basic-primitive pair on both proxy paths (0), the
+# group-replay path, the uncached staged gather, the registration cache, a
+# stencil iteration (2k iterations allocate what k do), the first
+# Ialltoall's objects per message on each system, and the serial-vs-parallel
+# determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|AllocBudget|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/
+	$(GO) test -run 'AllocFree|AllocBudget|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/fabric/ ./internal/span/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/ ./internal/stencil/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet

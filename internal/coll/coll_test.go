@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datapath"
+	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -205,6 +206,67 @@ func TestMixedWaitAll(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A mixed WaitAll releases every handle it completes exactly once, MPI and
+// offload alike. Over rounds in which every rank of a 2×2 proposed system
+// exchanges a message with every other rank (its node-local peer over MPI,
+// the other node over the framework), no handle is handed out while a rank
+// that holds it has yet to enter its WaitAll (a handle released twice comes
+// back twice), and each kind's handles are reused: fewer distinct ones than
+// were handed out.
+func TestMixedWaitAllReleasesEachOnce(t *testing.T) {
+	const size, rounds = 4 << 10, 4
+	kindOf := func(q Request) int {
+		if _, ok := q.(*mpi.Request); ok {
+			return 0
+		}
+		return 1
+	}
+	owner := map[Request]int{} // held handles, by rank
+	var waiting [4]bool        // ranks inside WaitAll
+	var handed [2]int          // by kind: *mpi.Request, *core.OffloadRequest
+	seen := [2]map[Request]bool{{}, {}}
+	launch(t, 2, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
+		_, p2p := Bind("proposed", r, h, nil)
+		me, np := r.RankID(), r.Size()
+		send, recv := r.Alloc(np*size), r.Alloc(np*size)
+		for it := 0; it < rounds; it++ {
+			var qs []Request
+			track := func(q Request) {
+				if o, ok := owner[q]; ok && !waiting[o] {
+					t.Errorf("round %d: rank %d was handed a %T that rank %d holds", it, me, q, o)
+				}
+				owner[q] = me
+				handed[kindOf(q)]++
+				seen[kindOf(q)][q] = true
+				qs = append(qs, q)
+			}
+			for peer := 0; peer < np; peer++ {
+				if peer != me {
+					track(p2p.Irecv(recv.Addr()+mem.Addr(peer*size), size, peer, it))
+				}
+			}
+			for peer := 0; peer < np; peer++ {
+				if peer != me {
+					track(p2p.Isend(send.Addr()+mem.Addr(peer*size), size, peer, it))
+				}
+			}
+			waiting[me] = true
+			p2p.WaitAll(qs)
+			waiting[me] = false
+			for _, q := range qs {
+				if owner[q] == me {
+					delete(owner, q)
+				}
+			}
+		}
+	})
+	for k, name := range []string{"MPI", "offload"} {
+		if n := len(seen[k]); n == 0 || n >= handed[k] {
+			t.Errorf("%d distinct %s handles for %d handed out, want fewer: released handles are reused", n, name, handed[k])
+		}
+	}
 }
 
 func TestTwoSlotsAreIndependent(t *testing.T) {

@@ -144,11 +144,12 @@ func TestUncachedStagedGroupCallAllocFree(t *testing.T) {
 }
 
 // A warm Send_Offload/Recv_Offload pair through started proxies allocates
-// exactly the two OffloadRequests handed to the callers, on either proxy
-// datapath and under a crash plan too: the hosts' request records, the
-// RTS/RTR/FIN payloads and packets, the proxy's transfer record, the RDMA
-// operations and, on the staged path, the transfer's state (kept in its
-// staging lease) are all recycled.
+// nothing, on either proxy datapath and under a crash plan too: the
+// OffloadRequests handed to the callers go back to their free list when
+// Wait returns, and the hosts' request records, the RTS/RTR/FIN payloads
+// and packets, the proxy's transfer record, the RDMA operations and, on the
+// staged path, the transfer's state (kept in its staging lease) are all
+// recycled.
 func TestBasicPrimitivePairAllocFree(t *testing.T) {
 	const size = 4096
 	for _, pc := range budgetPlans() {
@@ -163,8 +164,8 @@ func TestBasicPrimitivePairAllocFree(t *testing.T) {
 					}
 				}
 			})
-			if allocs != 2 {
-				t.Errorf("%s: a warm offloaded %v pair allocates %.1f objects, want 2 (its requests)", pc.name, path, allocs)
+			if allocs != 0 {
+				t.Errorf("%s: a warm offloaded %v pair allocates %.1f objects, want 0", pc.name, path, allocs)
 			}
 		}
 	}

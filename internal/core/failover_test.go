@@ -76,9 +76,47 @@ func TestFailoverBeforeInstallingOnRestartedProxy(t *testing.T) {
 // single time.
 func TestOneSidedReissuedAfterProxyCrash(t *testing.T) {
 	const size = 16 << 10
+	plan := fault.DefaultConfig(1)
+	plan.Crashes = []fault.Crash{{Proxy: 0, At: 12 * sim.Microsecond}}
+	fw, bufs := windowPair(t, plan, 2*size, 2*size, func(h *Host, wins [2]Window) {
+		var req *OffloadRequest
+		if h.Rank() == 0 {
+			req = h.PutOffload(wins[0], 0, wins[1], 0, size) // rank 0's first half into rank 1's
+		} else {
+			req = h.GetOffload(wins[1], size, wins[0], size, size) // rank 0's second half into rank 1's
+		}
+		h.Wait(req)
+	})
+	if want := pattern(0, 2*size); !bytes.Equal(bufs[1], want) {
+		t.Error("rank 1's window does not hold rank 0's put and get")
+	}
+	st := fw.Stats()
+	if st.OneSidedReissues != 2 || st.RDMAWrites != 0 {
+		t.Errorf("%d one-sided reissues and %d proxy writes, want the put and the get reissued and nothing written by the proxy", st.OneSidedReissues, st.RDMAWrites)
+	}
+	recs, ok := fw.reqFree.Free()
+	if !ok || len(recs) != 2 {
+		t.Errorf("%d request records recycled (each once: %v), want 2", len(recs), ok)
+	}
+	if handles, ok := fw.offReqFree.Free(); !ok || len(handles) != 2 {
+		t.Errorf("%d request handles released (each once: %v), want 2", len(handles), ok)
+	}
+	for _, h := range fw.hosts {
+		if len(h.reqs) != 0 {
+			t.Errorf("rank %d: %d requests outstanding", h.rank, len(h.reqs))
+		}
+	}
+	fw.Retire()
+}
+
+// windowPair runs body on both hosts of a framework on two nodes of one rank
+// each, under plan, once each host has exposed a backed window of n bytes
+// whose first fill bytes hold pattern(10 × its rank). It returns when the
+// run drains, with the framework and the windows' bytes by rank.
+func windowPair(t *testing.T, plan *fault.Config, n, fill int, body func(h *Host, wins [2]Window)) (*Framework, [2][]byte) {
+	t.Helper()
 	ccfg := cluster.DefaultConfig(2, 1)
-	ccfg.Fault = fault.DefaultConfig(1)
-	ccfg.Fault.Crashes = []fault.Crash{{Proxy: 0, At: 12 * sim.Microsecond}}
+	ccfg.Fault = plan
 	cl := cluster.New(ccfg)
 	sites := []*cluster.Site{cl.NewHostSite(0, "host0"), cl.NewHostSite(1, "host1")}
 	fw := New(cl, DefaultConfig(), sites)
@@ -92,42 +130,20 @@ func TestOneSidedReissuedAfterProxyCrash(t *testing.T) {
 		cl.K.Spawn(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
 			h.Bind(p)
 			me := h.Rank()
-			buf := h.site.Space.Alloc(2*size, true)
-			copy(buf.Bytes(), pattern(byte(10*me), 2*size))
+			buf := h.site.Space.Alloc(n, true)
+			copy(buf.Bytes(), pattern(byte(10*me), fill))
 			wins[me], bufs[me] = h.ExposeWindow(buf.Addr(), buf.Size()), buf.Bytes()
 			exposed++
 			ready.Broadcast()
 			for exposed < 2 {
 				ready.Wait(p)
 			}
-			var req *OffloadRequest
-			if me == 0 {
-				req = h.PutOffload(wins[0], 0, wins[1], 0, size) // rank 0's first half into rank 1's
-			} else {
-				req = h.GetOffload(wins[1], size, wins[0], size, size) // rank 0's second half into rank 1's
-			}
-			h.Wait(req)
+			body(h, wins)
 		})
 	}
 	cl.K.Run()
 	if len(cl.K.Deadlocked) > 0 {
 		t.Fatalf("%d processes deadlocked", len(cl.K.Deadlocked))
 	}
-	if want := pattern(0, 2*size); !bytes.Equal(bufs[1], want) {
-		t.Error("rank 1's window does not hold rank 0's put and get")
-	}
-	st := fw.Stats()
-	if st.OneSidedReissues != 2 || st.RDMAWrites != 0 {
-		t.Errorf("%d one-sided reissues and %d proxy writes, want the put and the get reissued and nothing written by the proxy", st.OneSidedReissues, st.RDMAWrites)
-	}
-	recs, ok := fw.reqFree.Free()
-	if !ok || len(recs) != 2 {
-		t.Errorf("%d request records recycled (each once: %v), want 2", len(recs), ok)
-	}
-	for _, h := range fw.hosts {
-		if len(h.reqs) != 0 {
-			t.Errorf("rank %d: %d requests outstanding", h.rank, len(h.reqs))
-		}
-	}
-	fw.Retire()
+	return fw, bufs
 }

@@ -91,12 +91,14 @@ type Framework struct {
 	crashed bool     // some proxy has crashed: hosts run the failure detector
 	tenancy *Tenancy // nil = single-job framework (see tenancy.go)
 
-	// reqFree recycles the hosts' request records (see reqRec), xferFree
-	// the proxies' records of matched pairs in flight (see xfer), and stages
+	// reqFree recycles the hosts' request records (see reqRec), offReqFree
+	// the handles Wait and WaitAll release (see OffloadRequest), xferFree the
+	// proxies' records of matched pairs in flight (see xfer), and stages
 	// holds the records of the proxies' staging leases (see AcquireStage).
-	reqFree  pool.List[reqRec]
-	xferFree pool.List[xfer]
-	stages   pool.Slab[datapath.Stage]
+	reqFree    pool.List[reqRec]
+	offReqFree pool.List[OffloadRequest]
+	xferFree   pool.List[xfer]
+	stages     pool.Slab[datapath.Stage]
 
 	// Free lists of control payloads (see ctrlPacket); their packets come
 	// from the verbs registry's pool.

@@ -97,8 +97,11 @@ func (h *Host) peer(p int) int {
 // Proc returns the bound process.
 func (h *Host) Proc() *sim.Proc { return h.proc }
 
-// OffloadRequest identifies one basic-primitive transfer (Send_Offload /
-// Recv_Offload); pass it to Wait.
+// OffloadRequest identifies one basic-primitive or one-sided transfer
+// (Send_Offload / Recv_Offload, Put/Get); pass it to Wait or WaitAll. The
+// handle is dead once Wait or WaitAll returns: its record goes back to the
+// framework's free list. Done releases nothing, and a handle that is never
+// waited on is left to the garbage collector.
 type OffloadRequest struct {
 	id   int64
 	done bool
@@ -121,7 +124,8 @@ const (
 // reqRec is the host's record of one outstanding request: what completes it
 // and what the host needs to finish it itself if the proxy executing it dies
 // (see failover.go). Records are recycled when their request completes; the
-// caller keeps only the OffloadRequest.
+// caller keeps only the OffloadRequest, which Wait recycles. A completed
+// request is out of the table, so a late FIN finds nothing to complete.
 type reqRec struct {
 	req   *OffloadRequest
 	kind  reqKind
@@ -143,7 +147,8 @@ type reqRec struct {
 func (h *Host) newReq(kind reqKind, px *Proxy) *reqRec {
 	h.nextSeq++
 	r := h.fw.reqFree.Get()
-	r.req = &OffloadRequest{id: int64(h.rank)<<32 | h.nextSeq}
+	r.req = h.fw.offReqFree.Get()
+	r.req.id = int64(h.rank)<<32 | h.nextSeq
 	r.kind, r.proxy, r.gen = kind, px, px.gen
 	h.reqs[r.req.id] = r
 	return r
@@ -361,13 +366,16 @@ func (h *Host) waitFor(pred func() bool) {
 	h.OffloadTime += h.proc.Now() - t0
 }
 
-// Wait blocks until the basic-primitive request completes. The transfer
-// itself progresses on the DPU regardless; Wait only observes the FIN.
+// Wait blocks until the request completes, then releases it: the handle is
+// dead once Wait returns. The transfer itself progresses on the DPU
+// regardless; Wait only observes the FIN.
 func (h *Host) Wait(req *OffloadRequest) {
 	h.waitFor(func() bool { return req.done })
+	recycle(&h.fw.offReqFree, req)
 }
 
-// WaitAll blocks until all given requests complete.
+// WaitAll blocks until all given requests complete, then releases them all
+// (see Wait).
 func (h *Host) WaitAll(reqs ...*OffloadRequest) {
 	h.waitFor(func() bool {
 		for _, q := range reqs {
@@ -377,4 +385,7 @@ func (h *Host) WaitAll(reqs ...*OffloadRequest) {
 		}
 		return true
 	})
+	for _, q := range reqs {
+		recycle(&h.fw.offReqFree, q)
+	}
 }

@@ -226,8 +226,10 @@ func distinct[T comparable](t *testing.T, name string, list []T) map[T]bool {
 // each record at most once and none that is still queued: the proxies'
 // RTS/RTR queues and matched pairs, the transfer records and staging
 // leases, FINs, delivery notifications, group replays, completions and
-// failures, gathered metadata, and the packets themselves — on either
-// design and under every rig plan, where records recycle just the same.
+// failures, gathered metadata, the request handles WaitAll released, and
+// the packets themselves — on either design and under every rig plan, where
+// records recycle just the same. One-sided requests drained by WaitAll, as
+// shmem's Quiet drains them, are released exactly once too.
 func TestRecycledRecordsNoDoubleFree(t *testing.T) {
 	for _, pc := range rigPlans() {
 		t.Run(pc.name, func(t *testing.T) { checkRigFreeLists(t, runRig(t, DefaultConfig(), pc.plan)) })
@@ -237,6 +239,69 @@ func TestRecycledRecordsNoDoubleFree(t *testing.T) {
 			t.Run(pc.name, func(t *testing.T) { checkRigFreeLists(t, runRig(t, stagedConfig(), pc.plan)) })
 		}
 	})
+	t.Run("one-sided", func(t *testing.T) {
+		for _, pc := range rigPlans() {
+			t.Run(pc.name, func(t *testing.T) { oneSidedQuiet(t, pc.plan) })
+		}
+	})
+}
+
+// oneSidedQuiet runs two hosts on two nodes that, for three rounds, each put
+// slot 0 of their window into slot 2 of the peer's and get slot 1 of the
+// peer's into their own slot 3, then drain both requests with one WaitAll.
+// Every request handle the hosts were handed is back on the free list
+// exactly once, the windows hold the peer's bytes, and no request is
+// outstanding; under rigFaults, requests reissued after the proxy crash
+// included.
+func oneSidedQuiet(t *testing.T, plan *fault.Config) {
+	const size = 8 << 10
+	handed := map[*OffloadRequest]bool{}
+	fw, bufs := windowPair(t, plan, 4*size, 2*size, func(h *Host, wins [2]Window) {
+		me := h.Rank()
+		peer := 1 - me
+		var pending []*OffloadRequest
+		for range 3 {
+			pending = append(pending,
+				h.PutOffload(wins[me], 0, wins[peer], 2*size, size),
+				h.GetOffload(wins[me], 3*size, wins[peer], size, size))
+			for _, q := range pending {
+				handed[q] = true
+			}
+			h.WaitAll(pending...)
+			clear(pending)
+			pending = pending[:0]
+		}
+	})
+	for me := range bufs {
+		peer := pattern(byte(10*(1-me)), 2*size)
+		if !bytes.Equal(bufs[me][2*size:], peer) {
+			t.Errorf("rank %d's window does not hold rank %d's put and get", me, 1-me)
+		}
+	}
+	reqs := free(t, "offload request", &fw.offReqFree)
+	if len(reqs) != len(handed) {
+		t.Errorf("%d request handles on the free list, want the %d handed out", len(reqs), len(handed))
+	}
+	for q := range handed {
+		if !reqs[q] {
+			t.Error("a request handle WaitAll returned is not on the free list")
+		}
+	}
+	for q := range reqs {
+		if *q != (OffloadRequest{}) {
+			t.Errorf("a released request handle still holds request %d", q.id)
+		}
+	}
+	free(t, "request record", &fw.reqFree)
+	if plan != nil && len(plan.Crashes) > 0 && fw.Stats().OneSidedReissues == 0 {
+		t.Error("the proxy crash reissued no one-sided request")
+	}
+	for _, h := range fw.hosts {
+		if len(h.reqs) != 0 {
+			t.Errorf("rank %d: %d requests outstanding", h.rank, len(h.reqs))
+		}
+	}
+	fw.Retire()
 }
 
 // free returns the records on l, failing t if one is on it twice.
@@ -259,8 +324,14 @@ func checkRigFreeLists(t *testing.T, run rigRun) {
 	gdone := free(t, "gdone", &fw.gdoneFree)
 	free(t, "gfail", &fw.gfailFree)
 	gmeta := free(t, "gmeta", &fw.gmetaFree)
-	if len(rts) == 0 || len(rtr) == 0 || len(fin) == 0 || len(gdone) == 0 {
-		t.Fatalf("nothing recycled: %d rts, %d rtr, %d fin, %d gdone", len(rts), len(rtr), len(fin), len(gdone))
+	reqs := free(t, "offload request", &fw.offReqFree)
+	if len(rts) == 0 || len(rtr) == 0 || len(fin) == 0 || len(gdone) == 0 || len(reqs) == 0 {
+		t.Fatalf("nothing recycled: %d rts, %d rtr, %d fin, %d gdone, %d requests", len(rts), len(rtr), len(fin), len(gdone), len(reqs))
+	}
+	for q := range reqs {
+		if *q != (OffloadRequest{}) {
+			t.Errorf("a released request handle still holds request %d", q.id)
+		}
 	}
 	staged := fw.cfg.Path == datapath.KindStaged
 	if staged && len(gmeta) == 0 {

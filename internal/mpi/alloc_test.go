@@ -46,8 +46,9 @@ func TestBarrierAllocFree(t *testing.T) {
 	}
 }
 
-// A warm inter-node eager pair allocates exactly the two requests Isend and
-// Irecv hand to the caller.
+// A warm inter-node eager pair allocates nothing: the requests Isend and
+// Irecv hand to the caller go back to the world's free list when Wait
+// returns, and the message record and packet are recycled by their consumer.
 func TestEagerPairAllocFree(t *testing.T) {
 	const size = 1024
 	a := roundAllocs(t, 2, 1, func(r *Rank) {
@@ -58,13 +59,14 @@ func TestEagerPairAllocFree(t *testing.T) {
 			r.Wait(r.Irecv(buf, size, 0, 5))
 		}
 	})
-	if a != 2 {
-		t.Fatalf("a warm eager Isend/Irecv pair allocates %.1f objects, want 2 (its requests)", a)
+	if a != 0 {
+		t.Fatalf("a warm eager Isend/Irecv pair allocates %.1f objects, want 0", a)
 	}
 }
 
-// A warm inter-node rendezvous pair allocates exactly its two requests: the
-// RTS, the RDMA read and its FIN ride recycled records.
+// A warm inter-node rendezvous pair allocates nothing: its two requests are
+// released by Wait, and the RTS, the RDMA read and its FIN ride recycled
+// records.
 func TestRendezvousPairAllocFree(t *testing.T) {
 	const size = 40000
 	a := roundAllocs(t, 2, 1, func(r *Rank) {
@@ -75,14 +77,16 @@ func TestRendezvousPairAllocFree(t *testing.T) {
 			r.Wait(r.Irecv(buf, size, 0, 5))
 		}
 	})
-	if a != 2 {
-		t.Fatalf("a warm rendezvous Isend/Irecv pair allocates %.1f objects, want 2 (its requests)", a)
+	if a != 0 {
+		t.Fatalf("a warm rendezvous Isend/Irecv pair allocates %.1f objects, want 0", a)
 	}
 }
 
 // A warm Ialltoall of rendezvous-sized blocks allocates a fixed number of
-// objects per rank, whatever the rank count: the 2(np-1) requests of a call
-// come from one slab, and every message record is recycled.
+// objects per rank, whatever the rank count: three, its CollRequest, the
+// step closure and the copy of the rank's own block. The 2(np-1) requests
+// of a call come from the slab the rank's last call handed back, and every
+// message record is recycled.
 func TestIalltoallAllocFree(t *testing.T) {
 	const per = 20000
 	perRank := func(nodes, ppn int) float64 {
@@ -92,7 +96,7 @@ func TestIalltoallAllocFree(t *testing.T) {
 			r.WaitColl(r.Ialltoall(buf, buf+mem.Addr(np*per), per))
 		}) / float64(np)
 	}
-	if a8, a16 := perRank(2, 4), perRank(4, 4); a8 != a16 {
-		t.Fatalf("a warm Ialltoall allocates %.2f objects per rank at 8 ranks and %.2f at 16, want the same", a8, a16)
+	if a8, a16 := perRank(2, 4), perRank(4, 4); a8 != a16 || a8 != 3 {
+		t.Fatalf("a warm Ialltoall allocates %.2f objects per rank at 8 ranks and %.2f at 16, want 3 at both", a8, a16)
 	}
 }

@@ -71,8 +71,9 @@ func (c *Comm) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 	r.proc.AdvanceBusy(r.w.Cl.CopyCost(per))
 	r.site.Space.WriteAt(recvAddr+mem.Addr(me*per), self, per)
 
-	// The requests never leave the collective: one slab holds them all.
-	reqs := make([]Request, 2*(np-1))
+	// The requests never leave the collective: one slab holds them all, and
+	// progressColls hands it back to the rank once the call is done.
+	reqs := r.a2aSlab(2 * (np - 1))
 	for i := 1; i < np; i++ {
 		src := (me - i + np) % np
 		r.irecv(&reqs[i-1], recvAddr+mem.Addr(src*per), per, c.World(src), tag)
@@ -83,16 +84,30 @@ func (c *Comm) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 	}
 	// A request never comes undone, so each check resumes at the first one
 	// the last check found pending.
-	cr := &CollRequest{r: r}
+	cr := &CollRequest{r: r, reqs: reqs}
 	cr.step = func() bool {
-		for ; cr.next < len(reqs); cr.next++ {
-			if !reqs[cr.next].done {
+		for ; cr.next < len(cr.reqs); cr.next++ {
+			if !cr.reqs[cr.next].done {
 				return false
 			}
 		}
 		return true
 	}
 	return r.addColl(cr)
+}
+
+// a2aSlab returns n request records for one Ialltoall: the slab of the call
+// that finished last, or a new one if there is none or it is too small for
+// this communicator (it is then dropped).
+func (r *Rank) a2aSlab(n int) []Request {
+	if k := len(r.a2aSlabs); k > 0 {
+		s := r.a2aSlabs[k-1]
+		r.a2aSlabs = r.a2aSlabs[:k-1]
+		if cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]Request, n)
 }
 
 // Alltoall is the blocking form of Ialltoall.

@@ -9,6 +9,7 @@ type CollRequest struct {
 	r    *Rank
 	done bool
 	step func() bool // advances the schedule; reports completion
+	reqs []Request   // Ialltoall: its request slab, back to the rank once done
 	next int         // Ialltoall: the first request step may find pending
 }
 
@@ -26,6 +27,10 @@ func (r *Rank) progressColls() {
 		c := r.colls[i]
 		if !c.done && c.step() {
 			c.done = true
+			if c.reqs != nil {
+				r.a2aSlabs = append(r.a2aSlabs, c.reqs)
+				c.reqs = nil
+			}
 		}
 		if c.done {
 			r.colls = append(r.colls[:i], r.colls[i+1:]...)

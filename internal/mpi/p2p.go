@@ -9,7 +9,12 @@ import (
 	"repro/internal/verbs"
 )
 
-// Request is a nonblocking operation handle (MPI_Request).
+// Request is a nonblocking operation handle (MPI_Request). The handle
+// Isend or Irecv returns is dead once Wait or WaitAll returns: its record
+// goes back to the world's free list, as MPI_Wait sets a handle to
+// MPI_REQUEST_NULL. Test and Done release nothing, so a handle that tested
+// done may still be waited on; one that is never waited on is left to the
+// garbage collector.
 type Request struct {
 	r      *Rank
 	isRecv bool
@@ -67,16 +72,17 @@ func (r *Rank) startP2PSpan(req *Request, name string, peer int) {
 	sp.AttrInt(req.span, "tag", int64(req.tag))
 }
 
-// Isend starts a nonblocking send of [addr, addr+size) to rank dst.
+// Isend starts a nonblocking send of [addr, addr+size) to rank dst. The
+// handle lives until Wait or WaitAll returns (see Request).
 func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
-	req := new(Request)
+	req := r.w.reqs.Get()
 	r.isend(req, addr, size, dst, tag)
 	return req
 }
 
 // isend starts a send whose state lives in req, a record the caller owns and
-// may reuse once it is done (Barrier keeps two per rank, Ialltoall takes one
-// slab per call).
+// may reuse once it is done (Barrier keeps two per rank, Ialltoall reuses a
+// slab per rank, Isend takes one from World.reqs).
 func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 	*req = Request{r: r, addr: addr, size: size, peer: dst, tag: tag}
 	r.startP2PSpan(req, "isend", dst)
@@ -140,9 +146,10 @@ func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 }
 
 // Irecv starts a nonblocking receive into [addr, addr+size) from src
-// (or AnySource) with the given tag (or AnyTag).
+// (or AnySource) with the given tag (or AnyTag). The handle lives until Wait
+// or WaitAll returns (see Request).
 func (r *Rank) Irecv(addr mem.Addr, size, src, tag int) *Request {
-	req := new(Request)
+	req := r.w.reqs.Get()
 	r.irecv(req, addr, size, src, tag)
 	return req
 }
@@ -379,14 +386,17 @@ func (r *Rank) waitFor(pred func() bool) {
 	}
 }
 
-// Wait blocks until the request completes (MPI_Wait).
+// Wait blocks until the request completes (MPI_Wait), then releases it: the
+// handle is dead once Wait returns.
 func (r *Rank) Wait(req *Request) {
 	t0 := r.enter()
 	r.waitFor(func() bool { return req.done })
+	r.w.freeReq(req)
 	r.leave(t0)
 }
 
-// WaitAll blocks until every request completes (MPI_Waitall).
+// WaitAll blocks until every request completes (MPI_Waitall), then releases
+// them all: the handles are dead once WaitAll returns.
 func (r *Rank) WaitAll(reqs ...*Request) {
 	t0 := r.enter()
 	r.waitFor(func() bool {
@@ -397,11 +407,15 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 		}
 		return true
 	})
+	for _, q := range reqs {
+		r.w.freeReq(q)
+	}
 	r.leave(t0)
 }
 
 // Test progresses once and reports whether the request has completed
-// (MPI_Test).
+// (MPI_Test). It releases nothing: a request that tested done may still be
+// waited on, and that Wait releases it.
 func (r *Rank) Test(req *Request) bool {
 	t0 := r.enter()
 	r.Progress()
@@ -409,7 +423,7 @@ func (r *Rank) Test(req *Request) bool {
 	return req.done
 }
 
-// Send is the blocking send (MPI_Send).
+// Send is the blocking send (MPI_Send); its request is released by Wait.
 func (r *Rank) Send(addr mem.Addr, size, dst, tag int) {
 	r.Wait(r.Isend(addr, size, dst, tag))
 }

@@ -51,9 +51,11 @@ type World struct {
 	prefix string // site/process name prefix ("" for the single-world case)
 
 	// msgs recycles message records (see freeMsg); their packets come from
-	// the verbs registry's pool. rndvs recycles rendezvous reads (rndv).
+	// the verbs registry's pool. rndvs recycles rendezvous reads (rndv),
+	// reqs the handles of Isend and Irecv (see freeReq).
 	msgs  pool.List[inMsg]
 	rndvs pool.List[rndv]
+	reqs  pool.List[Request]
 
 	// Metric handles; nil (inert) when metrics are off.
 	mEager   *metrics.Counter
@@ -116,6 +118,17 @@ func (w *World) freeMsg(m *inMsg) {
 	w.msgs.Put(m)
 }
 
+// freeReq recycles a request handle into w.reqs once Wait or WaitAll has
+// seen it done. Nothing below the caller holds a done request: a matched
+// receive has left the posted queue, and the message or FIN that completed
+// a send was consumed by the dispatch that marked it done. The rndv record
+// of a rendezvous receive may still point at it until its FIN is out, but
+// never reads it again.
+func (w *World) freeReq(q *Request) {
+	*q = Request{}
+	w.reqs.Put(q)
+}
+
 // packet wraps m for the wire in a pooled packet, which the receiving
 // Progress returns to the registry once it has read the payload.
 func (w *World) packet(size int, m *inMsg, parent span.ID) *verbs.Packet {
@@ -158,13 +171,14 @@ type Rank struct {
 	ctx    *verbs.Ctx
 	proc   *sim.Proc
 
-	posted     []*Request // posted receives, in post order
-	unexpected []*inMsg   // arrived but unmatched messages
-	deferred   []*rndv    // rendezvous reads done, FINs to post at the next progress
-	drained    []*rndv    // the buffer deferred swaps with in Progress
-	shmIn      []*inMsg   // intra-node (shared-memory) arrivals
-	shmDrained []*inMsg   // the buffer shmIn swaps with in Progress
-	barReqs    [2]Request // Barrier's send and receive, reused every round
+	posted     []*Request  // posted receives, in post order
+	unexpected []*inMsg    // arrived but unmatched messages
+	deferred   []*rndv     // rendezvous reads done, FINs to post at the next progress
+	drained    []*rndv     // the buffer deferred swaps with in Progress
+	shmIn      []*inMsg    // intra-node (shared-memory) arrivals
+	shmDrained []*inMsg    // the buffer shmIn swaps with in Progress
+	barReqs    [2]Request  // Barrier's send and receive, reused every round
+	a2aSlabs   [][]Request // Ialltoall request slabs of finished calls, reused
 	colls      []*CollRequest
 	collSeq    int // per-rank collective sequence number (tag separation)
 

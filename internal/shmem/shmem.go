@@ -123,12 +123,14 @@ func (pe *PE) Get(dst SymAddr, src SymAddr, n, target int) {
 }
 
 // Quiet blocks until all outstanding puts and gets by this PE have
-// completed remotely (shmem_quiet).
+// completed remotely (shmem_quiet). WaitAll releases their requests, so the
+// pending list is cleared before it is reused.
 func (pe *PE) Quiet() {
 	if len(pe.pending) == 0 {
 		return
 	}
 	pe.host.WaitAll(pe.pending...)
+	clear(pe.pending)
 	pe.pending = pe.pending[:0]
 }
 

@@ -1,0 +1,6 @@
+//go:build !race
+
+package stencil
+
+// raceEnabled reports a -race build (see TestStencilIterationAllocFree).
+const raceEnabled = false

@@ -157,8 +157,10 @@ func Run(opt bench.Options, n, warmup, iters int) Result {
 			send[i] = r.Alloc(size)
 			recv[i] = r.Alloc(size)
 		}
-		exchange := func() {
-			reqs := make([]coll.Request, 0, 2*len(nbrs))
+		// One request slice serves every exchange. WaitAll releases the
+		// requests, so wait clears it: no dead handle stays reachable.
+		reqs := make([]coll.Request, 0, 2*len(nbrs))
+		post := func() {
 			for i, nb := range nbrs {
 				size := fb[dimOf(g, me, nb)]
 				reqs = append(reqs, p2p.Irecv(recv[i].Addr(), size, nb, 7))
@@ -167,30 +169,23 @@ func Run(opt bench.Options, n, warmup, iters int) Result {
 				size := fb[dimOf(g, me, nb)]
 				reqs = append(reqs, p2p.Isend(send[i].Addr(), size, nb, 7))
 			}
-			p2p.WaitAll(reqs)
 		}
-		overlapped := func(compute sim.Time) {
-			reqs := make([]coll.Request, 0, 2*len(nbrs))
-			for i, nb := range nbrs {
-				size := fb[dimOf(g, me, nb)]
-				reqs = append(reqs, p2p.Irecv(recv[i].Addr(), size, nb, 7))
-			}
-			for i, nb := range nbrs {
-				size := fb[dimOf(g, me, nb)]
-				reqs = append(reqs, p2p.Isend(send[i].Addr(), size, nb, 7))
-			}
-			r.Compute(compute)
+		wait := func() {
 			p2p.WaitAll(reqs)
+			clear(reqs)
+			reqs = reqs[:0]
 		}
 
 		for it := 0; it < warmup; it++ {
-			exchange()
+			post()
+			wait()
 			r.Barrier()
 		}
 		var acc sim.Time
 		for it := 0; it < iters; it++ {
 			t0 := r.Now()
-			exchange()
+			post()
+			wait()
 			acc += r.Now() - t0
 			r.Barrier()
 		}
@@ -200,7 +195,9 @@ func Run(opt bench.Options, n, warmup, iters int) Result {
 		acc = 0
 		for it := 0; it < iters; it++ {
 			t0 := r.Now()
-			overlapped(compute)
+			post()
+			r.Compute(compute)
+			wait()
 			acc += r.Now() - t0
 			r.Barrier()
 		}

@@ -79,3 +79,32 @@ func TestOffloadOverlapBeatsHost(t *testing.T) {
 		t.Fatalf("offload overall %v >= host overall %v", off.Overall, host.Overall)
 	}
 }
+
+// A halo-exchange iteration allocates nothing once the run is warm: its
+// requests come back to their pools when WaitAll returns and the rank's
+// request slice is reused, so a run of 2k iterations allocates exactly what
+// a run of k does, whether the inter-node faces ride the DPU proxies or the
+// host's rendezvous protocol. (The ranks' message queues reach their depth
+// within the first few iterations; at k = 4 the proposed run is still
+// growing them.)
+//
+// A whole run is counted, set-up included, and under the race detector
+// sync.Pool drops items at random, so the names fmt builds at set-up cost a
+// different number of objects from run to run: the comparison holds only
+// without -race.
+func TestStencilIterationAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("set-up allocations vary from run to run under -race")
+	}
+	const k = 8
+	for _, scheme := range []string{baseline.NameProposed, baseline.NameIntelMPI} {
+		opt := bench.Options{Nodes: 2, PPN: 4, Scheme: scheme}
+		run := func(iters int) float64 {
+			return testing.AllocsPerRun(1, func() { Run(opt, 128, 1, iters) })
+		}
+		if few, many := run(k), run(2*k); many != few {
+			t.Errorf("%s: %d iterations allocate %.0f objects, %d allocate %.0f: %.1f per extra iteration, want 0",
+				scheme, 2*k, many, k, few, (many-few)/k)
+		}
+	}
+}
