@@ -42,10 +42,16 @@ one-builder:
 # No proxy process: a proxy's progress engine is an event handler on a
 # busy-until clock (internal/core/engine.go), so outside tests internal/core
 # spawns nothing, sleeps nothing and needs neither daemons nor kills. A call
-# that brings a proxy stack back fails.
+# that brings a proxy stack back fails. Likewise a rank's MPI progress runs
+# as steps of its busy-until clock (internal/mpi/steps.go): outside tests
+# internal/mpi waits on no inbox condition, and the one AdvanceBusy it makes
+# is Rank.Compute's, the application's own work.
 no-proxy-procs:
 	@got=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'Spawn\(|px\.proc|AdvanceBusy\(|SetDaemon|\.Kill\(' internal/core); \
 	if [ -n "$$got" ]; then echo "no-proxy-procs: internal/core runs proxies as event handlers; found:"; echo "$$got"; exit 1; fi
+	@got=$$(find internal/mpi -name '*.go' ! -name '*_test.go' -exec awk \
+		'/^func /{ fn = $$0 } /InboxCond\.Wait\(|AdvanceBusy\(/ && !(/AdvanceBusy\(/ && fn ~ /\) Compute\(/) { print FILENAME ":" FNR ": " $$0 }' {} +); \
+	if [ -n "$$got" ]; then echo "no-proxy-procs: internal/mpi progresses as steps, and only Compute sleeps; found:"; echo "$$got"; exit 1; fi
 
 # Runs staticcheck when it is on PATH and skips (loudly) when it is not:
 # dev containers without network access cannot `go install` it, but CI does

@@ -106,7 +106,7 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 	px := fw.Proxy(0)
 	// The proxy's engine only finishes the costed calls the test makes: a
 	// stopped framework's engine runs no round of its own.
-	px.eng = &engine{px: px}
+	px.eng = newEngine(px)
 	fw.Stop()
 
 	type key struct{ host, id int }
@@ -176,7 +176,7 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 	cl.K.Spawn("engine", func(p *sim.Proc) {
 		// settle lets the engine issue a post the last call paid for.
 		settle := func() {
-			if px.eng.charged {
+			if px.eng.clk.Charged() {
 				p.Sleep(cl.Reg.Costs().PostWR)
 			}
 		}

@@ -14,33 +14,28 @@ import (
 // engine is one life of a proxy's progress engine (Figure 8 / Algorithm 1):
 // drain control messages, fire matched transfers, resume blocked group
 // schedules, repeat — run to completion as an event handler, with no stack
-// of its own. It keeps a busy-until clock: each costed call the engine makes
-// — parsing a control message, posting a work request, a cross- or staging
-// registration, a group's warm-up — schedules the engine's next step at the
-// instant the cost is paid, and that step finishes the call (issues the
-// post, mints the registration) and goes on from where the round stood.
-// One step per cost, scheduled where a process would have scheduled its
-// wake-up, keeps every tie in the event queue in its place. An idle engine
-// parks on the proxy's inbox condition, so an arrival or a deferred
-// completion schedules a step only when none is pending.
+// of its own. It runs on a busy-until clock (sim.Busy): each costed call the
+// engine makes — parsing a control message, posting a work request, a
+// cross- or staging registration, a group's warm-up — schedules the engine's
+// next step at the instant the cost is paid, and that step finishes the call
+// (issues the post, mints the registration) and goes on from where the round
+// stood. An idle engine parks on the proxy's inbox condition, so an arrival
+// or a deferred completion schedules a step only when none is pending.
 //
 // A crash ends the life: the proxy drops the engine, and a step of it still
 // pending, parked or due at the crash's very instant after it, does nothing.
 // A restart starts a new one.
 type engine struct {
-	px *Proxy
+	px  *Proxy
+	clk sim.Busy // the engine is its step
 
-	// charged is set once the running step has paid for a costed call: the
-	// next step is scheduled, and the step unwinds to Fire.
-	charged bool
-
-	// What the paid-for call leaves to the next step: the work request to
-	// issue, the transfer being prepared, and then the rest of the unit of
-	// work the call cut short (a packet's dispatch, a pair's billing, a
-	// group's advance) or of a deferred action.
+	// What a paid-for call leaves to the next step: the work request to
+	// issue (issue), or the transfer being prepared (txNext). The rest of
+	// the unit of work the call cut short — a packet's dispatch, a pair's
+	// billing, a group's advance, a deferred action — is the clock's
+	// continuation.
 	post verbs.Post
 	tx   transfer
-	then sim.Action
 
 	// The round: which phase it is in, the snapshot the phase works through
 	// (the inbox, the deferred completions, the matched pairs, the groups in
@@ -76,66 +71,57 @@ const (
 // start begins a life of the proxy's engine, at the current instant (Start
 // and every restart).
 func (px *Proxy) start() {
-	px.eng = &engine{px: px}
+	px.eng = newEngine(px)
 	px.fw.cl.K.AtAction(0, px.eng)
+}
+
+// newEngine returns a life of px's engine, its clock bound to its steps.
+func newEngine(px *Proxy) *engine {
+	e := &engine{px: px}
+	e.clk.Init(px.fw.cl.K, e)
+	return e
 }
 
 // Fire runs one step: it finishes the costed call the last step paid for,
 // then carries the round on until the next costed call, or parks.
-func (e *engine) Fire(sim.Time) {
+func (e *engine) Fire(now sim.Time) {
 	if e.px.eng != e {
 		return // a crash ended this life
 	}
-	e.charged = false
-	if e.settle() {
+	if e.clk.Settle(now) {
 		return
 	}
 	e.run()
 }
 
-// busy pays for a costed call of d: the engine's next step fires at the
-// instant it is paid. A step pays for one call at most.
-func (e *engine) busy(d sim.Time) {
-	if e.charged {
-		panic("core: a proxy step paid for two costed calls")
-	}
-	e.charged = true
-	e.px.fw.cl.K.AtAction(d, e)
-}
+// busy pays for a costed call of d.
+func (e *engine) busy(d sim.Time) { e.clk.Charge(d, nil) }
 
 // await pays for posting p, which the next step issues.
 func (e *engine) await(p verbs.Post) {
 	e.post = p
-	e.busy(p.Cost())
+	e.clk.Charge(p.Cost(), (*issue)(e))
 }
 
-// settle finishes the call the last step paid for — the post issues, a
-// transfer being prepared goes on, or, once it is posted, the work the call
-// cut short goes on — and reports whether that paid for another.
-func (e *engine) settle() bool {
-	if e.post.Pending() {
-		p := e.post
-		e.post = verbs.Post{}
-		p.Issue()
-	}
-	if e.tx.step != txNone {
-		e.px.advanceTransfer()
-	} else if a := e.then; a != nil {
-		e.then = nil
-		a.Fire(e.px.fw.cl.K.Now())
-	}
-	return e.charged
+// issue completes a paid-for post: the work request goes to the HCA.
+type issue engine
+
+func (i *issue) Fire(sim.Time) {
+	e := (*engine)(i)
+	p := e.post
+	e.post = verbs.Post{}
+	p.Issue()
 }
+
+// txNext completes a paid-for registration of the transfer being prepared:
+// the transfer goes on to its next costed call.
+type txNext engine
+
+func (n *txNext) Fire(sim.Time) { n.px.advanceTransfer() }
 
 // cut reports whether the running step paid for a costed call, and if so
-// leaves rest, what remains of the unit of work the call cut short, to run
-// once the call and whatever it chains are settled.
-func (e *engine) cut(rest sim.Action) bool {
-	if e.charged {
-		e.then = rest
-	}
-	return e.charged
-}
+// leaves rest to run once that call is settled (sim.Busy.Cut).
+func (e *engine) cut(rest sim.Action) bool { return e.clk.Cut(rest) }
 
 // run carries the round on from where it stands, round after round, until
 // a costed call or until the proxy is idle, and then parks on the inbox.
@@ -213,7 +199,7 @@ func (e *engine) inbox() bool {
 	}
 	e.progressed = true
 	e.busy(proxyHandleCost)
-	e.then = (*dispatchStep)(e)
+	e.cut((*dispatchStep)(e))
 	return true
 }
 
@@ -253,7 +239,7 @@ func (e *engine) deferredRound() bool {
 			a := e.acts[e.i]
 			e.i++
 			a.Fire(px.fw.cl.K.Now())
-			if e.charged {
+			if e.clk.Charged() {
 				return true
 			}
 		}
@@ -514,7 +500,7 @@ func (px *Proxy) startCross(tx *transfer) {
 		panic("core: proxy " + px.entity + " cross-registration: " + err.Error())
 	}
 	tx.cross, tx.span, tx.step = x, s, txCrossed
-	px.eng.busy(x.Cost())
+	px.eng.clk.Charge(x.Cost(), (*txNext)(px.eng))
 }
 
 // leaseStage leases a registered DPU staging buffer of at least the
@@ -535,7 +521,7 @@ func (px *Proxy) leaseStage(tx *transfer) bool {
 	buf := px.site.Space.Alloc(cls, px.fw.cl.Cfg.BackedPayload)
 	tx.reg = px.ctx.StartReg(buf.Addr(), cls, tx.t.Span)
 	tx.step = txRegistered
-	px.eng.busy(tx.reg.Attempt())
+	px.eng.clk.Charge(tx.reg.Attempt(), (*txNext)(px.eng))
 	return false
 }
 
@@ -544,7 +530,7 @@ func (px *Proxy) leaseStage(tx *transfer) bool {
 func (px *Proxy) finishStage(tx *transfer) bool {
 	mr := tx.reg.Finish()
 	if mr == nil {
-		px.eng.busy(tx.reg.Attempt())
+		px.eng.clk.Charge(tx.reg.Attempt(), (*txNext)(px.eng))
 		return false
 	}
 	s := px.fw.stages.New()

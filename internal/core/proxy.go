@@ -104,7 +104,7 @@ type xferDone xfer
 func (d *xferDone) Fire(sim.Time) {
 	x := (*xfer)(d)
 	x.px.sendFIN(x.pr.rts.Src, x.pr.rts.SrcReqID, x.pr.rts.Span)
-	x.px.eng.then = (*xferFin)(x)
+	x.px.eng.cut((*xferFin)(x))
 }
 
 // xferFin FINs the receiver, then returns the record and the pair's

@@ -7,7 +7,8 @@ import "repro/internal/mem"
 // communicator; ranks and message peers are translated through Comm.World.
 
 // Barrier blocks until all communicator members have entered
-// (dissemination).
+// (dissemination): each round sends to the member off ranks ahead and
+// receives from the one off ranks behind, and waits for both.
 func (c *Comm) Barrier() {
 	r := c.r
 	t0 := r.enter()
@@ -16,19 +17,30 @@ func (c *Comm) Barrier() {
 	if np == 1 {
 		return
 	}
-	tag := c.nextTag()
-	zero := r.scratch(1)
-	sq, rq := &r.barReqs[0], &r.barReqs[1]
-	for off := 1; off < np; off <<= 1 {
-		dst := c.World((c.myIdx + off) % np)
-		src := c.World((c.myIdx - off + np) % np)
-		r.isend(sq, zero, 0, dst, tag)
-		r.irecv(rq, zero, 0, src, tag)
-		r.waitFor(func() bool { return sq.done && rq.done })
-	}
+	r.rc, r.tag, r.addr, r.mask = c, c.nextTag(), r.scratch(1), 1
+	r.barrierRound() // np > 1
+	r.do(callBarrier, phPost)
 }
 
-// Bcast broadcasts [addr, addr+size) from comm-rank root (binomial tree).
+// barrierRound queues the next round of a Barrier and reports whether
+// there was one.
+func (r *Rank) barrierRound() bool {
+	c, off := r.rc, r.mask
+	np := c.Size()
+	if off >= np {
+		return false
+	}
+	r.mask <<= 1
+	r.barReqs[0].set(false, r.addr, 0, c.World((c.myIdx+off)%np), r.tag)
+	r.barReqs[1].set(true, r.addr, 0, c.World((c.myIdx-off+np)%np), r.tag)
+	r.pair = [2]*Request{&r.barReqs[0], &r.barReqs[1]}
+	r.list, r.wreqs, r.phase = r.pair[:], r.pair[:], phPost
+	return true
+}
+
+// Bcast broadcasts [addr, addr+size) from comm-rank root (binomial tree):
+// a non-root member receives from its parent, then every member sends to
+// its children, largest subtree first, each transfer waited for.
 func (c *Comm) Bcast(addr mem.Addr, size, root int) {
 	r := c.r
 	t0 := r.enter()
@@ -40,22 +52,35 @@ func (c *Comm) Bcast(addr mem.Addr, size, root int) {
 	}
 	rel := (c.myIdx - root + np) % np
 	mask := 1
-	for mask < np {
-		if rel&mask != 0 {
-			src := c.World((rel - mask + root) % np)
-			r.Recv(addr, size, src, tag)
-			break
-		}
+	for mask < np && rel&mask == 0 {
 		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < np {
-			dst := c.World((rel + mask + root) % np)
-			r.Send(addr, size, dst, tag)
-		}
-		mask >>= 1
+	r.rc, r.tag, r.addr, r.size, r.root, r.mask = c, tag, addr, size, root, mask>>1
+	if mask < np {
+		r.postOne(r.w.reqs.Get(), true, addr, size, c.World((rel-mask+root)%np), tag)
+	} else {
+		r.bcastRound() // the root has a child: np > 1
 	}
+	r.do(callBcast, phPost)
+}
+
+// bcastRound queues the next send of a Bcast and reports whether there was
+// one.
+func (r *Rank) bcastRound() bool {
+	c := r.rc
+	np := c.Size()
+	rel := (c.myIdx - r.root + np) % np
+	for r.mask > 0 {
+		mask := r.mask
+		r.mask >>= 1
+		if rel+mask < np {
+			r.postOne(r.w.reqs.Get(), false, r.addr, r.size, c.World((rel+mask+r.root)%np), r.tag)
+			r.phase = phPost
+			return true
+		}
+	}
+	r.pair[0] = nil
+	return false
 }
 
 // Ialltoall starts a nonblocking personalized all-to-all within the
@@ -66,34 +91,23 @@ func (c *Comm) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 	r := c.r
 	tag := c.nextTag()
 	np, me := c.Size(), c.myIdx
-
-	self := snapshot(r.site.Space, sendAddr+mem.Addr(me*per), per)
-	r.proc.AdvanceBusy(r.w.Cl.CopyCost(per))
-	r.site.Space.WriteAt(recvAddr+mem.Addr(me*per), self, per)
+	r.src, r.addr, r.size = sendAddr+mem.Addr(me*per), recvAddr+mem.Addr(me*per), per
 
 	// The requests never leave the collective: one slab holds them all, and
-	// progressColls hands it back to the rank once the call is done.
+	// the schedule hands it back to the rank once the call is done.
 	reqs := r.a2aSlab(2 * (np - 1))
 	for i := 1; i < np; i++ {
 		src := (me - i + np) % np
-		r.irecv(&reqs[i-1], recvAddr+mem.Addr(src*per), per, c.World(src), tag)
+		reqs[i-1].set(true, recvAddr+mem.Addr(src*per), per, c.World(src), tag)
 	}
 	for i := 1; i < np; i++ {
 		dst := (me + i) % np
-		r.isend(&reqs[np-2+i], sendAddr+mem.Addr(dst*per), per, c.World(dst), tag)
+		reqs[np-2+i].set(false, sendAddr+mem.Addr(dst*per), per, c.World(dst), tag)
 	}
-	// A request never comes undone, so each check resumes at the first one
-	// the last check found pending.
-	cr := &CollRequest{r: r, reqs: reqs}
-	cr.step = func() bool {
-		for ; cr.next < len(cr.reqs); cr.next++ {
-			if !cr.reqs[cr.next].done {
-				return false
-			}
-		}
-		return true
-	}
-	return r.addColl(cr)
+	r.slab = reqs
+	cr := r.addColl(&CollRequest{kind: collAlltoall, reqs: reqs})
+	r.do(callPost, phOwn)
+	return cr
 }
 
 // a2aSlab returns n request records for one Ialltoall: the slab of the call

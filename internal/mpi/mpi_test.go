@@ -212,6 +212,83 @@ func TestRendezvousDelayedByComputeNoProgress(t *testing.T) {
 	if recvDone < compute {
 		t.Fatalf("receive completed at %v, before compute ended at %v", recvDone, compute)
 	}
+
+	// The ring broadcast of hpl's Ring1 variant, 1 MiB over three nodes:
+	// rank 0 sends the panel to rank 1, and rank 1 forwards it to rank 2
+	// once a Test between compute chunks finds it arrived. A probe halfway
+	// through every chunk finds the rank outside the library with no step
+	// pending — a step firing then would panic the run — and counts the
+	// chunks during which an arrival sat in the NIC. MPITime is exactly the
+	// time spent in Test and Wait, and it and the finishing instants are
+	// those of the process-stack implementation this one replaced.
+	const chunk = 50 * sim.Microsecond
+	type tally struct {
+		mpi, done sim.Time
+		chunks    int
+	}
+	var got [3]tally
+	var busy, waiting int
+	w := runWorld(t, 3, 1, func(r *Rank) {
+		me := r.RankID()
+		buf := r.Alloc(size)
+		var tl tally
+		timed := func(call func()) {
+			t0 := r.Now()
+			call()
+			tl.mpi += r.Now() - t0
+		}
+		compute := func() {
+			r.w.Cl.K.At(chunk/2, func() {
+				if r.inCall || r.call != callNone || r.clk.Charged() {
+					busy++
+				}
+				if r.site.Ctx.InboxLen() > 0 {
+					waiting++
+				}
+			})
+			r.Compute(chunk)
+			tl.chunks++
+		}
+		var sq, rq *Request
+		if me == 0 {
+			sq = r.Isend(buf.Addr(), size, 1, 0)
+			for range 4 {
+				compute()
+			}
+		} else {
+			rq = r.Irecv(buf.Addr(), size, me-1, 0)
+			for {
+				var ok bool
+				timed(func() { ok = r.Test(rq) })
+				if ok {
+					break
+				}
+				compute()
+			}
+			if me+1 < r.Size() {
+				sq = r.Isend(buf.Addr(), size, me+1, 0)
+			}
+			timed(func() { r.Wait(rq) })
+		}
+		if sq != nil {
+			timed(func() { r.Wait(sq) })
+		}
+		tl.done = r.Now()
+		got[me] = tl
+	})
+	if busy != 0 || waiting == 0 {
+		t.Errorf("mid-compute probes: %d found the rank inside the library, %d an arrival waiting in the NIC; want 0 and some", busy, waiting)
+	}
+	want := [3]tally{{1455, 267535, 4}, {267455, 467535, 4}, {66220, 466220, 8}}
+	for i, g := range got {
+		r := w.Rank(i)
+		if r.MPITime != g.mpi || r.ComputeTime != sim.Time(g.chunks)*chunk {
+			t.Errorf("rank %d: MPITime %v, ComputeTime %v; the calls took %v, %d chunks %v", i, r.MPITime, r.ComputeTime, g.mpi, g.chunks, sim.Time(g.chunks)*chunk)
+		}
+		if g != want[i] {
+			t.Errorf("rank %d: %+v, want %+v", i, g, want[i])
+		}
+	}
 }
 
 func TestBarrierSynchronizes(t *testing.T) {

@@ -16,22 +16,21 @@ import (
 // done may still be waited on; one that is never waited on is left to the
 // garbage collector.
 type Request struct {
-	r      *Rank
-	isRecv bool
 	addr   mem.Addr
 	size   int
 	peer   int // destination (send) or source-match (recv, AnySource ok)
 	tag    int
-	done   bool
 	span   span.ID // root span of the operation (0 = untraced)
+	isRecv bool
+	done   bool
 }
 
 // Done reports completion without progressing (see Test).
 func (q *Request) Done() bool { return q.done }
 
 // inMsg is the receive-side view of an incoming message. Records are
-// recycled by whoever consumes them (see World.freeMsg): dispatch after a FIN
-// or a match, Irecv after matching an unexpected arrival.
+// recycled by whoever consumes them (see World.freeMsg): the dispatch of a
+// FIN, or the match of a receive (matchDone).
 type inMsg struct {
 	kind     string // "eager", "shm", "rts"
 	src      int
@@ -54,7 +53,7 @@ type inMsg struct {
 func (m *inMsg) Fire(sim.Time) {
 	dst := m.to
 	dst.shmIn = append(dst.shmIn, m)
-	dst.ctx.InboxCond.Broadcast()
+	dst.site.Ctx.InboxCond.Broadcast()
 }
 
 // spans returns the cluster's span collector (nil when tracing is off).
@@ -76,73 +75,9 @@ func (r *Rank) startP2PSpan(req *Request, name string, peer int) {
 // handle lives until Wait or WaitAll returns (see Request).
 func (r *Rank) Isend(addr mem.Addr, size, dst, tag int) *Request {
 	req := r.w.reqs.Get()
-	r.isend(req, addr, size, dst, tag)
+	r.postOne(req, false, addr, size, dst, tag)
+	r.do(callPost, phPost)
 	return req
-}
-
-// isend starts a send whose state lives in req, a record the caller owns and
-// may reuse once it is done (Barrier keeps two per rank, Ialltoall reuses a
-// slab per rank, Isend takes one from World.reqs).
-func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
-	*req = Request{r: r, addr: addr, size: size, peer: dst, tag: tag}
-	r.startP2PSpan(req, "isend", dst)
-	cl := r.w.Cl
-	msg := r.w.msgs.Get()
-	msg.src, msg.tag, msg.size, msg.srcCtx, msg.span = r.rank, tag, size, r.ctx, req.span
-	dstRank := r.w.ranks[dst]
-
-	if dst == r.rank {
-		// Self-send: treat as shm with zero latency.
-		r.w.mShm.Inc()
-		msg.kind = "shm"
-		msg.srcSpace, msg.srcAddr, msg.sendReq = r.site.Space, addr, req
-		r.deliverLocal(dstRank, msg, 0)
-		return
-	}
-
-	if r.w.SameNode(r.rank, dst) {
-		r.w.mShm.Inc()
-		if size <= eagerThreshold {
-			// Copy-in/copy-out through a shared-memory slot; the send
-			// completes once the copy-in is done.
-			r.proc.AdvanceBusy(cl.CopyCost(size))
-			msg.kind = "eager"
-			msg.copyIn(r.site.Space, addr, size)
-			r.deliverLocal(dstRank, msg, cl.Cfg.ShmLatency)
-			req.done = true
-			r.spans().End(req.span)
-		} else {
-			// Large intra-node: single copy performed by the receiver at
-			// match time; the sender completes when the copy finishes.
-			msg.kind = "shm"
-			msg.srcSpace, msg.srcAddr, msg.sendReq = r.site.Space, addr, req
-			r.deliverLocal(dstRank, msg, cl.Cfg.ShmLatency)
-		}
-		return
-	}
-
-	if size <= eagerThreshold {
-		// Eager: payload is copied into a pre-registered bounce buffer and
-		// shipped with the header; the buffer is immediately reusable.
-		r.w.mEager.Inc()
-		r.proc.AdvanceBusy(cl.CopyCost(size))
-		msg.kind = "eager"
-		msg.copyIn(r.site.Space, addr, size)
-		r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(size+headerSize, msg, req.span))
-		req.done = true
-		r.spans().End(req.span)
-		return
-	}
-
-	// Rendezvous (RGET): register the source buffer (through the IB
-	// registration cache) and send an RTS carrying the rkey; the receiver
-	// RDMA-reads the data and FINs back. The send completes when the FIN is
-	// processed — which requires this process to re-enter the library.
-	r.w.mRdv.Inc()
-	mr := r.registerCachedCtx(addr, size, req.span)
-	msg.kind = "rts"
-	msg.srcAddr, msg.rkey, msg.sendReq = addr, mr.RKey(), req
-	r.ctx.PostSend(r.proc, dstRank.ctx, r.w.packet(headerSize, msg, req.span))
 }
 
 // Irecv starts a nonblocking receive into [addr, addr+size) from src
@@ -150,20 +85,123 @@ func (r *Rank) isend(req *Request, addr mem.Addr, size, dst, tag int) {
 // or WaitAll returns (see Request).
 func (r *Rank) Irecv(addr mem.Addr, size, src, tag int) *Request {
 	req := r.w.reqs.Get()
-	r.irecv(req, addr, size, src, tag)
+	r.postOne(req, true, addr, size, src, tag)
+	r.do(callPost, phPost)
 	return req
 }
 
-// irecv starts a receive into the caller-owned record req (see isend).
-func (r *Rank) irecv(req *Request, addr mem.Addr, size, src, tag int) {
-	*req = Request{r: r, isRecv: true, addr: addr, size: size, peer: src, tag: tag}
-	r.startP2PSpan(req, "irecv", src)
-	// Check the unexpected queue first (arrival before post).
+// start posts a queued request: a record the caller owns and may reuse
+// once it is done (Barrier keeps two per rank, Ialltoall reuses a slab per
+// rank, Isend and Irecv take one from World.reqs).
+func (r *Rank) start(req *Request) {
+	if req.isRecv {
+		r.startRecv(req)
+	} else {
+		r.startSend(req)
+	}
+}
+
+// startSend starts a send; a costed action leaves the rest to the next step.
+func (r *Rank) startSend(req *Request) {
+	r.startP2PSpan(req, "isend", req.peer)
+	cl := r.w.Cl
+	msg := r.w.msgs.Get()
+	msg.src, msg.tag, msg.size, msg.srcCtx, msg.span = r.rank, req.tag, req.size, r.site.Ctx, req.span
+	r.cur, r.msg = req, msg
+	dst := req.peer
+
+	switch {
+	case dst == r.rank:
+		// Self-send: treat as shm with zero latency.
+		r.w.mShm.Inc()
+		msg.kind = "shm"
+		msg.srcSpace, msg.srcAddr, msg.sendReq = r.site.Space, req.addr, req
+		r.deliverLocal(r.w.ranks[dst], msg, 0)
+	case r.w.SameNode(r.rank, dst) && req.size <= eagerThreshold:
+		// Copy-in/copy-out through a shared-memory slot; the send
+		// completes once the copy-in is done.
+		r.w.mShm.Inc()
+		r.clk.Charge(cl.CopyCost(req.size), (*copiedIn)(r))
+	case r.w.SameNode(r.rank, dst):
+		// Large intra-node: single copy performed by the receiver at
+		// match time; the sender completes when the copy finishes.
+		r.w.mShm.Inc()
+		msg.kind = "shm"
+		msg.srcSpace, msg.srcAddr, msg.sendReq = r.site.Space, req.addr, req
+		r.deliverLocal(r.w.ranks[dst], msg, cl.Cfg.ShmLatency)
+	case req.size <= eagerThreshold:
+		// Eager: payload is copied into a pre-registered bounce buffer and
+		// shipped with the header; the buffer is immediately reusable.
+		r.w.mEager.Inc()
+		r.clk.Charge(cl.CopyCost(req.size), (*copiedIn)(r))
+	default:
+		// Rendezvous (RGET): register the source buffer (through the IB
+		// registration cache) and send an RTS carrying the rkey; the
+		// receiver RDMA-reads the data and FINs back. The send completes
+		// when the FIN is processed — which requires this process to
+		// re-enter the library.
+		r.w.mRdv.Inc()
+		if mr := r.register(req.addr, req.size, req.span); mr != nil {
+			r.sendRTS(mr)
+		}
+	}
+}
+
+// copiedIn goes on with an eager send once its copy-in is paid: into a
+// shared-memory slot, and the send is done; or into a bounce buffer, which
+// is posted, and eagerSent completes the send once the post is paid.
+type copiedIn Rank
+
+func (c *copiedIn) Fire(sim.Time) {
+	r := (*Rank)(c)
+	req, msg := r.cur, r.msg
+	msg.kind = "eager"
+	msg.copyIn(r.site.Space, req.addr, req.size)
+	dst := r.w.ranks[req.peer]
+	if !r.w.SameNode(r.rank, req.peer) {
+		r.postSend(dst.site.Ctx, r.w.packet(req.size+headerSize, msg, req.span), (*eagerSent)(r))
+		return
+	}
+	r.deliverLocal(dst, msg, r.w.Cl.Cfg.ShmLatency)
+	r.sent()
+}
+
+type eagerSent Rank
+
+func (s *eagerSent) Fire(sim.Time) {
+	r := (*Rank)(s)
+	r.issue()
+	r.sent()
+}
+
+// sent completes the send being posted.
+func (r *Rank) sent() {
+	r.cur.done = true
+	r.spans().End(r.cur.span)
+}
+
+// sendRTS posts the RTS of a rendezvous send whose source is registered.
+func (r *Rank) sendRTS(mr *verbs.MR) {
+	req, msg := r.cur, r.msg
+	msg.kind = "rts"
+	msg.srcAddr, msg.rkey, msg.sendReq = req.addr, mr.RKey(), req
+	r.postSend(r.w.ranks[req.peer].site.Ctx, r.w.packet(headerSize, msg, req.span), (*issue)(r))
+}
+
+// postSend pays for posting pkt to dst; done completes the post.
+func (r *Rank) postSend(dst *verbs.Ctx, pkt *verbs.Packet, done sim.Action) {
+	r.post = r.site.Ctx.StartSend(dst, pkt)
+	r.clk.Charge(r.post.Cost(), done)
+}
+
+// startRecv starts a receive: it matches the first unexpected arrival it
+// can, or joins the posted queue.
+func (r *Rank) startRecv(req *Request) {
+	r.startP2PSpan(req, "irecv", req.peer)
 	for i, m := range r.unexpected {
 		if matches(req, m) {
 			r.unexpected = slices.Delete(r.unexpected, i, i+1)
-			r.handleMatch(req, m)
-			r.w.freeMsg(m)
+			r.match(req, m)
 			return
 		}
 	}
@@ -179,24 +217,37 @@ func (m *inMsg) copyIn(sp *mem.Space, addr mem.Addr, size int) {
 	}
 }
 
-// snapshot captures payload bytes if the buffer is backed.
-func snapshot(sp *mem.Space, addr mem.Addr, size int) []byte {
-	d := sp.ReadAt(addr, size)
-	if d == nil {
-		return nil
+// register returns the MR of [addr, addr+size) from the registration cache.
+// On a miss it starts the registration, recorded under parent, and returns
+// nil: regStep finishes it once its cost is paid.
+func (r *Rank) register(addr mem.Addr, size int, parent span.ID) *verbs.MR {
+	if mr, ok := r.regCache.Get(0, addr, size); ok {
+		return mr
 	}
-	out := make([]byte, size)
-	copy(out, d)
-	return out
+	r.reg = r.site.Ctx.StartReg(addr, size, parent)
+	r.clk.Charge(r.reg.Attempt(), (*regStep)(r))
+	return nil
 }
 
-// registerCachedCtx returns an MR for [addr,size), registering on cache
-// miss; a miss records the registration under parent (hits record nothing).
-func (r *Rank) registerCachedCtx(addr mem.Addr, size int, parent span.ID) *verbs.MR {
-	mr, _ := r.regCache.GetOrCreate(0, addr, size, func() *verbs.MR {
-		return r.ctx.RegisterMRCtx(r.proc, addr, size, parent)
-	})
-	return mr
+// regStep ends a paid-for registration attempt of the current request's
+// buffer: a failed one is tried again; a successful one is cached, and the
+// rendezvous goes on — the RTS of a send, the RDMA read of a receive.
+type regStep Rank
+
+func (st *regStep) Fire(sim.Time) {
+	r := (*Rank)(st)
+	mr := r.reg.Finish()
+	if mr == nil {
+		r.clk.Charge(r.reg.Attempt(), st)
+		return
+	}
+	req := r.cur
+	r.regCache.Put(0, req.addr, req.size, mr)
+	if req.isRecv {
+		r.postRead(mr)
+	} else {
+		r.sendRTS(mr)
+	}
 }
 
 // deliverLocal schedules an intra-node (shared-memory) delivery.
@@ -218,60 +269,81 @@ func matches(req *Request, m *inMsg) bool {
 	return true
 }
 
-// handleMatch completes the protocol for a matched (request, message) pair.
-// Runs in the receiver's process context. The matched-receive latency
-// histogram measures match-to-data-landed time: ~the copy for eager/shm,
-// the RDMA read for rendezvous.
-func (r *Rank) handleMatch(req *Request, m *inMsg) {
-	cl := r.w.Cl
-	matchedAt := r.proc.Now()
+// match completes the protocol for a matched (request, message) pair and
+// then recycles the message (matchDone). The matched-receive latency
+// histogram measures match-to-data-landed time: the copy for eager/shm, paid
+// from the match on, and the RDMA read for rendezvous.
+func (r *Rank) match(req *Request, m *inMsg) {
+	r.cur, r.msg = req, m
 	switch m.kind {
-	case "eager":
-		r.proc.AdvanceBusy(cl.CopyCost(m.size))
-		r.site.Space.WriteAt(req.addr, m.data, m.size)
-		req.done = true
-		r.w.mRecvLat.Observe(r.proc.Now() - matchedAt)
-		r.spans().End(req.span)
-	case "shm":
-		r.proc.AdvanceBusy(cl.CopyCost(m.size))
-		var payload []byte
-		if d := m.srcSpace.ReadAt(m.srcAddr, m.size); d != nil {
-			payload = d
-		}
-		r.site.Space.WriteAt(req.addr, payload, m.size)
-		req.done = true
-		r.w.mRecvLat.Observe(r.proc.Now() - matchedAt)
-		r.spans().End(req.span)
-		m.sendReq.done = true
-		r.spans().End(m.sendReq.span)
-		m.srcCtx.InboxCond.Broadcast() // wake the sender if it is waiting
+	case "eager", "shm":
+		r.clk.Charge(r.w.Cl.CopyCost(m.size), (*landed)(r))
 	case "rts":
 		// Rendezvous: RDMA-read the payload from the sender's buffer. The
-		// read outlives m (recycled when this returns), so a rndv record
-		// keeps what its completion and the FIN need.
+		// read outlives m (recycled by matchDone), so a rndv record keeps
+		// what its completion and the FIN need.
 		v := r.w.rndvs.Get()
-		v.r, v.req, v.matchedAt = r, req, matchedAt
+		v.r, v.req, v.matchedAt = r, req, r.w.Cl.K.Now()
 		v.srcCtx, v.sendReq, v.sendSpan = m.srcCtx, m.sendReq, m.span
-		mr := r.registerCachedCtx(req.addr, req.size, req.span)
-		err := r.ctx.PostRead(r.proc, verbs.ReadOp{
-			LocalKey: mr.LKey(), LocalAddr: req.addr,
-			RemoteKey: m.rkey, RemoteAddr: m.srcAddr,
-			Size:       m.size,
-			Span:       req.span,
-			OnComplete: v,
-		})
-		if err != nil {
-			panic("mpi: rendezvous read failed: " + err.Error())
+		r.v = v
+		if mr := r.register(req.addr, req.size, req.span); mr != nil {
+			r.postRead(mr)
 		}
 	default:
 		panic("mpi: unknown message kind " + m.kind)
 	}
+	r.clk.Cut((*matchDone)(r))
+}
+
+// matchDone recycles the matched message once its match is done.
+type matchDone Rank
+
+func (d *matchDone) Fire(sim.Time) { d.w.freeMsg(d.msg) }
+
+// landed completes an eager receive once its copy-out is paid, or both
+// sides of a single-copy intra-node transfer once the receiver's copy is.
+type landed Rank
+
+func (l *landed) Fire(sim.Time) {
+	r := (*Rank)(l)
+	req, m := r.cur, r.msg
+	payload := m.data
+	if m.kind == "shm" {
+		payload = m.srcSpace.ReadAt(m.srcAddr, m.size)
+	}
+	r.site.Space.WriteAt(req.addr, payload, m.size)
+	req.done = true
+	r.w.mRecvLat.Observe(r.w.Cl.CopyCost(m.size))
+	r.spans().End(req.span)
+	if m.kind == "shm" {
+		m.sendReq.done = true
+		r.spans().End(m.sendReq.span)
+		m.srcCtx.InboxCond.Broadcast() // wake the sender if it is waiting
+	}
+}
+
+// postRead posts the RDMA read of a matched RTS into the registered
+// receive buffer.
+func (r *Rank) postRead(mr *verbs.MR) {
+	req, m := r.cur, r.msg
+	p, err := r.site.Ctx.StartRead(verbs.ReadOp{
+		LocalKey: mr.LKey(), LocalAddr: req.addr,
+		RemoteKey: m.rkey, RemoteAddr: m.srcAddr,
+		Size:       m.size,
+		Span:       req.span,
+		OnComplete: r.v,
+	})
+	if err != nil {
+		panic("mpi: rendezvous read failed: " + err.Error())
+	}
+	r.post = p
+	r.clk.Charge(p.Cost(), (*issue)(r))
 }
 
 // rndv is one rendezvous receive in flight: the RDMA read of a matched RTS
 // and the FIN that follows it. Records come from World.rndvs and are their
 // read's completion handler, so a rendezvous message builds no closure;
-// Progress returns each after posting its FIN.
+// the FIN's completion returns each (finSent).
 type rndv struct {
 	r         *Rank
 	req       *Request // the matched receive
@@ -290,25 +362,45 @@ func (v *rndv) Fire(at sim.Time) {
 	r.w.mRecvLat.Observe(at - v.matchedAt)
 	r.spans().EndAt(v.req.span, at)
 	r.deferred = append(r.deferred, v)
-	r.ctx.InboxCond.Broadcast()
+	r.site.Ctx.InboxCond.Broadcast()
 }
 
-// fin posts the FIN that completes the sender's request, then recycles the
-// record. The FIN flight parents to the *sender's* span: it is the tail of
-// the sender's completion path.
-func (v *rndv) fin() {
-	r := v.r
+// fin posts the FIN that completes the sender's request. The FIN flight
+// parents to the *sender's* span: it is the tail of the sender's completion
+// path.
+func (r *Rank) fin(v *rndv) {
 	fin := r.w.msgs.Get()
 	fin.kind, fin.src, fin.sendReq = "fin", r.rank, v.sendReq
-	r.ctx.PostSend(r.proc, v.srcCtx, r.w.packet(headerSize, fin, v.sendSpan))
+	r.v = v
+	r.postSend(v.srcCtx, r.w.packet(headerSize, fin, v.sendSpan), (*finSent)(r))
+}
+
+// finSent completes a FIN's post and recycles its rendezvous record.
+type finSent Rank
+
+func (s *finSent) Fire(sim.Time) {
+	r := (*Rank)(s)
+	r.issue()
+	v := r.v
 	*v = rndv{}
 	r.w.rndvs.Put(v)
 }
 
-// dispatch routes one incoming message: match a posted receive or queue it
-// as unexpected. FINs complete the sender-side request directly.
+// dispatch routes one incoming message once its header is processed
+// (dispatchStep).
 func (r *Rank) dispatch(m *inMsg) {
-	r.proc.AdvanceBusy(matchCost)
+	r.msg = m
+	r.clk.Charge(matchCost, nil)
+	r.clk.Cut((*dispatchStep)(r))
+}
+
+// dispatchStep matches a processed message to a posted receive or queues
+// it as unexpected. FINs complete the sender-side request directly.
+type dispatchStep Rank
+
+func (st *dispatchStep) Fire(sim.Time) {
+	r := (*Rank)(st)
+	m := r.msg
 	if m.kind == "fin" {
 		m.sendReq.done = true
 		r.spans().End(m.sendReq.span)
@@ -318,79 +410,19 @@ func (r *Rank) dispatch(m *inMsg) {
 	for i, req := range r.posted {
 		if matches(req, m) {
 			r.posted = slices.Delete(r.posted, i, i+1)
-			r.handleMatch(req, m)
-			r.w.freeMsg(m)
+			r.match(req, m)
 			return
 		}
 	}
 	r.unexpected = append(r.unexpected, m)
 }
 
-// Progress drains arrived messages and advances collective schedules. It is
-// invoked by Test/Wait and the blocking operations — never asynchronously,
-// which is precisely the limitation the offload framework removes.
-func (r *Rank) Progress() {
-	for {
-		acted := false
-		// deferred and shmIn alternate with a spare buffer, as the verbs
-		// inbox does: drain one while handlers append to the other.
-		for len(r.deferred) > 0 {
-			fins := r.deferred
-			r.deferred = r.drained[:0]
-			for _, v := range fins {
-				v.fin()
-			}
-			clear(fins)
-			r.drained = fins
-			acted = true
-		}
-		if len(r.shmIn) > 0 {
-			msgs := r.shmIn
-			r.shmIn = r.shmDrained[:0]
-			for _, m := range msgs {
-				r.dispatch(m)
-			}
-			clear(msgs)
-			r.shmDrained = msgs
-			acted = true
-		}
-		for _, pkt := range r.ctx.PollInbox() {
-			m := pkt.Payload.(*inMsg)
-			r.w.Cl.Reg.PutPacket(pkt)
-			r.dispatch(m)
-			acted = true
-		}
-		if !acted {
-			break
-		}
-	}
-	r.progressColls()
-}
-
-// idle reports that no work is available without blocking.
-func (r *Rank) idle() bool {
-	return len(r.deferred) == 0 && len(r.shmIn) == 0 && r.ctx.InboxLen() == 0
-}
-
-// waitFor progresses until pred holds, blocking (in virtual time) while no
-// traffic is available.
-func (r *Rank) waitFor(pred func() bool) {
-	for {
-		r.Progress()
-		if pred() {
-			return
-		}
-		if r.idle() {
-			r.ctx.InboxCond.Wait(r.proc)
-		}
-	}
-}
-
 // Wait blocks until the request completes (MPI_Wait), then releases it: the
 // handle is dead once Wait returns.
 func (r *Rank) Wait(req *Request) {
 	t0 := r.enter()
-	r.waitFor(func() bool { return req.done })
+	r.pair[0] = req
+	r.wait(r.pair[:1], nil)
 	r.w.freeReq(req)
 	r.leave(t0)
 }
@@ -399,14 +431,7 @@ func (r *Rank) Wait(req *Request) {
 // them all: the handles are dead once WaitAll returns.
 func (r *Rank) WaitAll(reqs ...*Request) {
 	t0 := r.enter()
-	r.waitFor(func() bool {
-		for _, q := range reqs {
-			if !q.done {
-				return false
-			}
-		}
-		return true
-	})
+	r.wait(reqs, nil)
 	for _, q := range reqs {
 		r.w.freeReq(q)
 	}
@@ -418,7 +443,7 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 // waited on, and that Wait releases it.
 func (r *Rank) Test(req *Request) bool {
 	t0 := r.enter()
-	r.Progress()
+	r.do(callTest, phDeferred)
 	r.leave(t0)
 	return req.done
 }

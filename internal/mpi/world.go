@@ -10,6 +10,14 @@
 // dependent steps of a pattern (e.g. the forward leg of a ring broadcast)
 // cannot start without CPU intervention. This is the "IntelMPI"-style host
 // baseline the offload framework is compared against.
+//
+// The progress runs as event-handler steps on each rank's busy-until clock
+// (sim.Busy), not on the rank's stack: a call runs inline until its first
+// costed action, then parks the rank's process, and the rest of the call —
+// posting, matching, copying, the rendezvous FIN, the collective schedules
+// — runs as steps until the last one resumes the process (steps.go). The
+// semantic is enforced, not only modelled: a step is scheduled only by a
+// call, and one that fires while its rank is outside a call panics.
 package mpi
 
 import (
@@ -98,10 +106,12 @@ func NewPlacedWorld(cl *cluster.Cluster, prefix string, nodeOf []int) *World {
 			rank:     i,
 			entity:   entity,
 			site:     site,
-			ctx:      site.Ctx,
-			regCache: regcache.New[*verbs.MR](1, 0, nil), // registerCachedCtx keys slot 0 only
+			regCache: regcache.New[*verbs.MR](1, 0, nil), // register keys slot 0 only
 		}
-		r.regCache.Instrument(cl.Met, fmt.Sprintf("mpi.%srank%d", prefix, i))
+		r.clk.Init(cl.K, (*rankStep)(r))
+		if cl.Met.Enabled() {
+			r.regCache.Instrument(cl.Met, "mpi."+prefix+entity)
+		}
 		w.ranks = append(w.ranks, r)
 	}
 	return w
@@ -130,7 +140,7 @@ func (w *World) freeReq(q *Request) {
 }
 
 // packet wraps m for the wire in a pooled packet, which the receiving
-// Progress returns to the registry once it has read the payload.
+// progress pass returns to the registry once it has read the payload.
 func (w *World) packet(size int, m *inMsg, parent span.ID) *verbs.Packet {
 	pkt := w.Cl.Reg.GetPacket()
 	pkt.Kind, pkt.Size, pkt.Payload, pkt.Span = "mpi", size, m, parent
@@ -154,7 +164,7 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 func (w *World) Launch(main func(r *Rank)) {
 	for _, r := range w.ranks {
 		r := r
-		w.Cl.K.Spawn(fmt.Sprintf("%srank%d", w.prefix, r.rank), func(p *sim.Proc) {
+		w.Cl.K.Spawn(w.prefix+r.entity, func(p *sim.Proc) {
 			r.proc = p
 			main(r)
 		})
@@ -166,21 +176,22 @@ func (w *World) Launch(main func(r *Rank)) {
 type Rank struct {
 	w      *World
 	rank   int
-	entity string // "rank<N>": span entity name
-	site   *cluster.Site
-	ctx    *verbs.Ctx
+	entity string        // "rank<N>": span entity name
+	site   *cluster.Site // its Ctx is the rank's verbs context
 	proc   *sim.Proc
 
 	posted     []*Request  // posted receives, in post order
 	unexpected []*inMsg    // arrived but unmatched messages
 	deferred   []*rndv     // rendezvous reads done, FINs to post at the next progress
-	drained    []*rndv     // the buffer deferred swaps with in Progress
+	drained    []*rndv     // the buffer deferred swaps with in a progress pass
 	shmIn      []*inMsg    // intra-node (shared-memory) arrivals
-	shmDrained []*inMsg    // the buffer shmIn swaps with in Progress
+	shmDrained []*inMsg    // the buffer shmIn swaps with in a progress pass
 	barReqs    [2]Request  // Barrier's send and receive, reused every round
 	a2aSlabs   [][]Request // Ialltoall request slabs of finished calls, reused
 	colls      []*CollRequest
 	collSeq    int // per-rank collective sequence number (tag separation)
+
+	steps // the call in progress and its steps (steps.go)
 
 	regCache   *regcache.Cache[*verbs.MR]
 	scratchBuf *mem.Buffer
@@ -188,7 +199,7 @@ type Rank struct {
 	commSeq    int // sub-communicator creation counter (tag scoping)
 
 	// Stats
-	MPITime     sim.Time // time spent inside blocking/progress calls
+	MPITime     sim.Time // time spent inside blocking and progress calls (each counted once)
 	ComputeTime sim.Time // time spent in Compute
 
 	// spanParent, when non-zero, parents every p2p root span the rank
@@ -231,7 +242,8 @@ func (r *Rank) Alloc(size int) *mem.Buffer {
 }
 
 // Compute models application computation for d: the CPU is busy and no MPI
-// progress happens (the crux of the paper's semantic-mismatch argument).
+// progress happens (the crux of the paper's semantic-mismatch argument). It
+// is the one call that sleeps the rank's process.
 func (r *Rank) Compute(d sim.Time) {
 	r.ComputeTime += d
 	r.proc.AdvanceBusy(d)

@@ -87,6 +87,7 @@ type Kernel struct {
 	// in its place, set just before it yields to the caller; failure is a
 	// panic caught on a process's stack, waiting for the caller to re-raise it.
 	handoff  *Proc
+	resumed  *Proc // the process a handler resumed in place (resume)
 	deadline Time
 	bounded  bool
 	failure  *PanicError
@@ -111,8 +112,8 @@ type Kernel struct {
 // and the event arena's size.
 type Stats struct {
 	Fired       uint64 // events popped and fired, of every kind
-	Wakeups     uint64 // of those, process wake-ups delivered
-	SelfWakeups uint64 // wake-ups popped by the process they wake: no switch
+	Wakeups     uint64 // process wake-ups delivered: popped, or made in place by a handler
+	SelfWakeups uint64 // wake-ups delivered on the stack of the process they wake: no switch
 	Handoffs    uint64 // coroutine resumes by the run loop: Wakeups - SelfWakeups
 	Slots       int    // event arena size: the most events ever pending at once
 }
@@ -264,9 +265,9 @@ const (
 // scheduling order, on the calling stack: the Run/RunUntil caller's (self ==
 // nil) or that of a process that has just blocked. Callbacks and Actions run
 // inline, in handler context (k.running is nil, whichever stack this is). A
-// wake-up of self ends the loop with no switch at all; a wake-up of another
-// process ends it with that process in k.handoff, for the Run/RunUntil
-// caller to resume (see run).
+// wake-up of self, popped or made in place by a handler (resume), ends the
+// loop with no switch at all; a wake-up of another process ends it with that
+// process in k.handoff, for the Run/RunUntil caller to resume (see run).
 //
 // The earliest time is read before the refill that would move last to it,
 // so a run that stops at its deadline leaves last behind the clock. The
@@ -289,24 +290,38 @@ func (k *Kernel) drive(self *Proc) outcome {
 			k.tickAt = k.tick(at)
 		}
 		k.stats.Fired++
-		switch {
-		case p != nil:
-			k.stats.Wakeups++
-			p.state = procRunning
-			k.running = p
-			if p == self {
-				k.stats.SelfWakeups++
-				return wokeSelf
+		if p == nil {
+			if act != nil {
+				act.Fire(at)
+			} else {
+				fn()
 			}
-			k.handoff = p
-			return handedOff
-		case act != nil:
-			act.Fire(at)
-		default:
-			fn()
+			if p = k.resumed; p == nil {
+				continue
+			}
+			k.resumed = nil
 		}
+		k.stats.Wakeups++
+		p.state = procRunning
+		k.running = p
+		if p == self {
+			k.stats.SelfWakeups++
+			return wokeSelf
+		}
+		k.handoff = p
+		return handedOff
 	}
 	return drained
+}
+
+// resume wakes the blocked process p in place, from a handler: drive runs
+// it once the handler returns, as if the handler's event had been p's
+// wake-up, so it fires no event of its own (see Busy.Resume).
+func (k *Kernel) resume(p *Proc) {
+	if k.running != nil || p.state != procBlocked || k.resumed != nil {
+		panic(fmt.Sprintf("sim: resume of proc %q outside a handler, or of one not blocked", p.name))
+	}
+	k.resumed = p
 }
 
 // driveOn runs the loop on p's own stack, after p has blocked. A handler

@@ -62,9 +62,6 @@ type Post struct {
 	addr mem.Addr
 }
 
-// Pending reports whether p holds a request not yet issued.
-func (p Post) Pending() bool { return p.fl != nil }
-
 // Cost returns the CPU time posting the request takes.
 func (p Post) Cost() sim.Time { return p.c.reg.costs.PostWR }
 
