@@ -124,10 +124,11 @@ snap-check:
 # datapath's lease, the basic-primitive pair on both proxy paths (0), the
 # group-replay path, the uncached staged gather, the registration cache, a
 # stencil iteration (2k iterations allocate what k do), the first
-# Ialltoall's objects per message on each system, and the serial-vs-parallel
-# determinism guard.
+# Ialltoall's objects per message on each system, the bytes per (rank, peer)
+# pair of a 16×8 install plus replay (skipped under -race, so `make race`
+# never runs it), and the serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|AllocBudget|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/fabric/ ./internal/span/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/ ./internal/stencil/
+	$(GO) test -run 'AllocFree|AllocBudget|BytesPerPair|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/fabric/ ./internal/span/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/ ./internal/stencil/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet

@@ -240,7 +240,7 @@ func runScale(p *params, out io.Writer) error {
 		}
 	}
 	t0 := time.Now()
-	snap := bench.MeasureScale(p.env, cfg)
+	snap, fp := bench.MeasureScale(p.env, cfg)
 	wall := time.Since(t0)
 	if err := snap.Validate(); err != nil {
 		return err
@@ -248,6 +248,7 @@ func runScale(p *params, out io.Writer) error {
 	figures.ScaleTable(snap).Fprint(out)
 	fmt.Fprintf(out, "%d rank counts up to %d, claims validated, %s wall\n",
 		len(snap.Series), snap.Series[len(snap.Series)-1].Ranks, wall.Round(time.Millisecond))
+	fmt.Fprintln(os.Stderr, fp)
 	if p.out == "" {
 		return nil
 	}

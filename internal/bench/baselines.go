@@ -53,7 +53,11 @@ var Baselines = []Baseline{
 	},
 	{
 		Name: "scale", File: "BENCH_scale.json", Slow: true,
-		Measure: func(env SweepEnv) any { return MeasureScale(env, DefaultScaleConfig()) },
+		Measure: func(env SweepEnv) any {
+			snap, fp := MeasureScale(env, DefaultScaleConfig())
+			fmt.Fprintln(os.Stderr, fp)
+			return snap
+		},
 		Check: checker(func(s ScaleSnapshot) string {
 			return fmt.Sprintf("%d rank counts up to %d, claims validated", len(s.Series), s.Series[len(s.Series)-1].Ranks)
 		}),

@@ -2,6 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 
 	"repro/internal/baseline"
 )
@@ -68,20 +72,49 @@ type ScaleSnapshot struct {
 // sweep's nesting so run order is deterministic).
 var scaleSchemes = []string{baseline.NameBluesMPI, baseline.NameProposed, baseline.NameIntelMPI}
 
-// ScaleSeries measures every (ranks, scheme) point of cfg. Runs are
+// ScaleFootprint is the memory the largest shape of a scaling sweep took.
+type ScaleFootprint struct {
+	Ranks int
+	// BytesPerPair is what the process allocated while the largest shape's
+	// runs (one per scheme, nothing else) ran, per run and (rank, peer) pair.
+	BytesPerPair float64
+	// PeakRSSMB is the process's peak resident set (VmHWM), read once the
+	// sweep is over; 0 where /proc/self/status cannot be read.
+	PeakRSSMB float64
+}
+
+func (f ScaleFootprint) String() string {
+	return fmt.Sprintf("scale footprint: %d ranks: %.0f B allocated per (rank, peer) pair, peak RSS %.0f MB",
+		f.Ranks, f.BytesPerPair, f.PeakRSSMB)
+}
+
+// scaleSeries measures every (ranks, scheme) point of cfg. Runs are
 // independent simulations distributed by the sweep runner, so results are
-// byte-identical at any -parallel value.
-func ScaleSeries(env SweepEnv, cfg ScaleConfig) []ScalePoint {
+// byte-identical at any -parallel value. The largest rank count's runs go
+// last and alone, so the bytes allocated meanwhile are theirs.
+func scaleSeries(env SweepEnv, cfg ScaleConfig) ([]ScalePoint, ScaleFootprint) {
 	nsch := len(scaleSchemes)
 	res := make([]NBCResult, len(cfg.Ranks)*nsch)
-	env.Sweep(len(res), func(j int, env SweepEnv) {
+	job := func(j int, env SweepEnv) {
 		ranks := cfg.Ranks[j/nsch]
 		scheme := scaleSchemes[j%nsch]
 		nodes := ranks / cfg.PPN
 		res[j] = MeasureIalltoall(env.Attach(Options{
 			Nodes: nodes, PPN: cfg.PPN, Scheme: scheme, Backed: false,
 		}), cfg.Size, cfg.Warmup, cfg.Iters)
-	})
+	}
+	last := len(res) - nsch
+	env.Sweep(last, job)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	env.Sweep(nsch, func(j int, env SweepEnv) { job(last+j, env) })
+	runtime.ReadMemStats(&after)
+	n := cfg.Ranks[len(cfg.Ranks)-1]
+	fp := ScaleFootprint{
+		Ranks:        n,
+		BytesPerPair: float64(after.TotalAlloc-before.TotalAlloc) / float64(nsch*n*(n-1)),
+		PeakRSSMB:    peakRSSMB(),
+	}
 	series := make([]ScalePoint, len(cfg.Ranks))
 	for i, ranks := range cfg.Ranks {
 		pt := ScalePoint{Ranks: ranks, Nodes: ranks / cfg.PPN, PPN: cfg.PPN}
@@ -95,7 +128,20 @@ func ScaleSeries(env SweepEnv, cfg ScaleConfig) []ScalePoint {
 		pt.VsIntelMPIPct = 100 * (1 - float64(p)/float64(in))
 		series[i] = pt
 	}
-	return series
+	return series, fp
+}
+
+// peakRSSMB returns the process's peak resident set size (VmHWM in
+// /proc/self/status) in MiB, or 0 where it cannot be read.
+func peakRSSMB() float64 {
+	data, _ := os.ReadFile("/proc/self/status")
+	_, rest, _ := strings.Cut(string(data), "VmHWM:")
+	f := strings.Fields(rest)
+	if len(f) == 0 {
+		return 0
+	}
+	kb, _ := strconv.ParseFloat(f[0], 64)
+	return kb / 1024
 }
 
 // DefaultScaleConfig is the checked-in baseline's configuration: the fig13
@@ -107,14 +153,16 @@ func DefaultScaleConfig() ScaleConfig {
 	return ScaleConfig{PPN: 8, Size: 32 << 10, Warmup: 1, Iters: 1, Ranks: ScaleRanks}
 }
 
-// MeasureScale runs the default scaling sweep and packages it.
-func MeasureScale(env SweepEnv, cfg ScaleConfig) ScaleSnapshot {
+// MeasureScale runs the scaling sweep and packages it, with the footprint
+// of its largest shape.
+func MeasureScale(env SweepEnv, cfg ScaleConfig) (ScaleSnapshot, ScaleFootprint) {
+	series, fp := scaleSeries(env, cfg)
 	return ScaleSnapshot{
 		Schema: ScaleSchema,
 		Figure: "scale",
 		Config: cfg,
-		Series: ScaleSeries(env, cfg),
-	}
+		Series: series,
+	}, fp
 }
 
 // Validate checks schema conformance and the fig-shape claims at every

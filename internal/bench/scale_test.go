@@ -71,3 +71,19 @@ func TestScaleValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// A two-point sweep reports the footprint of its larger shape: the bytes
+// allocated while only that shape's runs ran, per run and (rank, peer)
+// pair, and the process's peak RSS where /proc/self/status is there.
+func TestScaleFootprint(t *testing.T) {
+	t.Parallel()
+	cfg := ScaleConfig{PPN: 2, Size: 1 << 10, Warmup: 1, Iters: 1, Ranks: []int{4, 8}}
+	snap, fp := MeasureScale(SweepEnv{}, cfg)
+	if len(snap.Series) != 2 || fp.Ranks != 8 || fp.BytesPerPair <= 0 {
+		t.Fatalf("%d points, footprint %+v: want 2 points and the bytes per pair of 8 ranks", len(snap.Series), fp)
+	}
+	if _, err := os.Stat("/proc/self/status"); err == nil && fp.PeakRSSMB <= 0 {
+		t.Errorf("footprint %+v: no peak RSS, though /proc/self/status is there", fp)
+	}
+	t.Log(fp)
+}

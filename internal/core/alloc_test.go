@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/datapath"
@@ -168,5 +169,14 @@ func TestBasicPrimitivePairAllocFree(t *testing.T) {
 				t.Errorf("%s: a warm offloaded %v pair allocates %.1f objects, want 0", pc.name, path, allocs)
 			}
 		}
+	}
+}
+
+// TestWireOpSize keeps a Group_op entry within 48 bytes, under the 64 the
+// model charges for one on the wire (groupOpWireSize): an install holds one
+// per (rank, peer) pair, on the host and on its proxy.
+func TestWireOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(wireOp{}); n > 48 {
+		t.Errorf("wireOp is %d bytes, want at most 48", n)
 	}
 }

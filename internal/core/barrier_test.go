@@ -56,7 +56,7 @@ func (r *refGroup) advance() {
 	for ; r.idx < len(r.entries); r.idx++ {
 		switch e := r.entries[r.idx]; e.Type {
 		case OpRecv:
-			r.want[e.Src]++
+			r.want[int(e.Peer)]++
 		case OpBarrier:
 			if !r.satisfied() {
 				return
@@ -122,8 +122,8 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 					r.entries = append(r.entries, wireOp{Type: OpBarrier})
 					g.LocalBarrier()
 				} else {
-					r.entries = append(r.entries, wireOp{Type: OpRecv, Src: rng.Intn(np)})
-					g.Recv(0, 0, r.entries[len(r.entries)-1].Src, 0)
+					r.entries = append(r.entries, wireOp{Type: OpRecv, Peer: int32(rng.Intn(np))})
+					g.Recv(0, 0, int(r.entries[len(r.entries)-1].Peer), 0)
 				}
 			}
 			g.End()
@@ -223,7 +223,7 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 					sk := srcKey{k, rng.Intn(np)}
 					n, per := sentBy[sk], 0
 					for _, e := range r.entries {
-						if e.Type == OpRecv && e.Src == sk.src {
+						if e.Type == OpRecv && int(e.Peer) == sk.src {
 							per++
 						}
 					}

@@ -459,7 +459,7 @@ func (px *Proxy) advanceTransfer() {
 		px.spans().End(tx.span)
 		if px.fw.cfg.RegCaches {
 			k := tx.t.MKey
-			px.crossCache.Put(tx.t.SrcHost, k.Addr, k.Size, tx.t.MR)
+			px.crossCache.Put(px.hostSlot(tx.t.SrcHost), k.Addr, k.Size, tx.t.MR)
 		}
 	case txRegistered:
 		if !px.finishStage(tx) {
@@ -475,13 +475,13 @@ func (px *Proxy) advanceTransfer() {
 }
 
 // crossCached looks the source's cross-registration up in the proxy's
-// cache, keyed by source host rank (Section VII-B), when caches are on.
+// cache, keyed by source host (Section VII-B), when caches are on.
 func (px *Proxy) crossCached(tx *transfer) bool {
 	if !px.fw.cfg.RegCaches {
 		return false
 	}
 	k := tx.t.MKey
-	mr, ok := px.crossCache.Get(tx.t.SrcHost, k.Addr, k.Size)
+	mr, ok := px.crossCache.Get(px.hostSlot(tx.t.SrcHost), k.Addr, k.Size)
 	tx.t.MR = mr
 	return ok
 }

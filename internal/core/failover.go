@@ -188,7 +188,7 @@ func (h *Host) fbPostSend(fb *fbCall, idx int) {
 	h.curSpan = 0
 	fb.pending++
 	h.FallbackWrites++
-	m := dlvMsg{SrcHost: h.rank, DstHost: e.Dst, DstGroup: e.DstGroup, Call: fb.call, Entry: idx}
+	m := dlvMsg{SrcHost: h.rank, DstHost: int(e.Peer), DstGroup: int(e.DstGroup), Call: fb.call, Entry: idx}
 	err := h.ctx.PostWrite(h.proc, verbs.WriteOp{
 		LocalKey: mr.LKey(), LocalAddr: e.SrcAddr,
 		RemoteKey: e.DstRKey, RemoteAddr: e.DstAddr,

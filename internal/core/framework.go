@@ -139,7 +139,7 @@ func New(cl *cluster.Cluster, cfg Config, sites []*cluster.Site) *Framework {
 			ctx:    sites[r].NewCtx(fmt.Sprintf("offload%d", r)),
 			reqs:   make(map[int64]*reqRec),
 		}
-		h.gvmiCache = regcache.New[gvmi.MKeyInfo](nProxies, 0, nil)
+		h.gvmiCache = regcache.New[gvmi.MKeyInfo](1, 0, nil)
 		h.ibCache = regcache.New[*verbs.MR](1, 0, nil)
 		h.gvmiCache.Instrument(cl.Met, fmt.Sprintf("gvmi.rank%d", r))
 		h.ibCache.Instrument(cl.Met, fmt.Sprintf("ib.rank%d", r))

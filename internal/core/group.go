@@ -213,7 +213,7 @@ func (h *Host) GroupCallCtx(g *GroupRequest, parent span.ID) {
 		Kind: "group",
 		Size: ctrlSize + len(g.wire)*groupOpWireSize,
 		Payload: &groupPacket{
-			HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Gen: g.sentGen, Entries: g.wire, Span: parent,
+			HostRank: h.rank, GroupID: g.id, CallSeq: g.callSeq, Gen: g.sentGen, Path: g.path, Entries: g.wire, Span: parent,
 		},
 		Span: parent,
 	})
@@ -244,20 +244,20 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 	entries := make([]wireOp, len(g.ops))
 	for i := range g.ops {
 		op, w := &g.ops[i], &entries[i]
-		*w = wireOp{Type: op.Type, Size: op.Size, Tag: op.Tag, Path: g.path}
+		*w = wireOp{Type: op.Type, Size: op.Size, Peer: int32(op.Peer)}
 		switch op.Type {
 		case OpSend:
-			w.SrcAddr, w.Dst = op.Addr, op.Peer
+			w.SrcAddr = op.Addr
 			switch srcReg {
 			case datapath.RegGVMI:
-				w.MKey = regs.mkey(h, px, op)
+				info := regs.mkey(h, px, op)
+				w.SrcKey, w.Gvmi = info.MKey, info.Gvmi
 			case datapath.RegIB:
-				w.SrcRKey = regs.mr(h, op).RKey()
+				w.SrcKey = regs.mr(h, op).RKey()
 			default:
 				panic(fmt.Sprintf("core: group send on non-proxy path %v", g.path))
 			}
 		case OpRecv:
-			w.Src = op.Peer
 			mr := regs.mr(h, op)
 			m := h.fw.gmetaFree.Get()
 			*m = gmetaMsg{
@@ -272,15 +272,15 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 	// 2. Match each send entry with the corresponding receive entry
 	//    gathered from its destination (rank/tag matching).
 	for i := range entries {
-		w := &entries[i]
+		op, w := &g.ops[i], &entries[i]
 		if w.Type != OpSend {
 			continue
 		}
-		meta := h.awaitGmeta(w.Dst, w.Tag)
+		meta := h.awaitGmeta(op.Peer, op.Tag)
 		if meta.Size != w.Size {
 			panic(fmt.Sprintf("core: group size mismatch: send %d vs recv %d", w.Size, meta.Size))
 		}
-		w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, meta.DstGroup
+		w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, int32(meta.DstGroup)
 		recycle(&h.fw.gmetaFree, meta)
 	}
 	return entries
@@ -307,7 +307,7 @@ func (h *Host) installRegs(g *GroupRequest, px *Proxy, srcReg datapath.SrcReg, s
 	}
 	r := installRegs{
 		cached: true,
-		gvmi:   h.gvmiCache.Batch(px.global, gvmiSends),
+		gvmi:   h.gvmiCache.Batch(0, gvmiSends),
 		ib:     h.ibCache.Batch(0, sends+recvs-gvmiSends),
 	}
 	for i := range g.ops {

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/datapath"
+	"repro/internal/gvmi"
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/verbs"
@@ -133,8 +134,8 @@ func (b *recvBarrier) rewind(entries []wireOp, done int) {
 	}
 	for i := range entries {
 		if e := &entries[i]; e.Type == OpRecv {
-			b.cover(e.Src)
-			b.src[e.Src].want += int32(done)
+			b.cover(int(e.Peer))
+			b.src[e.Peer].want += int32(done)
 		}
 	}
 	b.missing = 0
@@ -174,7 +175,7 @@ func (w *walk) advance(entries []wireOp, bar *recvBarrier, post func(idx int) (c
 		case OpSend:
 			cut = post(w.idx)
 		case OpRecv:
-			bar.expect(e.Src)
+			bar.expect(int(e.Peer))
 		}
 		w.idx++
 		moved = true
@@ -192,6 +193,7 @@ type proxyGroup struct {
 	px      *Proxy
 	host    int
 	id      int
+	path    datapath.Kind // the datapath the send entries execute on
 	entries []wireOp
 
 	callSeq     int // latest call requested by the host
@@ -203,18 +205,17 @@ type proxyGroup struct {
 	// counter writes, Section VII-C).
 	bar *recvBarrier
 
-	// cachedMRs memoizes cross-registrations per entry so replays skip even
-	// the cache lookup ("the group entry queue also contains the GVMI
-	// registration cache entry").
-	cachedMRs []*verbs.MR
-
-	// sends holds, per entry, the remote-completion handler a send entry's
-	// write is posted with. The slice is built once, when the group is
-	// installed, so no send builds a closure; each handler reads the running
-	// call's number and execution span from the group when it fires, which
-	// is safe because a call cannot finish while one of its writes is
-	// pending.
+	// sends holds, per send entry in entry order, the remote-completion
+	// handler its write is posted with and its memoized cross-registration,
+	// so replays skip even the cache lookup ("the group entry queue also
+	// contains the GVMI registration cache entry"); sent counts the running
+	// call's posted sends, so sends[sent] is the next one's. The slice is
+	// built once, when the group is installed, so no send builds a closure;
+	// each handler reads the running call's number and execution span from
+	// the group when it fires, which is safe because a call cannot finish
+	// while one of its writes is pending.
 	sends []groupSend
+	sent  int
 
 	// roots queues the host-side root spans of the unfinished calls, oldest
 	// first (roots[i] belongs to call finishedSeq+1+i; 0 = untraced);
@@ -226,7 +227,7 @@ type proxyGroup struct {
 // group returns the cache entry of (host, id), or nil if the group is not
 // installed.
 func (px *Proxy) group(host, id int) *proxyGroup {
-	gs := px.groups[host-px.node*px.fw.cl.Cfg.PPN] // the proxy serves hosts of its own node
+	gs := px.groups[px.hostSlot(host)]
 	if id < len(gs) {
 		return gs[id]
 	}
@@ -253,25 +254,42 @@ func (px *Proxy) installGroup(m *groupPacket) {
 		// A fresh entry starts at the host's call: the calls before it ran
 		// on this proxy before a restart emptied its cache, and the host's
 		// delivery counters already hold theirs.
-		g = &proxyGroup{px: px, host: m.HostRank, id: m.GroupID, finishedSeq: m.CallSeq - 1,
+		g = &proxyGroup{px: px, host: m.HostRank, id: m.GroupID, path: m.Path, finishedSeq: m.CallSeq - 1,
 			bar: px.fw.hosts[m.HostRank].barrier(m.GroupID)}
 		g.bar.rewind(m.Entries, g.finishedSeq)
-		gs := &px.groups[m.HostRank-px.node*px.fw.cl.Cfg.PPN]
+		gs := &px.groups[px.hostSlot(m.HostRank)]
 		for m.GroupID >= len(*gs) {
 			*gs = append(*gs, nil)
 		}
 		(*gs)[m.GroupID] = g
 		px.groupList = append(px.groupList, g)
-		g.sends = make([]groupSend, len(m.Entries))
-		for i := range g.sends {
-			g.sends[i] = groupSend{g: g, idx: i}
+		n := 0
+		for i := range m.Entries {
+			if m.Entries[i].Type == OpSend {
+				n++
+			}
 		}
-	} else if !samePattern(g.entries, m.Entries) {
+		g.sends = make([]groupSend, 0, n)
+		if px.fw.cfg.RegCaches && m.Path.SrcReg() == datapath.RegGVMI {
+			// Each send's cross-registration joins the host's cache slot.
+			px.crossCache.Reserve(px.hostSlot(m.HostRank), n)
+		}
+		for i := range m.Entries {
+			if m.Entries[i].Type == OpSend {
+				g.sends = append(g.sends, groupSend{g: g, idx: i})
+			}
+		}
+	} else if g.path != m.Path || !samePattern(g.entries, m.Entries) {
 		panic(fmt.Sprintf("core: proxy %d: group %d/%d re-installed with a different pattern",
 			px.global, m.HostRank, m.GroupID))
+	} else {
+		// Fresh registrations: forget the memos (none is written without
+		// the group cache, the one setting that re-installs).
+		for i := range g.sends {
+			g.sends[i].mr = nil
+		}
 	}
 	g.entries = m.Entries
-	g.cachedMRs = make([]*verbs.MR, len(m.Entries))
 	if m.CallSeq > g.callSeq {
 		g.callSeq = m.CallSeq
 	}
@@ -286,8 +304,7 @@ func samePattern(a, b []wireOp) bool {
 	}
 	for i := range a {
 		x, y := &a[i], &b[i]
-		if x.Type != y.Type || x.Size != y.Size || x.Tag != y.Tag || x.Path != y.Path ||
-			x.Dst != y.Dst || x.DstGroup != y.DstGroup || x.Src != y.Src {
+		if x.Type != y.Type || x.Size != y.Size || x.Peer != y.Peer || x.DstGroup != y.DstGroup {
 			return false
 		}
 	}
@@ -363,7 +380,7 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 			return false
 		}
 		g.running = true
-		g.idx = 0
+		g.idx, g.sent = 0, 0
 		if sp := px.spans(); sp.Enabled() {
 			// The execution span parents directly to the host-side root so
 			// the critical path descends from the collective into DPU work.
@@ -417,25 +434,32 @@ func (px *Proxy) advanceGroup(g *proxyGroup) bool {
 // memoized when the group cache is on, so replays skip even the cache
 // lookup.
 func (px *Proxy) postGroupSend(g *proxyGroup, idx int) {
-	e := &g.entries[idx]
+	e, s := &g.entries[idx], &g.sends[g.sent]
+	g.sent++
 	g.pending++
 	if px.sched != nil {
 		px.wireCharge(px.sched.ten.TenantOf[g.host], e.Size)
 	}
-	px.execute(e.Path, datapath.Transfer{
-		SrcHost: g.host, DstRank: e.Dst, Size: e.Size,
-		MKey: e.MKey, MR: g.cachedMRs[idx],
-		SrcAddr: e.SrcAddr, SrcRKey: e.SrcRKey,
-		DstAddr: e.DstAddr, DstRKey: e.DstRKey,
+	t := datapath.Transfer{
+		SrcHost: g.host, DstRank: int(e.Peer), Size: e.Size, MR: s.mr,
+		SrcAddr: e.SrcAddr, DstAddr: e.DstAddr, DstRKey: e.DstRKey,
 		Span: g.execSpan,
-	}, &g.sends[idx], &g.cachedMRs[idx])
+	}
+	if g.path.SrcReg() == datapath.RegGVMI {
+		t.MKey = gvmi.MKeyInfo{Addr: e.SrcAddr, Size: e.Size, MKey: e.SrcKey, Gvmi: e.Gvmi}
+	} else {
+		t.SrcRKey = e.SrcKey
+	}
+	px.execute(g.path, t, s, &s.mr)
 }
 
 // groupSend is the remote-completion handler of send entry idx: when the
 // write has landed, its twin groupSendDone runs in the next engine round.
+// mr is the entry's memoized cross-registration.
 type groupSend struct {
 	g   *proxyGroup
 	idx int
+	mr  *verbs.MR
 }
 
 func (s *groupSend) Fire(sim.Time) { s.g.px.later((*groupSendDone)(s)) }
@@ -448,8 +472,8 @@ func (d *groupSendDone) Fire(sim.Time) {
 	g, px := d.g, d.g.px
 	g.pending--
 	e := &g.entries[d.idx]
-	px.send(px.fw.hosts[e.Dst].dlvEP, px.fw.dlvPacket(dlvMsg{
-		SrcHost: g.host, DstHost: e.Dst, DstGroup: e.DstGroup,
+	px.send(px.fw.hosts[e.Peer].dlvEP, px.fw.dlvPacket(dlvMsg{
+		SrcHost: g.host, DstHost: int(e.Peer), DstGroup: int(e.DstGroup),
 		Call: g.finishedSeq + 1, Entry: d.idx,
 	}, g.execSpan))
 }

@@ -25,7 +25,7 @@ type Host struct {
 	ctx    *verbs.Ctx
 	proc   *sim.Proc
 
-	gvmiCache *regcache.Cache[gvmi.MKeyInfo] // first level: proxy global rank
+	gvmiCache *regcache.Cache[gvmi.MKeyInfo] // one slot: the host's proxy, fw.proxyFor(rank)
 	ibCache   *regcache.Cache[*verbs.MR]
 
 	nextSeq int64
@@ -168,13 +168,14 @@ func (h *Host) complete(id int64) {
 }
 
 // gvmiRegister returns the MKeyInfo for a source buffer, through the GVMI
-// registration cache when enabled (keyed by the proxy's rank, per VII-B).
+// registration cache when enabled (keyed by the proxy, per VII-B: the host's
+// one proxy, so the cache has one slot).
 func (h *Host) gvmiRegister(px *Proxy, addr mem.Addr, size int) gvmi.MKeyInfo {
 	create := func() gvmi.MKeyInfo { return h.gvmiCreate(px, addr, size) }
 	if !h.fw.cfg.RegCaches {
 		return create()
 	}
-	info, _ := h.gvmiCache.GetOrCreate(px.global, addr, size, create)
+	info, _ := h.gvmiCache.GetOrCreate(0, addr, size, create)
 	return info
 }
 

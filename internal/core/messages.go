@@ -64,7 +64,7 @@ type gmetaMsg struct {
 }
 
 // OpType classifies group-primitive entries.
-type OpType int
+type OpType uint8
 
 // Group operation types.
 const (
@@ -73,27 +73,25 @@ const (
 	OpBarrier
 )
 
-// wireOp is one Group_op entry as shipped in a Group_Offload_packet.
+// wireOp is one Group_op entry as shipped in a Group_Offload_packet. It
+// holds only what its executor reads — a send entry all of it, a receive
+// entry Type and Peer, a barrier entry Type — so it is 48 bytes, within
+// the groupOpWireSize the model charges. The tag was matched at gather
+// time and the request's datapath is the packet's; the source's MKeyInfo
+// is rebuilt from SrcAddr, Size, SrcKey and Gvmi (postGroupSend).
 type wireOp struct {
-	Type OpType
-	Size int
-	Tag  int
-	// Path is the datapath the proxy executes send entries on (set from
-	// the group request's path at gather time; rides inside
-	// groupOpWireSize, so wire cost is unchanged).
-	Path datapath.Kind
+	SrcAddr mem.Addr // send: the source buffer
+	DstAddr mem.Addr // send: the matched receive buffer
+	Size    int
+	Peer    int32 // send: destination rank; receive: source rank
 
 	// Send entries.
-	SrcAddr  mem.Addr
-	Dst      int
-	MKey     gvmi.MKeyInfo // CrossGVMI path
-	SrcRKey  verbs.Key     // staged path
-	DstAddr  mem.Addr      // matched receive-entry info
+	DstGroup int32     // the receiver's group request
+	SrcKey   verbs.Key // the source's host mkey (cross-GVMI) or IB rkey (staged)
+	Gvmi     gvmi.ID   // the GVMI-ID SrcKey was registered against (cross-GVMI)
 	DstRKey  verbs.Key
-	DstGroup int
 
-	// Recv entries.
-	Src int
+	Type OpType
 }
 
 // groupPacket is the Group_Offload_packet: the entire recorded pattern,
@@ -102,7 +100,8 @@ type groupPacket struct {
 	HostRank int
 	GroupID  int
 	CallSeq  int
-	Gen      int // the proxy generation the host posted under (see installGroup)
+	Gen      int           // the proxy generation the host posted under (see installGroup)
+	Path     datapath.Kind // the datapath the proxy executes the send entries on
 	Entries  []wireOp
 
 	// Span is the host-side root span of this call; the proxy's execution

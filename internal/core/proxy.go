@@ -40,7 +40,7 @@ type Proxy struct {
 	crashedAt sim.Time
 	gen       int
 
-	crossCache *regcache.Cache[*verbs.MR] // first level: source host rank
+	crossCache *regcache.Cache[*verbs.MR] // first level: the source host's hostSlot
 
 	sendQ    map[matchKey][]*rtsMsg
 	recvQ    map[matchKey][]*rtrMsg
@@ -130,7 +130,7 @@ func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy
 		local:      local,
 		site:       site,
 		ctx:        site.Ctx,
-		crossCache: regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, nil),
+		crossCache: newCrossCache(fw),
 		sendQ:      make(map[matchKey][]*rtsMsg),
 		recvQ:      make(map[matchKey][]*rtrMsg),
 		groups:     make([][]*proxyGroup, fw.cl.Cfg.PPN),
@@ -142,6 +142,18 @@ func newProxy(fw *Framework, global, node, local int, site *cluster.Site) *Proxy
 	px.instrument()
 	return px
 }
+
+// newCrossCache returns an empty cross-registration cache with one slot per
+// host of a node (hostSlot).
+func newCrossCache(fw *Framework) *regcache.Cache[*verbs.MR] {
+	return regcache.New[*verbs.MR](fw.cl.Cfg.PPN, 0, nil)
+}
+
+// hostSlot returns host rank r's index among its node's hosts, the first
+// level of the proxy's group table and cross-registration cache: a proxy
+// serves hosts of its own node, and every transfer it executes sources
+// their memory.
+func (px *Proxy) hostSlot(r int) int { return r - px.node*px.fw.cl.Cfg.PPN }
 
 // instrument binds the proxy's metric handles; nil-safe and idempotent (the
 // series are get-or-create, so a crash that recreates the cross-registration
@@ -201,7 +213,7 @@ func (px *Proxy) crash() {
 	px.groups = make([][]*proxyGroup, fw.cl.Cfg.PPN)
 	px.groupList = nil
 	px.stagePool = make(map[int][]*datapath.Stage)
-	px.crossCache = regcache.New[*verbs.MR](fw.cl.Cfg.NP(), 0, nil)
+	px.crossCache = newCrossCache(fw)
 	px.instrument()
 	px.initTenancy(fw.tenancy) // queued packets died with the process
 	fw.cl.Met.Counter("core", px.entity, "crashes").Inc()

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/verbs"
 )
@@ -90,7 +91,8 @@ type Manager struct {
 	owners map[ID]*verbs.Ctx // gvmi-id -> DPU ctx that generated it
 	// mkeys holds the host registration records, dense: registration i
 	// (from 0) has mkey firstMKey+i. An invalidated slot is zeroed and its
-	// mkey is never handed out again.
+	// mkey is never handed out again. It grows by pool.Append: one record
+	// per (rank, peer) pair of an offloaded alltoall.
 	mkeys []hostEntry
 
 	// Stats
@@ -159,7 +161,7 @@ func (m *Manager) RegisterHost(p *sim.Proc, hostCtx *verbs.Ctx, addr mem.Addr, s
 	p.AdvanceBusy(cost)
 
 	info := MKeyInfo{Addr: addr, Size: size, MKey: firstMKey + verbs.Key(len(m.mkeys)), Gvmi: id}
-	m.mkeys = append(m.mkeys, hostEntry{info: info, space: hostCtx.Space()})
+	m.mkeys = pool.Append(m.mkeys, hostEntry{info: info, space: hostCtx.Space()})
 	return info, nil
 }
 

@@ -6,6 +6,10 @@
 //
 // Handlers and processes run one at a time (the kernel's coroutine
 // discipline), so nothing here locks.
+//
+// Append is the growth rule of the tables that grow with the number of
+// (rank, peer) pairs: the event arena, the free lists here, and the key
+// tables of verbs and gvmi.
 package pool
 
 // slabLen is the number of records one slab holds.
@@ -48,7 +52,7 @@ func (l *List[T]) Get() *T {
 }
 
 // Put returns x to the list. The caller must be its last holder.
-func (l *List[T]) Put(x *T) { l.free = append(l.free, x) }
+func (l *List[T]) Put(x *T) { l.free = Append(l.free, x) }
 
 // Free returns the records on the list as a set, and false if one of them
 // is on it twice: a record put back twice. It is the one double-free check
@@ -59,4 +63,18 @@ func (l *List[T]) Free() (set map[*T]bool, distinct bool) {
 		set[x] = true
 	}
 	return set, len(set) == len(l.free)
+}
+
+// Append appends x to s, first doubling the capacity of a full s. The
+// built-in append grows a slice past 256 elements by about a quarter, so a
+// table that reaches n entries through it has been copied some twenty times
+// and has allocated about 5n entries on the way; doubled, it has allocated
+// about 2n. Indices into s, and the order of its elements, are append's.
+func Append[S ~[]E, E any](s S, x E) S {
+	if len(s) == cap(s) {
+		// slices.Grow's idiom, written out so that Append inlined into a
+		// hot path (the kernel's slot, List.Put) calls nothing.
+		s = append(s[:cap(s)], make(S, len(s)+1)...)[:len(s)]
+	}
+	return append(s, x)
 }

@@ -6,9 +6,10 @@ type rec struct{ id int }
 
 // FuzzPool runs a random sequence of Get and Put on a List against a map of
 // the records handed out: no record is handed out while it is held, records
-// come back in the reverse order of their Puts, and the slab grows by one
+// come back in the reverse order of their Puts, the slab grows by one
 // chunk only when every record carved so far is held, so the chunks
-// allocated are ⌈peak live ÷ slabLen⌉.
+// allocated are ⌈peak live ÷ slabLen⌉, and the free list's storage grows
+// only when it reaches a new peak, by doubling (Append).
 //
 // Each input byte is one step: a byte below 0x80 gets b+1 records, any other
 // puts back the held record at index b mod the number held.
@@ -21,6 +22,7 @@ func FuzzPool(f *testing.F) {
 		var order []*rec // held records, in the order they were handed out
 		var stack []*rec // put records not yet taken again, last on top
 		made, peak, slabs := 0, 0, 0
+		peakFree := 0 // the most records the free list has held
 		for _, b := range steps {
 			if b >= 0x80 {
 				if len(order) == 0 {
@@ -30,7 +32,13 @@ func FuzzPool(f *testing.F) {
 				x := order[i]
 				order = append(order[:i], order[i+1:]...)
 				delete(held, x)
+				n, c := len(l.free), cap(l.free)
 				l.Put(x)
+				if cap(l.free) != c && (n < peakFree || cap(l.free) < 2*n+1) {
+					t.Fatalf("the free list grew from %d to %d slots holding %d records (peak %d): want growth only at a new peak, doubling",
+						c, cap(l.free), n, peakFree)
+				}
+				peakFree = max(peakFree, len(l.free))
 				stack = append(stack, x)
 				continue
 			}
@@ -91,5 +99,33 @@ func TestFreeReportsDoublePut(t *testing.T) {
 	l.Put(x)
 	if set, distinct := l.Free(); distinct || !set[x] {
 		t.Fatalf("a record put twice: Free = %v, %v, want it reported", set, distinct)
+	}
+}
+
+// TestAppendDoubles pins the growth rule: a table filled one entry at a time
+// to n entries is reallocated about log2(n) times, each time to at least
+// twice its length, where the built-in append grows by a quarter past 256
+// entries. Contents and order are append's.
+func TestAppendDoubles(t *testing.T) {
+	const n = 100_000
+	var s []int32
+	grows := 0
+	for i := range n {
+		c := cap(s)
+		s = Append(s, int32(i))
+		if cap(s) != c {
+			grows++
+			if cap(s) < 2*c+1 {
+				t.Fatalf("at %d entries the table grew from %d to %d slots, want at least %d", i, c, cap(s), 2*c+1)
+			}
+		}
+	}
+	if want := 18; grows > want {
+		t.Errorf("%d reallocations for %d entries, want at most %d", grows, n, want)
+	}
+	for i, v := range s {
+		if v != int32(i) {
+			t.Fatalf("entry %d holds %d", i, v)
+		}
 	}
 }

@@ -110,6 +110,10 @@ func (c *Cache[V]) Get(rank int, addr mem.Addr, size int) (V, bool) {
 	return zero, false
 }
 
+// Reserve makes room in rank's slot for n more entries, so that many Puts
+// of new keys insert without growing it.
+func (c *Cache[V]) Reserve(rank, n int) { c.slots[rank] = slices.Grow(c.slots[rank], n) }
+
 // Put inserts or replaces the entry for (rank, addr, size).
 func (c *Cache[V]) Put(rank int, addr mem.Addr, size int, v V) {
 	k := key{addr, size}

@@ -6,6 +6,8 @@ import (
 	"iter"
 	"math/bits"
 	"runtime/debug"
+
+	"repro/internal/pool"
 )
 
 // Action is a pre-allocated deliverable: an object whose Fire method runs
@@ -166,7 +168,10 @@ func (k *Kernel) schedule(at Time, fn func()) { k.push(at).fn = fn }
 func (k *Kernel) scheduleProc(at Time, p *Proc) { k.push(at).p = p }
 
 // slot returns a free arena index, growing the arena only when the free
-// list is empty (steady state reuses slots and allocates nothing).
+// list is empty (steady state reuses slots and allocates nothing). The
+// arena grows by pool.Append: it reaches one slot per message in flight,
+// ~65 k on a 256-rank alltoall. The free list, 4 bytes a slot, keeps
+// append, whose one check is all the run loop pays per fired event.
 func (k *Kernel) slot() evIdx {
 	if k.dead {
 		panic("sim: schedule on a kernel after Shutdown")
@@ -176,7 +181,7 @@ func (k *Kernel) slot() evIdx {
 		k.freeL = k.freeL[:n-1]
 		return i
 	}
-	k.arena = append(k.arena, event{})
+	k.arena = pool.Append(k.arena, event{})
 	return evIdx(len(k.arena) - 1)
 }
 

@@ -64,7 +64,9 @@ type Registry struct {
 	costs CostConfig
 	// mrs is the key table, dense: registration i (from 0) holds lkey
 	// firstKey+2i and rkey lkey+1, and both resolve through slot i. A
-	// deregistered slot is nil and its keys are never handed out again.
+	// deregistered slot is nil and its keys are never handed out again. It
+	// grows by pool.Append: two registrations per (rank, peer) pair of an
+	// offloaded alltoall.
 	mrs []*MR
 	inj *fault.Injector // nil = no fault injection
 	sp  *span.Collector // nil = no span tracing
@@ -278,7 +280,7 @@ func (r *Registry) insertMR(ctx *Ctx, space *mem.Space, addr mem.Addr, size int)
 	lkey := firstKey + 2*Key(len(r.mrs))
 	mr := r.mrSlab.New()
 	*mr = MR{ctx: ctx, space: space, addr: addr, size: size, lkey: lkey, rkey: lkey + 1}
-	r.mrs = append(r.mrs, mr)
+	r.mrs = pool.Append(r.mrs, mr)
 	return mr
 }
 
