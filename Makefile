@@ -90,10 +90,11 @@ loc:
 
 # The examples are the public API's smallest callers (several select their
 # system by paper label): build and run each with its defaults, and fail on a
-# non-zero exit.
+# non-zero exit or on any difference between its stdout and the checked-in
+# examples/<name>/output.golden (the simulator is deterministic).
 examples-smoke:
 	@set -e; for d in examples/*/; do \
-		echo "examples-smoke: $$d"; $(GO) run ./$$d > /dev/null; \
+		echo "examples-smoke: $$d"; { $(GO) run ./$$d || echo "exit status $$?"; } | diff -u $${d}output.golden -; \
 	done
 
 check: fmt-check one-builder no-proxy-procs vet staticcheck build race race-sim shuffle examples-smoke bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
@@ -126,9 +127,10 @@ snap-check:
 # stencil iteration (2k iterations allocate what k do), the first
 # Ialltoall's objects per message on each system, the bytes per (rank, peer)
 # pair of a 16×8 install plus replay (skipped under -race, so `make race`
-# never runs it), and the serial-vs-parallel determinism guard.
+# never runs it), a warm coll Ialltoall + Wait on each path (host,
+# proxies, engine), and the serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|AllocBudget|BytesPerPair|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/fabric/ ./internal/span/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/ ./internal/stencil/
+	$(GO) test -run 'AllocFree|AllocBudget|BytesPerPair|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/fabric/ ./internal/span/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/ ./internal/stencil/ ./internal/coll/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet

@@ -368,3 +368,99 @@ func TestExecTwiceInProcess(t *testing.T) {
 		t.Fatalf("the second run recorded into the first run's registry: snapshot %d -> %d bytes", before.Len(), after.Len())
 	}
 }
+
+// inProcess parses and executes one command line in this process and
+// returns what it printed to stdout and to os.Stderr.
+func inProcess(t *testing.T, line string) (stdout, stderr string) {
+	t.Helper()
+	pl, err := parse(strings.Fields(line))
+	if err != nil {
+		t.Fatalf("parse(%q): %v", line, err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	saved := os.Stderr
+	os.Stderr = w
+	var out bytes.Buffer
+	err = pl.exec(&out)
+	os.Stderr = saved
+	w.Close()
+	stderr = <-read
+	r.Close()
+	if err != nil {
+		t.Fatalf("offloadbench %s: %v", line, err)
+	}
+	return out.String(), stderr
+}
+
+// lineFields reports whether out has a line whose fields are want's.
+func lineFields(out, want string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if slices.Equal(strings.Fields(line), strings.Fields(want)) {
+			return true
+		}
+	}
+	return false
+}
+
+// The words only make targets ran (snap -check, scale, critical-path,
+// timeline) run in process at small shapes and print their key lines: the
+// checked file's summary, the 128-rank scale row and the footprint line,
+// both critical-path sections with their attribution totals, and the
+// timeline's exports, traces and SLO summary.
+func TestMakeWordsInProcess(t *testing.T) {
+	out, _ := inProcess(t, "snap -check fig13 -o "+filepath.Join("..", "..", "BENCH_fig13.json"))
+	if want := "checked " + filepath.Join("..", "..", "BENCH_fig13.json") + " (3 series, 190 counter series)\n"; out != want {
+		t.Errorf("snap -check fig13 printed %q, want %q", out, want)
+	}
+
+	out, stderr := inProcess(t, "scale -maxranks 128 -iters 1")
+	if !lineFields(out, "128 43047.35 3822.51 6770.47 91.1% 43.5% 99.9%") || !strings.Contains(out, "1 rank counts up to 128, claims validated,") {
+		t.Errorf("scale -maxranks 128 -iters 1 printed:\n%s", out)
+	}
+	if !regexp.MustCompile(`^scale footprint: 128 ranks: \d+ B allocated per \(rank, peer\) pair, peak RSS \d+ MB\n$`).MatchString(stderr) {
+		t.Errorf("scale footprint line: %q", stderr)
+	}
+
+	out, _ = inProcess(t, "critical-path -ppn 2 -iters 1")
+	for _, want := range []string{
+		"=== critical path: ialltoall np=4 size=32768 (proposed) ===",
+		"=== critical path: ialltoall under chaos (rate 1e-3, seed 42) ===",
+		"rank0 coll/ialltoall [187.90us, 220.94us] latency 33.04us",
+		"attribution over 24 roots:",
+		"total 835.73us",
+		"pure_comm=29.24us overall=34.78us",
+		"overall=34.78us verified=true retries=0",
+	} {
+		if !lineFields(out, want) {
+			t.Errorf("critical-path -ppn 2 -iters 1: no line %q in\n%s", want, out)
+		}
+	}
+
+	tl := filepath.Join(t.TempDir(), "tl")
+	out, _ = inProcess(t, "timeline -ppn 2 -iters 4 -o "+tl)
+	for _, want := range []string{
+		"timeseries: " + tl + ".jsonl, " + tl + ".prom (4 runs)",
+		"trace: " + tl + ".measure.trace.json (171876 spans, 4768 counter samples)",
+		"trace: " + tl + ".feedback.trace.json (171876 spans, 4768 counter samples)",
+		"feedback pre 16 61.00 61.00 0.98 46.7 0.0 13.5 17.1 22.7 0.0 0 2 0",
+		"gvmi 0/ 16 iterations violated, worst window burn 0.0x budget",
+		"feedback 0/ 16 iterations violated, worst window burn 0.0x budget",
+	} {
+		if !lineFields(out, want) {
+			t.Errorf("timeline -ppn 2 -iters 4: no line %q in\n%s", want, out)
+		}
+	}
+	for _, ext := range []string{".jsonl", ".prom", ".measure.trace.json", ".feedback.trace.json"} {
+		if st, err := os.Stat(tl + ext); err != nil || st.Size() == 0 {
+			t.Errorf("timeline wrote no %s: %v", ext, err)
+		}
+	}
+}

@@ -41,7 +41,7 @@ func main() {
 			var pl *fft.PencilPlan
 			var err error
 			if offload {
-				oo := ops.(*coll.OffloadOps)
+				oo := ops.(*coll.Backend)
 				a2a := func(slot int) func(c *mpi.Comm, s, d mem.Addr, per int) {
 					return func(c *mpi.Comm, s, d mem.Addr, per int) {
 						oo.Wait(oo.IalltoallOn(c, slot, s, d, per))

@@ -40,6 +40,13 @@ func launch(t *testing.T, nodes, ppn int, fcfg core.Config, main func(r *mpi.Ran
 	}
 }
 
+// bind is the backend Bind gives a rank with host handle h (nil: none) and
+// no engine.
+func bind(name string, r *mpi.Rank, h *core.Host) *Backend {
+	ops, _ := Bind(name, r, h, nil)
+	return ops.(*Backend)
+}
+
 func fillBlocks(r *mpi.Rank, buf []byte, per int) {
 	np := r.Size()
 	for dst := 0; dst < np; dst++ {
@@ -66,7 +73,7 @@ func checkBlocks(t *testing.T, r *mpi.Rank, buf []byte, per int) {
 func TestOffloadIalltoallCorrectAndCached(t *testing.T) {
 	const per = 4 << 10
 	launch(t, 2, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-		ops := NewOffloadOps("proposed", r, h)
+		ops := bind("proposed", r, h)
 		np := r.Size()
 		send, recv := r.Alloc(np*per), r.Alloc(np*per)
 		for it := 0; it < 3; it++ {
@@ -82,12 +89,14 @@ func TestOffloadIalltoallCorrectAndCached(t *testing.T) {
 func TestHostIalltoallCorrect(t *testing.T) {
 	const per = 4 << 10
 	launch(t, 2, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-		ops := NewHostOps("intelmpi", r)
+		ops := bind("intelmpi", r, nil)
 		np := r.Size()
 		send, recv := r.Alloc(np*per), r.Alloc(np*per)
 		fillBlocks(r, send.Bytes(), per)
+		// Untraced and engine-free, the host path hands out the library's
+		// own request, which the rank can poll.
 		q := ops.Ialltoall(0, send.Addr(), recv.Addr(), per)
-		for !ops.Test(q) {
+		for !r.TestColl(q.(*mpi.CollRequest)) {
 			r.Compute(5 * sim.Microsecond)
 		}
 		checkBlocks(t, r, recv.Bytes(), per)
@@ -95,14 +104,13 @@ func TestHostIalltoallCorrect(t *testing.T) {
 }
 
 func TestOffloadIbcastSegmentsCorrectly(t *testing.T) {
-	// Payload large enough to split into multiple ring segments.
+	// Payload large enough to split into four ring segments.
 	const size = 1 << 20
 	for _, root := range []int{0, 2} {
 		root := root
 		t.Run(fmt.Sprint("root", root), func(t *testing.T) {
 			launch(t, 4, 1, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-				ops := NewOffloadOps("proposed", r, h)
-				ops.SegmentSize = 128 << 10
+				ops := bind("proposed", r, h)
 				buf := r.Alloc(size)
 				if r.RankID() == root {
 					for i := range buf.Bytes() {
@@ -126,12 +134,12 @@ func TestOffloadIbcastSegmentsCorrectly(t *testing.T) {
 func TestOffloadIbcastMaxSegmentsBoundsEntries(t *testing.T) {
 	const size = 64 << 20 // would be 256 segments at 256 KiB
 	launch(t, 2, 1, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-		ops := NewOffloadOps("proposed", r, h)
+		ops := bind("proposed", r, h)
 		q := ops.Ibcast(0, r.Alloc(size).Addr(), size, 0)
+		g := q.(*call).g
 		ops.Wait(q)
-		g := q.(*offloadReq).g
-		if n := len(g.Ops()); n > 3*ops.MaxSegments {
-			t.Errorf("rank %d: %d group entries, want <= %d", r.RankID(), n, 3*ops.MaxSegments)
+		if n := len(g.Ops()); n > 3*maxSegments {
+			t.Errorf("rank %d: %d group entries, want <= %d", r.RankID(), n, 3*maxSegments)
 		}
 	})
 }
@@ -272,7 +280,7 @@ func TestMixedWaitAllReleasesEachOnce(t *testing.T) {
 func TestTwoSlotsAreIndependent(t *testing.T) {
 	const per = 2 << 10
 	launch(t, 2, 1, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-		ops := NewOffloadOps("proposed", r, h)
+		ops := bind("proposed", r, h)
 		np := r.Size()
 		sa, ra := r.Alloc(np*per), r.Alloc(np*per)
 		sb, rb := r.Alloc(np*per), r.Alloc(np*per)
@@ -295,7 +303,7 @@ func TestHostOpsNames(t *testing.T) {
 	cl := cluster.New(cluster.DefaultConfig(1, 1))
 	w := mpi.NewWorld(cl)
 	o, p := Bind("intelmpi", w.Rank(0), nil, nil)
-	if _, ok := o.(*HostOps); !ok || o.Name() != "intelmpi" {
+	if o.(*Backend).h != nil || o.Name() != "intelmpi" {
 		t.Fatalf("Bind with no handle: %T named %q, want the host backend", o, o.Name())
 	}
 	if p.Name() != "intelmpi" {
@@ -307,7 +315,7 @@ func TestIallgatherBothBackends(t *testing.T) {
 	const per = 4 << 10
 	launch(t, 2, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
 		np := r.Size()
-		for _, ops := range []Ops{NewHostOps("host", r), NewOffloadOps("offload", r, h)} {
+		for _, ops := range []Ops{bind("host", r, nil), bind("offload", r, h)} {
 			send, recv := r.Alloc(per), r.Alloc(np*per)
 			for i := range send.Bytes() {
 				send.Bytes()[i] = byte(r.RankID()*50 + i)
@@ -337,7 +345,7 @@ func TestWorldIalltoallIsCommIalltoall(t *testing.T) {
 	for _, backend := range []string{"host", "offload"} {
 		measure := func(explicit bool) (ends [np]sim.Time, data [np][]byte) {
 			launch(t, 2, 2, core.DefaultConfig(), func(r *mpi.Rank, h *core.Host) {
-				host, off := NewHostOps("intelmpi", r), NewOffloadOps("proposed", r, h)
+				host, off := bind("intelmpi", r, nil), bind("proposed", r, h)
 				var c *mpi.Comm
 				if explicit {
 					c = r.NewComm(all)

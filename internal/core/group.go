@@ -94,9 +94,6 @@ func (g *GroupRequest) Reserve(n int) { g.ops = slices.Grow(g.ops, n) }
 // Path returns the datapath this request's send entries execute on.
 func (g *GroupRequest) Path() datapath.Kind { return g.path }
 
-// Done reports whether all issued calls of this request have completed.
-func (g *GroupRequest) Done() bool { return g.doneSeq >= g.callSeq }
-
 // Send records an offloaded send (Send_Goffload).
 func (g *GroupRequest) Send(addr mem.Addr, size, dst, tag int) {
 	g.record(GroupOp{Type: OpSend, Addr: addr, Size: size, Peer: g.h.peer(dst), Tag: tag})
@@ -415,12 +412,6 @@ func (h *Host) queueGmeta(m *gmetaMsg) {
 // after the whole pattern has executed on the DPU.
 func (h *Host) GroupWait(g *GroupRequest) {
 	h.waitFor(func() bool { return g.doneSeq >= g.callSeq })
-}
-
-// GroupTest polls for completion without blocking.
-func (h *Host) GroupTest(g *GroupRequest) bool {
-	h.progress()
-	return g.doneSeq >= g.callSeq
 }
 
 // barrier returns the delivery counters of group request id, creating them

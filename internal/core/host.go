@@ -100,16 +100,13 @@ func (h *Host) Proc() *sim.Proc { return h.proc }
 // OffloadRequest identifies one basic-primitive or one-sided transfer
 // (Send_Offload / Recv_Offload, Put/Get); pass it to Wait or WaitAll. The
 // handle is dead once Wait or WaitAll returns: its record goes back to the
-// framework's free list. Done releases nothing, and a handle that is never
-// waited on is left to the garbage collector.
+// framework's free list. A handle that is never waited on is left to the
+// garbage collector.
 type OffloadRequest struct {
 	id   int64
 	done bool
 	span span.ID // root span of the operation (0 = untraced)
 }
-
-// Done reports completion without progressing.
-func (q *OffloadRequest) Done() bool { return q.done }
 
 // reqKind says what a request record is for.
 type reqKind uint8

@@ -64,21 +64,3 @@ func ExpandFleet(spec string, nodes int) ([]string, error) {
 	}
 	return out, nil
 }
-
-// Resolve maps a per-node name list to profiles. Empty names resolve to
-// fallback (the homogeneous base profile).
-func Resolve(names []string, fallback Profile) ([]Profile, error) {
-	out := make([]Profile, len(names))
-	for i, n := range names {
-		if n == "" {
-			out[i] = fallback
-			continue
-		}
-		p, err := Lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}

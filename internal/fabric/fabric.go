@@ -71,12 +71,6 @@ type Endpoint struct {
 // Name returns the endpoint's diagnostic name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Node returns the node the endpoint is attached to.
-func (e *Endpoint) Node() int { return e.node }
-
-// Params returns the endpoint's cost parameters.
-func (e *Endpoint) Params() Params { return e.par }
-
 // Config holds fabric-wide latencies.
 type Config struct {
 	// WireLatency applies between endpoints on different nodes
@@ -144,17 +138,11 @@ func (f *Fabric) SetInjector(inj *fault.Injector) { f.inj = inj }
 // registry cannot move any simulated timestamp.
 func (f *Fabric) SetMetrics(m *metrics.Registry) { f.met = m }
 
-// Metrics returns the attached registry (nil when metrics are off).
-func (f *Fabric) Metrics() *metrics.Registry { return f.met }
-
 // SetSpans attaches a span collector; nil disables tracing. Every transfer
 // carrying a parent span then records an injection span on the sender port
 // and a wire span for the flight. Span collection never consumes virtual
 // time.
 func (f *Fabric) SetSpans(c *span.Collector) { f.sp = c }
-
-// Spans returns the attached span collector (nil when tracing is off).
-func (f *Fabric) Spans() *span.Collector { return f.sp }
 
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }

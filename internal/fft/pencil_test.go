@@ -26,7 +26,7 @@ func runPencil(t *testing.T, scheme string, p1, p2, nx, ny, nz int, offload bool
 		var pl *PencilPlan
 		var err error
 		if offload {
-			oo := ops.(*coll.OffloadOps)
+			oo := ops.(*coll.Backend)
 			a2a := func(slot int) func(c *mpi.Comm, s, d mem.Addr, per int) {
 				return func(c *mpi.Comm, s, d mem.Addr, per int) {
 					oo.Wait(oo.IalltoallOn(c, slot, s, d, per))
@@ -107,7 +107,8 @@ func TestPencilMatchesSlabSpectrum(t *testing.T) {
 					local += real(v)*real(v) + imag(v)*imag(v)
 				}
 			} else {
-				pl, err := NewPlan(r, coll.NewHostOps("h", r), nx, ny, nz)
+				ops, _ := coll.Bind("h", r, nil, nil)
+				pl, err := NewPlan(r, ops, nx, ny, nz)
 				if err != nil {
 					t.Error(err)
 					return

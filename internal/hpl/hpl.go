@@ -115,17 +115,6 @@ func (s *state) rowsAt(k int) int { return s.par.N - k*s.par.NB }
 // panelBytes returns the broadcast payload at step k.
 func (s *state) panelBytes(k int) int { return s.rowsAt(k) * s.par.NB * 8 }
 
-// localTrailingCols counts this rank's columns in blocks > k.
-func (s *state) localTrailingCols(k int) int {
-	n := 0
-	for b := k + 1; b < s.nblk; b++ {
-		if s.ownerOf(b) == s.me {
-			n += s.blockWidth(b)
-		}
-	}
-	return n
-}
-
 func (s *state) blockWidth(b int) int {
 	w := s.par.N - b*s.par.NB
 	if w > s.par.NB {

@@ -38,9 +38,6 @@ const (
 	collBcast                     // a binomial tree, forwarding once received
 )
 
-// Done reports completion without progressing.
-func (c *CollRequest) Done() bool { return c.done }
-
 func (r *Rank) addColl(c *CollRequest) *CollRequest {
 	r.colls = append(r.colls, c)
 	return c

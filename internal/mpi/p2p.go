@@ -12,7 +12,7 @@ import (
 // Request is a nonblocking operation handle (MPI_Request). The handle
 // Isend or Irecv returns is dead once Wait or WaitAll returns: its record
 // goes back to the world's free list, as MPI_Wait sets a handle to
-// MPI_REQUEST_NULL. Test and Done release nothing, so a handle that tested
+// MPI_REQUEST_NULL. Test releases nothing, so a handle that tested
 // done may still be waited on; one that is never waited on is left to the
 // garbage collector.
 type Request struct {
@@ -24,9 +24,6 @@ type Request struct {
 	isRecv bool
 	done   bool
 }
-
-// Done reports completion without progressing (see Test).
-func (q *Request) Done() bool { return q.done }
 
 // inMsg is the receive-side view of an incoming message. Records are
 // recycled by whoever consumes them (see World.freeMsg): the dispatch of a

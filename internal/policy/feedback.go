@@ -23,8 +23,8 @@ import (
 )
 
 // fbCandidates are the group paths the learner probes. HostDirect is
-// among them: coll.PolicyOps executes host-direct group decisions on the
-// host MPI backend, which is exactly the escape hatch a saturated proxy
+// among them: coll.Backend runs a host-direct collective decision on the
+// host MPI library, which is exactly the escape hatch a saturated proxy
 // needs (pattern.Run clamps host-direct to the proxy default, same as for
 // the Adaptive policy's small-size decisions).
 var fbCandidates = []datapath.Kind{

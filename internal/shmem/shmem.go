@@ -134,8 +134,5 @@ func (pe *PE) Quiet() {
 	pe.pending = pe.pending[:0]
 }
 
-// Pending reports the number of outstanding one-sided operations.
-func (pe *PE) Pending() int { return len(pe.pending) }
-
 // Compute models local computation; offloaded transfers progress meanwhile.
 func (pe *PE) Compute(d sim.Time) { pe.host.Proc().AdvanceBusy(d) }

@@ -104,9 +104,6 @@ func NewRegistry(f *fabric.Fabric, costs CostConfig) *Registry {
 // Costs returns the registry's cost configuration.
 func (r *Registry) Costs() CostConfig { return r.costs }
 
-// Fabric returns the underlying fabric.
-func (r *Registry) Fabric() *fabric.Fabric { return r.f }
-
 // SetInjector attaches a fault injector: posted operations then draw error
 // CQEs and fabric fates, and failed attempts are retransmitted with
 // exponential backoff up to the injector's retry budget. Nil (the default)
@@ -133,9 +130,6 @@ func (r *Registry) SetMetrics(m *metrics.Registry) {
 // parenting the fabric flights they cause. Span collection never consumes
 // virtual time.
 func (r *Registry) SetSpans(c *span.Collector) { r.sp = c }
-
-// Spans returns the attached span collector (nil when tracing is off).
-func (r *Registry) Spans() *span.Collector { return r.sp }
 
 // Ctx is a per-process verbs context: the process's protection domain,
 // address space, and the endpoint its work requests are injected through.
@@ -189,9 +183,6 @@ func (m *MR) LKey() Key { return m.lkey }
 
 // RKey returns the remote access key.
 func (m *MR) RKey() Key { return m.rkey }
-
-// Ctx returns the owning context.
-func (m *MR) Ctx() *Ctx { return m.ctx }
 
 var (
 	// ErrBadKey is returned when a key does not resolve to a region.
