@@ -49,7 +49,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "offloadbench: %v\n(run offloadbench with no arguments for every word and its flags)\n", err)
 		os.Exit(2)
 	}
-	if err := pl.exec(os.Stdout); err != nil {
+	if err := pl.exec(os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "offloadbench:", err)
 		os.Exit(1)
 	}
@@ -176,10 +176,11 @@ func union(a, b []string) []string {
 }
 
 // exec runs the plan in the SweepEnv its shared flags build, then writes
-// the exports they requested.
-func (pl *plan) exec(out io.Writer) error {
+// the exports they requested. Results go to out, notes beside them (the
+// scale footprint) to errOut.
+func (pl *plan) exec(out, errOut io.Writer) error {
 	p := pl.p
-	p.env = p.cf.Env()
+	p.env, p.errOut = p.cf.Env(), errOut
 	if p.cf.HandleDeviceQuery(out) {
 		return nil // -device list / -fleet help: documented exit 0
 	}
@@ -212,6 +213,7 @@ type params struct {
 	fs                     *flag.FlagSet // the word's, after parsing
 	cf                     *bench.CommonFlags
 	env                    bench.SweepEnv // the run's sinks, device, fleet and workers: cf's, built by exec
+	errOut                 io.Writer      // where exec sends notes beside the results
 	cpuProfile, memProfile string
 
 	ppn, iters, warmup, memGB, nb, maxRanks, size int

@@ -346,7 +346,7 @@ func TestExecTwiceInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := first.exec(io.Discard); err != nil {
+	if err := first.exec(io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	reg := first.p.env.Met
@@ -358,7 +358,7 @@ func TestExecTwiceInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.exec(io.Discard); err != nil {
+	if err := second.exec(io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Snapshot().WriteJSON(&after); err != nil {
@@ -370,34 +370,18 @@ func TestExecTwiceInProcess(t *testing.T) {
 }
 
 // inProcess parses and executes one command line in this process and
-// returns what it printed to stdout and to os.Stderr.
+// returns what it printed to its results and its notes writers.
 func inProcess(t *testing.T, line string) (stdout, stderr string) {
 	t.Helper()
 	pl, err := parse(strings.Fields(line))
 	if err != nil {
 		t.Fatalf("parse(%q): %v", line, err)
 	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		read <- string(b)
-	}()
-	saved := os.Stderr
-	os.Stderr = w
-	var out bytes.Buffer
-	err = pl.exec(&out)
-	os.Stderr = saved
-	w.Close()
-	stderr = <-read
-	r.Close()
-	if err != nil {
+	var out, errOut bytes.Buffer
+	if err := pl.exec(&out, &errOut); err != nil {
 		t.Fatalf("offloadbench %s: %v", line, err)
 	}
-	return out.String(), stderr
+	return out.String(), errOut.String()
 }
 
 // lineFields reports whether out has a line whose fields are want's.
@@ -416,6 +400,7 @@ func lineFields(out, want string) bool {
 // both critical-path sections with their attribution totals, and the
 // timeline's exports, traces and SLO summary.
 func TestMakeWordsInProcess(t *testing.T) {
+	t.Parallel()
 	out, _ := inProcess(t, "snap -check fig13 -o "+filepath.Join("..", "..", "BENCH_fig13.json"))
 	if want := "checked " + filepath.Join("..", "..", "BENCH_fig13.json") + " (3 series, 190 counter series)\n"; out != want {
 		t.Errorf("snap -check fig13 printed %q, want %q", out, want)

@@ -248,7 +248,7 @@ func runScale(p *params, out io.Writer) error {
 	figures.ScaleTable(snap).Fprint(out)
 	fmt.Fprintf(out, "%d rank counts up to %d, claims validated, %s wall\n",
 		len(snap.Series), snap.Series[len(snap.Series)-1].Ranks, wall.Round(time.Millisecond))
-	fmt.Fprintln(os.Stderr, fp)
+	fmt.Fprintln(p.errOut, fp)
 	if p.out == "" {
 		return nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -13,10 +14,10 @@ import (
 )
 
 // roundAllocs runs a round on both hosts of a started two-node framework
-// once per period of virtual time and returns the allocations of one warm
-// round — every layer, both proxies. prepare runs once per host, in its
-// process, and returns the host's round.
-func roundAllocs(t *testing.T, cfg Config, plan *fault.Config, prepare func(h *Host) func()) (float64, *Framework) {
+// once per period of virtual time and returns the objects and bytes one
+// warm round allocates — every layer, both proxies. prepare runs once per
+// host, in its process, and returns the host's round.
+func roundAllocs(t *testing.T, cfg Config, plan *fault.Config, prepare func(h *Host) func()) (allocs, bytes float64, fw *Framework) {
 	t.Helper()
 	const period = 500 * sim.Microsecond
 	ccfg := cluster.DefaultConfig(2, 1)
@@ -26,7 +27,7 @@ func roundAllocs(t *testing.T, cfg Config, plan *fault.Config, prepare func(h *H
 	for i := range sites {
 		sites[i] = cl.NewHostSite(cl.NodeOfRank(i), fmt.Sprintf("host%d", i))
 	}
-	fw := New(cl, cfg, sites)
+	fw = New(cl, cfg, sites)
 	fw.Start()
 	rounds := 0
 	for i := 0; i < ccfg.NP(); i++ {
@@ -47,13 +48,19 @@ func roundAllocs(t *testing.T, cfg Config, plan *fault.Config, prepare func(h *H
 	before := rounds
 	// The total of 20 rounds over 20, not AllocsPerRun's floored mean per
 	// round, so a cost spread over many rounds — a growing map — shows too.
-	allocs := testing.AllocsPerRun(1, func() { cl.K.RunUntil(cl.K.Now() + 20*period) }) / 20
+	// The bytes are the last run's, the one AllocsPerRun counts.
+	var m0, m1 runtime.MemStats
+	allocs = testing.AllocsPerRun(1, func() {
+		runtime.ReadMemStats(&m0)
+		cl.K.RunUntil(cl.K.Now() + 20*period)
+		runtime.ReadMemStats(&m1)
+	}) / 20
 	if rounds-before != 40 { // AllocsPerRun runs f once more, to warm up
 		t.Fatalf("%d rounds in 40 periods, want one per period", rounds-before)
 	}
 	fw.Stop()
 	cl.K.Shutdown()
-	return allocs, fw
+	return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / 20, fw
 }
 
 // budgetPlans are the plans every budget holds under: none, and a crash plan
@@ -66,9 +73,10 @@ func budgetPlans() []rigPlan {
 }
 
 // groupAllocs runs rank 0 → rank 1 group requests of the given number of
-// sends, one call per round, and returns the allocations of one warm call —
-// everything from the hosts' GroupCall to their GroupWait returning.
-func groupAllocs(t *testing.T, cfg Config, plan *fault.Config, sends int) (float64, *Framework) {
+// sends, one call per round, and returns the objects and bytes one warm
+// call allocates — everything from the hosts' GroupCall to their GroupWait
+// returning.
+func groupAllocs(t *testing.T, cfg Config, plan *fault.Config, sends int) (allocs, bytes float64, fw *Framework) {
 	t.Helper()
 	const size = 4096
 	return roundAllocs(t, cfg, plan, func(h *Host) func() {
@@ -93,7 +101,7 @@ func groupAllocs(t *testing.T, cfg Config, plan *fault.Config, sends int) (float
 // first are group-cache replays.
 func replayAllocs(t *testing.T, plan *fault.Config, sends int) float64 {
 	t.Helper()
-	allocs, fw := groupAllocs(t, DefaultConfig(), plan, sends)
+	allocs, _, fw := groupAllocs(t, DefaultConfig(), plan, sends)
 	var hits int64
 	for i := 0; i < len(fw.proxies); i++ {
 		hits += fw.Proxy(i).GroupHits
@@ -124,15 +132,21 @@ func TestGroupReplaySendAllocFree(t *testing.T) {
 
 // A warm group call with no group cache on the staged datapath (the BluesMPI
 // design minus its warm-up penalty) re-gathers and re-installs the whole
-// pattern, but nothing per send: a call of 64 sends allocates exactly what a
-// call of 4 does. Each send's metadata is recycled after the gather, and its
-// read and write ride the staging lease it holds.
+// pattern, but nothing per send: a call of 64 sends allocates exactly the
+// objects and the bytes a call of 4 does. Each send's metadata is recycled
+// after the gather, its read and write ride the staging lease it holds, and
+// the re-install builds into the last install's wire entries and
+// registration scratch.
 func TestUncachedStagedGroupCallAllocFree(t *testing.T) {
-	few, _ := groupAllocs(t, stagedConfig(), nil, 4)
-	many, fw := groupAllocs(t, stagedConfig(), nil, 64)
+	few, fewBytes, _ := groupAllocs(t, stagedConfig(), nil, 4)
+	many, manyBytes, fw := groupAllocs(t, stagedConfig(), nil, 64)
 	if many != few {
 		t.Fatalf("an uncached staged call of 64 sends allocates %.1f objects, one of 4 sends %.1f: %.3f per send, want 0",
 			many, few, (many-few)/60)
+	}
+	if manyBytes != fewBytes {
+		t.Fatalf("an uncached staged call of 64 sends allocates %.0f bytes, one of 4 sends %.0f: %.1f per send, want 0",
+			manyBytes, fewBytes, (manyBytes-fewBytes)/60)
 	}
 	var misses, staged int64
 	for _, px := range fw.proxies {
@@ -155,7 +169,7 @@ func TestBasicPrimitivePairAllocFree(t *testing.T) {
 	const size = 4096
 	for _, pc := range budgetPlans() {
 		for _, path := range []datapath.Kind{datapath.KindCrossGVMI, datapath.KindStaged} {
-			allocs, _ := roundAllocs(t, DefaultConfig(), pc.plan, func(h *Host) func() {
+			allocs, _, _ := roundAllocs(t, DefaultConfig(), pc.plan, func(h *Host) func() {
 				buf := h.site.Space.Alloc(size, true)
 				return func() {
 					if h.Rank() == 0 {
@@ -178,5 +192,26 @@ func TestBasicPrimitivePairAllocFree(t *testing.T) {
 func TestWireOpSize(t *testing.T) {
 	if n := unsafe.Sizeof(wireOp{}); n > 48 {
 		t.Errorf("wireOp is %d bytes, want at most 48", n)
+	}
+}
+
+// TestInstallRecordSizes pins the other records an install holds or sends
+// one of per (rank, peer) pair: a recorded entry, the receive-entry
+// metadata of the gather, a delivery notification and the host GVMI
+// cache's value, whose address and size are its key. Ranks, tags, group
+// ids, call numbers and entry indices are int32.
+func TestInstallRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"GroupOp", unsafe.Sizeof(GroupOp{}), 32},
+		{"gmetaMsg", unsafe.Sizeof(gmetaMsg{}), 32},
+		{"dlvMsg", unsafe.Sizeof(dlvMsg{}), 20},
+		{"hostMKey", unsafe.Sizeof(hostMKey{}), 8},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
+		}
 	}
 }

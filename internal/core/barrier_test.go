@@ -193,8 +193,9 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 					px.dispatch(&verbs.Packet{Kind: "group", Payload: &groupPacket{
 						HostRank: k.host, GroupID: k.id, CallSeq: r.callSeq, Entries: r.entries}})
 				} else {
-					px.dispatch(&verbs.Packet{Kind: "greplay", Payload: &greplayMsg{
-						HostRank: k.host, GroupID: k.id, CallSeq: r.callSeq}})
+					m := fw.greplayFree.Get()
+					*m = greplayMsg{HostRank: k.host, GroupID: k.id, CallSeq: r.callSeq}
+					px.dispatch(fw.ctrlPacket("greplay", ctrlSize, m, 0))
 				}
 			case op <= 3: // one engine round, as the engine's groupRound does it
 				what = "round"
@@ -227,17 +228,18 @@ func runBarrierDifferential(t *testing.T, rng *rand.Rand, crash bool) {
 							per++
 						}
 					}
-					m = dlvMsg{SrcHost: sk.src, DstHost: k.host, DstGroup: k.id, Call: 1 + n, Entry: 0}
+					m = dlvMsg{SrcHost: int32(sk.src), DstHost: int32(k.host), DstGroup: int32(k.id), Call: int32(1 + n), Entry: 0}
 					if per > 0 {
-						m.Call, m.Entry = 1+n/per, n%per
+						m.Call, m.Entry = int32(1+n/per), int32(n%per)
 					}
 					sentBy[sk]++
 					sent = append(sent, m)
-					r.got[m.SrcHost]++
+					r.got[int(m.SrcHost)]++
 				}
-				pkt := &verbs.Packet{Kind: "dlv", Payload: &m}
+				// Pooled, as the proxy recycles what it counts.
+				pkt := fw.dlvPacket(m, 0)
 				if crash {
-					fw.Host(m.DstHost).countDelivery(pkt)
+					fw.Host(int(m.DstHost)).countDelivery(pkt)
 				} else {
 					px.dispatch(pkt)
 				}

@@ -51,6 +51,11 @@ type GroupRequest struct {
 	wire    []wireOp
 	sentGen int
 
+	// regs is an install's registration scratch (see installRegs): the
+	// entries of its cache batches, then a slot reference per entry. Sized
+	// at the first install, it serves every later one.
+	regs []int32
+
 	// roots holds each call's root span, by call number − 1, so fallback
 	// re-execution after a proxy failure stays attributed to the original
 	// operation. Recorded only while tracing.
@@ -59,11 +64,11 @@ type GroupRequest struct {
 
 // GroupOp is one recorded entry.
 type GroupOp struct {
-	Type OpType
 	Addr mem.Addr
 	Size int
-	Peer int // destination (send) or source (recv)
-	Tag  int
+	Peer int32 // destination (send) or source (recv)
+	Tag  int32
+	Type OpType
 }
 
 // GroupStart begins recording a new pattern (Group_Offload_start) on the
@@ -96,12 +101,12 @@ func (g *GroupRequest) Path() datapath.Kind { return g.path }
 
 // Send records an offloaded send (Send_Goffload).
 func (g *GroupRequest) Send(addr mem.Addr, size, dst, tag int) {
-	g.record(GroupOp{Type: OpSend, Addr: addr, Size: size, Peer: g.h.peer(dst), Tag: tag})
+	g.record(GroupOp{Type: OpSend, Addr: addr, Size: size, Peer: int32(g.h.peer(dst)), Tag: int32(tag)})
 }
 
 // Recv records an offloaded receive (Recv_Goffload).
 func (g *GroupRequest) Recv(addr mem.Addr, size, src, tag int) {
-	g.record(GroupOp{Type: OpRecv, Addr: addr, Size: size, Peer: g.h.peer(src), Tag: tag})
+	g.record(GroupOp{Type: OpRecv, Addr: addr, Size: size, Peer: int32(g.h.peer(src)), Tag: int32(tag)})
 }
 
 // LocalBarrier records an ordering point (Local_barrier_Goffload): entries
@@ -130,7 +135,7 @@ func (g *GroupRequest) End() {
 	top := -1
 	for i := range g.ops {
 		if op := &g.ops[i]; op.Type == OpRecv {
-			top = max(top, op.Peer)
+			top = max(top, int(op.Peer))
 		}
 	}
 	b.cover(top) // at once, up to the highest source
@@ -238,28 +243,34 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 	//    receive buffers through the IB cache — straight into the wire
 	//    entries, and push each receive entry's metadata to its source host.
 	regs := h.installRegs(g, px, srcReg, sends, recvs)
-	entries := make([]wireOp, len(g.ops))
+	// A re-install builds into the last install's entries once every
+	// earlier call is done, as nothing reads them then. Until then the
+	// running call reads the entries its proxy installed, which are these.
+	entries := g.wire
+	if entries == nil || g.doneSeq != g.callSeq-1 {
+		entries = make([]wireOp, len(g.ops))
+	}
 	for i := range g.ops {
 		op, w := &g.ops[i], &entries[i]
-		*w = wireOp{Type: op.Type, Size: op.Size, Peer: int32(op.Peer)}
+		*w = wireOp{Type: op.Type, Size: op.Size, Peer: op.Peer}
 		switch op.Type {
 		case OpSend:
 			w.SrcAddr = op.Addr
 			switch srcReg {
 			case datapath.RegGVMI:
-				info := regs.mkey(h, px, op)
+				info := regs.mkey(h, px, i, op)
 				w.SrcKey, w.Gvmi = info.MKey, info.Gvmi
 			case datapath.RegIB:
-				w.SrcKey = regs.mr(h, op).RKey()
+				w.SrcKey = regs.mr(h, i, op).RKey()
 			default:
 				panic(fmt.Sprintf("core: group send on non-proxy path %v", g.path))
 			}
 		case OpRecv:
-			mr := regs.mr(h, op)
+			mr := regs.mr(h, i, op)
 			m := h.fw.gmetaFree.Get()
 			*m = gmetaMsg{
-				DstRank: h.rank, Tag: op.Tag, Size: op.Size,
-				DstAddr: op.Addr, RKey: mr.RKey(), DstGroup: g.id,
+				DstRank: int32(h.rank), Tag: op.Tag, Size: op.Size,
+				DstAddr: op.Addr, RKey: mr.RKey(), DstGroup: int32(g.id),
 			}
 			h.ctx.PostSend(h.proc, h.fw.hosts[op.Peer].ctx, h.fw.ctrlPacket("gmeta", ctrlSize, m, 0))
 		}
@@ -277,7 +288,7 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 		if meta.Size != w.Size {
 			panic(fmt.Sprintf("core: group size mismatch: send %d vs recv %d", w.Size, meta.Size))
 		}
-		w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, int32(meta.DstGroup)
+		w.DstAddr, w.DstRKey, w.DstGroup = meta.DstAddr, meta.RKey, meta.DstGroup
 		recycle(&h.fw.gmetaFree, meta)
 	}
 	return entries
@@ -285,15 +296,18 @@ func (h *Host) buildWire(g *GroupRequest, px *Proxy) []wireOp {
 
 // installRegs resolves one install's registrations in call order. With the
 // caches on, each cache looks the call's keys up in one pass (a
-// regcache.Batch per cache); with them off, every buffer is registered
-// afresh.
+// regcache.Batch per cache, over the request's entries); with them off,
+// every buffer is registered afresh.
 type installRegs struct {
 	cached bool
-	gvmi   regcache.Batch[gvmi.MKeyInfo]
+	gvmi   regcache.Batch[hostMKey]
 	ib     regcache.Batch[*verbs.MR]
 }
 
-// installRegs collects g's keys for each cache and classifies them.
+// installRegs classifies g's keys for each cache, and announces the
+// registrations their misses will make to the key tables, which then grow
+// once for the install: a new host mkey, and on the cross-GVMI path the
+// proxy's cross-registration of it, a verbs region each.
 func (h *Host) installRegs(g *GroupRequest, px *Proxy, srcReg datapath.SrcReg, sends, recvs int) installRegs {
 	if !h.fw.cfg.RegCaches {
 		return installRegs{}
@@ -302,39 +316,50 @@ func (h *Host) installRegs(g *GroupRequest, px *Proxy, srcReg datapath.SrcReg, s
 	if srcReg == datapath.RegGVMI {
 		gvmiSends = sends
 	}
-	r := installRegs{
-		cached: true,
-		gvmi:   h.gvmiCache.Batch(0, gvmiSends),
-		ib:     h.ibCache.Batch(0, sends+recvs-gvmiSends),
+	n := len(g.ops)
+	if len(g.regs) < 2*n {
+		g.regs = make([]int32, 2*n)
 	}
+	// ord lists the GVMI batch's entries, then the IB batch's, each in
+	// entry order; ref is indexed by entry.
+	ord, ref := g.regs[:sends+recvs], g.regs[n:2*n]
+	gv, ib := 0, gvmiSends
 	for i := range g.ops {
 		switch op := &g.ops[i]; {
 		case op.Type == OpSend && srcReg == datapath.RegGVMI:
-			r.gvmi.Add(op.Addr, op.Size)
+			ord[gv], gv = int32(i), gv+1
 		case op.Type != OpBarrier:
-			r.ib.Add(op.Addr, op.Size)
+			ord[ib], ib = int32(i), ib+1
 		}
 	}
-	r.gvmi.Classify()
-	r.ib.Classify()
+	r := installRegs{
+		cached: true,
+		gvmi:   h.gvmiCache.Batch(0, ord[:gvmiSends], ref),
+		ib:     h.ibCache.Batch(0, ord[gvmiSends:], ref),
+	}
+	keyOf := func(i int32) (mem.Addr, int) { return g.ops[i].Addr, g.ops[i].Size }
+	gvmiMisses := r.gvmi.Classify(keyOf)
+	ibMisses := r.ib.Classify(keyOf)
+	h.fw.cl.GVMI.Reserve(gvmiMisses)
+	h.fw.cl.Reg.Reserve(gvmiMisses + ibMisses)
 	return r
 }
 
-// mkey returns the MKeyInfo of op's send buffer.
-func (r *installRegs) mkey(h *Host, px *Proxy, op *GroupOp) gvmi.MKeyInfo {
+// mkey returns the MKeyInfo of send entry i's buffer.
+func (r *installRegs) mkey(h *Host, px *Proxy, i int, op *GroupOp) gvmi.MKeyInfo {
 	if !r.cached {
 		return h.gvmiCreate(px, op.Addr, op.Size)
 	}
-	info, _ := r.gvmi.Next(func() gvmi.MKeyInfo { return h.gvmiCreate(px, op.Addr, op.Size) })
-	return info
+	k, _ := r.gvmi.Next(int32(i), func() hostMKey { return mkeyOf(h.gvmiCreate(px, op.Addr, op.Size)) })
+	return k.info(op.Addr, op.Size)
 }
 
-// mr returns the MR of op's buffer.
-func (r *installRegs) mr(h *Host, op *GroupOp) *verbs.MR {
+// mr returns the MR of entry i's buffer.
+func (r *installRegs) mr(h *Host, i int, op *GroupOp) *verbs.MR {
 	if !r.cached {
 		return h.ibCreate(op.Addr, op.Size)
 	}
-	mr, _ := r.ib.Next(func() *verbs.MR { return h.ibCreate(op.Addr, op.Size) })
+	mr, _ := r.ib.Next(int32(i), func() *verbs.MR { return h.ibCreate(op.Addr, op.Size) })
 	return mr
 }
 
@@ -350,7 +375,7 @@ func (r *installRegs) commit() {
 // tag has been gathered (FIFO per (dst, tag) pair). Entries already looked at
 // are not looked at again: only this call removes from the queue, and
 // arrivals join at its end.
-func (h *Host) awaitGmeta(dst, tag int) *gmetaMsg {
+func (h *Host) awaitGmeta(dst, tag int32) *gmetaMsg {
 	seen := 0 // live entries looked at
 	for {
 		q := h.gmetaQ
@@ -429,7 +454,7 @@ func (h *Host) barrier(id int) *recvBarrier {
 // already sent — is counted in DlvDup.
 func (h *Host) countDelivery(pkt *verbs.Packet) bool {
 	m := pkt.Payload.(*dlvMsg)
-	fresh := h.barrier(m.DstGroup).count(m.SrcHost, m.Call, m.Entry)
+	fresh := h.barrier(int(m.DstGroup)).count(int(m.SrcHost), int(m.Call), int(m.Entry))
 	if !fresh {
 		h.DlvDup++
 		if inj := h.fw.cl.Inj; inj.Tracing() {

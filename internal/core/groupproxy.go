@@ -473,7 +473,7 @@ func (d *groupSendDone) Fire(sim.Time) {
 	g.pending--
 	e := &g.entries[d.idx]
 	px.send(px.fw.hosts[e.Peer].dlvEP, px.fw.dlvPacket(dlvMsg{
-		SrcHost: g.host, DstHost: int(e.Peer), DstGroup: int(e.DstGroup),
-		Call: g.finishedSeq + 1, Entry: d.idx,
+		SrcHost: int32(g.host), DstHost: e.Peer, DstGroup: e.DstGroup,
+		Call: int32(g.finishedSeq + 1), Entry: int32(d.idx),
 	}, g.execSpan))
 }

@@ -25,7 +25,7 @@ type Host struct {
 	ctx    *verbs.Ctx
 	proc   *sim.Proc
 
-	gvmiCache *regcache.Cache[gvmi.MKeyInfo] // one slot: the host's proxy, fw.proxyFor(rank)
+	gvmiCache *regcache.Cache[hostMKey] // one slot: the host's proxy, fw.proxyFor(rank)
 	ibCache   *regcache.Cache[*verbs.MR]
 
 	nextSeq int64
@@ -168,12 +168,26 @@ func (h *Host) complete(id int64) {
 // registration cache when enabled (keyed by the proxy, per VII-B: the host's
 // one proxy, so the cache has one slot).
 func (h *Host) gvmiRegister(px *Proxy, addr mem.Addr, size int) gvmi.MKeyInfo {
-	create := func() gvmi.MKeyInfo { return h.gvmiCreate(px, addr, size) }
 	if !h.fw.cfg.RegCaches {
-		return create()
+		return h.gvmiCreate(px, addr, size)
 	}
-	info, _ := h.gvmiCache.GetOrCreate(0, addr, size, create)
-	return info
+	k, _ := h.gvmiCache.GetOrCreate(0, addr, size, func() hostMKey { return mkeyOf(h.gvmiCreate(px, addr, size)) })
+	return k.info(addr, size)
+}
+
+// hostMKey is a host GVMI registration as the host's cache holds it: the
+// cache key is the buffer's address and size, so the value is the rest of
+// its MKeyInfo.
+type hostMKey struct {
+	mkey verbs.Key
+	id   gvmi.ID
+}
+
+func mkeyOf(info gvmi.MKeyInfo) hostMKey { return hostMKey{info.MKey, info.Gvmi} }
+
+// info returns the MKeyInfo of the registration of [addr, addr+size).
+func (k hostMKey) info(addr mem.Addr, size int) gvmi.MKeyInfo {
+	return gvmi.MKeyInfo{Addr: addr, Size: size, MKey: k.mkey, Gvmi: k.id}
 }
 
 // gvmiCreate performs the host-side GVMI registration of a source buffer

@@ -55,12 +55,12 @@ type finMsg struct {
 // sender needs the destination address/rkey to hand to its proxy, and the
 // receiver's group id so delivery notifications can be attributed exactly.
 type gmetaMsg struct {
-	DstRank  int
-	Tag      int
-	Size     int
 	DstAddr  mem.Addr
+	Size     int
+	DstRank  int32
+	Tag      int32
+	DstGroup int32
 	RKey     verbs.Key
-	DstGroup int
 }
 
 // OpType classifies group-primitive entries.
@@ -130,11 +130,11 @@ type greplayMsg struct {
 // own memory, so it survives a proxy failure. Call/Entry identify it, so a
 // fallback retransmission is counted exactly once (recvBarrier.count).
 type dlvMsg struct {
-	SrcHost  int
-	DstHost  int
-	DstGroup int
-	Call     int // group call number this delivery belongs to
-	Entry    int // send-entry index within the call
+	SrcHost  int32
+	DstHost  int32
+	DstGroup int32
+	Call     int32 // group call number this delivery belongs to
+	Entry    int32 // send-entry index within the call
 }
 
 // gfailMsg tells a host that its proxy cannot serve a replayed group

@@ -91,9 +91,12 @@ type Manager struct {
 	owners map[ID]*verbs.Ctx // gvmi-id -> DPU ctx that generated it
 	// mkeys holds the host registration records, dense: registration i
 	// (from 0) has mkey firstMKey+i. An invalidated slot is zeroed and its
-	// mkey is never handed out again. It grows by pool.Append: one record
-	// per (rank, peer) pair of an offloaded alltoall.
-	mkeys []hostEntry
+	// mkey is never handed out again. It holds one record per (rank, peer)
+	// pair of an offloaded alltoall, and grows by pool.AppendReserved:
+	// reserved counts the registrations installs have announced (Reserve)
+	// and not yet made.
+	mkeys    []hostEntry
+	reserved int
 
 	// Stats
 	HostRegs     int64
@@ -161,9 +164,13 @@ func (m *Manager) RegisterHost(p *sim.Proc, hostCtx *verbs.Ctx, addr mem.Addr, s
 	p.AdvanceBusy(cost)
 
 	info := MKeyInfo{Addr: addr, Size: size, MKey: firstMKey + verbs.Key(len(m.mkeys)), Gvmi: id}
-	m.mkeys = pool.Append(m.mkeys, hostEntry{info: info, space: hostCtx.Space()})
+	m.mkeys = pool.AppendReserved(m.mkeys, hostEntry{info: info, space: hostCtx.Space()}, &m.reserved)
 	return info, nil
 }
+
+// Reserve announces n host registrations to come, so the mkey table grows
+// once for all the registrations announced before the next of them is made.
+func (m *Manager) Reserve(n int) { m.reserved += n }
 
 // CrossRegister performs the DPU-side registration: it validates the
 // host-supplied parameters and mints mkey2 — a verbs MR owned by the DPU

@@ -105,7 +105,7 @@ func (c *Comm) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 		reqs[np-2+i].set(false, sendAddr+mem.Addr(dst*per), per, c.World(dst), tag)
 	}
 	r.slab = reqs
-	cr := r.addColl(&CollRequest{kind: collAlltoall, reqs: reqs})
+	cr := r.addColl(CollRequest{kind: collAlltoall, reqs: reqs})
 	r.do(callPost, phOwn)
 	return cr
 }

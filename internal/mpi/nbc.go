@@ -5,7 +5,9 @@ import "repro/internal/mem"
 // CollRequest is a nonblocking-collective handle. Its schedule advances only
 // inside MPI calls (Test/Wait and every other call that progresses) — the
 // host-based baseline behaviour the paper measures against. The schedule is
-// data, advanced by advance: no call builds a closure.
+// data, advanced by advance: no call builds a closure. Handles come from the
+// world's free list and go back to it when WaitColl returns: the handle is
+// dead then. One that is never waited on is left to the garbage collector.
 type CollRequest struct {
 	done bool
 	kind collKind
@@ -38,9 +40,12 @@ const (
 	collBcast                     // a binomial tree, forwarding once received
 )
 
-func (r *Rank) addColl(c *CollRequest) *CollRequest {
-	r.colls = append(r.colls, c)
-	return c
+// addColl starts collective c on a handle from the world's free list.
+func (r *Rank) addColl(c CollRequest) *CollRequest {
+	h := r.w.colls.Get()
+	*h = c
+	r.colls = append(r.colls, h)
+	return h
 }
 
 // advance advances the schedule and reports whether it is complete. A
@@ -81,10 +86,14 @@ func (c *CollRequest) advance() bool {
 	return true
 }
 
-// WaitColl blocks until the collective completes.
+// WaitColl blocks until the collective completes, then releases it: the
+// handle is dead once WaitColl returns. A finished collective has already
+// left the rank's active list (advanceColls), so nothing else holds it.
 func (r *Rank) WaitColl(c *CollRequest) {
 	t0 := r.enter()
 	r.wait(nil, c)
+	*c = CollRequest{}
+	r.w.colls.Put(c)
 	r.leave(t0)
 }
 
@@ -108,7 +117,7 @@ func (r *Rank) Ialltoall(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
 // the previous step's receive, so the schedule advances only as the CPU
 // re-enters the library — the ordered-pattern limitation of Section II-A.
 func (r *Rank) Iallgather(sendAddr, recvAddr mem.Addr, per int) *CollRequest {
-	c := r.addColl(&CollRequest{r: r, addr: recvAddr, size: per, tag: r.nextCollTag()})
+	c := r.addColl(CollRequest{r: r, addr: recvAddr, size: per, tag: r.nextCollTag()})
 	r.src, r.addr, r.size = sendAddr, recvAddr+mem.Addr(r.rank*per), per
 	if r.Size() > 1 {
 		c.kind = collAllgather
@@ -138,7 +147,7 @@ func (c *CollRequest) postRing() {
 func (r *Rank) Ibcast(addr mem.Addr, size, root int) *CollRequest {
 	tag := r.nextCollTag()
 	np := r.Size()
-	c := r.addColl(&CollRequest{r: r})
+	c := r.addColl(CollRequest{r: r})
 	if np == 1 {
 		return c
 	}

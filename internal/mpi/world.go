@@ -60,10 +60,12 @@ type World struct {
 
 	// msgs recycles message records (see freeMsg); their packets come from
 	// the verbs registry's pool. rndvs recycles rendezvous reads (rndv),
-	// reqs the handles of Isend and Irecv (see freeReq).
+	// reqs the handles of Isend and Irecv (see freeReq), colls those of the
+	// nonblocking collectives (see WaitColl).
 	msgs  pool.List[inMsg]
 	rndvs pool.List[rndv]
 	reqs  pool.List[Request]
+	colls pool.List[CollRequest]
 
 	// Metric handles; nil (inert) when metrics are off.
 	mEager   *metrics.Counter

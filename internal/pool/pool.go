@@ -8,9 +8,11 @@
 // discipline), so nothing here locks.
 //
 // Append is the growth rule of the tables that grow with the number of
-// (rank, peer) pairs: the event arena, the free lists here, and the key
+// (rank, peer) pairs: the event arena, and, with AppendReserved, the key
 // tables of verbs and gvmi.
 package pool
+
+import "unsafe"
 
 // slabLen is the number of records one slab holds.
 const slabLen = 128
@@ -35,34 +37,54 @@ func (s *Slab[T]) New() *T {
 // List is a LIFO free list of records that falls back to its Slab when it
 // is empty; its zero value is ready to use. Put does not zero a record: a
 // caller that needs it scrubbed scrubs it before Put.
+//
+// A record is the first field of its slab node, whose other field links the
+// node into the list while the record is free. So neither Put nor Get
+// touches a slice: the list costs one pointer per record carved, where a
+// slice of free records grew by doubling to the list's peak.
 type List[T any] struct {
-	slab Slab[T]
-	free []*T
+	slab Slab[node[T]]
+	head *node[T] // the record put last; nil when the list is empty
+}
+
+// node is a record and its link; v is first, so a *T handed out is its
+// node's address.
+type node[T any] struct {
+	v    T
+	next *node[T]
 }
 
 // Get returns the record put last, or a zeroed one from the slab.
 func (l *List[T]) Get() *T {
-	n := len(l.free)
-	if n == 0 {
-		return l.slab.New()
+	n := l.head
+	if n == nil {
+		return &l.slab.New().v
 	}
-	x := l.free[n-1]
-	l.free = l.free[:n-1]
-	return x
+	l.head = n.next
+	return &n.v
 }
 
-// Put returns x to the list. The caller must be its last holder.
-func (l *List[T]) Put(x *T) { l.free = Append(l.free, x) }
+// Put returns x to the list. The caller must be its last holder, and x must
+// have come from l's Get.
+func (l *List[T]) Put(x *T) {
+	n := (*node[T])(unsafe.Pointer(x))
+	n.next, l.head = l.head, n
+}
 
 // Free returns the records on the list as a set, and false if one of them
 // is on it twice: a record put back twice. It is the one double-free check
-// of the recycling tests.
+// of the recycling tests. A second Put of a record links it into the chain
+// again, closing a cycle, so the walk stops at the first record it has
+// already seen.
 func (l *List[T]) Free() (set map[*T]bool, distinct bool) {
-	set = make(map[*T]bool, len(l.free))
-	for _, x := range l.free {
-		set[x] = true
+	set = make(map[*T]bool)
+	for n := l.head; n != nil; n = n.next {
+		if set[&n.v] {
+			return set, false
+		}
+		set[&n.v] = true
 	}
-	return set, len(set) == len(l.free)
+	return set, true
 }
 
 // Append appends x to s, first doubling the capacity of a full s. The
@@ -73,8 +95,22 @@ func (l *List[T]) Free() (set map[*T]bool, distinct bool) {
 func Append[S ~[]E, E any](s S, x E) S {
 	if len(s) == cap(s) {
 		// slices.Grow's idiom, written out so that Append inlined into a
-		// hot path (the kernel's slot, List.Put) calls nothing.
+		// hot path (the kernel's slot) calls nothing.
 		s = append(s[:cap(s)], make(S, len(s)+1)...)[:len(s)]
 	}
+	return append(s, x)
+}
+
+// AppendReserved is Append for a table whose owner counts in *reserved the
+// entries it has been told are coming: a full s grows once to hold them all
+// (or doubles, if that is more), and each entry appended takes one off the
+// count. A table whose entries are all announced before the first of them
+// arrives — an install's registrations, counted by its caches' misses — is
+// allocated once, at its final size.
+func AppendReserved[S ~[]E, E any](s S, x E, reserved *int) S {
+	if len(s) == cap(s) {
+		s = append(s[:cap(s)], make(S, max(len(s)+1, *reserved))...)[:len(s)]
+	}
+	*reserved = max(*reserved-1, 0)
 	return append(s, x)
 }

@@ -8,8 +8,7 @@ type rec struct{ id int }
 // the records handed out: no record is handed out while it is held, records
 // come back in the reverse order of their Puts, the slab grows by one
 // chunk only when every record carved so far is held, so the chunks
-// allocated are ⌈peak live ÷ slabLen⌉, and the free list's storage grows
-// only when it reaches a new peak, by doubling (Append).
+// allocated are ⌈peak live ÷ slabLen⌉, and Put allocates nothing.
 //
 // Each input byte is one step: a byte below 0x80 gets b+1 records, any other
 // puts back the held record at index b mod the number held.
@@ -22,7 +21,6 @@ func FuzzPool(f *testing.F) {
 		var order []*rec // held records, in the order they were handed out
 		var stack []*rec // put records not yet taken again, last on top
 		made, peak, slabs := 0, 0, 0
-		peakFree := 0 // the most records the free list has held
 		for _, b := range steps {
 			if b >= 0x80 {
 				if len(order) == 0 {
@@ -32,13 +30,12 @@ func FuzzPool(f *testing.F) {
 				x := order[i]
 				order = append(order[:i], order[i+1:]...)
 				delete(held, x)
-				n, c := len(l.free), cap(l.free)
-				l.Put(x)
-				if cap(l.free) != c && (n < peakFree || cap(l.free) < 2*n+1) {
-					t.Fatalf("the free list grew from %d to %d slots holding %d records (peak %d): want growth only at a new peak, doubling",
-						c, cap(l.free), n, peakFree)
+				// A Put and the Get that takes the record back leave the list
+				// as it was, so AllocsPerRun can repeat them.
+				if a := testing.AllocsPerRun(1, func() { l.Put(x); l.Get() }); a != 0 {
+					t.Fatalf("Put of record %d allocated %.0f objects, want 0", x.id, a)
 				}
-				peakFree = max(peakFree, len(l.free))
+				l.Put(x)
 				stack = append(stack, x)
 				continue
 			}
@@ -100,6 +97,16 @@ func TestFreeReportsDoublePut(t *testing.T) {
 	if set, distinct := l.Free(); distinct || !set[x] {
 		t.Fatalf("a record put twice: Free = %v, %v, want it reported", set, distinct)
 	}
+	// Put twice with another record between: the chain x → y → x → … is a
+	// cycle, which the walk must stop at.
+	var m List[rec]
+	x, y := m.Get(), m.Get()
+	m.Put(x)
+	m.Put(y)
+	m.Put(x)
+	if set, distinct := m.Free(); distinct || !set[x] || !set[y] {
+		t.Fatalf("a record put twice around another: Free = %v, %v, want it reported", set, distinct)
+	}
 }
 
 // TestAppendDoubles pins the growth rule: a table filled one entry at a time
@@ -127,5 +134,32 @@ func TestAppendDoubles(t *testing.T) {
 		if v != int32(i) {
 			t.Fatalf("entry %d holds %d", i, v)
 		}
+	}
+}
+
+// TestAppendReservedGrowsOnce pins the reserved rule: entries announced
+// before the first of them arrives are added with one allocation, at the
+// table's final size (rounded up to whole 8 KiB pages, 2 048 int32s), and
+// once the count is spent the table doubles again.
+func TestAppendReservedGrowsOnce(t *testing.T) {
+	const n = 10_000
+	s := make([]int32, 3)
+	reserved := n - 3
+	grows := 0
+	for i := 3; i < n; i++ {
+		c := cap(s)
+		if s = AppendReserved(s, int32(i), &reserved); cap(s) != c {
+			grows++
+		}
+	}
+	if grows != 1 || cap(s) > n+2048 || reserved != 0 {
+		t.Fatalf("%d announced entries: %d growths to %d slots, %d still reserved; want 1 growth to about %d, 0",
+			n-3, grows, cap(s), reserved, n)
+	}
+	for len(s) < cap(s) {
+		s = AppendReserved(s, 0, &reserved)
+	}
+	if c := cap(s); cap(AppendReserved(s, 0, &reserved)) < 2*c {
+		t.Errorf("past the announced entries a full table of %d slots did not double", c)
 	}
 }

@@ -5,7 +5,8 @@
 //
 // The same structure backs three caches in the framework:
 //
-//   - the host-side GVMI cache (rank = mapped DPU proxy; value = mkey info),
+//   - the host-side GVMI cache (rank = mapped DPU proxy; value = the mkey
+//     and GVMI-ID, which with the key make up the mkey info),
 //   - the DPU-side cross-registration cache (rank = source host rank;
 //     value = mkey2),
 //   - the IB registration cache (value = lkey/rkey MR).
@@ -18,8 +19,9 @@
 // grows. A group install registers a whole call's buffers at once, in an
 // order (alltoall receives descend) that would make every Put shift the
 // slot, so it goes through a Batch instead: the call's keys are classified
-// with one sort and one merge-walk, and its misses join the slot in one
-// merge with at most one growth.
+// with one sort and one merge-walk over indices into the caller's own
+// records, and its misses join the slot in one merge with at most one
+// growth.
 package regcache
 
 import (
@@ -120,9 +122,15 @@ func (c *Cache[V]) Put(rank int, addr mem.Addr, size int, v V) {
 	s := c.slots[rank]
 	i, ok := search(s, k)
 	if !ok {
-		// Grow with append, not slices.Insert: under the race detector its
-		// make of the gap escapes, an extra allocation per growth.
-		s = append(s, entry[V]{})
+		// Double a full slot, as Classify does: append grows one past 256
+		// entries by a quarter, and slices.Insert's make of the gap
+		// escapes under the race detector, an extra allocation per growth.
+		if len(s) == cap(s) {
+			grown := make([]entry[V], len(s), max(2*len(s), 1))
+			copy(grown, s)
+			s = grown
+		}
+		s = s[:len(s)+1]
 		copy(s[i+1:], s[i:])
 		c.slots[rank] = s
 	}
@@ -141,57 +149,48 @@ func (c *Cache[V]) GetOrCreate(rank int, addr mem.Addr, size int, create func() 
 }
 
 // Batch looks up the keys of one slot in one pass, with the results of a
-// GetOrCreate per key in the order they were added: the same values, the
+// GetOrCreate per key in the order the keys were given: the same values, the
 // same hits and misses counted at the same points, the same create calls
 // in the same order and, once every key is resolved, the same slot. A key
-// repeated within the batch is a miss the first time and a hit after. Use
-// it as
+// repeated within the batch is a miss the first time and a hit after.
 //
-//	b := c.Batch(rank, n)
-//	for each key: b.Add(addr, size)
-//	b.Classify()
-//	for each key, in Add order: v, hit := b.Next(create)
+// The caller keeps the keys and the batch's scratch, so a batch copies
+// nothing: it names its keys by index, ord lists them in ascending order,
+// and ref holds one int32 per index up to the largest. Use it as
+//
+//	b := c.Batch(rank, ord, ref)
+//	misses := b.Classify(key) // key(i) is key i's (address, size)
+//	for each key index i, ascending: v, hit := b.Next(i, create)
 //	b.Commit()
 //
-// Classify merges the batch's misses into the slot, growing it at most
-// once, as zero values that Next fills in, so nothing else may look the
-// slot up until the last Next. Commit drops the batch's scratch.
+// Classify reorders ord and merges the batch's misses into the slot,
+// growing it at most once, as zero values that Next fills in, so nothing
+// else may look the slot up until the last Next.
 type Batch[V any] struct {
 	c    *Cache[V]
 	rank int
-	keys []batchKey
-	next int // keys[next] is the one Next resolves
+	ord  []int32 // the batch's key indices; sorted by key once classified
+	ref  []int32 // by key index: its entry's slot position, pos for a hit, -1-pos for the miss that creates it
+	left int     // keys not yet resolved
 }
 
-// batchKey is one added key and, once classified, the slot position of its
-// entry: ref for a hit, -1-ref for the miss that creates the entry.
-type batchKey struct {
-	k   key
-	ref int32
+// Batch starts a batch over slot rank for the keys ord names (see Batch).
+func (c *Cache[V]) Batch(rank int, ord, ref []int32) Batch[V] {
+	return Batch[V]{c: c, rank: rank, ord: ord, ref: ref, left: len(ord)}
 }
 
-// Batch starts a batch over slot rank, sized for n keys.
-func (c *Cache[V]) Batch(rank, n int) Batch[V] {
-	return Batch[V]{c: c, rank: rank, keys: make([]batchKey, 0, n)}
-}
-
-// Add appends (addr, size) to the batch's keys.
-func (b *Batch[V]) Add(addr mem.Addr, size int) {
-	b.keys = append(b.keys, batchKey{k: key{addr, size}})
-}
-
-// Classify finds every added key in the slot — one sort of an index of the
-// keys, then one walk over it and the slot together — and merges the
-// misses in.
-func (b *Batch[V]) Classify() {
-	keys := b.keys
-	ord := make([]int32, len(keys))
-	for i := range ord {
-		ord[i] = int32(i)
+// Classify finds every key of the batch in the slot — one sort of ord by
+// key, then one walk over it and the slot together — merges the misses in
+// and returns how many there are.
+func (b *Batch[V]) Classify(keyOf func(i int32) (mem.Addr, int)) int {
+	ord, ref := b.ord, b.ref
+	at := func(i int32) key {
+		addr, size := keyOf(i)
+		return key{addr, size}
 	}
-	// Equal keys stay in Add order: the first of each run creates the entry.
+	// Equal keys stay in index order: the first of each run creates the entry.
 	slices.SortFunc(ord, func(x, y int32) int {
-		switch kx, ky := keys[x].k, keys[y].k; {
+		switch kx, ky := at(x), at(y); {
 		case kx.less(ky):
 			return -1
 		case ky.less(kx):
@@ -204,22 +203,22 @@ func (b *Batch[V]) Classify() {
 	s := b.c.slots[b.rank]
 	lo, misses := 0, 0
 	for p := 0; p < len(ord); {
-		k := keys[ord[p]].k
+		k := at(ord[p])
 		j, ok := search(s[lo:], k)
 		lo += j
 		pos := int32(lo + misses)
 		if ok {
-			keys[ord[p]].ref = pos
+			ref[ord[p]] = pos
 		} else {
-			keys[ord[p]].ref = -1 - pos
+			ref[ord[p]] = -1 - pos
 			misses++
 		}
-		for p++; p < len(ord) && keys[ord[p]].k == k; p++ {
-			keys[ord[p]].ref = pos
+		for p++; p < len(ord) && at(ord[p]) == k; p++ {
+			ref[ord[p]] = pos
 		}
 	}
 	if misses == 0 {
-		return
+		return 0
 	}
 	a := len(s) - 1
 	if len(s)+misses > cap(s) {
@@ -232,25 +231,26 @@ func (b *Batch[V]) Classify() {
 	s = s[:len(s)+misses]
 	w := len(s) - 1
 	for p := len(ord) - 1; p >= 0; p-- {
-		bk := &keys[ord[p]]
-		if bk.ref >= 0 {
+		if ref[ord[p]] >= 0 {
 			continue
 		}
-		for ; a >= 0 && bk.k.less(s[a].k); a, w = a-1, w-1 {
+		k := at(ord[p])
+		for ; a >= 0 && k.less(s[a].k); a, w = a-1, w-1 {
 			s[w] = s[a]
 		}
-		s[w] = entry[V]{k: bk.k}
+		s[w] = entry[V]{k: k}
 		w--
 	}
 	b.c.slots[b.rank] = s
+	return misses
 }
 
-// Next resolves the next key in Add order as GetOrCreate would: a key in
-// the slot, or one created earlier in the batch, is a hit; otherwise it is
-// a miss and create() makes its value.
-func (b *Batch[V]) Next(create func() V) (v V, hit bool) {
-	ref := b.keys[b.next].ref
-	b.next++
+// Next resolves key i, keys being resolved in ascending index order, as
+// GetOrCreate would: a key in the slot, or one created earlier in the batch,
+// is a hit; otherwise it is a miss and create() makes its value.
+func (b *Batch[V]) Next(i int32, create func() V) (v V, hit bool) {
+	ref := b.ref[i]
+	b.left--
 	c := b.c
 	if ref >= 0 {
 		c.Hits++
@@ -264,10 +264,9 @@ func (b *Batch[V]) Next(create func() V) (v V, hit bool) {
 	return v, false
 }
 
-// Commit ends the batch, whose every key must have been resolved, and
-// drops its scratch.
+// Commit ends the batch, whose every key must have been resolved.
 func (b *Batch[V]) Commit() {
-	if b.next != len(b.keys) {
+	if b.left != 0 {
 		panic("regcache: batch committed with keys unresolved")
 	}
 	*b = Batch[V]{}

@@ -118,29 +118,31 @@ func TestCacheAllocFree(t *testing.T) {
 		t.Errorf("1000 inserts into one slot allocate %.0f times, want <= 16", n)
 	}
 	// The same 1000 keys as one batch, over a fresh copy of a slot holding
-	// every other one: three allocations build the cache, then the batch's
-	// scratch (keys, sort index) and one growth of the slot.
+	// every other one: three allocations build the cache, then one growth
+	// of the slot. The batch's scratch is the caller's.
 	var half []entry[int]
 	for i := 2; i <= 1000; i += 2 {
 		half = append(half, entry[int]{key{mem.Addr(i * 64), 64}, i})
 	}
+	ord, ref := make([]int32, 1000), make([]int32, 1000)
+	keyOf := func(i int32) (mem.Addr, int) { return mem.Addr((1000 - i) * 64), 64 }
 	if n := testing.AllocsPerRun(1, func() {
 		c := New[int](1, 0, nil)
 		c.slots[0] = slices.Clone(half)
-		b := c.Batch(0, 1000)
-		for i := 1000; i > 0; i-- {
-			b.Add(mem.Addr(i*64), 64)
+		for i := range ord {
+			ord[i] = int32(i)
 		}
-		b.Classify()
-		for i := 1000; i > 0; i-- {
-			b.Next(create)
+		b := c.Batch(0, ord, ref)
+		b.Classify(keyOf)
+		for i := range int32(1000) {
+			b.Next(i, create)
 		}
 		b.Commit()
 		if len(c.slots[0]) != 1000 {
 			t.Fatalf("slot holds %d entries after the batch, want 1000", len(c.slots[0]))
 		}
-	}); n > 6 {
-		t.Errorf("a 1000-key batch allocates %.0f times, want <= 6", n)
+	}); n > 4 {
+		t.Errorf("a 1000-key batch allocates %.0f times, want <= 4", n)
 	}
 }
 
@@ -220,17 +222,19 @@ func FuzzCache(f *testing.F) {
 			seq.slots = append(seq.slots, slices.Clone(s))
 		}
 		var seqCreated, batchCreated []int
-		b := c.Batch(rank, len(keys))
-		for _, k := range keys {
-			b.Add(k.addr, k.size)
+		ord, ref := make([]int32, len(keys)), make([]int32, len(keys))
+		for i := range ord {
+			ord[i] = int32(i)
 		}
-		b.Classify()
+		b := c.Batch(rank, ord, ref)
+		misses = seq.Misses
+		classified := b.Classify(func(i int32) (mem.Addr, int) { return keys[i].addr, keys[i].size })
 		for i, k := range keys {
 			want, wantHit := seq.GetOrCreate(rank, k.addr, k.size, func() int {
 				seqCreated = append(seqCreated, i)
 				return -1 - i
 			})
-			got, hit := b.Next(func() int {
+			got, hit := b.Next(int32(i), func() int {
 				batchCreated = append(batchCreated, i)
 				return -1 - i
 			})
@@ -239,6 +243,9 @@ func FuzzCache(f *testing.F) {
 			}
 		}
 		b.Commit()
+		if int64(classified) != seq.Misses-misses {
+			t.Fatalf("Classify counted %d misses, GetOrCreate %d", classified, seq.Misses-misses)
+		}
 		if !slices.Equal(batchCreated, seqCreated) {
 			t.Fatalf("batch created %v, GetOrCreate %v", batchCreated, seqCreated)
 		}

@@ -316,14 +316,14 @@ func (fl *sendFlight) recycle() {
 // their receivers pair it with PutPacket once the payload is read. A flight
 // re-sends only a packet that was not delivered, so every packet reaches at
 // most one inbox, at most once, and its receiver is its last holder. Other
-// callers allocate their own Packets; the pool is an optimization, never a
-// requirement.
+// callers allocate their own Packets, which their receivers must not put.
 func (r *Registry) GetPacket() *Packet { return r.pk.Get() }
 
 // PutPacket recycles a consumed packet. The caller must be the packet's
 // final owner: after Put the packet's fields are zeroed and the next
-// GetPacket may hand it to an unrelated sender. Putting a packet that did
-// not come from GetPacket is allowed (it joins the pool).
+// GetPacket may hand it to an unrelated sender. The packet must have come
+// from GetPacket: the pool links its free packets through the slab records
+// they were carved from.
 func (r *Registry) PutPacket(p *Packet) {
 	if p == nil {
 		return

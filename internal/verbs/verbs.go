@@ -65,11 +65,13 @@ type Registry struct {
 	// mrs is the key table, dense: registration i (from 0) holds lkey
 	// firstKey+2i and rkey lkey+1, and both resolve through slot i. A
 	// deregistered slot is nil and its keys are never handed out again. It
-	// grows by pool.Append: two registrations per (rank, peer) pair of an
-	// offloaded alltoall.
-	mrs []*MR
-	inj *fault.Injector // nil = no fault injection
-	sp  *span.Collector // nil = no span tracing
+	// holds two registrations per (rank, peer) pair of an offloaded
+	// alltoall, and grows by pool.AppendReserved: reserved counts the
+	// registrations installs have announced (Reserve) and not yet made.
+	mrs      []*MR
+	reserved int
+	inj      *fault.Injector // nil = no fault injection
+	sp       *span.Collector // nil = no span tracing
 
 	// The pooled flight records and packets (see pool.go), the OnError
 	// handlers of the flights that have one, and the slab the key table's
@@ -271,9 +273,13 @@ func (r *Registry) insertMR(ctx *Ctx, space *mem.Space, addr mem.Addr, size int)
 	lkey := firstKey + 2*Key(len(r.mrs))
 	mr := r.mrSlab.New()
 	*mr = MR{ctx: ctx, space: space, addr: addr, size: size, lkey: lkey, rkey: lkey + 1}
-	r.mrs = pool.Append(r.mrs, mr)
+	r.mrs = pool.AppendReserved(r.mrs, mr, &r.reserved)
 	return mr
 }
+
+// Reserve announces n registrations to come, so the key table grows once
+// for all the registrations announced before the next of them is made.
+func (r *Registry) Reserve(n int) { r.reserved += n }
 
 // InsertForeignMR registers a region owned by ctx but backed by another
 // process's space. This is the primitive cross-GVMI builds on: the returned
