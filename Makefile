@@ -91,11 +91,14 @@ loc:
 # The examples are the public API's smallest callers (several select their
 # system by paper label): build and run each with its defaults, and fail on a
 # non-zero exit or on any difference between its stdout and the checked-in
-# examples/<name>/output.golden (the simulator is deterministic).
+# examples/<name>/output.golden (the simulator is deterministic). The pencil
+# FFT also runs on a 1x4 grid, the slab-shaped use of the pencil plan.
 examples-smoke:
 	@set -e; for d in examples/*/; do \
 		echo "examples-smoke: $$d"; { $(GO) run ./$$d || echo "exit status $$?"; } | diff -u $${d}output.golden -; \
 	done
+	@echo "examples-smoke: examples/pencilfft/ -p1 1 -p2 4"; \
+	{ $(GO) run ./examples/pencilfft -p1 1 -p2 4 || echo "exit status $$?"; } | diff -u examples/pencilfft/output.1x4.golden -
 
 check: fmt-check one-builder no-proxy-procs vet staticcheck build race race-sim shuffle examples-smoke bench-smoke fuzz-smoke snap-check timeline-smoke scale-smoke
 
