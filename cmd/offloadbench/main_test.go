@@ -449,3 +449,48 @@ func TestMakeWordsInProcess(t *testing.T) {
 		}
 	}
 }
+
+// The figure words no make target runs (fig3, fig11, fig13, chaos, fleet,
+// drift, and snap NAME writing a file) run in process at small shapes and
+// print one pinned line each; snap tenants writes the checked-in file's
+// bytes.
+func TestFigureWordsInProcess(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		line string
+		want []string
+	}{
+		{"fig3 -iters 1", []string{"1K 2.91 1.46 0.50"}},
+		{"fig11 -ppn 1 -iters 1 -warmup 0", []string{"256^3 0.68 1.00 100.69us 147.29us"}},
+		{"fig13 -ppn 1 -iters 1 -warmup 0", []string{"8K 937.48 38.10 19.95 95.9% -91.0%"}},
+		{"chaos -ppn 1 -iters 1 -warmup 0", []string{"0.01 32768 28.52 34.06 80.6% 0 0 0 0 0 true"}},
+		{"fleet", []string{"aware 4.80 6.13 72.2%"}},
+		{"drift -ppn 1 -iters 4", []string{
+			"hostdirect 70.28 70.28 0.00 0.00 0",
+			"feedback pre 8 61.00 61.00 0.49 81.9 0.0 0.5 0.1 17.5 0.0 0 0 0",
+		}},
+	} {
+		out, _ := inProcess(t, c.line)
+		for _, want := range c.want {
+			if !lineFields(out, want) {
+				t.Errorf("%s: no line %q in\n%s", c.line, want, out)
+			}
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "BENCH_tenants.json")
+	if out, _ := inProcess(t, "snap tenants -o "+path); out != "wrote "+path+" (9 points, crossover verified, 210 counter series)\n" {
+		t.Errorf("snap tenants printed %q", out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "BENCH_tenants.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("snap tenants -o wrote other bytes than the checked-in BENCH_tenants.json")
+	}
+}

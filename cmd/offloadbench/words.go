@@ -206,7 +206,7 @@ func runSnap(p *params, out io.Writer) error {
 	}
 	verb, do := "wrote", func(b bench.Baseline, path string) (string, error) {
 		// Only the worker count reaches a pinned snapshot: no CLI sink.
-		return b.Write(path, b.Measure(bench.SweepEnv{Parallel: p.env.Parallel}))
+		return b.Write(path, b.Measure(bench.SweepEnv{Parallel: p.env.Parallel}, p.errOut))
 	}
 	if p.snapCheck {
 		verb, do = "checked", bench.Baseline.CheckFile

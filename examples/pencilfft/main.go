@@ -1,8 +1,9 @@
 // Pencilfft runs the 2D pencil-decomposed 3D FFT (what real P3DFFT does)
-// on a P1 x P2 process grid, comparing host-MPI transposes against
-// transposes offloaded to the DPU proxies through communicator-scoped
-// group all-to-alls. The transform is computed with real complex128
-// arithmetic and verified by a forward+backward round trip.
+// on a P1 x P2 process grid (1 x P is a slab decomposition), comparing
+// host-MPI transposes against transposes offloaded to the DPU proxies
+// through communicator-scoped group all-to-alls. The transform is computed
+// with real complex128 arithmetic and verified by a forward+backward round
+// trip.
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/coll"
 	"repro/internal/fft"
-	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -38,19 +38,7 @@ func main() {
 		var worst float64
 		var elapsed sim.Time
 		e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
-			var pl *fft.PencilPlan
-			var err error
-			if offload {
-				oo := ops.(*coll.Backend)
-				a2a := func(slot int) func(c *mpi.Comm, s, d mem.Addr, per int) {
-					return func(c *mpi.Comm, s, d mem.Addr, per int) {
-						oo.Wait(oo.IalltoallOn(c, slot, s, d, per))
-					}
-				}
-				pl, err = fft.NewPencilPlanOffload(r, *p1, *p2, *n, *n, *n, a2a(3), a2a(4))
-			} else {
-				pl, err = fft.NewPencilPlan(r, *p1, *p2, *n, *n, *n)
-			}
+			pl, err := fft.NewPencilPlan(r, ops, *p1, *p2, *n, *n, *n)
 			if err != nil {
 				panic(err)
 			}

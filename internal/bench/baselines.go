@@ -16,8 +16,9 @@ type Baseline struct {
 	Name string // the word after `offloadbench snap`
 	File string // file name at the repo root
 	// Measure runs the family's default configuration, sweeping with env,
-	// and returns its snapshot struct.
-	Measure func(env SweepEnv) any
+	// and returns its snapshot struct; notes beside it (the scale
+	// footprint) go to notes.
+	Measure func(env SweepEnv, notes io.Writer) any
 	// Check decodes data and runs the family's Validate (schema plus
 	// headline claims); dir is where sibling baselines are looked up. The
 	// summary is the one-line description printed after a regeneration.
@@ -32,30 +33,30 @@ type Baseline struct {
 var Baselines = []Baseline{
 	{
 		Name: "fig13", File: "BENCH_fig13.json",
-		Measure: func(env SweepEnv) any { return Fig13Snapshot(env) },
+		Measure: func(env SweepEnv, _ io.Writer) any { return Fig13Snapshot(env) },
 		Check: checker(func(s BenchSnapshot) string {
 			return fmt.Sprintf("%d series, %d counter series", len(s.Series), len(s.Metrics.Counters))
 		}),
 	},
 	{
 		Name: "tenants", File: "BENCH_tenants.json",
-		Measure: func(env SweepEnv) any { return MeasureTenants(env) },
+		Measure: func(env SweepEnv, _ io.Writer) any { return MeasureTenants(env) },
 		Check: checker(func(s TenantsSnapshot) string {
 			return fmt.Sprintf("%d points, crossover verified, %d counter series", len(s.Series), len(s.Metrics.Counters))
 		}),
 	},
 	{
 		Name: "drift", File: "BENCH_drift.json",
-		Measure: func(env SweepEnv) any { return MeasureDrift(env) },
+		Measure: func(env SweepEnv, _ io.Writer) any { return MeasureDrift(env) },
 		Check: checker(func(s DriftSnapshot) string {
 			return fmt.Sprintf("%d points, re-route verified, %d counter series", len(s.Series), len(s.Metrics.Counters))
 		}),
 	},
 	{
 		Name: "scale", File: "BENCH_scale.json", Slow: true,
-		Measure: func(env SweepEnv) any {
+		Measure: func(env SweepEnv, notes io.Writer) any {
 			snap, fp := MeasureScale(env, DefaultScaleConfig())
-			fmt.Fprintln(os.Stderr, fp)
+			fmt.Fprintln(notes, fp)
 			return snap
 		},
 		Check: checker(func(s ScaleSnapshot) string {
@@ -64,7 +65,7 @@ var Baselines = []Baseline{
 	},
 	{
 		Name: "fleet", File: "BENCH_fleet.json",
-		Measure: func(env SweepEnv) any { return MeasureFleet(env) },
+		Measure: func(env SweepEnv, _ io.Writer) any { return MeasureFleet(env) },
 		Check: func(data []byte, dir string) (string, error) {
 			s, err := loadFleet(data, dir)
 			if err != nil {

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,7 +68,7 @@ func TestBaselines(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("parallel_%d", workers), func(t *testing.T) {
 					t.Parallel()
-					fresh, err := encode(b.Measure(SweepEnv{Parallel: workers}))
+					fresh, err := encode(b.Measure(SweepEnv{Parallel: workers}, io.Discard))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -278,7 +278,7 @@ func (c *Cluster) DeviceLabels() map[string]string {
 // NewHostSite creates the attachment point for a host process on a node.
 func (c *Cluster) NewHostSite(node int, name string) *Site {
 	n := c.Nodes[node]
-	sp := mem.NewSpaceIn(name, &c.bufs)
+	sp := mem.NewSpaceIn(&c.bufs)
 	return &Site{Node: n, Space: sp, Ctx: c.Reg.NewCtx(name, sp, n.HostEP)}
 }
 
@@ -286,7 +286,7 @@ func (c *Cluster) NewHostSite(node int, name string) *Site {
 // BlueField.
 func (c *Cluster) NewDPUSite(node int, name string) *Site {
 	n := c.Nodes[node]
-	sp := mem.NewSpaceIn(name, &c.bufs)
+	sp := mem.NewSpaceIn(&c.bufs)
 	return &Site{Node: n, Space: sp, Ctx: c.Reg.NewCtx(name, sp, n.DPUEP), OnDPU: true}
 }
 

@@ -44,6 +44,9 @@ type Ops interface {
 	Name() string
 	// Ialltoall starts a personalized all-to-all of per bytes per peer.
 	Ialltoall(slot int, sendAddr, recvAddr mem.Addr, per int) Request
+	// IalltoallOn is Ialltoall within communicator c (block i goes to
+	// comm-rank i).
+	IalltoallOn(c *mpi.Comm, slot int, sendAddr, recvAddr mem.Addr, per int) Request
 	// Ibcast starts a broadcast of [addr, addr+size) from root.
 	Ibcast(slot int, addr mem.Addr, size, root int) Request
 	// Iallgather gathers per bytes from every rank's sendAddr into each
@@ -226,11 +229,12 @@ func (o *Backend) Ialltoall(slot int, sendAddr, recvAddr mem.Addr, per int) Requ
 	return o.IalltoallOn(o.r.Comm(), slot, sendAddr, recvAddr, per)
 }
 
-// IalltoallOn is a personalized all-to-all scoped to a communicator: block
-// i of the send buffer goes to comm-rank i. On the proxies it is the
-// scatter-destination algorithm of Section VIII-B, recorded as one group
-// request per rank (receives from rank-i, sends to rank+i) and replayed
-// through the group cache on repeat calls from the same call site.
+// IalltoallOn implements Ops: a personalized all-to-all scoped to a
+// communicator, block i of the send buffer going to comm-rank i. On the
+// proxies it is the scatter-destination algorithm of Section VIII-B,
+// recorded as one group request per rank (receives from rank-i, sends to
+// rank+i) and replayed through the group cache on repeat calls from the
+// same call site.
 // Different communicators may share a slot only if their member sets are
 // disjoint (e.g. the row communicators of a process grid).
 func (o *Backend) IalltoallOn(c *mpi.Comm, slot int, sendAddr, recvAddr mem.Addr, per int) Request {

@@ -96,9 +96,6 @@ func (h *Host) GroupStartVia(kind datapath.Kind) *GroupRequest {
 // pattern's size records it without growing the entry list.
 func (g *GroupRequest) Reserve(n int) { g.ops = slices.Grow(g.ops, n) }
 
-// Path returns the datapath this request's send entries execute on.
-func (g *GroupRequest) Path() datapath.Kind { return g.path }
-
 // Send records an offloaded send (Send_Goffload).
 func (g *GroupRequest) Send(addr mem.Addr, size, dst, tag int) {
 	g.record(GroupOp{Type: OpSend, Addr: addr, Size: size, Peer: int32(g.h.peer(dst)), Tag: int32(tag)})

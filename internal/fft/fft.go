@@ -5,20 +5,15 @@
 //
 // Two modes exist:
 //
-//   - a real-math mode (Plan): complex128 data, radix-2 kernels, slab
-//     decomposition with a packed transpose through the collective backend —
-//     used to verify that offloaded collectives move FFT data correctly
-//     (forward∘backward == identity);
+//   - a real-math mode (PencilPlan): complex128 data, radix-2 kernels, the
+//     2D pencil decomposition P3DFFT uses, its two transposes packed
+//     all-to-alls on the grid's row and column communicators through the
+//     rank's collective backend — used to verify that offloaded
+//     collectives move FFT data correctly (forward∘backward == identity);
 //   - a figure-scale mode (RunBench): the application's communication
 //     skeleton — two back-to-back Ialltoalls per phase overlapped with
 //     modelled FFT compute, exactly the profile of Figure 16(c) — with
 //     size-only payloads so 512-rank runs fit in memory.
-//
-// The paper's P3DFFT uses a 2D pencil decomposition; we use a 1D slab
-// decomposition (one transpose per transform instead of two) because the
-// simulated MPI world has a single global communicator. The overlap
-// structure under study — concurrent nonblocking all-to-alls against local
-// FFT compute — is identical (see DESIGN.md).
 package fft
 
 import "math"

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
-	"repro/internal/coll"
-	"repro/internal/mpi"
 )
 
 func almostEqual(a, b complex128, tol float64) bool {
@@ -98,88 +96,6 @@ func TestTransformNonPow2Panics(t *testing.T) {
 		}
 	}()
 	Transform(make([]complex128, 6), false)
-}
-
-// runDistributed executes a forward+backward 3D transform with the given
-// scheme and checks the round trip on every rank.
-func runDistributed(t *testing.T, scheme string, nodes, ppn, nx, ny, nz int) {
-	t.Helper()
-	e := bench.Build(bench.Options{Nodes: nodes, PPN: ppn, Scheme: scheme, Backed: true})
-	e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
-		pl, err := NewPlan(r, ops, nx, ny, nz)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		rng := rand.New(rand.NewSource(int64(100 + r.RankID())))
-		orig := make([]complex128, len(pl.Data))
-		for i := range pl.Data {
-			v := complex(rng.NormFloat64(), rng.NormFloat64())
-			pl.Data[i] = v
-			orig[i] = v
-		}
-		pl.Forward()
-		pl.Backward()
-		for i := range pl.Data {
-			if !almostEqual(pl.Data[i], orig[i], 1e-8*float64(nx*ny*nz)) {
-				t.Errorf("rank %d: round trip mismatch at %d: %v vs %v",
-					r.RankID(), i, pl.Data[i], orig[i])
-				return
-			}
-		}
-	})
-}
-
-func TestDistributedRoundTripHost(t *testing.T) {
-	runDistributed(t, baseline.NameIntelMPI, 2, 2, 8, 8, 8)
-}
-
-func TestDistributedRoundTripProposed(t *testing.T) {
-	runDistributed(t, baseline.NameProposed, 2, 2, 8, 8, 8)
-}
-
-func TestDistributedRoundTripBluesMPI(t *testing.T) {
-	runDistributed(t, baseline.NameBluesMPI, 2, 2, 8, 8, 8)
-}
-
-// The distributed transform of a sine along Z must match the spectrum the
-// serial transform produces: peaks at (0, 0, ±3).
-func TestDistributedSineSpectrum(t *testing.T) {
-	const nx, ny, nz = 8, 8, 16
-	e := bench.Build(bench.Options{Nodes: 2, PPN: 2, Scheme: baseline.NameProposed, Backed: true})
-	e.Launch(func(r *mpi.Rank, ops coll.Ops, _ coll.P2P) {
-		pl, err := NewPlan(r, ops, nx, ny, nz)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// data[z][y][x] = sin(2*pi*3*z/NZ), independent of x,y.
-		for z := 0; z < pl.lz; z++ {
-			gz := r.RankID()*pl.lz + z
-			v := complex(math.Sin(2*math.Pi*3*float64(gz)/nz), 0)
-			for i := 0; i < ny*nx; i++ {
-				pl.Data[z*ny*nx+i] = v
-			}
-		}
-		pl.Forward()
-		// Post-transpose layout [lx][NY][NZ]; spectrum nonzero only at
-		// kx=ky=0, kz in {3, nz-3}. kx=0 lives on rank 0.
-		for x := 0; x < pl.lx; x++ {
-			gx := r.RankID()*pl.lx + x
-			for y := 0; y < ny; y++ {
-				for z := 0; z < nz; z++ {
-					mag := cmplx.Abs(pl.Data[(x*ny+y)*nz+z])
-					expectPeak := gx == 0 && y == 0 && (z == 3 || z == nz-3)
-					if expectPeak && mag < 1 {
-						t.Errorf("missing peak at (%d,%d,%d): %v", gx, y, z, mag)
-					}
-					if !expectPeak && mag > 1e-6 {
-						t.Errorf("spurious energy at (%d,%d,%d): %v", gx, y, z, mag)
-					}
-				}
-			}
-		}
-	})
 }
 
 func TestRunBenchSchemes(t *testing.T) {

@@ -1,27 +1,37 @@
 package fft
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
+	"repro/internal/coll"
 	"repro/internal/mem"
 	"repro/internal/mpi"
+)
+
+// The call-site slots of the two transposes: the row and the column
+// communicators' all-to-alls replay through separate groups.
+const (
+	rowSlot = 3
+	colSlot = 4
 )
 
 // PencilPlan is the 2D ("pencil") decomposition P3DFFT actually uses: the
 // np = P1 x P2 process grid assigns each rank NY/P1 x NZ/P2 full x-lines.
 // A forward transform is three 1D FFT stages separated by two transposes,
 // each an all-to-all *within* one dimension of the grid (row or column
-// communicators) — so it scales to rank counts the slab decomposition
-// cannot (np may exceed any single dimension).
+// communicators) — so it scales to rank counts a slab decomposition cannot
+// (np may exceed any single dimension). A 1 x P grid is the slab
+// decomposition: its row communicators have one member each.
 //
-// Exchange closures inject the transpose transport, so the same plan runs
-// over host MPI or the offloaded collectives (see NewPencilPlan*).
+// Both transposes run through the rank's collective backend, so the same
+// plan exercises host MPI and the offloaded collectives alike.
 type PencilPlan struct {
-	r          *mpi.Rank
+	ops        coll.Ops
 	NX, NY, NZ int
 	P1, P2     int
 	r1, r2     int
-	row, col   *mpi.Comm
 
 	lx, ly1, lz2, ly2 int
 
@@ -29,38 +39,39 @@ type PencilPlan struct {
 	// [lx][lz2][NY] in stage B, [lx][ly2][NZ] in stage C.
 	Data []complex128
 
-	rowSend, rowRecv *mem.Buffer
-	colSend, colRecv *mem.Buffer
-
-	rowXchg func(send, recv mem.Addr, per int)
-	colXchg func(send, recv mem.Addr, per int)
+	ab, bc transpose
 }
 
-// NewPencilPlan builds the plan over host-MPI transposes.
-func NewPencilPlan(r *mpi.Rank, p1, p2, nx, ny, nz int) (*PencilPlan, error) {
-	pl, err := newPencil(r, p1, p2, nx, ny, nz)
-	if err != nil {
-		return nil, err
+// transpose is one exchange between two layouts over comm c: a[i] and b[i]
+// are the indices, in either layout, of element i of the exchange buffer.
+type transpose struct {
+	c          *mpi.Comm
+	slot, per  int // per: bytes per block
+	send, recv *mem.Buffer
+	a, b       []int
+}
+
+// newTranspose lays out an exchange over c whose block j holds the
+// n1 x n2 x n3 elements (u, v, w), in that order, found at a(j, u, v, w) in
+// one layout and at b(j, u, v, w) in the other.
+func newTranspose(r *mpi.Rank, c *mpi.Comm, slot, n1, n2, n3 int, a, b func(j, u, v, w int) int) transpose {
+	t := transpose{c: c, slot: slot, per: n1 * n2 * n3 * 16}
+	for j := 0; j < c.Size(); j++ {
+		for u := 0; u < n1; u++ {
+			for v := 0; v < n2; v++ {
+				for w := 0; w < n3; w++ {
+					t.a, t.b = append(t.a, a(j, u, v, w)), append(t.b, b(j, u, v, w))
+				}
+			}
+		}
 	}
-	pl.rowXchg = func(s, d mem.Addr, per int) { pl.row.Alltoall(s, d, per) }
-	pl.colXchg = func(s, d mem.Addr, per int) { pl.col.Alltoall(s, d, per) }
-	return pl, nil
+	t.send, t.recv = r.Alloc(c.Size()*t.per), r.Alloc(c.Size()*t.per)
+	return t
 }
 
-// NewPencilPlanOffload builds the plan with transposes offloaded to the
-// DPU proxies through comm-scoped group alltoalls.
-func NewPencilPlanOffload(r *mpi.Rank, p1, p2, nx, ny, nz int,
-	rowA2A, colA2A func(c *mpi.Comm, send, recv mem.Addr, per int)) (*PencilPlan, error) {
-	pl, err := newPencil(r, p1, p2, nx, ny, nz)
-	if err != nil {
-		return nil, err
-	}
-	pl.rowXchg = func(s, d mem.Addr, per int) { rowA2A(pl.row, s, d, per) }
-	pl.colXchg = func(s, d mem.Addr, per int) { colA2A(pl.col, s, d, per) }
-	return pl, nil
-}
-
-func newPencil(r *mpi.Rank, p1, p2, nx, ny, nz int) (*PencilPlan, error) {
+// NewPencilPlan builds the plan on a p1 x p2 grid of r's world, its
+// transposes issued through ops.
+func NewPencilPlan(r *mpi.Rank, ops coll.Ops, p1, p2, nx, ny, nz int) (*PencilPlan, error) {
 	if p1*p2 != r.Size() {
 		return nil, fmt.Errorf("fft: grid %dx%d != %d ranks", p1, p2, r.Size())
 	}
@@ -79,21 +90,23 @@ func newPencil(r *mpi.Rank, p1, p2, nx, ny, nz int) (*PencilPlan, error) {
 	}
 	me := r.RankID()
 	pl := &PencilPlan{
-		r: r, NX: nx, NY: ny, NZ: nz, P1: p1, P2: p2,
+		ops: ops, NX: nx, NY: ny, NZ: nz, P1: p1, P2: p2,
 		r1: me % p1, r2: me / p1,
 		lx: nx / p1, ly1: ny / p1, lz2: nz / p2, ly2: ny / p2,
 	}
-	pl.row = r.Split(func(w int) int { return w / p1 }) // same r2: ranks r2*p1..r2*p1+p1-1
-	pl.col = r.Split(func(w int) int { return w % p1 }) // same r1
 	pl.Data = make([]complex128, pl.ly1*pl.lz2*nx)
-
-	rowBytes := pl.ly1 * pl.lz2 * pl.lx * 16 * p1
-	colBytes := pl.lx * pl.ly2 * pl.lz2 * 16 * p2
-	pl.rowSend = r.Alloc(rowBytes)
-	pl.rowRecv = r.Alloc(rowBytes)
-	pl.colSend = r.Alloc(colBytes)
-	pl.colRecv = r.Alloc(colBytes)
-	if !pl.rowSend.Backed() {
+	lx, ly1, lz2, ly2 := pl.lx, pl.ly1, pl.lz2, pl.ly2
+	// Row exchange (same r2: ranks r2*p1..r2*p1+p1-1), A [ly1][lz2][NX] <->
+	// B [lx][lz2][NY]: X becomes distributed, Y full. Blocks are (z, y, x).
+	pl.ab = newTranspose(r, r.Split(func(w int) int { return w / p1 }), rowSlot, lz2, ly1, lx,
+		func(j, z, y, x int) int { return (y*lz2+z)*nx + j*lx + x },
+		func(j, z, y, x int) int { return (x*lz2+z)*ny + j*ly1 + y })
+	// Column exchange (same r1), B [lx][lz2][NY] <-> C [lx][ly2][NZ]: Y
+	// becomes distributed, Z full. Blocks are (x, z, y).
+	pl.bc = newTranspose(r, r.Split(func(w int) int { return w % p1 }), colSlot, lx, lz2, ly2,
+		func(k, x, z, y int) int { return (x*lz2+z)*ny + k*ly2 + y },
+		func(k, x, z, y int) int { return (x*ly2+y)*nz + k*lz2 + z })
+	if !pl.ab.send.Backed() {
 		return nil, fmt.Errorf("fft: pencil plan requires payload-backed buffers")
 	}
 	return pl, nil
@@ -108,15 +121,15 @@ func (pl *PencilPlan) Backward() { pl.transform(true) }
 func (pl *PencilPlan) transform(inverse bool) {
 	if !inverse {
 		pl.fftLines(pl.NX, inverse) // stage A: x-lines
-		pl.transposeAB(false)
+		pl.exchange(&pl.ab, false)
 		pl.fftLines(pl.NY, inverse) // stage B: y-lines
-		pl.transposeBC(false)
+		pl.exchange(&pl.bc, false)
 		pl.fftLines(pl.NZ, inverse) // stage C: z-lines
 	} else {
 		pl.fftLines(pl.NZ, inverse)
-		pl.transposeBC(true)
+		pl.exchange(&pl.bc, true)
 		pl.fftLines(pl.NY, inverse)
-		pl.transposeAB(true)
+		pl.exchange(&pl.ab, true)
 		pl.fftLines(pl.NX, inverse)
 	}
 }
@@ -128,148 +141,35 @@ func (pl *PencilPlan) fftLines(n int, inverse bool) {
 	}
 }
 
-// transposeAB exchanges within the row communicator: X becomes distributed
-// (lx per rank), Y becomes full. A layout [ly1][lz2][NX] <-> B layout
-// [lx][lz2][NY]. Pack order within a block: (z, y, x).
-func (pl *PencilPlan) transposeAB(inverse bool) {
-	per := pl.ly1 * pl.lz2 * pl.lx * 16
-	if !inverse {
-		sb := pl.rowSend.Bytes()
-		for j := 0; j < pl.P1; j++ {
-			i := 0
-			off := j * per
-			for z := 0; z < pl.lz2; z++ {
-				for y := 0; y < pl.ly1; y++ {
-					base := (y*pl.lz2+z)*pl.NX + j*pl.lx
-					for x := 0; x < pl.lx; x++ {
-						putC128(sb[off+i*16:], pl.Data[base+x])
-						i++
-					}
-				}
-			}
-		}
-		pl.rowXchg(pl.rowSend.Addr(), pl.rowRecv.Addr(), per)
-		rb := pl.rowRecv.Bytes()
-		out := make([]complex128, pl.lx*pl.lz2*pl.NY)
-		for j := 0; j < pl.P1; j++ {
-			i := 0
-			off := j * per
-			for z := 0; z < pl.lz2; z++ {
-				for y := 0; y < pl.ly1; y++ {
-					gy := j*pl.ly1 + y
-					for x := 0; x < pl.lx; x++ {
-						out[(x*pl.lz2+z)*pl.NY+gy] = getC128(rb[off+i*16:])
-						i++
-					}
-				}
-			}
-		}
-		pl.Data = out
-		return
+// exchange runs transpose t on Data, from layout a to layout b (from b to
+// a if inverse): pack every block, one all-to-all on t's communicator,
+// unpack. Every layout holds the same number of elements.
+func (pl *PencilPlan) exchange(t *transpose, inverse bool) {
+	from, to := t.a, t.b
+	if inverse {
+		from, to = to, from
 	}
-	// Inverse: B -> A.
-	sb := pl.rowSend.Bytes()
-	for j := 0; j < pl.P1; j++ {
-		i := 0
-		off := j * per
-		for z := 0; z < pl.lz2; z++ {
-			for y := 0; y < pl.ly1; y++ {
-				gy := j*pl.ly1 + y
-				for x := 0; x < pl.lx; x++ {
-					putC128(sb[off+i*16:], pl.Data[(x*pl.lz2+z)*pl.NY+gy])
-					i++
-				}
-			}
-		}
+	sb := t.send.Bytes()
+	for i, at := range from {
+		putC128(sb[i*16:], pl.Data[at])
 	}
-	pl.rowXchg(pl.rowSend.Addr(), pl.rowRecv.Addr(), per)
-	rb := pl.rowRecv.Bytes()
-	out := make([]complex128, pl.ly1*pl.lz2*pl.NX)
-	for j := 0; j < pl.P1; j++ {
-		i := 0
-		off := j * per
-		for z := 0; z < pl.lz2; z++ {
-			for y := 0; y < pl.ly1; y++ {
-				base := (y*pl.lz2+z)*pl.NX + j*pl.lx
-				for x := 0; x < pl.lx; x++ {
-					out[base+x] = getC128(rb[off+i*16:])
-					i++
-				}
-			}
-		}
+	pl.ops.Wait(pl.ops.IalltoallOn(t.c, t.slot, t.send.Addr(), t.recv.Addr(), t.per))
+	rb := t.recv.Bytes()
+	out := make([]complex128, len(pl.Data))
+	for i, at := range to {
+		out[at] = getC128(rb[i*16:])
 	}
 	pl.Data = out
 }
 
-// transposeBC exchanges within the column communicator: Y becomes
-// distributed (ly2 per rank), Z becomes full. B layout [lx][lz2][NY] <->
-// C layout [lx][ly2][NZ]. Pack order within a block: (x, z, y).
-func (pl *PencilPlan) transposeBC(inverse bool) {
-	per := pl.lx * pl.ly2 * pl.lz2 * 16
-	if !inverse {
-		sb := pl.colSend.Bytes()
-		for k := 0; k < pl.P2; k++ {
-			i := 0
-			off := k * per
-			for x := 0; x < pl.lx; x++ {
-				for z := 0; z < pl.lz2; z++ {
-					base := (x*pl.lz2+z)*pl.NY + k*pl.ly2
-					for y := 0; y < pl.ly2; y++ {
-						putC128(sb[off+i*16:], pl.Data[base+y])
-						i++
-					}
-				}
-			}
-		}
-		pl.colXchg(pl.colSend.Addr(), pl.colRecv.Addr(), per)
-		rb := pl.colRecv.Bytes()
-		out := make([]complex128, pl.lx*pl.ly2*pl.NZ)
-		for k := 0; k < pl.P2; k++ {
-			i := 0
-			off := k * per
-			for x := 0; x < pl.lx; x++ {
-				for z := 0; z < pl.lz2; z++ {
-					gz := k*pl.lz2 + z
-					for y := 0; y < pl.ly2; y++ {
-						out[(x*pl.ly2+y)*pl.NZ+gz] = getC128(rb[off+i*16:])
-						i++
-					}
-				}
-			}
-		}
-		pl.Data = out
-		return
-	}
-	// Inverse: C -> B.
-	sb := pl.colSend.Bytes()
-	for k := 0; k < pl.P2; k++ {
-		i := 0
-		off := k * per
-		for x := 0; x < pl.lx; x++ {
-			for z := 0; z < pl.lz2; z++ {
-				gz := k*pl.lz2 + z
-				for y := 0; y < pl.ly2; y++ {
-					putC128(sb[off+i*16:], pl.Data[(x*pl.ly2+y)*pl.NZ+gz])
-					i++
-				}
-			}
-		}
-	}
-	pl.colXchg(pl.colSend.Addr(), pl.colRecv.Addr(), per)
-	rb := pl.colRecv.Bytes()
-	out := make([]complex128, pl.lx*pl.lz2*pl.NY)
-	for k := 0; k < pl.P2; k++ {
-		i := 0
-		off := k * per
-		for x := 0; x < pl.lx; x++ {
-			for z := 0; z < pl.lz2; z++ {
-				base := (x*pl.lz2+z)*pl.NY + k*pl.ly2
-				for y := 0; y < pl.ly2; y++ {
-					out[base+y] = getC128(rb[off+i*16:])
-					i++
-				}
-			}
-		}
-	}
-	pl.Data = out
+func putC128(b []byte, v complex128) {
+	binary.LittleEndian.PutUint64(b, math.Float64bits(real(v)))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
+}
+
+func getC128(b []byte) complex128 {
+	return complex(
+		math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+	)
 }

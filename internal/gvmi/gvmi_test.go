@@ -31,11 +31,11 @@ func newRig(n int) *rig {
 	m := NewManager(r, DefaultCosts())
 	rg := &rig{k: k, f: f, r: r, m: m}
 	for i := 0; i < n; i++ {
-		hs := mem.NewSpace("host")
+		hs := mem.NewSpace()
 		hep := f.NewEndpoint("host", i, device.Baseline().HostPort)
 		rg.hostSp = append(rg.hostSp, hs)
 		rg.hostCtx = append(rg.hostCtx, r.NewCtx("host", hs, hep))
-		ds := mem.NewSpace("dpu")
+		ds := mem.NewSpace()
 		dep := f.NewEndpoint("dpu", i, device.Baseline().DPUPort)
 		rg.dpuSp = append(rg.dpuSp, ds)
 		rg.dpuCtx = append(rg.dpuCtx, r.NewCtx("dpu", ds, dep))

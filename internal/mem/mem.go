@@ -19,33 +19,28 @@ type Addr uint64
 
 // Space is one process's address space.
 type Space struct {
-	name string
 	next Addr
 	bufs []*Buffer // sorted by addr
 	slab *pool.Slab[Buffer]
 }
 
 // NewSpace returns an empty address space with a Buffer slab of its own.
-func NewSpace(name string) *Space { return NewSpaceIn(name, new(pool.Slab[Buffer])) }
+func NewSpace() *Space { return NewSpaceIn(new(pool.Slab[Buffer])) }
 
 // NewSpaceIn returns an empty address space whose Buffer records come from
 // slab, shared with the other spaces of one simulation (the cluster's):
 // most spaces hold a few buffers, so a slab each would cost more than their
 // records. Allocation starts at a nonzero base so that Addr(0) is never
 // valid.
-func NewSpaceIn(name string, slab *pool.Slab[Buffer]) *Space {
-	return &Space{name: name, next: 0x1000, slab: slab}
+func NewSpaceIn(slab *pool.Slab[Buffer]) *Space {
+	return &Space{next: 0x1000, slab: slab}
 }
-
-// Name returns the space's diagnostic name.
-func (s *Space) Name() string { return s.name }
 
 // Buffer is a contiguous allocation in a Space.
 type Buffer struct {
-	space *Space
-	addr  Addr
-	size  int
-	data  []byte // nil for size-only buffers
+	addr Addr
+	size int
+	data []byte // nil for size-only buffers
 }
 
 const allocAlign = 64
@@ -56,7 +51,7 @@ func (s *Space) Alloc(size int, backed bool) *Buffer {
 		panic("mem: negative allocation")
 	}
 	b := s.slab.New()
-	*b = Buffer{space: s, addr: s.next, size: size}
+	*b = Buffer{addr: s.next, size: size}
 	if backed {
 		b.data = make([]byte, size)
 	}
@@ -69,9 +64,6 @@ func (s *Space) Alloc(size int, backed bool) *Buffer {
 	s.bufs = append(s.bufs, b)
 	return b
 }
-
-// Space returns the owning address space.
-func (b *Buffer) Space() *Space { return b.space }
 
 // Addr returns the buffer's base address.
 func (b *Buffer) Addr() Addr { return b.addr }

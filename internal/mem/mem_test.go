@@ -7,7 +7,7 @@ import (
 )
 
 func TestAllocAddressesDisjoint(t *testing.T) {
-	s := NewSpace("p0")
+	s := NewSpace()
 	a := s.Alloc(100, true)
 	b := s.Alloc(50, true)
 	if a.Addr() == 0 || b.Addr() == 0 {
@@ -19,7 +19,7 @@ func TestAllocAddressesDisjoint(t *testing.T) {
 }
 
 func TestLookupFindsContainingBuffer(t *testing.T) {
-	s := NewSpace("p0")
+	s := NewSpace()
 	s.Alloc(64, false)
 	b := s.Alloc(256, true)
 	s.Alloc(64, false)
@@ -37,7 +37,7 @@ func TestLookupFindsContainingBuffer(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	s := NewSpace("p0")
+	s := NewSpace()
 	b := s.Alloc(128, true)
 	payload := []byte("the quick brown fox")
 	s.WriteAt(b.Addr()+10, payload, len(payload))
@@ -48,7 +48,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestSizeOnlyBufferDropsPayload(t *testing.T) {
-	s := NewSpace("p0")
+	s := NewSpace()
 	b := s.Alloc(128, false)
 	s.WriteAt(b.Addr(), []byte("data"), 4)
 	if got := s.ReadAt(b.Addr(), 4); got != nil {
@@ -60,7 +60,7 @@ func TestSizeOnlyBufferDropsPayload(t *testing.T) {
 }
 
 func TestSlicePanicsOutOfRange(t *testing.T) {
-	s := NewSpace("p0")
+	s := NewSpace()
 	b := s.Alloc(16, true)
 	defer func() {
 		if recover() == nil {
@@ -74,7 +74,7 @@ func TestSlicePanicsOutOfRange(t *testing.T) {
 // reads back exactly, and never affects neighbouring allocations.
 func TestPropertyWriteIsolation(t *testing.T) {
 	f := func(off uint8, val []byte) bool {
-		s := NewSpace("p")
+		s := NewSpace()
 		guard1 := s.Alloc(64, true)
 		b := s.Alloc(256+256, true)
 		guard2 := s.Alloc(64, true)
@@ -107,7 +107,7 @@ func TestPropertyWriteIsolation(t *testing.T) {
 }
 
 func TestLookupExactBoundaries(t *testing.T) {
-	s := NewSpace("p")
+	s := NewSpace()
 	b := s.Alloc(128, false)
 	if got, off := s.Lookup(b.Addr(), 128); got != b || off != 0 {
 		t.Fatal("full-range lookup failed")

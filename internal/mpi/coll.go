@@ -25,6 +25,3 @@ func (r *Rank) scratch(size int) mem.Addr {
 	}
 	return r.scratchBuf.Addr()
 }
-
-// Bcast broadcasts [addr, addr+size) from root over the world communicator.
-func (r *Rank) Bcast(addr mem.Addr, size, root int) { r.Comm().Bcast(addr, size, root) }

@@ -87,9 +87,6 @@ func (c *Comm) World(commRank int) int {
 	return c.members[commRank]
 }
 
-// Rank returns the underlying process handle.
-func (c *Comm) Rank() *Rank { return c.r }
-
 // nextTag allocates the next collective tag in this communicator's space.
 // The world communicator shares the rank's collective sequence so that
 // Rank-level and Comm-level world collectives never collide.

@@ -42,23 +42,6 @@ func TestCommBarrierScopedToMembers(t *testing.T) {
 	}
 }
 
-func TestCommBcastWithinGroup(t *testing.T) {
-	const size = 4096
-	runWorld(t, 6, 1, func(r *Rank) {
-		row := r.Split(func(w int) int { return w / 3 })
-		buf := r.Alloc(size)
-		// comm-rank 1 of each row is the root.
-		if row.RankID() == 1 {
-			fill(r, buf, byte(100+row.World(1)))
-		}
-		row.Bcast(buf.Addr(), size, 1)
-		want := byte(100 + row.World(1))
-		if buf.Bytes()[0] != want {
-			t.Errorf("rank %d got %d, want %d", r.RankID(), buf.Bytes()[0], want)
-		}
-	})
-}
-
 func TestCommAlltoallRowsConcurrently(t *testing.T) {
 	// Two row communicators run personalized exchanges at the same time;
 	// payloads must not cross rows. A world exchange between two row ones
@@ -76,7 +59,7 @@ func TestCommAlltoallRowsConcurrently(t *testing.T) {
 					blk[i] = byte(r.RankID()*17 + c.World(dst)*5 + k + i)
 				}
 			}
-			c.Alltoall(send.Addr(), recv.Addr(), per)
+			r.WaitColl(c.Ialltoall(send.Addr(), recv.Addr(), per))
 			for src := 0; src < np; src++ {
 				blk := recv.Bytes()[src*per : (src+1)*per]
 				for i := 0; i < per; i += 509 {
@@ -92,25 +75,43 @@ func TestCommAlltoallRowsConcurrently(t *testing.T) {
 }
 
 func TestCommTagIsolationFromWorld(t *testing.T) {
-	// A world Bcast and a sub-comm Bcast in flight around the same time
-	// must not steal each other's messages.
-	const size = 1024
+	// A sub-comm Ialltoall and a world Ialltoall in flight at the same time
+	// must not steal each other's messages, even when the two members of
+	// the sub-comm start them in opposite orders.
+	const per = 1024
 	runWorld(t, 4, 1, func(r *Rank) {
-		wbuf, sbuf := r.Alloc(size), r.Alloc(size)
-		if r.RankID() == 0 {
-			fill(r, wbuf, 7)
-			fill(r, sbuf, 9)
+		np := r.Size()
+		wsend, wrecv := r.Alloc(np*per), r.Alloc(np*per)
+		ssend, srecv := r.Alloc(2*per), r.Alloc(2*per)
+		for dst := 0; dst < np; dst++ {
+			wsend.Bytes()[dst*per] = byte(10*r.RankID() + dst)
+		}
+		for dst := 0; dst < 2; dst++ {
+			ssend.Bytes()[dst*per] = byte(100 + 10*r.RankID() + dst)
+		}
+		var sub, world *CollRequest
+		if r.RankID() == 1 {
+			world = r.Ialltoall(wsend.Addr(), wrecv.Addr(), per)
 		}
 		if r.RankID() < 2 {
-			sub := r.NewComm([]int{0, 1})
-			sub.Bcast(sbuf.Addr(), size, 0)
+			sub = r.NewComm([]int{0, 1}).Ialltoall(ssend.Addr(), srecv.Addr(), per)
 		}
-		r.Bcast(wbuf.Addr(), size, 0)
-		if wbuf.Bytes()[0] != 7 {
-			t.Errorf("rank %d world payload %d", r.RankID(), wbuf.Bytes()[0])
+		if r.RankID() != 1 {
+			world = r.Ialltoall(wsend.Addr(), wrecv.Addr(), per)
 		}
-		if r.RankID() < 2 && sbuf.Bytes()[0] != 9 {
-			t.Errorf("rank %d sub payload %d", r.RankID(), sbuf.Bytes()[0])
+		if sub != nil {
+			r.WaitColl(sub)
+		}
+		r.WaitColl(world)
+		for src := 0; src < np; src++ {
+			if got, want := wrecv.Bytes()[src*per], byte(10*src+r.RankID()); got != want {
+				t.Errorf("rank %d world block from %d: %d, want %d", r.RankID(), src, got, want)
+			}
+		}
+		for src := 0; sub != nil && src < 2; src++ {
+			if got, want := srecv.Bytes()[src*per], byte(100+10*src+r.RankID()); got != want {
+				t.Errorf("rank %d sub block from %d: %d, want %d", r.RankID(), src, got, want)
+			}
 		}
 	})
 }
@@ -157,18 +158,6 @@ func TestWorldCommMatchesRank(t *testing.T) {
 				c.Barrier()
 			}
 			return nil
-		}},
-		{"bcast", func(r *Rank, c *Comm) []byte {
-			buf := r.Alloc(size)
-			if r.RankID() == 2 {
-				fill(r, buf, 9)
-			}
-			if c == nil {
-				r.Bcast(buf.Addr(), size, 2)
-			} else {
-				c.Bcast(buf.Addr(), size, 2)
-			}
-			return buf.Bytes()
 		}},
 		{"ialltoall", func(r *Rank, c *Comm) []byte {
 			send, recv := r.Alloc(np*per), r.Alloc(np*per)

@@ -2,8 +2,8 @@ package mpi
 
 import "repro/internal/mem"
 
-// Communicator-scoped collectives: the one implementation of Barrier, Bcast
-// and Ialltoall. The world-level operations on Rank call these on the world
+// Communicator-scoped collectives: the one implementation of Barrier and
+// Ialltoall. The world-level operations on Rank call these on the world
 // communicator; ranks and message peers are translated through Comm.World.
 
 // Barrier blocks until all communicator members have entered
@@ -36,51 +36,6 @@ func (r *Rank) barrierRound() bool {
 	r.pair = [2]*Request{&r.barReqs[0], &r.barReqs[1]}
 	r.list, r.wreqs, r.phase = r.pair[:], r.pair[:], phPost
 	return true
-}
-
-// Bcast broadcasts [addr, addr+size) from comm-rank root (binomial tree):
-// a non-root member receives from its parent, then every member sends to
-// its children, largest subtree first, each transfer waited for.
-func (c *Comm) Bcast(addr mem.Addr, size, root int) {
-	r := c.r
-	t0 := r.enter()
-	defer r.leave(t0)
-	np := c.Size()
-	tag := c.nextTag()
-	if np == 1 {
-		return
-	}
-	rel := (c.myIdx - root + np) % np
-	mask := 1
-	for mask < np && rel&mask == 0 {
-		mask <<= 1
-	}
-	r.rc, r.tag, r.addr, r.size, r.root, r.mask = c, tag, addr, size, root, mask>>1
-	if mask < np {
-		r.postOne(r.w.reqs.Get(), true, addr, size, c.World((rel-mask+root)%np), tag)
-	} else {
-		r.bcastRound() // the root has a child: np > 1
-	}
-	r.do(callBcast, phPost)
-}
-
-// bcastRound queues the next send of a Bcast and reports whether there was
-// one.
-func (r *Rank) bcastRound() bool {
-	c := r.rc
-	np := c.Size()
-	rel := (c.myIdx - r.root + np) % np
-	for r.mask > 0 {
-		mask := r.mask
-		r.mask >>= 1
-		if rel+mask < np {
-			r.postOne(r.w.reqs.Get(), false, r.addr, r.size, c.World((rel+mask+r.root)%np), r.tag)
-			r.phase = phPost
-			return true
-		}
-	}
-	r.pair[0] = nil
-	return false
 }
 
 // Ialltoall starts a nonblocking personalized all-to-all within the
@@ -122,9 +77,4 @@ func (r *Rank) a2aSlab(n int) []Request {
 		}
 	}
 	return make([]Request, n)
-}
-
-// Alltoall is the blocking form of Ialltoall.
-func (c *Comm) Alltoall(sendAddr, recvAddr mem.Addr, per int) {
-	c.r.WaitColl(c.Ialltoall(sendAddr, recvAddr, per))
 }

@@ -311,28 +311,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestBcastCorrectness(t *testing.T) {
-	for _, np := range []int{2, 3, 4, 8} {
-		np := np
-		t.Run(fmt.Sprint(np), func(t *testing.T) {
-			const size, root = 4096, 1
-			runWorld(t, np, 1, func(r *Rank) {
-				buf := r.Alloc(size)
-				if r.RankID() == root {
-					fill(r, buf, 33)
-				}
-				r.Bcast(buf.Addr(), size, root)
-				for i, b := range buf.Bytes() {
-					if b != 33+byte(i) {
-						t.Errorf("rank %d byte %d = %d", r.RankID(), i, b)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
 func checkAlltoall(t *testing.T, r *Rank, recv *mem.Buffer, per int) {
 	t.Helper()
 	for src := 0; src < r.Size(); src++ {
@@ -358,7 +336,7 @@ func TestAlltoallCorrectness(t *testing.T) {
 				blk[i] = byte(r.RankID()*16+dst) + byte(i)
 			}
 		}
-		r.Comm().Alltoall(send.Addr(), recv.Addr(), per)
+		r.WaitColl(r.Comm().Ialltoall(send.Addr(), recv.Addr(), per))
 		checkAlltoall(t, r, recv, per)
 	})
 }
@@ -382,21 +360,24 @@ func TestIalltoallOverlapsAndCompletes(t *testing.T) {
 }
 
 func TestIbcastCorrectness(t *testing.T) {
-	for _, np := range []int{2, 5, 8} {
-		np := np
+	for _, np := range []int{2, 3, 4, 5, 8} {
 		t.Run(fmt.Sprint(np), func(t *testing.T) {
-			const size = 32 << 10
-			runWorld(t, np, 1, func(r *Rank) {
-				buf := r.Alloc(size)
-				if r.RankID() == 0 {
-					fill(r, buf, 3)
-				}
-				c := r.Ibcast(buf.Addr(), size, 0)
-				r.WaitColl(c)
-				if buf.Bytes()[100] != 3+100 {
-					t.Errorf("rank %d ibcast payload wrong", r.RankID())
-				}
-			})
+			for _, root := range []int{0, 1} {
+				const size = 32 << 10
+				runWorld(t, np, 1, func(r *Rank) {
+					buf := r.Alloc(size)
+					if r.RankID() == root {
+						fill(r, buf, 3)
+					}
+					r.WaitColl(r.Ibcast(buf.Addr(), size, root))
+					for i, b := range buf.Bytes() {
+						if b != 3+byte(i) {
+							t.Errorf("rank %d, root %d: byte %d = %d", r.RankID(), root, i, b)
+							return
+						}
+					}
+				})
+			}
 		})
 	}
 }

@@ -44,13 +44,13 @@ type steps struct {
 	wcoll *CollRequest
 	pair  [2]*Request
 
-	// A collective's operands: a Barrier's or Bcast's communicator, tag,
-	// buffer and size, root, and the mask of its next round (for a barrier,
-	// the offset to the next peer); for the copy of the rank's own block, a
-	// source (src) and a destination (addr) of size bytes.
-	rc                    *Comm
-	addr, src             mem.Addr
-	size, tag, root, mask int
+	// A Barrier's operands: its communicator, tag, scratch buffer (addr)
+	// and the offset to its next round's peer (mask); for the copy of the
+	// rank's own block, a source (src) and a destination (addr) of size
+	// bytes.
+	rc              *Comm
+	addr, src       mem.Addr
+	size, tag, mask int
 
 	// The costed action in progress: the request and message it serves,
 	// the rendezvous record it reads into or FINs, the work request being
@@ -80,7 +80,6 @@ const (
 	callTest                    // one progress pass: Test, TestColl
 	callWait                    // progress until the wait condition holds: Wait, WaitAll, WaitColl
 	callBarrier                 // dissemination rounds, each a send and a receive waited for
-	callBcast                   // binomial-tree rounds, a receive or a send waited for each
 )
 
 // phase is where a call stands.
@@ -289,18 +288,10 @@ func (r *Rank) holds() bool {
 	return r.wcoll == nil || r.wcoll.done
 }
 
-// next goes on once the wait condition holds: a Barrier or Bcast to its
-// next round, if it has one; otherwise the call is over.
+// next goes on once the wait condition holds: a Barrier to its next
+// round, if it has one; otherwise the call is over.
 func (r *Rank) next() {
-	more := false
-	switch r.call {
-	case callBarrier:
-		more = r.barrierRound()
-	case callBcast:
-		r.w.freeReq(r.pair[0])
-		more = r.bcastRound()
-	}
-	if !more {
+	if r.call != callBarrier || !r.barrierRound() {
 		r.call = callNone
 	}
 }

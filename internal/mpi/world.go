@@ -1,7 +1,9 @@
 // Package mpi implements an MPI-like message-passing library on the
 // simulated cluster: ranks, eager and rendezvous point-to-point transfer
-// protocols with tag matching, blocking and nonblocking operations, and a
-// set of collectives.
+// protocols with tag matching, blocking and nonblocking operations, and the
+// collectives its callers use: a blocking Barrier and a nonblocking
+// Ialltoall on any communicator, and the world's nonblocking Iallgather and
+// binomial-tree Ibcast.
 //
 // Its progress model reproduces the semantics the paper's Section II-A
 // criticizes: communication state machines advance only while the process

@@ -32,8 +32,6 @@
 package policy
 
 import (
-	"fmt"
-
 	"repro/internal/datapath"
 	"repro/internal/device"
 	"repro/internal/metrics"
@@ -52,20 +50,6 @@ const (
 	// ClassOneSided is a window put/get.
 	ClassOneSided
 )
-
-// String implements fmt.Stringer.
-func (c OpClass) String() string {
-	switch c {
-	case ClassP2P:
-		return "p2p"
-	case ClassGroup:
-		return "group"
-	case ClassOneSided:
-		return "onesided"
-	default:
-		return fmt.Sprintf("unknown(%d)", int(c))
-	}
-}
 
 // Request describes one operation about to be issued.
 type Request struct {
@@ -205,9 +189,6 @@ func NewEngineFor(p Policy, m *metrics.Registry, tenant string) *Engine {
 		mByReason: make(map[string]*metrics.Counter),
 	}
 }
-
-// Name returns the wrapped policy's name.
-func (e *Engine) Name() string { return e.p.Name() }
 
 // Decide chooses a path and records the decision. When the request carries
 // device capabilities, the chosen path is degraded to one the device can

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datapath"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func TestAdaptiveRule(t *testing.T) {
@@ -51,5 +52,27 @@ func TestEngineRecordsDecisions(t *testing.T) {
 	e2 := NewEngine(Adaptive{}, nil)
 	if d := e2.Decide(Request{Class: ClassOneSided}); d.Path != datapath.KindCrossGVMI {
 		t.Fatalf("nil-registry engine decision: %+v", d)
+	}
+}
+
+// The size rules are static: feedback an engine hands them, however bad the
+// observed cost of the path they chose, leaves their next decision as it was.
+func TestStaticPoliciesIgnoreObservations(t *testing.T) {
+	for _, p := range []Policy{Adaptive{}, Aware{}} {
+		e := NewEngine(p, nil)
+		for _, q := range []Request{
+			{Class: ClassGroup, Size: SmallMsgCutoff},
+			{Class: ClassGroup, Size: 1 << 20},
+			{Class: ClassP2P, Size: 1 << 20},
+		} {
+			before := e.Decide(q)
+			for call := 0; call < 8; call++ {
+				q.Call = call
+				e.Observe(q, before.Path, sim.Second)
+			}
+			if after := e.Decide(q); after != before {
+				t.Errorf("%s: %+v decided %+v, then %+v after slow observations", p.Name(), q, before, after)
+			}
+		}
 	}
 }

@@ -388,7 +388,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if k.dead {
 		panic("sim: Spawn on a kernel after Shutdown")
 	}
-	p := &Proc{k: k, id: len(k.procs), name: name}
+	p := &Proc{k: k, name: name}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer p.exit()
 		p.yield = yield

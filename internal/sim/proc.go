@@ -17,7 +17,6 @@ const (
 // indirectly).
 type Proc struct {
 	k     *Kernel
-	id    int
 	name  string
 	state procState
 
@@ -28,18 +27,12 @@ type Proc struct {
 	yield func(struct{}) bool
 }
 
-// ID returns the process's kernel-unique identifier.
-func (p *Proc) ID() int { return p.id }
-
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
 // String implements fmt.Stringer: a process prints as its name, so a
 // Kernel.Deadlocked report reads as the list of blocked processes.
 func (p *Proc) String() string { return p.name }
-
-// Kernel returns the kernel the process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }

@@ -52,20 +52,6 @@ const (
 	Pattern
 )
 
-// String implements fmt.Stringer.
-func (k WorkloadKind) String() string {
-	switch k {
-	case Latency:
-		return "latency"
-	case Bulk:
-		return "bulk"
-	case Pattern:
-		return "pattern"
-	default:
-		return fmt.Sprintf("unknown(%d)", int(k))
-	}
-}
-
 // Workload describes what one job's ranks do.
 type Workload struct {
 	Kind WorkloadKind

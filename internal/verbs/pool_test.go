@@ -44,7 +44,7 @@ func newPoolRig(t *testing.T, backed bool, plan *fault.Config) *poolRig {
 	k := sim.NewKernel()
 	f := fabric.New(k, fabric.DefaultConfig())
 	reg := NewRegistry(f, DefaultCosts())
-	spA, spB := mem.NewSpace("a"), mem.NewSpace("b")
+	spA, spB := mem.NewSpace(), mem.NewSpace()
 	const size = 4096
 	addrA := spA.Alloc(size, backed).Addr()
 	addrB := spB.Alloc(size, backed).Addr()

@@ -24,7 +24,7 @@ func newRig(n int) *rig {
 	r := NewRegistry(f, DefaultCosts())
 	rg := &rig{k: k, f: f, r: r}
 	for i := 0; i < n; i++ {
-		sp := mem.NewSpace("p")
+		sp := mem.NewSpace()
 		ep := f.NewEndpoint("host", i, device.Baseline().HostPort)
 		rg.sp = append(rg.sp, sp)
 		rg.ctx = append(rg.ctx, r.NewCtx("ctx", sp, ep))
