@@ -131,9 +131,11 @@ snap-check:
 # Ialltoall's objects per message on each system, the bytes per (rank, peer)
 # pair of a 16×8 install plus replay (skipped under -race, so `make race`
 # never runs it), a warm coll Ialltoall + Wait on each path (host,
-# proxies, engine), and the serial-vs-parallel determinism guard.
+# proxies, engine), the time-series sampler (closing 2^k buckets allocates
+# at most k+1 times per series, 0 with spare capacity), and the
+# serial-vs-parallel determinism guard.
 bench-smoke:
-	$(GO) test -run 'AllocFree|AllocBudget|BytesPerPair|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/fabric/ ./internal/span/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/ ./internal/stencil/ ./internal/coll/
+	$(GO) test -run 'AllocFree|AllocBudget|BytesPerPair|TestSweepSerialParallelIdentical' -v ./internal/sim/ ./internal/fabric/ ./internal/span/ ./internal/bench/ ./internal/core/ ./internal/datapath/ ./internal/verbs/ ./internal/mpi/ ./internal/regcache/ ./internal/stencil/ ./internal/coll/ ./internal/metrics/
 
 # Fuzz smoke: five seconds of coverage-guided input, on top of the seeds in
 # testdata/fuzz/, for each parser of outside text — pattern specs, fleet
@@ -155,8 +157,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnerLockstep$$' -fuzztime 5s -parallel 2 ./internal/policy/
 	$(GO) test -run '^$$' -fuzz '^FuzzPool$$' -fuzztime 5s -parallel 2 ./internal/pool/
 
-# Timeline smoke: the flight-recorder zero-overhead guards (a live and a
-# nil recorder both reproduce the pinned fig13 timings bit for bit), then
+# Timeline smoke: the time-series recorder's zero-overhead guards (a live
+# and a nil recorder both reproduce the pinned fig13 timings bit for bit), then
 # the timeline subcommand at -parallel 1 vs 4 with every export — time
 # series JSONL/Prometheus, per-policy Chrome traces, and the rendered
 # drift-attribution table (paths stripped) — compared byte for byte.

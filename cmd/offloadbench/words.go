@@ -15,10 +15,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/figures"
+	"repro/internal/metrics"
 	"repro/internal/pattern"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
@@ -270,15 +270,11 @@ func runTimeline(p *params, out io.Writer) error {
 	spansFor := map[string]bool{"measure": true, "feedback": true}
 	runs := bench.CollectDriftTimelines(p.env, 2, p.tenantPPN(), p.it(80), policies, spansFor)
 
-	recs := make([]*telemetry.Recorder, len(runs))
+	recs := make([]*metrics.Recorder, len(runs))
 	for i := range runs {
 		recs[i] = runs[i].Rec
 	}
-	err := bench.WriteFile(path+".jsonl", func(w io.Writer) error { return telemetry.WriteJSONL(w, recs...) })
-	if err == nil {
-		err = bench.WriteFile(path+".prom", func(w io.Writer) error { return telemetry.WritePrometheusTS(w, recs...) })
-	}
-	if err != nil {
+	if err := bench.WriteTimeseriesFiles(path, recs...); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "timeseries: %s.jsonl, %s.prom (%d runs)\n", path, path, len(runs))
@@ -428,7 +424,7 @@ func ombTenants(p *params, out io.Writer) error {
 	p.env.Sweep(p.bgJobs+1, func(i int, env bench.SweepEnv) {
 		cfg := bench.TenantsCase(p.nodes, p.ppn, i, pol, p.iters)
 		cfg.Metrics, cfg.Spans = env.Met, env.Sp
-		cfg.Timeline = env.Tl.NewRecorder(fmt.Sprintf("bg%d", i))
+		cfg.Timeline = env.NewRecorder(fmt.Sprintf("bg%d", i))
 		results[i], errs[i] = tenant.Run(cfg)
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -448,7 +444,7 @@ func ombDrift(p *params, out io.Writer) error {
 		p.nodes, p.ppn, pol)
 	cfg := bench.DriftCase(p.nodes, p.ppn, p.iters, pol)
 	cfg.Metrics, cfg.Spans = p.env.Met, p.env.Sp
-	cfg.Timeline = p.env.Tl.NewRecorder("")
+	cfg.Timeline = p.env.NewRecorder("")
 	r, err := tenant.Run(cfg)
 	if err != nil {
 		return fmt.Errorf("drift: %w", err)
@@ -569,7 +565,7 @@ func (p *params) patternTenants(spec *pattern.Spec, out io.Writer) error {
 				Start: sim.Time(i) * sim.Time(p.bgStart)}}
 	}
 	res, err := tenant.Run(tenant.Config{Nodes: nodes, ProxiesPerDPU: 1, Jobs: jobs,
-		Metrics: p.env.Met, Spans: p.env.Sp, Timeline: p.env.Tl.NewRecorder("")})
+		Metrics: p.env.Met, Spans: p.env.Sp, Timeline: p.env.NewRecorder("")})
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // Spec describes one simulated system: its nodes and devices, the bundle
@@ -47,7 +46,7 @@ type Spec struct {
 	// TestTimelineRecorderMatchesFig13Exactly).
 	Metrics  *metrics.Registry
 	Spans    *span.Collector
-	Timeline *telemetry.Recorder
+	Timeline *metrics.Recorder
 }
 
 // Job is one placed job: a world of PPN ranks on every node.

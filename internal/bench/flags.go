@@ -12,7 +12,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/metrics"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // CommonFlags are the seven flags the words of offloadbench share (-metrics,
@@ -129,7 +128,7 @@ func (cf *CommonFlags) Env() SweepEnv {
 		env.Sp = span.New(0)
 	}
 	if cf.TimeseriesPath != "" {
-		env.Tl = telemetry.NewTimeline(telemetry.Config{})
+		env.Tl = new([]*metrics.Recorder)
 	}
 	return env
 }
@@ -148,8 +147,10 @@ func (cf *CommonFlags) Finish(env SweepEnv, out io.Writer) error {
 		// With both -spans and -timeseries, the recorders' counter tracks
 		// merge into the Chrome trace next to the span tracks.
 		var extra []string
-		for _, rec := range env.Tl.Recorders() {
-			extra = append(extra, rec.ChromeCounterLines()...)
+		if env.Tl != nil {
+			for _, rec := range *env.Tl {
+				extra = append(extra, rec.ChromeCounterLines()...)
+			}
 		}
 		if err := WriteSpanFilesWith(cf.SpansPath, env.Sp, extra); err != nil {
 			return err
@@ -158,11 +159,11 @@ func (cf *CommonFlags) Finish(env SweepEnv, out io.Writer) error {
 			cf.SpansPath, cf.SpansPath, cf.SpansPath, env.Sp.Len(), env.Sp.Dropped())
 	}
 	if cf.TimeseriesPath != "" {
-		if err := WriteTimeseriesFiles(cf.TimeseriesPath, env.Tl); err != nil {
+		if err := WriteTimeseriesFiles(cf.TimeseriesPath, *env.Tl...); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "timeseries: %s.jsonl, %s.prom (%d runs)\n",
-			cf.TimeseriesPath, cf.TimeseriesPath, len(env.Tl.Recorders()))
+			cf.TimeseriesPath, cf.TimeseriesPath, len(*env.Tl))
 	}
 	return nil
 }
@@ -178,7 +179,7 @@ func WriteMetricsFiles(path string, reg *metrics.Registry) error {
 }
 
 // WriteSpanFilesWith exports the collector as Chrome trace JSON to path
-// (with the extra pre-rendered trace events — telemetry counter tracks —
+// (with the extra pre-rendered trace events — recorder counter tracks —
 // merged in), folded stacks to path.folded, and JSONL to path.jsonl.
 func WriteSpanFilesWith(path string, sc *span.Collector, extra []string) error {
 	if err := WriteFile(path, func(w io.Writer) error { return sc.WriteChromeTraceWith(w, extra) }); err != nil {
@@ -190,11 +191,12 @@ func WriteSpanFilesWith(path string, sc *span.Collector, extra []string) error {
 	return WriteFile(path+".jsonl", sc.WriteJSONL)
 }
 
-// WriteTimeseriesFiles exports the timeline's recorders as JSONL to
-// path.jsonl and as timestamped Prometheus text to path.prom.
-func WriteTimeseriesFiles(path string, tl *telemetry.Timeline) error {
-	if err := WriteFile(path+".jsonl", tl.WriteJSONL); err != nil {
+// WriteTimeseriesFiles exports the recorders as JSONL to path.jsonl and as
+// timestamped Prometheus text to path.prom.
+func WriteTimeseriesFiles(path string, recs ...*metrics.Recorder) error {
+	err := WriteFile(path+".jsonl", func(w io.Writer) error { return metrics.WriteSeriesJSONL(w, recs...) })
+	if err != nil {
 		return err
 	}
-	return WriteFile(path+".prom", tl.WritePrometheusTS)
+	return WriteFile(path+".prom", func(w io.Writer) error { return metrics.WriteSeriesPrometheus(w, recs...) })
 }

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"cmp"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // SweepEnv is everything a sweep or a figure takes from outside its own
@@ -25,9 +25,10 @@ import (
 type SweepEnv struct {
 	Met *metrics.Registry
 	Sp  *span.Collector
-	// Tl, when set, hands every environment Attach fills a fresh recorder,
-	// so each simulated run becomes one labelled set of time series.
-	Tl     *telemetry.Timeline
+	// Tl, when set, collects the run's recorders: Attach appends a fresh one
+	// per environment it fills, so each simulated run becomes one labelled
+	// set of time series.
+	Tl     *[]*metrics.Recorder
 	Device string // device profile of every node ("" = the baseline part)
 	Fleet  string // per-node profiles in device.ExpandFleet grammar; overrides Device
 	// Parallel is the sweep worker count; 1 or less runs every job inline on
@@ -47,8 +48,21 @@ func (env SweepEnv) Attach(opt Options) Options {
 	opt.Spans = env.Sp
 	opt.Device = cmp.Or(opt.Device, env.Device)
 	opt.Fleet = cmp.Or(opt.Fleet, env.Fleet)
-	opt.Timeline = env.Tl.NewRecorder("")
+	opt.Timeline = env.NewRecorder("")
 	return opt
+}
+
+// NewRecorder appends a fresh recorder at the default bucket width to
+// env.Tl and returns it, labelled label or, when that is empty, "run<N>"
+// by its index; nil when env.Tl is. Creation order is the export order of
+// runs, which is why a sweep with recorders runs serially.
+func (env SweepEnv) NewRecorder(label string) *metrics.Recorder {
+	if env.Tl == nil {
+		return nil
+	}
+	r := metrics.NewRecorder(cmp.Or(label, fmt.Sprintf("run%d", len(*env.Tl))), metrics.DefaultWidth)
+	*env.Tl = append(*env.Tl, r)
+	return r
 }
 
 // Sweep runs n independent simulation jobs — one per index — against the

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // The determinism contract of the sweep runner: the same sweep must produce
@@ -97,8 +96,8 @@ func TestSweepPropagatesPanic(t *testing.T) {
 	})
 }
 
-// Span collection assigns IDs sequentially, and a timeline labels its
-// recorders in creation order, so a sweep with either sink live must fall
+// Span collection assigns IDs sequentially, and recorders are labelled
+// and exported in creation order, so a sweep with either sink live must fall
 // back to serial execution rather than race on it: every job runs inline,
 // in index order, handed the sweep's own env (a parallel job would get a
 // private registry in place of env.Met).
@@ -106,7 +105,7 @@ func TestSweepWithSpansOrTimelineStaysSerial(t *testing.T) {
 	t.Parallel()
 	for _, env := range []SweepEnv{
 		{Sp: span.New(0)},
-		{Tl: telemetry.NewTimeline(telemetry.Config{})},
+		{Tl: new([]*metrics.Recorder)},
 	} {
 		env.Met, env.Parallel = metrics.NewRegistry(), 4
 		var order []int

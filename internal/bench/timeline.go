@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
@@ -17,15 +16,11 @@ import (
 // separates the phases with wide margins on both sides.
 const DriftSLOObjective = 200 * sim.Microsecond
 
-// DriftTimelineConfig is the recorder shape the drift scenario needs. The
-// slowest policy's run lasts ~425ms — past the default ring window (4096 ×
-// 50µs ≈ 205ms), which would evict the pre-drift phase before the run ends —
-// so drift timelines double both the bucket width and the capacity (8192 ×
-// 100µs ≈ 819ms). Both phase boundaries (1ms arrival, 9ms settle end) stay
-// on the 100µs bucket grid.
-func DriftTimelineConfig() telemetry.Config {
-	return telemetry.Config{Width: 100 * sim.Microsecond, Buckets: 8192}
-}
+// DriftWidth is the bucket width of drift timelines, twice the default:
+// the slowest policy's ~425ms run then closes at most 4 252 buckets per
+// series, and both phase boundaries (1ms arrival, 9ms settle end) stay on
+// the grid.
+const DriftWidth = 100 * sim.Microsecond
 
 // DriftRun is one foreground policy's drift-scenario run with its flight
 // recorder (and, when requested, its span collector) still attached for
@@ -33,14 +28,14 @@ func DriftTimelineConfig() telemetry.Config {
 type DriftRun struct {
 	Policy string
 	Res    *tenant.Result
-	Rec    *telemetry.Recorder
+	Rec    *metrics.Recorder
 	// Spans is non-nil only for policies the caller requested tracing for;
 	// a private collector per run keeps the sweep parallel-safe.
 	Spans *span.Collector
 }
 
 // CollectDriftTimelines runs the drift scenario once per foreground policy
-// with a flight recorder attached (DriftTimelineConfig) and the foreground
+// with a recorder attached (at DriftWidth) and the foreground
 // job tracking DriftSLOObjective, distributing runs through the sweep runner
 // — recorded series are byte-identical at any -parallel value because every
 // run owns a private registry, recorder, and (optionally) span collector.
@@ -51,9 +46,9 @@ func CollectDriftTimelines(env SweepEnv, nodes, ppn, fgIters int, policies []str
 	env.Sweep(len(runs), func(i int, env SweepEnv) {
 		pol := policies[i]
 		met := metrics.NewRegistry()
-		rec := telemetry.NewRecorder(pol, DriftTimelineConfig())
+		rec := metrics.NewRecorder(pol, DriftWidth)
 		cfg := DriftCase(nodes, ppn, fgIters, pol)
-		cfg.Jobs[0].SLO = telemetry.SLOConfig{Objective: DriftSLOObjective}
+		cfg.Jobs[0].SLO = DriftSLOObjective
 		cfg.Metrics = met
 		cfg.Timeline = rec
 		if spansFor[pol] {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/telemetry"
 )
 
 // Zero-overhead guard (live side): a live flight recorder samples the
@@ -15,7 +14,7 @@ import (
 func TestTimelineRecorderMatchesFig13Exactly(t *testing.T) {
 	t.Parallel()
 	met := metrics.NewRegistry()
-	rec := telemetry.NewRecorder("guard", telemetry.Config{})
+	rec := metrics.NewRecorder("guard", metrics.DefaultWidth)
 	opt := guardOpt()
 	opt.Metrics = met
 	opt.Timeline = rec
@@ -32,7 +31,7 @@ func TestTimelineRecorderMatchesFig13Exactly(t *testing.T) {
 	// The recorder actually recorded: fabric counters became time series.
 	found := false
 	for _, s := range rec.Sorted() {
-		if s.Key.Layer == "fabric" && s.Key.Name == "msgs_tx" && s.Kind == telemetry.KindCounter {
+		if s.Key.Layer == "fabric" && s.Key.Name == "msgs_tx" && s.Kind == metrics.KindCounter {
 			found = true
 			break
 		}
@@ -56,24 +55,40 @@ func TestTimelineNilRecorderMatchesFig13Exactly(t *testing.T) {
 	}
 }
 
-// A SweepEnv's timeline is how offloadbench attaches -timeseries: Attach
-// must hand each environment a fresh recorder from it, and timings must stay
-// pinned.
+// A SweepEnv's recorder slice is how offloadbench attaches -timeseries:
+// Attach must hand each environment a fresh recorder and keep it, and
+// timings must stay pinned.
 func TestAttachFillsTimeline(t *testing.T) {
 	t.Parallel()
-	tl := telemetry.NewTimeline(telemetry.Config{})
-	env := SweepEnv{Met: metrics.NewRegistry(), Tl: tl}
+	env := SweepEnv{Met: metrics.NewRegistry(), Tl: new([]*metrics.Recorder)}
 	r := MeasureIalltoall(env.Attach(guardOpt()), 8192, 1, 2)
 	if r.PureComm != guardPure8K || r.Overall != guardOverall8K {
 		t.Fatalf("timings moved under an env timeline: pure=%d overall=%d, want %d/%d",
 			r.PureComm, r.Overall, guardPure8K, guardOverall8K)
 	}
-	recs := tl.Recorders()
+	recs := *env.Tl
 	if len(recs) != 1 {
 		t.Fatalf("timeline tracked %d recorders, want 1 per environment", len(recs))
 	}
 	if len(recs[0].Sorted()) == 0 {
 		t.Fatal("the environment's recorder recorded nothing")
+	}
+}
+
+// Recorders export in creation order, so labels number the runs the same
+// way: an empty label becomes "run<N>" by the recorder's index.
+func TestTimelineLabelsRunsInCreationOrder(t *testing.T) {
+	t.Parallel()
+	env := SweepEnv{Tl: new([]*metrics.Recorder)}
+	a, b, c := env.NewRecorder(""), env.NewRecorder("custom"), env.NewRecorder("")
+	if a.Label != "run0" || b.Label != "custom" || c.Label != "run2" {
+		t.Fatalf("labels = %q,%q,%q", a.Label, b.Label, c.Label)
+	}
+	if got := len(*env.Tl); got != 3 {
+		t.Fatalf("env keeps %d recorders, want 3", got)
+	}
+	if (SweepEnv{}).NewRecorder("x") != nil {
+		t.Fatal("an env without recorders handed out a live one")
 	}
 }
 
@@ -85,15 +100,15 @@ func TestTimelineSweepParallelIdentical(t *testing.T) {
 	t.Parallel()
 	export := func(workers int) string {
 		runs := CollectDriftTimelines(SweepEnv{Parallel: workers}, 2, 2, 10, []string{"measure", "feedback"}, nil)
-		recs := make([]*telemetry.Recorder, len(runs))
+		recs := make([]*metrics.Recorder, len(runs))
 		for i := range runs {
 			recs[i] = runs[i].Rec
 		}
 		var sb strings.Builder
-		if err := telemetry.WriteJSONL(&sb, recs...); err != nil {
+		if err := metrics.WriteSeriesJSONL(&sb, recs...); err != nil {
 			t.Fatal(err)
 		}
-		if err := telemetry.WritePrometheusTS(&sb, recs...); err != nil {
+		if err := metrics.WriteSeriesPrometheus(&sb, recs...); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()

@@ -18,7 +18,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 	"repro/internal/verbs"
 )
 
@@ -78,7 +77,7 @@ type Config struct {
 	// fixed-width virtual-time buckets via the kernel's tick hook. It
 	// requires Metrics (there is nothing to sample otherwise) and, like
 	// the other observers, never consumes virtual time.
-	Timeline *telemetry.Recorder
+	Timeline *metrics.Recorder
 }
 
 // FromProfile builds the standard testbed around one device profile:
@@ -209,9 +208,7 @@ func New(cfg Config) *Cluster {
 		reg.SetSpans(cfg.Spans)
 		c.Spans = cfg.Spans
 	}
-	if cfg.Timeline.Enabled() {
-		cfg.Timeline.Start(k, cfg.Metrics)
-	}
+	cfg.Timeline.Start(k, cfg.Metrics)
 	for i := 0; i < cfg.Nodes; i++ {
 		p := device.Generic(cfg.HostPort, cfg.DPUPort)
 		if i < len(cfg.NodeProfiles) && cfg.NodeProfiles[i] != "" {
@@ -228,11 +225,11 @@ func New(cfg Config) *Cluster {
 		}
 		c.Nodes = append(c.Nodes, n)
 	}
-	if cfg.Timeline.Enabled() {
+	if cfg.Timeline != nil {
 		// Nodes exist now, so the recorder can tag per-node series with the
 		// owning device profile; a fleet without named profiles yields an
 		// empty map and exports stay byte-identical.
-		cfg.Timeline.SetDeviceLabels(c.DeviceLabels())
+		cfg.Timeline.Devices = c.DeviceLabels()
 	}
 	return c
 }
@@ -253,7 +250,7 @@ func (c *Cluster) FleetProfile() device.Profile {
 	return device.Merge(ps)
 }
 
-// DeviceLabels maps per-node metric/telemetry entity names ("n3.host",
+// DeviceLabels maps per-node metric and time-series entity names ("n3.host",
 // "n3.dpu", "n3.dsa", "proxy5") to the owning node's device profile name.
 // Empty when no node carries a named profile, so exports predating the
 // device dimension stay byte-identical.

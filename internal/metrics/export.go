@@ -191,16 +191,6 @@ func (s Snapshot) Validate() error {
 	return nil
 }
 
-// PromName builds the Prometheus metric name offload_<layer>_<name>, with
-// any character outside [a-zA-Z0-9_] replaced by '_'. Exported so sibling
-// exposition writers (the telemetry timestamped exporter) share the family
-// naming.
-func PromName(layer, name string) string { return promName(layer, name) }
-
-// PromLabelValue renders one label value in Prometheus text exposition
-// format (quoted, with the format's three escapes); see promLabel.
-func PromLabelValue(v string) string { return promLabel(v) }
-
 // promName builds the Prometheus metric name offload_<layer>_<name>, with
 // any character outside [a-zA-Z0-9_] replaced by '_'.
 func promName(layer, name string) string {
@@ -241,13 +231,29 @@ func promLabel(v string) string {
 }
 
 // promLabels renders the label set of one series: always the entity label,
-// plus a tenant label when the series carries one. Untenanted series emit
-// the exact pre-tenant label set, so legacy exports are byte-identical.
-func promLabels(entity, tenant string) string {
-	if tenant == "" {
-		return "entity=" + promLabel(entity)
+// then each (name, value) pair whose value is non-empty — the tenant, and
+// for time series the device and run. Untenanted series emit the exact
+// pre-tenant label set, so legacy exports are byte-identical.
+func promLabels(entity string, pairs ...string) string {
+	s := "entity=" + promLabel(entity)
+	for i := 0; i < len(pairs); i += 2 {
+		if pairs[i+1] != "" {
+			s += "," + pairs[i] + "=" + promLabel(pairs[i+1])
+		}
 	}
-	return "entity=" + promLabel(entity) + ",tenant=" + promLabel(tenant)
+	return s
+}
+
+// promFamilies writes the # HELP and # TYPE header lines of each metric
+// family exactly once, as the exposition format requires.
+type promFamilies map[string]bool
+
+func (f promFamilies) header(w io.Writer, name, typ, help string) {
+	if !f[name] {
+		f[name] = true
+		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+	}
 }
 
 // promHelp is the # HELP text of one metric family: where the series came
@@ -265,28 +271,21 @@ func promHelp(layer, name, typ string) string {
 // requires. Series order follows the snapshot's sorted key order, so output
 // is deterministic.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	typed := map[string]bool{} // emit the headers once per metric name
-	header := func(name, layer, raw, typ string) {
-		if !typed[name] {
-			typed[name] = true
-			fmt.Fprintf(w, "# HELP %s %s\n", name, promHelp(layer, raw, typ))
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-		}
-	}
+	fam := promFamilies{}
 	for _, c := range s.Counters {
 		n := promName(c.Layer, c.Name)
-		header(n, c.Layer, c.Name, "counter")
-		fmt.Fprintf(w, "%s{%s} %d\n", n, promLabels(c.Entity, c.Tenant), c.Value)
+		fam.header(w, n, "counter", promHelp(c.Layer, c.Name, "counter"))
+		fmt.Fprintf(w, "%s{%s} %d\n", n, promLabels(c.Entity, "tenant", c.Tenant), c.Value)
 	}
 	for _, g := range s.Gauges {
 		n := promName(g.Layer, g.Name)
-		header(n, g.Layer, g.Name, "gauge")
-		fmt.Fprintf(w, "%s{%s} %g\n", n, promLabels(g.Entity, g.Tenant), g.Value)
+		fam.header(w, n, "gauge", promHelp(g.Layer, g.Name, "gauge"))
+		fmt.Fprintf(w, "%s{%s} %g\n", n, promLabels(g.Entity, "tenant", g.Tenant), g.Value)
 	}
 	for _, h := range s.Histograms {
 		n := promName(h.Layer, h.Name)
-		header(n, h.Layer, h.Name, "histogram")
-		lbl := promLabels(h.Entity, h.Tenant)
+		fam.header(w, n, "histogram", promHelp(h.Layer, h.Name, "histogram"))
+		lbl := promLabels(h.Entity, "tenant", h.Tenant)
 		var cum int64
 		for _, b := range h.Buckets {
 			cum += b.Count

@@ -13,7 +13,8 @@
 // pinned timings (internal/bench).
 //
 // Snapshots export deterministically (keys sorted) as BENCH-compatible JSON
-// and as Prometheus text format; see export.go.
+// and as Prometheus text format; see export.go. A Recorder (series.go)
+// samples watched series into virtual-time buckets over a run.
 package metrics
 
 import (
@@ -314,8 +315,8 @@ func (r *Registry) Merge(src *Registry) {
 
 // VisitCounters calls f for every counter series, in map order (callers
 // needing determinism must be order-independent or sort); nil-safe. The
-// telemetry recorder uses the Visit methods to scan live handles on its
-// sampling hot path without allocating key slices.
+// Recorder uses the Visit methods to scan live handles on its sampling hot
+// path without allocating key slices.
 func (r *Registry) VisitCounters(f func(Key, *Counter)) {
 	if r == nil {
 		return

@@ -116,7 +116,7 @@ func (c *Collector) WriteTimeline(w io.Writer) error {
 // Timestamps are microseconds (floats), the format's native unit.
 //
 // The extra pre-rendered trace events are appended to the array — the merge
-// point for the telemetry recorder's counter ("C") events, so spans and time
+// point for the metrics recorder's counter ("C") events, so spans and time
 // series land in one trace file. Each extra must be one complete JSON object
 // without trailing separators. A nil collector still emits the extras.
 func (c *Collector) WriteChromeTraceWith(w io.Writer, extra []string) error {

@@ -33,7 +33,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // WorkloadKind selects a job's traffic shape.
@@ -115,11 +114,11 @@ type JobSpec struct {
 	Weight int
 	// Workload is the traffic the job runs.
 	Workload Workload
-	// SLO, when its Objective is set, tracks this job's measured iteration
-	// latencies against the objective: per-tenant violation counters and
-	// windowed burn-rate gauges land in the run's registry under the "slo"
-	// layer (telemetry.SLOTracker). Zero disables tracking.
-	SLO telemetry.SLOConfig
+	// SLO, when set, is the latency objective of this job's measured
+	// iterations: per-tenant violation counters and windowed burn-rate
+	// gauges land in the run's registry under the "slo" layer (see
+	// sloTracker). Zero disables tracking.
+	SLO sim.Time
 }
 
 // Config describes one multi-tenant run.
@@ -141,7 +140,7 @@ type Config struct {
 	// buckets (fabric goodput, proxy queue depth, per-tenant HOL wait, SLO
 	// burn become time series). Like the other sinks it never consumes
 	// virtual time.
-	Timeline *telemetry.Recorder
+	Timeline *metrics.Recorder
 }
 
 // IterSample is one measured iteration of one rank: when it completed (in
@@ -248,7 +247,7 @@ func Run(cfg Config) (*Result, error) {
 		// One tracker per job (nil when the job sets no objective): all
 		// ranks' measured iterations pool into the same tenant-labelled
 		// series, matching how JobResult pools Iters.
-		slo := telemetry.NewSLOTracker(sys.Cl.Met, job.Name, job.SLO)
+		slo := newSLOTracker(sys.Cl.Met, job.Name, job.SLO)
 
 		sys.Worlds[j].Launch(func(r *mpi.Rank) {
 			h, eng := sys.Host(j, r), sys.Engines[j]
@@ -293,7 +292,7 @@ func Run(cfg Config) (*Result, error) {
 // runAlltoall runs the Latency/Bulk workload on one rank: an optional
 // arrival delay, then warmup + measured nonblocking alltoalls, returning
 // the stamped per-iteration latencies.
-func runAlltoall(r *mpi.Rank, ops coll.Ops, w Workload, slo *telemetry.SLOTracker) []IterSample {
+func runAlltoall(r *mpi.Rank, ops coll.Ops, w Workload, slo *sloTracker) []IterSample {
 	if w.Start > 0 {
 		r.Proc().Sleep(w.Start)
 	}
@@ -315,7 +314,7 @@ func runAlltoall(r *mpi.Rank, ops coll.Ops, w Workload, slo *telemetry.SLOTracke
 		t0 := r.Now()
 		iter()
 		d := r.Now() - t0
-		slo.Observe(d)
+		slo.observe(d)
 		ds = append(ds, IterSample{At: r.Now(), Dur: d})
 	}
 	return ds
@@ -324,7 +323,7 @@ func runAlltoall(r *mpi.Rank, ops coll.Ops, w Workload, slo *telemetry.SLOTracke
 // runPattern replays the job's pattern.Spec through group offload (the
 // pattern.Run execution model — pattern.Replayer — on a shared framework);
 // ranks beyond the spec's size idle.
-func runPattern(r *mpi.Rank, h *core.Host, eng *policy.Engine, w Workload, slo *telemetry.SLOTracker, jr *JobResult) []IterSample {
+func runPattern(r *mpi.Rank, h *core.Host, eng *policy.Engine, w Workload, slo *sloTracker, jr *JobResult) []IterSample {
 	spec := w.Spec
 	if r.RankID() >= spec.NRanks {
 		return nil
@@ -352,7 +351,7 @@ func runPattern(r *mpi.Rank, h *core.Host, eng *policy.Engine, w Workload, slo *
 		t0 := rp.Call(0)
 		if c >= w.Warmup {
 			d := r.Now() - t0
-			slo.Observe(d)
+			slo.observe(d)
 			ds = append(ds, IterSample{At: r.Now(), Dur: d})
 		}
 	}
